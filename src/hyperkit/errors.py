@@ -111,3 +111,13 @@ class NotSimplePointed(HyperkitError):
 
 class FormatError(HyperkitError):
     """Malformed object file."""
+
+
+class InvariantViolated(HyperkitError):
+    """An internal invariant failed: a bug in the kit, not in the input."""
+
+
+def ensure(condition: bool, message: str) -> None:
+    """Check an internal invariant; unlike `assert`, it also runs under -O."""
+    if not condition:
+        raise InvariantViolated(message)

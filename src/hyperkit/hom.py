@@ -146,15 +146,19 @@ def morphism_in_tag(f: Morphism, tag: Tag) -> bool:
 
 
 class _Budget:
-    __slots__ = ("left",)
+    """Node budget of one search; `what` names the search in the error."""
 
-    def __init__(self, cap: int | None):
-        self.left = search_cap() if cap is None else cap
+    __slots__ = ("cap", "left", "what")
+
+    def __init__(self, cap: int | None, what: str = "enumeration"):
+        self.cap = search_cap() if cap is None else cap
+        self.left = self.cap
+        self.what = what
 
     def spend(self) -> None:
         self.left -= 1
         if self.left < 0:
-            raise SearchCapExceeded("enumeration node cap exceeded")
+            raise SearchCapExceeded(f"{self.what}: node cap exceeded after {self.cap} nodes")
 
 
 def enumerate_morphisms(

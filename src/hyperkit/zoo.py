@@ -28,6 +28,7 @@ from .errors import (
     NotMultiring,
     NotUnitSubgroup,
     ZeroNotAbsorbing,
+    ensure,
 )
 from .hom import enumerate_morphisms, is_strict
 
@@ -689,86 +690,35 @@ def _triple_orbits(nz: int, sigma: Sequence[int]) -> list[list[tuple[int, int, i
     return orbits
 
 
-def _assoc_ok_flat(tab: list[int], n: int) -> bool:
-    """Associativity over a flat mask table with early exit.
+def _orbit_symmetries(
+    nz: int, sigma: Sequence[int], orbits: list, orb_banned: list[bool]
+) -> list[tuple[list[int], ...]]:
+    """The relabelings of nonzero elements that commute with sigma and keep
+    the banned orbits banned, as 8-bit chunk tables on orbit-choice vectors.
 
-    Triples with a zero coordinate hold automatically (0 is scalar), and by
-    commutativity the (i,j,k) condition equals (k,j,i), so only nonzero
-    triples with i <= k are scanned.
+    Orbit i is bit k-1-i of a vector v.  A relabeling p maps orbits to
+    orbits, so v(pT) is a fixed bit permutation of v(T).  Each symmetry is
+    a tuple of lookup tables, one per 8-bit chunk of v: table j maps chunk j
+    of v(T) to its bits in v(pT).
     """
-    for i in range(1, n):
-        ri = i * n
-        for j in range(1, n):
-            ij = tab[ri + j]
-            rj = j * n
-            for k in range(i, n):
-                left = 0
-                m = ij
-                while m:
-                    low = m & -m
-                    left |= tab[(low.bit_length() - 1) * n + k]
-                    m ^= low
-                right = 0
-                m = tab[rj + k]
-                while m:
-                    low = m & -m
-                    right |= tab[ri + low.bit_length() - 1]
-                    m ^= low
-                if left != right:
-                    return False
-    return True
-
-
-def _canonical_signature(M: Hypermagma) -> tuple:
-    """Iso-invariant key: sorted element invariants plus the least serialized
-    table over relabelings that keep 0 fixed and respect invariant classes."""
-    n = M.n
-    tbl = M.table
-
-    def esig(x: int) -> tuple:
-        return (
-            tuple(
-                sorted(
-                    (
-                        tbl[x][y].bit_count(),
-                        (tbl[x][y] >> x) & 1,
-                        (tbl[x][y] >> y) & 1,
-                        (tbl[x][y] >> 0) & 1,
-                    )
-                    for y in range(n)
-                )
-            ),
-            tbl[x][x].bit_count(),
-        )
-
-    classes: dict[tuple, list[int]] = {}
-    for x in range(1, n):
-        classes.setdefault(esig(x), []).append(x)
-    keys = sorted(classes)
-    blocks = [tuple(classes[kk]) for kk in keys]
-    best = None
-    for arrangement in itertools.product(*(itertools.permutations(b) for b in blocks)):
-        seq = [0]
-        for block in arrangement:
-            seq.extend(block)
-        pos = [0] * n
-        for newp, old in enumerate(seq):
-            pos[old] = newp
-        cur = []
-        for a in seq:
-            row_a = tbl[a]
-            for b in seq:
-                m = row_a[b]
-                mm = 0
-                while m:
-                    low = m & -m
-                    mm |= 1 << pos[low.bit_length() - 1]
-                    m ^= low
-                cur.append(mm)
-        cur_t = tuple(cur)
-        if best is None or cur_t < best:
-            best = cur_t
-    return (tuple(keys), best)
+    k = len(orbits)
+    orbit_of = {t: i for i, orb in enumerate(orbits) for t in orb}
+    out = []
+    for p in itertools.permutations(range(nz)):
+        if p == tuple(range(nz)) or any(p[sigma[x]] != sigma[p[x]] for x in range(nz)):
+            continue
+        image = [orbit_of[tuple(p[t] for t in orb[0])] for orb in orbits]
+        if any(orb_banned[i] != orb_banned[image[i]] for i in range(k)):
+            continue
+        chunks = []
+        for lo in range(0, k, 8):
+            table = [0]
+            for b in range(lo, min(lo + 8, k)):
+                moved = 1 << (k - 1 - image[k - 1 - b])
+                table += [t | moved for t in table]
+            chunks.append(table)
+        out.append(tuple(chunks))
+    return out
 
 
 def enumerate_reversible_tables(
@@ -781,26 +731,46 @@ def enumerate_reversible_tables(
     cap: int | None = None,
 ):
     """Yield commutative unital reversible tables on n elements (0 is the
-    unit), optionally filtered to total and associative ones.
+    unit), optionally filtered to total and associative ones: one table per
+    isomorphism class of the tables that meet the constraints.
 
-    The free choices are orbits of nonzero triples under the commutativity
-    and reversibility moves, so every emitted table is reversible by
-    construction.  `forced_out` lists nonzero triples (x-1, y-1, z-1) that
-    must not hold; `forced_pair_subset` maps a nonzero pair (x-1, y-1) to a
-    mask of allowed nonzero sum members.  Iterates over one involution per
-    cycle type (every table is isomorphic to one with a canonical
-    involution).
+    `forced_out` lists nonzero triples (x-1, y-1, z-1) that must not hold;
+    `forced_pair_subset` maps a nonzero pair (x-1, y-1) to a mask of allowed
+    nonzero sum members.  Every table is isomorphic to one whose inversion
+    is a canonical involution sigma, and the search visits one sigma per
+    cycle type, fewest swaps first.
+
+    For each sigma the free choices are the orbits of nonzero triples
+    (x, y, z), read "z in x + y", under the commutativity move (y, x, z) and
+    the reversibility move (z, sigma(y), x), so every table is reversible by
+    construction.  A depth-first search decides the orbits in
+    `_triple_orbits` order, "in" before "out".  It prunes a partial table
+    when the undecided orbits can no longer make it total, and when an
+    associativity triple (a, b, c) fails as soon as every entry that
+    (a + b) + c and a + (b + c) may read -- (a, b), (b, c), column c and
+    row a -- is final.  Both cuts drop only subtrees without a valid leaf.
+
+    Within one sigma the valid tables come in decreasing order of their
+    orbit-choice vector v (orbit 0 most significant).  An isomorphism
+    between two of them fixes 0 and commutes with sigma, so it permutes the
+    orbits and v(pT) is a bit permutation of v(T).  A table is yielded only
+    if v(T) >= v(pT) for every such p that also keeps the forced constraints,
+    that is, exactly when it is the first table of its class in search
+    order.  So each class is yielded once, and its representative is its
+    first table in search order.
     """
     from .hom import _Budget
 
-    budget = _Budget(cap)
+    budget = _Budget(cap, f"enumerate_reversible_tables(n={n})")
     nz = n - 1
     labels = [str(v) for v in range(n)]
+    bits_of = [tuple(iter_bits(m)) for m in range(1 << n)]
+    banned = set(forced_out)
     for sigma in _involutions(nz):
         if sigma_filter is not None and not sigma_filter(sigma):
             continue
         orbits = _triple_orbits(nz, sigma)
-        banned = set(forced_out)
+        k = len(orbits)
         orb_banned = []
         for orb in orbits:
             bad = any(t in banned for t in orb)
@@ -811,6 +781,7 @@ def enumerate_reversible_tables(
                         bad = True
                         break
             orb_banned.append(bad)
+        symmetries = _orbit_symmetries(nz, sigma, orbits, orb_banned)
 
         # coverage bitmask per orbit over the pairs whose entry must be hit
         pairs_needing = [
@@ -826,7 +797,6 @@ def enumerate_reversible_tables(
                 if pi is not None:
                     c |= 1 << pi
             cover.append(c)
-        k = len(orbits)
         suffix = [0] * (k + 1)
         for i in range(k - 1, -1, -1):
             suffix[i] = suffix[i + 1] | (0 if orb_banned[i] else cover[i])
@@ -846,25 +816,56 @@ def enumerate_reversible_tables(
                 d[j] = d.get(j, 0) | 1 << (z + 1)
             deltas.append(tuple(d.items()))
 
-        def rec(i: int, got: int):
+        # entry j is final from depth final[j] on.  (a + b) + c is read from
+        # row c and a + (b + c) from row a, which also hold (a, b) and
+        # (c, b) = (b, c); checks[i] lists, as flat offsets (ab, bc, row a,
+        # row c), the triples whose two rows become final at depth i.  By
+        # commutativity (a, b, c) and (c, b, a) are one check and (a, b, a)
+        # always holds, so only a < c is checked.
+        final = [0] * (n * n)
+        for i, orb in enumerate(orbits):
+            if not orb_banned[i]:
+                for (x, y, _z) in orb:
+                    final[(x + 1) * n + y + 1] = i + 1
+        checks: list[list[tuple[int, int, int, int]]] = [[] for _ in range(k + 1)]
+        if require_assoc:
+            for a in range(1, n):
+                for c in range(a + 1, n):
+                    ready = max(final[a * n : a * n + n] + final[c * n : c * n + n])
+                    for b in range(1, n):
+                        checks[ready].append((a * n + b, b * n + c, a * n, c * n))
+
+        def rec(i: int, got: int, v: int):
             budget.spend()
             if require_total and (got | suffix[i]) != full_cover:
                 return
-            if i == k:
-                if require_assoc and not _assoc_ok_flat(tab, n):
+            for ab, bc, ra, rc in checks[i]:
+                left = 0
+                for d in bits_of[tab[ab]]:
+                    left |= tab[rc + d]
+                right = 0
+                for e in bits_of[tab[bc]]:
+                    right |= tab[ra + e]
+                if left != right:
                     return
-                rows = [tuple(tab[r * n : (r + 1) * n]) for r in range(n)]
-                yield from_masks(labels, rows)
+            if i == k:
+                for chunks in symmetries:
+                    w = 0
+                    for j, chunk in enumerate(chunks):
+                        w |= chunk[(v >> 8 * j) & 255]
+                    if w > v:
+                        return
+                yield from_masks(labels, [tab[r * n : (r + 1) * n] for r in range(n)])
                 return
             if not orb_banned[i]:
                 for (j, m) in deltas[i]:
                     tab[j] |= m
-                yield from rec(i + 1, got | cover[i])
+                yield from rec(i + 1, got | cover[i], v | 1 << (k - 1 - i))
                 for (j, m) in deltas[i]:
                     tab[j] ^= m
-            yield from rec(i + 1, got)
+            yield from rec(i + 1, got, v)
 
-        yield from rec(0, 0)
+        yield from rec(0, 0, 0)
 
 
 @lru_cache(maxsize=None)
@@ -912,52 +913,35 @@ def enumerate_unital_hypermagmas(n: int) -> tuple[Hypermagma, ...]:
 
 
 @lru_cache(maxsize=None)
-def _canonical_hypergroups_cached(n: int) -> tuple[Hypermagma, ...]:
-    out = []
-    seen = set()
-    for M in enumerate_reversible_tables(n):
-        sig = _canonical_signature(M)
-        if sig in seen:
-            continue
-        seen.add(sig)
-        out.append(M)
-        assert analyze(M).classification in ("CanonicalHypergroup", "AbelianGroup")
-    return tuple(out)
+def enumerate_small_mosaics(n: int) -> tuple[Hypermagma, ...]:
+    """Every commutative mosaic on n elements up to isomorphism, in the order
+    of `enumerate_reversible_tables`."""
+    return tuple(enumerate_reversible_tables(n, require_total=False, require_assoc=False))
 
 
 @lru_cache(maxsize=None)
-def enumerate_small_mosaics(n: int) -> tuple[Hypermagma, ...]:
-    """Every commutative mosaic on n elements up to isomorphism."""
-    if n == 0:
-        return ()
-    if n == 1:
-        return (from_masks(("0",), ((1,),)),)
+def _canonical_hypergroups(n: int, cap: int | None) -> tuple[Hypermagma, ...]:
     out = []
-    seen = set()
-    for M in enumerate_reversible_tables(n, require_total=False, require_assoc=False):
-        sig = _canonical_signature(M)
-        if sig not in seen:
-            seen.add(sig)
-            out.append(M)
+    for M in enumerate_reversible_tables(n, cap=cap):
+        kind = analyze(M).classification
+        ensure(
+            kind in ("CanonicalHypergroup", "AbelianGroup"),
+            f"enumerate_canonical_hypergroups(n={n}) produced a {kind}",
+        )
+        out.append(M)
     return tuple(out)
 
 
 def enumerate_canonical_hypergroups(n: int, cap: int | None = None) -> list[Hypermagma]:
-    """Canonical hypergroups on n elements, one per isomorphism class."""
-    if n == 0:
-        return []
-    if n == 1:
-        return [from_masks(("0",), ((1,),))]
-    if cap is not None:
-        out = []
-        seen = set()
-        for M in enumerate_reversible_tables(n, cap=cap):
-            sig = _canonical_signature(M)
-            if sig not in seen:
-                seen.add(sig)
-                out.append(M)
-        return out
-    return list(_canonical_hypergroups_cached(n))
+    """Canonical hypergroups on n elements, one per isomorphism class.
+
+    These are the total associative tables of `enumerate_reversible_tables`:
+    each class once, represented by its first table in search order, classes
+    in that order.  Every result is checked with `analyze`.  A `cap` bounds
+    the search nodes (default: `hom.search_cap()`); past it the search raises
+    `SearchCapExceeded`.
+    """
+    return list(_canonical_hypergroups(n, cap))
 
 
 # ---------------------------------------------------------------------------
@@ -1161,7 +1145,10 @@ def empty_sum_search(max_size: int, cap: int | None = None) -> EmptySumOutcome:
                 break
             if found is not None:
                 xe, ye = x + 1, y + 1
-                assert _verify_empty_sum(found, xe, ye)
+                ensure(
+                    _verify_empty_sum(found, xe, ye),
+                    f"empty_sum_search: n={n} witness fails the hom-object route",
+                )
                 steps.append(f"n={n}, {swaps} swaps: witness found")
                 return EmptySumOutcome((found, xe, ye), max_size, tuple(steps))
             steps.append(f"n={n}, {swaps} swaps: exhausted, no witness")

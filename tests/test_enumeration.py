@@ -1,0 +1,283 @@
+"""Oracles for the canonical hypergroup enumerator.
+
+Two references check `enumerate_reversible_tables` and what is built on it:
+
+- a copy of the original algorithm: the same orbit search without pruning,
+  associativity checked on complete tables only, and isomorphic copies
+  removed afterwards by a canonical signature.  The pruned, isomorph-free
+  enumerator must return the same tables in the same order.
+- a raw scan at order 4 with no orbit machinery: free bits over the
+  unordered nonzero pairs, a reversibility filter, `analyze`, and dedup by
+  `find_isomorphism`.
+"""
+import itertools
+import os
+import subprocess
+import sys
+import time
+
+import pytest
+
+import hyperkit
+from hyperkit.axioms import analyze
+from hyperkit.core import find_isomorphism, from_masks
+from hyperkit.errors import SearchCapExceeded
+from hyperkit.zoo import enumerate_canonical_hypergroups, enumerate_small_mosaics
+
+CANONICAL = ("CanonicalHypergroup", "AbelianGroup")
+
+# ---------------------------------------------------------------------------
+# The original algorithm, kept as an oracle
+
+
+def _old_involutions(k):
+    out = []
+    for swaps in range(k // 2 + 1):
+        sigma = list(range(k))
+        for s in range(swaps):
+            sigma[2 * s], sigma[2 * s + 1] = 2 * s + 1, 2 * s
+        out.append(tuple(sigma))
+    return out
+
+
+def _old_triple_orbits(nz, sigma):
+    seen = set()
+    orbits = []
+    for t in itertools.product(range(nz), repeat=3):
+        if t in seen:
+            continue
+        stack = [t]
+        orb = set()
+        while stack:
+            cur = stack.pop()
+            if cur in orb:
+                continue
+            orb.add(cur)
+            x, y, z = cur
+            stack.append((y, x, z))
+            stack.append((z, sigma[y], x))
+        orbits.append(sorted(orb))
+        seen |= orb
+    return orbits
+
+
+def _old_assoc_ok(tab, n):
+    def union(mask, offset, stride):
+        out = 0
+        for d in range(n):
+            if (mask >> d) & 1:
+                out |= tab[offset + d * stride]
+        return out
+
+    for i in range(1, n):
+        for j in range(1, n):
+            for k in range(i, n):
+                left = union(tab[i * n + j], k, n)
+                right = union(tab[j * n + k], i * n, 1)
+                if left != right:
+                    return False
+    return True
+
+
+def _old_signature(M):
+    n, tbl = M.n, M.table
+
+    def esig(x):
+        return (
+            tuple(
+                sorted(
+                    (
+                        tbl[x][y].bit_count(),
+                        (tbl[x][y] >> x) & 1,
+                        (tbl[x][y] >> y) & 1,
+                        tbl[x][y] & 1,
+                    )
+                    for y in range(n)
+                )
+            ),
+            tbl[x][x].bit_count(),
+        )
+
+    classes = {}
+    for x in range(1, n):
+        classes.setdefault(esig(x), []).append(x)
+    keys = sorted(classes)
+    best = None
+    blocks = [classes[kk] for kk in keys]
+    for arrangement in itertools.product(*(itertools.permutations(b) for b in blocks)):
+        seq = [0] + [x for block in arrangement for x in block]
+        pos = [0] * n
+        for new, old in enumerate(seq):
+            pos[old] = new
+        cur = tuple(
+            sum(1 << pos[z] for z in range(n) if (tbl[a][b] >> z) & 1)
+            for a in seq
+            for b in seq
+        )
+        if best is None or cur < best:
+            best = cur
+    return (tuple(keys), best)
+
+
+def _old_tables(n, require_total, require_assoc):
+    """Every labelled table, in search order: orbit i "in" before "out"."""
+    nz = n - 1
+    labels = [str(v) for v in range(n)]
+    for sigma in _old_involutions(nz):
+        orbits = _old_triple_orbits(nz, sigma)
+        must_hit = {(x, y) for x in range(nz) for y in range(nz) if sigma[x] != y}
+        for choice in itertools.product((1, 0), repeat=len(orbits)):
+            chosen = [t for c, orb in zip(choice, orbits) if c for t in orb]
+            if require_total and not must_hit <= {(x, y) for x, y, _ in chosen}:
+                continue
+            tab = [0] * (n * n)
+            for x in range(n):
+                tab[x] |= 1 << x
+                tab[x * n] |= 1 << x
+            for x in range(1, n):
+                tab[x * n + sigma[x - 1] + 1] |= 1
+            for x, y, z in chosen:
+                tab[(x + 1) * n + y + 1] |= 1 << (z + 1)
+            if require_assoc and not _old_assoc_ok(tab, n):
+                continue
+            yield from_masks(labels, [tab[r * n : (r + 1) * n] for r in range(n)])
+
+
+def _old_classes(n, require_total=True, require_assoc=True):
+    out, seen = [], set()
+    for M in _old_tables(n, require_total, require_assoc):
+        sig = _old_signature(M)
+        if sig not in seen:
+            seen.add(sig)
+            out.append(M)
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_canonical_hypergroups_match_old_algorithm(n):
+    new = enumerate_canonical_hypergroups(n)
+    assert [M.table for M in new] == [M.table for M in _old_classes(n)]
+    assert all(M.labels == tuple(str(v) for v in range(n)) for M in new)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_small_mosaics_match_old_algorithm(n):
+    new = enumerate_small_mosaics(n)
+    old = _old_classes(n, require_total=False, require_assoc=False)
+    assert [(M.labels, M.table) for M in new] == [(M.labels, M.table) for M in old]
+
+
+# ---------------------------------------------------------------------------
+# An independent raw scan at order 4
+
+
+def _raw_canonical_hypergroups_4():
+    """Canonical hypergroups on {0, 1, 2, 3} up to isomorphism.
+
+    The unknowns are the sums x + y of the six unordered nonzero pairs.  The
+    inverse map fixes bit 0 of each sum, and the nonzero part is free.  A
+    partial assignment is dropped when some z in x + y, with both x + y and
+    z + inv(y) assigned, has x outside z + inv(y).  Survivors go to
+    `analyze`, and the classes are deduplicated by `find_isomorphism`.
+    """
+    n = 4
+    pairs = [(x, y) for x in range(1, n) for y in range(x, n)]
+    slot = {}
+    for i, (x, y) in enumerate(pairs):
+        slot[(x, y)] = slot[(y, x)] = i
+    reps = []
+    for images in itertools.permutations(range(1, n)):
+        inv = (0,) + images
+        if any(inv[inv[x]] != x for x in range(n)):
+            continue
+        # z in x + y needs x in z + inv(y); checks[i] lists the conditions
+        # (slot of x + y, z, slot of z + inv(y), x) decided at slot i
+        checks = [[] for _ in pairs]
+        for x, y, z in itertools.product(range(1, n), repeat=3):
+            a, b = slot[(x, y)], slot[(z, inv[y])]
+            checks[max(a, b)].append((a, z, b, x))
+        sums = [0] * len(pairs)
+
+        def scan(i):
+            if i == len(pairs):
+                yield tuple(sums)
+                return
+            x, y = pairs[i]
+            zero = 1 if inv[x] == y else 0
+            for free in range(1 << (n - 1)):
+                sums[i] = zero | free << 1
+                if sums[i] and all(
+                    not (sums[a] >> z) & 1 or (sums[b] >> w) & 1
+                    for a, z, b, w in checks[i]
+                ):
+                    yield from scan(i + 1)
+
+        for found in scan(0):
+            rows = [[1 << y if x == 0 else 1 << x if y == 0 else found[slot[(x, y)]]
+                     for y in range(n)] for x in range(n)]
+            M = from_masks([str(v) for v in range(n)], rows)
+            if analyze(M).classification not in CANONICAL:
+                continue
+            if not any(find_isomorphism(M, R) for R in reps):
+                reps.append(M)
+    return reps
+
+
+def test_order4_independent_raw_scan():
+    start = time.perf_counter()
+    raw = _raw_canonical_hypergroups_4()
+    elapsed = time.perf_counter() - start
+    new = enumerate_canonical_hypergroups(4)
+    assert len(raw) == len(new) == 97
+    assert all(any(find_isomorphism(M, N) for N in new) for M in raw)
+    assert all(any(find_isomorphism(N, M) for M in raw) for N in new)
+    assert elapsed <= 5.0
+
+
+# ---------------------------------------------------------------------------
+# Invariants and the search cap
+
+
+def test_invariant_checks_survive_optimize_flag():
+    script = """
+import sys
+from hyperkit import errors, zoo
+print(sys.flags.optimize, len(zoo.enumerate_canonical_hypergroups(4)))
+
+class Wrong:
+    classification = "Hypergroup"
+
+zoo.analyze = lambda M: Wrong
+try:
+    zoo.enumerate_canonical_hypergroups(3)
+except errors.InvariantViolated as exc:
+    print("raised:", exc)
+"""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hyperkit.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "1 97"
+    assert lines[1].startswith("raised: enumerate_canonical_hypergroups(n=3)")
+
+
+def test_cap_message_names_enumerator_and_size():
+    with pytest.raises(SearchCapExceeded) as info:
+        enumerate_canonical_hypergroups(5, cap=10)
+    message = str(info.value)
+    assert "enumerate_reversible_tables(n=5)" in message
+    assert "after 10 nodes" in message
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_capped_call_matches_uncapped(n):
+    capped = enumerate_canonical_hypergroups(n, cap=10**5)
+    assert [M.table for M in capped] == [M.table for M in enumerate_canonical_hypergroups(n)]
