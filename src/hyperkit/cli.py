@@ -259,7 +259,7 @@ def _load_morphism(path: str):
 
 
 def cmd_paper_suite(args) -> int:
-    results = run_suite(only=args.only, max_size=args.max_size, jobs=args.jobs)
+    results = run_suite(only=args.only, max_size=args.max_size)
     failed = 0
     for r in results:
         mark = "PASS" if r.ok else "FAIL"
@@ -315,7 +315,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_suite = sub.add_parser("paper-suite", help="verify the recorded finite facts")
     p_suite.add_argument("--max-size", type=int, default=None)
-    p_suite.add_argument("--jobs", type=int, default=1)
     p_suite.add_argument("--only", default=None)
     p_suite.set_defaults(fn=cmd_paper_suite)
     return ap

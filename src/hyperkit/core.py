@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import (
     DimensionMismatch,
@@ -380,6 +380,49 @@ def fresh_label(base: str, used: Iterable[str]) -> str:
     while lbl in used:
         lbl += "'"
     return lbl
+
+
+def orbit_partition(n: int, orbit: Callable[[int], int]) -> tuple[int, ...]:
+    """Projection of range(n) onto the blocks orbit(a) (masks that partition
+    the carrier), blocks numbered by their least member."""
+    proj = [-1] * n
+    k = 0
+    for a in range(n):
+        if proj[a] < 0:
+            for x in iter_bits(orbit(a)):
+                proj[x] = k
+            k += 1
+    return tuple(proj)
+
+
+def quotient(M: Hypermagma, proj: Sequence[int], unit: int | None = None) -> Morphism:
+    """The projection M -> M/proj with x * y = proj(fiber(x) * fiber(y)).
+
+    Classes must be numbered by their least member; each class takes that
+    member's label.  When `unit` is given, its row and column are the scalar
+    identity (never computed) and its label is a fresh "e".
+    """
+    k = max(proj, default=-1) + 1
+    fibers = [0] * k
+    for x, c in enumerate(proj):
+        fibers[c] |= 1 << x
+    labels = [M.labels[(f & -f).bit_length() - 1] for f in fibers]
+    if unit is not None:
+        labels[unit] = fresh_label("e", labels[:unit] + labels[unit + 1 :])
+    rows = []
+    for i in range(k):
+        if i == unit:
+            rows.append([1 << j for j in range(k)])
+            continue
+        row = []
+        for j in range(k):
+            if j == unit:
+                row.append(1 << i)
+            else:
+                prod = product_of_subsets(M, fibers[i], fibers[j])
+                row.append(mask_of(proj[z] for z in iter_bits(prod)))
+        rows.append(row)
+    return Morphism(M, from_masks(labels, rows), tuple(proj))
 
 
 def terminal() -> Hypermagma:

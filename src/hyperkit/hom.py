@@ -22,6 +22,7 @@ from .errors import (
     CodomainNotUnital,
     NotUnital,
     SearchCapExceeded,
+    ensure,
 )
 
 DEFAULT_SEARCH_CAP = 10**8
@@ -174,21 +175,25 @@ def enumerate_morphisms(
     fully determined pair violates colaxity.  Mosaic tags additionally prune
     with inverse preservation, which unital morphisms of mosaics satisfy
     automatically.
+
+    Results are memoised with the number of nodes their search spent.  A
+    memo hit whose count exceeds `cap` (or the default cap) searches again,
+    so it raises exactly where a fresh search does.
     """
     key = (M, N, tag, strict_only)
     cached = _HOM_CACHE.get(key)
-    if cached is not None:
-        return list(cached)
+    if cached is not None and cached[1] <= (search_cap() if cap is None else cap):
+        return list(cached[0])
 
     unital_tag = tag in UNITAL_TAGS
     if unital_tag and (M.identity is None or N.identity is None):
         raise NotUnital(f"tag {tag.value} needs unital objects")
     n, m = M.n, N.n
-    budget = _Budget(cap)
+    budget = _Budget(cap, f"enumerate_morphisms(|M|={n}, |N|={m}, {tag.value})")
     out: list[Morphism] = []
     if n == 0:
         out = [Morphism(M, N, ())]
-        _HOM_CACHE[key] = tuple(out)
+        _HOM_CACHE[key] = (tuple(out), 0)
         return out
 
     use_inverse_prune = (
@@ -236,11 +241,11 @@ def enumerate_morphisms(
                 rec(k + 1)
 
     rec(0)
-    _HOM_CACHE[key] = tuple(out)
+    _HOM_CACHE[key] = (tuple(out), budget.cap - budget.left)
     return out
 
 
-_HOM_CACHE: dict = {}
+_HOM_CACHE: dict = {}  # (M, N, tag, strict_only) -> (morphisms, nodes spent)
 
 
 def hom_count(M: Hypermagma, N: Hypermagma, tag: Tag) -> int:
@@ -269,17 +274,6 @@ class RepresentingObject:
     c: int
     free_pair: Hypermagma
     iota: Morphism
-
-
-def _free_pair(tag: Tag) -> Hypermagma:
-    """The free object on two generators a, b in the given tag."""
-    from .univ import free  # deferred: univ imports hom
-
-    if tag is Tag.HMAG:
-        return free(Tag.HMAG, ("a", "b"))
-    if tag is Tag.UHMAG:
-        return free(Tag.UHMAG, ("a", "b"))
-    return free(tag, ("a", "b"))
 
 
 def _sets_table(labels, entries):
@@ -350,31 +344,21 @@ def representing_object(tag: Tag) -> RepresentingObject:
     else:
         raise ValueError(f"no representing object for tag {tag}")
 
-    rep = analyze(E)
+    from .univ import free  # deferred: univ imports hom
+
     if tag in (Tag.MSC, Tag.CMSC):
-        assert rep.is_mosaic
-    F2 = _free_pair(tag)
-    iota = Morphism(F2, E, tuple(_iota_image(tag, E, l) for l in F2.labels))
-    assert morphism_in_tag(iota, tag) and is_injective(iota)
-    a, b, c = (E.index(x) for x in _generator_labels(tag))
-    assert (E.table[a][b] >> c) & 1
+        ensure(analyze(E).is_mosaic, "representing_object: E is not a mosaic")
+    F2 = free(tag, ("a", "b"))
+    # the free pair shares E's labels, except that Msc writes 0, -a, -b as e, a', b'
+    rename = {"0": "e", "-a": "a'", "-b": "b'"} if tag is Tag.MSC else {}
+    iota = Morphism(F2, E, tuple(E.index(rename.get(l, l)) for l in F2.labels))
+    ensure(
+        morphism_in_tag(iota, tag) and is_injective(iota),
+        "representing_object: iota is not an injective morphism",
+    )
+    a, b, c = (E.index(x) for x in ("a", "b", "c"))
+    ensure((E.table[a][b] >> c) & 1, "representing_object: c is not in a*b")
     return RepresentingObject(tag, E, a, b, c, F2, iota)
-
-
-def _generator_labels(tag: Tag) -> tuple[str, str, str]:
-    return ("a", "b", "c")
-
-
-def _iota_image(tag: Tag, E: Hypermagma, label: str) -> int:
-    if tag is Tag.HMAG:
-        return E.index(label)
-    if tag is Tag.UHMAG:
-        return E.index(label)
-    if tag is Tag.MSC:
-        table = {"0": "e", "a": "a", "-a": "a'", "b": "b", "-b": "b'"}
-        return E.index(table[label])
-    table = {"0": "0", "a": "a", "-a": "-a", "b": "b", "-b": "-b"}
-    return E.index(table[label])
 
 
 def triples(M: Hypermagma) -> list[tuple[int, int, int]]:

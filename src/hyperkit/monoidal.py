@@ -4,7 +4,6 @@ the monoid-object packaging of multirings.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -23,13 +22,13 @@ from .errors import (
     NotCommutativeMosaic,
     NotMosaic,
     NotUnital,
+    ensure,
 )
 from .hom import (
     _Budget,
     constant_morphism,
     enumerate_morphisms,
     is_colax,
-    is_short,
     is_unital,
     morphism_in_tag,
 )
@@ -72,7 +71,7 @@ def wedge_smash(M: Hypermagma, N: Hypermagma) -> QuotientMap:
     E = mask_of(x * N.n + N.identity for x in range(M.n))
     E |= mask_of(M.identity * N.n + y for y in range(N.n))
     q = unitize(B, E)
-    assert q.cod.n == (M.n - 1) * (N.n - 1) + 1
+    ensure(q.cod.n == (M.n - 1) * (N.n - 1) + 1, "wedge_smash: wrong smash size")
     return q
 
 
@@ -109,16 +108,12 @@ def boxtimes(M: Hypermagma, N: Hypermagma) -> QuotientMap:
             tgt = pair_to_w[M.inverse[x] * N.n + N.inverse[y]]
             neg[src] = tgt
     i_minus = Morphism(W, W, tuple(neg))
-    assert is_colax(i_minus) and is_unital(i_minus)
+    ensure(is_colax(i_minus) and is_unital(i_minus), "boxtimes: (-1) smash (-1) is not a morphism")
     q2 = coequalizer(Morphism(W, W, tuple(range(W.n))), i_minus, Tag.UHMAG)
     pi = compose(q2.morphism, q1.morphism)
-    part: dict[int, list[int]] = {}
-    for p in range(len(pi.map)):
-        part.setdefault(pi.map[p], []).append(p)
-    partition = tuple(tuple(part[i]) for i in sorted(part))
     rep = analyze(pi.cod)
-    assert rep.is_mosaic and rep.commutative
-    return QuotientMap(pi, partition, short=is_short(pi), unital=is_unital(pi))
+    ensure(rep.is_mosaic and rep.commutative, "boxtimes: the quotient is not a commutative mosaic")
+    return QuotientMap.from_morphism(pi)
 
 
 @dataclass(frozen=True)
@@ -160,7 +155,9 @@ def enumerate_bimorphisms(
     """
     rows_pool = enumerate_morphisms(N, L, tag)
     unital_tag = tag in UNITAL_TAGS
-    budget = _Budget(cap)
+    budget = _Budget(
+        cap, f"enumerate_bimorphisms(|M|={M.n}, |N|={N.n}, |L|={L.n}, {tag.value})"
+    )
     chosen: list[Morphism] = []
     out: list[Bimorphism] = []
 
@@ -212,39 +209,22 @@ def tensor(M: Hypermagma, N: Hypermagma, tag: Tag) -> tuple[Hypermagma, Bimorphi
     """The tag's monoidal product with its canonical bimorphism."""
     if tag is Tag.HMAG:
         T = boxdot(M, N)
-        table = tuple(
-            tuple(x * N.n + y for y in range(N.n)) for x in range(M.n)
-        )
-        u = Bimorphism(M, N, T, table)
-    elif tag is Tag.UHMAG:
-        q = wedge_smash(M, N)
-        T = q.cod
-        table = tuple(
-            tuple(q.morphism.map[x * N.n + y] for y in range(N.n)) for x in range(M.n)
-        )
-        u = Bimorphism(M, N, T, table)
-    elif tag is Tag.CMSC:
-        q = boxtimes(M, N)
-        T = q.cod
-        table = tuple(
-            tuple(q.morphism.map[x * N.n + y] for y in range(N.n)) for x in range(M.n)
-        )
-        u = Bimorphism(M, N, T, table)
+        pair = range(T.n)
+    elif tag in (Tag.UHMAG, Tag.CMSC):
+        q = wedge_smash(M, N) if tag is Tag.UHMAG else boxtimes(M, N)
+        T, pair = q.cod, q.morphism.map
     else:
         raise NotCommutativeMosaic(f"no tensor product for tag {tag}")
-    assert is_bimorphism(u, tag)
+    table = tuple(tuple(pair[x * N.n + y] for y in range(N.n)) for x in range(M.n))
+    u = Bimorphism(M, N, T, table)
+    ensure(is_bimorphism(u, tag), "tensor: the canonical map is not a bimorphism")
     return T, u
-
-
-@lru_cache(maxsize=None)
-def _hom_elements(M: Hypermagma, N: Hypermagma, tag: Tag) -> tuple[Morphism, ...]:
-    return tuple(enumerate_morphisms(M, N, tag))
 
 
 @lru_cache(maxsize=None)
 def hom_object(M: Hypermagma, N: Hypermagma, tag: Tag) -> Hypermagma:
     """The hom-set under f*g = {h | h(x) in f(x)*g(x) for all x}."""
-    homs = _hom_elements(M, N, tag)
+    homs = enumerate_morphisms(M, N, tag)
     H = len(homs)
     labels = ["(" + ",".join(N.labels[v] for v in h.map) + ")" for h in homs]
     by_value = [
@@ -268,7 +248,7 @@ def hom_object(M: Hypermagma, N: Hypermagma, tag: Tag) -> Hypermagma:
 
 
 def hom_index(M: Hypermagma, N: Hypermagma, tag: Tag, map_tuple: tuple[int, ...]) -> int:
-    homs = _hom_elements(M, N, tag)
+    homs = enumerate_morphisms(M, N, tag)
     for i, h in enumerate(homs):
         if h.map == map_tuple:
             return i
@@ -293,7 +273,7 @@ def curry(phi: Morphism, M: Hypermagma, N: Hypermagma, tag: Tag) -> Morphism:
 def uncurry(psi: Morphism, M: Hypermagma, N: Hypermagma, L: Hypermagma, tag: Tag) -> Morphism:
     """Hom(M, [N, L]) -> Hom(M (x) N, L)."""
     T, u = tensor(M, N, tag)
-    homs = _hom_elements(N, L, tag)
+    homs = enumerate_morphisms(N, L, tag)
     assert psi.dom == M and psi.cod == hom_object(N, L, tag)
     values: dict[int, int] = {}
     for x in range(M.n):
@@ -320,24 +300,22 @@ def represents_bimorphisms(
     for every battery object L; returns the first failure as a witness."""
     assert u.cod == T
     M, N = u.dom1, u.dom2
-    for L in battery:
+    for i, L in enumerate(battery):
         bims = {b.table for b in enumerate_bimorphisms(M, N, L, tag)}
         homs = enumerate_morphisms(T, L, tag)
+        at = f"battery[{i}] ({'|'.join(L.labels)})"
         if len(homs) != len(bims):
-            return False, (
-                f"|Hom(T,{'|'.join(L.labels)})| = {len(homs)} but "
-                f"|Bim| = {len(bims)}"
-            )
+            return False, f"|Hom(T,L)| = {len(homs)} but |Bim| = {len(bims)} at {at}"
         mapped = set()
         for phi in homs:
             tbl = tuple(
                 tuple(phi.map[u(x, y)] for y in range(N.n)) for x in range(M.n)
             )
             if tbl in mapped:
-                return False, f"pairing not injective at {L.labels}"
+                return False, f"pairing not injective at {at}"
             mapped.add(tbl)
         if mapped != bims:
-            return False, f"pairing not surjective at {L.labels}"
+            return False, f"pairing not surjective at {at}"
     return True, None
 
 

@@ -7,7 +7,6 @@ pass/fail line per check and exits nonzero on any failure.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -881,9 +880,7 @@ SIZED_CHECKS = {
 }
 
 
-def run_suite(
-    only: str | None = None, max_size: int | None = None, jobs: int = 1
-) -> list[CheckResult]:
+def run_suite(only: str | None = None, max_size: int | None = None) -> list[CheckResult]:
     names = [n for n in CHECKS if only is None or only in n]
     empty_sum_size = max_size if max_size is not None else 6
     refuter_size = max_size if max_size is not None else 5
@@ -896,8 +893,4 @@ def run_suite(
             return fn(refuter_size)
         return fn()
 
-    if jobs <= 1:
-        return [call(n) for n in names]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        futures = {n: pool.submit(call, n) for n in names}
-        return [futures[n].result() for n in names]
+    return [call(n) for n in names]

@@ -18,7 +18,9 @@ from .core import (
     iter_bits,
     mask_of,
     product_of_subsets,
+    quotient,
     terminal,
+    weak_sub,
 )
 from .errors import (
     NoCommonCodomain,
@@ -26,6 +28,7 @@ from .errors import (
     NotUnital,
     NotUnitalTag,
     UnsupportedCategory,
+    ensure,
 )
 from .hom import (
     enumerate_morphisms,
@@ -63,6 +66,16 @@ class QuotientMap:
     @property
     def cod(self) -> Hypermagma:
         return self.morphism.cod
+
+    @classmethod
+    def from_morphism(cls, pi: Morphism) -> "QuotientMap":
+        """The partition into nonempty fibers, ordered by image, and the
+        short/unital flags, all read off the map."""
+        part: dict[int, list[int]] = {}
+        for x, c in enumerate(pi.map):
+            part.setdefault(c, []).append(x)
+        partition = tuple(tuple(part[c]) for c in sorted(part))
+        return cls(pi, partition, short=is_short(pi), unital=is_unital(pi))
 
 
 def free(tag: Tag, generators: Sequence[str], point: str | None = None) -> Hypermagma:
@@ -198,7 +211,7 @@ def coproduct(Ms: Sequence[Hypermagma], tag: Tag) -> Cocone:
                         slot[i][z] for z in iter_bits(M.table[x][y])
                     )
         W = from_masks(labels, rows)
-        assert W.identity == 0
+        ensure(W.identity == 0, "coproduct: the wedge point is not the identity")
         legs = tuple(
             Morphism(M, W, tuple(slot[i])) for i, M in enumerate(Ms)
         )
@@ -220,16 +233,8 @@ def equalizer(
         raise NotParallel("equalizer needs a parallel pair")
     M = f.dom
     E = mask_of(x for x in range(M.n) if f.map[x] == g.map[x])
-    keep = list(iter_bits(E))
-    reindex = {old: new for new, old in enumerate(keep)}
-    labels = tuple(M.labels[i] for i in keep)
-    rows = [
-        [mask_of(reindex[z] for z in iter_bits(M.table[i][j] & E)) for j in keep]
-        for i in keep
-    ]
-    sub = from_masks(labels, rows)
-    inc = Morphism(sub, M, tuple(keep))
-    return sub, inc
+    sub = weak_sub(M, E)
+    return sub, Morphism(sub, M, tuple(iter_bits(E)))
 
 
 class _UnionFind:
@@ -249,29 +254,13 @@ class _UnionFind:
                 ra, rb = rb, ra
             self.parent[rb] = ra
 
+    def proj(self) -> tuple[int, ...]:
+        """Class of each element, classes numbered by their least member.
 
-def _quotient_by_blocks(
-    M: Hypermagma, uf: _UnionFind
-) -> tuple[Hypermagma, Morphism, tuple[tuple[int, ...], ...]]:
-    """HMag quotient with x * y = pi(pi^-1(x) * pi^-1(y)); least-rep labels."""
-    roots = sorted({uf.find(x) for x in range(M.n)})
-    cls = {r: i for i, r in enumerate(roots)}
-    proj = tuple(cls[uf.find(x)] for x in range(M.n))
-    blocks = tuple(
-        tuple(x for x in range(M.n) if proj[x] == i) for i in range(len(roots))
-    )
-    labels = tuple(M.labels[b[0]] for b in blocks)
-    fibers = [mask_of(b) for b in blocks]
-    k = len(blocks)
-    rows = [
-        [
-            mask_of(proj[z] for z in iter_bits(product_of_subsets(M, fibers[i], fibers[j])))
-            for j in range(k)
-        ]
-        for i in range(k)
-    ]
-    Q = from_masks(labels, rows)
-    return Q, Morphism(M, Q, proj), blocks
+        A root is the least member of its class, so classes first appear in
+        the order of their least members."""
+        cls: dict[int, int] = {}
+        return tuple(cls.setdefault(self.find(x), len(cls)) for x in range(len(self.parent)))
 
 
 def unitize(M: Hypermagma, E: int) -> QuotientMap:
@@ -292,9 +281,7 @@ def unitize(M: Hypermagma, E: int) -> QuotientMap:
             rows[n][x] = 1 << x
             rows[x][n] = 1 << x
         Me = from_masks(labels, rows)
-        pi = Morphism(M, Me, tuple(range(n)))
-        part = tuple((x,) for x in range(n))
-        return QuotientMap(pi, part, short=is_short(pi), unital=is_unital(pi))
+        return QuotientMap.from_morphism(Morphism(M, Me, tuple(range(n))))
 
     K = absorptive_closure(M, E)
     uf = _UnionFind(M.n)
@@ -306,39 +293,12 @@ def unitize(M: Hypermagma, E: int) -> QuotientMap:
         reach = product_of_subsets(M, xb, K) | product_of_subsets(M, K, xb)
         for y in iter_bits(reach):
             uf.union(x, y)
-
-    roots = sorted({uf.find(x) for x in range(M.n)})
-    cls = {r: i for i, r in enumerate(roots)}
-    proj = tuple(cls[uf.find(x)] for x in range(M.n))
-    blocks = tuple(
-        tuple(x for x in range(M.n) if proj[x] == i) for i in range(len(roots))
-    )
-    unit_class = proj[kbits[0]]
-    base = [M.labels[b[0]] for b in blocks]
-    others = [l for i, l in enumerate(base) if i != unit_class]
-    labels = [
-        fresh_label("e", others) if i == unit_class else base[i]
-        for i in range(len(blocks))
-    ]
-    fibers = [mask_of(b) for b in blocks]
-    k = len(blocks)
-    rows = [[0] * k for _ in range(k)]
-    for i in range(k):
-        for j in range(k):
-            if i == unit_class:
-                rows[i][j] = 1 << j
-            elif j == unit_class:
-                rows[i][j] = 1 << i
-            else:
-                rows[i][j] = mask_of(
-                    proj[z]
-                    for z in iter_bits(product_of_subsets(M, fibers[i], fibers[j]))
-                )
-    Q = from_masks(labels, rows)
-    assert Q.identity == unit_class
-    pi = Morphism(M, Q, proj)
-    assert is_colax(pi)
-    return QuotientMap(pi, blocks, short=is_short(pi), unital=is_unital(pi))
+    proj = uf.proj()
+    unit = proj[kbits[0]]
+    pi = quotient(M, proj, unit=unit)
+    ensure(pi.cod.identity == unit, "unitize: the unit class is not an identity")
+    ensure(is_colax(pi), "unitize: the quotient map is not colax")
+    return QuotientMap.from_morphism(pi)
 
 
 def coequalizer(f: Morphism, g: Morphism, tag: Tag) -> QuotientMap:
@@ -351,18 +311,13 @@ def coequalizer(f: Morphism, g: Morphism, tag: Tag) -> QuotientMap:
     uf = _UnionFind(N.n)
     for x in range(f.dom.n):
         uf.union(f.map[x], g.map[x])
-    L, piL, blocks = _quotient_by_blocks(N, uf)
+    piL = quotient(N, uf.proj())
     if tag is Tag.HMAG:
-        return QuotientMap(piL, blocks, short=is_short(piL), unital=is_unital(piL))
+        return QuotientMap.from_morphism(piL)
     if N.identity is None:
         raise NotUnital("unital coequalizer needs a unital codomain")
-    inner = unitize(L, 1 << piL.map[N.identity])
-    pi = compose(inner.morphism, piL)
-    part: dict[int, list[int]] = {}
-    for x in range(N.n):
-        part.setdefault(pi.map[x], []).append(x)
-    partition = tuple(tuple(part[i]) for i in sorted(part))
-    return QuotientMap(pi, partition, short=is_short(pi), unital=is_unital(pi))
+    inner = unitize(piL.cod, 1 << piL.map[N.identity])
+    return QuotientMap.from_morphism(compose(inner.morphism, piL))
 
 
 def pullback(f: Morphism, g: Morphism) -> Cone:

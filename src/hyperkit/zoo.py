@@ -17,6 +17,8 @@ from .core import (
     from_masks,
     iter_bits,
     mask_of,
+    orbit_partition,
+    quotient,
 )
 from .errors import (
     AdditiveNotCanonical,
@@ -142,56 +144,23 @@ def is_subgroup(G: FiniteGroup, K: int) -> bool:
 # Group-derived hypergroups
 
 
-def _quotient_by_classes(G: FiniteGroup, classes: list[int]) -> Hypermagma:
-    """Hyperoperation [a]*[b] = {[c] | c in [a][b]} with least-rep labels."""
-    cls_of = [None] * G.n
-    for i, c in enumerate(classes):
-        for x in iter_bits(c):
-            cls_of[x] = i
-    labels = [G.labels[next(iter_bits(c))] for c in classes]
-    k = len(classes)
-    rows = [[0] * k for _ in range(k)]
-    for i in range(k):
-        for j in range(k):
-            prods = 0
-            for a in iter_bits(classes[i]):
-                for b in iter_bits(classes[j]):
-                    prods |= 1 << G.table[a][b]
-            rows[i][j] = mask_of(cls_of[c] for c in iter_bits(prods))
-    return from_masks(labels, rows)
-
-
 def double_coset_hypergroup(G: FiniteGroup, K: int | Iterable[str]) -> Hypermagma:
     if not isinstance(K, int):
         K = mask_of(G.index(l) for l in K)
     if not is_subgroup(G, K):
         raise NotASubgroup("K is not a subgroup")
-    seen = 0
-    classes = []
-    for a in range(G.n):
-        if (seen >> a) & 1:
-            continue
-        coset = 0
-        for k1 in iter_bits(K):
-            for k2 in iter_bits(K):
-                coset |= 1 << G.table[G.table[k1][a]][k2]
-        classes.append(coset)
-        seen |= coset
-    return _quotient_by_classes(G, classes)
+    ks = list(iter_bits(K))
+    proj = orbit_partition(
+        G.n, lambda a: mask_of(G.table[G.table[k1][a]][k2] for k1 in ks for k2 in ks)
+    )
+    return quotient(group_to_hypermagma(G), proj).cod
 
 
 def conjugacy_hypergroup(G: FiniteGroup) -> Hypermagma:
-    seen = 0
-    classes = []
-    for a in range(G.n):
-        if (seen >> a) & 1:
-            continue
-        cls = 0
-        for g in range(G.n):
-            cls |= 1 << G.table[G.table[g][a]][G.inverse[g]]
-        classes.append(cls)
-        seen |= cls
-    return _quotient_by_classes(G, classes)
+    proj = orbit_partition(
+        G.n, lambda a: mask_of(G.table[G.table[g][a]][G.inverse[g]] for g in range(G.n))
+    )
+    return quotient(group_to_hypermagma(G), proj).cod
 
 
 def _is_automorphism(G: FiniteGroup, p: Sequence[int]) -> bool:
@@ -218,15 +187,8 @@ def orbit_hypergroup(A: FiniteGroup, action: Sequence[Sequence[int]]) -> Hyperma
         for q in perms:
             if tuple(p[q[i]] for i in range(A.n)) not in pset:
                 raise NotAnAutomorphismGroup("action is not closed under composition")
-    seen = 0
-    classes = []
-    for a in range(A.n):
-        if (seen >> a) & 1:
-            continue
-        orb = mask_of(p[a] for p in perms)
-        classes.append(orb)
-        seen |= orb
-    return _quotient_by_classes(A, classes)
+    proj = orbit_partition(A.n, lambda a: mask_of(p[a] for p in perms))
+    return quotient(group_to_hypermagma(A), proj).cod
 
 
 # ---------------------------------------------------------------------------
@@ -579,37 +541,29 @@ def krasner_quotient(R: FiniteRing, G: int | Iterable[str]) -> Multiring:
         for b in iter_bits(G):
             if not (G >> R.mul[a][b]) & 1:
                 raise NotUnitSubgroup("G not closed under multiplication")
-    seen = 0
-    classes = []
-    for a in range(R.n):
-        if (seen >> a) & 1:
-            continue
-        orb = mask_of(R.mul[a][g] for g in iter_bits(G))
-        classes.append(orb)
-        seen |= orb
-    cls_of = [None] * R.n
-    for i, c in enumerate(classes):
-        for x in iter_bits(c):
-            cls_of[x] = i
-    labels = [R.labels[next(iter_bits(c))] for c in classes]
-    k = len(classes)
-    addt = [[0] * k for _ in range(k)]
-    for i in range(k):
-        for j in range(k):
-            sums = 0
-            for a in iter_bits(classes[i]):
-                for b in iter_bits(classes[j]):
-                    sums |= 1 << R.add[a][b]
-            addt[i][j] = mask_of(cls_of[c] for c in iter_bits(sums))
+    proj = _unit_classes(R, G)
+    plus = from_masks(R.labels, [[1 << s for s in row] for row in R.add])
+    additive = quotient(plus, proj).cod
+    k = additive.n
+    members = [[x for x in range(R.n) if proj[x] == i] for i in range(k)]
     mult = [[0] * k for _ in range(k)]
     for i in range(k):
         for j in range(k):
-            prods = {cls_of[R.mul[a][b]] for a in iter_bits(classes[i]) for b in iter_bits(classes[j])}
+            prods = {proj[R.mul[a][b]] for a in members[i] for b in members[j]}
             if len(prods) != 1:
                 raise NotUnitSubgroup("multiplication not well-defined on classes")
             mult[i][j] = prods.pop()
-    additive = from_masks(labels, addt)
-    return make_multiring(additive, mult, cls_of[R.one])
+    return make_multiring(additive, mult, proj[R.one])
+
+
+def _unit_classes(R: FiniteRing, G: int) -> tuple[int, ...]:
+    """Projection of R onto the orbits a*G of a unit subgroup G."""
+    return orbit_partition(R.n, lambda a: mask_of(R.mul[a][g] for g in iter_bits(G)))
+
+
+def _sign_subgroup(R: FiniteRing) -> int:
+    """The unit subgroup {1, -1}, as a mask."""
+    return (1 << R.one) | (1 << R.add[R.one].index(R.zero))
 
 
 def krasner() -> Hypermagma:
@@ -623,33 +577,19 @@ def krasner_multiring() -> Multiring:
 
 def gf9_quotient() -> Multiring:
     R = make_gf9()
-    minus_one = R.add[R.one].index(R.zero)
-    G = (1 << R.one) | (1 << minus_one)
-    return krasner_quotient(R, G)
+    return krasner_quotient(R, _sign_subgroup(R))
 
 
 def gf9_frobenius(H: Hypermagma | None = None) -> Morphism:
     """Frobenius-induced automorphism on the gf9 quotient hypergroup."""
     R = make_gf9()
-    Q = gf9_quotient() if H is None else None
-    target = Q.additive if H is None else H
-    minus_one = R.add[R.one].index(R.zero)
-    G = (1 << R.one) | (1 << minus_one)
-    classes = []
-    seen = 0
-    for a in range(R.n):
-        if (seen >> a) & 1:
-            continue
-        orb = mask_of(R.mul[a][g] for g in iter_bits(G))
-        classes.append(orb)
-        seen |= orb
-    cls_of = [None] * R.n
-    for i, c in enumerate(classes):
-        for x in iter_bits(c):
-            cls_of[x] = i
-    cube = [R.mul[R.mul[x][x]][x] for x in range(R.n)]
-    fmap = tuple(cls_of[cube[next(iter_bits(classes[i]))]] for i in range(len(classes)))
-    return Morphism(target, target, fmap)
+    target = gf9_quotient().additive if H is None else H
+    proj = _unit_classes(R, _sign_subgroup(R))
+    # x -> x^3 commutes with negation, so any member of a class gives its image
+    fmap = [0] * (max(proj) + 1)
+    for x in range(R.n):
+        fmap[proj[x]] = proj[R.mul[R.mul[x][x]][x]]
+    return Morphism(target, target, tuple(fmap))
 
 
 # ---------------------------------------------------------------------------
@@ -1011,21 +951,8 @@ def _gf9_classifier_targets(H: Hypermagma) -> tuple[int, int]:
     """Classes of 1 and of the square of the least multiplicative generator."""
     R = make_gf9()
     alpha = multiplicative_generator(R)
-    alpha2 = R.mul[alpha][alpha]
-    by_member = {}
-    minus_one = R.add[R.one].index(R.zero)
-    G = (1 << R.one) | (1 << minus_one)
-    seen = 0
-    cls = 0
-    for a in range(R.n):
-        if (seen >> a) & 1:
-            continue
-        orb = mask_of(R.mul[a][g] for g in iter_bits(G))
-        for x in iter_bits(orb):
-            by_member[x] = cls
-        seen |= orb
-        cls += 1
-    return by_member[R.one], by_member[alpha2]
+    proj = _unit_classes(R, _sign_subgroup(R))
+    return proj[R.one], proj[R.mul[alpha][alpha]]
 
 
 def refute_equalizer_candidate(E: Hypermagma, e: Morphism) -> Refutation:

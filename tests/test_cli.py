@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -236,12 +237,12 @@ def test_paper_suite_only(capsys):
     assert "PASS krasner" in out
 
 
-def test_paper_suite_jobs_deterministic(capsys):
-    main(["paper-suite", "--only", "f2-represents", "--jobs", "1"])
-    out1 = capsys.readouterr().out
-    main(["paper-suite", "--only", "f2-represents", "--jobs", "4"])
-    out2 = capsys.readouterr().out
-    assert out1 == out2
+def test_paper_suite_matches_recorded_output(capsys):
+    """The whole suite at refuter size 4 prints, byte for byte, the output
+    recorded for the benchmark."""
+    ref = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "paper_suite.txt"
+    assert main(["paper-suite", "--max-size", "4"]) == 0
+    assert capsys.readouterr().out == ref.read_text()
 
 
 GOLDEN_WEDGE = """{

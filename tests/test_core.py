@@ -5,13 +5,17 @@ from hyperkit.axioms import Tag, analyze
 from hyperkit.core import (
     absorptive_closure,
     find_isomorphism,
+    fresh_label,
     from_masks,
     initial,
+    iter_bits,
     make_hypermagma,
     mask_of,
     opposite,
+    orbit_partition,
     permute,
     product_of_subsets,
+    quotient,
     strict_sub_closure,
     terminal,
     weak_sub,
@@ -24,7 +28,15 @@ from hyperkit.errors import (
 )
 from hyperkit.hom import is_coshort, inclusion_morphism, representing_object
 from hyperkit.univ import cofree, free
-from hyperkit.zoo import gf9_frobenius, gf9_quotient, krasner
+from hyperkit.zoo import (
+    cyclic_group,
+    gf9_frobenius,
+    gf9_quotient,
+    group_to_hypermagma,
+    klein_four_group,
+    krasner,
+    symmetric_group,
+)
 
 from util import d_example, f_mosaic, small_battery, z2
 
@@ -179,3 +191,89 @@ def test_find_isomorphism_relabelings(data):
     N = permute(M, list(perm))
     iso = find_isomorphism(M, N)
     assert iso is not None
+
+
+@st.composite
+def partitions(draw, n):
+    """A partition of range(n) as a projection, classes numbered by their
+    least member."""
+    raw = draw(st.lists(st.integers(0, max(n - 1, 0)), min_size=n, max_size=n))
+    first: dict[int, int] = {}
+    return tuple(first.setdefault(c, len(first)) for c in raw)
+
+
+def _quotient_by_definition(M, proj):
+    """Labels and table of M/proj straight from the definition: class i is
+    labelled by its least member, and Q[i][j] collects proj(z) for every z in
+    x*y with proj(x) = i and proj(y) = j."""
+    k = max(proj, default=-1) + 1
+    labels = [M.labels[proj.index(i)] for i in range(k)]
+    rows = [[0] * k for _ in range(k)]
+    for x in range(M.n):
+        for y in range(M.n):
+            for z in iter_bits(M.table[x][y]):
+                rows[proj[x]][proj[y]] |= 1 << proj[z]
+    return labels, rows
+
+
+def _quotient_by_classes(G, classes):
+    """The loop that built group-derived quotients before `core.quotient`,
+    kept as an oracle: [a]*[b] = {[c] | c in [a][b]} with least-rep labels."""
+    cls_of = [None] * G.n
+    for i, c in enumerate(classes):
+        for x in iter_bits(c):
+            cls_of[x] = i
+    labels = [G.labels[next(iter_bits(c))] for c in classes]
+    k = len(classes)
+    rows = [[0] * k for _ in range(k)]
+    for i in range(k):
+        for j in range(k):
+            prods = 0
+            for a in iter_bits(classes[i]):
+                for b in iter_bits(classes[j]):
+                    prods |= 1 << G.table[a][b]
+            rows[i][j] = mask_of(cls_of[c] for c in iter_bits(prods))
+    return from_masks(labels, rows)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_quotient_matches_definition(data):
+    n = data.draw(st.integers(0, 4))
+    entry = st.integers(0, (1 << n) - 1)
+    table = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    # "e" and "e'" among the labels make the unit class need a fresh label
+    M = from_masks(("e", "e'", "a", "b")[:n], table)
+    proj = data.draw(partitions(n))
+    labels, rows = _quotient_by_definition(M, proj)
+    pi = quotient(M, proj)
+    assert pi.dom == M and pi.map == proj
+    assert pi.cod.labels == tuple(labels)
+    assert pi.cod.table == tuple(tuple(r) for r in rows)
+    if n == 0:
+        return
+    u = data.draw(st.integers(0, max(proj)))
+    Q = quotient(M, proj, unit=u).cod
+    assert Q.identity == u
+    assert Q.labels == tuple(
+        fresh_label("e", labels[:u] + labels[u + 1 :]) if i == u else l
+        for i, l in enumerate(labels)
+    )
+    for i in range(len(labels)):
+        for j in range(len(labels)):
+            expected = 1 << j if i == u else 1 << i if j == u else rows[i][j]
+            assert Q.table[i][j] == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_quotient_matches_group_oracle(data):
+    G = data.draw(
+        st.sampled_from(
+            [cyclic_group(k) for k in range(1, 7)] + [klein_four_group(), symmetric_group(3)]
+        )
+    )
+    proj = data.draw(partitions(G.n))
+    classes = [mask_of(x for x in range(G.n) if proj[x] == i) for i in range(max(proj) + 1)]
+    assert orbit_partition(G.n, lambda a: classes[proj[a]]) == proj
+    assert quotient(group_to_hypermagma(G), proj).cod == _quotient_by_classes(G, classes)

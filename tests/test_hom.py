@@ -22,6 +22,7 @@ from hyperkit.hom import (
     representing_object,
     triples,
 )
+from hyperkit.monoidal import enumerate_bimorphisms
 from hyperkit.univ import free, terminal, unitize
 from hyperkit.zoo import (
     conjugacy_hypergroup,
@@ -77,13 +78,27 @@ def test_enumerate_terminal_source():
         assert len(enumerate_morphisms(terminal(), M, Tag.UHMAG)) == 1
 
 
-def test_enumeration_respects_cap(monkeypatch):
+def test_enumeration_respects_cap():
     import hyperkit.hom as hom_mod
 
-    # a memo hit does no search, so the cap is only exercised on a cold memo
-    monkeypatch.setattr(hom_mod, "_HOM_CACHE", {})
-    with pytest.raises(SearchCapExceeded):
-        enumerate_morphisms(klein(), klein(), Tag.UHMAG, cap=3)
+    V = klein()
+    # warm the memo: a hit is capped by the nodes its search spent
+    assert len(enumerate_morphisms(V, V, Tag.UHMAG)) == 16
+    _, nodes = hom_mod._HOM_CACHE[(V, V, Tag.UHMAG, False)]
+    assert nodes > 3
+    assert len(enumerate_morphisms(V, V, Tag.UHMAG, cap=nodes)) == 16
+    with pytest.raises(SearchCapExceeded, match=rf"after {nodes - 1} nodes$"):
+        enumerate_morphisms(V, V, Tag.UHMAG, cap=nodes - 1)
+    with pytest.raises(SearchCapExceeded) as exc:
+        enumerate_morphisms(V, V, Tag.UHMAG, cap=3)
+    assert str(exc.value) == (
+        "enumerate_morphisms(|M|=4, |N|=4, uhmag): node cap exceeded after 3 nodes"
+    )
+    with pytest.raises(SearchCapExceeded) as exc:
+        enumerate_bimorphisms(z2(), z2(), V, Tag.CMSC, cap=1)
+    assert str(exc.value) == (
+        "enumerate_bimorphisms(|M|=2, |N|=2, |L|=4, cmsc): node cap exceeded after 1 nodes"
+    )
 
 
 def test_enumeration_cap_from_environment(monkeypatch):

@@ -289,7 +289,10 @@ def test_represents_bimorphisms():
         V, V, P, tuple(tuple(P.identity for _ in range(4)) for _ in range(4))
     )
     ok, witness = represents_bimorphisms(P, zero, [K, Z, V], Tag.CMSC)
-    assert not ok and witness is not None
+    assert not ok and witness.endswith(" at battery[0] (0|1)")
+    # K and Z2 share the labels 0|1; the position says which one failed
+    ok, witness = represents_bimorphisms(P, zero, [terminal(), Z, V], Tag.CMSC)
+    assert not ok and witness == "pairing not injective at battery[1] (0|1)"
 
 
 def test_strict_classifier():

@@ -1,22 +1,8 @@
 """Shared builders for the test suite."""
 from hyperkit.axioms import Tag
-from hyperkit.core import from_masks
+from hyperkit.suite import d_weak_example as d_example, klein_v as klein, mixed3, z2
 from hyperkit.univ import cofree, free, terminal
-from hyperkit.zoo import (
-    cyclic_group,
-    gf9_quotient,
-    group_to_hypermagma,
-    klein_four_group,
-    krasner,
-)
-
-
-def z2():
-    return group_to_hypermagma(cyclic_group(2))
-
-
-def klein():
-    return group_to_hypermagma(klein_four_group())
+from hyperkit.zoo import gf9_quotient, krasner
 
 
 def f_mosaic():
@@ -25,18 +11,6 @@ def f_mosaic():
 
 def gf9_add():
     return gf9_quotient().additive
-
-
-def d_example():
-    """{0,1,2}, 0 identity, 1+1 = 1+2 = 2+2 = D (weak identities everywhere)."""
-    return from_masks(
-        ("0", "1", "2"),
-        ((0b001, 0b010, 0b100), (0b010, 0b111, 0b111), (0b100, 0b111, 0b111)),
-    )
-
-
-def mixed3():
-    return from_masks(("x", "y", "z"), ((0b001, 0b100, 0), (0, 0, 0), (0, 0, 0b011)))
 
 
 SMALL_BATTERY = None
