@@ -8,10 +8,10 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import lru_cache
 
-from .core import Hypermagma, iter_bits, mask_of, product_of_subsets
+from .core import Hypermagma, iter_bits, product_of_subsets
 from .errors import NotAMosaic
+from .search import memo
 
 CLASSIFICATIONS = (
     "Hypermagma",
@@ -181,7 +181,7 @@ def _classify(
     return "Hypermagma"
 
 
-@lru_cache(maxsize=None)
+@memo
 def analyze(M: Hypermagma) -> AxiomReport:
     witnesses: list[tuple[str, tuple[int, ...]]] = []
 

@@ -14,7 +14,6 @@ from . import formats
 from .axioms import Tag, analyze
 from .core import Hypermagma
 from .errors import FormatError, HyperkitError
-from .hom import enumerate_morphisms
 from .matroid import adjoin_point, is_simple, matroid_to_mosaic, simplify
 from .monoidal import boxdot, boxtimes, hom_object, wedge_smash
 from .suite import run_suite
@@ -26,6 +25,7 @@ from .zoo import (
     group_to_hypermagma,
     krasner_quotient,
     lattice_mosaic,
+    make_finite_group,
     orbit_hypergroup,
 )
 
@@ -62,11 +62,7 @@ def _to_hypermagma(kind: str, obj) -> Hypermagma:
         return matroid_to_mosaic(M)
     if kind == "ring":
         R: FiniteRing = obj
-        return group_to_hypermagma(
-            __import__("hyperkit.zoo", fromlist=["make_finite_group"]).make_finite_group(
-                R.labels, R.add
-            )
-        )
+        return group_to_hypermagma(make_finite_group(R.labels, R.add))
     raise FormatError(f"cannot analyze kind {kind!r}")
 
 

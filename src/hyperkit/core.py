@@ -212,10 +212,6 @@ def strict_sub_closure(M: Hypermagma, S: int | Iterable[str]) -> int:
         K = new
 
 
-def is_strict_sub(M: Hypermagma, K: int) -> bool:
-    return product_of_subsets(M, K, K) & ~K == 0
-
-
 def is_absorptive(M: Hypermagma, K: int) -> bool:
     for x in range(M.n):
         if (K >> x) & 1:
@@ -352,11 +348,27 @@ def find_isomorphism(M: Hypermagma, N: Hypermagma) -> Morphism | None:
     return None
 
 
-def relabel(M: Hypermagma, labels: Sequence[str]) -> Hypermagma:
-    """Same structure with new labels in carrier order."""
-    if len(labels) != M.n:
-        raise DimensionMismatch("label count mismatch")
-    return from_masks(labels, M.table)
+def canonical_form(table: Sequence[Sequence[int]], fixed: Iterable[int] = ()) -> tuple[int, ...]:
+    """The least row-major relabelling of a mask table over the carrier
+    permutations that fix every element of `fixed`.  Two tables share it
+    exactly when such a permutation is an isomorphism between them."""
+    n = len(table)
+    moved = [x for x in range(n) if x not in fixed]
+    best = None
+    for p in itertools.permutations(moved):
+        old_of = list(range(n))  # new position -> old element
+        new_of = list(range(n))
+        for new, old in zip(moved, p):
+            old_of[new] = old
+            new_of[old] = new
+        image = [0]  # image[mask] = the relabelled mask
+        for x in range(n):
+            bit = 1 << new_of[x]
+            image += [m | bit for m in image]
+        form = tuple(image[table[a][b]] for a in old_of for b in old_of)
+        if best is None or form < best:
+            best = form
+    return best
 
 
 def permute(M: Hypermagma, perm: Sequence[int]) -> Hypermagma:
@@ -431,7 +443,3 @@ def terminal() -> Hypermagma:
 
 def initial() -> Hypermagma:
     return from_masks((), ())
-
-
-def cartesian_labels(parts: Sequence[Sequence[str]]) -> list[str]:
-    return ["|".join(p) for p in itertools.product(*parts)]

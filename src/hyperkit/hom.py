@@ -3,9 +3,7 @@ representing-object lifting criteria for strict/short/reversible.
 """
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .axioms import Tag, UNITAL_TAGS, analyze
 from .core import (
@@ -18,20 +16,8 @@ from .core import (
     mask_of,
     product_of_subsets,
 )
-from .errors import (
-    CodomainNotUnital,
-    NotUnital,
-    SearchCapExceeded,
-    ensure,
-)
-
-DEFAULT_SEARCH_CAP = 10**8
-
-
-def search_cap() -> int:
-    """Node budget for every enumerator; HYPERKIT_SEARCH_CAP overrides."""
-    raw = os.environ.get("HYPERKIT_SEARCH_CAP")
-    return int(raw) if raw else DEFAULT_SEARCH_CAP
+from .errors import CodomainNotUnital, NotUnital, ensure
+from .search import Budget, memo
 
 
 def is_colax(f: Morphism) -> bool:
@@ -89,7 +75,7 @@ class MorphismKinds:
     surjective: bool
 
 
-@lru_cache(maxsize=None)
+@memo
 def check_kind(f: Morphism) -> MorphismKinds:
     colax = is_colax(f)
     lax = is_lax(f)
@@ -146,27 +132,13 @@ def morphism_in_tag(f: Morphism, tag: Tag) -> bool:
     return True
 
 
-class _Budget:
-    """Node budget of one search; `what` names the search in the error."""
-
-    __slots__ = ("cap", "left", "what")
-
-    def __init__(self, cap: int | None, what: str = "enumeration"):
-        self.cap = search_cap() if cap is None else cap
-        self.left = self.cap
-        self.what = what
-
-    def spend(self) -> None:
-        self.left -= 1
-        if self.left < 0:
-            raise SearchCapExceeded(f"{self.what}: node cap exceeded after {self.cap} nodes")
-
-
+@memo
 def enumerate_morphisms(
     M: Hypermagma,
     N: Hypermagma,
     tag: Tag = Tag.HMAG,
     strict_only: bool = False,
+    *,
     cap: int | None = None,
 ) -> list[Morphism]:
     """All tag-morphisms M -> N, ordered by the map array.
@@ -175,26 +147,15 @@ def enumerate_morphisms(
     fully determined pair violates colaxity.  Mosaic tags additionally prune
     with inverse preservation, which unital morphisms of mosaics satisfy
     automatically.
-
-    Results are memoised with the number of nodes their search spent.  A
-    memo hit whose count exceeds `cap` (or the default cap) searches again,
-    so it raises exactly where a fresh search does.
     """
-    key = (M, N, tag, strict_only)
-    cached = _HOM_CACHE.get(key)
-    if cached is not None and cached[1] <= (search_cap() if cap is None else cap):
-        return list(cached[0])
-
     unital_tag = tag in UNITAL_TAGS
     if unital_tag and (M.identity is None or N.identity is None):
         raise NotUnital(f"tag {tag.value} needs unital objects")
     n, m = M.n, N.n
-    budget = _Budget(cap, f"enumerate_morphisms(|M|={n}, |N|={m}, {tag.value})")
-    out: list[Morphism] = []
+    budget = Budget(cap, f"enumerate_morphisms(|M|={n}, |N|={m}, {tag.value})")
     if n == 0:
-        out = [Morphism(M, N, ())]
-        _HOM_CACHE[key] = (tuple(out), 0)
-        return out
+        return [Morphism(M, N, ())]
+    out: list[Morphism] = []
 
     use_inverse_prune = (
         tag in (Tag.MSC, Tag.CMSC, Tag.HGRP, Tag.CAN)
@@ -241,15 +202,7 @@ def enumerate_morphisms(
                 rec(k + 1)
 
     rec(0)
-    _HOM_CACHE[key] = (tuple(out), budget.cap - budget.left)
     return out
-
-
-_HOM_CACHE: dict = {}  # (M, N, tag, strict_only) -> (morphisms, nodes spent)
-
-
-def hom_count(M: Hypermagma, N: Hypermagma, tag: Tag) -> int:
-    return len(enumerate_morphisms(M, N, tag))
 
 
 def inclusion_morphism(L: Hypermagma, M: Hypermagma) -> Morphism:
@@ -286,7 +239,7 @@ def _sets_table(labels, entries):
     return rows
 
 
-@lru_cache(maxsize=None)
+@memo
 def representing_object(tag: Tag) -> RepresentingObject:
     if tag is Tag.HMAG:
         labels = ("a", "b", "c")

@@ -5,7 +5,6 @@ the monoid-object packaging of multirings.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence
 
 from .axioms import Tag, UNITAL_TAGS, analyze
@@ -25,14 +24,14 @@ from .errors import (
     ensure,
 )
 from .hom import (
-    _Budget,
     constant_morphism,
     enumerate_morphisms,
     is_colax,
     is_unital,
     morphism_in_tag,
 )
-from .univ import QuotientMap, coequalizer, free, terminal, unitize
+from .search import Budget, memo
+from .univ import QuotientMap, coequalizer, free, unitize
 
 
 def boxdot(M: Hypermagma, N: Hypermagma) -> Hypermagma:
@@ -85,12 +84,6 @@ def _require_cmsc(M: Hypermagma) -> None:
     rep = analyze(M)
     if not (rep.is_mosaic and rep.commutative):
         raise NotCommutativeMosaic(f"{M!r} is not a commutative mosaic")
-
-
-def negation_endomorphism(M: Hypermagma) -> Morphism:
-    _require_cmsc(M)
-    assert M.inverse is not None
-    return Morphism(M, M, M.inverse)
 
 
 def boxtimes(M: Hypermagma, N: Hypermagma) -> QuotientMap:
@@ -153,9 +146,9 @@ def enumerate_bimorphisms(
     Rows are drawn from Hom(N, L); columns are pruned incrementally on every
     fully determined triple.
     """
-    rows_pool = enumerate_morphisms(N, L, tag)
+    rows_pool = enumerate_morphisms(N, L, tag, cap=cap)
     unital_tag = tag in UNITAL_TAGS
-    budget = _Budget(
+    budget = Budget(
         cap, f"enumerate_bimorphisms(|M|={M.n}, |N|={N.n}, |L|={L.n}, {tag.value})"
     )
     chosen: list[Morphism] = []
@@ -221,7 +214,7 @@ def tensor(M: Hypermagma, N: Hypermagma, tag: Tag) -> tuple[Hypermagma, Bimorphi
     return T, u
 
 
-@lru_cache(maxsize=None)
+@memo
 def hom_object(M: Hypermagma, N: Hypermagma, tag: Tag) -> Hypermagma:
     """The hom-set under f*g = {h | h(x) in f(x)*g(x) for all x}."""
     homs = enumerate_morphisms(M, N, tag)

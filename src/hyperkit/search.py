@@ -1,0 +1,89 @@
+"""The search budget shared by every enumerator, and the one memo that every
+cached function goes through.
+
+A memoised result is stored with the most nodes any single search spent
+while computing it, nested memoised calls included.  A hit whose count
+exceeds the caller's cap computes again, so it raises `SearchCapExceeded`
+exactly where a cold call would.
+"""
+from __future__ import annotations
+
+import functools
+import os
+
+from .errors import SearchCapExceeded
+
+DEFAULT_SEARCH_CAP = 10**8
+
+
+def search_cap() -> int:
+    """Node budget for every enumerator; HYPERKIT_SEARCH_CAP overrides."""
+    raw = os.environ.get("HYPERKIT_SEARCH_CAP")
+    return int(raw) if raw else DEFAULT_SEARCH_CAP
+
+
+# One entry per memoised call in progress, innermost last: the Budgets
+# created during the call and the node counts of its nested memoised calls.
+# Calls nest on one stack, so memoised functions are not for concurrent use.
+_open: list[list] = []
+
+
+class Budget:
+    """Node budget of one search; `what` names the search in the error."""
+
+    __slots__ = ("cap", "left", "what")
+
+    def __init__(self, cap: int | None, what: str = "enumeration"):
+        self.cap = search_cap() if cap is None else cap
+        self.left = self.cap
+        self.what = what
+        if _open:
+            _open[-1].append(self)
+
+    def spend(self) -> None:
+        self.left -= 1
+        if self.left < 0:
+            raise SearchCapExceeded(f"{self.what}: node cap exceeded after {self.cap} nodes")
+
+
+_KEYWORDS = object()  # separates positional args from keyword items in a key
+
+
+def memo(fn):
+    """Memoise `fn` on its positional args and keyword items, never on `cap`.
+
+    List results come back as fresh lists.  The wrapper has `cache_clear()`.
+    """
+    table: dict = {}
+
+    @functools.wraps(fn)
+    def wrapper(*args, **kwargs):
+        key, cap = args, None
+        if kwargs:
+            cap = kwargs.get("cap")
+            items = [(k, v) for k, v in kwargs.items() if k != "cap"]
+            if items:
+                key = (*args, _KEYWORDS, *items)
+        hit = table.get(key)
+        # a count of 0 is within every cap, so it skips reading the cap
+        if hit is not None and (not hit[1] or hit[1] <= (search_cap() if cap is None else cap)):
+            value, nodes = hit
+        else:
+            frame: list = []
+            _open.append(frame)
+            try:
+                value = fn(*args, **kwargs)
+            finally:
+                _open.pop()
+            nodes = 0
+            for x in frame:
+                spent = x if isinstance(x, int) else x.cap - x.left
+                if spent > nodes:
+                    nodes = spent
+            table[key] = (value, nodes)
+        if _open:
+            _open[-1].append(nodes)
+        return list(value) if isinstance(value, list) else value
+
+    wrapper.cache_clear = table.clear
+    return wrapper

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 from .axioms import Tag, analyze, check_total_iff_associative_for_mosaics
 from .core import (
@@ -46,7 +46,6 @@ from .matroid import (
     is_strong_map,
 )
 from .monoidal import (
-    boxdot,
     boxtimes,
     enumerate_bimorphisms,
     hom_object,
@@ -872,25 +871,19 @@ CHECKS: dict[str, Callable[..., CheckResult]] = {
     "opposite": check_opposite,
 }
 
-SIZED_CHECKS = {
-    "klein-four-refuter": "max_size",
-    "coproduct-refuter": "max_size",
-    "equalizer-refuter": "max_size",
-    "empty-sum-search": "max_size",
-}
+SIZED_CHECKS = (
+    "klein-four-refuter",
+    "coproduct-refuter",
+    "equalizer-refuter",
+    "empty-sum-search",
+)
 
 
 def run_suite(only: str | None = None, max_size: int | None = None) -> list[CheckResult]:
-    names = [n for n in CHECKS if only is None or only in n]
-    empty_sum_size = max_size if max_size is not None else 6
-    refuter_size = max_size if max_size is not None else 5
-
-    def call(name: str) -> CheckResult:
-        fn = CHECKS[name]
-        if name == "empty-sum-search":
-            return fn(empty_sum_size)
-        if name in SIZED_CHECKS:
-            return fn(refuter_size)
-        return fn()
-
-    return [call(n) for n in names]
+    """Run the checks whose names contain `only`; `max_size` overrides the
+    default size of the SIZED_CHECKS."""
+    return [
+        CHECKS[n](max_size) if max_size is not None and n in SIZED_CHECKS else CHECKS[n]()
+        for n in CHECKS
+        if only is None or only in n
+    ]

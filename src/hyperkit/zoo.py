@@ -6,14 +6,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .axioms import Tag, analyze
 from .core import (
     Hypermagma,
     Morphism,
-    find_isomorphism,
+    canonical_form,
     from_masks,
     iter_bits,
     mask_of,
@@ -32,7 +31,8 @@ from .errors import (
     ZeroNotAbsorbing,
     ensure,
 )
-from .hom import enumerate_morphisms, is_strict
+from .hom import enumerate_morphisms
+from .search import Budget, memo
 
 # ---------------------------------------------------------------------------
 # Groups
@@ -315,34 +315,12 @@ def enumerate_lattices(n: int) -> list[list[list[int]]]:
                 break
         if not is_lattice or lattice_join_table(meet) is None:
             continue
-        canon = min(
-            tuple(
-                tuple(_apply_perm_meet(meet, perm, n))
-            )
-            for perm in _mid_perms(n)
-        )
+        canon = canonical_form([[1 << m for m in row] for row in meet], (0, n - 1))
         if canon in seen:
             continue
         seen.add(canon)
         results.append(meet)
     return results
-
-
-def _mid_perms(n: int):
-    mid = list(range(1, n - 1))
-    for p in itertools.permutations(mid):
-        full = list(range(n))
-        for old, new in zip(mid, p):
-            full[old] = new
-        yield full
-
-
-def _apply_perm_meet(meet, perm, n):
-    out = [[0] * n for _ in range(n)]
-    for a in range(n):
-        for b in range(n):
-            out[perm[a]][perm[b]] = perm[meet[a][b]]
-    return tuple(tuple(r) for r in out)
 
 
 # ---------------------------------------------------------------------------
@@ -699,9 +677,7 @@ def enumerate_reversible_tables(
     order.  So each class is yielded once, and its representative is its
     first table in search order.
     """
-    from .hom import _Budget
-
-    budget = _Budget(cap, f"enumerate_reversible_tables(n={n})")
+    budget = Budget(cap, f"enumerate_reversible_tables(n={n})")
     nz = n - 1
     labels = [str(v) for v in range(n)]
     bits_of = [tuple(iter_bits(m)) for m in range(1 << n)]
@@ -808,7 +784,7 @@ def enumerate_reversible_tables(
         yield from rec(0, 0, 0)
 
 
-@lru_cache(maxsize=None)
+@memo
 def enumerate_unital_hypermagmas(n: int) -> tuple[Hypermagma, ...]:
     """Every unital hypermagma on n elements up to isomorphism, identity
     first.  Raw scan over the free table entries; usable for n <= 3."""
@@ -822,7 +798,6 @@ def enumerate_unital_hypermagmas(n: int) -> tuple[Hypermagma, ...]:
     seen = set()
     out = []
     nonunit = list(range(1, n))
-    perms = list(itertools.permutations(nonunit))
     for combo in itertools.product(range(1 << n), repeat=k * k):
         rows = [[0] * n for _ in range(n)]
         for x in range(n):
@@ -832,19 +807,7 @@ def enumerate_unital_hypermagmas(n: int) -> tuple[Hypermagma, ...]:
         for i in nonunit:
             for j in nonunit:
                 rows[i][j] = next(it)
-        sig = None
-        for p in perms:
-            full = [0] + list(p)
-            pos = [0] * n
-            for newp, old in enumerate(full):
-                pos[old] = newp
-            cur = tuple(
-                mask_of(pos[z] for z in iter_bits(rows[a][b]))
-                for a in full
-                for b in full
-            )
-            if sig is None or cur < sig:
-                sig = cur
+        sig = canonical_form(rows, (0,))
         if sig in seen:
             continue
         seen.add(sig)
@@ -852,15 +815,23 @@ def enumerate_unital_hypermagmas(n: int) -> tuple[Hypermagma, ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
+@memo
 def enumerate_small_mosaics(n: int) -> tuple[Hypermagma, ...]:
     """Every commutative mosaic on n elements up to isomorphism, in the order
     of `enumerate_reversible_tables`."""
     return tuple(enumerate_reversible_tables(n, require_total=False, require_assoc=False))
 
 
-@lru_cache(maxsize=None)
-def _canonical_hypergroups(n: int, cap: int | None) -> tuple[Hypermagma, ...]:
+@memo
+def enumerate_canonical_hypergroups(n: int, *, cap: int | None = None) -> list[Hypermagma]:
+    """Canonical hypergroups on n elements, one per isomorphism class.
+
+    These are the total associative tables of `enumerate_reversible_tables`:
+    each class once, represented by its first table in search order, classes
+    in that order.  Every result is checked with `analyze`.  A `cap` bounds
+    the search nodes (default: `search.search_cap()`); past it the search
+    raises `SearchCapExceeded`, on a memo hit as on a fresh search.
+    """
     out = []
     for M in enumerate_reversible_tables(n, cap=cap):
         kind = analyze(M).classification
@@ -869,19 +840,7 @@ def _canonical_hypergroups(n: int, cap: int | None) -> tuple[Hypermagma, ...]:
             f"enumerate_canonical_hypergroups(n={n}) produced a {kind}",
         )
         out.append(M)
-    return tuple(out)
-
-
-def enumerate_canonical_hypergroups(n: int, cap: int | None = None) -> list[Hypermagma]:
-    """Canonical hypergroups on n elements, one per isomorphism class.
-
-    These are the total associative tables of `enumerate_reversible_tables`:
-    each class once, represented by its first table in search order, classes
-    in that order.  Every result is checked with `analyze`.  A `cap` bounds
-    the search nodes (default: `hom.search_cap()`); past it the search raises
-    `SearchCapExceeded`.
-    """
-    return list(_canonical_hypergroups(n, cap))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -947,7 +906,7 @@ def refute_coproduct_candidate(
     return Refutation(False, "candidate", tuple(steps + ["battery passed"]))
 
 
-def _gf9_classifier_targets(H: Hypermagma) -> tuple[int, int]:
+def _gf9_classifier_targets() -> tuple[int, int]:
     """Classes of 1 and of the square of the least multiplicative generator."""
     R = make_gf9()
     alpha = multiplicative_generator(R)
@@ -970,7 +929,7 @@ def refute_equalizer_candidate(E: Hypermagma, e: Morphism) -> Refutation:
         return Refutation(True, "candidate", ("not a canonical hypergroup (not a candidate)",))
     K = krasner()
     # the two K -> H morphisms from the proof, f(1) = [1] and g(1) = [a^2]
-    one, alpha2 = _gf9_classifier_targets(H)
+    one, alpha2 = _gf9_classifier_targets()
     steps.append(f"H carrier {list(H.labels)}")
     targets = []
     for target, name in ((one, "f"), (alpha2, "g")):

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 from hyperkit.axioms import Tag, analyze
 from hyperkit.core import (
     absorptive_closure,
+    canonical_form,
     find_isomorphism,
     fresh_label,
     from_masks,
@@ -234,6 +235,29 @@ def _quotient_by_classes(G, classes):
                     prods |= 1 << G.table[a][b]
             rows[i][j] = mask_of(cls_of[c] for c in iter_bits(prods))
     return from_masks(labels, rows)
+
+
+@st.composite
+def unital_tables(draw, n):
+    """A random table on n elements with 0 as its scalar identity."""
+    entry = st.integers(0, (1 << n) - 1)
+    return [[draw(entry) if i and j else 1 << max(i, j) for j in range(n)] for i in range(n)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_canonical_form_decides_isomorphism(data):
+    n = data.draw(st.integers(1, 4))
+    labels = [str(i) for i in range(n)]
+    A = from_masks(labels, data.draw(unital_tables(n)))
+    if data.draw(st.booleans()):
+        B = permute(A, [0] + data.draw(st.permutations(range(1, n))))
+    else:
+        B = from_masks(labels, data.draw(unital_tables(n)))
+    e = A.identity
+    assert B.identity == e == 0
+    same = canonical_form(A.table, (e,)) == canonical_form(B.table, (e,))
+    assert same == (find_isomorphism(A, B) is not None)
 
 
 @settings(max_examples=80, deadline=None)

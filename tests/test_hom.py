@@ -22,17 +22,20 @@ from hyperkit.hom import (
     representing_object,
     triples,
 )
-from hyperkit.monoidal import enumerate_bimorphisms
+from hyperkit.monoidal import enumerate_bimorphisms, hom_object
+from hyperkit.search import search_cap
 from hyperkit.univ import free, terminal, unitize
 from hyperkit.zoo import (
     conjugacy_hypergroup,
     cyclic_group,
+    enumerate_canonical_hypergroups,
+    enumerate_small_mosaics,
     group_to_hypermagma,
     krasner,
     symmetric_group,
 )
 
-from util import d_example, f_mosaic, klein, mixed3, small_battery, z2
+from util import d_example, f_mosaic, gf9_add, klein, mixed3, small_battery, z2
 
 
 def tau():
@@ -79,13 +82,18 @@ def test_enumerate_terminal_source():
 
 
 def test_enumeration_respects_cap():
-    import hyperkit.hom as hom_mod
-
     V = klein()
-    # warm the memo: a hit is capped by the nodes its search spent
-    assert len(enumerate_morphisms(V, V, Tag.UHMAG)) == 16
-    _, nodes = hom_mod._HOM_CACHE[(V, V, Tag.UHMAG, False)]
+    # on a cold memo, the least cap that does not raise is the nodes spent
+    enumerate_morphisms.cache_clear()
+    nodes = 0
+    while True:
+        try:
+            assert len(enumerate_morphisms(V, V, Tag.UHMAG, cap=nodes)) == 16
+            break
+        except SearchCapExceeded:
+            nodes += 1
     assert nodes > 3
+    # a memo hit is capped by the nodes its search spent
     assert len(enumerate_morphisms(V, V, Tag.UHMAG, cap=nodes)) == 16
     with pytest.raises(SearchCapExceeded, match=rf"after {nodes - 1} nodes$"):
         enumerate_morphisms(V, V, Tag.UHMAG, cap=nodes - 1)
@@ -94,23 +102,59 @@ def test_enumeration_respects_cap():
     assert str(exc.value) == (
         "enumerate_morphisms(|M|=4, |N|=4, uhmag): node cap exceeded after 3 nodes"
     )
-    with pytest.raises(SearchCapExceeded) as exc:
-        enumerate_bimorphisms(z2(), z2(), V, Tag.CMSC, cap=1)
-    assert str(exc.value) == (
-        "enumerate_bimorphisms(|M|=2, |N|=2, |L|=4, cmsc): node cap exceeded after 1 nodes"
-    )
+    # the bimorphism search passes its cap to its row pool; for (V, V, K)
+    # the pool Hom(V, K) spends 15 nodes and the search itself 156
+    for (M, N, L), cap, search in (
+        ((z2(), z2(), V), 1, "enumerate_morphisms(|M|=2, |N|=4, cmsc)"),
+        ((V, V, krasner()), 100, "enumerate_bimorphisms(|M|=4, |N|=4, |L|=2, cmsc)"),
+        ((V, V, krasner()), 14, "enumerate_morphisms(|M|=4, |N|=2, cmsc)"),
+    ):
+        with pytest.raises(SearchCapExceeded) as exc:
+            enumerate_bimorphisms(M, N, L, Tag.CMSC, cap=cap)
+        assert str(exc.value) == f"{search}: node cap exceeded after {cap} nodes"
 
 
 def test_enumeration_cap_from_environment(monkeypatch):
-    import hyperkit.hom as hom_mod
-
     monkeypatch.setenv("HYPERKIT_SEARCH_CAP", "2")
-    assert hom_mod.search_cap() == 2
-    hom_mod._HOM_CACHE.clear()
+    assert search_cap() == 2
+    enumerate_morphisms.cache_clear()
     with pytest.raises(SearchCapExceeded):
         enumerate_morphisms(mixed3(), mixed3(), Tag.HMAG)
+
+
+@pytest.mark.parametrize(
+    "call, memos, message",
+    [
+        (
+            lambda: enumerate_canonical_hypergroups(4),
+            (enumerate_canonical_hypergroups,),
+            "enumerate_reversible_tables(n=4): node cap exceeded after 3 nodes",
+        ),
+        (
+            lambda: enumerate_small_mosaics(3),
+            (enumerate_small_mosaics,),
+            "enumerate_reversible_tables(n=3): node cap exceeded after 3 nodes",
+        ),
+        (
+            lambda: hom_object(klein(), gf9_add(), Tag.CMSC),
+            (hom_object, enumerate_morphisms),
+            "enumerate_morphisms(|M|=4, |N|=5, cmsc): node cap exceeded after 3 nodes",
+        ),
+    ],
+    ids=["enumerate_canonical_hypergroups", "enumerate_small_mosaics", "hom_object"],
+)
+def test_memo_hit_obeys_environment_cap(monkeypatch, call, memos, message):
+    for fn in memos:
+        fn.cache_clear()
+    monkeypatch.setenv("HYPERKIT_SEARCH_CAP", "3")
+    with pytest.raises(SearchCapExceeded) as cold:
+        call()
     monkeypatch.delenv("HYPERKIT_SEARCH_CAP")
-    hom_mod._HOM_CACHE.clear()
+    call()
+    monkeypatch.setenv("HYPERKIT_SEARCH_CAP", "3")
+    with pytest.raises(SearchCapExceeded) as warm:
+        call()
+    assert str(cold.value) == str(warm.value) == message
 
 
 def test_hom_sets_sorted_lexicographically():
