@@ -230,7 +230,7 @@ def _builtin(name: str) -> Hypermagma:
 
     table = {
         "krasner": zoo.krasner,
-        "z2": lambda: group_to_hypermagma(zoo.cyclic_group(2)),
+        "z2": zoo.z2,
         "z3": lambda: group_to_hypermagma(zoo.cyclic_group(3)),
         "klein": lambda: group_to_hypermagma(zoo.klein_four_group()),
         "s3": lambda: group_to_hypermagma(zoo.symmetric_group(3)),

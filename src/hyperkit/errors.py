@@ -110,7 +110,7 @@ class NotSimplePointed(HyperkitError):
 
 
 class FormatError(HyperkitError):
-    """Malformed object file."""
+    """Malformed input: an object file or the HYPERKIT_SEARCH_CAP setting."""
 
 
 class InvariantViolated(HyperkitError):

@@ -198,6 +198,7 @@ def enumerate_bimorphisms(
     return out
 
 
+@memo
 def tensor(M: Hypermagma, N: Hypermagma, tag: Tag) -> tuple[Hypermagma, Bimorphism]:
     """The tag's monoidal product with its canonical bimorphism."""
     if tag is Tag.HMAG:
@@ -251,7 +252,7 @@ def hom_index(M: Hypermagma, N: Hypermagma, tag: Tag, map_tuple: tuple[int, ...]
 def curry(phi: Morphism, M: Hypermagma, N: Hypermagma, tag: Tag) -> Morphism:
     """Hom(M (x) N, L) -> Hom(M, [N, L])."""
     T, u = tensor(M, N, tag)
-    assert phi.dom == T
+    ensure(phi.dom == T, "curry: phi is not defined on the tensor")
     L = phi.cod
     Hobj = hom_object(N, L, tag)
     images = []
@@ -259,7 +260,7 @@ def curry(phi: Morphism, M: Hypermagma, N: Hypermagma, tag: Tag) -> Morphism:
         slice_map = tuple(phi.map[u(x, y)] for y in range(N.n))
         images.append(hom_index(N, L, tag, slice_map))
     psi = Morphism(M, Hobj, tuple(images))
-    assert morphism_in_tag(psi, tag)
+    ensure(morphism_in_tag(psi, tag), "curry: the curried map is not a morphism")
     return psi
 
 
@@ -267,7 +268,10 @@ def uncurry(psi: Morphism, M: Hypermagma, N: Hypermagma, L: Hypermagma, tag: Tag
     """Hom(M, [N, L]) -> Hom(M (x) N, L)."""
     T, u = tensor(M, N, tag)
     homs = enumerate_morphisms(N, L, tag)
-    assert psi.dom == M and psi.cod == hom_object(N, L, tag)
+    ensure(
+        psi.dom == M and psi.cod == hom_object(N, L, tag),
+        "uncurry: psi does not map M into the hom object [N, L]",
+    )
     values: dict[int, int] = {}
     for x in range(M.n):
         h = homs[psi.map[x]]
@@ -275,11 +279,11 @@ def uncurry(psi: Morphism, M: Hypermagma, N: Hypermagma, L: Hypermagma, tag: Tag
             t = u(x, y)
             v = h.map[y]
             if t in values:
-                assert values[t] == v
+                ensure(values[t] == v, "uncurry: the slices disagree on a tensor element")
             else:
                 values[t] = v
     phi = Morphism(T, L, tuple(values[t] for t in range(T.n)))
-    assert morphism_in_tag(phi, tag)
+    ensure(morphism_in_tag(phi, tag), "uncurry: the uncurried map is not a morphism")
     return phi
 
 
@@ -291,7 +295,7 @@ def represents_bimorphisms(
 ) -> tuple[bool, str | None]:
     """Whether composing with u is a bijection Hom(T, L) -> Bim(dom1, dom2; L)
     for every battery object L; returns the first failure as a witness."""
-    assert u.cod == T
+    ensure(u.cod == T, "represents_bimorphisms: u does not land in T")
     M, N = u.dom1, u.dom2
     for i, L in enumerate(battery):
         bims = {b.table for b in enumerate_bimorphisms(M, N, L, tag)}

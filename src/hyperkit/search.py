@@ -11,15 +11,22 @@ from __future__ import annotations
 import functools
 import os
 
-from .errors import SearchCapExceeded
+from .errors import FormatError, SearchCapExceeded
 
 DEFAULT_SEARCH_CAP = 10**8
 
 
 def search_cap() -> int:
-    """Node budget for every enumerator; HYPERKIT_SEARCH_CAP overrides."""
+    """Node budget for every enumerator; HYPERKIT_SEARCH_CAP overrides.
+
+    A value that is not a non-negative integer raises `FormatError`.
+    """
     raw = os.environ.get("HYPERKIT_SEARCH_CAP")
-    return int(raw) if raw else DEFAULT_SEARCH_CAP
+    if not raw:
+        return DEFAULT_SEARCH_CAP
+    if not raw.strip().isdecimal():
+        raise FormatError(f"HYPERKIT_SEARCH_CAP must be a non-negative integer, not {raw!r}")
+    return int(raw)
 
 
 # One entry per memoised call in progress, innermost last: the Budgets

@@ -94,6 +94,7 @@ from .zoo import (
     refute_coproduct_candidate,
     refute_equalizer_candidate,
     symmetric_group,
+    z2,
     zmod_ring,
 )
 
@@ -103,10 +104,6 @@ class CheckResult:
     name: str
     ok: bool
     detail: str
-
-
-def z2() -> Hypermagma:
-    return group_to_hypermagma(cyclic_group(2))
 
 
 def klein_v() -> Hypermagma:
@@ -473,6 +470,17 @@ def check_strict_classifier() -> CheckResult:
     return CheckResult("strict-classifier", True, f"{len(mosaics)} mosaics classified by K")
 
 
+def _matrix_count(L: Hypermagma) -> int:
+    """3x3 matrices over the self-inverse elements of L in which every row
+    and every column (a, b, c) has a in b + c, counted row by row."""
+    s = [v for v in range(L.n) if L.inverse[v] == v]
+    rows = [(a, b, c) for a in s for b in s for c in s if (L.table[b][c] >> a) & 1]
+    lawful = set(rows)
+    return sum(
+        1 for x in itertools.product(rows, repeat=3) if all(col in lawful for col in zip(*x))
+    )
+
+
 def check_klein_four() -> CheckResult:
     V = klein_v()
     K = krasner()
@@ -501,17 +509,7 @@ def check_klein_four() -> CheckResult:
     ok &= nonzero_count == 1
     # matrix characterization cross-check
     for L, bims in ((K, bims_K), (V, bims_V)):
-        neg = L.inverse
-        count = 0
-        for mat in itertools.product(range(L.n), repeat=9):
-            if any(neg[v] != v for v in mat):
-                continue
-            x = [mat[0:3], mat[3:6], mat[6:9]]
-            if all((L.table[x[1][j]][x[2][j]] >> x[0][j]) & 1 for j in range(3)) and all(
-                (L.table[x[i][1]][x[i][2]] >> x[i][0]) & 1 for i in range(3)
-            ):
-                count += 1
-        if count != len(bims):
+        if _matrix_count(L) != len(bims):
             return CheckResult(
                 "klein-four", False, f"matrix characterization mismatch over {L.labels}"
             )

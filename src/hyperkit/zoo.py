@@ -128,6 +128,12 @@ def group_to_hypermagma(G: FiniteGroup) -> Hypermagma:
     return from_masks(G.labels, rows)
 
 
+@memo
+def z2() -> Hypermagma:
+    """The cyclic group of order 2 as a hypermagma."""
+    return group_to_hypermagma(cyclic_group(2))
+
+
 def is_subgroup(G: FiniteGroup, K: int) -> bool:
     if not (K >> G.identity) & 1:
         return False
@@ -421,6 +427,7 @@ def _poly_field(p: int, reduce_sq: tuple[int, int]) -> FiniteRing:
     return make_finite_ring(labels, addt, mult)
 
 
+@memo
 def make_gf9() -> FiniteRing:
     """The nine-element field as Z_3[i] with i^2 = -1."""
     return _poly_field(3, (2, 0))
@@ -544,6 +551,7 @@ def _sign_subgroup(R: FiniteRing) -> int:
     return (1 << R.one) | (1 << R.add[R.one].index(R.zero))
 
 
+@memo
 def krasner() -> Hypermagma:
     """Additive hypergroup of the Krasner hyperfield {0, 1}, 1+1 = {0,1}."""
     return from_masks(("0", "1"), ((0b01, 0b10), (0b10, 0b11)))
@@ -553,11 +561,13 @@ def krasner_multiring() -> Multiring:
     return make_multiring(krasner(), ((0, 0), (0, 1)), 1)
 
 
+@memo
 def gf9_quotient() -> Multiring:
     R = make_gf9()
     return krasner_quotient(R, _sign_subgroup(R))
 
 
+@memo
 def gf9_frobenius(H: Hypermagma | None = None) -> Morphism:
     """Frobenius-induced automorphism on the gf9 quotient hypergroup."""
     R = make_gf9()
@@ -864,16 +874,16 @@ def refute_coproduct_candidate(
     rep = analyze(Gc)
     if rep.classification not in ("CanonicalHypergroup", "AbelianGroup"):
         return Refutation(True, "candidate", ("candidate is not a canonical hypergroup",))
-    z2 = group_to_hypermagma(cyclic_group(2))
+    Z = z2()
     K = krasner()
-    can_z2_K = enumerate_morphisms(z2, K, Tag.CAN)
+    can_z2_K = enumerate_morphisms(Z, K, Tag.CAN)
     steps.append(f"|Can(Z2,K)| = {len(can_z2_K)}")
-    assert len(can_z2_K) == 2
+    ensure(len(can_z2_K) == 2, "refute_coproduct_candidate: |Can(Z2,K)| is not 2")
     if battery is None:
-        battery = [K, z2, Gc]
+        battery = [K, Z, Gc]
     for T in battery:
         homs = enumerate_morphisms(Gc, T, Tag.CMSC)
-        legs = enumerate_morphisms(z2, T, Tag.CMSC)
+        legs = enumerate_morphisms(Z, T, Tag.CMSC)
         seen = {}
         for phi in homs:
             key = (
@@ -906,6 +916,7 @@ def refute_coproduct_candidate(
     return Refutation(False, "candidate", tuple(steps + ["battery passed"]))
 
 
+@memo
 def _gf9_classifier_targets() -> tuple[int, int]:
     """Classes of 1 and of the square of the least multiplicative generator."""
     R = make_gf9()
@@ -934,7 +945,10 @@ def refute_equalizer_candidate(E: Hypermagma, e: Morphism) -> Refutation:
     targets = []
     for target, name in ((one, "f"), (alpha2, "g")):
         cand = Morphism(K, H, (H.identity, target))
-        assert all(F.map[cand.map[x]] == cand.map[x] for x in range(2))
+        ensure(
+            all(F.map[cand.map[x]] == cand.map[x] for x in range(2)),
+            "refute_equalizer_candidate: a K -> H map from the proof is not F-fixed",
+        )
         # a K -> E factor lands 1 at x with {0, x} inside x + x
         lifts = [
             x
@@ -1048,8 +1062,7 @@ def _verify_empty_sum(H: Hypermagma, x: int, y: int) -> bool:
     route1 = H.table[x][y] != 0 and H.table[x][y] & s_mask == 0
     from .monoidal import hom_object
 
-    z2 = group_to_hypermagma(cyclic_group(2))
-    Hm = hom_object(z2, H, Tag.CMSC)
+    Hm = hom_object(z2(), H, Tag.CMSC)
     fi = Hm.index(f"({H.labels[zero]},{H.labels[x]})")
     gi = Hm.index(f"({H.labels[zero]},{H.labels[y]})")
     route2 = Hm.table[fi][gi] == 0

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -245,6 +246,24 @@ def test_paper_suite_matches_recorded_output(capsys):
     assert capsys.readouterr().out == ref.read_text()
 
 
+def test_paper_suite_under_optimize_matches_reference():
+    """`python -O` strips asserts; the suite's invariants must not rest on them."""
+    root = Path(__file__).resolve().parent.parent
+    reference = (root / "perfbench" / "reference" / "paper_suite.txt").read_text()
+    env = dict(os.environ)
+    env.pop("HYPERKIT_SEARCH_CAP", None)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "hyperkit", "paper-suite", "--max-size", "4"],
+        capture_output=True,
+        text=True,
+        timeout=300,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == reference
+
+
 GOLDEN_WEDGE = """{
   "kind": "hypermagma",
   "carrier": [
@@ -299,3 +318,10 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "PASS can-z2-k" in proc.stdout
+
+
+def test_malformed_search_cap_exits_2_with_one_line(monkeypatch, capsys):
+    monkeypatch.setenv("HYPERKIT_SEARCH_CAP", "abc")
+    assert main(["paper-suite", "--only", "can-z2"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "HYPERKIT_SEARCH_CAP" in err and "'abc'" in err

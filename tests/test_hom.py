@@ -4,7 +4,7 @@ import pytest
 
 from hyperkit.axioms import Tag, analyze
 from hyperkit.core import Morphism, compose, identity_morphism, iter_bits, mask_of
-from hyperkit.errors import CodomainNotUnital, SearchCapExceeded
+from hyperkit.errors import CodomainNotUnital, FormatError, SearchCapExceeded
 from hyperkit.hom import (
     check_kind,
     constant_morphism,
@@ -120,6 +120,14 @@ def test_enumeration_cap_from_environment(monkeypatch):
     enumerate_morphisms.cache_clear()
     with pytest.raises(SearchCapExceeded):
         enumerate_morphisms(mixed3(), mixed3(), Tag.HMAG)
+
+
+@pytest.mark.parametrize("raw", ["abc", "-1", "1e6", "2.5", "\u00b2"])
+def test_malformed_cap_in_environment_is_a_format_error(monkeypatch, raw):
+    monkeypatch.setenv("HYPERKIT_SEARCH_CAP", raw)
+    with pytest.raises(FormatError) as exc:
+        search_cap()
+    assert "HYPERKIT_SEARCH_CAP" in str(exc.value) and repr(raw) in str(exc.value)
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+import functools
 import itertools
 
 import pytest
@@ -23,6 +24,7 @@ from hyperkit.monoidal import (
     wedge_smash,
     wedge_unit,
 )
+from hyperkit.suite import _matrix_count
 from hyperkit.univ import free, one_empty, product, terminal
 from hyperkit.zoo import (
     cyclic_group,
@@ -212,21 +214,29 @@ def test_hom_object_with_empty_sum_is_not_hypergroup():
     assert rep.is_mosaic and rep.commutative
 
 
+@functools.cache
+def _brute_force_matrix_count(L):
+    """Every 3x3 matrix over L, kept when its entries are self-inverse and
+    each row and column (a, b, c) has a in b + c."""
+    neg = L.inverse
+    count = 0
+    for mat in itertools.product(range(L.n), repeat=9):
+        if any(neg[v] != v for v in mat):
+            continue
+        x = [mat[0:3], mat[3:6], mat[6:9]]
+        cols = all((L.table[x[1][j]][x[2][j]] >> x[0][j]) & 1 for j in range(3))
+        rows = all((L.table[x[i][1]][x[i][2]] >> x[i][0]) & 1 for i in range(3))
+        if cols and rows:
+            count += 1
+    return count
+
+
 def test_bimorphism_counts_match_matrix_oracle():
     V = klein()
     for L in (krasner(), V):
         bims = enumerate_bimorphisms(V, V, L, Tag.CMSC)
         assert all(is_bimorphism(b, Tag.CMSC) for b in bims)
-        neg = L.inverse
-        count = 0
-        for mat in itertools.product(range(L.n), repeat=9):
-            if any(neg[v] != v for v in mat):
-                continue
-            x = [mat[0:3], mat[3:6], mat[6:9]]
-            cols = all((L.table[x[1][j]][x[2][j]] >> x[0][j]) & 1 for j in range(3))
-            rows = all((L.table[x[i][1]][x[i][2]] >> x[i][0]) & 1 for i in range(3))
-            if cols and rows:
-                count += 1
+        count = _brute_force_matrix_count(L)
         assert len(bims) == count
 
 
@@ -325,3 +335,23 @@ def test_wedge_of_hypergroups_associativity_recorded():
     q = wedge_smash(krasner(), krasner())
     rep = analyze(q.cod)
     assert rep.classification in ("CanonicalHypergroup", "CommutativeMosaic")
+
+
+@pytest.mark.parametrize("tag", [Tag.HMAG, Tag.UHMAG, Tag.CMSC], ids=lambda t: t.value)
+def test_tensor_memo_hit_equals_cold_build(tag):
+    warm = tensor(z2(), krasner(), tag)
+    assert tensor(z2(), krasner(), tag) is warm
+    tensor.cache_clear()
+    assert tensor(z2(), krasner(), tag) == warm
+
+
+def test_tensor_rejects_noncommutative_input_on_every_call():
+    for _ in range(2):
+        with pytest.raises(NotCommutativeMosaic):
+            tensor(mixed3(), z2(), Tag.CMSC)
+
+
+@pytest.mark.parametrize("name", ["K", "Z2", "V"])
+def test_row_by_row_matrix_count_matches_brute_force(name):
+    L = {"K": krasner, "Z2": z2, "V": klein}[name]()
+    assert _matrix_count(L) == _brute_force_matrix_count(L)

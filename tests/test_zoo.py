@@ -16,6 +16,7 @@ from hyperkit.errors import (
 )
 from hyperkit.hom import enumerate_morphisms, is_short, is_strict
 from hyperkit.zoo import (
+    _gf9_classifier_targets,
     check_multiring,
     conjugacy_hypergroup,
     cyclic_group,
@@ -414,3 +415,14 @@ def test_f2_represents_battery():
         homs = enumerate_morphisms(Z, G, Tag.CMSC)
         fixture = [x for x in range(G.n) if (G.table[x][x] >> G.identity) & 1]
         assert sorted(h.map[1] for h in homs) == sorted(fixture)
+
+
+@pytest.mark.parametrize(
+    "fn",
+    [make_gf9, gf9_quotient, gf9_frobenius, krasner, z2, _gf9_classifier_targets],
+    ids=lambda fn: fn.__name__,
+)
+def test_memoised_constant_is_one_shared_instance(fn):
+    first = fn()
+    assert fn() is first
+    assert first == fn.__wrapped__()
