@@ -10,7 +10,7 @@ import enum
 from dataclasses import dataclass
 
 from .core import Hypermagma, iter_bits, product_of_subsets
-from .errors import NotAMosaic
+from .errors import NotAMosaic, ensure
 from .search import memo
 
 CLASSIFICATIONS = (
@@ -98,16 +98,19 @@ def _commutative_witness(M: Hypermagma) -> tuple[int, ...] | None:
 def _associative_witness(M: Hypermagma) -> tuple[int, ...] | None:
     n = M.n
     tbl = M.table
+    bits = [[tuple(iter_bits(m)) for m in row] for row in tbl]
     for i in range(n):
+        row_i = tbl[i]
         for j in range(n):
-            ij = tbl[i][j]
+            ij = bits[i][j]
+            row_j = bits[j]
             for k in range(n):
                 left = 0
-                for t in iter_bits(ij):
+                for t in ij:
                     left |= tbl[t][k]
                 right = 0
-                for t in iter_bits(tbl[j][k]):
-                    right |= tbl[i][t]
+                for t in row_j[k]:
+                    right |= row_i[t]
                 if left != right:
                     return (i, j, k)
     return None
@@ -136,7 +139,7 @@ def _reversible_witness(M: Hypermagma) -> tuple[int, ...] | None:
     """Checks x in y*z => y in x*z^-1 and z in y^-1*x against the involution;
     the witness (x, y, z) is lexicographically least."""
     inv = M.inverse
-    assert inv is not None
+    ensure(inv is not None, "_reversible_witness: the inverse map is not defined")
     n = M.n
     tbl = M.table
     for x in range(n):
@@ -203,7 +206,7 @@ def analyze(M: Hypermagma) -> AxiomReport:
         witnesses.append(("unique_inverses", w_inv))
 
     if unique_inverses:
-        assert M.inverse is not None
+        ensure(M.inverse is not None, "analyze: unique inverses but no inverse map")
         w_rev = _reversible_witness(M)
     else:
         w_rev = w_inv

@@ -79,6 +79,21 @@ def _need(d: dict, key: str):
     return d[key]
 
 
+def _carrier(d: dict, key: str = "carrier") -> list[str]:
+    labels = _need(d, key)
+    if not isinstance(labels, list) or not all(isinstance(l, str) for l in labels):
+        raise FormatError(f"{key} must be an array of string labels")
+    return labels
+
+
+def _index(pos: dict[str, int], label, what: str) -> int:
+    """Position of a label; anything but a carrier label (a list, a number,
+    an unknown string) is a format error."""
+    if not isinstance(label, str) or label not in pos:
+        raise FormatError(f"{what} {label!r} is not a carrier label")
+    return pos[label]
+
+
 def _parse_square(d: dict, key: str, carrier: list[str]):
     table = _need(d, key)
     n = len(carrier)
@@ -91,7 +106,7 @@ def _parse_square(d: dict, key: str, carrier: list[str]):
 
 
 def parse_hypermagma(d: dict) -> Hypermagma:
-    carrier = _need(d, "carrier")
+    carrier = _carrier(d)
     table = _parse_square(d, "table", carrier)
     pos = {l: i for i, l in enumerate(carrier)}
     rows = []
@@ -100,55 +115,62 @@ def parse_hypermagma(d: dict) -> Hypermagma:
         for entry in row:
             if not isinstance(entry, list):
                 raise FormatError("table entries must be arrays of labels")
-            m = 0
-            for l in entry:
-                if l not in pos:
-                    raise FormatError(f"unknown element {l!r} in table")
-                m |= 1 << pos[l]
-            out.append(m)
+            out.append(mask_of(_index(pos, l, "table element") for l in entry))
         rows.append(out)
     identity = d.get("identity")
-    try:
-        return from_masks(carrier, rows, pos[identity] if identity is not None else None)
-    except KeyError:
-        raise FormatError(f"identity {identity!r} not in carrier") from None
+    if identity is not None:
+        identity = _index(pos, identity, "identity")
+    return from_masks(carrier, rows, identity)
 
 
 def parse_group(d: dict) -> FiniteGroup:
-    carrier = _need(d, "carrier")
+    carrier = _carrier(d)
     table = _parse_square(d, "table", carrier)
     pos = {l: i for i, l in enumerate(carrier)}
-    try:
-        idx = [[pos[v] for v in row] for row in table]
-    except KeyError as exc:
-        raise FormatError(f"unknown element {exc.args[0]!r} in table") from None
+    idx = [[_index(pos, v, "table element") for v in row] for row in table]
     return make_finite_group(carrier, idx)
 
 
 def parse_ring(d: dict) -> FiniteRing:
-    carrier = _need(d, "carrier")
+    carrier = _carrier(d)
     pos = {l: i for i, l in enumerate(carrier)}
-    try:
-        add = [[pos[v] for v in row] for row in _parse_square(d, "add", carrier)]
-        mul = [[pos[v] for v in row] for row in _parse_square(d, "mul", carrier)]
-    except KeyError as exc:
-        raise FormatError(f"unknown element {exc.args[0]!r} in table") from None
-    return make_finite_ring(carrier, add, mul)
+
+    def square(key: str) -> list[list[int]]:
+        table = _parse_square(d, key, carrier)
+        return [[_index(pos, v, f"{key} element") for v in row] for row in table]
+
+    return make_finite_ring(carrier, square("add"), square("mul"))
 
 
 def parse_matroid(d: dict) -> Matroid:
-    ground = _need(d, "ground")
+    ground = _carrier(d, "ground")
+    pos = {l: i for i, l in enumerate(ground)}
+
+    def subset(labels, key: str) -> int:
+        if not isinstance(labels, list):
+            raise FormatError(f"{key} entries must be arrays of labels")
+        return mask_of(_index(pos, x, f"{key} element") for x in labels)
+
+    def entries(key: str) -> list:
+        if not isinstance(d[key], list):
+            raise FormatError(f"{key} must be an array")
+        return d[key]
+
     pointed = d.get("pointed")
-    if "flats" in d:
-        return make_matroid(ground, flats=d["flats"], pointed=pointed)
-    if "independent" in d:
-        return make_matroid(ground, independent=d["independent"], pointed=pointed)
+    if pointed is not None:
+        _index(pos, pointed, "pointed")
+    for key in ("flats", "independent"):
+        if key in d:
+            sets = entries(key)
+            for S in sets:
+                subset(S, key)
+            return make_matroid(ground, pointed=pointed, **{key: sets})
     if "rank" in d:
-        pos = {l: i for i, l in enumerate(ground)}
         pairs = {}
-        for entry in d["rank"]:
-            subset, r = entry
-            pairs[mask_of(pos[x] for x in subset)] = int(r)
+        for entry in entries("rank"):
+            if not (isinstance(entry, list) and len(entry) == 2 and isinstance(entry[1], int)):
+                raise FormatError("rank entries must be [subset, rank] pairs")
+            pairs[subset(entry[0], "rank")] = entry[1]
         if len(pairs) != 1 << len(ground):
             raise FormatError("rank oracle must list every subset")
         return make_matroid(ground, rank=lambda S: pairs[S], pointed=pointed)
@@ -156,15 +178,13 @@ def parse_matroid(d: dict) -> Matroid:
 
 
 def parse_lattice(d: dict) -> tuple[list[str], list[list[int]]]:
-    carrier = _need(d, "carrier")
+    carrier = _carrier(d)
     pos = {l: i for i, l in enumerate(carrier)}
-    try:
-        meet = [[pos[v] for v in row] for row in _parse_square(d, "meet", carrier)]
-    except KeyError as exc:
-        raise FormatError(f"unknown element {exc.args[0]!r} in meet table") from None
+    table = _parse_square(d, "meet", carrier)
+    meet = [[_index(pos, v, "meet element") for v in row] for row in table]
     top = d.get("top")
-    if top is not None and top not in pos:
-        raise FormatError(f"top {top!r} not in carrier")
+    if top is not None:
+        _index(pos, top, "top")
     return carrier, meet
 
 
@@ -172,6 +192,8 @@ def parse_morphism(d: dict) -> Morphism:
     dom = parse_hypermagma(_need(d, "dom"))
     cod = parse_hypermagma(_need(d, "cod"))
     mp = _need(d, "map")
+    if not isinstance(mp, dict):
+        raise FormatError("map must be an object from domain to codomain labels")
     if set(mp.keys()) != set(dom.labels):
         raise FormatError("map must cover the whole domain carrier")
     try:

@@ -381,16 +381,20 @@ def to_monoid_object(R) -> MonoidObject:
     mul = R.mul
     table = tuple(tuple(mul[x][y] for y in range(A.n)) for x in range(A.n))
     B = Bimorphism(A, A, A, table)
-    assert is_bimorphism(B, Tag.CMSC)
+    if not is_bimorphism(B, Tag.CMSC):
+        raise NotMultiring("multiplication is not a bimorphism")
     F = free(Tag.CMSC, ("1",))
     one = R.one
     unit = Morphism(F, A, (A.identity, one, A.inverse[one]))
-    assert morphism_in_tag(unit, Tag.CMSC)
+    if not morphism_in_tag(unit, Tag.CMSC):
+        raise NotMultiring("unit map is not a mosaic morphism")
     for a in range(A.n):
         for b in range(A.n):
             for c in range(A.n):
-                assert mul[mul[a][b]][c] == mul[a][mul[b][c]]
-        assert mul[one][a] == a and mul[a][one] == a
+                if mul[mul[a][b]][c] != mul[a][mul[b][c]]:
+                    raise NotMultiring("multiplication not associative")
+        if mul[one][a] != a or mul[a][one] != a:
+            raise NotMultiring("1 is not a multiplicative identity")
     left = all(
         mask_of(mul[a][t] for t in iter_bits(A.table[b][c]))
         == A.table[mul[a][b]][mul[a][c]]

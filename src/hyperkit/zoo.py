@@ -620,14 +620,14 @@ def _triple_orbits(nz: int, sigma: Sequence[int]) -> list[list[tuple[int, int, i
 
 def _orbit_symmetries(
     nz: int, sigma: Sequence[int], orbits: list, orb_banned: list[bool]
-) -> list[tuple[list[int], ...]]:
+) -> list[tuple[list[int], tuple[list[int], ...]]]:
     """The relabelings of nonzero elements that commute with sigma and keep
-    the banned orbits banned, as 8-bit chunk tables on orbit-choice vectors.
+    the banned orbits banned, each as its orbit image and its 8-bit chunk
+    tables on orbit-choice vectors.
 
-    Orbit i is bit k-1-i of a vector v.  A relabeling p maps orbits to
-    orbits, so v(pT) is a fixed bit permutation of v(T).  Each symmetry is
-    a tuple of lookup tables, one per 8-bit chunk of v: table j maps chunk j
-    of v(T) to its bits in v(pT).
+    Orbit i is bit k-1-i of a vector v.  A relabeling p maps orbit i to
+    orbit image[i], so v(pT) is a fixed bit permutation of v(T).  The chunk
+    tables compute it: table j maps chunk j of v(T) to its bits in v(pT).
     """
     k = len(orbits)
     orbit_of = {t: i for i, orb in enumerate(orbits) for t in orb}
@@ -645,8 +645,31 @@ def _orbit_symmetries(
                 moved = 1 << (k - 1 - image[k - 1 - b])
                 table += [t | moved for t in table]
             chunks.append(table)
-        out.append(tuple(chunks))
+        out.append((image, tuple(chunks)))
     return out
+
+
+def _canonicity_tests(k: int, symmetries: list) -> list[list[tuple[int, tuple]]]:
+    """Per depth i, the comparisons of v(pT) with v(T) that become final there.
+
+    At depth i orbits 0..i-1 are decided.  Orbit j of v(pT) is orbit pre[j]
+    of v(T), pre the inverse of the image, so the top m bits of v(pT) are
+    final once pre[0..m-1] are all below i; then m <= i, and the top m bits
+    of v(T) are final too.  A symmetry is listed at each depth where its m
+    grows, as (k - m, chunks): shift both vectors by k - m and compare.  The
+    chunks are (offset, table) pairs for the chunks that hold decided bits.
+    At depth k every symmetry has m = k: that entry is the leaf test.
+    """
+    tests: list[list[tuple[int, tuple]]] = [[] for _ in range(k + 1)]
+    for image, chunks in symmetries:
+        pre = sorted(range(k), key=image.__getitem__)
+        depth = 0  # where the top m bits become final
+        for m in range(1, k + 1):
+            depth = max(depth, pre[m - 1] + 1)
+            if m == k or pre[m] >= depth:
+                parts = tuple((8 * j, chunks[j]) for j in range((k - depth) // 8, len(chunks)))
+                tests[depth].append((k - m, parts))
+    return tests
 
 
 def enumerate_reversible_tables(
@@ -686,6 +709,17 @@ def enumerate_reversible_tables(
     that is, exactly when it is the first table of its class in search
     order.  So each class is yielded once, and its representative is its
     first table in search order.
+
+    The same comparison cuts subtrees (orderly generation, as in Read's
+    "Every one a winner").  At depth i the orbits before i are decided, and
+    for each p the top m bits of v(pT) are final once the orbits that p
+    maps onto the first m are all decided (`_canonicity_tests`).  If those
+    bits of v(pT) exceed the top m bits of v, which are decided too, every
+    leaf below has v(T) < v(pT) and would fail the leaf test, so the subtree
+    is dropped.  At the leaves, depth k for k orbits, m = k for every p,
+    and the cut is the leaf test.  It drops only tables that are not the
+    first of their class, so the yielded tables and their order are those
+    of the leaf test alone.
     """
     budget = Budget(cap, f"enumerate_reversible_tables(n={n})")
     nz = n - 1
@@ -707,7 +741,7 @@ def enumerate_reversible_tables(
                         bad = True
                         break
             orb_banned.append(bad)
-        symmetries = _orbit_symmetries(nz, sigma, orbits, orb_banned)
+        tests = _canonicity_tests(k, _orbit_symmetries(nz, sigma, orbits, orb_banned))
 
         # coverage bitmask per orbit over the pairs whose entry must be hit
         pairs_needing = [
@@ -774,13 +808,13 @@ def enumerate_reversible_tables(
                     right |= tab[ra + e]
                 if left != right:
                     return
+            for shift, parts in tests[i]:
+                w = 0
+                for lo, chunk in parts:
+                    w |= chunk[(v >> lo) & 255]
+                if (w >> shift) > (v >> shift):
+                    return
             if i == k:
-                for chunks in symmetries:
-                    w = 0
-                    for j, chunk in enumerate(chunks):
-                        w |= chunk[(v >> 8 * j) & 255]
-                    if w > v:
-                        return
                 yield from_masks(labels, [tab[r * n : (r + 1) * n] for r in range(n)])
                 return
             if not orb_banned[i]:

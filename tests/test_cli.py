@@ -325,3 +325,37 @@ def test_malformed_search_cap_exits_2_with_one_line(monkeypatch, capsys):
     assert main(["paper-suite", "--only", "can-z2"]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "HYPERKIT_SEARCH_CAP" in err and "'abc'" in err
+
+
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        (
+            {
+                "kind": "hypermagma",
+                "carrier": ["0", "1"],
+                "table": [[[["0"]], ["1"]], [["1"], ["0"]]],
+            },
+            "table element ['0'] is not a carrier label",
+        ),
+        (
+            {"kind": "hypermagma", "carrier": "01", "table": [[["0"], ["1"]], [["1"], ["0"]]]},
+            "carrier must be an array of string labels",
+        ),
+        (
+            {"kind": "hypermagma", "carrier": ["0"], "identity": ["0"], "table": [[["0"]]]},
+            "identity ['0'] is not a carrier label",
+        ),
+        (
+            {"kind": "matroid", "ground": ["a", "b"], "flats": [[], ["a"], ["c"], ["a", "b"]]},
+            "flats element 'c' is not a carrier label",
+        ),
+    ],
+    ids=["list-table-entry", "string-carrier", "list-identity", "unknown-flat-label"],
+)
+def test_malformed_labels_exit_2_with_one_line(tmp_path, capsys, payload, message):
+    path = write_obj(tmp_path, "bad.json", payload)
+    assert main(["check", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and message in captured.err

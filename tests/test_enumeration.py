@@ -9,18 +9,23 @@ Two references check `enumerate_reversible_tables` and what is built on it:
 - a raw scan at order 4 with no orbit machinery: free bits over the
   unordered nonzero pairs, a reversibility filter, `analyze`, and dedup by
   `find_isomorphism`.
+
+An orbit-stabilizer count checks the isomorph rejection up to order 5, and
+a cap-boundary test pins the node counts of the pruned search.
 """
 import itertools
 import os
 import subprocess
 import sys
 import time
+from collections import Counter
 
 import pytest
 
 import hyperkit
+from hyperkit import zoo
 from hyperkit.axioms import analyze
-from hyperkit.core import find_isomorphism, from_masks
+from hyperkit.core import find_isomorphism, from_masks, iter_bits, mask_of
 from hyperkit.errors import SearchCapExceeded
 from hyperkit.zoo import enumerate_canonical_hypergroups, enumerate_small_mosaics
 
@@ -232,6 +237,75 @@ def test_order4_independent_raw_scan():
     assert all(any(find_isomorphism(M, N) for N in new) for M in raw)
     assert all(any(find_isomorphism(N, M) for M in raw) for N in new)
     assert elapsed <= 5.0
+
+
+# ---------------------------------------------------------------------------
+# Orbit-stabilizer oracle
+#
+# The tables with inversion sigma fall into orbits under the centralizer
+# C(sigma) of sigma among relabellings of the nonzero elements, and the orbit
+# of T has |C(sigma)| / |Stab(T)| tables.  With `_orbit_symmetries` returning
+# no symmetry, both the subtree cut and the leaf test are off and the search
+# yields every valid table, so the emitted classes must account for exactly
+# that many tables.  Stabilizers are counted by brute force.
+
+
+def _sigma_of(M):
+    return tuple(M.inverse[x + 1] - 1 for x in range(M.n - 1))
+
+
+def _orbit_sizes(classes):
+    """Sum of |C(sigma)| / |Stab(T)| over the classes, per inversion sigma."""
+    sizes = Counter()
+    for M in classes:
+        sigma = _sigma_of(M)
+        nz = len(sigma)
+        centralizer = [
+            p
+            for p in itertools.permutations(range(nz))
+            if all(p[sigma[x]] == sigma[p[x]] for x in range(nz))
+        ]
+        stab = 0
+        for p in centralizer:
+            P = (0,) + tuple(x + 1 for x in p)
+            stab += all(
+                M.table[P[a]][P[b]] == mask_of(P[z] for z in iter_bits(M.table[a][b]))
+                for a in range(M.n)
+                for b in range(M.n)
+            )
+        assert len(centralizer) % stab == 0
+        sizes[sigma] += len(centralizer) // stab
+    return sizes
+
+
+def _every_table(monkeypatch, n, **kwargs):
+    """Inversions of every valid table, with the canonicity tests off."""
+    with monkeypatch.context() as m:
+        m.setattr(zoo, "_orbit_symmetries", lambda *args: [])
+        return Counter(_sigma_of(M) for M in zoo.enumerate_reversible_tables(n, **kwargs))
+
+
+@pytest.mark.parametrize("n, tables", [(3, 15), (4, 326), (5, 65168)])
+def test_canonical_hypergroups_orbit_stabilizer(monkeypatch, n, tables):
+    sizes = _orbit_sizes(enumerate_canonical_hypergroups(n))
+    every = _every_table(monkeypatch, n)
+    assert sum(every.values()) == tables
+    assert sizes == every
+
+
+def test_small_mosaics_orbit_stabilizer(monkeypatch):
+    sizes = _orbit_sizes(enumerate_small_mosaics(4))
+    every = _every_table(monkeypatch, 4, require_total=False, require_assoc=False)
+    assert sizes == every
+
+
+@pytest.mark.parametrize("n, nodes, classes", [(4, 626, 97), (5, 41575, 3776)])
+def test_node_count_at_cap_boundary(n, nodes, classes):
+    # the leaf test alone visited 1,276 and 379,861 nodes
+    assert nodes <= 76_000
+    assert len(list(zoo.enumerate_reversible_tables(n, cap=nodes))) == classes
+    with pytest.raises(SearchCapExceeded):
+        list(zoo.enumerate_reversible_tables(n, cap=nodes - 1))
 
 
 # ---------------------------------------------------------------------------

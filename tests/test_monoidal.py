@@ -1,8 +1,12 @@
 import functools
 import itertools
+import os
+import subprocess
+import sys
 
 import pytest
 
+import hyperkit
 from hyperkit.axioms import Tag, analyze
 from hyperkit.core import Morphism, find_isomorphism, iter_bits, mask_of
 from hyperkit.errors import NotCommutativeMosaic, NotMosaic, NotMultiring
@@ -27,6 +31,7 @@ from hyperkit.monoidal import (
 from hyperkit.suite import _matrix_count
 from hyperkit.univ import free, one_empty, product, terminal
 from hyperkit.zoo import (
+    Multiring,
     cyclic_group,
     empty_sum_search,
     gf9_quotient,
@@ -328,6 +333,37 @@ def test_monoid_objects():
     assert mo9.hyperring_flavor
     with pytest.raises(NotMultiring):
         to_monoid_object("not a multiring")
+    # 1 * 1 = 0, so 1 is no unit; the flags claim a multiring anyway
+    broken = Multiring(krasner_multiring().additive, ((0, 0), (0, 0)), 1, True, True)
+    with pytest.raises(NotMultiring, match="multiplicative identity"):
+        to_monoid_object(broken)
+
+
+def test_monoid_object_laws_survive_optimize_flag():
+    script = """
+import sys
+from hyperkit.errors import NotMultiring
+from hyperkit.monoidal import to_monoid_object
+from hyperkit.zoo import Multiring, krasner_multiring
+
+broken = Multiring(krasner_multiring().additive, ((0, 0), (0, 0)), 1, True, True)
+try:
+    to_monoid_object(broken)
+except NotMultiring as exc:
+    print(sys.flags.optimize, "raised:", exc)
+"""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hyperkit.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "1 raised: 1 is not a multiplicative identity\n"
 
 
 def test_wedge_of_hypergroups_associativity_recorded():
