@@ -12,7 +12,7 @@ import sys
 
 from . import formats
 from .axioms import Tag, analyze
-from .core import Hypermagma
+from .core import Hypermagma, mask_of
 from .errors import FormatError, HyperkitError
 from .matroid import adjoin_point, is_simple, matroid_to_mosaic, simplify
 from .monoidal import boxdot, boxtimes, hom_object, wedge_smash
@@ -129,6 +129,16 @@ def _write_outputs(args, M: Hypermagma, morphisms: dict) -> None:
         formats.save(f"{base}.{role}.morphism.json", formats.morphism_to_dict(f))
 
 
+def _label_indices(option: str, value: str, labels: tuple[str, ...]) -> list[int]:
+    """Indices of the comma-separated labels of an option's value."""
+    out = []
+    for label in value.split(","):
+        if label not in labels:
+            raise FormatError(f"{option}: {label!r} is not a carrier label")
+        out.append(labels.index(label))
+    return out
+
+
 def cmd_construct(args) -> int:
     verb = args.verb
     tag = TAGS[args.tag] if args.tag else Tag.HMAG
@@ -154,7 +164,7 @@ def cmd_construct(args) -> int:
         morphisms = {"quotient": q.morphism}
     elif verb == "unitize":
         M = _load_hm(args.inputs[0])
-        E = M.subset(args.at.split(",")) if args.at else 0
+        E = mask_of(_label_indices("--at", args.at, M.labels)) if args.at else 0
         q = unitize(M, E)
         out = q.cod
         morphisms = {"quotient": q.morphism}
@@ -184,12 +194,14 @@ def cmd_construct(args) -> int:
         if kind != "group":
             raise FormatError("from-group needs a group file")
         if args.construction == "dcoset":
-            out = double_coset_hypergroup(G, args.subgroup.split(","))
+            out = double_coset_hypergroup(
+                G, mask_of(_label_indices("--subgroup", args.subgroup, G.labels))
+            )
         elif args.construction == "conj":
             out = conjugacy_hypergroup(G)
         else:
             perms = [
-                tuple(G.index(x) for x in images.split(","))
+                tuple(_label_indices("--action", images, G.labels))
                 for images in args.action.split(";")
             ]
             out = orbit_hypergroup(G, perms)
@@ -197,7 +209,10 @@ def cmd_construct(args) -> int:
         kind, R = formats.load(args.quotient_units)
         if kind != "ring":
             raise FormatError("from-ring needs a ring file")
-        sub = R.units() if args.subgroup == "units" else [s for s in args.subgroup.split(",")]
+        if args.subgroup == "units":
+            sub = R.units()
+        else:
+            sub = mask_of(_label_indices("--subgroup", args.subgroup, R.labels))
         Q = krasner_quotient(R, sub)
         out = Q.additive
     elif verb == "from-matroid":

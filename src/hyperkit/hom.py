@@ -120,7 +120,7 @@ def kernel(f: Morphism) -> int:
     if f.cod.identity is None:
         raise CodomainNotUnital("kernel needs a unital codomain")
     K = f.preimage_mask(1 << f.cod.identity)
-    assert is_absorptive(f.dom, K)
+    ensure(is_absorptive(f.dom, K), "kernel: the preimage of the identity is not absorptive")
     return K
 
 
@@ -130,6 +130,26 @@ def morphism_in_tag(f: Morphism, tag: Tag) -> bool:
     if tag in UNITAL_TAGS:
         return is_unital(f)
     return True
+
+
+def colax_schedule(M: Hypermagma) -> list[tuple[list, list]]:
+    """The triples z in a*b of M, filed under depth k = max(a, b, z), where a
+    search fixing images in carrier order first has all three images.
+
+    Depth k holds the pairs (a, b) with a, b < k (so z = k) and the triples
+    (a, b, z) with a or b equal to k.
+    """
+    pairs: list[list[tuple[int, int]]] = [[] for _ in range(M.n)]
+    checks: list[list[tuple[int, int, int]]] = [[] for _ in range(M.n)]
+    for a, row in enumerate(M.table):
+        for b, ab in enumerate(row):
+            k = a if a > b else b
+            for z in iter_bits(ab):
+                if z > k:
+                    pairs[z].append((a, b))
+                else:
+                    checks[k].append((a, b, z))
+    return list(zip(pairs, checks))
 
 
 @memo
@@ -143,10 +163,16 @@ def enumerate_morphisms(
 ) -> list[Morphism]:
     """All tag-morphisms M -> N, ordered by the map array.
 
-    Depth-first over element images in carrier order, pruning as soon as a
-    fully determined pair violates colaxity.  Mosaic tags additionally prune
-    with inverse preservation, which unital morphisms of mosaics satisfy
-    automatically.
+    Depth-first over element images in carrier order.  Each colaxity triple
+    z in a*b of M is tested at depth k = max(a, b, z), the first depth where
+    it is fully determined (forward checking).  The triples with a, b < k
+    (so z = k) become a candidate mask for f[k], the AND of N's
+    f[a]*f[b]; the others, where a or b is k, are checked for each
+    candidate the mask admits.  Mosaic tags also mask by inverse
+    preservation, which unital morphisms of mosaics satisfy automatically:
+    f[k] is N's inverse of f[M.inverse[k]] when that element comes earlier,
+    and self-inverse when k is.  A node is one candidate tried, whether or
+    not the mask admits it.
     """
     unital_tag = tag in UNITAL_TAGS
     if unital_tag and (M.identity is None or N.identity is None):
@@ -162,28 +188,12 @@ def enumerate_morphisms(
         and M.inverse is not None
         and N.inverse is not None
     )
+    if use_inverse_prune:
+        self_inverse = mask_of(y for y in range(m) if N.inverse[y] == y)
+    every = (1 << m) - 1
+    schedule = colax_schedule(M)
+    table = N.table
     f = [0] * n
-
-    def ok(k: int) -> bool:
-        fk = f[k]
-        if use_inverse_prune:
-            xinv = M.inverse[k]
-            if xinv <= k and f[xinv] != N.inverse[fk]:
-                return False
-        for i in range(k + 1):
-            for (a, b) in ((i, k), (k, i)):
-                tgt = N.table[f[a]][f[b]]
-                src = M.table[a][b]
-                for z in iter_bits(src):
-                    if z > k:
-                        break
-                    if not (tgt >> f[z]) & 1:
-                        return False
-        for i in range(k):
-            for j in range(k):
-                if (M.table[i][j] >> k) & 1 and not (N.table[f[i]][f[j]] >> fk) & 1:
-                    return False
-        return True
 
     def rec(k: int) -> None:
         if k == n:
@@ -191,14 +201,29 @@ def enumerate_morphisms(
             if not strict_only or is_strict(g):
                 out.append(g)
             return
+        allowed = every
+        if use_inverse_prune:
+            xinv = M.inverse[k]
+            if xinv < k:
+                allowed = 1 << N.inverse[f[xinv]]
+            elif xinv == k:
+                allowed = self_inverse
+        pairs, checks = schedule[k]
+        for a, b in pairs:
+            allowed &= table[f[a]][f[b]]
         if unital_tag and k == M.identity:
             cands = (N.identity,)
         else:
             cands = range(m)
         for v in cands:
             budget.spend()
+            if not (allowed >> v) & 1:
+                continue
             f[k] = v
-            if ok(k):
+            for a, b, z in checks:
+                if not (table[f[a]][f[b]] >> f[z]) & 1:
+                    break
+            else:
                 rec(k + 1)
 
     rec(0)
@@ -327,21 +352,23 @@ def triples(M: Hypermagma) -> list[tuple[int, int, int]]:
 def is_strict_via_lifting(f: Morphism, tag: Tag) -> bool:
     """Diagonal-lifting criterion against iota: F2 -> E_C.
 
-    Enumerates every square (alpha, beta) with f . alpha = beta . iota and
-    searches a filler g with g . iota = alpha and f . g = beta.
+    Every square (alpha, beta) with f . alpha = beta . iota needs a filler g
+    with g . iota = alpha and f . g = beta.  The betas are indexed by the map
+    of beta . iota and the fillable squares form one set of map pairs
+    (g . iota, f . g), so each square costs one lookup and one set test.
     """
     ro = representing_object(tag)
-    alphas = enumerate_morphisms(ro.free_pair, f.dom, tag)
-    betas = enumerate_morphisms(ro.obj, f.cod, tag)
-    gs = enumerate_morphisms(ro.obj, f.dom, tag)
-    for alpha in alphas:
-        fa = compose(f, alpha)
-        for beta in betas:
-            if compose(beta, ro.iota) != fa:
-                continue
-            if not any(
-                compose(g, ro.iota) == alpha and compose(f, g) == beta for g in gs
-            ):
+    iota = ro.iota.map
+    betas: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    for beta in enumerate_morphisms(ro.obj, f.cod, tag):
+        betas.setdefault(tuple(beta.map[v] for v in iota), []).append(beta.map)
+    filled = {
+        (tuple(g.map[v] for v in iota), tuple(f.map[v] for v in g.map))
+        for g in enumerate_morphisms(ro.obj, f.dom, tag)
+    }
+    for alpha in enumerate_morphisms(ro.free_pair, f.dom, tag):
+        for beta in betas.get(tuple(f.map[v] for v in alpha.map), ()):
+            if (alpha.map, beta) not in filled:
                 return False
     return True
 
@@ -365,7 +392,7 @@ def is_reversible_via_lifting(M: Hypermagma) -> bool:
     Eu = representing_object(Tag.UHMAG).obj
     Er = representing_object(Tag.MSC).obj
     iota = Morphism(Eu, Er, tuple(Er.index(l) for l in ("e", "a", "b", "c")))
-    assert is_colax(iota) and is_unital(iota)
+    ensure(is_colax(iota) and is_unital(iota), "is_reversible_via_lifting: iota is not a unital morphism")
     big = enumerate_morphisms(Er, M, Tag.UHMAG)
     small = enumerate_morphisms(Eu, M, Tag.UHMAG)
     restricted = [compose(g, iota).map for g in big]

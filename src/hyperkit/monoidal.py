@@ -24,6 +24,7 @@ from .errors import (
     ensure,
 )
 from .hom import (
+    colax_schedule,
     constant_morphism,
     enumerate_morphisms,
     is_colax,
@@ -143,8 +144,9 @@ def enumerate_bimorphisms(
 ) -> list[Bimorphism]:
     """All bimorphisms M x N -> L, ordered by the flattened table.
 
-    Rows are drawn from Hom(N, L); columns are pruned incrementally on every
-    fully determined triple.
+    Rows are drawn from Hom(N, L).  The column maps x -> B(x, y) must be
+    colax, so each triple z in x1*x2 of M is checked across every y at the
+    depth where its rows are all chosen (`hom.colax_schedule`).
     """
     rows_pool = enumerate_morphisms(N, L, tag, cap=cap)
     unital_tag = tag in UNITAL_TAGS
@@ -153,26 +155,18 @@ def enumerate_bimorphisms(
     )
     chosen: list[Morphism] = []
     out: list[Bimorphism] = []
+    depths = [
+        [(a, b, k) for a, b in pairs] + checks
+        for k, (pairs, checks) in enumerate(colax_schedule(M))
+    ]
+    columns = range(N.n)
 
     def cols_ok(k: int) -> bool:
-        # column maps x -> B(x, y) must be colax on triples inside 0..k
-        for i in range(k + 1):
-            for j in range(k + 1):
-                if i != k and j != k:
-                    src = M.table[i][j]
-                    if not (src >> k) & 1:
-                        continue
-                    for y in range(N.n):
-                        if not (L.table[chosen[i].map[y]][chosen[j].map[y]] >> chosen[k].map[y]) & 1:
-                            return False
-                    continue
-                src = M.table[i][j]
-                for z in iter_bits(src):
-                    if z > k:
-                        break
-                    for y in range(N.n):
-                        if not (L.table[chosen[i].map[y]][chosen[j].map[y]] >> chosen[z].map[y]) & 1:
-                            return False
+        for a, b, z in depths[k]:
+            ra, rb, rz = chosen[a].map, chosen[b].map, chosen[z].map
+            for y in columns:
+                if not (L.table[ra[y]][rb[y]] >> rz[y]) & 1:
+                    return False
         return True
 
     def rec(k: int) -> None:

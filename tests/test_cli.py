@@ -359,3 +359,43 @@ def test_malformed_labels_exit_2_with_one_line(tmp_path, capsys, payload, messag
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.count("\n") == 1 and message in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["construct", "unitize", "{K}", "--at", "zz"], "--at"),
+        (["construct", "from-group", "--construction", "dcoset", "--subgroup", "zz", "{S3}"], "--subgroup"),
+        (["construct", "from-group", "--construction", "orbit", "--action", "zz", "{S3}"], "--action"),
+        (["construct", "from-ring", "--quotient-units", "{F9}", "--subgroup", "zz"], "--subgroup"),
+    ],
+    ids=["unitize-at", "dcoset-subgroup", "orbit-action", "from-ring-subgroup"],
+)
+def test_unknown_label_in_option_exits_2_with_one_line(tmp_path, capsys, argv, option):
+    files = {
+        "{K}": krasner_file(tmp_path),
+        "{S3}": write_obj(tmp_path, "s3.json", formats.group_to_dict(symmetric_group(3))),
+        "{F9}": write_obj(tmp_path, "f9.json", formats.ring_to_dict(make_gf9())),
+    }
+    out = str(tmp_path / "out.json")
+    assert main([files.get(a, a) for a in argv] + ["-o", out]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not os.path.exists(out)
+    assert captured.err == f"error: {option}: 'zz' is not a carrier label\n"
+
+
+def test_construct_from_group_by_labels(tmp_path):
+    from hyperkit.zoo import double_coset_hypergroup, orbit_hypergroup
+
+    S3 = symmetric_group(3)
+    s3 = write_obj(tmp_path, "s3.json", formats.group_to_dict(S3))
+    out = str(tmp_path / "out.json")
+    argv = ["construct", "from-group", "--construction", "dcoset", "--subgroup", "e,(0 1)"]
+    assert main(argv + [s3, "-o", out]) == 0
+    assert formats.load(out)[1] == double_coset_hypergroup(S3, ["e", "(0 1)"])
+    Z3 = cyclic_group(3)
+    z3 = write_obj(tmp_path, "z3.json", formats.group_to_dict(Z3))
+    action = ";".join(",".join(Z3.labels[i] for i in p) for p in (range(3), Z3.inverse))
+    argv = ["construct", "from-group", "--construction", "orbit", "--action", action]
+    assert main(argv + [z3, "-o", out]) == 0
+    assert formats.load(out)[1] == orbit_hypergroup(Z3, [tuple(range(3)), Z3.inverse])

@@ -1,9 +1,18 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hyperkit.axioms import Tag, analyze
-from hyperkit.core import Morphism, compose, identity_morphism, iter_bits, mask_of
+from hyperkit.core import (
+    Morphism,
+    compose,
+    from_masks,
+    identity_morphism,
+    iter_bits,
+    mask_of,
+    permute,
+)
 from hyperkit.errors import CodomainNotUnital, FormatError, SearchCapExceeded
 from hyperkit.hom import (
     check_kind,
@@ -19,11 +28,14 @@ from hyperkit.hom import (
     is_strict_via_lifting,
     is_surjective,
     kernel,
+    morphism_in_tag,
     representing_object,
     triples,
 )
+from hyperkit.matroid import adjoin_point, fano_matroid, matroid_to_mosaic
 from hyperkit.monoidal import enumerate_bimorphisms, hom_object
 from hyperkit.search import search_cap
+from hyperkit.suite import _morphism_battery
 from hyperkit.univ import free, terminal, unitize
 from hyperkit.zoo import (
     conjugacy_hypergroup,
@@ -112,6 +124,106 @@ def test_enumeration_respects_cap():
         with pytest.raises(SearchCapExceeded) as exc:
             enumerate_bimorphisms(M, N, L, Tag.CMSC, cap=cap)
         assert str(exc.value) == f"{search}: node cap exceeded after {cap} nodes"
+
+
+@st.composite
+def hypermagmas(draw, unital):
+    n = draw(st.integers(1 if unital else 0, 4))
+    rows = [[draw(st.integers(0, (1 << n) - 1)) for _ in range(n)] for _ in range(n)]
+    if unital:
+        for x in range(n):
+            rows[0][x] = rows[x][0] = 1 << x
+    return from_masks(tuple(str(i) for i in range(n)), rows)
+
+
+def _unital_pool():
+    """Unital objects, most with inverses, so the mosaic tags' inverse mask runs."""
+    return [
+        terminal(),
+        z2(),
+        krasner(),
+        f_mosaic(),
+        klein(),
+        d_example(),
+        *enumerate_small_mosaics(3),
+        *enumerate_canonical_hypergroups(3),
+    ]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_enumeration_matches_brute_force(data):
+    tag = data.draw(st.sampled_from(list(Tag)), label="tag")
+    strict_only = data.draw(st.booleans(), label="strict_only")
+    objects = st.one_of(
+        st.sampled_from(_unital_pool()), hypermagmas(unital=tag is not Tag.HMAG)
+    )
+    M = data.draw(objects, label="M")
+    N = data.draw(objects, label="N")
+    want = []
+    for image in itertools.product(range(N.n), repeat=M.n):
+        f = Morphism(M, N, image)
+        if morphism_in_tag(f, tag) and (not strict_only or is_strict(f)):
+            want.append(image)
+    assert [f.map for f in enumerate_morphisms(M, N, tag, strict_only)] == want
+
+
+def _fano_mosaic():
+    return matroid_to_mosaic(adjoin_point(fano_matroid()))
+
+
+def _identity_last(M):
+    return permute(M, tuple(reversed(range(M.n))))
+
+
+def _z5():
+    return group_to_hypermagma(cyclic_group(5))
+
+
+@pytest.mark.parametrize(
+    "objects, tag, nodes",
+    [
+        (lambda: (klein(), klein()), Tag.UHMAG, 85),
+        (lambda: (klein(), krasner()), Tag.CMSC, 15),
+        (lambda: (klein(), gf9_add()), Tag.CMSC, 156),
+        (lambda: (gf9_add(), gf9_add()), Tag.HMAG, 445),
+        (lambda: (_fano_mosaic(), _fano_mosaic()), Tag.CMSC, 18_761),
+        (lambda: (mixed3(), mixed3()), Tag.HMAG, 15),
+        # with the identity last, the triples through the identity are
+        # tested only at the last depth, so these counts show the inverse mask
+        (lambda: (_identity_last(representing_object(Tag.CMSC).obj), _z5()), Tag.CMSC, 455),
+        (lambda: (_identity_last(klein()), _z5()), Tag.CMSC, 16),
+    ],
+    ids=[
+        "V-V-uhmag",
+        "V-K-cmsc",
+        "V-H-cmsc",
+        "H-H-hmag",
+        "Fano-Fano-cmsc",
+        "mixed3-hmag",
+        "E-Z5-cmsc",
+        "V-Z5-cmsc",
+    ],
+)
+def test_hom_node_count_at_cap_boundary(objects, tag, nodes):
+    M, N = objects()
+    enumerate_morphisms.cache_clear()
+    enumerate_morphisms(M, N, tag, cap=nodes)
+    enumerate_morphisms.cache_clear()
+    with pytest.raises(SearchCapExceeded, match=rf"after {nodes - 1} nodes$"):
+        enumerate_morphisms(M, N, tag, cap=nodes - 1)
+
+
+@pytest.mark.parametrize(
+    "L, nodes, count", [(krasner, 156, 50), (klein, 4369, 256)], ids=["K", "V"]
+)
+def test_bimorphism_node_count_at_cap_boundary(L, nodes, count):
+    V = klein()
+    enumerate_morphisms.cache_clear()
+    assert len(enumerate_bimorphisms(V, V, L(), Tag.CMSC, cap=nodes)) == count
+    enumerate_morphisms.cache_clear()
+    with pytest.raises(SearchCapExceeded, match=r"^enumerate_bimorphisms\(.*after \d+ nodes$"):
+        enumerate_bimorphisms(V, V, L(), Tag.CMSC, cap=nodes - 1)
 
 
 def test_enumeration_cap_from_environment(monkeypatch):
@@ -345,3 +457,35 @@ def test_mono_epi_cancellation_battery():
                 if seen.setdefault(key, g.map) != g.map:
                     right_cancellable = False
         assert right_cancellable == is_surjective(f)
+
+
+def _strict_via_lifting_oracle(f, tag):
+    """Every square (alpha, beta) against every filler g, composed in full."""
+    ro = representing_object(tag)
+    alphas = enumerate_morphisms(ro.free_pair, f.dom, tag)
+    betas = enumerate_morphisms(ro.obj, f.cod, tag)
+    gs = enumerate_morphisms(ro.obj, f.dom, tag)
+    for alpha in alphas:
+        fa = compose(f, alpha)
+        for beta in betas:
+            if compose(beta, ro.iota) != fa:
+                continue
+            if not any(
+                compose(g, ro.iota) == alpha and compose(f, g) == beta for g in gs
+            ):
+                return False
+    return True
+
+
+def test_strict_lifting_matches_triple_loop():
+    answers = []
+    for tag in (Tag.HMAG, Tag.UHMAG, Tag.MSC, Tag.CMSC):
+        objs = _morphism_battery(tag)
+        for A in objs:
+            for B in objs:
+                for f in enumerate_morphisms(A, B, tag):
+                    want = _strict_via_lifting_oracle(f, tag)
+                    assert is_strict_via_lifting(f, tag) == want, (tag, f)
+                    answers.append(want)
+    # the morphism-liftings check of the paper suite runs the same 424
+    assert len(answers) == 424 and True in answers and False in answers
