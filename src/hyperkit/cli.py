@@ -183,12 +183,11 @@ def cmd_construct(args) -> int:
     elif verb == "hom":
         M, N = _load_hm(args.inputs[0]), _load_hm(args.inputs[1])
         out = hom_object(M, N, tag)
-    elif verb == "free":
+    elif verb in ("free", "cofree"):
+        if args.gens < 0:
+            raise FormatError(f"--gens: {args.gens} is negative")
         gens = args.labels.split(",") if args.labels else [str(i + 1) for i in range(args.gens)]
-        out = free(tag, gens)
-    elif verb == "cofree":
-        gens = args.labels.split(",") if args.labels else [str(i + 1) for i in range(args.gens)]
-        out = cofree(gens)
+        out = free(tag, gens) if verb == "free" else cofree(gens)
     elif verb == "from-group":
         kind, G = formats.load(args.inputs[0])
         if kind != "group":

@@ -16,6 +16,7 @@ from .errors import (
     DuplicateLabel,
     IdentityAxiomViolated,
     IdentityMissing,
+    ensure,
 )
 
 Subset = int
@@ -36,13 +37,44 @@ def mask_of(indices: Iterable[int]) -> int:
     return m
 
 
+def image_tables(values: Sequence[int]) -> list[list[int]]:
+    """Lookup tables for the union of values[i] over the set bits i of a mask
+    over range(len(values)), one table per 8-bit chunk of the mask: chunk c
+    of the mask indexes tables[c].  See `image_function`."""
+    tables = []
+    for base in range(0, len(values), 8):
+        table = [0]
+        for v in values[base : base + 8]:
+            table += [m | v for m in table]
+        tables.append(table)
+    return tables
+
+
+def image_function(values: Sequence[int]) -> Callable[[int], int]:
+    """mask -> the union of values[i] over its set bits, by `image_tables`:
+    one list lookup when there are at most 8 values."""
+    tables = image_tables(values)
+    if len(tables) == 1:
+        return tables[0].__getitem__
+
+    def image(mask: int) -> int:
+        out = 0
+        for table in tables:
+            if not mask:
+                break
+            out |= table[mask & 0xFF]
+            mask >>= 8
+        return out
+
+    return image
+
+
 def _detect_identity(table: Sequence[Sequence[int]]) -> int | None:
     n = len(table)
     found = None
     for e in range(n):
         if all(table[e][x] == 1 << x and table[x][e] == 1 << x for x in range(n)):
-            # a scalar identity is unique: e = e*e' = e'
-            assert found is None
+            ensure(found is None, "a scalar identity is unique: e = e*e' = e'")
             found = e
     return found
 
@@ -58,8 +90,10 @@ def _detect_inverse(table: Sequence[Sequence[int]], e: int | None) -> tuple[int,
         if len(cands) != 1:
             return None
         inv.append(cands[0])
-    # uniqueness for every element forces an involution fixing e
-    assert all(inv[inv[x]] == x for x in range(n)) and inv[e] == e
+    ensure(
+        all(inv[inv[x]] == x for x in range(n)) and inv[e] == e,
+        "unique inverses form an involution fixing the identity",
+    )
     return tuple(inv)
 
 
@@ -120,7 +154,7 @@ def from_masks(
         for m in row:
             if m < 0 or m & ~full:
                 raise DimensionMismatch(f"subset mask {m} out of range for n={n}")
-        rows.append(tuple(int(m) for m in row))
+        rows.append(tuple(map(int, row)))
     tbl = tuple(rows)
     e = _detect_identity(tbl)
     if identity is not None and e != identity:
@@ -161,11 +195,26 @@ def make_hypermagma(
 def product_of_subsets(M: Hypermagma, X: int, Y: int) -> int:
     """X * Y = union of x * y over x in X, y in Y; empty factors give empty."""
     out = 0
-    tbl = M.table
+    ys = list(iter_bits(Y))
     for i in iter_bits(X):
-        row = tbl[i]
-        for j in iter_bits(Y):
+        row = M.table[i]
+        for j in ys:
             out |= row[j]
+    return out
+
+
+def side_products(M: Hypermagma, K: int) -> list[int]:
+    """x*K | K*x for each element x of M."""
+    ks = list(iter_bits(K))
+    out = []
+    for row in M.table:
+        acc = 0
+        for k in ks:
+            acc |= row[k]
+        out.append(acc)
+    for k in ks:
+        for x, m in enumerate(M.table[k]):
+            out[x] |= m
     return out
 
 
@@ -212,27 +261,22 @@ def strict_sub_closure(M: Hypermagma, S: int | Iterable[str]) -> int:
         K = new
 
 
+def _absorbed(M: Hypermagma, K: int) -> int:
+    """The x outside K with (x*K | K*x) meeting K."""
+    return mask_of(
+        x for x, side in enumerate(side_products(M, K)) if side & K and not (K >> x) & 1
+    )
+
+
 def is_absorptive(M: Hypermagma, K: int) -> bool:
-    for x in range(M.n):
-        if (K >> x) & 1:
-            continue
-        xb = 1 << x
-        if (product_of_subsets(M, xb, K) | product_of_subsets(M, K, xb)) & K:
-            return False
-    return True
+    return not _absorbed(M, K)
 
 
 def absorptive_closure(M: Hypermagma, S: int | Iterable[str]) -> int:
     """Least set containing S that is both a strict sub and absorptive."""
     K = strict_sub_closure(M, as_mask(M, S))
     while True:
-        added = 0
-        for x in range(M.n):
-            if (K >> x) & 1:
-                continue
-            xb = 1 << x
-            if (product_of_subsets(M, xb, K) | product_of_subsets(M, K, xb)) & K:
-                added |= xb
+        added = _absorbed(M, K)
         if not added:
             return K
         K = strict_sub_closure(M, K | added)
@@ -247,9 +291,10 @@ class Morphism:
     map: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if len(self.map) != self.dom.n:
+        m = self.map
+        if len(m) != self.dom.n:
             raise DimensionMismatch("map length does not match the domain carrier")
-        if any(v < 0 or v >= self.cod.n for v in self.map):
+        if m and (min(m) < 0 or max(m) >= self.cod.n):
             raise DimensionMismatch("map image index out of range")
 
     def __call__(self, i: int) -> int:
@@ -407,33 +452,38 @@ def orbit_partition(n: int, orbit: Callable[[int], int]) -> tuple[int, ...]:
     return tuple(proj)
 
 
+def pushed_table(M: Hypermagma, proj: Sequence[int], k: int) -> tuple[tuple[int, ...], ...]:
+    """The k x k table whose entry [i][j] is proj(fiber_i * fiber_j), where
+    fiber_c is the set of x with proj[x] = c; a class without members has
+    empty products.
+
+    Each class's rows are ORed once, column by column into the column's
+    class, and each product is then mapped through proj's image tables."""
+    prods = [[0] * k for _ in range(k)]
+    for x, row in zip(proj, M.table):
+        acc = prods[x]
+        for y, m in zip(proj, row):
+            acc[y] |= m
+    push = image_function([1 << c for c in proj])
+    return tuple(tuple(map(push, row)) for row in prods)
+
+
 def quotient(M: Hypermagma, proj: Sequence[int], unit: int | None = None) -> Morphism:
     """The projection M -> M/proj with x * y = proj(fiber(x) * fiber(y)).
 
     Classes must be numbered by their least member; each class takes that
     member's label.  When `unit` is given, its row and column are the scalar
-    identity (never computed) and its label is a fresh "e".
+    identity (never the pushed products) and its label is a fresh "e".
     """
     k = max(proj, default=-1) + 1
-    fibers = [0] * k
-    for x, c in enumerate(proj):
-        fibers[c] |= 1 << x
-    labels = [M.labels[(f & -f).bit_length() - 1] for f in fibers]
+    labels = [""] * k
+    for x in reversed(range(M.n)):
+        labels[proj[x]] = M.labels[x]
+    rows = [list(row) for row in pushed_table(M, proj, k)]
     if unit is not None:
         labels[unit] = fresh_label("e", labels[:unit] + labels[unit + 1 :])
-    rows = []
-    for i in range(k):
-        if i == unit:
-            rows.append([1 << j for j in range(k)])
-            continue
-        row = []
-        for j in range(k):
-            if j == unit:
-                row.append(1 << i)
-            else:
-                prod = product_of_subsets(M, fibers[i], fibers[j])
-                row.append(mask_of(proj[z] for z in iter_bits(prod)))
-        rows.append(row)
+        for i in range(k):
+            rows[unit][i] = rows[i][unit] = 1 << i
     return Morphism(M, from_masks(labels, rows), tuple(proj))
 
 

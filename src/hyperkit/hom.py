@@ -11,42 +11,41 @@ from .core import (
     Morphism,
     compose,
     from_masks,
+    image_function,
     is_absorptive,
     iter_bits,
     mask_of,
-    product_of_subsets,
+    pushed_table,
 )
 from .errors import CodomainNotUnital, NotUnital, ensure
 from .search import Budget, memo
 
 
-def is_colax(f: Morphism) -> bool:
+def _entry_pairs(f: Morphism):
+    """(f(x*y), f(x)*f(y)) for every pair (x, y) of the domain, the image of
+    each product read from f's image tables (an empty product is skipped)."""
     M, N = f.dom, f.cod
-    for i in range(M.n):
-        for j in range(M.n):
-            img = f.image_mask(M.table[i][j])
-            if img & ~N.table[f.map[i]][f.map[j]]:
-                return False
-    return True
+    fmap = f.map
+    push = image_function([1 << v for v in fmap])
+    for row, fx in zip(M.table, fmap):
+        nrow = N.table[fx]
+        for m, fy in zip(row, fmap):
+            yield (push(m) if m else 0), nrow[fy]
+
+
+def is_colax(f: Morphism) -> bool:
+    """f(x*y) is a subset of f(x)*f(y) for all x, y."""
+    return not any(img & ~tgt for img, tgt in _entry_pairs(f))
 
 
 def is_lax(f: Morphism) -> bool:
-    M, N = f.dom, f.cod
-    for i in range(M.n):
-        for j in range(M.n):
-            img = f.image_mask(M.table[i][j])
-            if N.table[f.map[i]][f.map[j]] & ~img:
-                return False
-    return True
+    """f(x)*f(y) is a subset of f(x*y) for all x, y."""
+    return not any(tgt & ~img for img, tgt in _entry_pairs(f))
 
 
 def is_strict(f: Morphism) -> bool:
-    M, N = f.dom, f.cod
-    for i in range(M.n):
-        for j in range(M.n):
-            if f.image_mask(M.table[i][j]) != N.table[f.map[i]][f.map[j]]:
-                return False
-    return True
+    """f(x*y) = f(x)*f(y) for all x, y."""
+    return all(img == tgt for img, tgt in _entry_pairs(f))
 
 
 def is_unital(f: Morphism) -> bool:
@@ -94,13 +93,7 @@ def is_short(p: Morphism) -> bool:
     never assumed."""
     if not is_surjective(p):
         return False
-    M, N = p.dom, p.cod
-    fibers = [p.preimage_mask(1 << x) for x in range(N.n)]
-    for x in range(N.n):
-        for y in range(N.n):
-            if N.table[x][y] != p.image_mask(product_of_subsets(M, fibers[x], fibers[y])):
-                return False
-    return True
+    return p.cod.table == pushed_table(p.dom, p.map, p.cod.n)
 
 
 def is_coshort(i: Morphism) -> bool:

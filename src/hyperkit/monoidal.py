@@ -13,6 +13,7 @@ from .core import (
     Morphism,
     compose,
     from_masks,
+    image_function,
     iter_bits,
     mask_of,
     product_of_subsets,
@@ -36,30 +37,26 @@ from .univ import QuotientMap, coequalizer, free, unitize
 
 
 def boxdot(M: Hypermagma, N: Hypermagma) -> Hypermagma:
-    """Product carrier with the minimal slicewise-distributive hyperoperation."""
+    """Product carrier with the minimal slicewise-distributive hyperoperation.
+
+    Pair (x, y) is index x*|N| + y.  (x, y)*(x, y2) holds N's y*y2 in slice x,
+    (x, y)*(x2, y) holds M's x*x2 in slice y, (x, y)*(x, y) holds both, and
+    the other products are empty.  A mask of N shifted left by x*|N| lands in
+    slice x; a mask of M, spread so that bit t goes to bit t*|N| and shifted
+    left by y, lands in slice y."""
     nm, nn = M.n, N.n
     labels = [f"{a}|{b}" for a in M.labels for b in N.labels]
-
-    def idx(x: int, y: int) -> int:
-        return x * nn + y
-
-    n = nm * nn
-    rows = [[0] * n for _ in range(n)]
-    for x in range(nm):
-        for y in range(nn):
-            a = idx(x, y)
-            for x2 in range(nm):
-                for y2 in range(nn):
-                    if x == x2 and y != y2:
-                        m = mask_of(idx(x, t) for t in iter_bits(N.table[y][y2]))
-                    elif x != x2 and y == y2:
-                        m = mask_of(idx(t, y) for t in iter_bits(M.table[x][x2]))
-                    elif x == x2 and y == y2:
-                        m = mask_of(idx(t, y) for t in iter_bits(M.table[x][x]))
-                        m |= mask_of(idx(x, t) for t in iter_bits(N.table[y][y]))
-                    else:
-                        m = 0
-                    rows[a][idx(x2, y2)] = m
+    spread = image_function([1 << (t * nn) for t in range(nm)])
+    spread_rows = [[spread(m) for m in row] for row in M.table]
+    rows = []
+    for x, srow in enumerate(spread_rows):
+        at = x * nn
+        for y, nrow in enumerate(N.table):
+            row = [0] * (nm * nn)
+            row[y::nn] = [m << y for m in srow]
+            row[at : at + nn] = [m << at for m in nrow]
+            row[at + y] |= srow[x] << y
+            rows.append(row)
     return from_masks(labels, rows)
 
 
@@ -211,27 +208,33 @@ def tensor(M: Hypermagma, N: Hypermagma, tag: Tag) -> tuple[Hypermagma, Bimorphi
 
 @memo
 def hom_object(M: Hypermagma, N: Hypermagma, tag: Tag) -> Hypermagma:
-    """The hom-set under f*g = {h | h(x) in f(x)*g(x) for all x}."""
+    """The hom-set under f*g = {h | h(x) in f(x)*g(x) for all x}.
+
+    allowed[x][u][w] is the mask of the homs h with h(x) in u*w, so f*g is
+    the AND over x of allowed[x][f(x)][g(x)]."""
     homs = enumerate_morphisms(M, N, tag)
     H = len(homs)
     labels = ["(" + ",".join(N.labels[v] for v in h.map) + ")" for h in homs]
-    by_value = [
-        [mask_of(i for i, h in enumerate(homs) if h.map[x] == v) for v in range(N.n)]
-        for x in range(M.n)
-    ]
-    rows = [[0] * H for _ in range(H)]
-    for a, f in enumerate(homs):
-        for b, g in enumerate(homs):
-            m = (1 << H) - 1
-            for x in range(M.n):
-                allowed = N.table[f.map[x]][g.map[x]]
-                combined = 0
-                for v in iter_bits(allowed):
-                    combined |= by_value[x][v]
-                m &= combined
+    allowed = []
+    for x in range(M.n):
+        by_value = [0] * N.n
+        for i, h in enumerate(homs):
+            by_value[h.map[x]] |= 1 << i
+        homs_in = image_function(by_value)
+        allowed.append([list(map(homs_in, row)) for row in N.table])
+    full = (1 << H) - 1
+    rows = []
+    for f in homs:
+        at_f = [at[u] for at, u in zip(allowed, f.map)]
+        row = []
+        for g in homs:
+            m = full
+            for at, w in zip(at_f, g.map):
+                m &= at[w]
                 if not m:
                     break
-            rows[a][b] = m
+            row.append(m)
+        rows.append(row)
     return from_masks(labels, rows)
 
 

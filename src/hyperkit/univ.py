@@ -17,8 +17,8 @@ from .core import (
     from_masks,
     iter_bits,
     mask_of,
-    product_of_subsets,
     quotient,
+    side_products,
     terminal,
     weak_sub,
 )
@@ -288,9 +288,7 @@ def unitize(M: Hypermagma, E: int) -> QuotientMap:
     kbits = list(iter_bits(K))
     for other in kbits[1:]:
         uf.union(kbits[0], other)
-    for x in range(M.n):
-        xb = 1 << x
-        reach = product_of_subsets(M, xb, K) | product_of_subsets(M, K, xb)
+    for x, reach in enumerate(side_products(M, K)):
         for y in iter_bits(reach):
             uf.union(x, y)
     proj = uf.proj()
@@ -356,8 +354,11 @@ def regular_image_factorization(f: Morphism, tag: Tag) -> tuple[QuotientMap, Mor
     for x in range(f.dom.n):
         image_map[q.morphism.map[x]] = f.map[x]
     m = Morphism(Q, f.cod, tuple(image_map))
-    assert compose(m, q.morphism) == f
-    assert is_colax(m) and is_injective(m)
+    ensure(compose(m, q.morphism) == f, "regular_image_factorization: m after q is not f")
+    ensure(
+        is_colax(m) and is_injective(m),
+        "regular_image_factorization: the induced map is not a colax injection",
+    )
     return q, m
 
 

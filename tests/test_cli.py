@@ -399,3 +399,14 @@ def test_construct_from_group_by_labels(tmp_path):
     argv = ["construct", "from-group", "--construction", "orbit", "--action", action]
     assert main(argv + [z3, "-o", out]) == 0
     assert formats.load(out)[1] == orbit_hypergroup(Z3, [tuple(range(3)), Z3.inverse])
+
+
+@pytest.mark.parametrize("verb", ["free", "cofree"])
+def test_negative_gens_exits_2_with_one_line(tmp_path, capsys, verb):
+    out = str(tmp_path / "out.json")
+    assert main(["construct", verb, "--gens", "-1", "-o", out]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not os.path.exists(out)
+    assert captured.err == "error: --gens: -1 is negative\n"
+    assert main(["construct", verb, "--gens", "0", "-o", out]) == 0
+    assert formats.load(out)[1].n == 0

@@ -3,6 +3,7 @@ from hypothesis import given, settings, strategies as st
 
 from hyperkit.axioms import Tag, analyze
 from hyperkit.core import (
+    Morphism,
     absorptive_closure,
     canonical_form,
     find_isomorphism,
@@ -67,6 +68,21 @@ def test_constructor_errors():
         make_hypermagma(["a", "b"], [[["a"]]])
     with pytest.raises(IdentityAxiomViolated):
         make_hypermagma(["a", "b"], [[["a"], []], [[], []]], identity="a")
+
+
+def test_morphism_validates_length_and_range():
+    K = krasner()
+    Z2 = z2()
+    assert Morphism(K, Z2, (0, 1)).map == (0, 1)
+    assert Morphism(initial(), K, ()).map == ()
+    for bad in [(0,), (0, 1, 1), ()]:
+        with pytest.raises(DimensionMismatch, match="^map length does not match the domain carrier$"):
+            Morphism(K, Z2, bad)
+    for bad in [(0, 2), (-1, 0), (5, 0)]:
+        with pytest.raises(DimensionMismatch, match="^map image index out of range$"):
+            Morphism(K, Z2, bad)
+    with pytest.raises(DimensionMismatch, match="^map image index out of range$"):
+        Morphism(K, initial(), (0, 0))
 
 
 def test_identity_autodetected_without_argument():

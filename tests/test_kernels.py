@@ -1,0 +1,317 @@
+"""Oracles for the mask kernels of the quotient and tensor layer.
+
+Each kernel is checked against the per-bit loop it replaced, kept here as
+the reference: `image_tables` against mask_of(iter_bits), `pushed_table`,
+`quotient` and `is_short` against the double loop over fiber products,
+`is_colax`/`is_lax`/`is_strict` against the per-entry image loop, `boxdot`
+against the four-case loop and `hom_object` against the per-coordinate loop.
+"""
+import random
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from hyperkit.axioms import Tag
+from hyperkit.core import (
+    Morphism,
+    fresh_label,
+    from_masks,
+    identity_morphism,
+    image_function,
+    image_tables,
+    iter_bits,
+    mask_of,
+    permute,
+    pushed_table,
+    quotient,
+)
+from hyperkit.hom import enumerate_morphisms, is_colax, is_lax, is_short, is_strict
+from hyperkit.matroid import adjoin_point, fano_matroid, matroid_to_mosaic
+from hyperkit.monoidal import boxdot, hom_object
+from hyperkit.zoo import gf9_quotient, group_to_hypermagma, klein_four_group, krasner
+
+# carrier sizes that hit one image table exactly (8), one bit past it (9),
+# two full tables (16) and a partial fifth table (40)
+SIZES = [0, 1, 2, 3, 5, 8, 9, 16, 40]
+
+
+def _old_product(M, X, Y):
+    out = 0
+    for i in iter_bits(X):
+        for j in iter_bits(Y):
+            out |= M.table[i][j]
+    return out
+
+
+def _old_image(fmap, mask):
+    return mask_of(fmap[i] for i in iter_bits(mask))
+
+
+def _old_pushed(M, proj, k):
+    fibers = [mask_of(x for x, c in enumerate(proj) if c == i) for i in range(k)]
+    return tuple(
+        tuple(_old_image(proj, _old_product(M, fibers[i], fibers[j])) for j in range(k))
+        for i in range(k)
+    )
+
+
+def _old_quotient(M, proj, unit=None):
+    k = max(proj, default=-1) + 1
+    fibers = [mask_of(x for x, c in enumerate(proj) if c == i) for i in range(k)]
+    labels = [M.labels[(f & -f).bit_length() - 1] for f in fibers]
+    if unit is not None:
+        labels[unit] = fresh_label("e", labels[:unit] + labels[unit + 1 :])
+    rows = []
+    for i in range(k):
+        if i == unit:
+            rows.append([1 << j for j in range(k)])
+            continue
+        row = []
+        for j in range(k):
+            if j == unit:
+                row.append(1 << i)
+            else:
+                row.append(_old_image(proj, _old_product(M, fibers[i], fibers[j])))
+        rows.append(row)
+    return from_masks(labels, rows)
+
+
+def _old_is_short(p):
+    M, N = p.dom, p.cod
+    if set(p.map) != set(range(N.n)):
+        return False
+    fibers = [mask_of(i for i, v in enumerate(p.map) if v == x) for x in range(N.n)]
+    return all(
+        N.table[x][y] == _old_image(p.map, _old_product(M, fibers[x], fibers[y]))
+        for x in range(N.n)
+        for y in range(N.n)
+    )
+
+
+def _old_kinds(f):
+    """(colax, lax, strict) by the per-entry image loop."""
+    M, N = f.dom, f.cod
+    colax = lax = True
+    for i in range(M.n):
+        for j in range(M.n):
+            img = _old_image(f.map, M.table[i][j])
+            tgt = N.table[f.map[i]][f.map[j]]
+            colax = colax and not img & ~tgt
+            lax = lax and not tgt & ~img
+    return colax, lax, colax and lax
+
+
+def _old_boxdot(M, N):
+    nm, nn = M.n, N.n
+
+    def idx(x, y):
+        return x * nn + y
+
+    n = nm * nn
+    rows = [[0] * n for _ in range(n)]
+    for x in range(nm):
+        for y in range(nn):
+            for x2 in range(nm):
+                for y2 in range(nn):
+                    if x == x2 and y != y2:
+                        m = mask_of(idx(x, t) for t in iter_bits(N.table[y][y2]))
+                    elif x != x2 and y == y2:
+                        m = mask_of(idx(t, y) for t in iter_bits(M.table[x][x2]))
+                    elif x == x2 and y == y2:
+                        m = mask_of(idx(t, y) for t in iter_bits(M.table[x][x]))
+                        m |= mask_of(idx(x, t) for t in iter_bits(N.table[y][y]))
+                    else:
+                        m = 0
+                    rows[idx(x, y)][idx(x2, y2)] = m
+    return tuple(tuple(r) for r in rows)
+
+
+def _old_hom_table(M, N, tag):
+    homs = enumerate_morphisms(M, N, tag)
+    H = len(homs)
+    by_value = [
+        [mask_of(i for i, h in enumerate(homs) if h.map[x] == v) for v in range(N.n)]
+        for x in range(M.n)
+    ]
+    rows = [[0] * H for _ in range(H)]
+    for a, f in enumerate(homs):
+        for b, g in enumerate(homs):
+            m = (1 << H) - 1
+            for x in range(M.n):
+                combined = 0
+                for v in iter_bits(N.table[f.map[x]][g.map[x]]):
+                    combined |= by_value[x][v]
+                m &= combined
+            rows[a][b] = m
+    return tuple(tuple(r) for r in rows)
+
+
+def _random_table(rng, n, sparse):
+    """An n x n mask table; with `sparse` most entries are empty."""
+    def entry():
+        if sparse and rng.random() < 0.7:
+            return 0
+        return rng.getrandbits(n) & rng.getrandbits(n) if sparse else rng.getrandbits(n)
+
+    return [[entry() for _ in range(n)] for _ in range(n)]
+
+
+@st.composite
+def hypermagmas(draw, sizes=SIZES):
+    n = draw(st.sampled_from(sizes))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    labels = [f"x{i}" for i in range(n)]
+    return from_masks(labels, _random_table(rng, n, draw(st.booleans())))
+
+
+@st.composite
+def projections(draw, n):
+    """A partition of range(n) into classes numbered by their least member."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    blocks = draw(st.integers(1, max(n, 1)))
+    first = {}
+    return tuple(first.setdefault(rng.randrange(blocks), len(first)) for _ in range(n))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_image_tables_match_bit_loop(data):
+    n = data.draw(st.sampled_from(SIZES))
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    width = data.draw(st.sampled_from([1, 8, 40]))
+    fmap = [rng.randrange(width) for _ in range(n)]
+    values = [rng.getrandbits(width) for _ in range(n)]
+    tables = image_tables([1 << v for v in fmap])
+    assert len(tables) == (n + 7) // 8
+    for c, table in enumerate(tables):
+        chunk = fmap[8 * c : 8 * c + 8]
+        assert table == [mask_of(chunk[b] for b in iter_bits(m)) for m in range(1 << len(chunk))]
+    push, union = image_function([1 << v for v in fmap]), image_function(values)
+    for mask in [0, (1 << n) - 1] + [rng.getrandbits(n) for _ in range(20)]:
+        assert push(mask) == mask_of(fmap[i] for i in iter_bits(mask))
+        assert union(mask) == mask_of(z for i in iter_bits(mask) for z in iter_bits(values[i]))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_pushed_table_and_quotient_match_fiber_loop(data):
+    M = data.draw(hypermagmas())
+    proj = data.draw(projections(M.n))
+    k = max(proj, default=-1) + 1
+    assert pushed_table(M, proj, k) == _old_pushed(M, proj, k)
+    # a class without members has empty products
+    assert pushed_table(M, proj, k + 1) == _old_pushed(M, proj, k + 1)
+    pi = quotient(M, proj)
+    assert pi.map == proj and pi.cod == _old_quotient(M, proj)
+    if k:
+        unit = data.draw(st.integers(0, k - 1))
+        assert quotient(M, proj, unit=unit).cod == _old_quotient(M, proj, unit)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_is_short_matches_fiber_loop(data):
+    M = data.draw(hypermagmas())
+    proj = data.draw(projections(M.n))
+    Q = quotient(M, proj).cod
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    candidates = [Q]
+    if Q.n:
+        # one entry off, and a random table, on the same carrier
+        rows = [list(r) for r in Q.table]
+        i, j = rng.randrange(Q.n), rng.randrange(Q.n)
+        rows[i][j] ^= 1 << rng.randrange(Q.n)
+        candidates += [from_masks(Q.labels, rows), from_masks(Q.labels, _random_table(rng, Q.n, False))]
+    for N in candidates:
+        p = Morphism(M, N, proj)
+        assert is_short(p) == _old_is_short(p)
+    assert is_short(Morphism(M, Q, proj))
+    if M.n and Q.n > 1:
+        # a map that misses a class is never short
+        p = Morphism(M, Q, tuple(min(c, Q.n - 2) for c in proj))
+        assert not is_short(p) and not _old_is_short(p)
+
+
+def test_is_short_checks_surjectivity():
+    # every product is empty on both sides, so only the missed class tells
+    M = from_masks(("a", "b"), [[0, 0], [0, 0]])
+    p = Morphism(M, M, (0, 0))
+    assert pushed_table(M, p.map, 2) == M.table
+    assert not is_short(p) and not _old_is_short(p)
+    assert is_short(identity_morphism(M))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_colax_lax_strict_match_entry_loop(data):
+    M = data.draw(hypermagmas())
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    kind = data.draw(st.sampled_from(["random", "quotient", "permutation", "cofree"]))
+    if kind == "random":
+        N = data.draw(hypermagmas([1, 2, 3, 8, 9, 16]))
+        fmap = tuple(rng.randrange(N.n) for _ in range(M.n))
+    elif kind == "quotient":
+        pi = quotient(M, data.draw(projections(M.n)))
+        N, fmap = pi.cod, pi.map
+    elif kind == "permutation":
+        perm = list(range(M.n))
+        rng.shuffle(perm)
+        N, fmap = permute(M, perm), tuple(perm)
+    else:
+        n = data.draw(st.sampled_from([1, 2, 9]))
+        N = from_masks([f"y{i}" for i in range(n)], [[(1 << n) - 1] * n] * n)
+        fmap = tuple(rng.randrange(n) for _ in range(M.n))
+    if M.n and N.n and rng.random() < 0.5:
+        # one entry of the target changed, so an equality can fail by one bit
+        rows = [list(r) for r in N.table]
+        rows[rng.randrange(N.n)][rng.randrange(N.n)] ^= 1 << rng.randrange(N.n)
+        N = from_masks(N.labels, rows)
+    f = Morphism(M, N, fmap)
+    assert (is_colax(f), is_lax(f), is_strict(f)) == _old_kinds(f)
+    assert is_strict(identity_morphism(M))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_boxdot_matches_four_case_loop(data):
+    M = data.draw(hypermagmas([0, 1, 2, 3, 5, 8, 9]))
+    N = data.draw(hypermagmas([0, 1, 2, 3, 5, 8, 9]))
+    B = boxdot(M, N)
+    assert B.labels == tuple(f"{a}|{b}" for a in M.labels for b in N.labels)
+    assert B.table == _old_boxdot(M, N)
+
+
+C4A = ((1, 2, 4, 8), (2, 15, 14, 14), (4, 14, 15, 14), (8, 14, 14, 15))
+C4C = ((1, 2, 4, 8), (2, 7, 14, 12), (4, 14, 11, 6), (8, 12, 6, 3))
+
+
+def _desk_objects():
+    return {
+        "V": group_to_hypermagma(klein_four_group()),
+        "H": gf9_quotient().additive,
+        "K": krasner(),
+        "Fano": matroid_to_mosaic(adjoin_point(fano_matroid())),
+        "C4a": from_masks(("0", "1", "2", "3"), C4A),
+        "C4c": from_masks(("0", "1", "2", "3"), C4C),
+    }
+
+
+# every hom_object call on the desk menu of perfbench/desk.py
+DESK_HOM_PAIRS = [
+    ("V", "H"), ("H", "H"), ("V", "C4a"), ("C4a", "C4a"), ("Fano", "K"), ("V", "V"), ("H", "C4c"),
+]
+
+
+@pytest.mark.parametrize("pair", DESK_HOM_PAIRS, ids=["-".join(p) for p in DESK_HOM_PAIRS])
+def test_hom_object_matches_coordinate_loop(pair):
+    objects = _desk_objects()
+    M, N = objects[pair[0]], objects[pair[1]]
+    assert hom_object(M, N, Tag.CMSC).table == _old_hom_table(M, N, Tag.CMSC)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_hom_object_matches_coordinate_loop_on_random_tables(data):
+    M = data.draw(hypermagmas([0, 1, 2, 3]))
+    N = data.draw(hypermagmas([1, 2, 3]))
+    assert hom_object(M, N, Tag.HMAG).table == _old_hom_table(M, N, Tag.HMAG)

@@ -1,5 +1,6 @@
-"""Source checks over src/hyperkit: no unused module-level imports, and no
-memo outside hyperkit.search."""
+"""Source checks over src/hyperkit: no unused module-level imports, no memo
+outside hyperkit.search, and no bare `assert` in the modules that have been
+cleared of them."""
 import ast
 import os
 
@@ -33,7 +34,7 @@ def test_module_level_imports_are_used(name):
 
 @pytest.mark.parametrize("name", [m for m in MODULES if m != "search.py"])
 def test_no_memo_outside_search(name):
-    memos = {"lru_cache", "cache"}
+    memos = {"lru_cache", "cache", "cached_property"}
     found = []
     for node in ast.walk(_tree(name)):
         if isinstance(node, ast.ImportFrom) and node.module == "functools":
@@ -46,3 +47,14 @@ def test_no_memo_outside_search(name):
         ):
             found.append(f"functools.{node.attr}")
     assert found == []
+
+
+# Modules whose invariants are all `errors.ensure` checks, which still run
+# under `python -O`; extend the list as more modules are cleared.
+NO_BARE_ASSERT = ["core.py", "hom.py", "monoidal.py", "univ.py"]
+
+
+@pytest.mark.parametrize("name", NO_BARE_ASSERT)
+def test_no_bare_assert(name):
+    lines = [node.lineno for node in ast.walk(_tree(name)) if isinstance(node, ast.Assert)]
+    assert lines == []
