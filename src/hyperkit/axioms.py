@@ -2,7 +2,10 @@
 
 Every flag is decided by exhaustive loops over the table; each failed axiom
 carries the lexicographically least witness tuple, so reports are stable
-goldens independent of how the object was produced.
+goldens independent of how the object was produced.  The associativity and
+reversibility loops skip the triples whose answer is already fixed: those
+holding the scalar identity and, in a commutative table, the mirror image of
+a triple already tried (see `_associative_witness`, `_reversible_witness`).
 """
 from __future__ import annotations
 
@@ -69,10 +72,17 @@ class AxiomReport:
         return self.is_mosaic and self.total and self.associative
 
 
+# BITS[m]: the set bits of m, ascending, for every m < 256
+BITS = tuple(tuple(iter_bits(m)) for m in range(256))
+
+
 def weak_identity_set(M: Hypermagma) -> int:
+    tbl = M.table
     out = 0
-    for e in range(M.n):
-        if all((M.table[e][x] >> x) & 1 and (M.table[x][e] >> x) & 1 for x in range(M.n)):
+    for e, row in enumerate(tbl):
+        if all(m >> x & 1 for x, m in enumerate(row)) and all(
+            r[e] >> x & 1 for x, r in enumerate(tbl)
+        ):
             out |= 1 << e
     return out
 
@@ -80,36 +90,53 @@ def weak_identity_set(M: Hypermagma) -> int:
 def _total_witness(M: Hypermagma) -> tuple[int, ...] | None:
     if M.n == 0:
         return ()
-    for i in range(M.n):
-        for j in range(M.n):
-            if not M.table[i][j]:
-                return (i, j)
+    for i, row in enumerate(M.table):
+        if not all(row):
+            return (i, row.index(0))
     return None
 
 
 def _commutative_witness(M: Hypermagma) -> tuple[int, ...] | None:
-    for i in range(M.n):
-        for j in range(i + 1, M.n):
-            if M.table[i][j] != M.table[j][i]:
-                return (i, j)
+    # rows before i equal their columns, so row i first differs past i
+    for i, (row, col) in enumerate(zip(M.table, zip(*M.table))):
+        if row != col:
+            return (i, next(j for j, (a, b) in enumerate(zip(row, col)) if a != b))
     return None
 
 
-def _associative_witness(M: Hypermagma) -> tuple[int, ...] | None:
-    n = M.n
+def _bit_splitter(n: int):
+    """mask -> tuple of its set bits, by one lookup in BITS when n <= 8."""
+    if n <= 8:
+        return BITS.__getitem__
+    return lambda m: tuple(iter_bits(m))
+
+
+def _associative_witness(M: Hypermagma, commutative: bool) -> tuple[int, ...] | None:
+    """Least (i, j, k) with (ij)k != i(jk).
+
+    Only triples that can fail are tried.  A triple holding the scalar
+    identity e holds: (ej)k = jk = e(jk), and likewise in the other two
+    places.  In a commutative table (ij)k = k(ji) and i(jk) = (kj)i, so
+    (i, j, k) fails exactly when (k, j, i) does and (i, j, i) holds: the
+    least witness has i < k.
+    """
     tbl = M.table
-    bits = [[tuple(iter_bits(m)) for m in row] for row in tbl]
-    for i in range(n):
+    split = _bit_splitter(M.n)
+    bits = [[split(m) for m in row] for row in tbl]
+    others = [x for x in range(M.n) if x != M.identity]
+    for a, i in enumerate(others):
         row_i = tbl[i]
-        for j in range(n):
-            ij = bits[i][j]
-            row_j = bits[j]
-            for k in range(n):
+        bits_i = bits[i]
+        ks = others[a + 1 :] if commutative else others
+        for j in others:
+            ij = bits_i[j]
+            bits_j = bits[j]
+            for k in ks:
                 left = 0
                 for t in ij:
                     left |= tbl[t][k]
                 right = 0
-                for t in row_j[k]:
+                for t in bits_j[k]:
                     right |= row_i[t]
                 if left != right:
                     return (i, j, k)
@@ -122,12 +149,9 @@ def _inverse_witness(M: Hypermagma) -> tuple[int, ...] | None:
     if e is None:
         return ()
     ebit = 1 << e
-    for x in range(M.n):
-        cands = [
-            y
-            for y in range(M.n)
-            if M.table[x][y] & ebit and M.table[y][x] & ebit
-        ]
+    tbl = M.table
+    for x, row in enumerate(tbl):
+        cands = [y for y, m in enumerate(row) if m & ebit and tbl[y][x] & ebit]
         if len(cands) == 0:
             return (x,)
         if len(cands) > 1:
@@ -135,21 +159,39 @@ def _inverse_witness(M: Hypermagma) -> tuple[int, ...] | None:
     return None
 
 
-def _reversible_witness(M: Hypermagma) -> tuple[int, ...] | None:
+def _reversible_witness(M: Hypermagma, commutative: bool) -> tuple[int, ...] | None:
     """Checks x in y*z => y in x*z^-1 and z in y^-1*x against the involution;
-    the witness (x, y, z) is lexicographically least."""
+    the witness (x, y, z) is lexicographically least.
+
+    The walk runs over (y, z) in order and over the set bits x of y*z, so the
+    first failure seen for an x has the least (y, z), and a walk stops at
+    the x of the best witness so far.  The law holds when y or z is the
+    scalar identity e, whose inverses are two-sided.  In a commutative table
+    the failure test is symmetric in y and z, and x = e holds, since e in
+    y*z makes z the unique inverse of y: only y <= z and x != e are walked.
+    """
     inv = M.inverse
     ensure(inv is not None, "_reversible_witness: the inverse map is not defined")
-    n = M.n
     tbl = M.table
-    for x in range(n):
-        for y in range(n):
-            for z in range(n):
-                if not (tbl[y][z] >> x) & 1:
-                    continue
-                if not (tbl[x][inv[z]] >> y) & 1 or not (tbl[inv[y]][x] >> z) & 1:
-                    return (x, y, z)
-    return None
+    e = M.identity
+    split = _bit_splitter(M.n)
+    keep = ~(1 << e) if commutative else -1
+    others = [x for x in range(M.n) if x != e]
+    best = None
+    stop = M.n
+    for a, y in enumerate(others):
+        row_y = tbl[y]
+        row_yinv = tbl[inv[y]]
+        for z in others[a:] if commutative else others:
+            zinv = inv[z]
+            for x in split(row_y[z] & keep):
+                if x >= stop:
+                    break
+                if not (tbl[x][zinv] >> y) & 1 or not (row_yinv[x] >> z) & 1:
+                    best = (x, y, z)
+                    stop = x
+                    break
+    return best
 
 
 def _classify(
@@ -194,11 +236,11 @@ def analyze(M: Hypermagma) -> AxiomReport:
     w_comm = _commutative_witness(M)
     if w_comm is not None:
         witnesses.append(("commutative", w_comm))
-    w_assoc = _associative_witness(M)
+    w_assoc = _associative_witness(M, w_comm is None)
     if w_assoc is not None:
         witnesses.append(("associative", w_assoc))
 
-    single = all(M.table[i][j].bit_count() == 1 for i in range(M.n) for j in range(M.n))
+    single = all(m.bit_count() == 1 for row in M.table for m in row)
 
     w_inv = _inverse_witness(M)
     unique_inverses = w_inv is None
@@ -207,7 +249,7 @@ def analyze(M: Hypermagma) -> AxiomReport:
 
     if unique_inverses:
         ensure(M.inverse is not None, "analyze: unique inverses but no inverse map")
-        w_rev = _reversible_witness(M)
+        w_rev = _reversible_witness(M, w_comm is None)
     else:
         w_rev = w_inv
     reversible = w_rev is None
@@ -285,7 +327,7 @@ def recheck_witness(M: Hypermagma, axiom: str, tup: tuple[int, ...]) -> bool:
         if tup == ():
             return M.identity is None
         e = M.identity
-        assert e is not None
+        ensure(e is not None, "recheck_witness: a non-empty witness needs an identity")
         ebit = 1 << e
         if len(tup) == 1:
             (x,) = tup

@@ -330,8 +330,13 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# Built once: argparse keeps no state between parses, and building the
+# parser costs ten times a parse.
+PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    ap = build_parser()
+    ap = PARSER
     try:
         # flags may precede the input files; argparse then leaves the files
         # unconsumed, so fold them back into the positional list

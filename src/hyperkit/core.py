@@ -69,11 +69,14 @@ def image_function(values: Sequence[int]) -> Callable[[int], int]:
     return image
 
 
-def _detect_identity(table: Sequence[Sequence[int]]) -> int | None:
+def _detect_identity(table: Sequence[tuple[int, ...]]) -> int | None:
+    """The scalar identity of a table of row tuples: the row is tested
+    against the unit row in one comparison before the column is read."""
     n = len(table)
+    unit = tuple(1 << x for x in range(n))
     found = None
-    for e in range(n):
-        if all(table[e][x] == 1 << x and table[x][e] == 1 << x for x in range(n)):
+    for e, row in enumerate(table):
+        if row == unit and all(r[e] == 1 << x for x, r in enumerate(table)):
             ensure(found is None, "a scalar identity is unique: e = e*e' = e'")
             found = e
     return found

@@ -109,6 +109,11 @@ class NotSimplePointed(HyperkitError):
     pass
 
 
+class NoMatroidData(HyperkitError):
+    """A matroid asked for with neither flats, a rank function nor the
+    independent sets."""
+
+
 class FormatError(HyperkitError):
     """Malformed input: an object file or the HYPERKIT_SEARCH_CAP setting."""
 

@@ -19,8 +19,10 @@ from .errors import (
     DuplicateLabel,
     ExchangeFails,
     FlatsNotIntersectionClosed,
+    NoMatroidData,
     NotSimplePointed,
     SearchCapExceeded,
+    ensure,
 )
 from .hom import enumerate_morphisms
 
@@ -93,7 +95,11 @@ def _check_exchange(M: Matroid, spot_checks: int = 32) -> None:
                 if (C >> y) & 1 or y == x:
                     continue
                 if (M.closure(S | (1 << y)) >> x) & 1:
-                    assert (M.closure(S | (1 << x)) >> y) & 1
+                    if not (M.closure(S | (1 << x)) >> y) & 1:
+                        raise ExchangeFails(
+                            f"exchange fails at S={M.label_set(S)}, "
+                            f"x={M.ground[x]}, y={M.ground[y]}"
+                        )
 
 
 def make_matroid(
@@ -130,7 +136,8 @@ def make_matroid(
         if n > CONVERT_CAP:
             raise SearchCapExceeded(f"conversion input capped at {CONVERT_CAP} elements")
         if rank is None:
-            assert independent is not None
+            if independent is None:
+                raise NoMatroidData("give flats, a rank function or the independent sets")
             indep = {mask_of(pos[x] for x in I) for I in independent}
 
             def rank_fn(S: int) -> int:
@@ -174,7 +181,8 @@ def is_simple(M: Matroid) -> bool:
 
 def adjoin_point(M: Matroid, label: str = "0") -> Matroid:
     """Freely adjoin a distinguished loop."""
-    assert label not in M.ground
+    if label in M.ground:
+        raise DuplicateLabel(f"label {label!r} is already in the ground set")
     ground = (label,) + M.ground
     flats = tuple(sorted(1 | (F << 1) for F in M.flats))
     return Matroid(ground, flats, 0)
@@ -205,7 +213,7 @@ def simplify(M: Matroid, pointed: bool = False) -> tuple[Matroid, tuple[int, ...
 
     new_flats = sorted({project(F) for F in M.flats})
     out = Matroid(tuple(labels), tuple(new_flats), 0 if pointed else None)
-    assert is_simple(out)
+    ensure(is_simple(out), "simplify: the matroid on the atoms is simple")
     atom_of = {}
     for i, A in enumerate(atoms):
         for x in iter_bits(A & ~loops):
@@ -254,8 +262,11 @@ def matroid_to_mosaic(M: Matroid) -> Hypermagma:
             rows[x][y] = C & ~((1 << x) | (1 << y) | (1 << zero))
     H = from_masks(M.ground, rows)
     rep = analyze(H)
-    assert rep.is_mosaic and rep.commutative
-    assert all(H.inverse[x] == x for x in range(n))
+    ensure(rep.is_mosaic and rep.commutative, "matroid_to_mosaic: a commutative mosaic")
+    ensure(
+        all(H.inverse[x] == x for x in range(n)),
+        "matroid_to_mosaic: every element is its own inverse",
+    )
     return H
 
 

@@ -224,6 +224,47 @@ def test_module_error_exit_1(tmp_path):
     assert code == 1
 
 
+def test_reused_parser_matches_fresh_runs(tmp_path, capsys, monkeypatch):
+    """`main` parses with one parser built at import: a check, a malformed
+    argv and a tensor in one process each match a fresh interpreter's run."""
+    kp = krasner_file(tmp_path)
+    calls = [
+        ["check", kp, "--json"],
+        ["construct", "tensor", "--op", "smash", kp, kp, "-o", "t.json"],
+        ["construct", "tensor", "--op", "boxtimes", kp, kp, "-o", "t.json"],
+    ]
+    # the fresh runs import this same package from their own working directory
+    src = str(Path(formats.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    runs = {}
+    for where in ("fresh", "reused"):
+        # the output path is relative, so both runs print the same line
+        out = tmp_path / where
+        out.mkdir()
+        monkeypatch.chdir(out)
+        results = []
+        for argv in calls:
+            if where == "fresh":
+                proc = subprocess.run(
+                    [sys.executable, "-m", "hyperkit", *argv],
+                    capture_output=True,
+                    text=True,
+                    timeout=120,
+                    env=env,
+                )
+                results.append((proc.returncode, proc.stdout, proc.stderr))
+            else:
+                code = main(argv)
+                captured = capsys.readouterr()
+                results.append((code, captured.out, captured.err))
+        files = sorted((p.name, p.read_bytes()) for p in out.iterdir())
+        runs[where] = (results, files)
+    assert [code for code, _, _ in runs["reused"][0]] == [0, 2, 0]
+    assert "invalid choice: 'smash'" in runs["reused"][0][1][2]
+    assert [name for name, _ in runs["reused"][1]] == ["t.json", "t.quotient.morphism.json"]
+    assert runs["reused"] == runs["fresh"]
+
+
 def test_construct_deterministic_bytes(tmp_path):
     kp = krasner_file(tmp_path)
     out1, out2 = str(tmp_path / "a.json"), str(tmp_path / "b.json")

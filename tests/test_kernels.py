@@ -1,17 +1,22 @@
-"""Oracles for the mask kernels of the quotient and tensor layer.
+"""Oracles for the mask kernels of the quotient and tensor layer and for
+the axiom checks of `analyze`.
 
 Each kernel is checked against the per-bit loop it replaced, kept here as
 the reference: `image_tables` against mask_of(iter_bits), `pushed_table`,
 `quotient` and `is_short` against the double loop over fiber products,
 `is_colax`/`is_lax`/`is_strict` against the per-entry image loop, `boxdot`
 against the four-case loop and `hom_object` against the per-coordinate loop.
+`analyze`, which skips the triples whose answer is fixed, is checked against
+the loops over all n^3 triples, and `from_masks`'s identity against the
+element-by-element scan.
 """
 import random
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hyperkit.axioms import Tag
+from hyperkit.axioms import AxiomReport, Tag, _classify, analyze
 from hyperkit.core import (
     Morphism,
     fresh_label,
@@ -26,9 +31,25 @@ from hyperkit.core import (
     quotient,
 )
 from hyperkit.hom import enumerate_morphisms, is_colax, is_lax, is_short, is_strict
-from hyperkit.matroid import adjoin_point, fano_matroid, matroid_to_mosaic
+from hyperkit.matroid import (
+    adjoin_point,
+    fano_matroid,
+    graphic_matroid,
+    matroid_to_mosaic,
+    uniform_matroid,
+)
 from hyperkit.monoidal import boxdot, hom_object
-from hyperkit.zoo import gf9_quotient, group_to_hypermagma, klein_four_group, krasner
+from hyperkit.zoo import (
+    conjugacy_hypergroup,
+    cyclic_group,
+    enumerate_canonical_hypergroups,
+    enumerate_small_mosaics,
+    gf9_quotient,
+    group_to_hypermagma,
+    klein_four_group,
+    krasner,
+    symmetric_group,
+)
 
 # carrier sizes that hit one image table exactly (8), one bit past it (9),
 # two full tables (16) and a partial fifth table (40)
@@ -282,18 +303,32 @@ def test_boxdot_matches_four_case_loop(data):
 
 
 C4A = ((1, 2, 4, 8), (2, 15, 14, 14), (4, 14, 15, 14), (8, 14, 14, 15))
+C4B = ((1, 2, 4, 8), (2, 15, 14, 6), (4, 14, 15, 6), (8, 6, 6, 9))
 C4C = ((1, 2, 4, 8), (2, 7, 14, 12), (4, 14, 11, 6), (8, 12, 6, 3))
+C4D = ((1, 2, 4, 8), (2, 8, 1, 4), (4, 1, 8, 2), (8, 4, 2, 1))
+K4_EDGES = [("a", "b"), ("a", "c"), ("a", "d"), ("b", "c"), ("b", "d"), ("c", "d")]
 
 
 def _desk_objects():
-    return {
+    """The hypermagma fixtures of perfbench/desk.py, and the mosaics of its
+    matroid fixtures."""
+    objects = {
+        "Z2": group_to_hypermagma(cyclic_group(2)),
         "V": group_to_hypermagma(klein_four_group()),
         "H": gf9_quotient().additive,
         "K": krasner(),
         "Fano": matroid_to_mosaic(adjoin_point(fano_matroid())),
-        "C4a": from_masks(("0", "1", "2", "3"), C4A),
-        "C4c": from_masks(("0", "1", "2", "3"), C4C),
+        "S3c": conjugacy_hypergroup(symmetric_group(3)),
     }
+    for name, table in (("C4a", C4A), ("C4b", C4B), ("C4c", C4C), ("C4d", C4D)):
+        objects[name] = from_masks(("0", "1", "2", "3"), table)
+    for name, matroid in (
+        ("U24", uniform_matroid(2, 4)),
+        ("U25", uniform_matroid(2, 5)),
+        ("K4", graphic_matroid(K4_EDGES)),
+    ):
+        objects[name] = matroid_to_mosaic(adjoin_point(matroid))
+    return objects
 
 
 # every hom_object call on the desk menu of perfbench/desk.py
@@ -315,3 +350,208 @@ def test_hom_object_matches_coordinate_loop_on_random_tables(data):
     M = data.draw(hypermagmas([0, 1, 2, 3]))
     N = data.draw(hypermagmas([1, 2, 3]))
     assert hom_object(M, N, Tag.HMAG).table == _old_hom_table(M, N, Tag.HMAG)
+
+
+def _old_detect_identity(table):
+    n = len(table)
+    found = None
+    for e in range(n):
+        if all(table[e][x] == 1 << x and table[x][e] == 1 << x for x in range(n)):
+            assert found is None
+            found = e
+    return found
+
+
+def _old_weak_identity_set(M):
+    out = 0
+    for e in range(M.n):
+        if all((M.table[e][x] >> x) & 1 and (M.table[x][e] >> x) & 1 for x in range(M.n)):
+            out |= 1 << e
+    return out
+
+
+def _old_total_witness(M):
+    if M.n == 0:
+        return ()
+    for i in range(M.n):
+        for j in range(M.n):
+            if not M.table[i][j]:
+                return (i, j)
+    return None
+
+
+def _old_commutative_witness(M):
+    for i in range(M.n):
+        for j in range(i + 1, M.n):
+            if M.table[i][j] != M.table[j][i]:
+                return (i, j)
+    return None
+
+
+def _old_associative_witness(M):
+    n = M.n
+    tbl = M.table
+    bits = [[tuple(iter_bits(m)) for m in row] for row in tbl]
+    for i in range(n):
+        row_i = tbl[i]
+        for j in range(n):
+            ij = bits[i][j]
+            row_j = bits[j]
+            for k in range(n):
+                left = 0
+                for t in ij:
+                    left |= tbl[t][k]
+                right = 0
+                for t in row_j[k]:
+                    right |= row_i[t]
+                if left != right:
+                    return (i, j, k)
+    return None
+
+
+def _old_inverse_witness(M):
+    e = M.identity
+    if e is None:
+        return ()
+    ebit = 1 << e
+    for x in range(M.n):
+        cands = [y for y in range(M.n) if M.table[x][y] & ebit and M.table[y][x] & ebit]
+        if len(cands) == 0:
+            return (x,)
+        if len(cands) > 1:
+            return (x, cands[0], cands[1])
+    return None
+
+
+def _old_reversible_witness(M):
+    inv = M.inverse
+    n = M.n
+    tbl = M.table
+    for x in range(n):
+        for y in range(n):
+            for z in range(n):
+                if not (tbl[y][z] >> x) & 1:
+                    continue
+                if not (tbl[x][inv[z]] >> y) & 1 or not (tbl[inv[y]][x] >> z) & 1:
+                    return (x, y, z)
+    return None
+
+
+def _old_analyze(M):
+    """`analyze` as a loop over every triple."""
+    witnesses = []
+    w_total = _old_total_witness(M)
+    if w_total is not None:
+        witnesses.append(("total", w_total))
+    w_comm = _old_commutative_witness(M)
+    if w_comm is not None:
+        witnesses.append(("commutative", w_comm))
+    w_assoc = _old_associative_witness(M)
+    if w_assoc is not None:
+        witnesses.append(("associative", w_assoc))
+    single = all(M.table[i][j].bit_count() == 1 for i in range(M.n) for j in range(M.n))
+    w_inv = _old_inverse_witness(M)
+    unique_inverses = w_inv is None
+    if not unique_inverses:
+        witnesses.append(("unique_inverses", w_inv))
+    w_rev = _old_reversible_witness(M) if unique_inverses else w_inv
+    reversible = w_rev is None
+    if not reversible:
+        witnesses.append(("reversible", w_rev))
+    return AxiomReport(
+        identity=M.identity,
+        weak_identities=_old_weak_identity_set(M),
+        total=w_total is None,
+        commutative=w_comm is None,
+        associative=w_assoc is None,
+        single_valued=single,
+        unique_inverses=unique_inverses,
+        reversible=reversible,
+        classification=_classify(
+            M.identity is not None, w_total is None, w_comm is None, w_assoc is None,
+            single, reversible,
+        ),
+        witnesses=tuple(witnesses),
+    )
+
+
+def _assert_same_report(M):
+    assert M.identity == _old_detect_identity(M.table)
+    new, old = analyze(M), _old_analyze(M)
+    for f in fields(AxiomReport):
+        assert getattr(new, f.name) == getattr(old, f.name), (f.name, M.table)
+    assert new == old
+
+
+# every size up to 6, and two past the 8-bit lookup of set bits
+ANALYZE_SIZES = [0, 1, 2, 3, 4, 5, 6, 9, 12]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_analyze_matches_triple_loops_on_random_tables(data):
+    n = data.draw(st.sampled_from(ANALYZE_SIZES))
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    rows = _random_table(rng, n, data.draw(st.booleans()))
+    if data.draw(st.booleans()):
+        for i in range(n):
+            for j in range(i):
+                rows[i][j] = rows[j][i]
+    if n and data.draw(st.booleans()):
+        e = rng.randrange(n)
+        for x in range(n):
+            rows[e][x] = rows[x][e] = 1 << x
+    _assert_same_report(from_masks([f"x{i}" for i in range(n)], rows))
+
+
+def _mosaics():
+    """Mosaics with unique inverses on 1 to 12 elements; S3 is not
+    commutative."""
+    return [
+        group_to_hypermagma(cyclic_group(1)),
+        krasner(),
+        group_to_hypermagma(cyclic_group(3)),
+        group_to_hypermagma(klein_four_group()),
+        gf9_quotient().additive,
+        group_to_hypermagma(symmetric_group(3)),
+        matroid_to_mosaic(adjoin_point(fano_matroid())),
+        matroid_to_mosaic(adjoin_point(uniform_matroid(2, 8))),
+        group_to_hypermagma(cyclic_group(9)),
+        matroid_to_mosaic(adjoin_point(uniform_matroid(2, 11))),
+        group_to_hypermagma(cyclic_group(12)),
+    ]
+
+
+MOSAICS = _mosaics()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_analyze_matches_triple_loops_on_perturbed_mosaics(data):
+    """A few bits flipped off the identity's row and column: the identity
+    stays scalar, and inverses mostly stay unique, so the reversibility walk
+    runs on tables that fail it (including at x = e when a flip puts the
+    identity into one side of a product only)."""
+    M = data.draw(st.sampled_from(MOSAICS))
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    perm = list(range(M.n))
+    rng.shuffle(perm)
+    M = permute(M, perm)
+    others = [x for x in range(M.n) if x != M.identity]
+    rows = [list(r) for r in M.table]
+    symmetric = data.draw(st.booleans())
+    for _ in range(data.draw(st.integers(0, 3)) if others else 0):
+        i, j, bit = rng.choice(others), rng.choice(others), 1 << rng.randrange(M.n)
+        rows[i][j] ^= bit
+        if symmetric and i != j:
+            rows[j][i] ^= bit
+    _assert_same_report(from_masks(M.labels, rows))
+
+
+def test_analyze_matches_triple_loops_on_enumerated_classes():
+    objects = [M for n in range(1, 6) for M in enumerate_canonical_hypergroups(n)]
+    assert len(objects) == 3886
+    objects += enumerate_small_mosaics(4)
+    objects += _desk_objects().values()
+    for M in objects:
+        _assert_same_report(M)

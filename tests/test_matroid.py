@@ -6,14 +6,17 @@ import pytest
 from hyperkit.axioms import Tag, analyze
 from hyperkit.core import Morphism, find_isomorphism, iter_bits, mask_of, strict_sub_closure
 from hyperkit.errors import (
+    DuplicateLabel,
     ExchangeFails,
     FlatsNotIntersectionClosed,
+    NoMatroidData,
     NotSimplePointed,
 )
 from hyperkit.hom import check_kind, enumerate_morphisms
 from hyperkit.matroid import (
     FANO_LINES,
     Matroid,
+    _check_exchange,
     adjoin_point,
     fano_matroid,
     graphic_matroid,
@@ -64,6 +67,26 @@ def test_exchange_failure_detected():
             ["a", "b", "c", "d"],
             flats=[0, 0b0001, 0b0010, 0b0100, 0b1000, 0b0011, 0b1100, 0b1111],
         )
+
+
+def test_exchange_spot_check_raises_typed_error():
+    # {a} and {b} are flats but their meet, the closure of the empty set, is
+    # not listed: the loop over the listed flats passes, and only the spot
+    # check over arbitrary subsets sees cl(c) contain a while cl(a) misses c
+    M = Matroid(("a", "b", "c"), (0b001, 0b010, 0b111))
+    _check_exchange(M, spot_checks=0)
+    with pytest.raises(ExchangeFails, match="S=\\(\\), x=a, y=c"):
+        _check_exchange(M)
+
+
+def test_adjoin_point_rejects_a_label_in_the_ground_set():
+    with pytest.raises(DuplicateLabel, match="'b'"):
+        adjoin_point(uniform_matroid(2, 3), label="b")
+
+
+def test_make_matroid_needs_some_data():
+    with pytest.raises(NoMatroidData):
+        make_matroid(["a", "b"])
 
 
 def test_closure_operator_laws():
