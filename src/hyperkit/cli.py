@@ -16,7 +16,7 @@ from .core import Hypermagma, mask_of
 from .errors import FormatError, HyperkitError
 from .matroid import adjoin_point, is_simple, matroid_to_mosaic, simplify
 from .monoidal import boxdot, boxtimes, hom_object, wedge_smash
-from .suite import run_suite
+from .suite import CHECKS, run_suite
 from .univ import coequalizer, cofree, coproduct, equalizer, free, product, unitize
 from .zoo import (
     FiniteRing,
@@ -161,13 +161,13 @@ def cmd_construct(args) -> int:
         g = _load_morphism(args.inputs[1])
         q = coequalizer(f, g, tag)
         out = q.cod
-        morphisms = {"quotient": q.morphism}
+        morphisms = {"quotient": q}
     elif verb == "unitize":
         M = _load_hm(args.inputs[0])
         E = mask_of(_label_indices("--at", args.at, M.labels)) if args.at else 0
         q = unitize(M, E)
         out = q.cod
-        morphisms = {"quotient": q.morphism}
+        morphisms = {"quotient": q}
     elif verb == "tensor":
         M, N = _load_hm(args.inputs[0]), _load_hm(args.inputs[1])
         if args.op == "boxdot":
@@ -175,11 +175,11 @@ def cmd_construct(args) -> int:
         elif args.op == "wedge":
             q = wedge_smash(M, N)
             out = q.cod
-            morphisms = {"quotient": q.morphism}
+            morphisms = {"quotient": q}
         else:
             q = boxtimes(M, N)
             out = q.cod
-            morphisms = {"quotient": q.morphism}
+            morphisms = {"quotient": q}
     elif verb == "hom":
         M, N = _load_hm(args.inputs[0]), _load_hm(args.inputs[1])
         out = hom_object(M, N, tag)
@@ -269,6 +269,11 @@ def _load_morphism(path: str):
 
 
 def cmd_paper_suite(args) -> int:
+    # a run that selects no check, or no size to search, verifies nothing
+    if args.max_size is not None and args.max_size < 1:
+        raise FormatError(f"--max-size: {args.max_size} is not positive")
+    if args.only is not None and not any(args.only in name for name in CHECKS):
+        raise FormatError(f"--only: {args.only!r} names no check")
     results = run_suite(only=args.only, max_size=args.max_size)
     failed = 0
     for r in results:

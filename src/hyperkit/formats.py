@@ -11,7 +11,7 @@ import json
 from typing import Any
 
 from .core import Hypermagma, Morphism, from_masks, iter_bits, mask_of
-from .errors import FormatError
+from .errors import FormatError, HyperkitError
 from .matroid import Matroid, make_matroid
 from .zoo import (
     FiniteGroup,
@@ -213,21 +213,19 @@ PARSERS = {
 
 
 def load(path: str):
-    from .errors import HyperkitError
-
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             d = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        # RecursionError: nesting deeper than the parser's recursion limit
         raise FormatError(f"cannot read {path}: {exc}") from None
     if not isinstance(d, dict):
         raise FormatError("object file must be a JSON object")
     kind = _need(d, "kind")
-    parser = PARSERS.get(kind)
-    if parser is None:
+    if not isinstance(kind, str) or kind not in PARSERS:
         raise FormatError(f"unknown kind {kind!r}")
     try:
-        return kind, parser(d)
+        return kind, PARSERS[kind](d)
     except FormatError:
         raise
     except HyperkitError as exc:

@@ -33,7 +33,7 @@ from .hom import (
     morphism_in_tag,
 )
 from .search import Budget, memo
-from .univ import QuotientMap, coequalizer, free, unitize
+from .univ import coequalizer, free, unitize
 
 
 def boxdot(M: Hypermagma, N: Hypermagma) -> Hypermagma:
@@ -60,7 +60,7 @@ def boxdot(M: Hypermagma, N: Hypermagma) -> Hypermagma:
     return from_masks(labels, rows)
 
 
-def wedge_smash(M: Hypermagma, N: Hypermagma) -> QuotientMap:
+def wedge_smash(M: Hypermagma, N: Hypermagma) -> Morphism:
     """Unitization of boxdot at E = M x e  union  e x N (smash carrier)."""
     if M.identity is None or N.identity is None:
         raise NotUnital("wedge-smash needs unital factors")
@@ -84,14 +84,14 @@ def _require_cmsc(M: Hypermagma) -> None:
         raise NotCommutativeMosaic(f"{M!r} is not a commutative mosaic")
 
 
-def boxtimes(M: Hypermagma, N: Hypermagma) -> QuotientMap:
+def boxtimes(M: Hypermagma, N: Hypermagma) -> Morphism:
     """Coequalizer in uHMag of the identity and (-1) wedge (-1) on the smash;
     the returned quotient map goes all the way from boxdot(M, N)."""
     _require_cmsc(M)
     _require_cmsc(N)
     q1 = wedge_smash(M, N)
     W = q1.cod
-    pair_to_w = q1.morphism.map
+    pair_to_w = q1.map
     neg = [0] * W.n
     for x in range(M.n):
         for y in range(N.n):
@@ -101,10 +101,10 @@ def boxtimes(M: Hypermagma, N: Hypermagma) -> QuotientMap:
     i_minus = Morphism(W, W, tuple(neg))
     ensure(is_colax(i_minus) and is_unital(i_minus), "boxtimes: (-1) smash (-1) is not a morphism")
     q2 = coequalizer(Morphism(W, W, tuple(range(W.n))), i_minus, Tag.UHMAG)
-    pi = compose(q2.morphism, q1.morphism)
+    pi = compose(q2, q1)
     rep = analyze(pi.cod)
     ensure(rep.is_mosaic and rep.commutative, "boxtimes: the quotient is not a commutative mosaic")
-    return QuotientMap.from_morphism(pi)
+    return pi
 
 
 @dataclass(frozen=True)
@@ -197,7 +197,7 @@ def tensor(M: Hypermagma, N: Hypermagma, tag: Tag) -> tuple[Hypermagma, Bimorphi
         pair = range(T.n)
     elif tag in (Tag.UHMAG, Tag.CMSC):
         q = wedge_smash(M, N) if tag is Tag.UHMAG else boxtimes(M, N)
-        T, pair = q.cod, q.morphism.map
+        T, pair = q.cod, q.map
     else:
         raise NotCommutativeMosaic(f"no tensor product for tag {tag}")
     table = tuple(tuple(pair[x * N.n + y] for y in range(N.n)) for x in range(M.n))

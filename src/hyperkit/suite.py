@@ -367,7 +367,7 @@ def check_boxtimes_health() -> CheckResult:
             q = boxtimes(M, N)
             rep = analyze(q.cod)
             ok &= rep.is_mosaic and rep.commutative
-            pi = q.morphism.map
+            pi = q.map
             for x in range(M.n):
                 for y in range(N.n):
                     nz = x != M.identity and y != N.identity
@@ -417,9 +417,9 @@ def check_regularity() -> CheckResult:
                 for f in enumerate_morphisms(A, B, tag)[:8]:
                     for g in enumerate_morphisms(A, B, tag)[:8]:
                         q = coequalizer(f, g, tag)
-                        if not q.short:
+                        if not is_short(q):
                             return CheckResult("regularity", False, "coequalizer not short")
-                        shorts.append((q.morphism, tag))
+                        shorts.append((q, tag))
     # pullback stability
     for p, tag in shorts[:40]:
         N = p.cod
@@ -450,7 +450,7 @@ def check_normal_morphisms() -> CheckResult:
         for E in (0, 1 << M.identity, M.full_mask()):
             q = unitize(M, E)
             if E:
-                ok &= is_normal_epi(q.morphism, Tag.UHMAG)
+                ok &= is_normal_epi(q, Tag.UHMAG)
     return CheckResult("normal-morphisms", bool(ok), "unitizations are exactly the normal epis")
 
 
@@ -755,7 +755,7 @@ def check_mosaic_closure(sizes: int = 3) -> CheckResult:
                 if not check_equalizer_universal(f, g, E, inc, Tag.MSC, small):
                     return CheckResult("mosaic-closure", False, "equalizer universality failed")
                 q = coequalizer(f, g, Tag.MSC)
-                if not analyze(q.cod).is_mosaic or not q.short:
+                if not analyze(q.cod).is_mosaic or not is_short(q):
                     return CheckResult("mosaic-closure", False, "coequalizer not a short mosaic map")
                 if not check_coequalizer_universal(f, g, q, Tag.MSC, small):
                     return CheckResult("mosaic-closure", False, "coequalizer universality failed")
@@ -791,19 +791,19 @@ def check_unitization_facts() -> CheckResult:
     ok &= q2.cod.n == 1
     Z = z2()
     q3 = unitize(Z, 1 << 0)
-    ok &= q3.cod.n == 2 and q3.short
+    ok &= q3.cod.n == 2 and is_short(q3)
     for M in (krasner(), d_weak_example()):
         for E in range(1, 1 << M.n):
             q = unitize(M, E)
             from .core import absorptive_closure
 
-            if q.morphism.preimage_mask(1 << q.cod.identity) != absorptive_closure(M, E):
+            if q.preimage_mask(1 << q.cod.identity) != absorptive_closure(M, E):
                 return CheckResult("unitization", False, "kernel is not the absorptive closure")
             sat = all(
                 product_of_subsets(M, 1 << x, E) and product_of_subsets(M, E, 1 << x)
                 for x in range(M.n)
             )
-            if sat and not q.short:
+            if sat and not is_short(q):
                 return CheckResult("unitization", False, "shortness criterion violated")
     return CheckResult("unitization", bool(ok), "kernels and shortness per the construction")
 

@@ -34,7 +34,6 @@ from .hom import (
     enumerate_morphisms,
     is_colax,
     is_injective,
-    is_short,
     is_strict,
     is_surjective,
     is_unital,
@@ -52,30 +51,6 @@ class Cone:
 class Cocone:
     apex: Hypermagma
     legs: tuple[Morphism, ...]
-
-
-@dataclass(frozen=True)
-class QuotientMap:
-    """A surjection-by-construction with its domain partition."""
-
-    morphism: Morphism
-    partition: tuple[tuple[int, ...], ...]
-    short: bool
-    unital: bool
-
-    @property
-    def cod(self) -> Hypermagma:
-        return self.morphism.cod
-
-    @classmethod
-    def from_morphism(cls, pi: Morphism) -> "QuotientMap":
-        """The partition into nonempty fibers, ordered by image, and the
-        short/unital flags, all read off the map."""
-        part: dict[int, list[int]] = {}
-        for x, c in enumerate(pi.map):
-            part.setdefault(c, []).append(x)
-        partition = tuple(tuple(part[c]) for c in sorted(part))
-        return cls(pi, partition, short=is_short(pi), unital=is_unital(pi))
 
 
 def free(tag: Tag, generators: Sequence[str], point: str | None = None) -> Hypermagma:
@@ -263,13 +238,14 @@ class _UnionFind:
         return tuple(cls.setdefault(self.find(x), len(cls)) for x in range(len(self.parent)))
 
 
-def unitize(M: Hypermagma, E: int) -> QuotientMap:
+def unitize(M: Hypermagma, E: int) -> Morphism:
     """Universal unital quotient collapsing E to the unit.
 
-    E empty freely adjoins a unit.  Otherwise the kernel is the absorptive
-    strict closure K of E, classes are the components of the chain relation
-    y in x*K or K*x (K one block), and products with the unit class are
-    forced to be scalar.
+    E empty freely adjoins a unit: the map is the inclusion of M, injective
+    and not onto the new unit.  Otherwise the map is onto, its kernel is the
+    absorptive strict closure K of E, classes are the components of the chain
+    relation y in x*K or K*x (K one block), and products with the unit class
+    are forced to be scalar.
     """
     if E == 0:
         lbl = fresh_label("e", M.labels)
@@ -281,7 +257,7 @@ def unitize(M: Hypermagma, E: int) -> QuotientMap:
             rows[n][x] = 1 << x
             rows[x][n] = 1 << x
         Me = from_masks(labels, rows)
-        return QuotientMap.from_morphism(Morphism(M, Me, tuple(range(n))))
+        return Morphism(M, Me, tuple(range(n)))
 
     K = absorptive_closure(M, E)
     uf = _UnionFind(M.n)
@@ -296,10 +272,10 @@ def unitize(M: Hypermagma, E: int) -> QuotientMap:
     pi = quotient(M, proj, unit=unit)
     ensure(pi.cod.identity == unit, "unitize: the unit class is not an identity")
     ensure(is_colax(pi), "unitize: the quotient map is not colax")
-    return QuotientMap.from_morphism(pi)
+    return pi
 
 
-def coequalizer(f: Morphism, g: Morphism, tag: Tag) -> QuotientMap:
+def coequalizer(f: Morphism, g: Morphism, tag: Tag) -> Morphism:
     """Set-coequalizer quotient; unital tags unitize at the unit class."""
     if f.dom != g.dom or f.cod != g.cod:
         raise NotParallel("coequalizer needs a parallel pair")
@@ -311,11 +287,11 @@ def coequalizer(f: Morphism, g: Morphism, tag: Tag) -> QuotientMap:
         uf.union(f.map[x], g.map[x])
     piL = quotient(N, uf.proj())
     if tag is Tag.HMAG:
-        return QuotientMap.from_morphism(piL)
+        return piL
     if N.identity is None:
         raise NotUnital("unital coequalizer needs a unital codomain")
     inner = unitize(piL.cod, 1 << piL.map[N.identity])
-    return QuotientMap.from_morphism(compose(inner.morphism, piL))
+    return compose(inner, piL)
 
 
 def pullback(f: Morphism, g: Morphism) -> Cone:
@@ -345,16 +321,16 @@ def pullback(f: Morphism, g: Morphism) -> Cone:
     return Cone(P, (p1, p2))
 
 
-def regular_image_factorization(f: Morphism, tag: Tag) -> tuple[QuotientMap, Morphism]:
+def regular_image_factorization(f: Morphism, tag: Tag) -> tuple[Morphism, Morphism]:
     """Coequalizer of the kernel pair followed by the induced injection."""
     kp = pullback(f, f)
     q = coequalizer(kp.legs[0], kp.legs[1], tag)
     Q = q.cod
     image_map = [0] * Q.n
     for x in range(f.dom.n):
-        image_map[q.morphism.map[x]] = f.map[x]
+        image_map[q.map[x]] = f.map[x]
     m = Morphism(Q, f.cod, tuple(image_map))
-    ensure(compose(m, q.morphism) == f, "regular_image_factorization: m after q is not f")
+    ensure(compose(m, q) == f, "regular_image_factorization: m after q is not f")
     ensure(
         is_colax(m) and is_injective(m),
         "regular_image_factorization: the induced map is not a colax injection",
@@ -382,13 +358,14 @@ def is_normal_epi(p: Morphism, tag: Tag) -> bool:
         raise NotUnitalTag("normal epimorphisms live in the unital tags")
     if not is_surjective(p) or p.cod.identity is None:
         return False
+    # p is onto, so ker p is nonempty and q is onto as well.
     q = unitize(p.dom, kernel(p))
-    if len(q.partition) != p.cod.n:
+    if q.cod.n != p.cod.n:
         return False
     phi = [0] * q.cod.n
     for x in range(p.dom.n):
-        phi[q.morphism.map[x]] = p.map[x]
-    if tuple(p.map) != tuple(phi[q.morphism.map[x]] for x in range(p.dom.n)):
+        phi[q.map[x]] = p.map[x]
+    if tuple(p.map) != tuple(phi[q.map[x]] for x in range(p.dom.n)):
         return False
     cand = Morphism(q.cod, p.cod, tuple(phi))
     if not (is_injective(cand) and is_surjective(cand)):
@@ -465,7 +442,7 @@ def check_equalizer_universal(
 def check_coequalizer_universal(
     f: Morphism,
     g: Morphism,
-    q: QuotientMap,
+    q: Morphism,
     tag: Tag,
     battery: Sequence[Hypermagma],
 ) -> bool:
@@ -476,7 +453,7 @@ def check_coequalizer_universal(
             if compose(h, f) == compose(h, g)
         }
         mediated = [
-            compose(h, q.morphism).map
+            compose(h, q).map
             for h in enumerate_morphisms(q.cod, T, tag)
         ]
         if len(set(mediated)) != len(mediated) or set(mediated) != cocones:

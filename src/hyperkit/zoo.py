@@ -22,12 +22,14 @@ from .core import (
 from .errors import (
     AdditiveNotCanonical,
     CandidateDoesNotEqualize,
+    DimensionMismatch,
     NotAbelian,
     NotAnAutomorphismGroup,
     NotASemilattice,
     NotASubgroup,
     NotMultiring,
     NotUnitSubgroup,
+    SearchCapExceeded,
     ZeroNotAbsorbing,
     ensure,
 )
@@ -59,7 +61,8 @@ class FiniteGroup:
 def make_finite_group(labels: Sequence[str], table: Sequence[Sequence[int]]) -> FiniteGroup:
     labels = tuple(str(l) for l in labels)
     n = len(labels)
-    assert len(table) == n and all(len(r) == n for r in table)
+    if len(table) != n or any(len(r) != n for r in table):
+        raise DimensionMismatch(f"group table is not {n}x{n}")
     tbl = tuple(tuple(r) for r in table)
     e = None
     for cand in range(n):
@@ -231,9 +234,9 @@ def lattice_mosaic(labels: Sequence[str], meet: Sequence[Sequence[int]]) -> Hype
         for a in range(n)
     ]
     M = from_masks(labels, rows)
-    assert M.identity == top
+    ensure(M.identity == top, "lattice_mosaic: the top is not the identity")
     rep = analyze(M)
-    assert rep.is_mosaic and rep.commutative
+    ensure(rep.is_mosaic and rep.commutative, "lattice_mosaic: not a commutative mosaic")
     return M
 
 
@@ -255,7 +258,8 @@ def lattice_join_table(meet: Sequence[Sequence[int]]) -> list[list[int]] | None:
 def is_modular_lattice(meet: Sequence[Sequence[int]]) -> bool:
     n = len(meet)
     join = lattice_join_table(meet)
-    assert join is not None, "not a lattice"
+    if join is None:
+        raise NotASemilattice("meet table is not a lattice: some pair has no least upper bound")
     le = [[meet[a][b] == a for b in range(n)] for a in range(n)]
     for a in range(n):
         for b in range(n):
@@ -836,7 +840,11 @@ def enumerate_unital_hypermagmas(n: int) -> tuple[Hypermagma, ...]:
         return ()
     if n == 1:
         return (from_masks(("e",), ((1,),)),)
-    assert n <= 3, "raw scan is exponential in (n-1)^2 entries"
+    if n > 3:
+        # the raw scan is exponential in the (n-1)^2 free entries
+        raise SearchCapExceeded(
+            f"enumerate_unital_hypermagmas: raw scan capped at n <= 3, asked for n={n}"
+        )
     labels = tuple(["e"] + [str(i) for i in range(1, n)])
     k = n - 1
     seen = set()

@@ -204,7 +204,7 @@ def test_criterion_8_nondegeneracy():
         for M in acceptance_battery():
             for N in acceptance_battery():
                 q = boxtimes(M, N)
-                pi = q.morphism.map
+                pi = q.map
                 for x in range(M.n):
                     for y in range(N.n):
                         if x != M.identity and y != N.identity:

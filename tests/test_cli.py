@@ -279,6 +279,21 @@ def test_paper_suite_only(capsys):
     assert "PASS krasner" in out
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--max-size", "-3"], "error: --max-size: -3 is not positive\n"),
+        (["--max-size", "0"], "error: --max-size: 0 is not positive\n"),
+        (["--only", "nosuchcheck"], "error: --only: 'nosuchcheck' names no check\n"),
+    ],
+    ids=["negative-max-size", "zero-max-size", "unknown-only"],
+)
+def test_paper_suite_that_verifies_nothing_exits_2_with_one_line(capsys, argv, message):
+    assert main(["paper-suite", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == message
+
+
 def test_paper_suite_matches_recorded_output(capsys):
     """The whole suite at refuter size 4 prints, byte for byte, the output
     recorded for the benchmark."""
@@ -391,12 +406,38 @@ def test_malformed_search_cap_exits_2_with_one_line(monkeypatch, capsys):
             {"kind": "matroid", "ground": ["a", "b"], "flats": [[], ["a"], ["c"], ["a", "b"]]},
             "flats element 'c' is not a carrier label",
         ),
+        ({"kind": ["hypermagma"]}, "unknown kind ['hypermagma']"),
+        ({"kind": {"name": "hypermagma"}}, "unknown kind {'name': 'hypermagma'}"),
     ],
-    ids=["list-table-entry", "string-carrier", "list-identity", "unknown-flat-label"],
+    ids=[
+        "list-table-entry",
+        "string-carrier",
+        "list-identity",
+        "unknown-flat-label",
+        "list-kind",
+        "dict-kind",
+    ],
 )
 def test_malformed_labels_exit_2_with_one_line(tmp_path, capsys, payload, message):
     path = write_obj(tmp_path, "bad.json", payload)
     assert main(["check", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and message in captured.err
+
+
+@pytest.mark.parametrize(
+    "raw, message",
+    [
+        (b'{"kind": "hypermagma", "carrier": ["\xff"], "table": [[[]]]}', "can't decode byte 0xff"),
+        (b"[" * 200_000 + b"]" * 200_000, "maximum recursion depth exceeded"),
+    ],
+    ids=["not-utf8", "deep-nesting"],
+)
+def test_unreadable_bytes_exit_2_with_one_line(tmp_path, capsys, raw, message):
+    path = tmp_path / "bad.json"
+    path.write_bytes(raw)
+    assert main(["check", str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.count("\n") == 1 and message in captured.err

@@ -372,9 +372,9 @@ def test_short_coshort_compose():
     assert is_coshort(compose(identity_morphism(K), i1))
     # short composition: two unitizations
     q1 = unitize(d_example(), 1 << 1)
-    assert q1.short
+    assert is_short(q1)
     q2 = unitize(q1.cod, 1 << q1.cod.identity)
-    assert is_short(compose(q2.morphism, q1.morphism))
+    assert is_short(compose(q2, q1))
 
 
 def test_kernel():
@@ -391,7 +391,7 @@ def test_kernel_of_unitization_is_absorptive_closure():
     M = d_example()
     for E in (0b010, 0b100, 0b110):
         q = unitize(M, E)
-        assert q.morphism.preimage_mask(1 << q.cod.identity) == absorptive_closure(M, E)
+        assert q.preimage_mask(1 << q.cod.identity) == absorptive_closure(M, E)
 
 
 def test_strict_lifting_examples():

@@ -51,7 +51,7 @@ def test_no_memo_outside_search(name):
 
 # Modules whose invariants are all `errors.ensure` checks, which still run
 # under `python -O`; extend the list as more modules are cleared.
-NO_BARE_ASSERT = ["axioms.py", "core.py", "hom.py", "matroid.py", "monoidal.py", "univ.py"]
+NO_BARE_ASSERT = ["axioms.py", "core.py", "hom.py", "matroid.py", "monoidal.py", "univ.py", "zoo.py"]
 
 
 @pytest.mark.parametrize("name", NO_BARE_ASSERT)

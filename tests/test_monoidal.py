@@ -114,7 +114,7 @@ def test_boxtimes_z2_z2():
 def test_boxtimes_nondegenerate():
     for M, N in itertools.product((krasner(), z2(), f_mosaic()), repeat=2):
         q = boxtimes(M, N)
-        pi = q.morphism.map
+        pi = q.map
         for x in range(M.n):
             for y in range(N.n):
                 if x != M.identity and y != N.identity:

@@ -16,8 +16,10 @@ from hyperkit.hom import (
     check_kind,
     enumerate_morphisms,
     is_coshort,
+    is_injective,
     is_short,
     is_strict,
+    is_surjective,
 )
 from hyperkit.univ import (
     check_coequalizer_universal,
@@ -183,7 +185,7 @@ def test_coequalizer_paper_example():
     qh = coequalizer(f, g, Tag.HMAG)
     assert qh.cod.labels == ("0", "2")
     assert qh.cod.table[0][0] == 0b11
-    assert qh.short
+    assert is_short(qh)
     qu = coequalizer(f, g, Tag.UHMAG)
     assert qu.cod.n == 1
     assert check_coequalizer_universal(f, g, qu, Tag.UHMAG, probes())
@@ -193,7 +195,7 @@ def test_coequalizer_paper_example():
 def test_coequalizer_of_equal_pair():
     t = Morphism(z2(), krasner(), (0, 1))
     q = coequalizer(t, t, Tag.UHMAG)
-    assert q.cod.n == 2 and q.short
+    assert q.cod.n == 2 and is_short(q)
     assert find_isomorphism(q.cod, krasner()) is not None
 
 
@@ -201,13 +203,16 @@ def test_unitize_adjoins_unit():
     q = unitize(free(Tag.HMAG, ("a", "b")), 0)
     assert q.cod.n == 3 and q.cod.identity is not None
     assert q.cod.labels == ("a", "b", "e")
+    # adjoining a unit is an injection, not a quotient onto its codomain
+    assert is_injective(q) and not is_surjective(q)
+    assert not is_short(q)
 
 
 def test_unitize_collapse_and_fixed_point():
     q = unitize(krasner(), 0b10)
     assert q.cod.n == 1
     qz = unitize(z2(), 0b01)
-    assert qz.cod.n == 2 and qz.short
+    assert qz.cod.n == 2 and is_short(qz)
     assert find_isomorphism(qz.cod, z2()) is not None
 
 
@@ -224,7 +229,7 @@ def test_unitize_shortness_criterion():
                 for x in range(M.n)
             )
             if sat:
-                assert q.short
+                assert is_short(q)
 
 
 def test_pullback_diagonal():
@@ -251,7 +256,7 @@ def test_kernel_pair_recovers_image():
 def test_regular_image_factorization():
     t = Morphism(z2(), krasner(), (0, 1))
     q, m = regular_image_factorization(t, Tag.UHMAG)
-    assert q.cod.n == 2 and compose(m, q.morphism) == t
+    assert q.cod.n == 2 and compose(m, q) == t
     const = Morphism(krasner(), z2(), (0, 0))
     q2, m2 = regular_image_factorization(const, Tag.UHMAG)
     assert q2.cod.n == 1
@@ -265,7 +270,7 @@ def test_regular_image_factorization():
     assert check_kind(f).colax
     q3, m3 = regular_image_factorization(f, Tag.UHMAG)
     assert q3.cod.n == 2
-    assert compose(m3, q3.morphism) == f
+    assert compose(m3, q3) == f
     assert check_kind(m3).injective
 
 
@@ -283,7 +288,9 @@ def test_normal_epi():
     for M in (krasner(), d_example()):
         for E in range(1, 1 << M.n):
             q = unitize(M, E)
-            assert is_normal_epi(q.morphism, Tag.UHMAG)
+            # is_normal_epi compares q.cod.n with |p.cod|: q must be onto
+            assert is_surjective(q)
+            assert is_normal_epi(q, Tag.UHMAG)
     # group quotients are unitizations
     from hyperkit.zoo import cyclic_group, group_to_hypermagma
 

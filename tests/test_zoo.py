@@ -7,11 +7,13 @@ from hyperkit.core import Morphism, find_isomorphism, from_masks, iter_bits, mas
 from hyperkit.errors import (
     AdditiveNotCanonical,
     CandidateDoesNotEqualize,
+    DimensionMismatch,
     NotAbelian,
     NotAnAutomorphismGroup,
     NotASemilattice,
     NotASubgroup,
     NotUnitSubgroup,
+    SearchCapExceeded,
     ZeroNotAbsorbing,
 )
 from hyperkit.hom import enumerate_morphisms, is_short, is_strict
@@ -24,6 +26,7 @@ from hyperkit.zoo import (
     empty_sum_search,
     enumerate_canonical_hypergroups,
     enumerate_lattices,
+    enumerate_unital_hypermagmas,
     gf9_frobenius,
     gf9_quotient,
     group_to_hypermagma,
@@ -194,6 +197,16 @@ def test_lattice_mosaics_nakano_examples():
     assert rep.total  # Nakano mosaics always contain the meet in every sum
     with pytest.raises(NotASemilattice):
         lattice_mosaic(["a", "b"], [[0, 0], [0, 0]])
+
+
+def test_zoo_input_checks_raise_typed_errors():
+    with pytest.raises(DimensionMismatch, match="^group table is not 2x2$"):
+        make_finite_group(["e", "g"], [[0, 1]])
+    # a meet-semilattice without a top: a and b have no upper bound
+    with pytest.raises(NotASemilattice, match="not a lattice"):
+        is_modular_lattice([[0, 0, 0], [0, 1, 0], [0, 0, 2]])
+    with pytest.raises(SearchCapExceeded, match="n=4"):
+        enumerate_unital_hypermagmas(4)
 
 
 def test_lattice_enumeration_counts():
