@@ -24,7 +24,6 @@ from .zoo import (
     double_coset_hypergroup,
     group_to_hypermagma,
     krasner_quotient,
-    lattice_mosaic,
     make_finite_group,
     orbit_hypergroup,
 )
@@ -46,13 +45,10 @@ _CLASS_WORDS = {
 
 
 def _to_hypermagma(kind: str, obj) -> Hypermagma:
-    if kind == "hypermagma":
+    if kind in ("hypermagma", "lattice"):
         return obj
     if kind == "group":
         return group_to_hypermagma(obj)
-    if kind == "lattice":
-        carrier, meet = obj
-        return lattice_mosaic(carrier, meet)
     if kind == "matroid":
         M = obj
         if M.pointed is None:
@@ -224,10 +220,9 @@ def cmd_construct(args) -> int:
             M, _ = simplify(M, pointed=True)
         out = matroid_to_mosaic(M)
     elif verb == "from-lattice":
-        kind, L = formats.load(args.inputs[0])
+        kind, out = formats.load(args.inputs[0])
         if kind != "lattice":
             raise FormatError("from-lattice needs a lattice file")
-        out = lattice_mosaic(*L)
     elif verb == "builtin":
         out = _builtin(args.name)
     else:

@@ -16,6 +16,7 @@ from .matroid import Matroid, make_matroid
 from .zoo import (
     FiniteGroup,
     FiniteRing,
+    lattice_mosaic,
     make_finite_group,
     make_finite_ring,
 )
@@ -168,7 +169,8 @@ def parse_matroid(d: dict) -> Matroid:
     if "rank" in d:
         pairs = {}
         for entry in entries("rank"):
-            if not (isinstance(entry, list) and len(entry) == 2 and isinstance(entry[1], int)):
+            # type() and not isinstance(): JSON true and false are bools, and bool is an int
+            if not (isinstance(entry, list) and len(entry) == 2 and type(entry[1]) is int):
                 raise FormatError("rank entries must be [subset, rank] pairs")
             pairs[subset(entry[0], "rank")] = entry[1]
         if len(pairs) != 1 << len(ground):
@@ -177,15 +179,18 @@ def parse_matroid(d: dict) -> Matroid:
     raise FormatError("matroid needs flats, independent, or rank")
 
 
-def parse_lattice(d: dict) -> tuple[list[str], list[list[int]]]:
+def parse_lattice(d: dict) -> Hypermagma:
+    """The lattice's Nakano mosaic, so that a meet table that is not a
+    semilattice with top fails here, as invalid file content."""
     carrier = _carrier(d)
     pos = {l: i for i, l in enumerate(carrier)}
     table = _parse_square(d, "meet", carrier)
     meet = [[_index(pos, v, "meet element") for v in row] for row in table]
+    M = lattice_mosaic(carrier, meet)
     top = d.get("top")
-    if top is not None:
-        _index(pos, top, "top")
-    return carrier, meet
+    if top is not None and _index(pos, top, "top") != M.identity:
+        raise FormatError(f"top {top!r} is not the top of the meet table")
+    return M
 
 
 def parse_morphism(d: dict) -> Morphism:

@@ -4,6 +4,7 @@ representing-object lifting criteria for strict/short/reversible.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Collection, Hashable, Iterable
 
 from .axioms import Tag, UNITAL_TAGS, analyze
 from .core import (
@@ -62,6 +63,31 @@ def is_injective(f: Morphism) -> bool:
 
 def is_surjective(f: Morphism) -> bool:
     return set(f.map) == set(range(f.cod.n))
+
+
+def bijection_failure(
+    images: Iterable[Hashable], expected: Collection[Hashable]
+) -> tuple[str, Hashable] | None:
+    """None when `images` hits every element of `expected` (distinct
+    elements) exactly once and nothing else; otherwise the first failure:
+    ("repeated", the first image seen twice), else ("missing", the first
+    element of `expected`, in its order, that no image hits), else ("extra",
+    the first image outside `expected`).
+
+    This is the one test behind every universal property checked by
+    enumeration: composing with a fixed map is a bijection from a hom-set
+    onto the set the property names."""
+    hit = {}
+    for image in images:
+        if image in hit:
+            return "repeated", image
+        hit[image] = None
+    for element in expected:
+        if element not in hit:
+            return "missing", element
+    if len(hit) > len(expected):
+        return "extra", next(image for image in hit if image not in expected)
+    return None
 
 
 @dataclass(frozen=True)
@@ -386,9 +412,6 @@ def is_reversible_via_lifting(M: Hypermagma) -> bool:
     Er = representing_object(Tag.MSC).obj
     iota = Morphism(Eu, Er, tuple(Er.index(l) for l in ("e", "a", "b", "c")))
     ensure(is_colax(iota) and is_unital(iota), "is_reversible_via_lifting: iota is not a unital morphism")
-    big = enumerate_morphisms(Er, M, Tag.UHMAG)
-    small = enumerate_morphisms(Eu, M, Tag.UHMAG)
-    restricted = [compose(g, iota).map for g in big]
-    return len(set(restricted)) == len(restricted) and set(restricted) == {
-        h.map for h in small
-    }
+    restricted = (compose(g, iota).map for g in enumerate_morphisms(Er, M, Tag.UHMAG))
+    small = [h.map for h in enumerate_morphisms(Eu, M, Tag.UHMAG)]
+    return bijection_failure(restricted, small) is None

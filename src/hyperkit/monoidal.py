@@ -25,6 +25,7 @@ from .errors import (
     ensure,
 )
 from .hom import (
+    bijection_failure,
     colax_schedule,
     constant_morphism,
     enumerate_morphisms,
@@ -300,16 +301,15 @@ def represents_bimorphisms(
         at = f"battery[{i}] ({'|'.join(L.labels)})"
         if len(homs) != len(bims):
             return False, f"|Hom(T,L)| = {len(homs)} but |Bim| = {len(bims)} at {at}"
-        mapped = set()
-        for phi in homs:
-            tbl = tuple(
-                tuple(phi.map[u(x, y)] for y in range(N.n)) for x in range(M.n)
-            )
-            if tbl in mapped:
-                return False, f"pairing not injective at {at}"
-            mapped.add(tbl)
-        if mapped != bims:
-            return False, f"pairing not surjective at {at}"
+        paired = (
+            tuple(tuple(phi.map[u(x, y)] for y in range(N.n)) for x in range(M.n))
+            for phi in homs
+        )
+        failure = bijection_failure(paired, bims)
+        if failure is not None:
+            # with equal counts, an image outside Bim forces a missing one first
+            kind = "injective" if failure[0] == "repeated" else "surjective"
+            return False, f"pairing not {kind} at {at}"
     return True, None
 
 
@@ -337,12 +337,12 @@ def strict_classifier_check(M: Hypermagma) -> bool:
     from .zoo import krasner
 
     K = krasner()
-    subs = set(enumerate_strict_submosaics(M))
+    subs = enumerate_strict_submosaics(M)
     homs = enumerate_morphisms(M, K, Tag.MSC)
-    kernels = [
+    kernels = (
         mask_of(x for x in range(M.n) if f.map[x] == K.identity) for f in homs
-    ]
-    return len(set(kernels)) == len(kernels) and set(kernels) == subs
+    )
+    return bijection_failure(kernels, subs) is None
 
 
 @dataclass(frozen=True)

@@ -31,6 +31,7 @@ from .errors import (
     ensure,
 )
 from .hom import (
+    bijection_failure,
     enumerate_morphisms,
     is_colax,
     is_injective,
@@ -384,18 +385,12 @@ def check_product_universal(
     cone: Cone, factors: Sequence[Hypermagma], tag: Tag, battery: Sequence[Hypermagma]
 ) -> bool:
     for T in battery:
-        legsets = [
-            {h.map: h for h in enumerate_morphisms(T, M, tag)} for M in factors
-        ]
-        mediators = enumerate_morphisms(T, cone.apex, tag)
-        seen = {}
-        for m in mediators:
-            key = tuple(compose(p, m).map for p in cone.legs)
-            if key in seen:
-                return False
-            seen[key] = m
-        expected = set(itertools.product(*(ls.keys() for ls in legsets)))
-        if set(seen.keys()) != expected:
+        legsets = [[h.map for h in enumerate_morphisms(T, M, tag)] for M in factors]
+        mediated = (
+            tuple(compose(p, m).map for p in cone.legs)
+            for m in enumerate_morphisms(T, cone.apex, tag)
+        )
+        if bijection_failure(mediated, list(itertools.product(*legsets))) is not None:
             return False
     return True
 
@@ -404,17 +399,12 @@ def check_coproduct_universal(
     cocone: Cocone, summands: Sequence[Hypermagma], tag: Tag, battery: Sequence[Hypermagma]
 ) -> bool:
     for T in battery:
-        legsets = [
-            {h.map for h in enumerate_morphisms(M, T, tag)} for M in summands
-        ]
-        mediators = enumerate_morphisms(cocone.apex, T, tag)
-        seen = set()
-        for m in mediators:
-            key = tuple(compose(m, inj).map for inj in cocone.legs)
-            if key in seen:
-                return False
-            seen.add(key)
-        if seen != set(itertools.product(*legsets)):
+        legsets = [[h.map for h in enumerate_morphisms(M, T, tag)] for M in summands]
+        mediated = (
+            tuple(compose(m, inj).map for inj in cocone.legs)
+            for m in enumerate_morphisms(cocone.apex, T, tag)
+        )
+        if bijection_failure(mediated, list(itertools.product(*legsets))) is not None:
             return False
     return True
 
@@ -433,8 +423,8 @@ def check_equalizer_universal(
             for q in enumerate_morphisms(T, f.dom, tag)
             if compose(f, q) == compose(g, q)
         }
-        mediated = [compose(inc, h).map for h in enumerate_morphisms(T, obj, tag)]
-        if len(set(mediated)) != len(mediated) or set(mediated) != cones:
+        mediated = (compose(inc, h).map for h in enumerate_morphisms(T, obj, tag))
+        if bijection_failure(mediated, cones) is not None:
             return False
     return True
 
@@ -452,10 +442,7 @@ def check_coequalizer_universal(
             for h in enumerate_morphisms(f.cod, T, tag)
             if compose(h, f) == compose(h, g)
         }
-        mediated = [
-            compose(h, q).map
-            for h in enumerate_morphisms(q.cod, T, tag)
-        ]
-        if len(set(mediated)) != len(mediated) or set(mediated) != cocones:
+        mediated = (compose(h, q).map for h in enumerate_morphisms(q.cod, T, tag))
+        if bijection_failure(mediated, cocones) is not None:
             return False
     return True

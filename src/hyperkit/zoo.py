@@ -33,7 +33,7 @@ from .errors import (
     ZeroNotAbsorbing,
     ensure,
 )
-from .hom import enumerate_morphisms
+from .hom import bijection_failure, enumerate_morphisms
 from .search import Budget, memo
 
 # ---------------------------------------------------------------------------
@@ -923,38 +923,22 @@ def refute_coproduct_candidate(
     ensure(len(can_z2_K) == 2, "refute_coproduct_candidate: |Can(Z2,K)| is not 2")
     if battery is None:
         battery = [K, Z, Gc]
+    (a1, b1), (a2, b2) = i1.map, i2.map
     for T in battery:
         homs = enumerate_morphisms(Gc, T, Tag.CMSC)
-        legs = enumerate_morphisms(Z, T, Tag.CMSC)
-        seen = {}
-        for phi in homs:
-            key = (
-                tuple(phi.map[i1.map[x]] for x in range(2)),
-                tuple(phi.map[i2.map[x]] for x in range(2)),
-            )
-            if key in seen:
-                return Refutation(
-                    True,
-                    "candidate",
-                    tuple(steps + [f"mediating morphism not unique for legs {key}"]),
-                    witness=key,
-                )
-            seen[key] = phi
-        for f1 in legs:
-            for f2 in legs:
-                if (f1.map, f2.map) not in seen:
-                    return Refutation(
-                        True,
-                        "candidate",
-                        tuple(
-                            steps
-                            + [
-                                "no mediating morphism for legs "
-                                f"({f1.map}, {f2.map}) into {'|'.join(T.labels)}"
-                            ]
-                        ),
-                        witness=(f1.map, f2.map),
-                    )
+        legs = [f.map for f in enumerate_morphisms(Z, T, Tag.CMSC)]
+        keys = (((m[a1], m[b1]), (m[a2], m[b2])) for m in (phi.map for phi in homs))
+        failure = bijection_failure(keys, list(itertools.product(legs, repeat=2)))
+        # an "extra" key needs i1 or i2 not to be a morphism; the refutation
+        # rests on the mediating morphism's existence and uniqueness only
+        if failure is None or failure[0] == "extra":
+            continue
+        kind, key = failure
+        if kind == "repeated":
+            step = f"mediating morphism not unique for legs {key}"
+        else:
+            step = f"no mediating morphism for legs {key} into {'|'.join(T.labels)}"
+        return Refutation(True, "candidate", tuple(steps + [step]), witness=key)
     return Refutation(False, "candidate", tuple(steps + ["battery passed"]))
 
 

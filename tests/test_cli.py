@@ -16,6 +16,7 @@ from hyperkit.zoo import (
     cyclic_group,
     group_to_hypermagma,
     krasner,
+    lattice_mosaic,
     make_gf9,
     symmetric_group,
 )
@@ -408,6 +409,18 @@ def test_malformed_search_cap_exits_2_with_one_line(monkeypatch, capsys):
         ),
         ({"kind": ["hypermagma"]}, "unknown kind ['hypermagma']"),
         ({"kind": {"name": "hypermagma"}}, "unknown kind {'name': 'hypermagma'}"),
+        (
+            {"kind": "lattice", "carrier": ["0", "a", "b"], "meet": [["0", "0", "0"], ["0", "a", "0"], ["0", "0", "b"]]},
+            "no top element",
+        ),
+        (
+            {"kind": "lattice", "carrier": ["0", "1"], "meet": [["0", "0"], ["0", "1"]], "top": "0"},
+            "top '0' is not the top of the meet table",
+        ),
+        (
+            {"kind": "matroid", "ground": ["a"], "rank": [[[], 0], [["a"], True]]},
+            "rank entries must be [subset, rank] pairs",
+        ),
     ],
     ids=[
         "list-table-entry",
@@ -416,6 +429,9 @@ def test_malformed_search_cap_exits_2_with_one_line(monkeypatch, capsys):
         "unknown-flat-label",
         "list-kind",
         "dict-kind",
+        "lattice-without-top",
+        "lattice-wrong-top",
+        "matroid-bool-rank",
     ],
 )
 def test_malformed_labels_exit_2_with_one_line(tmp_path, capsys, payload, message):
@@ -464,6 +480,17 @@ def test_unknown_label_in_option_exits_2_with_one_line(tmp_path, capsys, argv, o
     captured = capsys.readouterr()
     assert captured.out == "" and not os.path.exists(out)
     assert captured.err == f"error: {option}: 'zz' is not a carrier label\n"
+
+
+def test_construct_from_lattice(tmp_path):
+    chain = {"kind": "lattice", "carrier": ["0", "m", "1"], "top": "1",
+             "meet": [["0", "0", "0"], ["0", "m", "m"], ["0", "m", "1"]]}
+    path = write_obj(tmp_path, "chain.json", chain)
+    out = str(tmp_path / "out.json")
+    assert main(["construct", "from-lattice", path, "-o", out]) == 0
+    M = lattice_mosaic(["0", "m", "1"], [[0, 0, 0], [0, 1, 1], [0, 1, 2]])
+    assert formats.load(out)[1] == M
+    assert main(["check", path]) == 0
 
 
 def test_construct_from_group_by_labels(tmp_path):

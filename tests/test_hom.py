@@ -15,6 +15,7 @@ from hyperkit.core import (
 )
 from hyperkit.errors import CodomainNotUnital, FormatError, SearchCapExceeded
 from hyperkit.hom import (
+    bijection_failure,
     check_kind,
     constant_morphism,
     enumerate_morphisms,
@@ -416,6 +417,51 @@ def test_lifting_criteria_agree_on_battery():
                 for f in enumerate_morphisms(A, B, tag):
                     assert is_strict_via_lifting(f, tag) == check_kind(f).strict
                     assert is_short_via_lifting(f, tag) == is_short(f)
+
+
+@pytest.mark.parametrize(
+    "images, expected, failure",
+    [
+        ([3, 1, 2], [1, 2, 3], None),
+        ([], [], None),
+        ([2, 1, 1, 2], [1, 2], ("repeated", 1)),
+        ([1, 1], [1, 2], ("repeated", 1)),
+        ([3], [2, 1, 3], ("missing", 2)),
+        ([4, 5], [1], ("missing", 1)),
+        ([1, 5, 2, 4], [1, 2], ("extra", 5)),
+    ],
+    ids=["bijection", "empty", "first-repeat", "repeat-before-missing",
+         "missing-in-expected-order", "missing-before-extra", "first-extra"],
+)
+def test_bijection_failure(images, expected, failure):
+    assert bijection_failure(iter(images), expected) == failure
+
+
+def _first_failure(images, expected):
+    """The failures in their documented order, by direct scans."""
+    for i, x in enumerate(images):
+        if x in images[:i]:
+            return "repeated", x
+    for x in expected:
+        if x not in images:
+            return "missing", x
+    for x in images:
+        if x not in expected:
+            return "extra", x
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.integers(0, 6), max_size=8),
+    st.lists(st.integers(0, 6), max_size=7, unique=True),
+    st.booleans(),
+)
+def test_bijection_failure_matches_oracles(images, expected, as_set):
+    want = set(expected) if as_set else expected
+    failure = bijection_failure(iter(images), want)
+    assert (failure is None) == (sorted(images) == sorted(expected))
+    assert failure == _first_failure(images, list(want))
 
 
 def test_reversible_via_lifting():

@@ -1,7 +1,8 @@
 """Source checks over src/hyperkit: no unused module-level imports, no memo
-outside hyperkit.search, and no bare `assert` in the modules that have been
-cleared of them."""
+outside hyperkit.search, no bare `assert` in any module, and every function
+the benchmark's tracer wraps still exists."""
 import ast
+import importlib
 import os
 
 import pytest
@@ -49,12 +50,29 @@ def test_no_memo_outside_search(name):
     assert found == []
 
 
-# Modules whose invariants are all `errors.ensure` checks, which still run
-# under `python -O`; extend the list as more modules are cleared.
-NO_BARE_ASSERT = ["axioms.py", "core.py", "hom.py", "matroid.py", "monoidal.py", "univ.py", "zoo.py"]
-
-
-@pytest.mark.parametrize("name", NO_BARE_ASSERT)
+# invariants are `errors.ensure` checks, which still run under `python -O`
+@pytest.mark.parametrize("name", MODULES)
 def test_no_bare_assert(name):
     lines = [node.lineno for node in ast.walk(_tree(name)) if isinstance(node, ast.Assert)]
     assert lines == []
+
+
+def test_traced_names_resolve():
+    # read from the source, so that the benchmark harness is not imported
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "tracer.py")
+    with open(path) as fh:
+        tree = ast.parse(fh.read(), "tracer.py")
+    (traced,) = [
+        node.value
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["TRACED"]
+    ]
+    names = ast.literal_eval(traced)
+    assert names
+    missing = []
+    for name in names:
+        module, func = name.split(".")
+        if not callable(getattr(importlib.import_module(f"hyperkit.{module}"), func, None)):
+            missing.append(name)
+    assert missing == []

@@ -22,6 +22,8 @@ from hyperkit.hom import (
     is_surjective,
 )
 from hyperkit.univ import (
+    Cocone,
+    Cone,
     check_coequalizer_universal,
     check_coproduct_universal,
     check_equalizer_universal,
@@ -190,6 +192,22 @@ def test_coequalizer_paper_example():
     assert qu.cod.n == 1
     assert check_coequalizer_universal(f, g, qu, Tag.UHMAG, probes())
     assert check_coequalizer_universal(f, g, qh, Tag.HMAG, [one_empty(), krasner(), mixed3()])
+
+
+def test_universal_verifiers_reject_non_universal_candidates():
+    K, Z = krasner(), z2()
+    # K x K with one projection as a product of K alone: mediators repeat
+    cone = product([K, K])
+    assert not check_product_universal(Cone(cone.apex, cone.legs[:1]), [K], Tag.UHMAG, probes())
+    # the codiagonal Z2 <- Z2 -> Z2: pairs of different legs have no mediator
+    ident = identity_morphism(Z)
+    assert not check_coproduct_universal(Cocone(Z, (ident, ident)), [Z, Z], Tag.UHMAG, probes())
+    # identities that do not (co)equalize t and zero: every map T -> Z2 (or
+    # K -> T) is mediated, also those outside the (co)cones
+    t = Morphism(Z, K, (0, 1))
+    zero = Morphism(Z, K, (0, 0))
+    assert not check_equalizer_universal(t, zero, Z, ident, Tag.UHMAG, probes())
+    assert not check_coequalizer_universal(t, zero, identity_morphism(K), Tag.UHMAG, probes())
 
 
 def test_coequalizer_of_equal_pair():

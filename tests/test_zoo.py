@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import pytest
@@ -357,6 +358,26 @@ def test_refute_coproduct_z2_diagonal():
     r = refute_coproduct_candidate(Z, ident, ident, battery=[krasner(), Z])
     assert r.refuted
     assert any("no mediating" in s or "not unique" in s for s in r.steps)
+
+
+def test_coproduct_refutations_pinned():
+    """Every coproduct candidate of order <= 4, replayed against the default
+    battery and against [K, Z2]: the digest pins every step and witness."""
+    Z = z2()
+    digest = hashlib.sha256()
+    last_steps = []
+    for battery in (None, [krasner(), Z]):
+        for n in range(1, 5):
+            for Gc in enumerate_canonical_hypergroups(n):
+                legs = enumerate_morphisms(Z, Gc, Tag.CMSC)
+                for i1, i2 in itertools.product(legs, repeat=2):
+                    r = refute_coproduct_candidate(Gc, i1, i2, battery=battery)
+                    digest.update(repr((r.refuted, r.steps, r.witness)).encode())
+                    last_steps.append(r.steps[-1].split(" for legs ")[0])
+    assert last_steps.count("no mediating morphism") == 1334
+    assert last_steps.count("mediating morphism not unique") == 1152
+    assert len(last_steps) == 2486
+    assert digest.hexdigest() == "a47a05507fe48001adaa481e523492805efc911e8e8031478e4c13663bdc86b6"
 
 
 def test_refute_equalizer_weak_sub_not_candidate():
