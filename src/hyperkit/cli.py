@@ -2,12 +2,15 @@
 run the paper-fact suite.
 
 Exit codes: 0 success, 1 verified failure or refutation, 2 usage or parse
-errors.  Every path is a thin wrapper over the library.
+errors.  A standard output closed by its reader (`hyperkit check f | head`)
+ends the command with exit 1 and no message.  Every path is a thin wrapper
+over the library.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import formats
@@ -335,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
 PARSER = build_parser()
 
 
-def main(argv=None) -> int:
+def _run(argv) -> int:
     ap = PARSER
     try:
         # flags may precede the input files; argparse then leaves the files
@@ -354,6 +357,24 @@ def main(argv=None) -> int:
         return 2
     except HyperkitError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
+
+
+def main(argv=None) -> int:
+    try:
+        code = _run(argv)
+        # a closed pipe fails this flush, not the interpreter's last one
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # what is left in the buffer goes to /dev/null when Python exits
+        try:
+            fd = sys.stdout.fileno()
+        except (AttributeError, OSError, ValueError):
+            return 1
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, fd)
+        os.close(devnull)
         return 1
 
 

@@ -239,24 +239,18 @@ def hom_object(M: Hypermagma, N: Hypermagma, tag: Tag) -> Hypermagma:
     return from_masks(labels, rows)
 
 
-def hom_index(M: Hypermagma, N: Hypermagma, tag: Tag, map_tuple: tuple[int, ...]) -> int:
-    homs = enumerate_morphisms(M, N, tag)
-    for i, h in enumerate(homs):
-        if h.map == map_tuple:
-            return i
-    raise KeyError(map_tuple)
-
-
 def curry(phi: Morphism, M: Hypermagma, N: Hypermagma, tag: Tag) -> Morphism:
     """Hom(M (x) N, L) -> Hom(M, [N, L])."""
     T, u = tensor(M, N, tag)
     ensure(phi.dom == T, "curry: phi is not defined on the tensor")
     L = phi.cod
     Hobj = hom_object(N, L, tag)
+    # the elements of [N, L] are Hom(N, L) in enumeration order
+    index = {h.map: i for i, h in enumerate(enumerate_morphisms(N, L, tag))}
     images = []
     for x in range(M.n):
         slice_map = tuple(phi.map[u(x, y)] for y in range(N.n))
-        images.append(hom_index(N, L, tag, slice_map))
+        images.append(index[slice_map])
     psi = Morphism(M, Hobj, tuple(images))
     ensure(morphism_in_tag(psi, tag), "curry: the curried map is not a morphism")
     return psi

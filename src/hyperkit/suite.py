@@ -79,10 +79,12 @@ from .univ import (
 from .zoo import (
     conjugacy_hypergroup,
     cyclic_group,
+    coproduct_replay,
     double_coset_hypergroup,
     empty_sum_search,
     enumerate_canonical_hypergroups,
     enumerate_lattices,
+    equalizer_replay,
     gf9_frobenius,
     gf9_quotient,
     group_to_hypermagma,
@@ -92,9 +94,9 @@ from .zoo import (
     krasner_multiring,
     krasner_quotient,
     lattice_mosaic,
+    leg_pairs,
     orbit_hypergroup,
-    refute_coproduct_candidate,
-    refute_equalizer_candidate,
+    refuter_record,
     symmetric_group,
     z2,
     zmod_ring,
@@ -343,12 +345,11 @@ def check_closed_counts(hom_cap: int = 200) -> CheckResult:
                     False,
                     f"{tag.value}: |Hom(X(x)Y,Z)| = {len(left)} != {len(right)}",
                 )
-            curried = (curry(phi, X, Y, tag).map for phi in left)
-            if bijection_failure(curried, [h.map for h in right]) is not None:
+            curried = [curry(phi, X, Y, tag) for phi in left]
+            if bijection_failure((psi.map for psi in curried), [h.map for h in right]) is not None:
                 return CheckResult("closed-counts", False, f"curry not bijective in {tag.value}")
-            for phi in left:
-                again = uncurry(curry(phi, X, Y, tag), X, Y, Z, tag)
-                if again != phi:
+            for phi, psi in zip(left, curried):
+                if uncurry(psi, X, Y, Z, tag) != phi:
                     return CheckResult("closed-counts", False, "uncurry . curry != id")
             checked += 1
     return CheckResult(
@@ -518,20 +519,18 @@ def check_klein_four() -> CheckResult:
 
 
 def check_klein_four_refuter(max_size: int = 5) -> CheckResult:
-    V = klein_v()
-    K = krasner()
+    K, V = krasner(), klein_v()
     bat = [K, z2(), V]
-    bim_counts = {
-        id(L): len(enumerate_bimorphisms(V, V, L, Tag.CMSC)) for L in bat
-    }
+    bim_counts = [len(enumerate_bimorphisms(V, V, L, Tag.CMSC)) for L in bat]
     survivors = []
     for n in range(1, max_size + 1):
         for T in enumerate_canonical_hypergroups(n):
-            # a representing object must match hom counts on every battery L
-            if any(
-                len(enumerate_morphisms(T, L, Tag.CMSC)) != bim_counts[id(L)]
-                for L in bat
-            ):
+            rec = refuter_record(T)
+            # a representing object must match hom counts on every battery L;
+            # Hom(T, V) is enumerated only for a T that matches on K and Z2
+            if [len(rec.to_k), len(rec.to_z2)] != bim_counts[:2]:
+                continue
+            if len(enumerate_morphisms(T, V, Tag.CMSC)) != bim_counts[2]:
                 continue
             for u in enumerate_bimorphisms(V, V, T, Tag.CMSC):
                 ok, _ = represents_bimorphisms(T, u, bat, Tag.CMSC)
@@ -539,7 +538,7 @@ def check_klein_four_refuter(max_size: int = 5) -> CheckResult:
                     survivors.append((T, u))
     # V x V with every candidate bimorphism dies on cardinalities alone
     prod_vv = product([V, V]).apex
-    vv_refuted = len(enumerate_morphisms(prod_vv, K, Tag.CMSC)) != bim_counts[id(K)]
+    vv_refuted = len(enumerate_morphisms(prod_vv, K, Tag.CMSC)) != bim_counts[0]
     ok = not survivors and vv_refuted
     return CheckResult(
         "klein-four-refuter",
@@ -549,16 +548,22 @@ def check_klein_four_refuter(max_size: int = 5) -> CheckResult:
 
 
 def check_coproduct_refuter(max_size: int = 5) -> CheckResult:
-    Z = z2()
+    K, Z = krasner(), z2()
+    pairs_k, pairs_z = leg_pairs(K), leg_pairs(Z)
     total = 0
     for n in range(1, max_size + 1):
         for Gc in enumerate_canonical_hypergroups(n):
-            legs = enumerate_morphisms(Z, Gc, Tag.CMSC)
-            for i1 in legs:
-                for i2 in legs:
-                    total += 1
-                    r = refute_coproduct_candidate(Gc, i1, i2, battery=[krasner(), Z])
-                    if not r.refuted:
+            rec = refuter_record(Gc)
+            total += len(rec.legs) ** 2
+            if not rec.canonical:
+                continue  # refuted: not a candidate
+            targets = (
+                (K, [phi.map for phi in rec.to_k], pairs_k),
+                (Z, [phi.map for phi in rec.to_z2], pairs_z),
+            )
+            for i1 in rec.legs:
+                for i2 in rec.legs:
+                    if coproduct_replay(i1, i2, targets) is None:
                         return CheckResult(
                             "coproduct-refuter", False, f"candidate survived: {Gc.labels}"
                         )
@@ -573,12 +578,14 @@ def check_equalizer_refuter(max_size: int = 5) -> CheckResult:
     total = 0
     for n in range(1, max_size + 1):
         for E in enumerate_canonical_hypergroups(n):
-            for e in enumerate_morphisms(E, H, Tag.CMSC):
-                if any(F.map[e.map[x]] != e.map[x] for x in range(E.n)):
+            rec = refuter_record(E)
+            for e in rec.to_h:
+                if any(F.map[v] != v for v in e.map):
                     continue
                 total += 1
-                r = refute_equalizer_candidate(E, e)
-                if not r.refuted:
+                if not rec.canonical:
+                    continue  # refuted: not a candidate
+                if not equalizer_replay(E, rec.lift_points, e.map, F.map)[0]:
                     return CheckResult(
                         "equalizer-refuter", False, f"candidate survived: {E.labels}"
                     )

@@ -897,6 +897,13 @@ def enumerate_canonical_hypergroups(n: int, *, cap: int | None = None) -> list[H
 
 # ---------------------------------------------------------------------------
 # Refuters
+#
+# Each refuter walks the classes of canonical hypergroups and replays a
+# proof against every candidate on each class.  What depends on the class
+# alone is read once per class (`refuter_record`); what depends on the
+# candidate is a replay (`coproduct_replay`, `equalizer_replay`) that
+# formats nothing.  The `refute_*_candidate` functions run the same replay
+# on one candidate and spell out its steps.
 
 
 @dataclass(frozen=True)
@@ -907,48 +914,160 @@ class Refutation:
     witness: tuple | None = None
 
 
+@dataclass(frozen=True)
+class RefuterRecord:
+    """What the three refuters read of one class G; hom-sets are in CMSC."""
+
+    canonical: bool  # G is a canonical hypergroup (or an abelian group)
+    legs: list[Morphism]  # Hom(Z2, G)
+    to_k: list[Morphism]  # Hom(G, K)
+    to_z2: list[Morphism]  # Hom(G, Z2)
+    to_h: list[Morphism]  # Hom(G, H), H the gf9 quotient
+    lift_points: tuple[int, ...]  # the x with {0, x} inside x + x, ascending
+
+
+def _lift_points(G: Hypermagma) -> tuple[int, ...]:
+    """The x with {0, x} inside x + x: where a K -> G morphism can send 1."""
+    e = G.identity
+    if e is None:
+        return ()
+    return tuple(x for x in range(G.n) if (G.table[x][x] >> e) & 1 and (G.table[x][x] >> x) & 1)
+
+
+def refuter_record(G: Hypermagma) -> RefuterRecord:
+    """The per-class half of the coproduct, equalizer and Klein-four
+    refuters, every hom-set through the memoised `enumerate_morphisms`.
+    Hom(G, V) for the Klein four group V is left out: the Klein-four
+    refuter needs it only on a class that passes the K and Z2 counts."""
+    Z = z2()
+    return RefuterRecord(
+        canonical=analyze(G).classification in ("CanonicalHypergroup", "AbelianGroup"),
+        legs=enumerate_morphisms(Z, G, Tag.CMSC),
+        to_k=enumerate_morphisms(G, krasner(), Tag.CMSC),
+        to_z2=enumerate_morphisms(G, Z, Tag.CMSC),
+        to_h=enumerate_morphisms(G, gf9_quotient().additive, Tag.CMSC),
+        lift_points=_lift_points(G),
+    )
+
+
+def leg_pairs(T: Hypermagma) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Hom(Z2, T) x Hom(Z2, T) as pairs of maps: the pairs of legs into T
+    that a coproduct of Z2 with itself mediates, each by exactly one map."""
+    legs = [f.map for f in enumerate_morphisms(z2(), T, Tag.CMSC)]
+    return list(itertools.product(legs, repeat=2))
+
+
+def coproduct_replay(
+    i1: Morphism, i2: Morphism, targets: Iterable[tuple[Hypermagma, list, list]]
+) -> tuple[Hypermagma, str, tuple] | None:
+    """The per-candidate half of the coproduct refuter.  `targets` holds,
+    per battery object T, (T, the maps of Hom(G, T), `leg_pairs(T)`):
+    composing with i1 and i2 must hit each pair of legs exactly once.
+    Returns the first failure, (T, "repeated" or "missing", the legs), or
+    None when the battery passes."""
+    (a1, b1), (a2, b2) = i1.map, i2.map
+    for T, maps, pairs in targets:
+        keys = (((m[a1], m[b1]), (m[a2], m[b2])) for m in maps)
+        failure = bijection_failure(keys, pairs)
+        # an "extra" key needs i1 or i2 not to be a morphism; the refutation
+        # rests on the mediating morphism's existence and uniqueness only
+        if failure is not None and failure[0] != "extra":
+            return T, *failure
+    return None
+
+
+def coproduct_refutation(failure: tuple[Hypermagma, str, tuple] | None) -> Refutation:
+    """The steps of a `coproduct_replay` on a canonical candidate."""
+    can_z2_K = enumerate_morphisms(z2(), krasner(), Tag.CAN)
+    ensure(len(can_z2_K) == 2, "refute_coproduct_candidate: |Can(Z2,K)| is not 2")
+    steps = (f"|Can(Z2,K)| = {len(can_z2_K)}",)
+    if failure is None:
+        return Refutation(False, "candidate", steps + ("battery passed",))
+    T, kind, key = failure
+    if kind == "repeated":
+        step = f"mediating morphism not unique for legs {key}"
+    else:
+        step = f"no mediating morphism for legs {key} into {'|'.join(T.labels)}"
+    return Refutation(True, "candidate", steps + (step,), witness=key)
+
+
 def refute_coproduct_candidate(
     Gc: Hypermagma, i1: Morphism, i2: Morphism, battery: Sequence[Hypermagma] | None = None
 ) -> Refutation:
     """Replay the finite steps showing (Gc, i1, i2) is not a coproduct of
     Z2 with itself among canonical hypergroups."""
-    steps = []
-    rep = analyze(Gc)
-    if rep.classification not in ("CanonicalHypergroup", "AbelianGroup"):
+    if analyze(Gc).classification not in ("CanonicalHypergroup", "AbelianGroup"):
         return Refutation(True, "candidate", ("candidate is not a canonical hypergroup",))
-    Z = z2()
-    K = krasner()
-    can_z2_K = enumerate_morphisms(Z, K, Tag.CAN)
-    steps.append(f"|Can(Z2,K)| = {len(can_z2_K)}")
-    ensure(len(can_z2_K) == 2, "refute_coproduct_candidate: |Can(Z2,K)| is not 2")
     if battery is None:
-        battery = [K, Z, Gc]
-    (a1, b1), (a2, b2) = i1.map, i2.map
-    for T in battery:
-        homs = enumerate_morphisms(Gc, T, Tag.CMSC)
-        legs = [f.map for f in enumerate_morphisms(Z, T, Tag.CMSC)]
-        keys = (((m[a1], m[b1]), (m[a2], m[b2])) for m in (phi.map for phi in homs))
-        failure = bijection_failure(keys, list(itertools.product(legs, repeat=2)))
-        # an "extra" key needs i1 or i2 not to be a morphism; the refutation
-        # rests on the mediating morphism's existence and uniqueness only
-        if failure is None or failure[0] == "extra":
-            continue
-        kind, key = failure
-        if kind == "repeated":
-            step = f"mediating morphism not unique for legs {key}"
-        else:
-            step = f"no mediating morphism for legs {key} into {'|'.join(T.labels)}"
-        return Refutation(True, "candidate", tuple(steps + [step]), witness=key)
-    return Refutation(False, "candidate", tuple(steps + ["battery passed"]))
+        battery = [krasner(), z2(), Gc]
+    targets = (
+        (T, [phi.map for phi in enumerate_morphisms(Gc, T, Tag.CMSC)], leg_pairs(T))
+        for T in battery
+    )
+    return coproduct_refutation(coproduct_replay(i1, i2, targets))
 
 
 @memo
 def _gf9_classifier_targets() -> tuple[int, int]:
-    """Classes of 1 and of the square of the least multiplicative generator."""
+    """Classes of 1 and of the square of the least multiplicative generator:
+    the images of 1 under the K -> H morphisms f and g of the equalizer
+    proof, both fixed by the Frobenius."""
     R = make_gf9()
     alpha = multiplicative_generator(R)
     proj = _unit_classes(R, _sign_subgroup(R))
-    return proj[R.one], proj[R.mul[alpha][alpha]]
+    targets = proj[R.one], proj[R.mul[alpha][alpha]]
+    H = gf9_quotient().additive
+    F = gf9_frobenius(H)
+    ensure(
+        all(F.map[v] == v for v in (H.identity, *targets)),
+        "refute_equalizer_candidate: a K -> H map from the proof is not F-fixed",
+    )
+    return targets
+
+
+def equalizer_replay(
+    E: Hypermagma, lift_points: Sequence[int], emap: Sequence[int], fmap: Sequence[int]
+) -> tuple[bool, tuple[int, ...], int | None]:
+    """The per-candidate half of the equalizer refuter, for e: E -> H with
+    map `emap` that equalizes id and the Frobenius (map `fmap`).  The K -> H
+    map sending 1 to a target of `_gf9_classifier_targets` factors through e
+    iff e sends a lift point of E to it; with x and y the first such points,
+    the least z in x + y must map to an F-fixed class.  Returns (refuted,
+    the lift points found, z), z None when x + y is not reached or empty."""
+    lifts = []
+    for target in _gf9_classifier_targets():
+        x = next((x for x in lift_points if emap[x] == target), None)
+        if x is None:
+            return True, tuple(lifts), None
+        lifts.append(x)
+    x, y = lifts
+    sums = E.table[x][y]
+    if not sums:
+        return True, (x, y), None
+    z = next(iter_bits(sums))
+    return fmap[emap[z]] != emap[z], (x, y), z
+
+
+def equalizer_refutation(
+    E: Hypermagma, emap: Sequence[int], outcome: tuple[bool, tuple[int, ...], int | None]
+) -> Refutation:
+    """The steps of an `equalizer_replay` on a canonical candidate."""
+    H = gf9_quotient().additive
+    refuted, lifts, z = outcome
+    steps = [f"H carrier {list(H.labels)}"]
+    steps += [f"{name} factors via element {E.labels[x]}" for name, x in zip("fg", lifts)]
+    if len(lifts) < 2:
+        name = "fg"[len(lifts)]
+        steps.append(f"{name} does not factor through the candidate")
+        target = _gf9_classifier_targets()[len(lifts)]
+        return Refutation(True, "candidate", tuple(steps), witness=(name, target))
+    if z is None:
+        steps.append("x + y is empty, so E is not total")
+        return Refutation(True, "candidate", tuple(steps), witness=lifts)
+    steps.append(f"z = {E.labels[z]} in x+y maps to {H.labels[emap[z]]}, F-fixed: {not refuted}")
+    if refuted:
+        return Refutation(True, "candidate", tuple(steps), witness=(*lifts, z))
+    return Refutation(False, "candidate", tuple(steps + ["replay found no violation"]))
 
 
 def refute_equalizer_candidate(E: Hypermagma, e: Morphism) -> Refutation:
@@ -960,56 +1079,10 @@ def refute_equalizer_candidate(E: Hypermagma, e: Morphism) -> Refutation:
         raise CandidateDoesNotEqualize("candidate does not land in the gf9 quotient")
     if any(F.map[e.map[x]] != e.map[x] for x in range(E.n)):
         raise CandidateDoesNotEqualize("candidate morphism does not equalize id and F")
-    steps = []
-    rep = analyze(E)
-    if rep.classification not in ("CanonicalHypergroup", "AbelianGroup"):
+    if analyze(E).classification not in ("CanonicalHypergroup", "AbelianGroup"):
         return Refutation(True, "candidate", ("not a canonical hypergroup (not a candidate)",))
-    K = krasner()
-    # the two K -> H morphisms from the proof, f(1) = [1] and g(1) = [a^2]
-    one, alpha2 = _gf9_classifier_targets()
-    steps.append(f"H carrier {list(H.labels)}")
-    targets = []
-    for target, name in ((one, "f"), (alpha2, "g")):
-        cand = Morphism(K, H, (H.identity, target))
-        ensure(
-            all(F.map[cand.map[x]] == cand.map[x] for x in range(2)),
-            "refute_equalizer_candidate: a K -> H map from the proof is not F-fixed",
-        )
-        # a K -> E factor lands 1 at x with {0, x} inside x + x
-        lifts = [
-            x
-            for x in range(E.n)
-            if e.map[x] == target
-            and (E.table[x][x] >> E.identity) & 1
-            and (E.table[x][x] >> x) & 1
-        ]
-        if not lifts:
-            return Refutation(
-                True,
-                "candidate",
-                tuple(steps + [f"{name} does not factor through the candidate"]),
-                witness=(name, target),
-            )
-        targets.append(lifts[0])
-        steps.append(f"{name} factors via element {E.labels[lifts[0]]}")
-    x, y = targets
-    sums = E.table[x][y]
-    if not sums:
-        return Refutation(
-            True,
-            "candidate",
-            tuple(steps + ["x + y is empty, so E is not total"]),
-            witness=(x, y),
-        )
-    z = next(iter_bits(sums))
-    image = e.map[z]
-    fixed = F.map[image] == image
-    steps.append(
-        f"z = {E.labels[z]} in x+y maps to {H.labels[image]}, F-fixed: {fixed}"
-    )
-    if not fixed:
-        return Refutation(True, "candidate", tuple(steps), witness=(x, y, z))
-    return Refutation(False, "candidate", tuple(steps + ["replay found no violation"]))
+    outcome = equalizer_replay(E, _lift_points(E), e.map, F.map)
+    return equalizer_refutation(E, e.map, outcome)
 
 
 # ---------------------------------------------------------------------------

@@ -252,14 +252,17 @@ def test_criterion_12_klein_four():
         assert res.ok, res.detail
         res2 = check_klein_four_refuter(5)
         assert res2.ok, res2.detail
+        assert res2.detail == "no representing object of size <= 5; V x V rejected by counts"
 
 
 def test_criterion_13_refuters():
     with criterion(13, "coproduct and equalizer refuters at size <= 5"):
         res = check_coproduct_refuter(5)
         assert res.ok, res.detail
+        assert res.detail == "all 82883 candidates of size <= 5 refuted"
         res2 = check_equalizer_refuter(5)
         assert res2.ok, res2.detail
+        assert res2.detail == "all 14162 equalizing candidates of size <= 5 refuted"
 
 
 def test_criterion_14_matroid_functor():

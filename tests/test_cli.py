@@ -280,6 +280,36 @@ def test_paper_suite_only(capsys):
     assert "PASS krasner" in out
 
 
+class _ClosedPipe:
+    """A standard output whose reader went away: the first write fails, or
+    with `buffered` the writes are kept and the flush fails."""
+
+    def __init__(self, buffered):
+        self.buffered = buffered
+
+    def write(self, text):
+        if self.buffered:
+            return len(text)
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("buffered", [False, True], ids=["at-write", "at-flush"])
+@pytest.mark.parametrize("command", ["check", "paper-suite"])
+def test_closed_stdout_exits_1_without_traceback(
+    tmp_path, capsys, monkeypatch, command, buffered
+):
+    if command == "check":
+        argv = ["check", krasner_file(tmp_path)]
+    else:
+        argv = ["paper-suite", "--only", "krasner"]
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe(buffered))
+    assert main(argv) == 1
+    assert capsys.readouterr().err == ""
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [

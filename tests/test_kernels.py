@@ -5,7 +5,8 @@ Each kernel is checked against the per-bit loop it replaced, kept here as
 the reference: `image_tables` against mask_of(iter_bits), `pushed_table`,
 `quotient` and `is_short` against the double loop over fiber products,
 `is_colax`/`is_lax`/`is_strict` against the per-entry image loop, `boxdot`
-against the four-case loop and `hom_object` against the per-coordinate loop.
+against the four-case loop, `hom_object` against the per-coordinate loop and
+`curry` against a scan of Hom(N, L) for each element.
 `analyze`, which skips the triples whose answer is fixed, is checked against
 the loops over all n^3 triples, and `from_masks`'s identity against the
 element-by-element scan.
@@ -38,7 +39,8 @@ from hyperkit.matroid import (
     matroid_to_mosaic,
     uniform_matroid,
 )
-from hyperkit.monoidal import boxdot, hom_object
+from hyperkit.monoidal import boxdot, curry, hom_object, tensor
+from hyperkit.suite import _closed_count_triples
 from hyperkit.zoo import (
     conjugacy_hypergroup,
     cyclic_group,
@@ -350,6 +352,30 @@ def test_hom_object_matches_coordinate_loop_on_random_tables(data):
     M = data.draw(hypermagmas([0, 1, 2, 3]))
     N = data.draw(hypermagmas([1, 2, 3]))
     assert hom_object(M, N, Tag.HMAG).table == _old_hom_table(M, N, Tag.HMAG)
+
+
+def _old_curry(phi, M, N, tag):
+    """curry's images by a linear scan of Hom(N, L) for each x."""
+    T, u = tensor(M, N, tag)
+    homs = enumerate_morphisms(N, phi.cod, tag)
+    images = []
+    for x in range(M.n):
+        slice_map = tuple(phi.map[u(x, y)] for y in range(N.n))
+        images.append(next(i for i, h in enumerate(homs) if h.map == slice_map))
+    return tuple(images)
+
+
+@pytest.mark.parametrize("tag", [Tag.HMAG, Tag.UHMAG, Tag.CMSC], ids=lambda t: t.value)
+def test_curry_matches_hom_scan(tag):
+    checked = 0
+    for X, Y, Z in _closed_count_triples(tag):
+        T, _ = tensor(X, Y, tag)
+        for phi in enumerate_morphisms(T, Z, tag):
+            psi = curry(phi, X, Y, tag)
+            assert psi.cod == hom_object(Y, Z, tag)
+            assert psi.map == _old_curry(phi, X, Y, tag)
+            checked += 1
+    assert checked
 
 
 def _old_detect_identity(table):

@@ -76,3 +76,40 @@ def test_traced_names_resolve():
         if not callable(getattr(importlib.import_module(f"hyperkit.{module}"), func, None)):
             missing.append(name)
     assert missing == []
+
+
+def _named(tree):
+    """Every identifier a module names: names, attributes, imported names,
+    and dotted-name strings such as the tracer's "zoo.analyze"."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.append(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.append(node.attr)
+        elif isinstance(node, ast.alias):
+            out.append(node.name.split(".")[-1])
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if all(part.isidentifier() for part in node.value.split(".")):
+                out += node.value.split(".")
+    return out
+
+
+def test_module_level_definitions_are_named_elsewhere():
+    # a function or class that nothing names is dead code
+    root = os.path.join(os.path.dirname(__file__), os.pardir)
+    named = []
+    for folder in (SRC, os.path.join(root, "tests"), os.path.join(root, "perfbench")):
+        for dirpath, _, files in os.walk(folder):
+            for f in files:
+                if f.endswith(".py"):
+                    with open(os.path.join(dirpath, f)) as fh:
+                        named += _named(ast.parse(fh.read(), f))
+    named = set(named)
+    unnamed = [
+        f"{name}:{node.name}"
+        for name in MODULES
+        for node in _tree(name).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in named
+    ]
+    assert unnamed == []

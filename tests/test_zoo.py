@@ -22,12 +22,16 @@ from hyperkit.zoo import (
     _gf9_classifier_targets,
     check_multiring,
     conjugacy_hypergroup,
+    coproduct_refutation,
+    coproduct_replay,
     cyclic_group,
     double_coset_hypergroup,
     empty_sum_search,
     enumerate_canonical_hypergroups,
     enumerate_lattices,
     enumerate_unital_hypermagmas,
+    equalizer_refutation,
+    equalizer_replay,
     gf9_frobenius,
     gf9_quotient,
     group_to_hypermagma,
@@ -36,6 +40,7 @@ from hyperkit.zoo import (
     krasner,
     krasner_quotient,
     lattice_mosaic,
+    leg_pairs,
     make_finite_group,
     make_gf4,
     make_gf9,
@@ -43,6 +48,7 @@ from hyperkit.zoo import (
     orbit_hypergroup,
     refute_coproduct_candidate,
     refute_equalizer_candidate,
+    refuter_record,
     symmetric_group,
     zmod_ring,
 )
@@ -378,6 +384,101 @@ def test_coproduct_refutations_pinned():
     assert last_steps.count("mediating morphism not unique") == 1152
     assert len(last_steps) == 2486
     assert digest.hexdigest() == "a47a05507fe48001adaa481e523492805efc911e8e8031478e4c13663bdc86b6"
+
+
+@pytest.mark.parametrize("battery", ["default", "K-Z2"])
+def test_coproduct_replay_on_the_record_matches_direct_refutation(battery):
+    """The per-class record plus the replay, as the coproduct refuter runs
+    them, give the Refutation of a direct call on every candidate of order
+    <= 4; the homs into K and Z2 come from the record."""
+    K, Z = krasner(), z2()
+    count = 0
+    for n in range(1, 5):
+        for Gc in enumerate_canonical_hypergroups(n):
+            rec = refuter_record(Gc)
+            assert rec.canonical
+            assert rec.legs == enumerate_morphisms(Z, Gc, Tag.CMSC)
+            objects = [K, Z, Gc] if battery == "default" else [K, Z]
+            from_record = {K: rec.to_k, Z: rec.to_z2}
+            targets = []
+            for T in objects:
+                homs = from_record.get(T) or enumerate_morphisms(Gc, T, Tag.CMSC)
+                targets.append((T, [phi.map for phi in homs], leg_pairs(T)))
+            for i1, i2 in itertools.product(rec.legs, repeat=2):
+                direct = refute_coproduct_candidate(
+                    Gc, i1, i2, battery=None if battery == "default" else [K, Z]
+                )
+                assert coproduct_refutation(coproduct_replay(i1, i2, targets)) == direct
+                count += 1
+    assert count == 1243
+
+
+def test_equalizer_replay_on_the_record_matches_direct_refutation():
+    H = gf9_quotient().additive
+    F = gf9_frobenius(H)
+    count = 0
+    for n in range(1, 5):
+        for E in enumerate_canonical_hypergroups(n):
+            rec = refuter_record(E)
+            assert rec.to_h == enumerate_morphisms(E, H, Tag.CMSC)
+            for e in rec.to_h:
+                if any(F.map[v] != v for v in e.map):
+                    continue
+                outcome = equalizer_replay(E, rec.lift_points, e.map, F.map)
+                assert equalizer_refutation(E, e.map, outcome) == refute_equalizer_candidate(E, e)
+                count += 1
+    assert count == 458
+
+
+def test_equalizer_refutations_pinned():
+    """Every equalizing candidate of order <= 4: the digest pins every step
+    and witness."""
+    H = gf9_quotient().additive
+    F = gf9_frobenius(H)
+    digest = hashlib.sha256()
+    last_steps = []
+    for n in range(1, 5):
+        for E in enumerate_canonical_hypergroups(n):
+            for e in enumerate_morphisms(E, H, Tag.CMSC):
+                if any(F.map[v] != v for v in e.map):
+                    continue
+                r = refute_equalizer_candidate(E, e)
+                digest.update(repr((r.refuted, r.steps, r.witness)).encode())
+                last_steps.append(r.steps[-1])
+    assert last_steps.count("f does not factor through the candidate") == 347
+    assert last_steps.count("g does not factor through the candidate") == 111
+    assert len(last_steps) == 458
+    assert digest.hexdigest() == "0812b321743f956847b2bb4f3f95809bee67bcf0a07932eb81c2bf8ae93fc2f9"
+
+
+def test_equalizer_replay_reads_the_sum_of_the_lift_points():
+    # no class reaches the sum step: on a morphism that equalizes, f or g
+    # does not factor, so two non-canonical tables stand in
+    H = gf9_quotient().additive
+    F = gf9_frobenius(H)
+    from hyperkit.core import weak_sub
+    from hyperkit.hom import inclusion_morphism
+
+    L = weak_sub(H, mask_of(x for x in range(H.n) if F.map[x] == x))
+    inc = inclusion_morphism(L, H)
+    rec = refuter_record(L)
+    assert not rec.canonical and rec.lift_points == (0, 1, 2)
+    outcome = equalizer_replay(L, rec.lift_points, inc.map, F.map)
+    assert outcome == (True, (2, 1), None)
+    r = equalizer_refutation(L, inc.map, outcome)
+    assert r.steps[1:] == (
+        "f factors via element 1",
+        "g factors via element i",
+        "x + y is empty, so E is not total",
+    )
+    assert r.witness == (2, 1)
+    # the same carrier with i + 1 = {0}: z = 0 maps to an F-fixed class
+    E = from_masks(L.labels, ((0b001, 0b010, 0b100), (0b010, 0b011, 0b001), (0b100, 0b001, 0b101)))
+    outcome = equalizer_replay(E, refuter_record(E).lift_points, inc.map, F.map)
+    assert outcome == (False, (2, 1), 0)
+    r = equalizer_refutation(E, inc.map, outcome)
+    assert not r.refuted and r.witness is None
+    assert r.steps[-2:] == ("z = 0 in x+y maps to 0, F-fixed: True", "replay found no violation")
 
 
 def test_refute_equalizer_weak_sub_not_candidate():
