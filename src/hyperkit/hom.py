@@ -185,14 +185,7 @@ def colax_schedule(M: Hypermagma) -> list[tuple[list, list]]:
 
 
 @memo
-def enumerate_morphisms(
-    M: Hypermagma,
-    N: Hypermagma,
-    tag: Tag = Tag.HMAG,
-    strict_only: bool = False,
-    *,
-    cap: int | None = None,
-) -> list[Morphism]:
+def enumerate_morphisms(M: Hypermagma, N: Hypermagma, tag: Tag) -> list[Morphism]:
     """All tag-morphisms M -> N, ordered by the map array.
 
     Depth-first over element images in carrier order.  Each colaxity triple
@@ -210,7 +203,7 @@ def enumerate_morphisms(
     if unital_tag and (M.identity is None or N.identity is None):
         raise NotUnital(f"tag {tag.value} needs unital objects")
     n, m = M.n, N.n
-    budget = Budget(cap, f"enumerate_morphisms(|M|={n}, |N|={m}, {tag.value})")
+    budget = Budget(f"enumerate_morphisms(|M|={n}, |N|={m}, {tag.value})")
     if n == 0:
         return [Morphism(M, N, ())]
     out: list[Morphism] = []
@@ -229,9 +222,7 @@ def enumerate_morphisms(
 
     def rec(k: int) -> None:
         if k == n:
-            g = Morphism(M, N, tuple(f))
-            if not strict_only or is_strict(g):
-                out.append(g)
+            out.append(Morphism(M, N, tuple(f)))
             return
         allowed = every
         if use_inverse_prune:

@@ -3,7 +3,6 @@ simplification, the matroid-to-mosaic functor, and projective-law checks.
 """
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -67,9 +66,9 @@ class Matroid:
         return tuple(self.ground[i] for i in iter_bits(mask))
 
 
-def _check_exchange(M: Matroid, spot_checks: int = 32) -> None:
-    """Exchange over flat S (closures of arbitrary S reduce to flats), plus a
-    seeded random spot check over arbitrary subsets."""
+def _check_exchange(M: Matroid) -> None:
+    """Exchange over every flat S.  The flats are intersection-closed, so
+    cl(S + y) = cl(cl(S) + y) and that covers every subset S."""
     n = M.n
     for S in M.flats:
         for x in range(n):
@@ -77,22 +76,6 @@ def _check_exchange(M: Matroid, spot_checks: int = 32) -> None:
                 continue
             for y in range(n):
                 if (S >> y) & 1 or y == x:
-                    continue
-                if (M.closure(S | (1 << y)) >> x) & 1:
-                    if not (M.closure(S | (1 << x)) >> y) & 1:
-                        raise ExchangeFails(
-                            f"exchange fails at S={M.label_set(S)}, "
-                            f"x={M.ground[x]}, y={M.ground[y]}"
-                        )
-    rng = random.Random(0xC105)
-    for _ in range(spot_checks):
-        S = rng.randrange(1 << n) if n else 0
-        C = M.closure(S)
-        for x in range(n):
-            if (C >> x) & 1:
-                continue
-            for y in range(n):
-                if (C >> y) & 1 or y == x:
                     continue
                 if (M.closure(S | (1 << y)) >> x) & 1:
                     if not (M.closure(S | (1 << x)) >> y) & 1:
@@ -122,16 +105,6 @@ def make_matroid(
         fl = set()
         for F in flats:
             fl.add(F if isinstance(F, int) else mask_of(pos[x] for x in F))
-        full = (1 << n) - 1
-        if full not in fl:
-            raise FlatsNotIntersectionClosed("the ground set must be a flat")
-        for A in list(fl):
-            for B in list(fl):
-                if A & B not in fl:
-                    raise FlatsNotIntersectionClosed(
-                        f"intersection of flats {A:b} and {B:b} missing"
-                    )
-        flats_t = tuple(sorted(fl))
     else:
         if n > CONVERT_CAP:
             raise SearchCapExceeded(f"conversion input capped at {CONVERT_CAP} elements")
@@ -156,8 +129,16 @@ def make_matroid(
                 x for x in range(n) if rank_fn(S | (1 << x)) == r
             )
             fl.add(C)
-        flats_t = tuple(sorted(fl))
-    M = Matroid(ground, flats_t, pos[pointed] if pointed is not None else None)
+    # checked on every input path: a rank oracle or a list of independent
+    # sets that is no matroid can give a family that is not a closure system
+    if (1 << n) - 1 not in fl:
+        raise FlatsNotIntersectionClosed("the ground set must be a flat")
+    listed = list(fl)
+    for i, A in enumerate(listed):
+        for B in listed[i:]:
+            if A & B not in fl:
+                raise FlatsNotIntersectionClosed(f"intersection of flats {A:b} and {B:b} missing")
+    M = Matroid(ground, tuple(sorted(fl)), pos[pointed] if pointed is not None else None)
     if M.pointed is not None and not (M.loops() >> M.pointed) & 1:
         raise NotSimplePointed("the distinguished point must be a loop")
     _check_exchange(M)

@@ -134,11 +134,7 @@ def is_bimorphism(b: Bimorphism, tag: Tag) -> bool:
 
 
 def enumerate_bimorphisms(
-    M: Hypermagma,
-    N: Hypermagma,
-    L: Hypermagma,
-    tag: Tag,
-    cap: int | None = None,
+    M: Hypermagma, N: Hypermagma, L: Hypermagma, tag: Tag
 ) -> list[Bimorphism]:
     """All bimorphisms M x N -> L, ordered by the flattened table.
 
@@ -146,11 +142,9 @@ def enumerate_bimorphisms(
     colax, so each triple z in x1*x2 of M is checked across every y at the
     depth where its rows are all chosen (`hom.colax_schedule`).
     """
-    rows_pool = enumerate_morphisms(N, L, tag, cap=cap)
+    rows_pool = enumerate_morphisms(N, L, tag)
     unital_tag = tag in UNITAL_TAGS
-    budget = Budget(
-        cap, f"enumerate_bimorphisms(|M|={M.n}, |N|={N.n}, |L|={L.n}, {tag.value})"
-    )
+    budget = Budget(f"enumerate_bimorphisms(|M|={M.n}, |N|={N.n}, |L|={L.n}, {tag.value})")
     chosen: list[Morphism] = []
     out: list[Bimorphism] = []
     depths = [

@@ -3,7 +3,7 @@ cached function goes through.
 
 A memoised result is stored with the most nodes any single search spent
 while computing it, nested memoised calls included.  A hit whose count
-exceeds the caller's cap computes again, so it raises `SearchCapExceeded`
+exceeds `search_cap()` computes again, so it raises `SearchCapExceeded`
 exactly where a cold call would.
 """
 from __future__ import annotations
@@ -36,13 +36,13 @@ _open: list[list] = []
 
 
 class Budget:
-    """Node budget of one search; `what` names the search in the error."""
+    """Node budget of one search, `search_cap()` nodes; `what` names the
+    search in the error."""
 
     __slots__ = ("cap", "left", "what")
 
-    def __init__(self, cap: int | None, what: str = "enumeration"):
-        self.cap = search_cap() if cap is None else cap
-        self.left = self.cap
+    def __init__(self, what: str):
+        self.cap = self.left = search_cap()
         self.what = what
         if _open:
             _open[-1].append(self)
@@ -53,33 +53,24 @@ class Budget:
             raise SearchCapExceeded(f"{self.what}: node cap exceeded after {self.cap} nodes")
 
 
-_KEYWORDS = object()  # separates positional args from keyword items in a key
-
-
 def memo(fn):
-    """Memoise `fn` on its positional args and keyword items, never on `cap`.
+    """Memoise `fn` on its positional args.
 
     List results come back as fresh lists.  The wrapper has `cache_clear()`.
     """
     table: dict = {}
 
     @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        key, cap = args, None
-        if kwargs:
-            cap = kwargs.get("cap")
-            items = [(k, v) for k, v in kwargs.items() if k != "cap"]
-            if items:
-                key = (*args, _KEYWORDS, *items)
-        hit = table.get(key)
+    def wrapper(*args):
+        hit = table.get(args)
         # a count of 0 is within every cap, so it skips reading the cap
-        if hit is not None and (not hit[1] or hit[1] <= (search_cap() if cap is None else cap)):
+        if hit is not None and (not hit[1] or hit[1] <= search_cap()):
             value, nodes = hit
         else:
             frame: list = []
             _open.append(frame)
             try:
-                value = fn(*args, **kwargs)
+                value = fn(*args)
             finally:
                 _open.pop()
             nodes = 0
@@ -87,7 +78,7 @@ def memo(fn):
                 spent = x if isinstance(x, int) else x.cap - x.left
                 if spent > nodes:
                     nodes = spent
-            table[key] = (value, nodes)
+            table[args] = (value, nodes)
         if _open:
             _open[-1].append(nodes)
         return list(value) if isinstance(value, list) else value

@@ -10,10 +10,11 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable
 
-from .axioms import Tag, analyze, check_total_iff_associative_for_mosaics
+from .axioms import Tag, analyze, check_total_iff_associative_for_mosaics, weak_identity_set
 from .core import (
     Hypermagma,
     Morphism,
+    absorptive_closure,
     find_isomorphism,
     from_masks,
     initial,
@@ -29,12 +30,14 @@ from .hom import (
     bijection_failure,
     check_kind,
     enumerate_morphisms,
+    is_colax,
     is_coshort,
     is_reversible_via_lifting,
     is_short,
     is_short_via_lifting,
     is_strict,
     is_strict_via_lifting,
+    is_unital,
     kernel,
     representing_object,
     triples,
@@ -95,6 +98,8 @@ from .zoo import (
     krasner_quotient,
     lattice_mosaic,
     leg_pairs,
+    make_finite_group,
+    make_multiring,
     orbit_hypergroup,
     refuter_record,
     symmetric_group,
@@ -130,9 +135,9 @@ def mixed3() -> Hypermagma:
     )
 
 
-def battery(tag: Tag, max_size: int = 99) -> list[Hypermagma]:
+def battery(tag: Tag) -> list[Hypermagma]:
     if tag is Tag.HMAG:
-        out = [
+        return [
             initial(),
             one_empty(),
             terminal(),
@@ -143,8 +148,8 @@ def battery(tag: Tag, max_size: int = 99) -> list[Hypermagma]:
             mixed3(),
             representing_object(Tag.HMAG).obj,
         ]
-    elif tag is Tag.UHMAG:
-        out = [
+    if tag is Tag.UHMAG:
+        return [
             terminal(),
             wedge_unit(),
             z2(),
@@ -153,8 +158,8 @@ def battery(tag: Tag, max_size: int = 99) -> list[Hypermagma]:
             d_weak_example(),
             representing_object(Tag.UHMAG).obj,
         ]
-    elif tag is Tag.MSC:
-        out = [
+    if tag is Tag.MSC:
+        return [
             terminal(),
             z2(),
             krasner(),
@@ -162,16 +167,14 @@ def battery(tag: Tag, max_size: int = 99) -> list[Hypermagma]:
             coproduct([z2(), z2()], Tag.MSC).apex,
             klein_v(),
         ]
-    else:
-        out = [
-            terminal(),
-            z2(),
-            krasner(),
-            free(Tag.CMSC, ("1",)),
-            klein_v(),
-            gf9_quotient().additive,
-        ]
-    return [M for M in out if M.n <= max_size]
+    return [
+        terminal(),
+        z2(),
+        krasner(),
+        free(Tag.CMSC, ("1",)),
+        klein_v(),
+        gf9_quotient().additive,
+    ]
 
 
 ACCEPTANCE_BATTERY_NAMES = ("K", "Z2", "F", "V", "F9/F3x")
@@ -219,7 +222,7 @@ def check_gf9() -> CheckResult:
     one = H.index("1")
     alpha2 = H.index("i")
     s = H.label_set(H.table[one][alpha2])
-    F = gf9_frobenius(H)
+    F = gf9_frobenius()
     fixed = mask_of(x for x in range(H.n) if F.map[x] == x)
     L = weak_sub(H, fixed)
     i1, ia2 = L.index("1"), L.index("i")
@@ -272,12 +275,9 @@ def check_coequalizer_example() -> CheckResult:
 
 def check_free_cofree() -> CheckResult:
     ok = True
-    details = []
     F2 = free(Tag.HMAG, ("a", "b"))
     ok &= all(F2.table[i][j] == 0 for i in range(2) for j in range(2))
     D2 = cofree(("a", "b"))
-    from .axioms import weak_identity_set
-
     ok &= weak_identity_set(D2) == 0b11
     ok &= weak_identity_set(free(Tag.HMAG, ("a",))) == 0
     FF = free(Tag.CMSC, ("1",))
@@ -324,18 +324,22 @@ def _closed_count_triples(tag: Tag) -> list[tuple]:
     return list(itertools.product(objs, repeat=3))
 
 
-def check_closed_counts(hom_cap: int = 200) -> CheckResult:
+# closed-counts skips a triple whose hom-sets have more maps than this
+CLOSED_COUNTS_HOM_CAP = 200
+
+
+def check_closed_counts() -> CheckResult:
     checked = 0
     skipped = 0
     for tag in (Tag.HMAG, Tag.UHMAG, Tag.CMSC):
         for X, Y, Z in _closed_count_triples(tag):
             inner = enumerate_morphisms(Y, Z, tag)
-            if len(inner) > hom_cap:
+            if len(inner) > CLOSED_COUNTS_HOM_CAP:
                 skipped += 1
                 continue
             T, _ = tensor(X, Y, tag)
             left = enumerate_morphisms(T, Z, tag)
-            if len(left) > hom_cap:
+            if len(left) > CLOSED_COUNTS_HOM_CAP:
                 skipped += 1
                 continue
             right = enumerate_morphisms(X, hom_object(Y, Z, tag), tag)
@@ -573,8 +577,7 @@ def check_coproduct_refuter(max_size: int = 5) -> CheckResult:
 
 
 def check_equalizer_refuter(max_size: int = 5) -> CheckResult:
-    H = gf9_quotient().additive
-    F = gf9_frobenius(H)
+    F = gf9_frobenius()
     total = 0
     for n in range(1, max_size + 1):
         for E in enumerate_canonical_hypergroups(n):
@@ -624,8 +627,6 @@ def check_matroid_functor() -> CheckResult:
             for f in itertools.product(range(Nn.n), repeat=Mm.n)
             if f[Mm.pointed] == Nn.pointed and is_strong_map(Mm, Nn, f)
         ]
-        from .hom import is_colax, is_unital
-
         for f in strong:
             mor = Morphism(HM, HN, f)
             if not (is_colax(mor) and is_unital(mor)):
@@ -641,9 +642,9 @@ def check_matroid_functor() -> CheckResult:
     return CheckResult("matroid-functor", bool(ok), "; ".join(details))
 
 
-def check_nakano(max_size: int = 6) -> CheckResult:
+def check_nakano() -> CheckResult:
     counts = []
-    for n in range(1, max_size + 1):
+    for n in range(1, 7):
         lats = enumerate_lattices(n)
         counts.append(len(lats))
         for meet in lats:
@@ -662,7 +663,7 @@ def check_nakano(max_size: int = 6) -> CheckResult:
 
 
 def check_hom_health() -> CheckResult:
-    bat = [M for M in battery(Tag.CMSC) if M.n <= 4]
+    bat = _morphism_battery(Tag.CMSC)
     for M in bat:
         for N in bat:
             rep = analyze(hom_object(M, N, Tag.CMSC))
@@ -688,7 +689,7 @@ def check_empty_sum(max_size: int = 6) -> CheckResult:
 
 def check_f2_represents() -> CheckResult:
     Z = z2()
-    for G in acceptance_battery() + [d for d in (gf9_quotient().additive,)]:
+    for G in acceptance_battery():
         homs = enumerate_morphisms(Z, G, Tag.CMSC)
         fixture = [
             x for x in range(G.n) if (G.table[x][x] >> G.identity) & 1
@@ -731,9 +732,9 @@ def _class_of(quotient: Hypermagma, G, g: int) -> int:
     return found[0]
 
 
-def check_mosaic_closure(sizes: int = 3) -> CheckResult:
-    bat = [M for M in battery(Tag.CMSC) if M.n <= 4]
-    small = [M for M in battery(Tag.MSC) if M.n <= sizes]
+def check_mosaic_closure() -> CheckResult:
+    bat = _morphism_battery(Tag.CMSC)
+    small = [M for M in battery(Tag.MSC) if M.n <= 3]
     for A in bat[:4]:
         for B in bat[:4]:
             cone = product([A, B])
@@ -796,8 +797,6 @@ def check_unitization_facts() -> CheckResult:
     for M in (krasner(), d_weak_example()):
         for E in range(1, 1 << M.n):
             q = unitize(M, E)
-            from .core import absorptive_closure
-
             if q.preimage_mask(1 << q.cod.identity) != absorptive_closure(M, E):
                 return CheckResult("unitization", False, "kernel is not the absorptive closure")
             sat = all(
@@ -815,8 +814,6 @@ def check_multiring_embedding() -> CheckResult:
         mo = to_monoid_object(R)
         ok &= mo.hyperring_flavor == R.hyperring
     z6 = zmod_ring(6)
-    from .zoo import make_finite_group, make_multiring
-
     add_hm = group_to_hypermagma(make_finite_group(z6.labels, z6.add))
     mr = make_multiring(add_hm, z6.mul, z6.one)
     ok &= mr.hyperring

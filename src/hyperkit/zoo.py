@@ -572,16 +572,16 @@ def gf9_quotient() -> Multiring:
 
 
 @memo
-def gf9_frobenius(H: Hypermagma | None = None) -> Morphism:
+def gf9_frobenius() -> Morphism:
     """Frobenius-induced automorphism on the gf9 quotient hypergroup."""
     R = make_gf9()
-    target = gf9_quotient().additive if H is None else H
+    H = gf9_quotient().additive
     proj = _unit_classes(R, _sign_subgroup(R))
     # x -> x^3 commutes with negation, so any member of a class gives its image
     fmap = [0] * (max(proj) + 1)
     for x in range(R.n):
         fmap[proj[x]] = proj[R.mul[R.mul[x][x]][x]]
-    return Morphism(target, target, tuple(fmap))
+    return Morphism(H, H, tuple(fmap))
 
 
 # ---------------------------------------------------------------------------
@@ -623,11 +623,10 @@ def _triple_orbits(nz: int, sigma: Sequence[int]) -> list[list[tuple[int, int, i
 
 
 def _orbit_symmetries(
-    nz: int, sigma: Sequence[int], orbits: list, orb_banned: list[bool]
+    nz: int, sigma: Sequence[int], orbits: list
 ) -> list[tuple[list[int], tuple[list[int], ...]]]:
-    """The relabelings of nonzero elements that commute with sigma and keep
-    the banned orbits banned, each as its orbit image and its 8-bit chunk
-    tables on orbit-choice vectors.
+    """The relabelings of nonzero elements that commute with sigma, each as
+    its orbit image and its 8-bit chunk tables on orbit-choice vectors.
 
     Orbit i is bit k-1-i of a vector v.  A relabeling p maps orbit i to
     orbit image[i], so v(pT) is a fixed bit permutation of v(T).  The chunk
@@ -640,8 +639,6 @@ def _orbit_symmetries(
         if p == tuple(range(nz)) or any(p[sigma[x]] != sigma[p[x]] for x in range(nz)):
             continue
         image = [orbit_of[tuple(p[t] for t in orb[0])] for orb in orbits]
-        if any(orb_banned[i] != orb_banned[image[i]] for i in range(k)):
-            continue
         chunks = []
         for lo in range(0, k, 8):
             table = [0]
@@ -677,23 +674,17 @@ def _canonicity_tests(k: int, symmetries: list) -> list[list[tuple[int, tuple]]]
 
 
 def enumerate_reversible_tables(
-    n: int,
-    require_total: bool = True,
-    require_assoc: bool = True,
-    forced_out: Sequence[tuple[int, int, int]] = (),
-    forced_pair_subset: dict | None = None,
-    sigma_filter=None,
-    cap: int | None = None,
+    n: int, hypergroups: bool = True, sigma: tuple[int, ...] | None = None
 ):
     """Yield commutative unital reversible tables on n elements (0 is the
-    unit), optionally filtered to total and associative ones: one table per
-    isomorphism class of the tables that meet the constraints.
+    unit), only the total and associative ones if `hypergroups`: one table
+    per isomorphism class.
 
-    `forced_out` lists nonzero triples (x-1, y-1, z-1) that must not hold;
-    `forced_pair_subset` maps a nonzero pair (x-1, y-1) to a mask of allowed
-    nonzero sum members.  Every table is isomorphic to one whose inversion
-    is a canonical involution sigma, and the search visits one sigma per
-    cycle type, fewest swaps first.
+    Every table is isomorphic to one whose inversion is a canonical
+    involution sigma of the nonzero elements, x -> sigma(x - 1) + 1, and the
+    search visits one sigma per cycle type, fewest swaps first
+    (`_involutions`).  Given `sigma`, one of those, it visits only that one
+    and yields the tables the full search yields for it.
 
     For each sigma the free choices are the orbits of nonzero triples
     (x, y, z), read "z in x + y", under the commutativity move (y, x, z) and
@@ -709,10 +700,9 @@ def enumerate_reversible_tables(
     orbit-choice vector v (orbit 0 most significant).  An isomorphism
     between two of them fixes 0 and commutes with sigma, so it permutes the
     orbits and v(pT) is a bit permutation of v(T).  A table is yielded only
-    if v(T) >= v(pT) for every such p that also keeps the forced constraints,
-    that is, exactly when it is the first table of its class in search
-    order.  So each class is yielded once, and its representative is its
-    first table in search order.
+    if v(T) >= v(pT) for every such p, that is, exactly when it is the
+    first table of its class in search order.  So each class is yielded
+    once, and its representative is its first table in search order.
 
     The same comparison cuts subtrees (orderly generation, as in Read's
     "Every one a winner").  At depth i the orbits before i are decided, and
@@ -725,27 +715,15 @@ def enumerate_reversible_tables(
     first of their class, so the yielded tables and their order are those
     of the leaf test alone.
     """
-    budget = Budget(cap, f"enumerate_reversible_tables(n={n})")
+    budget = Budget(f"enumerate_reversible_tables(n={n})")
     nz = n - 1
     labels = [str(v) for v in range(n)]
     bits_of = [tuple(iter_bits(m)) for m in range(1 << n)]
-    banned = set(forced_out)
-    for sigma in _involutions(nz):
-        if sigma_filter is not None and not sigma_filter(sigma):
-            continue
+    sigmas = _involutions(nz) if sigma is None else [sigma]
+    for sigma in sigmas:
         orbits = _triple_orbits(nz, sigma)
         k = len(orbits)
-        orb_banned = []
-        for orb in orbits:
-            bad = any(t in banned for t in orb)
-            if not bad and forced_pair_subset:
-                for (x, y, z) in orb:
-                    allowed = forced_pair_subset.get((x, y))
-                    if allowed is not None and not (allowed >> z) & 1:
-                        bad = True
-                        break
-            orb_banned.append(bad)
-        tests = _canonicity_tests(k, _orbit_symmetries(nz, sigma, orbits, orb_banned))
+        tests = _canonicity_tests(k, _orbit_symmetries(nz, sigma, orbits))
 
         # coverage bitmask per orbit over the pairs whose entry must be hit
         pairs_needing = [
@@ -763,7 +741,7 @@ def enumerate_reversible_tables(
             cover.append(c)
         suffix = [0] * (k + 1)
         for i in range(k - 1, -1, -1):
-            suffix[i] = suffix[i + 1] | (0 if orb_banned[i] else cover[i])
+            suffix[i] = suffix[i + 1] | cover[i]
 
         # flat table maintained incrementally; orbits own disjoint bits
         tab = [0] * (n * n)
@@ -788,11 +766,10 @@ def enumerate_reversible_tables(
         # always holds, so only a < c is checked.
         final = [0] * (n * n)
         for i, orb in enumerate(orbits):
-            if not orb_banned[i]:
-                for (x, y, _z) in orb:
-                    final[(x + 1) * n + y + 1] = i + 1
+            for (x, y, _z) in orb:
+                final[(x + 1) * n + y + 1] = i + 1
         checks: list[list[tuple[int, int, int, int]]] = [[] for _ in range(k + 1)]
-        if require_assoc:
+        if hypergroups:
             for a in range(1, n):
                 for c in range(a + 1, n):
                     ready = max(final[a * n : a * n + n] + final[c * n : c * n + n])
@@ -801,7 +778,7 @@ def enumerate_reversible_tables(
 
         def rec(i: int, got: int, v: int):
             budget.spend()
-            if require_total and (got | suffix[i]) != full_cover:
+            if hypergroups and (got | suffix[i]) != full_cover:
                 return
             for ab, bc, ra, rc in checks[i]:
                 left = 0
@@ -821,12 +798,11 @@ def enumerate_reversible_tables(
             if i == k:
                 yield from_masks(labels, [tab[r * n : (r + 1) * n] for r in range(n)])
                 return
-            if not orb_banned[i]:
-                for (j, m) in deltas[i]:
-                    tab[j] |= m
-                yield from rec(i + 1, got | cover[i], v | 1 << (k - 1 - i))
-                for (j, m) in deltas[i]:
-                    tab[j] ^= m
+            for (j, m) in deltas[i]:
+                tab[j] |= m
+            yield from rec(i + 1, got | cover[i], v | 1 << (k - 1 - i))
+            for (j, m) in deltas[i]:
+                tab[j] ^= m
             yield from rec(i + 1, got, v)
 
         yield from rec(0, 0, 0)
@@ -871,21 +847,21 @@ def enumerate_unital_hypermagmas(n: int) -> tuple[Hypermagma, ...]:
 def enumerate_small_mosaics(n: int) -> tuple[Hypermagma, ...]:
     """Every commutative mosaic on n elements up to isomorphism, in the order
     of `enumerate_reversible_tables`."""
-    return tuple(enumerate_reversible_tables(n, require_total=False, require_assoc=False))
+    return tuple(enumerate_reversible_tables(n, hypergroups=False))
 
 
 @memo
-def enumerate_canonical_hypergroups(n: int, *, cap: int | None = None) -> list[Hypermagma]:
+def enumerate_canonical_hypergroups(n: int) -> list[Hypermagma]:
     """Canonical hypergroups on n elements, one per isomorphism class.
 
     These are the total associative tables of `enumerate_reversible_tables`:
     each class once, represented by its first table in search order, classes
-    in that order.  Every result is checked with `analyze`.  A `cap` bounds
-    the search nodes (default: `search.search_cap()`); past it the search
-    raises `SearchCapExceeded`, on a memo hit as on a fresh search.
+    in that order.  Every result is checked with `analyze`.  Past
+    `search.search_cap()` nodes the search raises `SearchCapExceeded`, on a
+    memo hit as on a fresh search.
     """
     out = []
-    for M in enumerate_reversible_tables(n, cap=cap):
+    for M in enumerate_reversible_tables(n):
         kind = analyze(M).classification
         ensure(
             kind in ("CanonicalHypergroup", "AbelianGroup"),
@@ -1017,7 +993,7 @@ def _gf9_classifier_targets() -> tuple[int, int]:
     proj = _unit_classes(R, _sign_subgroup(R))
     targets = proj[R.one], proj[R.mul[alpha][alpha]]
     H = gf9_quotient().additive
-    F = gf9_frobenius(H)
+    F = gf9_frobenius()
     ensure(
         all(F.map[v] == v for v in (H.identity, *targets)),
         "refute_equalizer_candidate: a K -> H map from the proof is not F-fixed",
@@ -1074,7 +1050,7 @@ def refute_equalizer_candidate(E: Hypermagma, e: Morphism) -> Refutation:
     """Replay the proof that id/Frobenius on the gf9 quotient has no
     equalizer against a concrete candidate (E, e)."""
     H = gf9_quotient().additive
-    F = gf9_frobenius(H)
+    F = gf9_frobenius()
     if e.cod != H:
         raise CandidateDoesNotEqualize("candidate does not land in the gf9 quotient")
     if any(F.map[e.map[x]] != e.map[x] for x in range(E.n)):
@@ -1100,56 +1076,44 @@ class EmptySumOutcome:
         return self.witness is None
 
 
-def empty_sum_search(max_size: int, cap: int | None = None) -> EmptySumOutcome:
+def empty_sum_search(max_size: int) -> EmptySumOutcome:
     """Search canonical hypergroups |H| <= max_size for involutions x, y with
     no self-inverse element in x + y, i.e. f + g empty in Can(Z2, H).
 
     The self-inverse set S is {t | 0 in t+t} = fixed points of the inversion
     plus 0, so a witness needs two distinct nonzero fixed points and at least
     one non-fixed pair; involution types failing that are excluded outright.
+    The others are searched class by class in the order of
+    `enumerate_reversible_tables`: the witness is the first class with fixed
+    points x < y whose x + y is nonempty and disjoint from S, with the first
+    such pair.
     """
     steps = []
     for n in range(2, max_size + 1):
-        nz = n - 1
-        for swaps in range(nz // 2 + 1):
-            fixed = nz - 2 * swaps
+        for swaps, sigma in enumerate(_involutions(n - 1)):
             if swaps == 0:
                 steps.append(
                     f"n={n}, identity involution: every element is self-inverse, "
                     "any z in x+y lies in S; excluded"
                 )
                 continue
-            if fixed < 2:
+            fixed = [x + 1 for x, s in enumerate(sigma) if s == x]
+            if len(fixed) < 2:
                 steps.append(
                     f"n={n}, {swaps} swaps: fewer than two nonzero self-inverse "
                     "elements; excluded"
                 )
                 continue
-            sigma = list(range(nz))
-            for s in range(swaps):
-                sigma[2 * s], sigma[2 * s + 1] = 2 * s + 1, 2 * s
-            sigma = tuple(sigma)
-            x, y = 2 * swaps, 2 * swaps + 1  # two least fixed points
-            nonfixed_mask = mask_of(range(2 * swaps))
-            found = None
-            for M in enumerate_reversible_tables(
-                n,
-                require_total=True,
-                require_assoc=True,
-                forced_pair_subset={(x, y): nonfixed_mask},
-                sigma_filter=lambda s, sigma=sigma: s == sigma,
-                cap=cap,
-            ):
-                found = M
-                break
-            if found is not None:
-                xe, ye = x + 1, y + 1
-                ensure(
-                    _verify_empty_sum(found, xe, ye),
-                    f"empty_sum_search: n={n} witness fails the hom-object route",
-                )
-                steps.append(f"n={n}, {swaps} swaps: witness found")
-                return EmptySumOutcome((found, xe, ye), max_size, tuple(steps))
+            S = 1 | mask_of(fixed)
+            for M in enumerate_reversible_tables(n, sigma=sigma):
+                for x, y in itertools.combinations(fixed, 2):
+                    if M.table[x][y] and not M.table[x][y] & S:
+                        ensure(
+                            _verify_empty_sum(M, x, y),
+                            f"empty_sum_search: n={n} witness fails the hom-object route",
+                        )
+                        steps.append(f"n={n}, {swaps} swaps: witness found")
+                        return EmptySumOutcome((M, x, y), max_size, tuple(steps))
             steps.append(f"n={n}, {swaps} swaps: exhausted, no witness")
     return EmptySumOutcome(None, max_size, tuple(steps))
 

@@ -57,8 +57,8 @@ from hyperkit.monoidal import (
     wedge_unit,
 )
 from hyperkit.suite import (
+    _morphism_battery,
     acceptance_battery,
-    battery,
     check_closed_counts,
     check_coproduct_refuter,
     check_equalizer_refuter,
@@ -174,7 +174,7 @@ def test_criterion_6_monoidal_unit_wedge_as_stated():
 
 def test_criterion_7_closed_counts():
     with criterion(7, "closed-structure counts with curry/uncurry"):
-        res = check_closed_counts(200)
+        res = check_closed_counts()
         assert res.ok, res.detail
 
 
@@ -214,7 +214,7 @@ def test_criterion_8_nondegeneracy():
 def test_criterion_9_morphism_characterizations():
     with criterion(9, "strict/short/reversible lifting equivalences"):
         for tag in (Tag.HMAG, Tag.UHMAG, Tag.MSC, Tag.CMSC):
-            objs = [M for M in battery(tag) if M.n <= 4]
+            objs = _morphism_battery(tag)
             for A in objs:
                 for B in objs:
                     for f in enumerate_morphisms(A, B, tag):
@@ -306,7 +306,7 @@ def test_criterion_15_nakano():
 
 def test_criterion_16_hom_health_and_empty_sum():
     with criterion(16, "hom-object health and the empty-sum search outcome"):
-        bat = [M for M in battery(Tag.CMSC) if M.n <= 4]
+        bat = _morphism_battery(Tag.CMSC)
         for M in bat:
             for N in bat:
                 rep = analyze(hom_object(M, N, Tag.CMSC))

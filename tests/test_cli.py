@@ -407,6 +407,18 @@ def test_module_entry_point():
     assert "PASS can-z2-k" in proc.stdout
 
 
+def test_rank_oracle_that_is_no_matroid_exits_2_with_one_line(tmp_path, capsys):
+    # r(ab) = r(bc) = 1 but r(ac) = 2: the closures ab and bc meet in b
+    rank = [[[], 0], [["a"], 1], [["b"], 1], [["c"], 1], [["a", "b"], 1],
+            [["b", "c"], 1], [["a", "c"], 2], [["a", "b", "c"], 2]]
+    payload = {"kind": "matroid", "ground": ["a", "b", "c"], "rank": rank}
+    path = write_obj(tmp_path, "rank.json", payload)
+    assert main(["check", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "intersection of flats" in captured.err
+
+
 def test_malformed_search_cap_exits_2_with_one_line(monkeypatch, capsys):
     monkeypatch.setenv("HYPERKIT_SEARCH_CAP", "abc")
     assert main(["paper-suite", "--only", "can-z2"]) == 2

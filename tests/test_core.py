@@ -146,7 +146,7 @@ def test_weak_sub_whole_carrier_and_point():
 
 def test_weak_sub_frobenius_fixed_points():
     H = gf9_quotient().additive
-    F = gf9_frobenius(H)
+    F = gf9_frobenius()
     fixed = mask_of(x for x in range(H.n) if F.map[x] == x)
     assert H.label_set(fixed) == ("0", "i", "1")
     L = weak_sub(H, fixed)

@@ -29,6 +29,8 @@ from hyperkit.core import find_isomorphism, from_masks, iter_bits, mask_of
 from hyperkit.errors import SearchCapExceeded
 from hyperkit.zoo import enumerate_canonical_hypergroups, enumerate_small_mosaics
 
+from util import set_search_cap
+
 CANONICAL = ("CanonicalHypergroup", "AbelianGroup")
 
 # ---------------------------------------------------------------------------
@@ -295,17 +297,32 @@ def test_canonical_hypergroups_orbit_stabilizer(monkeypatch, n, tables):
 
 def test_small_mosaics_orbit_stabilizer(monkeypatch):
     sizes = _orbit_sizes(enumerate_small_mosaics(4))
-    every = _every_table(monkeypatch, 4, require_total=False, require_assoc=False)
+    every = _every_table(monkeypatch, 4, hypergroups=False)
     assert sizes == every
 
 
+@pytest.mark.parametrize(
+    "n, hypergroups", [(1, True), (2, True), (3, True), (4, True), (5, True), (3, False), (4, False)]
+)
+def test_one_sigma_yields_its_block_of_the_full_run(n, hypergroups):
+    full = enumerate_canonical_hypergroups(n) if hypergroups else enumerate_small_mosaics(n)
+    sigmas = zoo._involutions(n - 1)
+    assert {_sigma_of(M) for M in full} <= set(sigmas)
+    for sigma in sigmas:
+        block = [M.table for M in full if _sigma_of(M) == sigma]
+        alone = zoo.enumerate_reversible_tables(n, hypergroups, sigma)
+        assert [M.table for M in alone] == block
+
+
 @pytest.mark.parametrize("n, nodes, classes", [(4, 626, 97), (5, 41575, 3776)])
-def test_node_count_at_cap_boundary(n, nodes, classes):
+def test_node_count_at_cap_boundary(monkeypatch, n, nodes, classes):
     # the leaf test alone visited 1,276 and 379,861 nodes
     assert nodes <= 76_000
-    assert len(list(zoo.enumerate_reversible_tables(n, cap=nodes))) == classes
+    set_search_cap(monkeypatch, nodes)
+    assert len(list(zoo.enumerate_reversible_tables(n))) == classes
+    set_search_cap(monkeypatch, nodes - 1)
     with pytest.raises(SearchCapExceeded):
-        list(zoo.enumerate_reversible_tables(n, cap=nodes - 1))
+        list(zoo.enumerate_reversible_tables(n))
 
 
 # ---------------------------------------------------------------------------
@@ -343,15 +360,18 @@ except errors.InvariantViolated as exc:
     assert lines[1].startswith("raised: enumerate_canonical_hypergroups(n=3)")
 
 
-def test_cap_message_names_enumerator_and_size():
+def test_cap_message_names_enumerator_and_size(monkeypatch):
+    set_search_cap(monkeypatch, 10)
     with pytest.raises(SearchCapExceeded) as info:
-        enumerate_canonical_hypergroups(5, cap=10)
+        enumerate_canonical_hypergroups(5)
     message = str(info.value)
     assert "enumerate_reversible_tables(n=5)" in message
     assert "after 10 nodes" in message
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_capped_call_matches_uncapped(n):
-    capped = enumerate_canonical_hypergroups(n, cap=10**5)
+def test_capped_call_matches_uncapped(monkeypatch, n):
+    set_search_cap(monkeypatch, 10**5)
+    capped = enumerate_canonical_hypergroups(n)
+    monkeypatch.delenv("HYPERKIT_SEARCH_CAP")
     assert [M.table for M in capped] == [M.table for M in enumerate_canonical_hypergroups(n)]

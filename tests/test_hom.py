@@ -48,7 +48,7 @@ from hyperkit.zoo import (
     symmetric_group,
 )
 
-from util import d_example, f_mosaic, gf9_add, klein, mixed3, small_battery, z2
+from util import d_example, f_mosaic, gf9_add, klein, mixed3, set_search_cap, small_battery, z2
 
 
 def tau():
@@ -94,36 +94,40 @@ def test_enumerate_terminal_source():
         assert len(enumerate_morphisms(terminal(), M, Tag.UHMAG)) == 1
 
 
-def test_enumeration_respects_cap():
+def test_enumeration_respects_cap(monkeypatch):
     V = klein()
     # on a cold memo, the least cap that does not raise is the nodes spent
     enumerate_morphisms.cache_clear()
     nodes = 0
     while True:
+        set_search_cap(monkeypatch, nodes)
         try:
-            assert len(enumerate_morphisms(V, V, Tag.UHMAG, cap=nodes)) == 16
+            assert len(enumerate_morphisms(V, V, Tag.UHMAG)) == 16
             break
         except SearchCapExceeded:
             nodes += 1
     assert nodes > 3
     # a memo hit is capped by the nodes its search spent
-    assert len(enumerate_morphisms(V, V, Tag.UHMAG, cap=nodes)) == 16
+    assert len(enumerate_morphisms(V, V, Tag.UHMAG)) == 16
+    set_search_cap(monkeypatch, nodes - 1)
     with pytest.raises(SearchCapExceeded, match=rf"after {nodes - 1} nodes$"):
-        enumerate_morphisms(V, V, Tag.UHMAG, cap=nodes - 1)
+        enumerate_morphisms(V, V, Tag.UHMAG)
+    set_search_cap(monkeypatch, 3)
     with pytest.raises(SearchCapExceeded) as exc:
-        enumerate_morphisms(V, V, Tag.UHMAG, cap=3)
+        enumerate_morphisms(V, V, Tag.UHMAG)
     assert str(exc.value) == (
         "enumerate_morphisms(|M|=4, |N|=4, uhmag): node cap exceeded after 3 nodes"
     )
-    # the bimorphism search passes its cap to its row pool; for (V, V, K)
-    # the pool Hom(V, K) spends 15 nodes and the search itself 156
+    # the cap holds in the bimorphism search and in its row pool; for
+    # (V, V, K) the pool Hom(V, K) spends 15 nodes and the search itself 156
     for (M, N, L), cap, search in (
         ((z2(), z2(), V), 1, "enumerate_morphisms(|M|=2, |N|=4, cmsc)"),
         ((V, V, krasner()), 100, "enumerate_bimorphisms(|M|=4, |N|=4, |L|=2, cmsc)"),
         ((V, V, krasner()), 14, "enumerate_morphisms(|M|=4, |N|=2, cmsc)"),
     ):
+        set_search_cap(monkeypatch, cap)
         with pytest.raises(SearchCapExceeded) as exc:
-            enumerate_bimorphisms(M, N, L, Tag.CMSC, cap=cap)
+            enumerate_bimorphisms(M, N, L, Tag.CMSC)
         assert str(exc.value) == f"{search}: node cap exceeded after {cap} nodes"
 
 
@@ -155,7 +159,6 @@ def _unital_pool():
 @given(st.data())
 def test_enumeration_matches_brute_force(data):
     tag = data.draw(st.sampled_from(list(Tag)), label="tag")
-    strict_only = data.draw(st.booleans(), label="strict_only")
     objects = st.one_of(
         st.sampled_from(_unital_pool()), hypermagmas(unital=tag is not Tag.HMAG)
     )
@@ -164,9 +167,9 @@ def test_enumeration_matches_brute_force(data):
     want = []
     for image in itertools.product(range(N.n), repeat=M.n):
         f = Morphism(M, N, image)
-        if morphism_in_tag(f, tag) and (not strict_only or is_strict(f)):
+        if morphism_in_tag(f, tag):
             want.append(image)
-    assert [f.map for f in enumerate_morphisms(M, N, tag, strict_only)] == want
+    assert [f.map for f in enumerate_morphisms(M, N, tag)] == want
 
 
 def _fano_mosaic():
@@ -206,29 +209,33 @@ def _z5():
         "V-Z5-cmsc",
     ],
 )
-def test_hom_node_count_at_cap_boundary(objects, tag, nodes):
+def test_hom_node_count_at_cap_boundary(monkeypatch, objects, tag, nodes):
     M, N = objects()
     enumerate_morphisms.cache_clear()
-    enumerate_morphisms(M, N, tag, cap=nodes)
+    set_search_cap(monkeypatch, nodes)
+    enumerate_morphisms(M, N, tag)
     enumerate_morphisms.cache_clear()
+    set_search_cap(monkeypatch, nodes - 1)
     with pytest.raises(SearchCapExceeded, match=rf"after {nodes - 1} nodes$"):
-        enumerate_morphisms(M, N, tag, cap=nodes - 1)
+        enumerate_morphisms(M, N, tag)
 
 
 @pytest.mark.parametrize(
     "L, nodes, count", [(krasner, 156, 50), (klein, 4369, 256)], ids=["K", "V"]
 )
-def test_bimorphism_node_count_at_cap_boundary(L, nodes, count):
-    V = klein()
+def test_bimorphism_node_count_at_cap_boundary(monkeypatch, L, nodes, count):
+    V, target = klein(), L()
     enumerate_morphisms.cache_clear()
-    assert len(enumerate_bimorphisms(V, V, L(), Tag.CMSC, cap=nodes)) == count
+    set_search_cap(monkeypatch, nodes)
+    assert len(enumerate_bimorphisms(V, V, target, Tag.CMSC)) == count
     enumerate_morphisms.cache_clear()
+    set_search_cap(monkeypatch, nodes - 1)
     with pytest.raises(SearchCapExceeded, match=r"^enumerate_bimorphisms\(.*after \d+ nodes$"):
-        enumerate_bimorphisms(V, V, L(), Tag.CMSC, cap=nodes - 1)
+        enumerate_bimorphisms(V, V, target, Tag.CMSC)
 
 
 def test_enumeration_cap_from_environment(monkeypatch):
-    monkeypatch.setenv("HYPERKIT_SEARCH_CAP", "2")
+    set_search_cap(monkeypatch, 2)
     assert search_cap() == 2
     enumerate_morphisms.cache_clear()
     with pytest.raises(SearchCapExceeded):
@@ -267,12 +274,12 @@ def test_malformed_cap_in_environment_is_a_format_error(monkeypatch, raw):
 def test_memo_hit_obeys_environment_cap(monkeypatch, call, memos, message):
     for fn in memos:
         fn.cache_clear()
-    monkeypatch.setenv("HYPERKIT_SEARCH_CAP", "3")
+    set_search_cap(monkeypatch, 3)
     with pytest.raises(SearchCapExceeded) as cold:
         call()
     monkeypatch.delenv("HYPERKIT_SEARCH_CAP")
     call()
-    monkeypatch.setenv("HYPERKIT_SEARCH_CAP", "3")
+    set_search_cap(monkeypatch, 3)
     with pytest.raises(SearchCapExceeded) as warm:
         call()
     assert str(cold.value) == str(warm.value) == message
@@ -286,12 +293,10 @@ def test_hom_sets_sorted_lexicographically():
 
 
 def test_strict_only_enumeration():
-    homs = enumerate_morphisms(z2(), krasner(), Tag.UHMAG, strict_only=True)
-    assert [h.map for h in homs] == [(0, 0)]
-    all_homs = enumerate_morphisms(z2(), krasner(), Tag.UHMAG)
-    assert {h.map for h in homs} == {
-        h.map for h in all_homs if check_kind(h).strict
-    }
+    # the strict unital maps Z2 -> K, filtered from the hom-set
+    homs = enumerate_morphisms(z2(), krasner(), Tag.UHMAG)
+    assert [h.map for h in homs if is_strict(h)] == [(0, 0)]
+    assert [h.map for h in homs if check_kind(h).strict] == [(0, 0)]
 
 
 def test_representing_object_tables_verbatim():

@@ -1,6 +1,7 @@
 """Source checks over src/hyperkit: no unused module-level imports, no memo
-outside hyperkit.search, no bare `assert` in any module, and every function
-the benchmark's tracer wraps still exists."""
+outside hyperkit.search, memoised functions with positional parameters only,
+no bare `assert` in any module, and every function the benchmark's tracer
+wraps still exists."""
 import ast
 import importlib
 import os
@@ -48,6 +49,20 @@ def test_no_memo_outside_search(name):
         ):
             found.append(f"functools.{node.attr}")
     assert found == []
+
+
+# a memoised call has one key: its positional args, with nothing defaulted
+@pytest.mark.parametrize("name", MODULES)
+def test_memo_functions_take_positional_args_only(name):
+    bad = []
+    for node in ast.walk(_tree(name)):
+        if isinstance(node, ast.FunctionDef) and any(
+            isinstance(d, ast.Name) and d.id == "memo" for d in node.decorator_list
+        ):
+            a = node.args
+            if a.defaults or a.kwonlyargs or a.vararg or a.kwarg:
+                bad.append(node.name)
+    assert bad == []
 
 
 # invariants are `errors.ensure` checks, which still run under `python -O`

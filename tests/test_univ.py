@@ -158,7 +158,7 @@ def test_equalizer_identity_pair():
 
 def test_equalizer_frobenius():
     H = gf9_quotient().additive
-    F = gf9_frobenius(H)
+    F = gf9_frobenius()
     E, inc = equalizer(identity_morphism(H), F)
     assert E.labels == ("0", "i", "1")
     assert E.table[E.index("1")][E.index("i")] == 0

@@ -291,8 +291,7 @@ def test_gf9_field_facts():
         for b in range(R.n):
             assert cube[R.add[a][b]] == R.add[cube[a]][cube[b]]
             assert cube[R.mul[a][b]] == R.mul[cube[a]][cube[b]]
-    H = gf9_quotient().additive
-    F = gf9_frobenius(H)
+    F = gf9_frobenius()
     assert is_strict(F) and sorted(F.map) == list(range(5))
 
 
@@ -415,7 +414,7 @@ def test_coproduct_replay_on_the_record_matches_direct_refutation(battery):
 
 def test_equalizer_replay_on_the_record_matches_direct_refutation():
     H = gf9_quotient().additive
-    F = gf9_frobenius(H)
+    F = gf9_frobenius()
     count = 0
     for n in range(1, 5):
         for E in enumerate_canonical_hypergroups(n):
@@ -434,7 +433,7 @@ def test_equalizer_refutations_pinned():
     """Every equalizing candidate of order <= 4: the digest pins every step
     and witness."""
     H = gf9_quotient().additive
-    F = gf9_frobenius(H)
+    F = gf9_frobenius()
     digest = hashlib.sha256()
     last_steps = []
     for n in range(1, 5):
@@ -455,7 +454,7 @@ def test_equalizer_replay_reads_the_sum_of_the_lift_points():
     # no class reaches the sum step: on a morphism that equalizes, f or g
     # does not factor, so two non-canonical tables stand in
     H = gf9_quotient().additive
-    F = gf9_frobenius(H)
+    F = gf9_frobenius()
     from hyperkit.core import weak_sub
     from hyperkit.hom import inclusion_morphism
 
@@ -483,7 +482,7 @@ def test_equalizer_replay_reads_the_sum_of_the_lift_points():
 
 def test_refute_equalizer_weak_sub_not_candidate():
     H = gf9_quotient().additive
-    F = gf9_frobenius(H)
+    F = gf9_frobenius()
     from hyperkit.core import weak_sub
     from hyperkit.hom import inclusion_morphism
 
@@ -497,7 +496,7 @@ def test_refute_equalizer_weak_sub_not_candidate():
 
 def test_refute_equalizer_z2_candidates():
     H = gf9_quotient().additive
-    F = gf9_frobenius(H)
+    F = gf9_frobenius()
     Z = z2()
     count = 0
     for e in enumerate_morphisms(Z, H, Tag.CMSC):
@@ -529,6 +528,39 @@ def test_empty_sum_search_witness_at_five():
     s_mask = mask_of(t for t in range(H.n) if (H.table[t][t] >> zero) & 1)
     assert (s_mask >> x) & 1 and (s_mask >> y) & 1
     assert H.table[x][y] != 0 and H.table[x][y] & s_mask == 0
+
+
+def test_empty_sum_witness_is_first_class_with_an_empty_sum():
+    # oracle: scan the classes in order for distinct nonzero self-inverse
+    # x < y whose sum is nonempty and holds no self-inverse element
+    first = None
+    for n in range(2, 6):
+        for H in enumerate_canonical_hypergroups(n):
+            S = mask_of(t for t in range(n) if H.table[t][t] & 1)
+            pairs = [
+                (x, y)
+                for x, y in itertools.combinations(iter_bits(S & ~1), 2)
+                if H.table[x][y] and not H.table[x][y] & S
+            ]
+            if pairs:
+                first = (H.table, *pairs[0])
+                break
+        if first:
+            break
+    H, x, y = empty_sum_search(5).witness
+    assert (H.table, x, y) == first
+
+
+def test_empty_sum_search_steps():
+    assert empty_sum_search(6).steps == (
+        "n=2, identity involution: every element is self-inverse, any z in x+y lies in S; excluded",
+        "n=3, identity involution: every element is self-inverse, any z in x+y lies in S; excluded",
+        "n=3, 1 swaps: fewer than two nonzero self-inverse elements; excluded",
+        "n=4, identity involution: every element is self-inverse, any z in x+y lies in S; excluded",
+        "n=4, 1 swaps: fewer than two nonzero self-inverse elements; excluded",
+        "n=5, identity involution: every element is self-inverse, any z in x+y lies in S; excluded",
+        "n=5, 1 swaps: witness found",
+    )
 
 
 def test_gf9_and_krasner_are_not_witnesses():

@@ -31,3 +31,8 @@ def small_battery():
             free(Tag.HMAG, ("a", "b")),
         ]
     return SMALL_BATTERY
+
+
+def set_search_cap(monkeypatch, nodes):
+    """Cap every search at `nodes` nodes until the test ends."""
+    monkeypatch.setenv("HYPERKIT_SEARCH_CAP", str(nodes))
