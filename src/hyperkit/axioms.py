@@ -16,19 +16,6 @@ from .core import Hypermagma, iter_bits, product_of_subsets
 from .errors import NotAMosaic, ensure
 from .search import memo
 
-CLASSIFICATIONS = (
-    "Hypermagma",
-    "UnitalHypermagma",
-    "Hypermonoid",
-    "Mosaic",
-    "CommutativeMosaic",
-    "Hypergroup",
-    "CanonicalHypergroup",
-    "Monoid",
-    "Group",
-    "AbelianGroup",
-)
-
 
 class Tag(enum.Enum):
     """Category tags used by enumeration, (co)limits and tensors."""
@@ -105,10 +92,11 @@ def _commutative_witness(M: Hypermagma) -> tuple[int, ...] | None:
 
 
 def _bit_splitter(n: int):
-    """mask -> tuple of its set bits, by one lookup in BITS when n <= 8."""
+    """mask -> tuple of its set bits, by one lookup in BITS when the mask
+    is below 256, always when n <= 8."""
     if n <= 8:
         return BITS.__getitem__
-    return lambda m: tuple(iter_bits(m))
+    return lambda m: BITS[m] if m < 256 else tuple(iter_bits(m))
 
 
 def _associative_witness(M: Hypermagma, commutative: bool) -> tuple[int, ...] | None:

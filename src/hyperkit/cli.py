@@ -15,7 +15,7 @@ import sys
 
 from . import formats
 from .axioms import Tag, analyze
-from .core import Hypermagma, mask_of
+from .core import Hypermagma, from_masks, mask_of
 from .errors import FormatError, HyperkitError
 from .matroid import adjoin_point, is_simple, matroid_to_mosaic, simplify
 from .monoidal import boxdot, boxtimes, hom_object, wedge_smash
@@ -27,7 +27,6 @@ from .zoo import (
     double_coset_hypergroup,
     group_to_hypermagma,
     krasner_quotient,
-    make_finite_group,
     orbit_hypergroup,
 )
 
@@ -60,8 +59,9 @@ def _to_hypermagma(kind: str, obj) -> Hypermagma:
             M, _ = simplify(M, pointed=True)
         return matroid_to_mosaic(M)
     if kind == "ring":
+        # formats.load validated the ring: its addition is an abelian group
         R: FiniteRing = obj
-        return group_to_hypermagma(make_finite_group(R.labels, R.add))
+        return from_masks(R.labels, [[1 << s for s in row] for row in R.add])
     raise FormatError(f"cannot analyze kind {kind!r}")
 
 

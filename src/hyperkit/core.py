@@ -19,9 +19,6 @@ from .errors import (
     ensure,
 )
 
-Subset = int
-
-
 def iter_bits(mask: int) -> Iterator[int]:
     """Indices of the set bits, ascending."""
     while mask:
@@ -122,14 +119,8 @@ class Hypermagma:
     def label_set(self, mask: int) -> tuple[str, ...]:
         return tuple(self.labels[i] for i in iter_bits(mask))
 
-    def prod(self, i: int, j: int) -> int:
-        return self.table[i][j]
-
     def full_mask(self) -> int:
         return (1 << self.n) - 1
-
-    def is_unital(self) -> bool:
-        return self.identity is not None
 
     def __repr__(self) -> str:
         return f"Hypermagma({list(self.labels)!r}, n={self.n})"
@@ -172,13 +163,9 @@ def make_hypermagma(
     table: Sequence[Sequence[Iterable[str]]],
     identity: str | None = None,
 ) -> Hypermagma:
-    """Constructor over label-level table entries (each entry a set of labels)."""
+    """Constructor over label-level table entries (each entry a set of
+    labels); `from_masks` checks the labels and the dimensions."""
     labels = tuple(str(l) for l in labels)
-    n = len(labels)
-    if len(set(labels)) != n:
-        raise DuplicateLabel(f"carrier labels not distinct: {labels}")
-    if len(table) != n or any(len(row) != n for row in table):
-        raise DimensionMismatch(f"table is not {n}x{n}")
     pos = {l: i for i, l in enumerate(labels)}
     rows = []
     for row in table:
@@ -302,9 +289,6 @@ class Morphism:
 
     def __call__(self, i: int) -> int:
         return self.map[i]
-
-    def image_mask(self, mask: int) -> int:
-        return mask_of(self.map[i] for i in iter_bits(mask))
 
     def preimage_mask(self, mask: int) -> int:
         return mask_of(i for i, v in enumerate(self.map) if (mask >> v) & 1)

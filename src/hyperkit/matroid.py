@@ -68,17 +68,19 @@ class Matroid:
 
 def _check_exchange(M: Matroid) -> None:
     """Exchange over every flat S.  The flats are intersection-closed, so
-    cl(S + y) = cl(cl(S) + y) and that covers every subset S."""
+    cl(S + y) = cl(cl(S) + y) and that covers every subset S.  cl(S + z)
+    is computed once per flat and point outside it."""
     n = M.n
     for S in M.flats:
+        cl = [S if (S >> z) & 1 else M.closure(S | (1 << z)) for z in range(n)]
         for x in range(n):
             if (S >> x) & 1:
                 continue
             for y in range(n):
                 if (S >> y) & 1 or y == x:
                     continue
-                if (M.closure(S | (1 << y)) >> x) & 1:
-                    if not (M.closure(S | (1 << x)) >> y) & 1:
+                if (cl[y] >> x) & 1:
+                    if not (cl[x] >> y) & 1:
                         raise ExchangeFails(
                             f"exchange fails at S={M.label_set(S)}, "
                             f"x={M.ground[x]}, y={M.ground[y]}"
@@ -324,22 +326,14 @@ def projective_law_holds(M: Matroid) -> tuple[bool, tuple | None]:
 
 
 def projective_checks(M: Matroid, others: Sequence[Matroid] = ()) -> dict:
-    """Projective law, closure = generated strict submosaic, and fullness of
-    the mosaic functor against each supplied projective matroid."""
+    """Projective law, closure = generated strict submosaic on every subset,
+    and fullness of the mosaic functor against each supplied projective
+    matroid."""
     if M.pointed is None or not is_simple(M):
         raise NotSimplePointed("projective checks need a pointed simple matroid")
     law, witness = projective_law_holds(M)
     H = matroid_to_mosaic(M)
-    closure_eq = True
-    if M.n <= 10:
-        subsets = range(1 << M.n)
-    else:
-        rng = random.Random(0xA11)
-        subsets = [rng.randrange(1 << M.n) for _ in range(256)]
-    for S in subsets:
-        if M.closure(S) != strict_sub_closure(H, S):
-            closure_eq = False
-            break
+    closure_eq = all(M.closure(S) == strict_sub_closure(H, S) for S in range(1 << M.n))
     fullness = True
     for N in others:
         HN = matroid_to_mosaic(N)

@@ -335,37 +335,31 @@ def strict_classifier_check(M: Hypermagma) -> bool:
 
 @dataclass(frozen=True)
 class MonoidObject:
-    """A commutative mosaic with a bimorphism multiplication and a unit map."""
+    """A commutative mosaic with a bimorphism multiplication and a unit map;
+    `hyperring_flavor` when the multiplication distributes strictly."""
 
     mosaic: Hypermagma
     multiplication: Bimorphism
     unit: Morphism
-    left_strict: bool
-    right_strict: bool
-
-    @property
-    def hyperring_flavor(self) -> bool:
-        return self.left_strict and self.right_strict
+    hyperring_flavor: bool
 
 
 def to_monoid_object(R) -> MonoidObject:
     """Package a multiring as a monoid object of the boxtimes structure.
 
-    Laws are verified at the trilinear level: (ab)c = a(bc) as subsets and
-    1a = a = a1; the unit is the unique mosaic map from the free object on
-    one generator.
+    The ring laws are those `check_multiring` verifies on R's tables; the
+    unit is the unique mosaic map from the free object on one generator.
     """
     from .errors import NotMultiring
-    from .zoo import Multiring
+    from .zoo import Multiring, check_multiring
 
     if not isinstance(R, Multiring):
         raise NotMultiring("expected a Multiring")
-    if not R.multiring:
-        raise NotMultiring("subdistributivity fails")
     A = R.additive
-    mul = R.mul
-    table = tuple(tuple(mul[x][y] for y in range(A.n)) for x in range(A.n))
-    B = Bimorphism(A, A, A, table)
+    laws = check_multiring(A, R.mul, R.one)
+    if not laws["multiring"]:
+        raise NotMultiring("subdistributivity fails")
+    B = Bimorphism(A, A, A, tuple(tuple(row) for row in R.mul))
     if not is_bimorphism(B, Tag.CMSC):
         raise NotMultiring("multiplication is not a bimorphism")
     F = free(Tag.CMSC, ("1",))
@@ -373,25 +367,4 @@ def to_monoid_object(R) -> MonoidObject:
     unit = Morphism(F, A, (A.identity, one, A.inverse[one]))
     if not morphism_in_tag(unit, Tag.CMSC):
         raise NotMultiring("unit map is not a mosaic morphism")
-    for a in range(A.n):
-        for b in range(A.n):
-            for c in range(A.n):
-                if mul[mul[a][b]][c] != mul[a][mul[b][c]]:
-                    raise NotMultiring("multiplication not associative")
-        if mul[one][a] != a or mul[a][one] != a:
-            raise NotMultiring("1 is not a multiplicative identity")
-    left = all(
-        mask_of(mul[a][t] for t in iter_bits(A.table[b][c]))
-        == A.table[mul[a][b]][mul[a][c]]
-        for a in range(A.n)
-        for b in range(A.n)
-        for c in range(A.n)
-    )
-    right = all(
-        mask_of(mul[t][a] for t in iter_bits(A.table[b][c]))
-        == A.table[mul[b][a]][mul[c][a]]
-        for a in range(A.n)
-        for b in range(A.n)
-        for c in range(A.n)
-    )
-    return MonoidObject(A, B, unit, left, right)
+    return MonoidObject(A, B, unit, laws["hyperring"])

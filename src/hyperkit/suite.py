@@ -177,9 +177,6 @@ def battery(tag: Tag) -> list[Hypermagma]:
     ]
 
 
-ACCEPTANCE_BATTERY_NAMES = ("K", "Z2", "F", "V", "F9/F3x")
-
-
 def acceptance_battery() -> list[Hypermagma]:
     return [
         krasner(),

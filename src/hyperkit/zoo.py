@@ -8,7 +8,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .axioms import Tag, analyze
+from .axioms import AxiomReport, Tag, analyze
 from .core import (
     Hypermagma,
     Morphism,
@@ -51,38 +51,47 @@ class FiniteGroup:
     def n(self) -> int:
         return len(self.labels)
 
-    def mul(self, a: int, b: int) -> int:
-        return self.table[a][b]
-
     def index(self, label: str) -> int:
         return self.labels.index(label)
 
 
-def make_finite_group(labels: Sequence[str], table: Sequence[Sequence[int]]) -> FiniteGroup:
-    labels = tuple(str(l) for l in labels)
+def _single_valued(
+    what: str, labels: Sequence[str], table: Sequence[Sequence[int]]
+) -> tuple[Hypermagma, AxiomReport]:
+    """The table read as the hypermagma x*y = {table[x][y]}, and its
+    `analyze` report.  A table that is not n x n or holds an entry outside
+    range(n) raises DimensionMismatch; `what` names the table."""
     n = len(labels)
-    if len(table) != n or any(len(r) != n for r in table):
-        raise DimensionMismatch(f"group table is not {n}x{n}")
-    tbl = tuple(tuple(r) for r in table)
-    e = None
-    for cand in range(n):
-        if all(tbl[cand][x] == x == tbl[x][cand] for x in range(n)):
-            e = cand
-            break
-    if e is None:
-        raise NotASubgroup("no identity element")
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                if tbl[tbl[a][b]][c] != tbl[a][tbl[b][c]]:
-                    raise NotASubgroup(f"not associative at {a},{b},{c}")
-    inv = []
-    for a in range(n):
-        cands = [b for b in range(n) if tbl[a][b] == e and tbl[b][a] == e]
-        if len(cands) != 1:
-            raise NotASubgroup(f"element {labels[a]} lacks a unique inverse")
-        inv.append(cands[0])
-    return FiniteGroup(labels, tbl, e, tuple(inv))
+    if len(table) != n or any(len(row) != n for row in table):
+        raise DimensionMismatch(f"{what} is not {n}x{n}")
+    if n and not 0 <= min(map(min, table)) <= max(map(max, table)) < n:
+        raise DimensionMismatch(f"{what} has an entry outside 0..{n - 1}")
+    M = from_masks(labels, [[1 << v for v in row] for row in table])
+    return M, analyze(M)
+
+
+def _require(error: type, what: str, M: Hypermagma, rep: AxiomReport, *laws: str) -> None:
+    """Raise `error` for the first of `laws` that `rep` records as failed,
+    naming the law and its least witness by labels."""
+    for law in laws:
+        w = rep.witness(law)
+        if w is not None:
+            raise error(f"{what}: {law} fails at ({', '.join(M.labels[i] for i in w)})")
+
+
+def _group_table(
+    what: str, labels: Sequence[str], table: Sequence[Sequence[int]]
+) -> tuple[Hypermagma, AxiomReport]:
+    M, rep = _single_valued(what, labels, table)
+    if rep.identity is None:
+        raise NotASubgroup(f"{what}: no identity element")
+    _require(NotASubgroup, what, M, rep, "associative", "unique_inverses")
+    return M, rep
+
+
+def make_finite_group(labels: Sequence[str], table: Sequence[Sequence[int]]) -> FiniteGroup:
+    M, rep = _group_table("group table", labels, table)
+    return FiniteGroup(M.labels, tuple(tuple(r) for r in table), rep.identity, M.inverse)
 
 
 def cyclic_group(n: int) -> FiniteGroup:
@@ -206,53 +215,48 @@ def orbit_hypergroup(A: FiniteGroup, action: Sequence[Sequence[int]]) -> Hyperma
 
 def lattice_mosaic(labels: Sequence[str], meet: Sequence[Sequence[int]]) -> Hypermagma:
     """Nakano's hyperoperation a*b = {c | a^c = b^c = a^b} on a
-    meet-semilattice with top; always a commutative mosaic."""
-    labels = tuple(str(l) for l in labels)
-    n = len(labels)
-    m = [list(r) for r in meet]
-    for a in range(n):
-        if m[a][a] != a:
-            raise NotASemilattice("meet not idempotent")
-        for b in range(n):
-            if m[a][b] != m[b][a]:
-                raise NotASemilattice("meet not commutative")
-            for c in range(n):
-                if m[m[a][b]][c] != m[a][m[b][c]]:
-                    raise NotASemilattice("meet not associative")
-    top = None
-    for t in range(n):
-        if all(m[t][x] == x for x in range(n)):
-            top = t
-            break
-    if top is None:
+    meet-semilattice with top; always a commutative mosaic.  The top of the
+    meet table is its identity."""
+    L, rep = _single_valued("meet table", labels, meet)
+    n = L.n
+    if any(meet[a][a] != a for a in range(n)):
+        raise NotASemilattice("meet not idempotent")
+    _require(NotASemilattice, "meet table", L, rep, "commutative", "associative")
+    if rep.identity is None:
         raise NotASemilattice("no top element")
     rows = [
         [
-            mask_of(c for c in range(n) if m[a][c] == m[b][c] == m[a][b])
+            mask_of(c for c in range(n) if meet[a][c] == meet[b][c] == meet[a][b])
             for b in range(n)
         ]
         for a in range(n)
     ]
-    M = from_masks(labels, rows)
-    ensure(M.identity == top, "lattice_mosaic: the top is not the identity")
+    M = from_masks(L.labels, rows)
+    ensure(M.identity == rep.identity, "lattice_mosaic: the top is not the identity")
     rep = analyze(M)
     ensure(rep.is_mosaic and rep.commutative, "lattice_mosaic: not a commutative mosaic")
     return M
 
 
-def lattice_join_table(meet: Sequence[Sequence[int]]) -> list[list[int]] | None:
-    """Join table from a meet table via least upper bounds, or None."""
-    n = len(meet)
-    le = [[meet[a][b] == a for b in range(n)] for a in range(n)]
-    join = [[0] * n for _ in range(n)]
+def _least_upper_bounds(le: Sequence[Sequence[bool]]) -> list[list[int]] | None:
+    """The least-upper-bound table of the order le[a][b] = (a <= b), or None
+    when some pair has no least upper bound."""
+    n = len(le)
+    out = [[0] * n for _ in range(n)]
     for a in range(n):
         for b in range(n):
             ubs = [c for c in range(n) if le[a][c] and le[b][c]]
             least = [c for c in ubs if all(le[c][d] for d in ubs)]
             if len(least) != 1:
                 return None
-            join[a][b] = least[0]
-    return join
+            out[a][b] = least[0]
+    return out
+
+
+def lattice_join_table(meet: Sequence[Sequence[int]]) -> list[list[int]] | None:
+    """Join table from a meet table via least upper bounds, or None."""
+    n = len(meet)
+    return _least_upper_bounds([[meet[a][b] == a for b in range(n)] for a in range(n)])
 
 
 def is_modular_lattice(meet: Sequence[Sequence[int]]) -> bool:
@@ -311,19 +315,10 @@ def enumerate_lattices(n: int) -> list[list[list[int]]]:
                     ok = False
         if not ok:
             continue
-        meet = [[0] * n for _ in range(n)]
-        is_lattice = True
-        for a in range(n):
-            for b in range(n):
-                lbs = [c for c in range(n) if le[c][a] and le[c][b]]
-                greatest = [c for c in lbs if all(le[d][c] for d in lbs)]
-                if len(greatest) != 1:
-                    is_lattice = False
-                    break
-                meet[a][b] = greatest[0]
-            if not is_lattice:
-                break
-        if not is_lattice or lattice_join_table(meet) is None:
+        # greatest lower bounds are least upper bounds of the dual order;
+        # with a top, a finite order where they all exist is a lattice
+        meet = _least_upper_bounds(list(zip(*le)))
+        if meet is None:
             continue
         canon = canonical_form([[1 << m for m in row] for row in meet], (0, n - 1))
         if canon in seen:
@@ -366,32 +361,24 @@ class FiniteRing:
 def make_finite_ring(
     labels: Sequence[str], add: Sequence[Sequence[int]], mul: Sequence[Sequence[int]]
 ) -> FiniteRing:
-    G = make_finite_group(labels, add)
-    if any(add[a][b] != add[b][a] for a in range(G.n) for b in range(G.n)):
-        raise NotMultiring("addition must be abelian")
-    n = G.n
-    one = None
-    for cand in range(n):
-        if all(mul[cand][x] == x == mul[x][cand] for x in range(n)):
-            one = cand
-            break
-    if one is None:
+    A, plus = _group_table("addition table", labels, add)
+    _require(NotMultiring, "addition table", A, plus, "commutative")
+    P, times = _single_valued("multiplication table", labels, mul)
+    if times.identity is None:
         raise NotMultiring("no multiplicative identity")
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                if mul[mul[a][b]][c] != mul[a][mul[b][c]]:
-                    raise NotMultiring("multiplication not associative")
-                if mul[a][add[b][c]] != add[mul[a][b]][mul[a][c]]:
-                    raise NotMultiring("left distributivity fails")
-                if mul[add[b][c]][a] != add[mul[b][a]][mul[c][a]]:
-                    raise NotMultiring("right distributivity fails")
+    _require(NotMultiring, "multiplication table", P, times, "associative")
+    w = _distributivity(A, mul, times.commutative)[1]
+    if w is not None:
+        raise NotMultiring(
+            f"multiplication does not distribute over addition at "
+            f"({', '.join(A.labels[i] for i in w)})"
+        )
     return FiniteRing(
-        tuple(str(l) for l in labels),
+        A.labels,
         tuple(tuple(r) for r in add),
         tuple(tuple(r) for r in mul),
-        G.identity,
-        one,
+        plus.identity,
+        times.identity,
     )
 
 
@@ -468,41 +455,54 @@ class Multiring:
     hyperring: bool
 
 
+def _distributivity(
+    A: Hypermagma, mul: Sequence[Sequence[int]], commutative: bool
+) -> tuple[tuple[int, int, int] | None, tuple[int, int, int] | None]:
+    """Least witnesses (a, b, c) against sub- and strict distributivity of
+    `mul` over the hyperaddition of A, None where the law holds.  Sub fails
+    where a(b + c) is not within ab + ac or (b + c)a not within ba + ca;
+    strict fails where either pair differs.  For each a, each side is
+    compared over all (b, c) as one list, and only a list that differs is
+    searched.  A `commutative` mul has one side: (b + c)a = a(b + c) and
+    ba + ca = ab + ac."""
+    add = A.table
+    n = A.n
+    flat = [m for row in add for m in row]
+    split = {m: tuple(iter_bits(m)) for m in flat}
+    strict = None
+    for a in range(n):
+        sides = []
+        for times in [mul[a]] if commutative else [mul[a], [row[a] for row in mul]]:
+            image = {m: mask_of(map(times.__getitem__, ts)) for m, ts in split.items()}
+            lhs = list(map(image.__getitem__, flat))
+            rhs = [add[x][y] for x in times for y in times]
+            sides.append((lhs, rhs))
+        if all(lhs == rhs for lhs, rhs in sides):
+            continue
+        for k in range(n * n):
+            for lhs, rhs in sides:
+                if lhs[k] != rhs[k]:
+                    strict = strict or (a, k // n, k % n)
+                    if lhs[k] & ~rhs[k]:
+                        return (a, k // n, k % n), strict
+    return None, strict
+
+
 def check_multiring(additive: Hypermagma, mul: Sequence[Sequence[int]], one: int) -> dict:
     rep = analyze(additive)
     if rep.classification not in ("CanonicalHypergroup", "AbelianGroup"):
         raise AdditiveNotCanonical(
             f"additive part classifies as {rep.classification}"
         )
+    P, times = _single_valued("multiplication table", additive.labels, mul)
     zero = additive.identity
-    n = additive.n
-    if any(mul[zero][x] != zero or mul[x][zero] != zero for x in range(n)):
+    if any(mul[zero][x] != zero or mul[x][zero] != zero for x in range(P.n)):
         raise ZeroNotAbsorbing("0 * R = 0 = R * 0 fails")
-    if any(mul[one][x] != x or mul[x][one] != x for x in range(n)):
+    if times.identity != one:
         raise NotMultiring("1 is not a multiplicative identity")
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                if mul[mul[a][b]][c] != mul[a][mul[b][c]]:
-                    raise NotMultiring("multiplication not associative")
-    sub = True
-    strict = True
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                lhs = mask_of(mul[a][t] for t in iter_bits(additive.table[b][c]))
-                rhs = additive.table[mul[a][b]][mul[a][c]]
-                if lhs & ~rhs:
-                    sub = False
-                if lhs != rhs:
-                    strict = False
-                lhs = mask_of(mul[t][a] for t in iter_bits(additive.table[b][c]))
-                rhs = additive.table[mul[b][a]][mul[c][a]]
-                if lhs & ~rhs:
-                    sub = False
-                if lhs != rhs:
-                    strict = False
-    return {"multiring": sub, "hyperring": sub and strict}
+    _require(NotMultiring, "multiplication table", P, times, "associative")
+    sub, strict = _distributivity(additive, mul, times.commutative)
+    return {"multiring": sub is None, "hyperring": strict is None}
 
 
 def make_multiring(additive: Hypermagma, mul: Sequence[Sequence[int]], one: int) -> Multiring:
@@ -1070,10 +1070,6 @@ class EmptySumOutcome:
     witness: tuple[Hypermagma, int, int] | None
     max_size: int
     steps: tuple[str, ...]
-
-    @property
-    def exhausted(self) -> bool:
-        return self.witness is None
 
 
 def empty_sum_search(max_size: int) -> EmptySumOutcome:

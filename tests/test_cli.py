@@ -485,6 +485,37 @@ def test_malformed_labels_exit_2_with_one_line(tmp_path, capsys, payload, messag
 
 
 @pytest.mark.parametrize(
+    "payload, message",
+    [
+        (
+            # a*a = b and a*b = b*b = e: (a*a)*b = e while a*(a*b) = a
+            {"kind": "group", "carrier": ["e", "a", "b"],
+             "table": [["e", "a", "b"], ["a", "b", "e"], ["b", "e", "e"]]},
+            "group table: associative fails at (a, a, b)",
+        ),
+        (
+            {"kind": "group", "carrier": ["a", "b"], "table": [["a", "a"], ["b", "b"]]},
+            "group table: no identity element",
+        ),
+        (
+            # 2*2 = 2 makes 2 an idempotent: 2*(1+1) = 2, but 2*1 + 2*1 = 1
+            {"kind": "ring", "carrier": ["0", "1", "2"],
+             "add": [["0", "1", "2"], ["1", "2", "0"], ["2", "0", "1"]],
+             "mul": [["0", "0", "0"], ["0", "1", "2"], ["0", "2", "2"]]},
+            "multiplication does not distribute over addition at (2, 1, 1)",
+        ),
+    ],
+    ids=["group-not-associative", "group-without-identity", "ring-not-distributive"],
+)
+def test_table_axiom_failure_exits_2_naming_law_and_witness(tmp_path, capsys, payload, message):
+    path = write_obj(tmp_path, "bad.json", payload)
+    assert main(["check", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}: {message}\n"
+
+
+@pytest.mark.parametrize(
     "raw, message",
     [
         (b'{"kind": "hypermagma", "carrier": ["\xff"], "table": [[[]]]}', "can't decode byte 0xff"),

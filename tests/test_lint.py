@@ -1,10 +1,13 @@
-"""Source checks over src/hyperkit: no unused module-level imports, no memo
-outside hyperkit.search, memoised functions with positional parameters only,
-no bare `assert` in any module, and every function the benchmark's tracer
-wraps still exists."""
+"""Source checks over src/hyperkit: no unused module-level imports, no name
+a function reads that is bound nowhere, no memo outside hyperkit.search,
+memoised functions with positional parameters only, no bare `assert` in any
+module, no definition that nothing names, and every function the
+benchmark's tracer wraps still exists."""
 import ast
+import builtins
 import importlib
 import os
+import symtable
 
 import pytest
 
@@ -32,6 +35,25 @@ def test_module_level_imports_are_used(name):
                 imported.add((alias.asname or alias.name).split(".")[0])
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     assert sorted(imported - used) == []
+
+
+# a global that no module-level statement binds fails only when it is read
+@pytest.mark.parametrize("name", MODULES)
+def test_globals_read_are_bound(name):
+    with open(os.path.join(SRC, name)) as fh:
+        top = symtable.symtable(fh.read(), name, "exec")
+    bound = {s.get_name() for s in top.get_symbols() if s.is_assigned() or s.is_imported()}
+    unbound = []
+    scopes = list(top.get_children())
+    while scopes:
+        scope = scopes.pop()
+        scopes += scope.get_children()
+        for sym in scope.get_symbols():
+            g = sym.get_name()
+            if sym.is_global() and sym.is_referenced() and g not in bound:
+                if not hasattr(builtins, g):
+                    unbound.append(f"{scope.get_name()}: {g}")
+    assert sorted(unbound) == []
 
 
 @pytest.mark.parametrize("name", [m for m in MODULES if m != "search.py"])
@@ -94,11 +116,12 @@ def test_traced_names_resolve():
 
 
 def _named(tree):
-    """Every identifier a module names: names, attributes, imported names,
-    and dotted-name strings such as the tracer's "zoo.analyze"."""
+    """Every identifier a module names: names read, attributes, imported
+    names, and dotted-name strings such as the tracer's "zoo.analyze".  A
+    name that is only assigned is not named."""
     out = []
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
             out.append(node.id)
         elif isinstance(node, ast.Attribute):
             out.append(node.attr)
@@ -110,8 +133,24 @@ def _named(tree):
     return out
 
 
+def _definitions(tree):
+    """The module-level functions, classes and assigned names, and the
+    methods of module-level classes other than dunder methods."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("__"):
+                    yield f"{node.name}.{item.name}"
+        targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+        for target in targets:
+            if isinstance(target, ast.Name) and target.id != "__version__":
+                yield target.id
+
+
 def test_module_level_definitions_are_named_elsewhere():
-    # a function or class that nothing names is dead code
+    # a definition that nothing names is dead code
     root = os.path.join(os.path.dirname(__file__), os.pardir)
     named = []
     for folder in (SRC, os.path.join(root, "tests"), os.path.join(root, "perfbench")):
@@ -122,9 +161,9 @@ def test_module_level_definitions_are_named_elsewhere():
                         named += _named(ast.parse(fh.read(), f))
     named = set(named)
     unnamed = [
-        f"{name}:{node.name}"
+        f"{name}:{definition}"
         for name in MODULES
-        for node in _tree(name).body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in named
+        for definition in _definitions(_tree(name))
+        if definition.split(".")[-1] not in named
     ]
     assert unnamed == []

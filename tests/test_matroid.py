@@ -90,6 +90,26 @@ def _old_check_exchange(M):
     )
 
 
+def _exchange_failure_per_pair(M):
+    """The exchange check over the flats with two closure scans per
+    (S, x, y), in the same loop order: the message of its first failure."""
+    n = M.n
+    for S in M.flats:
+        for x in range(n):
+            if (S >> x) & 1:
+                continue
+            for y in range(n):
+                if (S >> y) & 1 or y == x:
+                    continue
+                if (M.closure(S | (1 << y)) >> x) & 1:
+                    if not (M.closure(S | (1 << x)) >> y) & 1:
+                        return (
+                            f"exchange fails at S={M.label_set(S)}, "
+                            f"x={M.ground[x]}, y={M.ground[y]}"
+                        )
+    return None
+
+
 def test_exchange_over_flats_agrees_with_old_spot_checks():
     # every intersection-closed family on at most 4 points that holds the
     # ground set; the accepted ones are the labelled matroids (OEIS A058673)
@@ -106,11 +126,13 @@ def test_exchange_over_flats_agrees_with_old_spot_checks():
             families += 1
             try:
                 make_matroid(ground, flats=fl)
-                new = True
-            except ExchangeFails:
-                new = False
-            assert new == _old_check_exchange(Matroid(tuple(ground), tuple(sorted(fl))))
-            count += new
+                failure = None
+            except ExchangeFails as exc:
+                failure = str(exc)
+            M = Matroid(tuple(ground), tuple(sorted(fl)))
+            assert failure == _exchange_failure_per_pair(M)
+            assert (failure is None) == _old_check_exchange(M)
+            count += failure is None
         accepted.append(count)
     assert families == 2551
     assert accepted == [1, 2, 5, 16, 68]
@@ -282,6 +304,14 @@ def test_projective_checks_fano_u24():
     assert pc["projective_law"] and pc["closure_eq_generated"] and pc["fullness"]
     pc24 = projective_checks(u24, others=[fano, u24])
     assert pc24["projective_law"] and pc24["closure_eq_generated"] and pc24["fullness"]
+
+
+def test_projective_checks_past_ten_points_test_every_subset():
+    # 12 points: a rank-2 uniform matroid is projective, and closure equals
+    # the generated strict submosaic on all 4096 subsets
+    u211 = adjoin_point(uniform_matroid(2, 11))
+    pc = projective_checks(u211)
+    assert pc["projective_law"] and pc["closure_eq_generated"] and pc["fullness"]
 
 
 def test_projective_law_fails_u34():

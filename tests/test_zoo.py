@@ -13,6 +13,7 @@ from hyperkit.errors import (
     NotAnAutomorphismGroup,
     NotASemilattice,
     NotASubgroup,
+    NotMultiring,
     NotUnitSubgroup,
     SearchCapExceeded,
     ZeroNotAbsorbing,
@@ -42,6 +43,7 @@ from hyperkit.zoo import (
     lattice_mosaic,
     leg_pairs,
     make_finite_group,
+    make_finite_ring,
     make_gf4,
     make_gf9,
     make_multiring,
@@ -214,6 +216,42 @@ def test_zoo_input_checks_raise_typed_errors():
         is_modular_lattice([[0, 0, 0], [0, 1, 0], [0, 0, 2]])
     with pytest.raises(SearchCapExceeded, match="n=4"):
         enumerate_unital_hypermagmas(4)
+
+
+@pytest.mark.parametrize("bad", [-2, -1, 2, 3])
+def test_table_entry_out_of_range_raises_dimension_mismatch(bad):
+    with pytest.raises(DimensionMismatch, match="^group table has an entry outside 0..1$"):
+        make_finite_group(["e", "g"], [[0, 1], [1, bad]])
+    add, mul = [[0, 1], [1, 0]], [[0, 0], [0, 1]]
+    with pytest.raises(DimensionMismatch, match="^addition table has an entry outside"):
+        make_finite_ring(["0", "1"], [[0, 1], [1, bad]], mul)
+    with pytest.raises(DimensionMismatch, match="^multiplication table has an entry outside"):
+        make_finite_ring(["0", "1"], add, [[0, 0], [0, bad]])
+    with pytest.raises(DimensionMismatch, match="^meet table has an entry outside"):
+        lattice_mosaic(["0", "1"], [[0, 0], [0, bad]])
+    with pytest.raises(DimensionMismatch, match="^multiplication table has an entry outside"):
+        check_multiring(krasner(), [[0, 0], [0, bad]], 1)
+
+
+def test_table_axiom_failures_name_law_and_witness():
+    # a*a = b and a*b = b*b = e: (a*a)*b = e while a*(a*b) = a
+    loop = [[0, 1, 2], [1, 2, 0], [2, 0, 0]]
+    with pytest.raises(NotASubgroup, match=r"^group table: associative fails at \(a, a, b\)$"):
+        make_finite_group(["e", "a", "b"], loop)
+    with pytest.raises(NotASubgroup, match="^group table: no identity element$"):
+        make_finite_group(["a", "b"], [[0, 0], [1, 1]])
+    # a monoid in which a*a = a: a has no inverse
+    with pytest.raises(NotASubgroup, match=r"^group table: unique_inverses fails at \(a\)$"):
+        make_finite_group(["e", "a"], [[0, 1], [1, 1]])
+    z3 = [[(i + j) % 3 for j in range(3)] for i in range(3)]
+    # 2*2 = 2 makes 2 an idempotent: 2*(1+1) = 2, but 2*1 + 2*1 = 1
+    with pytest.raises(NotMultiring, match=r"distribute over addition at \(2, 1, 1\)$"):
+        make_finite_ring(["0", "1", "2"], z3, [[0, 0, 0], [0, 1, 2], [0, 2, 2]])
+    S3 = symmetric_group(3)
+    with pytest.raises(NotMultiring, match=r"^addition table: commutative fails at \(\(1 2\), \(0 1\)\)$"):
+        make_finite_ring(S3.labels, S3.table, S3.table)
+    with pytest.raises(NotASemilattice, match=r"^meet table: commutative fails at \(0, 1\)$"):
+        lattice_mosaic(["0", "1"], [[0, 0], [1, 1]])
 
 
 def test_lattice_enumeration_counts():
