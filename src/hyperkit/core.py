@@ -426,6 +426,21 @@ def fresh_label(base: str, used: Iterable[str]) -> str:
     return lbl
 
 
+def distinct_labels(labels: Iterable[str]) -> list[str]:
+    """The labels in order, each one already used before it primed by
+    `fresh_label`.  Composite labels (pairs joined with "|", maps written
+    "(a,b)") can coincide when the factor labels contain the separator;
+    labels that are already distinct come back unchanged."""
+    out: list[str] = []
+    seen: set[str] = set()
+    for lbl in labels:
+        if lbl in seen:
+            lbl = fresh_label(lbl, seen)
+        seen.add(lbl)
+        out.append(lbl)
+    return out
+
+
 def orbit_partition(n: int, orbit: Callable[[int], int]) -> tuple[int, ...]:
     """Projection of range(n) onto the blocks orbit(a) (masks that partition
     the carrier), blocks numbered by their least member."""
@@ -445,7 +460,10 @@ def pushed_table(M: Hypermagma, proj: Sequence[int], k: int) -> tuple[tuple[int,
     empty products.
 
     Each class's rows are ORed once, column by column into the column's
-    class, and each product is then mapped through proj's image tables."""
+    class, and each product is then mapped through proj's image tables.
+    When every element is its own class, the table is M's."""
+    if k == M.n and all(c == x for x, c in enumerate(proj)):
+        return M.table
     prods = [[0] * k for _ in range(k)]
     for x, row in zip(proj, M.table):
         acc = prods[x]

@@ -8,9 +8,10 @@ explicit empty arrays.
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii
 from typing import Any
 
-from .core import Hypermagma, Morphism, from_masks, iter_bits, mask_of
+from .core import Hypermagma, Morphism, from_masks, mask_of
 from .errors import FormatError, HyperkitError
 from .matroid import Matroid, make_matroid
 from .zoo import (
@@ -26,10 +27,9 @@ def hypermagma_to_dict(M: Hypermagma) -> dict:
     d: dict[str, Any] = {"kind": "hypermagma", "carrier": list(M.labels)}
     if M.identity is not None:
         d["identity"] = M.labels[M.identity]
-    d["table"] = [
-        [[M.labels[z] for z in iter_bits(M.table[i][j])] for j in range(M.n)]
-        for i in range(M.n)
-    ]
+    # each distinct entry is spelled out once
+    subsets = {m: M.label_set(m) for m in set().union(*M.table)}
+    d["table"] = [[list(subsets[m]) for m in row] for row in M.table]
     return d
 
 
@@ -70,8 +70,34 @@ def matroid_to_dict(M: Matroid) -> dict:
     return d
 
 
+def _indented(obj, pad: str) -> str:
+    """obj as json.dumps(obj, indent=2) writes it at indentation `pad`, for
+    dicts with string keys, lists and JSON scalars.  Strings go through
+    json's string encoder (its C version where there is one), not its
+    pure-Python indenting encoder."""
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = pad + "  "
+        items = [
+            encode_basestring_ascii(x) if isinstance(x, str) else _indented(x, inner)
+            for x in obj
+        ]
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = pad + "  "
+        items = [encode_basestring_ascii(k) + ": " + _indented(v, inner) for k, v in obj.items()]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
+    return json.dumps(obj)
+
+
 def dumps(obj: dict) -> str:
-    return json.dumps(obj, indent=2) + "\n"
+    """The bytes of json.dumps(obj, indent=2), and a final newline."""
+    return _indented(obj, "") + "\n"
 
 
 def _need(d: dict, key: str):

@@ -184,64 +184,67 @@ def colax_schedule(M: Hypermagma) -> list[tuple[list, list]]:
     return list(zip(pairs, checks))
 
 
-@memo
-def enumerate_morphisms(M: Hypermagma, N: Hypermagma, tag: Tag) -> list[Morphism]:
-    """All tag-morphisms M -> N, ordered by the map array.
+def colax_maps(
+    schedule: list[tuple[list, list]],
+    m: int,
+    table,
+    budget: Budget,
+    unit: tuple[int, int] | None = None,
+    inverses: tuple[tuple[int, ...], tuple[int, ...]] | None = None,
+) -> list[tuple[int, ...]]:
+    """Every map f from the carrier of `schedule` (`colax_schedule`) to
+    range(m) with f(z) in table[f(a)][f(b)] for each of its triples z in
+    a*b, in lexicographic order.  `table[u][w]` is a mask over range(m).
 
-    Depth-first over element images in carrier order.  Each colaxity triple
-    z in a*b of M is tested at depth k = max(a, b, z), the first depth where
-    it is fully determined (forward checking).  The triples with a, b < k
-    (so z = k) become a candidate mask for f[k], the AND of N's
-    f[a]*f[b]; the others, where a or b is k, are checked for each
-    candidate the mask admits.  Mosaic tags also mask by inverse
-    preservation, which unital morphisms of mosaics satisfy automatically:
-    f[k] is N's inverse of f[M.inverse[k]] when that element comes earlier,
-    and self-inverse when k is.  A node is one candidate tried, whether or
-    not the mask admits it.
+    Depth-first over images in carrier order, with forward checking: the
+    triples with a, b < k (so z = k) become a candidate mask for f(k), the
+    AND of table[f(a)][f(b)]; the others, where a or b is k, are checked for
+    each candidate the mask admits.  `unit` = (k, v) pins f(k) = v, where v
+    is a two-sided identity of `table` (table[v][w] and table[w][v] hold
+    w), so the triples b in k*b and b in b*k hold and are not tested.  With
+    `inverses` = (inv, inv_m), f(k) is inv_m of f(inv[k]) when inv[k] < k
+    and a fixed point of inv_m when inv[k] = k.  A node is one candidate
+    image, whether or not the mask admits it: each depth reached is charged
+    m nodes (1 at a pinned depth), and only the admitted candidates are
+    walked.
     """
-    unital_tag = tag in UNITAL_TAGS
-    if unital_tag and (M.identity is None or N.identity is None):
-        raise NotUnital(f"tag {tag.value} needs unital objects")
-    n, m = M.n, N.n
-    budget = Budget(f"enumerate_morphisms(|M|={n}, |N|={m}, {tag.value})")
-    if n == 0:
-        return [Morphism(M, N, ())]
-    out: list[Morphism] = []
-
-    use_inverse_prune = (
-        tag in (Tag.MSC, Tag.CMSC, Tag.HGRP, Tag.CAN)
-        and M.inverse is not None
-        and N.inverse is not None
-    )
-    if use_inverse_prune:
-        self_inverse = mask_of(y for y in range(m) if N.inverse[y] == y)
+    n = len(schedule)
     every = (1 << m) - 1
-    schedule = colax_schedule(M)
-    table = N.table
+    pinned, pin = unit if unit is not None else (-1, 0)
+    if unit is not None:
+        schedule = [
+            (pairs, [
+                (a, b, z) for a, b, z in checks
+                if not ((a == pinned and z == b) or (b == pinned and z == a))
+            ])
+            for pairs, checks in schedule
+        ]
+    if inverses is not None:
+        inv, inv_m = inverses
+        fixed = mask_of(y for y in range(m) if inv_m[y] == y)
+    out: list[tuple[int, ...]] = []
     f = [0] * n
 
     def rec(k: int) -> None:
         if k == n:
-            out.append(Morphism(M, N, tuple(f)))
+            out.append(tuple(f))
             return
         allowed = every
-        if use_inverse_prune:
-            xinv = M.inverse[k]
+        if inverses is not None:
+            xinv = inv[k]
             if xinv < k:
-                allowed = 1 << N.inverse[f[xinv]]
+                allowed = 1 << inv_m[f[xinv]]
             elif xinv == k:
-                allowed = self_inverse
+                allowed = fixed
         pairs, checks = schedule[k]
         for a, b in pairs:
             allowed &= table[f[a]][f[b]]
-        if unital_tag and k == M.identity:
-            cands = (N.identity,)
-        else:
-            cands = range(m)
-        for v in cands:
+        if k == pinned:
             budget.spend()
-            if not (allowed >> v) & 1:
-                continue
+            allowed &= 1 << pin
+        else:
+            budget.spend(m)
+        for v in iter_bits(allowed):
             f[k] = v
             for a, b, z in checks:
                 if not (table[f[a]][f[b]] >> f[z]) & 1:
@@ -251,6 +254,35 @@ def enumerate_morphisms(M: Hypermagma, N: Hypermagma, tag: Tag) -> list[Morphism
 
     rec(0)
     return out
+
+
+@memo
+def enumerate_morphisms(M: Hypermagma, N: Hypermagma, tag: Tag) -> list[Morphism]:
+    """All tag-morphisms M -> N, ordered by the map array: the colax maps of
+    `colax_maps`, with the unit pinned in the unital tags.
+
+    Mosaic tags also mask by inverse preservation, which unital morphisms of
+    mosaics satisfy automatically.  Each depth reached is charged |N| nodes
+    (1 at the unit of a unital tag).
+    """
+    unital_tag = tag in UNITAL_TAGS
+    if unital_tag and (M.identity is None or N.identity is None):
+        raise NotUnital(f"tag {tag.value} needs unital objects")
+    budget = Budget(f"enumerate_morphisms(|M|={M.n}, |N|={N.n}, {tag.value})")
+    use_inverse_prune = (
+        tag in (Tag.MSC, Tag.CMSC, Tag.HGRP, Tag.CAN)
+        and M.inverse is not None
+        and N.inverse is not None
+    )
+    maps = colax_maps(
+        colax_schedule(M),
+        N.n,
+        N.table,
+        budget,
+        (M.identity, N.identity) if unital_tag else None,
+        (M.inverse, N.inverse) if use_inverse_prune else None,
+    )
+    return [Morphism(M, N, f) for f in maps]
 
 
 def inclusion_morphism(L: Hypermagma, M: Hypermagma) -> Morphism:

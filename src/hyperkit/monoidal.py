@@ -12,6 +12,7 @@ from .core import (
     Hypermagma,
     Morphism,
     compose,
+    distinct_labels,
     from_masks,
     image_function,
     iter_bits,
@@ -26,8 +27,8 @@ from .errors import (
 )
 from .hom import (
     bijection_failure,
+    colax_maps,
     colax_schedule,
-    constant_morphism,
     enumerate_morphisms,
     is_colax,
     is_unital,
@@ -46,7 +47,7 @@ def boxdot(M: Hypermagma, N: Hypermagma) -> Hypermagma:
     slice x; a mask of M, spread so that bit t goes to bit t*|N| and shifted
     left by y, lands in slice y."""
     nm, nn = M.n, N.n
-    labels = [f"{a}|{b}" for a in M.labels for b in N.labels]
+    labels = distinct_labels(f"{a}|{b}" for a in M.labels for b in N.labels)
     spread = image_function([1 << (t * nn) for t in range(nm)])
     spread_rows = [[spread(m) for m in row] for row in M.table]
     rows = []
@@ -133,55 +134,65 @@ def is_bimorphism(b: Bimorphism, tag: Tag) -> bool:
     return True
 
 
+def _coordinate_masks(
+    maps: Sequence[tuple[int, ...]], n: int, L: Hypermagma
+) -> list[list[list[int]]]:
+    """at[x][u][w], for x in range(n): the mask of the i with maps[i][x] in
+    u*w of L.
+
+    The pointwise product of maps f and g, the mask of the h with h(x) in
+    f(x)*g(x) for all x, is then the AND over x of at[x][f(x)][g(x)]."""
+    at = []
+    for x in range(n):
+        by_value = [0] * L.n
+        for i, h in enumerate(maps):
+            by_value[h[x]] |= 1 << i
+        maps_in = image_function(by_value)
+        at.append([list(map(maps_in, row)) for row in L.table])
+    return at
+
+
+class _ProductRow(dict):
+    """Row f of the pointwise products of `maps` over the masks `at` of
+    `_coordinate_masks`: entry g is computed on first use and kept."""
+
+    __slots__ = ("f", "at", "maps")
+
+    def __init__(
+        self, f: tuple[int, ...], at: list[list[list[int]]], maps: Sequence[tuple[int, ...]]
+    ):
+        self.f, self.at, self.maps = f, at, maps
+
+    def __missing__(self, g: int) -> int:
+        m = -1  # every bit set: the AND over no coordinates is every map
+        for at_x, u, w in zip(self.at, self.f, self.maps[g]):
+            m &= at_x[u][w]
+        self[g] = m
+        return m
+
+
 def enumerate_bimorphisms(
     M: Hypermagma, N: Hypermagma, L: Hypermagma, tag: Tag
 ) -> list[Bimorphism]:
     """All bimorphisms M x N -> L, ordered by the flattened table.
 
-    Rows are drawn from Hom(N, L).  The column maps x -> B(x, y) must be
-    colax, so each triple z in x1*x2 of M is checked across every y at the
-    depth where its rows are all chosen (`hom.colax_schedule`).
+    Rows are drawn from Hom(N, L), as indices into its enumeration, and the
+    unit's row is the constant map to L's unit in the unital tags.  The
+    column maps x -> B(x, y) must be colax: for each z in x1*x2 of M, row z
+    lies in the pointwise product of rows x1 and x2.  So the rows form a
+    colax map from M into the pointwise products of Hom(N, L), searched by
+    `hom.colax_maps`; each product is computed on first use.  The constant
+    row is an identity of those products: its product with row g is {g}.
     """
-    rows_pool = enumerate_morphisms(N, L, tag)
-    unital_tag = tag in UNITAL_TAGS
+    maps = [h.map for h in enumerate_morphisms(N, L, tag)]
     budget = Budget(f"enumerate_bimorphisms(|M|={M.n}, |N|={N.n}, |L|={L.n}, {tag.value})")
-    chosen: list[Morphism] = []
-    out: list[Bimorphism] = []
-    depths = [
-        [(a, b, k) for a, b in pairs] + checks
-        for k, (pairs, checks) in enumerate(colax_schedule(M))
-    ]
-    columns = range(N.n)
-
-    def cols_ok(k: int) -> bool:
-        for a, b, z in depths[k]:
-            ra, rb, rz = chosen[a].map, chosen[b].map, chosen[z].map
-            for y in columns:
-                if not (L.table[ra[y]][rb[y]] >> rz[y]) & 1:
-                    return False
-        return True
-
-    def rec(k: int) -> None:
-        if k == M.n:
-            table = tuple(r.map for r in chosen)
-            out.append(Bimorphism(M, N, L, table))
-            return
-        if unital_tag and k == M.identity:
-            cands = [constant_morphism(N, L, L.identity)]
-        else:
-            cands = rows_pool
-        for r in cands:
-            budget.spend()
-            chosen.append(r)
-            if cols_ok(k):
-                rec(k + 1)
-            chosen.pop()
-
-    if M.n == 0:
-        return [Bimorphism(M, N, L, ())]
-    rec(0)
-    out.sort(key=lambda b: b.table)
-    return out
+    unit = None
+    if tag in UNITAL_TAGS and M.identity is not None:
+        unit = (M.identity, maps.index((L.identity,) * N.n))
+    at = _coordinate_masks(maps, N.n, L)
+    products = [_ProductRow(f, at, maps) for f in maps]
+    rows = colax_maps(colax_schedule(M), len(maps), products, budget, unit)
+    return [Bimorphism(M, N, L, tuple(map(maps.__getitem__, r))) for r in rows]
 
 
 @memo
@@ -205,31 +216,39 @@ def tensor(M: Hypermagma, N: Hypermagma, tag: Tag) -> tuple[Hypermagma, Bimorphi
 def hom_object(M: Hypermagma, N: Hypermagma, tag: Tag) -> Hypermagma:
     """The hom-set under f*g = {h | h(x) in f(x)*g(x) for all x}.
 
-    allowed[x][u][w] is the mask of the homs h with h(x) in u*w, so f*g is
-    the AND over x of allowed[x][f(x)][g(x)]."""
-    homs = enumerate_morphisms(M, N, tag)
-    H = len(homs)
-    labels = ["(" + ",".join(N.labels[v] for v in h.map) + ")" for h in homs]
-    allowed = []
-    for x in range(M.n):
-        by_value = [0] * N.n
-        for i, h in enumerate(homs):
-            by_value[h.map[x]] |= 1 << i
-        homs_in = image_function(by_value)
-        allowed.append([list(map(homs_in, row)) for row in N.table])
-    full = (1 << H) - 1
-    rows = []
-    for f in homs:
-        at_f = [at[u] for at, u in zip(allowed, f.map)]
-        row = []
-        for g in homs:
-            m = full
-            for at, w in zip(at_f, g.map):
-                m &= at[w]
-                if not m:
-                    break
-            row.append(m)
-        rows.append(row)
+    f*g is the AND over x of `_coordinate_masks`.  Consecutive homs agree on
+    a prefix of their maps, so the ANDs over that prefix are kept from one
+    g to the next.  When N is commutative, f*g = g*f and only g >= f is
+    computed."""
+    maps = [h.map for h in enumerate_morphisms(M, N, tag)]
+    H, n = len(maps), M.n
+    labels = distinct_labels("(" + ",".join(N.labels[v] for v in f) + ")" for f in maps)
+    at = _coordinate_masks(maps, n, N)
+    # agree[j]: the length of the prefix maps[j] shares with maps[j - 1]
+    agree = [0] * H
+    for j in range(1, H):
+        x = 0
+        while maps[j][x] == maps[j - 1][x]:
+            x += 1
+        agree[j] = x
+    commutative = all(row == col for row, col in zip(N.table, zip(*N.table)))
+    rows = [[0] * H for _ in range(H)]
+    prefix = [(1 << H) - 1] + [0] * n  # prefix[x]: the AND over the first x coordinates
+    for i, f in enumerate(maps):
+        at_f = [a[u] for a, u in zip(at, f)]
+        row = rows[i]
+        first = i if commutative else 0
+        for j in range(first, H):
+            g = maps[j]
+            x = 0 if j == first else agree[j]
+            m = prefix[x]
+            while x < n:
+                m &= at_f[x][g[x]]
+                x += 1
+                prefix[x] = m
+            row[j] = m
+            if commutative:
+                rows[j][i] = m
     return from_masks(labels, rows)
 
 

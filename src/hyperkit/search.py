@@ -47,8 +47,8 @@ class Budget:
         if _open:
             _open[-1].append(self)
 
-    def spend(self) -> None:
-        self.left -= 1
+    def spend(self, nodes: int = 1) -> None:
+        self.left -= nodes
         if self.left < 0:
             raise SearchCapExceeded(f"{self.what}: node cap exceeded after {self.cap} nodes")
 

@@ -13,6 +13,7 @@ from .core import (
     Morphism,
     absorptive_closure,
     compose,
+    distinct_labels,
     fresh_label,
     from_masks,
     iter_bits,
@@ -114,7 +115,7 @@ def product(Ms: Sequence[Hypermagma]) -> Cone:
     sizes = [M.n for M in Ms]
     tuples = list(itertools.product(*(range(s) for s in sizes)))
     index = {t: i for i, t in enumerate(tuples)}
-    labels = ["|".join(M.labels[c] for M, c in zip(Ms, t)) for t in tuples]
+    labels = distinct_labels("|".join(M.labels[c] for M, c in zip(Ms, t)) for t in tuples)
     n = len(tuples)
     rows = [[0] * n for _ in range(n)]
     for ia, a in enumerate(tuples):
@@ -169,7 +170,7 @@ def coproduct(Ms: Sequence[Hypermagma], tag: Tag) -> Cocone:
                     slots.append(0)
                 else:
                     slots.append(len(labels))
-                    labels.append(fresh_label(f"{M.labels[x]}@{i}", labels))
+                    labels.append(f"{M.labels[x]}@{i}")
             slot.append(slots)
         n = len(labels)
         rows = [[0] * n for _ in range(n)]
@@ -186,7 +187,7 @@ def coproduct(Ms: Sequence[Hypermagma], tag: Tag) -> Cocone:
                     rows[slot[i][x]][slot[i][y]] = mask_of(
                         slot[i][z] for z in iter_bits(M.table[x][y])
                     )
-        W = from_masks(labels, rows)
+        W = from_masks(distinct_labels(labels), rows)
         ensure(W.identity == 0, "coproduct: the wedge point is not the identity")
         legs = tuple(
             Morphism(M, W, tuple(slot[i])) for i, M in enumerate(Ms)
@@ -246,7 +247,10 @@ def unitize(M: Hypermagma, E: int) -> Morphism:
     and not onto the new unit.  Otherwise the map is onto, its kernel is the
     absorptive strict closure K of E, classes are the components of the chain
     relation y in x*K or K*x (K one block), and products with the unit class
-    are forced to be scalar.
+    are forced to be scalar.  E = {e} for M's scalar identity e is that
+    closure already and merges no classes, so the map is the identity
+    quotient with e relabelled, taken without the closure; every unital
+    `coequalizer` whose unit class stays a singleton takes this path.
     """
     if E == 0:
         lbl = fresh_label("e", M.labels)
@@ -260,16 +264,20 @@ def unitize(M: Hypermagma, E: int) -> Morphism:
         Me = from_masks(labels, rows)
         return Morphism(M, Me, tuple(range(n)))
 
-    K = absorptive_closure(M, E)
-    uf = _UnionFind(M.n)
-    kbits = list(iter_bits(K))
-    for other in kbits[1:]:
-        uf.union(kbits[0], other)
-    for x, reach in enumerate(side_products(M, K)):
-        for y in iter_bits(reach):
-            uf.union(x, y)
-    proj = uf.proj()
-    unit = proj[kbits[0]]
+    if M.identity is not None and E == 1 << M.identity:
+        # {e} is closed and absorptive and e*x = x*e = {x}: no classes merge
+        proj, unit = tuple(range(M.n)), M.identity
+    else:
+        K = absorptive_closure(M, E)
+        uf = _UnionFind(M.n)
+        kbits = list(iter_bits(K))
+        for other in kbits[1:]:
+            uf.union(kbits[0], other)
+        for x, reach in enumerate(side_products(M, K)):
+            for y in iter_bits(reach):
+                uf.union(x, y)
+        proj = uf.proj()
+        unit = proj[kbits[0]]
     pi = quotient(M, proj, unit=unit)
     ensure(pi.cod.identity == unit, "unitize: the unit class is not an identity")
     ensure(is_colax(pi), "unitize: the quotient map is not colax")
@@ -302,7 +310,7 @@ def pullback(f: Morphism, g: Morphism) -> Cone:
     L, M = f.dom, g.dom
     pairs = [(x, y) for x in range(L.n) for y in range(M.n) if f.map[x] == g.map[y]]
     index = {p: i for i, p in enumerate(pairs)}
-    labels = [f"{L.labels[x]}|{M.labels[y]}" for x, y in pairs]
+    labels = distinct_labels(f"{L.labels[x]}|{M.labels[y]}" for x, y in pairs)
     n = len(pairs)
     rows = [[0] * n for _ in range(n)]
     for ia, (x, x2) in enumerate(pairs):

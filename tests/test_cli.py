@@ -111,6 +111,39 @@ def test_parse_error_exit_2(tmp_path, capsys):
     assert main(["check", false_identity]) == 2
 
 
+# labels a JSON writer must escape: quotes, backslashes, control
+# characters, and characters outside ASCII (one outside the BMP)
+AWKWARD = ('say "hi"', "back\\slash", "tab\tline\nnul\x00\x1f\x7f", "é☃\u2028𝄞")
+
+
+def test_dumps_writes_the_bytes_of_json_dumps_indent_2():
+    from hyperkit.core import Morphism, from_masks
+    from hyperkit.matroid import make_matroid
+    from hyperkit.univ import cofree
+    from hyperkit.zoo import make_finite_group, make_finite_ring
+
+    A = cofree(AWKWARD[:2])
+    B = from_masks(AWKWARD[2:], ((1, 2), (2, 0)))
+    F = make_matroid(AWKWARD[:3], flats=[(), AWKWARD[:1], AWKWARD[1:2], AWKWARD[2:3], AWKWARD[:3]])
+    files = [
+        formats.hypermagma_to_dict(A),
+        formats.hypermagma_to_dict(B),
+        formats.morphism_to_dict(Morphism(A, B, (0, 0))),
+        formats.group_to_dict(make_finite_group(AWKWARD[:3], [[0, 1, 2], [1, 2, 0], [2, 0, 1]])),
+        formats.ring_to_dict(make_finite_ring(AWKWARD[2:], [[0, 1], [1, 0]], [[0, 0], [0, 1]])),
+        formats.matroid_to_dict(F),
+        formats.matroid_to_dict(adjoin_point(F)),
+        {"kind": "matroid", "ground": ["a"], "rank": [[[], 0], [["a"], 1]]},
+        {"kind": "lattice", "carrier": AWKWARD[:2], "top": AWKWARD[1],
+         "meet": [[AWKWARD[0]] * 2, list(AWKWARD[:2])]},
+        {"kind": "hypermagma", "carrier": [], "table": []},
+        {},
+        {"empty": {}, "list": [[], [[]], {}], "scalars": [0, -3, 2.5, True, False, None]},
+    ]
+    for d in files:
+        assert formats.dumps(d) == json.dumps(d, indent=2) + "\n"
+
+
 def test_construct_free(tmp_path, capsys):
     out = str(tmp_path / "f.json")
     assert main(["construct", "free", "--tag", "cmsc", "--gens", "1", "-o", out]) == 0
@@ -592,3 +625,40 @@ def test_negative_gens_exits_2_with_one_line(tmp_path, capsys, verb):
     assert captured.err == "error: --gens: -1 is negative\n"
     assert main(["construct", verb, "--gens", "0", "-o", out]) == 0
     assert formats.load(out)[1].n == 0
+
+
+@pytest.mark.parametrize(
+    "argv, left, right, labels",
+    [
+        (
+            ["construct", "product"],
+            ("a", "a|b"),
+            ("b|c", "c"),
+            ("a|b|c", "a|c", "a|b|b|c", "a|b|c'"),
+        ),
+        (
+            ["construct", "tensor", "--op", "boxdot"],
+            ("a", "a|b"),
+            ("b|c", "c"),
+            ("a|b|c", "a|c", "a|b|b|c", "a|b|c'"),
+        ),
+        (
+            ["construct", "hom"],
+            ("x", "y"),
+            ("a", "a,a"),
+            ("(a,a)", "(a,a,a)", "(a,a,a)'", "(a,a,a,a)"),
+        ),
+    ],
+    ids=["product", "tensor-boxdot", "hom"],
+)
+def test_construct_primes_composite_labels_that_coincide(tmp_path, argv, left, right, labels):
+    from hyperkit.univ import cofree
+
+    # the hom verb's domain is free (empty products), so every map is a hom
+    first = free(Tag.HMAG, left) if argv[1] == "hom" else cofree(left)
+    a = write_obj(tmp_path, "a.json", formats.hypermagma_to_dict(first))
+    b = write_obj(tmp_path, "b.json", formats.hypermagma_to_dict(cofree(right)))
+    out = str(tmp_path / "out.json")
+    assert main([*argv, a, b, "-o", out]) == 0
+    _, T = formats.load(out)
+    assert T.labels == labels

@@ -224,6 +224,10 @@ def test_pushed_table_and_quotient_match_fiber_loop(data):
     assert pushed_table(M, proj, k) == _old_pushed(M, proj, k)
     # a class without members has empty products
     assert pushed_table(M, proj, k + 1) == _old_pushed(M, proj, k + 1)
+    # every element its own class, in order and reversed
+    ident = tuple(range(M.n))
+    assert pushed_table(M, ident, M.n) == _old_pushed(M, ident, M.n)
+    assert pushed_table(M, ident[::-1], M.n) == _old_pushed(M, ident[::-1], M.n)
     pi = quotient(M, proj)
     assert pi.map == proj and pi.cod == _old_quotient(M, proj)
     if k:
@@ -352,6 +356,32 @@ def test_hom_object_matches_coordinate_loop_on_random_tables(data):
     M = data.draw(hypermagmas([0, 1, 2, 3]))
     N = data.draw(hypermagmas([1, 2, 3]))
     assert hom_object(M, N, Tag.HMAG).table == _old_hom_table(M, N, Tag.HMAG)
+
+
+@st.composite
+def unital_tables(draw, sizes, commutative):
+    """A unital hypermagma with identity 0, symmetric when `commutative`."""
+    n = draw(st.sampled_from(sizes))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    rows = _random_table(rng, n, draw(st.booleans()))
+    for x in range(n):
+        if commutative:
+            for y in range(x):
+                rows[x][y] = rows[y][x]
+        rows[0][x] = rows[x][0] = 1 << x
+    return from_masks([f"x{i}" for i in range(n)], rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_hom_object_matches_coordinate_loop_on_commutative_codomains(data):
+    # a commutative N gives f*g = g*f: hom_object computes g >= f and mirrors
+    tag = data.draw(st.sampled_from([Tag.UHMAG, Tag.CMSC]), label="tag")
+    mosaics = st.sampled_from([M for n in (1, 2, 3) for M in enumerate_small_mosaics(n)])
+    M = data.draw(st.one_of(mosaics, unital_tables([1, 2, 3, 4], commutative=False)), label="M")
+    N = data.draw(st.one_of(mosaics, unital_tables([1, 2, 3, 4], commutative=True)), label="N")
+    assert all(N.table[u][w] == N.table[w][u] for u in range(N.n) for w in range(N.n))
+    assert hom_object(M, N, tag).table == _old_hom_table(M, N, tag)
 
 
 def _old_curry(phi, M, N, tag):

@@ -391,3 +391,46 @@ def test_tensor_rejects_noncommutative_input_on_every_call():
 def test_row_by_row_matrix_count_matches_brute_force(name):
     L = {"K": krasner, "Z2": z2, "V": klein}[name]()
     assert _matrix_count(L) == _brute_force_matrix_count(L)
+
+
+def _bimorphisms_by_filter(M, N, L, tag):
+    """Bim(M, N; L) as the tables in Hom(N, L)^|M|, in table order, that
+    `is_bimorphism` accepts."""
+    rows = [h.map for h in enumerate_morphisms(N, L, tag)]
+    return [
+        table
+        for table in itertools.product(rows, repeat=M.n)
+        if is_bimorphism(Bimorphism(M, N, L, table), tag)
+    ]
+
+
+@pytest.mark.parametrize("tag", [Tag.HMAG, Tag.UHMAG, Tag.CMSC], ids=lambda t: t.value)
+def test_bimorphisms_match_filtered_row_tuples(tag):
+    from hyperkit.suite import battery
+
+    objects = [M for M in battery(tag) if M.n <= 3]
+    assert (mixed3() in objects) == (tag is Tag.HMAG)
+    for M, N, L in itertools.product(objects, repeat=3):
+        want = _bimorphisms_by_filter(M, N, L, tag)
+        assert [b.table for b in enumerate_bimorphisms(M, N, L, tag)] == want, (M, N, L)
+
+
+def test_boxdot_labels_are_distinct_when_factor_labels_hold_the_separator():
+    from hyperkit.univ import cofree
+
+    # "a" + "|b|c" and "a|b" + "|c" are both "a|b|c"; the later one is primed
+    B = boxdot(cofree(("a", "a|b")), cofree(("b|c", "c")))
+    assert B.labels == ("a|b|c", "a|c", "a|b|b|c", "a|b|c'")
+    assert boxdot(cofree(("a", "b")), cofree(("c",))).labels == ("a|c", "b|c")
+
+
+def test_hom_object_labels_are_distinct_when_codomain_labels_hold_the_separator():
+    from hyperkit.univ import cofree
+
+    # the maps (a, a,a) and (a,a, a) are both written "(a,a,a)"
+    H = hom_object(free(Tag.HMAG, ("x", "y")), cofree(("a", "a,a")), Tag.HMAG)
+    assert H.labels == ("(a,a)", "(a,a,a)", "(a,a,a)'", "(a,a,a,a)")
+    assert hom_object(free(Tag.HMAG, ("x",)), cofree(("a", "b")), Tag.HMAG).labels == (
+        "(a)",
+        "(b)",
+    )

@@ -365,3 +365,79 @@ def test_mosaic_universal_properties_against_small_mosaics():
     assert check_product_universal(cone, [A, B], Tag.MSC, small)
     coc = coproduct([A, B], Tag.MSC)
     assert check_coproduct_universal(coc, [A, B], Tag.MSC, small)
+
+
+def _battery_objects_with_identity():
+    from hyperkit.suite import battery
+
+    seen = {}
+    for tag in Tag:
+        for M in battery(tag):
+            if M.identity is not None:
+                seen.setdefault((M.labels, M.table), M)
+    return list(seen.values())
+
+
+def test_unitize_at_the_identity_is_the_identity_quotient():
+    # {e} is closed and absorptive and e*x = x*e = {x}, so no classes merge:
+    # the general path's result is the identity quotient with e relabelled
+    from hyperkit.core import absorptive_closure, quotient
+    from hyperkit.zoo import enumerate_unital_hypermagmas
+
+    objects = [M for n in (1, 2, 3) for M in enumerate_unital_hypermagmas(n)]
+    objects += _battery_objects_with_identity()
+    assert len(objects) > 2085
+    for M in objects:
+        e = M.identity
+        assert absorptive_closure(M, 1 << e) == 1 << e
+        assert unitize(M, 1 << e) == quotient(M, tuple(range(M.n)), unit=e)
+
+
+def test_boxtimes_digest_on_small_commutative_mosaics():
+    # labels, table and quotient map of every boxtimes of two commutative
+    # mosaics of order <= 3, as the general unitization path (closure,
+    # chain relation, quotient) gives them
+    import hashlib
+
+    from hyperkit.monoidal import boxtimes
+    from hyperkit.zoo import enumerate_small_mosaics
+
+    mosaics = [M for n in (1, 2, 3) for M in enumerate_small_mosaics(n)]
+    assert len(mosaics) == 17
+    digest = hashlib.sha256()
+    for M in mosaics:
+        for N in mosaics:
+            q = boxtimes(M, N)
+            digest.update(repr((q.cod.labels, q.cod.table, q.map)).encode())
+    assert digest.hexdigest() == (
+        "182dbb8a418101d2b1102afe18fe2ce0bf9e392ac1d8995c129187a690df8d79"
+    )
+
+
+# Factor labels that hold the separator: "a" + "|b|c" and "a|b" + "|c" are
+# both "a|b|c".
+SEPARATOR_LABELS = (("a", "a|b"), ("b|c", "c"))
+PRIMED_PAIRS = ("a|b|c", "a|c", "a|b|b|c", "a|b|c'")
+
+
+def test_product_labels_are_distinct_when_factor_labels_hold_the_separator():
+    A, B = (cofree(labels) for labels in SEPARATOR_LABELS)
+    cone = product([A, B])
+    assert cone.apex.labels == PRIMED_PAIRS
+    assert check_product_universal(cone, [A, B], Tag.HMAG, probes())
+
+
+def test_pullback_labels_are_distinct_when_factor_labels_hold_the_separator():
+    A, B = (cofree(labels) for labels in SEPARATOR_LABELS)
+    T = terminal()
+    cone = pullback(Morphism(A, T, (0, 0)), Morphism(B, T, (0, 0)))
+    assert cone.apex.labels == PRIMED_PAIRS
+    assert cone.apex.table == product([A, B]).apex.table
+
+
+def test_distinct_labels_are_kept():
+    A, B = cofree(("a", "b")), cofree(("c", "d"))
+    assert product([A, B]).apex.labels == ("a|c", "a|d", "b|c", "b|d")
+    T = terminal()
+    cone = pullback(Morphism(A, T, (0, 0)), Morphism(B, T, (0, 0)))
+    assert cone.apex.labels == ("a|c", "a|d", "b|c", "b|d")
