@@ -454,6 +454,53 @@ def orbit_partition(n: int, orbit: Callable[[int], int]) -> tuple[int, ...]:
     return tuple(proj)
 
 
+class UnionFind:
+    """Disjoint classes of range(n), merged by `union`."""
+
+    def __init__(self, n: int):
+        self.parent = list(range(n))
+
+    def find(self, x: int) -> int:
+        while self.parent[x] != x:
+            self.parent[x] = self.parent[self.parent[x]]
+            x = self.parent[x]
+        return x
+
+    def union(self, a: int, b: int) -> None:
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            if rb < ra:
+                ra, rb = rb, ra
+            self.parent[rb] = ra
+
+    def proj(self) -> tuple[int, ...]:
+        """Class of each element, classes numbered by their least member.
+
+        A root is the least member of its class, so classes first appear in
+        the order of their least members."""
+        cls: dict[int, int] = {}
+        return tuple(cls.setdefault(self.find(x), len(cls)) for x in range(len(self.parent)))
+
+
+def reversible_closure(
+    seeds: Iterable[tuple[int, int, int]], inverse: Sequence[int]
+) -> set[tuple[int, int, int]]:
+    """The triples (x, y, z), each read as z in x*y, that the two
+    reversibility moves reach from the seeds: z in x*y gives x in z*y^-1
+    and y in x^-1*z, with y^-1 = inverse[y].  Both moves are involutions,
+    and swapping x and y turns one into the other, so the closure of a set
+    holding each seed's mirror (y, x, z) is commutative."""
+    out: set[tuple[int, int, int]] = set()
+    stack = list(seeds)
+    while stack:
+        t = stack.pop()
+        if t not in out:
+            out.add(t)
+            x, y, z = t
+            stack += ((z, inverse[y], x), (inverse[x], z, y))
+    return out
+
+
 def pushed_table(M: Hypermagma, proj: Sequence[int], k: int) -> tuple[tuple[int, ...], ...]:
     """The k x k table whose entry [i][j] is proj(fiber_i * fiber_j), where
     fiber_c is the set of x with proj[x] = c; a class without members has

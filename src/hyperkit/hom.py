@@ -11,7 +11,6 @@ from .core import (
     Hypermagma,
     Morphism,
     compose,
-    from_masks,
     image_function,
     is_absorptive,
     iter_bits,
@@ -309,76 +308,28 @@ class RepresentingObject:
     iota: Morphism
 
 
-def _sets_table(labels, entries):
-    """entries: {(x_label, y_label): iterable of labels}; missing means empty."""
-    pos = {l: i for i, l in enumerate(labels)}
-    n = len(labels)
-    rows = [[0] * n for _ in range(n)]
-    for (x, y), val in entries.items():
-        rows[pos[x]][pos[y]] = mask_of(pos[v] for v in val)
-    return rows
+# Each E_C is presented by its labels, unit and inverse and the one relation
+# c in a*b (with its mirror b*a for cMsc, which makes E_cMsc commutative).
+_PRESENTATIONS = {
+    Tag.HMAG: (("a", "b", "c"), None, None),
+    Tag.UHMAG: (("e", "a", "b", "c"), 0, None),
+    Tag.MSC: (("e", "a", "a'", "b", "b'", "c", "c'"), 0, (0, 2, 1, 4, 3, 6, 5)),
+    Tag.CMSC: (("0", "a", "-a", "b", "-b", "c", "-c"), 0, (0, 2, 1, 4, 3, 6, 5)),
+}
 
 
 @memo
 def representing_object(tag: Tag) -> RepresentingObject:
-    if tag is Tag.HMAG:
-        labels = ("a", "b", "c")
-        rows = _sets_table(labels, {("a", "b"): ("c",)})
-        E = from_masks(labels, rows)
-    elif tag is Tag.UHMAG:
-        labels = ("e", "a", "b", "c")
-        entries = {("a", "b"): ("c",)}
-        for x in labels:
-            entries[("e", x)] = (x,)
-            entries[(x, "e")] = (x,)
-        E = from_masks(labels, _sets_table(labels, entries))
-    elif tag is Tag.MSC:
-        labels = ("e", "a", "a'", "b", "b'", "c", "c'")
-        entries = {
-            ("a", "a'"): ("e",),
-            ("a", "b"): ("c",),
-            ("a'", "a"): ("e",),
-            ("a'", "c"): ("b",),
-            ("b", "b'"): ("e",),
-            ("b", "c'"): ("a'",),
-            ("b'", "a'"): ("c'",),
-            ("b'", "b"): ("e",),
-            ("c", "b'"): ("a",),
-            ("c", "c'"): ("e",),
-            ("c'", "a"): ("b'",),
-            ("c'", "c"): ("e",),
-        }
-        for x in labels:
-            entries[("e", x)] = (x,)
-            entries[(x, "e")] = (x,)
-        E = from_masks(labels, _sets_table(labels, entries))
-    elif tag is Tag.CMSC:
-        labels = ("0", "a", "-a", "b", "-b", "c", "-c")
-        # symmetrized table of nonzero sums
-        sums = {
-            ("a", "-a"): ("0",),
-            ("a", "b"): ("c",),
-            ("a", "-c"): ("-b",),
-            ("-a", "-b"): ("-c",),
-            ("-a", "c"): ("b",),
-            ("b", "-b"): ("0",),
-            ("b", "-c"): ("-a",),
-            ("-b", "c"): ("a",),
-            ("c", "-c"): ("0",),
-        }
-        entries = {}
-        for (x, y), val in sums.items():
-            entries[(x, y)] = val
-            entries[(y, x)] = val
-        for x in labels:
-            entries[("0", x)] = (x,)
-            entries[(x, "0")] = (x,)
-        E = from_masks(labels, _sets_table(labels, entries))
-    else:
+    """E_C, the free C-object on one relation c in a*b: Hom(E_C, M) is in
+    bijection with `triples(M)`."""
+    from .univ import free, presented  # deferred: univ imports hom
+
+    if tag not in _PRESENTATIONS:
         raise ValueError(f"no representing object for tag {tag}")
-
-    from .univ import free  # deferred: univ imports hom
-
+    labels, unit, inverse = _PRESENTATIONS[tag]
+    a, b, c = (labels.index(x) for x in ("a", "b", "c"))
+    relations = [(a, b, c), (b, a, c)] if tag is Tag.CMSC else [(a, b, c)]
+    E = presented(labels, relations, unit, inverse)
     if tag in (Tag.MSC, Tag.CMSC):
         ensure(analyze(E).is_mosaic, "representing_object: E is not a mosaic")
     F2 = free(tag, ("a", "b"))
@@ -389,7 +340,6 @@ def representing_object(tag: Tag) -> RepresentingObject:
         morphism_in_tag(iota, tag) and is_injective(iota),
         "representing_object: iota is not an injective morphism",
     )
-    a, b, c = (E.index(x) for x in ("a", "b", "c"))
     ensure((E.table[a][b] >> c) & 1, "representing_object: c is not in a*b")
     return RepresentingObject(tag, E, a, b, c, F2, iota)
 

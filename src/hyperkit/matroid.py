@@ -9,6 +9,8 @@ from typing import Iterable, Sequence
 from .axioms import Tag, analyze
 from .core import (
     Hypermagma,
+    UnionFind,
+    distinct_labels,
     from_masks,
     iter_bits,
     mask_of,
@@ -274,37 +276,21 @@ def fano_matroid() -> Matroid:
     return make_matroid(ground, flats=sorted(flats))
 
 
-def graphic_matroid(edges: Sequence[tuple[str, str]], labels: Sequence[str] | None = None) -> Matroid:
-    """Cycle matroid of a multigraph, built through its rank oracle."""
+def graphic_matroid(edges: Sequence[tuple[str, str]]) -> Matroid:
+    """Cycle matroid of a multigraph, built through its rank oracle: the
+    rank of an edge set is the number of vertices less its components.
+    Edge uv is labelled "uv", primed by `distinct_labels` when repeated."""
     verts = sorted({v for e in edges for v in e})
     vidx = {v: i for i, v in enumerate(verts)}
-    if labels is None:
-        labels = []
-        for u, v in edges:
-            base = f"{u}{v}"
-            while base in labels:
-                base += "'"
-            labels.append(base)
 
     def rank(S: int) -> int:
-        parent = list(range(len(verts)))
-
-        def find(a):
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        r = 0
+        uf = UnionFind(len(verts))
         for i in iter_bits(S):
             u, v = edges[i]
-            ru, rv = find(vidx[u]), find(vidx[v])
-            if ru != rv:
-                parent[ru] = rv
-                r += 1
-        return r
+            uf.union(vidx[u], vidx[v])
+        return len(verts) - len(set(uf.proj()))
 
-    return make_matroid(labels, rank=rank)
+    return make_matroid(distinct_labels(f"{u}{v}" for u, v in edges), rank=rank)
 
 
 def projective_law_holds(M: Matroid) -> tuple[bool, tuple | None]:

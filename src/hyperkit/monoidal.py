@@ -31,6 +31,7 @@ from .hom import (
     colax_schedule,
     enumerate_morphisms,
     is_colax,
+    is_strict,
     is_unital,
     morphism_in_tag,
 )
@@ -122,16 +123,21 @@ class Bimorphism:
         return self.table[x][y]
 
 
-def is_bimorphism(b: Bimorphism, tag: Tag) -> bool:
-    for x in range(b.dom1.n):
-        row = Morphism(b.dom2, b.cod, b.table[x])
-        if not morphism_in_tag(row, tag):
-            return False
+def _slices(b: Bimorphism):
+    """The row slices b(x, -) and the column slices b(-, y), as morphisms."""
+    for row in b.table:
+        yield Morphism(b.dom2, b.cod, row)
     for y in range(b.dom2.n):
-        col = Morphism(b.dom1, b.cod, tuple(b.table[x][y] for x in range(b.dom1.n)))
-        if not morphism_in_tag(col, tag):
-            return False
-    return True
+        yield Morphism(b.dom1, b.cod, tuple(row[y] for row in b.table))
+
+
+def is_bimorphism(b: Bimorphism, tag: Tag) -> bool:
+    return all(morphism_in_tag(f, tag) for f in _slices(b))
+
+
+def is_strict_bimorphism(b: Bimorphism) -> bool:
+    """Strict in each variable: every row and column slice is strict."""
+    return all(is_strict(f) for f in _slices(b))
 
 
 def _coordinate_masks(
@@ -354,13 +360,13 @@ def strict_classifier_check(M: Hypermagma) -> bool:
 
 @dataclass(frozen=True)
 class MonoidObject:
-    """A commutative mosaic with a bimorphism multiplication and a unit map;
-    `hyperring_flavor` when the multiplication distributes strictly."""
+    """A commutative mosaic with a bimorphism multiplication and a unit map.
+    The multiplication is strict (`is_strict_bimorphism`, strict in each
+    variable) exactly when the multiring is a hyperring."""
 
     mosaic: Hypermagma
     multiplication: Bimorphism
     unit: Morphism
-    hyperring_flavor: bool
 
 
 def to_monoid_object(R) -> MonoidObject:
@@ -375,8 +381,7 @@ def to_monoid_object(R) -> MonoidObject:
     if not isinstance(R, Multiring):
         raise NotMultiring("expected a Multiring")
     A = R.additive
-    laws = check_multiring(A, R.mul, R.one)
-    if not laws["multiring"]:
+    if not check_multiring(A, R.mul, R.one)["multiring"]:
         raise NotMultiring("subdistributivity fails")
     B = Bimorphism(A, A, A, tuple(tuple(row) for row in R.mul))
     if not is_bimorphism(B, Tag.CMSC):
@@ -386,4 +391,4 @@ def to_monoid_object(R) -> MonoidObject:
     unit = Morphism(F, A, (A.identity, one, A.inverse[one]))
     if not morphism_in_tag(unit, Tag.CMSC):
         raise NotMultiring("unit map is not a mosaic morphism")
-    return MonoidObject(A, B, unit, laws["hyperring"])
+    return MonoidObject(A, B, unit)

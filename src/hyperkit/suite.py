@@ -57,6 +57,7 @@ from .monoidal import (
     curry,
     uncurry,
     represents_bimorphisms,
+    is_strict_bimorphism,
     strict_classifier_check,
     tensor,
     to_monoid_object,
@@ -102,6 +103,7 @@ from .zoo import (
     make_multiring,
     orbit_hypergroup,
     refuter_record,
+    subdistributive_multiring,
     symmetric_group,
     z2,
     zmod_ring,
@@ -806,18 +808,25 @@ def check_unitization_facts() -> CheckResult:
 
 
 def check_multiring_embedding() -> CheckResult:
-    ok = True
-    for R in (krasner_multiring(), gf9_quotient()):
-        mo = to_monoid_object(R)
-        ok &= mo.hyperring_flavor == R.hyperring
+    """A multiring's multiplication lambda is strict in each variable (every
+    row and column slice is a strict morphism) iff it is a hyperring: this
+    slice route must agree with `R.hyperring`, with both answers seen."""
     z6 = zmod_ring(6)
     add_hm = group_to_hypermagma(make_finite_group(z6.labels, z6.add))
-    mr = make_multiring(add_hm, z6.mul, z6.one)
-    ok &= mr.hyperring
-    mo = to_monoid_object(mr)
-    ok &= mo.hyperring_flavor
+    multirings = (
+        krasner_multiring(),
+        gf9_quotient(),
+        make_multiring(add_hm, z6.mul, z6.one),
+        subdistributive_multiring(),
+    )
+    routes = {
+        (is_strict_bimorphism(to_monoid_object(R).multiplication), R.hyperring)
+        for R in multirings
+    }
     return CheckResult(
-        "multiring-embedding", bool(ok), "monoid objects with strict lambda iff hyperring"
+        "multiring-embedding",
+        routes == {(True, True), (False, False)},
+        "monoid objects with strict lambda iff hyperring",
     )
 
 

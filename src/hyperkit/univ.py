@@ -5,12 +5,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .axioms import Tag, UNITAL_TAGS
 from .core import (
     Hypermagma,
     Morphism,
+    UnionFind,
     absorptive_closure,
     compose,
     distinct_labels,
@@ -19,6 +20,7 @@ from .core import (
     iter_bits,
     mask_of,
     quotient,
+    reversible_closure,
     side_products,
     terminal,
     weak_sub,
@@ -40,6 +42,7 @@ from .hom import (
     is_surjective,
     is_unital,
     kernel,
+    triples,
 )
 
 
@@ -55,43 +58,53 @@ class Cocone:
     legs: tuple[Morphism, ...]
 
 
+def presented(
+    labels: Sequence[str],
+    relations: Iterable[tuple[int, int, int]] = (),
+    unit: int | None = None,
+    inverse: Sequence[int] | None = None,
+) -> Hypermagma:
+    """The least table on `labels` in which every relation (x, y, z), a
+    triple of carrier indices, holds as z in x*y and `unit`, when given, is
+    a scalar identity.  With `inverse`, the triples are closed under
+    `reversible_closure`, so the unit lies in x*inverse[x]; a relation given
+    with its mirror (y, x, z) then presents a commutative object.  A relation
+    that breaks the unit raises `IdentityAxiomViolated`."""
+    n = len(labels)
+    seeds = list(relations)
+    if unit is not None:
+        seeds += [(unit, x, x) for x in range(n)] + [(x, unit, x) for x in range(n)]
+    if inverse is not None:
+        seeds = reversible_closure(seeds, inverse)
+    rows = [[0] * n for _ in range(n)]
+    for x, y, z in seeds:
+        rows[x][y] |= 1 << z
+    return from_masks(labels, rows, unit)
+
+
 def free(tag: Tag, generators: Sequence[str], point: str | None = None) -> Hypermagma:
     """Free object on the given generators.
 
     HMag: empty products.  uHMag: a unit is adjoined (or `point` names the
     basepoint among the generators) and all other products are empty.
     Msc/cMsc: carrier 0, X, -X with x + (-x) = 0 and every other sum empty.
+    An adjoined e, 0 or -x is primed by `fresh_label` past the generators
+    and the labels before it, so every generator keeps its label.
     """
     generators = [str(g) for g in generators]
     if tag is Tag.HMAG:
-        n = len(generators)
-        return from_masks(generators, [[0] * n for _ in range(n)])
+        return presented(generators)
     if tag is Tag.UHMAG:
-        if point is None:
-            labels = [fresh_label("e", generators)] + generators
-            e = 0
-        else:
-            labels = generators
-            e = generators.index(point)
-        n = len(labels)
-        rows = [[0] * n for _ in range(n)]
-        for x in range(n):
-            rows[e][x] = 1 << x
-            rows[x][e] = 1 << x
-        return from_masks(labels, rows)
+        if point is not None:
+            return presented(generators, unit=generators.index(point))
+        return presented([fresh_label("e", generators)] + generators, unit=0)
     if tag in (Tag.MSC, Tag.CMSC):
-        labels = ["0"] + generators + ["-" + g for g in generators]
         k = len(generators)
-        n = 1 + 2 * k
-        rows = [[0] * n for _ in range(n)]
-        for x in range(n):
-            rows[0][x] = 1 << x
-            rows[x][0] = 1 << x
-        for i in range(k):
-            g, gneg = 1 + i, 1 + k + i
-            rows[g][gneg] = 1
-            rows[gneg][g] = 1
-        return from_masks(labels, rows)
+        labels = [fresh_label("0", generators)] + generators
+        for g in generators:
+            labels.append(fresh_label("-" + g, labels))
+        inverse = [0, *range(k + 1, 2 * k + 1), *range(1, k + 1)]
+        return presented(labels, unit=0, inverse=inverse)
     raise UnsupportedCategory(f"no free objects built for tag {tag}")
 
 
@@ -135,65 +148,35 @@ def product(Ms: Sequence[Hypermagma]) -> Cone:
 
 
 def coproduct(Ms: Sequence[Hypermagma], tag: Tag) -> Cocone:
+    """Disjoint union (HMag) or wedge at a shared unit e (the unital tags),
+    presented by every summand's triples pushed through its leg.  Element x
+    of summand i is labelled x@i; i follows the last @, so no two collide."""
     if tag in (Tag.HGRP, Tag.CAN):
         raise UnsupportedCategory(
             "binary coproducts can fail to exist for hypergroups; use a mosaic tag"
         )
-    if tag is Tag.HMAG:
-        labels: list[str] = []
-        offsets = []
-        for i, M in enumerate(Ms):
-            offsets.append(len(labels))
-            labels.extend(f"{l}@{i}" for l in M.labels)
-        n = len(labels)
-        rows = [[0] * n for _ in range(n)]
-        for i, M in enumerate(Ms):
-            off = offsets[i]
-            for x in range(M.n):
-                for y in range(M.n):
-                    rows[off + x][off + y] = M.table[x][y] << off
-        C = from_masks(labels, rows)
-        legs = tuple(
-            Morphism(M, C, tuple(range(off, off + M.n)))
-            for M, off in zip(Ms, offsets)
-        )
-        return Cocone(C, legs)
-    if tag in (Tag.UHMAG, Tag.MSC, Tag.CMSC):
-        if any(M.identity is None for M in Ms):
-            raise NotUnital("wedge coproduct needs unital summands")
-        labels = ["e"]
-        slot: list[list[int]] = []
-        for i, M in enumerate(Ms):
-            slots = []
-            for x in range(M.n):
-                if x == M.identity:
-                    slots.append(0)
-                else:
-                    slots.append(len(labels))
-                    labels.append(f"{M.labels[x]}@{i}")
-            slot.append(slots)
-        n = len(labels)
-        rows = [[0] * n for _ in range(n)]
-        for x in range(n):
-            rows[0][x] = 1 << x
-            rows[x][0] = 1 << x
-        for i, M in enumerate(Ms):
-            for x in range(M.n):
-                if x == M.identity:
-                    continue
-                for y in range(M.n):
-                    if y == M.identity:
-                        continue
-                    rows[slot[i][x]][slot[i][y]] = mask_of(
-                        slot[i][z] for z in iter_bits(M.table[x][y])
-                    )
-        W = from_masks(distinct_labels(labels), rows)
-        ensure(W.identity == 0, "coproduct: the wedge point is not the identity")
-        legs = tuple(
-            Morphism(M, W, tuple(slot[i])) for i, M in enumerate(Ms)
-        )
-        return Cocone(W, legs)
-    raise UnsupportedCategory(str(tag))
+    if tag not in (Tag.HMAG, Tag.UHMAG, Tag.MSC, Tag.CMSC):
+        raise UnsupportedCategory(str(tag))
+    unit = None if tag is Tag.HMAG else 0
+    if unit is not None and any(M.identity is None for M in Ms):
+        raise NotUnital("wedge coproduct needs unital summands")
+    labels = [] if unit is None else ["e"]
+    slot: list[list[int]] = []
+    for i, M in enumerate(Ms):
+        leg = []
+        for x, l in enumerate(M.labels):
+            if unit is not None and x == M.identity:
+                leg.append(unit)
+            else:
+                leg.append(len(labels))
+                labels.append(f"{l}@{i}")
+        slot.append(leg)
+    relations = (
+        (leg[x], leg[y], leg[z]) for M, leg in zip(Ms, slot) for x, y, z in triples(M)
+    )
+    C = presented(labels, relations, unit)
+    ensure(unit is None or C.identity == 0, "coproduct: the wedge point is not the identity")
+    return Cocone(C, tuple(Morphism(M, C, tuple(leg)) for M, leg in zip(Ms, slot)))
 
 
 def equalizer(
@@ -214,32 +197,6 @@ def equalizer(
     return sub, Morphism(sub, M, tuple(iter_bits(E)))
 
 
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            if rb < ra:
-                ra, rb = rb, ra
-            self.parent[rb] = ra
-
-    def proj(self) -> tuple[int, ...]:
-        """Class of each element, classes numbered by their least member.
-
-        A root is the least member of its class, so classes first appear in
-        the order of their least members."""
-        cls: dict[int, int] = {}
-        return tuple(cls.setdefault(self.find(x), len(cls)) for x in range(len(self.parent)))
-
-
 def unitize(M: Hypermagma, E: int) -> Morphism:
     """Universal unital quotient collapsing E to the unit.
 
@@ -253,23 +210,16 @@ def unitize(M: Hypermagma, E: int) -> Morphism:
     `coequalizer` whose unit class stays a singleton takes this path.
     """
     if E == 0:
-        lbl = fresh_label("e", M.labels)
-        labels = M.labels + (lbl,)
-        n = M.n
-        rows = [[M.table[i][j] for j in range(n)] + [0] for i in range(n)]
-        rows.append([0] * (n + 1))
-        for x in range(n + 1):
-            rows[n][x] = 1 << x
-            rows[x][n] = 1 << x
-        Me = from_masks(labels, rows)
-        return Morphism(M, Me, tuple(range(n)))
+        labels = M.labels + (fresh_label("e", M.labels),)
+        Me = presented(labels, triples(M), unit=M.n)
+        return Morphism(M, Me, tuple(range(M.n)))
 
     if M.identity is not None and E == 1 << M.identity:
         # {e} is closed and absorptive and e*x = x*e = {x}: no classes merge
         proj, unit = tuple(range(M.n)), M.identity
     else:
         K = absorptive_closure(M, E)
-        uf = _UnionFind(M.n)
+        uf = UnionFind(M.n)
         kbits = list(iter_bits(K))
         for other in kbits[1:]:
             uf.union(kbits[0], other)
@@ -291,7 +241,7 @@ def coequalizer(f: Morphism, g: Morphism, tag: Tag) -> Morphism:
     if tag in (Tag.HGRP, Tag.CAN):
         tag = Tag.UHMAG
     N = f.cod
-    uf = _UnionFind(N.n)
+    uf = UnionFind(N.n)
     for x in range(f.dom.n):
         uf.union(f.map[x], g.map[x])
     piL = quotient(N, uf.proj())

@@ -18,6 +18,7 @@ from .core import (
     mask_of,
     orbit_partition,
     quotient,
+    reversible_closure,
 )
 from .errors import (
     AdditiveNotCanonical,
@@ -565,6 +566,14 @@ def krasner_multiring() -> Multiring:
     return make_multiring(krasner(), ((0, 0), (0, 1)), 1)
 
 
+def subdistributive_multiring() -> Multiring:
+    """A multiring on {0, 1, 2} that is no hyperring: 1 + 1 = 2 + 2 =
+    {0, 1, 2}, 1 + 2 = {1, 2}, and 2 * 2 = 2, so 2(1 + 1) = {0, 2} lies
+    strictly inside 2 + 2 and the slice 2 * - is colax but not strict."""
+    additive = from_masks(("0", "1", "2"), ((1, 2, 4), (2, 7, 6), (4, 6, 7)))
+    return make_multiring(additive, ((0, 0, 0), (0, 1, 2), (0, 2, 2)), 1)
+
+
 @memo
 def gf9_quotient() -> Multiring:
     R = make_gf9()
@@ -601,24 +610,15 @@ def _involutions(k: int) -> list[tuple[int, ...]]:
 
 
 def _triple_orbits(nz: int, sigma: Sequence[int]) -> list[list[tuple[int, int, int]]]:
-    """Orbits of nonzero triples under commutativity and reversibility moves."""
+    """Orbits of nonzero triples under commutativity and reversibility moves:
+    the `reversible_closure` of each triple and its mirror."""
     seen = set()
     orbits = []
     for t in itertools.product(range(nz), repeat=3):
-        if t in seen:
-            continue
-        stack = [t]
-        orb = set()
-        while stack:
-            cur = stack.pop()
-            if cur in orb:
-                continue
-            orb.add(cur)
-            x, y, z = cur
-            stack.append((y, x, z))
-            stack.append((z, sigma[y], x))
-        orbits.append(sorted(orb))
-        seen |= orb
+        if t not in seen:
+            orb = reversible_closure([t, (t[1], t[0], t[2])], sigma)
+            orbits.append(sorted(orb))
+            seen |= orb
     return orbits
 
 

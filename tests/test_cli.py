@@ -366,6 +366,14 @@ def test_paper_suite_matches_recorded_output(capsys):
     assert capsys.readouterr().out == ref.read_text()
 
 
+def test_paper_suite_default_sizes_match_golden_output(capsys):
+    """At its default sizes (refuters up to size 5) the suite prints, byte
+    for byte, the output recorded in tests/golden."""
+    golden = Path(__file__).resolve().parent / "golden" / "paper_suite_default.txt"
+    assert main(["paper-suite"]) == 0
+    assert capsys.readouterr().out == golden.read_text()
+
+
 def test_paper_suite_under_optimize_matches_reference():
     """`python -O` strips asserts; the suite's invariants must not rest on them."""
     root = Path(__file__).resolve().parent.parent

@@ -43,6 +43,7 @@ from hyperkit.zoo import (
     cyclic_group,
     enumerate_canonical_hypergroups,
     enumerate_small_mosaics,
+    enumerate_unital_hypermagmas,
     group_to_hypermagma,
     krasner,
     symmetric_group,
@@ -334,10 +335,30 @@ def test_representing_object_tables_verbatim():
 
 
 def test_representing_object_bijections_battery():
-    battery = [krasner(), z2(), f_mosaic(), klein()]
-    for tag in (Tag.HMAG, Tag.UHMAG, Tag.MSC, Tag.CMSC):
+    """(a, b, c) -> images is a bijection Hom(E_C, M) -> triples(M) on four
+    named objects and on every small object of the category: the labelled
+    hypermagmas of order <= 2 (HMag), the unital hypermagmas of order <= 3
+    (uHMag), their mosaics and the commutative mosaics of order <= 4 (Msc),
+    and the latter (cMsc)."""
+    hmags = [
+        from_masks([str(i) for i in range(n)], [entries[i * n : i * n + n] for i in range(n)])
+        for n in (0, 1, 2)
+        for entries in itertools.product(range(1 << n), repeat=n * n)
+    ]
+    unital = [M for n in (1, 2, 3) for M in enumerate_unital_hypermagmas(n)]
+    small = [M for n in (1, 2, 3, 4) for M in enumerate_small_mosaics(n)]
+    mosaics = [M for M in unital if analyze(M).is_mosaic]
+    assert (len(hmags), len(unital), len(mosaics), len(small)) == (259, 2085, 17, 289)
+    named = [krasner(), z2(), f_mosaic(), klein()]
+    battery = {
+        Tag.HMAG: named + hmags,
+        Tag.UHMAG: named + unital,
+        Tag.MSC: named + mosaics + small,
+        Tag.CMSC: named + small,
+    }
+    for tag, objects in battery.items():
         ro = representing_object(tag)
-        for M in battery:
+        for M in objects:
             homs = enumerate_morphisms(ro.obj, M, tag)
             got = sorted((h.map[ro.a], h.map[ro.b], h.map[ro.c]) for h in homs)
             assert got == sorted(triples(M))

@@ -9,8 +9,8 @@ import pytest
 import hyperkit
 from hyperkit.axioms import Tag, analyze
 from hyperkit.core import Morphism, find_isomorphism, iter_bits, mask_of
-from hyperkit.errors import NotCommutativeMosaic, NotMosaic, NotMultiring
-from hyperkit.hom import enumerate_morphisms, is_strict
+from hyperkit.errors import HyperkitError, NotCommutativeMosaic, NotMosaic, NotMultiring
+from hyperkit.hom import enumerate_morphisms, is_colax, is_strict
 from hyperkit.monoidal import (
     Bimorphism,
     boxdot,
@@ -20,6 +20,7 @@ from hyperkit.monoidal import (
     enumerate_strict_submosaics,
     hom_object,
     is_bimorphism,
+    is_strict_bimorphism,
     represents_bimorphisms,
     strict_classifier_check,
     tensor,
@@ -33,13 +34,16 @@ from hyperkit.univ import free, one_empty, product, terminal
 from hyperkit.zoo import (
     Multiring,
     cyclic_group,
+    check_multiring,
     empty_sum_search,
+    enumerate_canonical_hypergroups,
     gf9_quotient,
     group_to_hypermagma,
     krasner,
     krasner_multiring,
     make_multiring,
     make_finite_group,
+    subdistributive_multiring,
     zmod_ring,
 )
 
@@ -322,15 +326,18 @@ def test_strict_classifier():
 
 def test_monoid_objects():
     mo = to_monoid_object(krasner_multiring())
-    assert mo.hyperring_flavor
+    assert is_strict_bimorphism(mo.multiplication)
     assert is_bimorphism(mo.multiplication, Tag.CMSC)
     z6 = zmod_ring(6)
     add = group_to_hypermagma(make_finite_group(z6.labels, z6.add))
     mr = make_multiring(add, z6.mul, z6.one)
     mo6 = to_monoid_object(mr)
-    assert mo6.hyperring_flavor
+    assert is_strict_bimorphism(mo6.multiplication)
     mo9 = to_monoid_object(gf9_quotient())
-    assert mo9.hyperring_flavor
+    assert is_strict_bimorphism(mo9.multiplication)
+    weak = subdistributive_multiring()
+    assert weak.multiring and not weak.hyperring
+    assert not is_strict_bimorphism(to_monoid_object(weak).multiplication)
     with pytest.raises(NotMultiring):
         to_monoid_object("not a multiring")
     # 1 * 1 = 0, so 1 is no unit; the flags claim a multiring anyway
@@ -338,6 +345,35 @@ def test_monoid_objects():
     with pytest.raises(NotMultiring, match="multiplicative identity"):
         to_monoid_object(broken)
 
+
+
+def test_strict_slices_iff_hyperring_on_small_multirings():
+    """Every multiring of order <= 3 (additive part a canonical hypergroup
+    class, every multiplication table, every nonzero one) that
+    `check_multiring` accepts: the slices of its multiplication are colax,
+    and all strict exactly when the table route calls it a hyperring."""
+    seen = []
+    for n in (1, 2, 3):
+        nonzero = range(1, n)
+        for A in enumerate_canonical_hypergroups(n):
+            for values in itertools.product(range(n), repeat=(n - 1) ** 2):
+                mul = [[0] * n for _ in range(n)]
+                for (x, y), v in zip(itertools.product(nonzero, repeat=2), values):
+                    mul[x][y] = v
+                for one in nonzero:
+                    try:
+                        flags = check_multiring(A, mul, one)
+                    except HyperkitError:
+                        continue
+                    if not flags["multiring"]:
+                        continue
+                    B = to_monoid_object(make_multiring(A, mul, one)).multiplication
+                    slices = [Morphism(A, A, row) for row in B.table]
+                    slices += [Morphism(A, A, col) for col in zip(*B.table)]
+                    assert all(is_colax(f) for f in slices)
+                    assert is_strict_bimorphism(B) == flags["hyperring"]
+                    seen.append(flags["hyperring"])
+    assert (len(seen), sum(seen)) == (22, 14)
 
 def test_monoid_object_laws_survive_optimize_flag():
     script = """

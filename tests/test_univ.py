@@ -11,7 +11,7 @@ from hyperkit.core import (
     iter_bits,
     mask_of,
 )
-from hyperkit.errors import NotParallel, NotUnitalTag, UnsupportedCategory
+from hyperkit.errors import DuplicateLabel, NotParallel, NotUnitalTag, UnsupportedCategory
 from hyperkit.hom import (
     check_kind,
     enumerate_morphisms,
@@ -67,6 +67,25 @@ def test_free_objects():
     Z = free(Tag.MSC, ())
     assert Z.n == 1 and Z.identity == 0
 
+
+
+def test_free_mosaic_labels_never_collide():
+    """The adjoined 0 and each -g are primed past the labels before them, so
+    a generator named "-a" or "0" keeps its label; labels that are already
+    distinct stay unchanged, and a repeated generator still raises."""
+    for gens, labels in (
+        (("a", "b"), ("0", "a", "b", "-a", "-b")),
+        (("a", "-a"), ("0", "a", "-a", "-a'", "--a")),
+        (("0",), ("0'", "0", "-0")),
+    ):
+        M = free(Tag.CMSC, gens)
+        assert M.labels == labels
+        assert M.labels[1 : 1 + len(gens)] == gens and M.n == 1 + 2 * len(gens)
+        rep = analyze(M)
+        assert rep.is_mosaic and rep.commutative
+    for tag in (Tag.HMAG, Tag.UHMAG, Tag.MSC, Tag.CMSC):
+        with pytest.raises(DuplicateLabel):
+            free(tag, ("a", "a"))
 
 def test_cofree_and_adjunction_counts():
     D = cofree(("a", "b"))
