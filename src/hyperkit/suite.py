@@ -1,14 +1,15 @@
 """The paper-suite runner: machine verification of every finite fact the
 counterexamples rest on, plus the module invariant batteries.
 
-Each check is a pure function returning (ok, detail); the CLI prints one
-pass/fail line per check and exits nonzero on any failure.
+Each check is a pure function returning (ok, detail); `run_suite` names
+each result by the check's key in CHECKS, and the CLI prints one pass/fail
+line per check and exits nonzero on any failure.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 from .axioms import Tag, analyze, check_total_iff_associative_for_mosaics, weak_identity_set
 from .core import (
@@ -102,6 +103,7 @@ from .zoo import (
     make_finite_group,
     make_multiring,
     orbit_hypergroup,
+    RefuterRecord,
     refuter_record,
     subdistributive_multiring,
     symmetric_group,
@@ -193,7 +195,7 @@ def acceptance_battery() -> list[Hypermagma]:
 # Checks
 
 
-def check_krasner() -> CheckResult:
+def check_krasner() -> tuple[bool, str]:
     K = krasner()
     rep = analyze(K)
     ok = (
@@ -201,10 +203,10 @@ def check_krasner() -> CheckResult:
         and K.label_set(K.table[1][1]) == ("0", "1")
         and krasner_multiring().hyperring
     )
-    return CheckResult("krasner", ok, f"classified {rep.classification}, 1+1 = {{0,1}}")
+    return ok, f"classified {rep.classification}, 1+1 = {{0,1}}"
 
 
-def check_can_z2_k() -> CheckResult:
+def check_can_z2_k() -> tuple[bool, str]:
     homs = enumerate_morphisms(z2(), krasner(), Tag.CAN)
     maps = sorted(h.map for h in homs)
     ok = maps == [(0, 0), (0, 1)]
@@ -212,10 +214,10 @@ def check_can_z2_k() -> CheckResult:
     k = check_kind(tau)
     ok = ok and k.colax and k.unital and k.injective and not k.strict
     ok = ok and kernel(tau) == 0b01
-    return CheckResult("can-z2-k", ok, f"Can(Z2,K) = {{0, tau}}, {len(homs)} morphisms")
+    return ok, f"Can(Z2,K) = {{0, tau}}, {len(homs)} morphisms"
 
 
-def check_gf9() -> CheckResult:
+def check_gf9() -> tuple[bool, str]:
     Q = gf9_quotient()
     H = Q.additive
     one = H.index("1")
@@ -233,12 +235,10 @@ def check_gf9() -> CheckResult:
         and is_strict(F)
         and L.table[i1][ia2] == 0
     )
-    return CheckResult(
-        "gf9-quotient", ok, f"5 classes, [1]+[a^2] = {s}, hyperring, fixed sub has empty sum"
-    )
+    return ok, f"5 classes, [1]+[a^2] = {s}, hyperring, fixed sub has empty sum"
 
 
-def check_representing_objects() -> CheckResult:
+def check_representing_objects() -> tuple[bool, str]:
     bad = []
     for tag in (Tag.HMAG, Tag.UHMAG, Tag.MSC, Tag.CMSC):
         ro = representing_object(tag)
@@ -247,14 +247,10 @@ def check_representing_objects() -> CheckResult:
             got = ((h.map[ro.a], h.map[ro.b], h.map[ro.c]) for h in homs)
             if bijection_failure(got, triples(M)) is not None:
                 bad.append((tag.value, M.labels))
-    return CheckResult(
-        "representing-objects",
-        not bad,
-        "Hom(E_C, M) matches {(x,y,z) | z in x*y} on the battery" if not bad else str(bad),
-    )
+    return not bad, str(bad) if bad else "Hom(E_C, M) matches {(x,y,z) | z in x*y} on the battery"
 
 
-def check_coequalizer_example() -> CheckResult:
+def check_coequalizer_example() -> tuple[bool, str]:
     D = d_weak_example()
     FX = free(Tag.UHMAG, ("0", "1", "2"), point="0")
     f = Morphism(FX, D, (0, 1, 2))
@@ -267,12 +263,10 @@ def check_coequalizer_example() -> CheckResult:
         and qh.cod.label_set(qh.cod.table[zero][zero]) == ("0", "2")
         and qu.cod.n == 1
     )
-    return CheckResult(
-        "coequalizer-example", ok, "[0]+[0] = {[0],[2]} in HMag; terminal in uHMag"
-    )
+    return ok, "[0]+[0] = {[0],[2]} in HMag; terminal in uHMag"
 
 
-def check_free_cofree() -> CheckResult:
+def check_free_cofree() -> tuple[bool, str]:
     ok = True
     F2 = free(Tag.HMAG, ("a", "b"))
     ok &= all(F2.table[i][j] == 0 for i in range(2) for j in range(2))
@@ -288,10 +282,10 @@ def check_free_cofree() -> CheckResult:
     for M in (krasner(), z2()):
         ok &= len(enumerate_morphisms(free(Tag.UHMAG, ("a", "b")), M, Tag.UHMAG)) == M.n ** 2
         ok &= len(enumerate_morphisms(free(Tag.CMSC, ("a", "b")), M, Tag.MSC)) == M.n ** 2
-    return CheckResult("free-cofree", bool(ok), "free/cofree formulas and adjunction counts")
+    return bool(ok), "free/cofree formulas and adjunction counts"
 
 
-def check_monoidal_units() -> CheckResult:
+def check_monoidal_units() -> tuple[bool, str]:
     """boxdot and boxtimes units per their theorems; for the wedge the
     two-element free unital object is verified as the unit and the terminal
     object is recorded as collapsing (1 wedge M is a point, not M)."""
@@ -305,11 +299,9 @@ def check_monoidal_units() -> CheckResult:
         ok &= collapsed.n == 1
         B, _ = tensor(free(Tag.CMSC, ("1",)), M, Tag.CMSC)
         ok &= find_isomorphism(B, M) is not None
-    return CheckResult(
-        "monoidal-units",
-        bool(ok),
+    return bool(ok), (
         "1_empty boxdot M = M; F boxtimes M = M; wedge unit is the free "
-        "single-generator object (terminal wedge M collapses to a point)",
+        "single-generator object (terminal wedge M collapses to a point)"
     )
 
 
@@ -327,7 +319,7 @@ def _closed_count_triples(tag: Tag) -> list[tuple]:
 CLOSED_COUNTS_HOM_CAP = 200
 
 
-def check_closed_counts() -> CheckResult:
+def check_closed_counts() -> tuple[bool, str]:
     checked = 0
     skipped = 0
     for tag in (Tag.HMAG, Tag.UHMAG, Tag.CMSC):
@@ -343,24 +335,18 @@ def check_closed_counts() -> CheckResult:
                 continue
             right = enumerate_morphisms(X, hom_object(Y, Z, tag), tag)
             if len(left) != len(right):
-                return CheckResult(
-                    "closed-counts",
-                    False,
-                    f"{tag.value}: |Hom(X(x)Y,Z)| = {len(left)} != {len(right)}",
-                )
+                return False, f"{tag.value}: |Hom(X(x)Y,Z)| = {len(left)} != {len(right)}"
             curried = [curry(phi, X, Y, tag) for phi in left]
             if bijection_failure((psi.map for psi in curried), [h.map for h in right]) is not None:
-                return CheckResult("closed-counts", False, f"curry not bijective in {tag.value}")
+                return False, f"curry not bijective in {tag.value}"
             for phi, psi in zip(left, curried):
                 if uncurry(psi, X, Y, Z, tag) != phi:
-                    return CheckResult("closed-counts", False, "uncurry . curry != id")
+                    return False, "uncurry . curry != id"
             checked += 1
-    return CheckResult(
-        "closed-counts", True, f"{checked} triples verified, {skipped} skipped by the hom cap"
-    )
+    return True, f"{checked} triples verified, {skipped} skipped by the hom cap"
 
 
-def check_boxtimes_health() -> CheckResult:
+def check_boxtimes_health() -> tuple[bool, str]:
     ok = True
     details = []
     bt = boxtimes(z2(), z2())
@@ -381,14 +367,14 @@ def check_boxtimes_health() -> CheckResult:
     T, u = tensor(z2(), z2(), Tag.CMSC)
     rep_ok, _ = represents_bimorphisms(T, u, [krasner(), z2(), free(Tag.CMSC, ("1",))], Tag.CMSC)
     ok &= rep_ok
-    return CheckResult("boxtimes-health", bool(ok), "; ".join(details) + "; nondegenerate")
+    return bool(ok), "; ".join(details) + "; nondegenerate"
 
 
 def _morphism_battery(tag: Tag) -> list[Hypermagma]:
     return [M for M in battery(tag) if M.n <= 4]
 
 
-def check_morphism_liftings() -> CheckResult:
+def check_morphism_liftings() -> tuple[bool, str]:
     count = 0
     for tag in (Tag.HMAG, Tag.UHMAG, Tag.MSC, Tag.CMSC):
         objs = _morphism_battery(tag)
@@ -396,24 +382,18 @@ def check_morphism_liftings() -> CheckResult:
             for B in objs:
                 for f in enumerate_morphisms(A, B, tag):
                     if is_strict_via_lifting(f, tag) != check_kind(f).strict:
-                        return CheckResult(
-                            "morphism-liftings", False, f"strict mismatch at {f!r}"
-                        )
+                        return False, f"strict mismatch at {f!r}"
                     if is_short_via_lifting(f, tag) != is_short(f):
-                        return CheckResult(
-                            "morphism-liftings", False, f"short mismatch at {f!r}"
-                        )
+                        return False, f"short mismatch at {f!r}"
                     count += 1
         if tag is not Tag.HMAG:
             for M in objs:
                 if is_reversible_via_lifting(M) != analyze(M).reversible:
-                    return CheckResult(
-                        "morphism-liftings", False, f"reversibility mismatch at {M!r}"
-                    )
-    return CheckResult("morphism-liftings", True, f"{count} morphisms agreed on both routes")
+                    return False, f"reversibility mismatch at {M!r}"
+    return True, f"{count} morphisms agreed on both routes"
 
 
-def check_regularity() -> CheckResult:
+def check_regularity() -> tuple[bool, str]:
     shorts = []
     for tag in (Tag.HMAG, Tag.UHMAG):
         objs = _morphism_battery(tag)[:6]
@@ -423,7 +403,7 @@ def check_regularity() -> CheckResult:
                     for g in enumerate_morphisms(A, B, tag)[:8]:
                         q = coequalizer(f, g, tag)
                         if not is_short(q):
-                            return CheckResult("regularity", False, "coequalizer not short")
+                            return False, "coequalizer not short"
                         shorts.append((q, tag))
     # pullback stability
     for p, tag in shorts[:40]:
@@ -432,19 +412,19 @@ def check_regularity() -> CheckResult:
             for g in enumerate_morphisms(L, N, tag)[:6]:
                 pb = pullback(g, p)
                 if not is_short(pb.legs[0]):
-                    return CheckResult("regularity", False, "pullback of short not short")
+                    return False, "pullback of short not short"
     # short images preserve commutativity and associativity
     for p, tag in shorts:
         repM = analyze(p.dom)
         repN = analyze(p.cod)
         if repM.commutative and not repN.commutative:
-            return CheckResult("regularity", False, "short image lost commutativity")
+            return False, "short image lost commutativity"
         if repM.associative and not repN.associative:
-            return CheckResult("regularity", False, "short image lost associativity")
-    return CheckResult("regularity", True, f"{len(shorts)} short quotients checked")
+            return False, "short image lost associativity"
+    return True, f"{len(shorts)} short quotients checked"
 
 
-def check_normal_morphisms() -> CheckResult:
+def check_normal_morphisms() -> tuple[bool, str]:
     ok = True
     K = krasner()
     one_in_K = Morphism(terminal(), K, (0,))
@@ -456,10 +436,10 @@ def check_normal_morphisms() -> CheckResult:
             q = unitize(M, E)
             if E:
                 ok &= is_normal_epi(q, Tag.UHMAG)
-    return CheckResult("normal-morphisms", bool(ok), "unitizations are exactly the normal epis")
+    return bool(ok), "unitizations are exactly the normal epis"
 
 
-def check_strict_classifier() -> CheckResult:
+def check_strict_classifier() -> tuple[bool, str]:
     mosaics = [
         terminal(),
         z2(),
@@ -471,8 +451,8 @@ def check_strict_classifier() -> CheckResult:
     ]
     for M in mosaics:
         if not strict_classifier_check(M):
-            return CheckResult("strict-classifier", False, f"fails at {M.labels}")
-    return CheckResult("strict-classifier", True, f"{len(mosaics)} mosaics classified by K")
+            return False, f"fails at {M.labels}"
+    return True, f"{len(mosaics)} mosaics classified by K"
 
 
 def _matrix_count(L: Hypermagma) -> int:
@@ -486,7 +466,7 @@ def _matrix_count(L: Hypermagma) -> int:
     )
 
 
-def check_klein_four() -> CheckResult:
+def check_klein_four() -> tuple[bool, str]:
     V = klein_v()
     K = krasner()
     details = []
@@ -515,88 +495,72 @@ def check_klein_four() -> CheckResult:
     # matrix characterization cross-check
     for L, bims in ((K, bims_K), (V, bims_V)):
         if _matrix_count(L) != len(bims):
-            return CheckResult(
-                "klein-four", False, f"matrix characterization mismatch over {L.labels}"
-            )
-    return CheckResult("klein-four", bool(ok), "; ".join(details))
+            return False, f"matrix characterization mismatch over {L.labels}"
+    return bool(ok), "; ".join(details)
 
 
-def check_klein_four_refuter(max_size: int = 5) -> CheckResult:
+def _classes(max_size: int) -> Iterator[tuple[Hypermagma, RefuterRecord]]:
+    """Each class of canonical hypergroups of order 1 to max_size, in
+    enumeration order, with its `refuter_record`: the walk the three
+    refuters share."""
+    for n in range(1, max_size + 1):
+        for G in enumerate_canonical_hypergroups(n):
+            yield G, refuter_record(G)
+
+
+def check_klein_four_refuter(max_size: int = 5) -> tuple[bool, str]:
     K, V = krasner(), klein_v()
     bat = [K, z2(), V]
     bim_counts = [len(enumerate_bimorphisms(V, V, L, Tag.CMSC)) for L in bat]
     survivors = []
-    for n in range(1, max_size + 1):
-        for T in enumerate_canonical_hypergroups(n):
-            rec = refuter_record(T)
-            # a representing object must match hom counts on every battery L;
-            # Hom(T, V) is enumerated only for a T that matches on K and Z2
-            if [len(rec.to_k), len(rec.to_z2)] != bim_counts[:2]:
-                continue
-            if len(enumerate_morphisms(T, V, Tag.CMSC)) != bim_counts[2]:
-                continue
-            for u in enumerate_bimorphisms(V, V, T, Tag.CMSC):
-                ok, _ = represents_bimorphisms(T, u, bat, Tag.CMSC)
-                if ok:
-                    survivors.append((T, u))
+    for T, rec in _classes(max_size):
+        # a representing object must match hom counts on every battery L;
+        # Hom(T, V) is enumerated only for a T that matches on K and Z2
+        if [len(rec.to_k), len(rec.to_z2)] != bim_counts[:2]:
+            continue
+        if len(enumerate_morphisms(T, V, Tag.CMSC)) != bim_counts[2]:
+            continue
+        for u in enumerate_bimorphisms(V, V, T, Tag.CMSC):
+            ok, _ = represents_bimorphisms(T, u, bat, Tag.CMSC)
+            if ok:
+                survivors.append((T, u))
     # V x V with every candidate bimorphism dies on cardinalities alone
     prod_vv = product([V, V]).apex
     vv_refuted = len(enumerate_morphisms(prod_vv, K, Tag.CMSC)) != bim_counts[0]
     ok = not survivors and vv_refuted
-    return CheckResult(
-        "klein-four-refuter",
-        ok,
-        f"no representing object of size <= {max_size}; V x V rejected by counts",
-    )
+    return ok, f"no representing object of size <= {max_size}; V x V rejected by counts"
 
 
-def check_coproduct_refuter(max_size: int = 5) -> CheckResult:
+def check_coproduct_refuter(max_size: int = 5) -> tuple[bool, str]:
     K, Z = krasner(), z2()
     pairs_k, pairs_z = leg_pairs(K), leg_pairs(Z)
     total = 0
-    for n in range(1, max_size + 1):
-        for Gc in enumerate_canonical_hypergroups(n):
-            rec = refuter_record(Gc)
-            total += len(rec.legs) ** 2
-            if not rec.canonical:
-                continue  # refuted: not a candidate
-            targets = (
-                (K, [phi.map for phi in rec.to_k], pairs_k),
-                (Z, [phi.map for phi in rec.to_z2], pairs_z),
-            )
-            for i1 in rec.legs:
-                for i2 in rec.legs:
-                    if coproduct_replay(i1, i2, targets) is None:
-                        return CheckResult(
-                            "coproduct-refuter", False, f"candidate survived: {Gc.labels}"
-                        )
-    return CheckResult(
-        "coproduct-refuter", True, f"all {total} candidates of size <= {max_size} refuted"
-    )
+    for Gc, rec in _classes(max_size):
+        total += len(rec.legs) ** 2
+        targets = (
+            (K, [phi.map for phi in rec.to_k], pairs_k),
+            (Z, [phi.map for phi in rec.to_z2], pairs_z),
+        )
+        for i1, i2 in itertools.product(rec.legs, repeat=2):
+            if coproduct_replay(i1, i2, targets) is None:
+                return False, f"candidate survived: {Gc.labels}"
+    return True, f"all {total} candidates of size <= {max_size} refuted"
 
 
-def check_equalizer_refuter(max_size: int = 5) -> CheckResult:
+def check_equalizer_refuter(max_size: int = 5) -> tuple[bool, str]:
     F = gf9_frobenius()
     total = 0
-    for n in range(1, max_size + 1):
-        for E in enumerate_canonical_hypergroups(n):
-            rec = refuter_record(E)
-            for e in rec.to_h:
-                if any(F.map[v] != v for v in e.map):
-                    continue
-                total += 1
-                if not rec.canonical:
-                    continue  # refuted: not a candidate
-                if not equalizer_replay(E, rec.lift_points, e.map, F.map)[0]:
-                    return CheckResult(
-                        "equalizer-refuter", False, f"candidate survived: {E.labels}"
-                    )
-    return CheckResult(
-        "equalizer-refuter", True, f"all {total} equalizing candidates of size <= {max_size} refuted"
-    )
+    for E, rec in _classes(max_size):
+        for e in rec.to_h:
+            if any(F.map[v] != v for v in e.map):
+                continue
+            total += 1
+            if not equalizer_replay(E, rec.lift_points, e.map, F.map)[0]:
+                return False, f"candidate survived: {E.labels}"
+    return True, f"all {total} equalizing candidates of size <= {max_size} refuted"
 
 
-def check_matroid_functor() -> CheckResult:
+def check_matroid_functor() -> tuple[bool, str]:
     ok = True
     details = []
     u23 = adjoin_point(uniform_matroid(2, 3))
@@ -629,7 +593,7 @@ def check_matroid_functor() -> CheckResult:
         for f in strong:
             mor = Morphism(HM, HN, f)
             if not (is_colax(mor) and is_unital(mor)):
-                return CheckResult("matroid-functor", False, "strong map not a morphism")
+                return False, "strong map not a morphism"
     pc = projective_checks(fano, others=[u24, fano])
     ok &= pc["projective_law"] and pc["closure_eq_generated"] and pc["fullness"]
     pc24 = projective_checks(u24, others=[fano, u24])
@@ -638,10 +602,10 @@ def check_matroid_functor() -> CheckResult:
     pc34 = projective_checks(u34)
     ok &= not pc34["projective_law"]
     details.append("U34 projective law fails as expected")
-    return CheckResult("matroid-functor", bool(ok), "; ".join(details))
+    return bool(ok), "; ".join(details)
 
 
-def check_nakano() -> CheckResult:
+def check_nakano() -> tuple[bool, str]:
     counts = []
     for n in range(1, 7):
         lats = enumerate_lattices(n)
@@ -651,29 +615,23 @@ def check_nakano() -> CheckResult:
             M = lattice_mosaic(labels, meet)
             modular = is_modular_lattice(meet)
             if analyze(M).is_hypergroup != modular:
-                return CheckResult(
-                    "nakano", False, f"mismatch at lattice {meet}"
-                )
+                return False, f"mismatch at lattice {meet}"
             if not check_total_iff_associative_for_mosaics(M):
-                return CheckResult("nakano", False, "mosaic lemma violated")
-    return CheckResult(
-        "nakano", True, f"lattice counts by size: {counts}; hypergroup iff modular"
-    )
+                return False, "mosaic lemma violated"
+    return True, f"lattice counts by size: {counts}; hypergroup iff modular"
 
 
-def check_hom_health() -> CheckResult:
+def check_hom_health() -> tuple[bool, str]:
     bat = _morphism_battery(Tag.CMSC)
     for M in bat:
         for N in bat:
             rep = analyze(hom_object(M, N, Tag.CMSC))
             if not (rep.is_mosaic and rep.commutative):
-                return CheckResult(
-                    "hom-health", False, f"hom({M.labels},{N.labels}) not a commutative mosaic"
-                )
-    return CheckResult("hom-health", True, f"{len(bat)}^2 hom objects re-analyzed")
+                return False, f"hom({M.labels},{N.labels}) not a commutative mosaic"
+    return True, f"{len(bat)}^2 hom objects re-analyzed"
 
 
-def check_empty_sum(max_size: int = 6) -> CheckResult:
+def check_empty_sum(max_size: int = 6) -> tuple[bool, str]:
     out = empty_sum_search(max_size)
     if out.witness is not None:
         H, x, y = out.witness
@@ -683,10 +641,10 @@ def check_empty_sum(max_size: int = 6) -> CheckResult:
         )
     else:
         detail = f"exhausted: no witness up to size {max_size}"
-    return CheckResult("empty-sum-search", True, detail)
+    return True, detail
 
 
-def check_f2_represents() -> CheckResult:
+def check_f2_represents() -> tuple[bool, str]:
     Z = z2()
     for G in acceptance_battery():
         homs = enumerate_morphisms(Z, G, Tag.CMSC)
@@ -694,11 +652,11 @@ def check_f2_represents() -> CheckResult:
             x for x in range(G.n) if (G.table[x][x] >> G.identity) & 1
         ]
         if bijection_failure((h.map[1] for h in homs), fixture) is not None:
-            return CheckResult("f2-represents", False, f"mismatch at {G.labels}")
-    return CheckResult("f2-represents", True, "Can(Z2,G) = {x | 0 in x+x} on the battery")
+            return False, f"mismatch at {G.labels}"
+    return True, "Can(Z2,G) = {x | 0 in x+x} on the battery"
 
 
-def check_group_derived() -> CheckResult:
+def check_group_derived() -> tuple[bool, str]:
     ok = True
     S3 = symmetric_group(3)
     conj = conjugacy_hypergroup(S3)
@@ -720,7 +678,7 @@ def check_group_derived() -> CheckResult:
     f5 = zmod_ring(5)
     Q5 = krasner_quotient(f5, (1 << 1) | (1 << 4))
     ok &= Q5.multiring and Q5.hyperring
-    return CheckResult("group-derived", bool(ok), "double coset, conjugacy, orbit, Krasner quotients")
+    return bool(ok), "double coset, conjugacy, orbit, Krasner quotients"
 
 
 def _class_of(quotient: Hypermagma, G, g: int) -> int:
@@ -731,59 +689,59 @@ def _class_of(quotient: Hypermagma, G, g: int) -> int:
     return found[0]
 
 
-def check_mosaic_closure() -> CheckResult:
+def check_mosaic_closure() -> tuple[bool, str]:
     bat = _morphism_battery(Tag.CMSC)
     small = [M for M in battery(Tag.MSC) if M.n <= 3]
     for A in bat[:4]:
         for B in bat[:4]:
             cone = product([A, B])
             if not analyze(cone.apex).is_mosaic:
-                return CheckResult("mosaic-closure", False, "product left the mosaics")
+                return False, "product left the mosaics"
             if not check_product_universal(cone, [A, B], Tag.MSC, small):
-                return CheckResult("mosaic-closure", False, "product universality failed")
+                return False, "product universality failed"
             coc = coproduct([A, B], Tag.MSC)
             if not analyze(coc.apex).is_mosaic:
-                return CheckResult("mosaic-closure", False, "coproduct left the mosaics")
+                return False, "coproduct left the mosaics"
             if not check_coproduct_universal(coc, [A, B], Tag.MSC, small):
-                return CheckResult("mosaic-closure", False, "coproduct universality failed")
+                return False, "coproduct universality failed"
     A = krasner()
     for B in (z2(), klein_v()):
         for f in enumerate_morphisms(B, A, Tag.CMSC):
             for g in enumerate_morphisms(B, A, Tag.CMSC):
                 E, inc = equalizer(f, g)
                 if not is_coshort(inc):
-                    return CheckResult("mosaic-closure", False, "equalizer inclusion not coshort")
+                    return False, "equalizer inclusion not coshort"
                 if not check_equalizer_universal(f, g, E, inc, Tag.MSC, small):
-                    return CheckResult("mosaic-closure", False, "equalizer universality failed")
+                    return False, "equalizer universality failed"
                 q = coequalizer(f, g, Tag.MSC)
                 if not analyze(q.cod).is_mosaic or not is_short(q):
-                    return CheckResult("mosaic-closure", False, "coequalizer not a short mosaic map")
+                    return False, "coequalizer not a short mosaic map"
                 if not check_coequalizer_universal(f, g, q, Tag.MSC, small):
-                    return CheckResult("mosaic-closure", False, "coequalizer universality failed")
-    return CheckResult("mosaic-closure", True, "(co)limits stay mosaics and are universal")
+                    return False, "coequalizer universality failed"
+    return True, "(co)limits stay mosaics and are universal"
 
 
-def check_inversion() -> CheckResult:
+def check_inversion() -> tuple[bool, str]:
     for M in acceptance_battery():
         inv = M.inverse
         for x in range(M.n):
             for y in range(M.n):
                 lhs = mask_of(inv[z] for z in iter_bits(M.table[x][y]))
                 if lhs != M.table[inv[y]][inv[x]]:
-                    return CheckResult("inversion", False, f"(xy)^-1 != y^-1 x^-1 at {M.labels}")
+                    return False, f"(xy)^-1 != y^-1 x^-1 at {M.labels}"
         rep = analyze(M)
         if rep.reversible:
             for y in range(M.n):
                 for zz in range(M.n):
                     for x in iter_bits(M.table[y][zz]):
                         if not (M.table[x][inv[zz]] >> y) & 1:
-                            return CheckResult("inversion", False, "strengthened equivalence fails")
+                            return False, "strengthened equivalence fails"
                         if not (M.table[inv[y]][x] >> zz) & 1:
-                            return CheckResult("inversion", False, "strengthened equivalence fails")
-    return CheckResult("inversion", True, "inversion is an anti-isomorphism on the battery")
+                            return False, "strengthened equivalence fails"
+    return True, "inversion is an anti-isomorphism on the battery"
 
 
-def check_unitization_facts() -> CheckResult:
+def check_unitization_facts() -> tuple[bool, str]:
     ok = True
     q = unitize(free(Tag.HMAG, ("a", "b")), 0)
     ok &= q.cod.n == 3 and q.cod.identity is not None
@@ -797,17 +755,17 @@ def check_unitization_facts() -> CheckResult:
         for E in range(1, 1 << M.n):
             q = unitize(M, E)
             if q.preimage_mask(1 << q.cod.identity) != absorptive_closure(M, E):
-                return CheckResult("unitization", False, "kernel is not the absorptive closure")
+                return False, "kernel is not the absorptive closure"
             sat = all(
                 product_of_subsets(M, 1 << x, E) and product_of_subsets(M, E, 1 << x)
                 for x in range(M.n)
             )
             if sat and not is_short(q):
-                return CheckResult("unitization", False, "shortness criterion violated")
-    return CheckResult("unitization", bool(ok), "kernels and shortness per the construction")
+                return False, "shortness criterion violated"
+    return bool(ok), "kernels and shortness per the construction"
 
 
-def check_multiring_embedding() -> CheckResult:
+def check_multiring_embedding() -> tuple[bool, str]:
     """A multiring's multiplication lambda is strict in each variable (every
     row and column slice is a strict morphism) iff it is a hyperring: this
     slice route must agree with `R.hyperring`, with both answers seen."""
@@ -823,26 +781,23 @@ def check_multiring_embedding() -> CheckResult:
         (is_strict_bimorphism(to_monoid_object(R).multiplication), R.hyperring)
         for R in multirings
     }
-    return CheckResult(
-        "multiring-embedding",
-        routes == {(True, True), (False, False)},
-        "monoid objects with strict lambda iff hyperring",
-    )
+    ok = routes == {(True, True), (False, False)}
+    return ok, "monoid objects with strict lambda iff hyperring"
 
 
-def check_opposite() -> CheckResult:
+def check_opposite() -> tuple[bool, str]:
     for M in acceptance_battery() + [mixed3()]:
         if opposite(opposite(M)) != M:
-            return CheckResult("opposite", False, "opposite not involutive")
+            return False, "opposite not involutive"
     M = mixed3()
     for f in enumerate_morphisms(M, M, Tag.HMAG):
         fo = Morphism(opposite(M), opposite(M), f.map)
         if check_kind(f).colax != check_kind(fo).colax or check_kind(f).lax != check_kind(fo).lax:
-            return CheckResult("opposite", False, "kind flags not preserved by opposite")
-    return CheckResult("opposite", True, "involutive; kind flags carried to the opposite")
+            return False, "kind flags not preserved by opposite"
+    return True, "involutive; kind flags carried to the opposite"
 
 
-CHECKS: dict[str, Callable[..., CheckResult]] = {
+CHECKS: dict[str, Callable[..., tuple[bool, str]]] = {
     "krasner": check_krasner,
     "can-z2-k": check_can_z2_k,
     "gf9-quotient": check_gf9,
@@ -882,10 +837,13 @@ SIZED_CHECKS = (
 
 
 def run_suite(only: str | None = None, max_size: int | None = None) -> list[CheckResult]:
-    """Run the checks whose names contain `only`; `max_size` overrides the
-    default size of the SIZED_CHECKS."""
-    return [
-        CHECKS[n](max_size) if max_size is not None and n in SIZED_CHECKS else CHECKS[n]()
-        for n in CHECKS
-        if only is None or only in n
-    ]
+    """Run the checks whose names contain `only`, each looked up in CHECKS
+    as it runs, and name each (ok, detail) by its key; `max_size` overrides
+    the default size of the SIZED_CHECKS."""
+    results = []
+    for name in CHECKS:
+        if only is None or only in name:
+            sized = max_size is not None and name in SIZED_CHECKS
+            ok, detail = CHECKS[name](max_size) if sized else CHECKS[name]()
+            results.append(CheckResult(name, ok, detail))
+    return results

@@ -294,27 +294,13 @@ def enumerate_lattices(n: int) -> list[list[list[int]]]:
             le[i][i] = True
             le[0][i] = True
             le[i][n - 1] = True
-        ok = True
         for p, (i, j) in enumerate(pairs):
             if (bitsel >> p) & 1:
                 le[i][j] = True
-        # transitivity (middle chains only, length limited by n)
-        for _ in range(n):
-            changed = False
-            for a in mid:
-                for b in mid:
-                    if le[a][b] and a != b:
-                        for c in mid:
-                            if le[b][c] and not le[a][c]:
-                                le[a][c] = True
-                                changed = True
-            if not changed:
-                break
-        for a in mid:
-            for b in mid:
-                if a != b and le[a][b] and le[b][a]:
-                    ok = False
-        if not ok:
+        # only pairs i < j are chosen, so every choice is antisymmetric;
+        # one that is not transitive is skipped, not closed, since each
+        # order is reached through its own linear extension
+        if any(le[a][b] and le[b][c] and not le[a][c] for a in mid for b in mid for c in mid):
             continue
         # greatest lower bounds are least upper bounds of the dual order;
         # with a top, a finite order where they all exist is a lattice
@@ -894,7 +880,6 @@ class Refutation:
 class RefuterRecord:
     """What the three refuters read of one class G; hom-sets are in CMSC."""
 
-    canonical: bool  # G is a canonical hypergroup (or an abelian group)
     legs: list[Morphism]  # Hom(Z2, G)
     to_k: list[Morphism]  # Hom(G, K)
     to_z2: list[Morphism]  # Hom(G, Z2)
@@ -917,7 +902,6 @@ def refuter_record(G: Hypermagma) -> RefuterRecord:
     refuter needs it only on a class that passes the K and Z2 counts."""
     Z = z2()
     return RefuterRecord(
-        canonical=analyze(G).classification in ("CanonicalHypergroup", "AbelianGroup"),
         legs=enumerate_morphisms(Z, G, Tag.CMSC),
         to_k=enumerate_morphisms(G, krasner(), Tag.CMSC),
         to_z2=enumerate_morphisms(G, Z, Tag.CMSC),

@@ -174,8 +174,8 @@ def test_criterion_6_monoidal_unit_wedge_as_stated():
 
 def test_criterion_7_closed_counts():
     with criterion(7, "closed-structure counts with curry/uncurry"):
-        res = check_closed_counts()
-        assert res.ok, res.detail
+        ok, detail = check_closed_counts()
+        assert ok, detail
 
 
 def test_criterion_8_boxtimes_z2_as_stated():
@@ -227,8 +227,8 @@ def test_criterion_9_morphism_characterizations():
 
 def test_criterion_10_regularity():
     with criterion(10, "pullback-stable shortness; laws pass to short images"):
-        res = check_regularity()
-        assert res.ok, res.detail
+        ok, detail = check_regularity()
+        assert ok, detail
 
 
 def test_criterion_11_strict_classifier():
@@ -248,21 +248,21 @@ def test_criterion_11_strict_classifier():
 
 def test_criterion_12_klein_four():
     with criterion(12, "Klein-four bimorphism matrices and candidate refuter"):
-        res = check_klein_four()
-        assert res.ok, res.detail
-        res2 = check_klein_four_refuter(5)
-        assert res2.ok, res2.detail
-        assert res2.detail == "no representing object of size <= 5; V x V rejected by counts"
+        ok, detail = check_klein_four()
+        assert ok, detail
+        ok, detail = check_klein_four_refuter(5)
+        assert ok, detail
+        assert detail == "no representing object of size <= 5; V x V rejected by counts"
 
 
 def test_criterion_13_refuters():
     with criterion(13, "coproduct and equalizer refuters at size <= 5"):
-        res = check_coproduct_refuter(5)
-        assert res.ok, res.detail
-        assert res.detail == "all 82883 candidates of size <= 5 refuted"
-        res2 = check_equalizer_refuter(5)
-        assert res2.ok, res2.detail
-        assert res2.detail == "all 14162 equalizing candidates of size <= 5 refuted"
+        ok, detail = check_coproduct_refuter(5)
+        assert ok, detail
+        assert detail == "all 82883 candidates of size <= 5 refuted"
+        ok, detail = check_equalizer_refuter(5)
+        assert ok, detail
+        assert detail == "all 14162 equalizing candidates of size <= 5 refuted"
 
 
 def test_criterion_14_matroid_functor():

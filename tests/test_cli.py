@@ -7,10 +7,10 @@ from pathlib import Path
 import pytest
 
 from hyperkit import formats
-from hyperkit.axioms import Tag
+from hyperkit.axioms import Tag, analyze
 from hyperkit.cli import main
 from hyperkit.core import find_isomorphism
-from hyperkit.matroid import adjoin_point, fano_matroid
+from hyperkit.matroid import adjoin_point, fano_matroid, graphic_matroid, is_simple
 from hyperkit.univ import free
 from hyperkit.zoo import (
     cyclic_group,
@@ -19,6 +19,7 @@ from hyperkit.zoo import (
     lattice_mosaic,
     make_gf9,
     symmetric_group,
+    zmod_ring,
 )
 
 from util import small_battery, z2
@@ -83,6 +84,39 @@ def test_check_matroid_via_mosaic(tmp_path, capsys):
     assert "commutative mosaic" in out
     assert "associative=no" in out
     assert "witness associative" in out
+
+
+# the two parallel edges ab make the cycle matroid not simple
+NOT_SIMPLE = graphic_matroid([("a", "b"), ("a", "b"), ("b", "c")])
+
+
+@pytest.mark.parametrize(
+    "payload, words, n",
+    [
+        (formats.group_to_dict(cyclic_group(3)), "abelian group", 3),
+        (formats.ring_to_dict(zmod_ring(4)), "abelian group", 4),
+        (formats.matroid_to_dict(NOT_SIMPLE), "commutative mosaic", 3),
+    ],
+    ids=["group", "ring", "matroid-not-simple"],
+)
+def test_check_reads_groups_rings_and_matroids_as_hypermagmas(tmp_path, capsys, payload, words, n):
+    path = write_obj(tmp_path, "in.json", payload)
+    assert main(["check", path]) == 0
+    assert f"classification: {words}\nelements: {n}\n" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "n, key, message",
+    [(15, "flats", "flats input capped at 14 elements"),
+     (11, "independent", "conversion input capped at 10 elements")],
+)
+def test_matroid_over_a_fixed_size_limit_exits_2_with_one_line(tmp_path, capsys, n, key, message):
+    ground = [f"p{i}" for i in range(n)]
+    path = write_obj(tmp_path, f"m{n}.json", {"kind": "matroid", "ground": ground, key: [[]]})
+    assert main(["check", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}: {message}\n"
 
 
 def test_parse_error_exit_2(tmp_path, capsys):
@@ -201,6 +235,29 @@ def test_construct_from_matroid(tmp_path):
     assert main(["construct", "from-matroid", fano, "-o", out]) == 0
     _, H = formats.load(out)
     assert H.n == 8
+
+
+def test_construct_from_matroid_simplifies_one_that_is_not_simple(tmp_path):
+    assert not is_simple(adjoin_point(NOT_SIMPLE))
+    path = write_obj(tmp_path, "m.json", formats.matroid_to_dict(NOT_SIMPLE))
+    out = str(tmp_path / "fm.json")
+    assert main(["construct", "from-matroid", path, "-o", out]) == 0
+    _, H = formats.load(out)
+    rep = analyze(H)
+    assert H.n == 3 and rep.classification == "CommutativeMosaic"
+
+
+def test_construct_coproduct_and_injections(tmp_path):
+    z2p = write_obj(tmp_path, "z2.json", formats.hypermagma_to_dict(z2()))
+    out = str(tmp_path / "c.json")
+    assert main(["construct", "coproduct", z2p, z2p, "--tag", "msc", "-o", out]) == 0
+    _, C = formats.load(out)
+    rep = analyze(C)
+    assert C.n == 3 and rep.classification == "CommutativeMosaic"
+    assert C.labels[C.identity] == "e"
+    for i in (0, 1):
+        _, inj = formats.load(str(tmp_path / f"c.inj{i}.morphism.json"))
+        assert inj.dom == z2() and inj.cod == C
 
 
 def test_construct_product_and_morphisms(tmp_path):

@@ -11,10 +11,13 @@ from hyperkit.errors import (
     FlatsNotIntersectionClosed,
     NoMatroidData,
     NotSimplePointed,
+    SearchCapExceeded,
 )
 from hyperkit.hom import check_kind, enumerate_morphisms
 from hyperkit.matroid import (
+    CONVERT_CAP,
     FANO_LINES,
+    FLATS_CAP,
     Matroid,
     adjoin_point,
     fano_matroid,
@@ -155,6 +158,32 @@ def test_adjoin_point_rejects_a_label_in_the_ground_set():
 def test_make_matroid_needs_some_data():
     with pytest.raises(NoMatroidData):
         make_matroid(["a", "b"])
+
+
+def _rank_one(key: str, n: int) -> dict:
+    """U(1, n) on p0..p(n-1) as `key` input: its flats are the empty set and
+    the ground set."""
+    if key == "flats":
+        return {"flats": [0, (1 << n) - 1]}
+    if key == "rank":
+        return {"rank": lambda S: int(S != 0)}
+    return {"independent": [()] + [(f"p{i}",) for i in range(n)]}
+
+
+@pytest.mark.parametrize(
+    "key, cap, message",
+    [
+        ("flats", FLATS_CAP, "flats input capped at 14 elements"),
+        ("rank", CONVERT_CAP, "conversion input capped at 10 elements"),
+        ("independent", CONVERT_CAP, "conversion input capped at 10 elements"),
+    ],
+)
+def test_fixed_size_limits_hold_whatever_the_search_cap(monkeypatch, key, cap, message):
+    monkeypatch.setenv("HYPERKIT_SEARCH_CAP", str(10**12))
+    ground = [f"p{i}" for i in range(cap + 1)]
+    assert len(make_matroid(ground[:cap], **_rank_one(key, cap)).flats) == 2
+    with pytest.raises(SearchCapExceeded, match=f"^{message}$"):
+        make_matroid(ground, **_rank_one(key, cap + 1))
 
 
 def test_closure_operator_laws():

@@ -255,8 +255,8 @@ def test_table_axiom_failures_name_law_and_witness():
 
 
 def test_lattice_enumeration_counts():
-    # unlabeled lattices on 1..6 elements
-    assert [len(enumerate_lattices(n)) for n in range(1, 7)] == [1, 1, 1, 2, 5, 15]
+    # unlabeled lattices on 1..7 elements (OEIS A006966)
+    assert [len(enumerate_lattices(n)) for n in range(1, 8)] == [1, 1, 1, 2, 5, 15, 53]
 
 
 def test_nakano_exhaustive():
@@ -433,7 +433,7 @@ def test_coproduct_replay_on_the_record_matches_direct_refutation(battery):
     for n in range(1, 5):
         for Gc in enumerate_canonical_hypergroups(n):
             rec = refuter_record(Gc)
-            assert rec.canonical
+            assert analyze(Gc).classification in ("CanonicalHypergroup", "AbelianGroup")
             assert rec.legs == enumerate_morphisms(Z, Gc, Tag.CMSC)
             objects = [K, Z, Gc] if battery == "default" else [K, Z]
             from_record = {K: rec.to_k, Z: rec.to_z2}
@@ -499,7 +499,8 @@ def test_equalizer_replay_reads_the_sum_of_the_lift_points():
     L = weak_sub(H, mask_of(x for x in range(H.n) if F.map[x] == x))
     inc = inclusion_morphism(L, H)
     rec = refuter_record(L)
-    assert not rec.canonical and rec.lift_points == (0, 1, 2)
+    assert analyze(L).classification not in ("CanonicalHypergroup", "AbelianGroup")
+    assert rec.lift_points == (0, 1, 2)
     outcome = equalizer_replay(L, rec.lift_points, inc.map, F.map)
     assert outcome == (True, (2, 1), None)
     r = equalizer_refutation(L, inc.map, outcome)
