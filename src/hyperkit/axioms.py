@@ -67,9 +67,10 @@ def weak_identity_set(M: Hypermagma) -> int:
     tbl = M.table
     out = 0
     for e, row in enumerate(tbl):
-        if all(m >> x & 1 for x, m in enumerate(row)) and all(
-            r[e] >> x & 1 for x, r in enumerate(tbl)
-        ):
+        for x, m in enumerate(row):
+            if not (m >> x & 1 and tbl[x][e] >> x & 1):
+                break
+        else:
             out |= 1 << e
     return out
 
@@ -139,11 +140,14 @@ def _inverse_witness(M: Hypermagma) -> tuple[int, ...] | None:
     ebit = 1 << e
     tbl = M.table
     for x, row in enumerate(tbl):
-        cands = [y for y, m in enumerate(row) if m & ebit and tbl[y][x] & ebit]
-        if len(cands) == 0:
+        found = None
+        for y, m in enumerate(row):
+            if m & ebit and tbl[y][x] & ebit:
+                if found is not None:
+                    return (x, found, y)
+                found = y
+        if found is None:
             return (x,)
-        if len(cands) > 1:
-            return (x, cands[0], cands[1])
     return None
 
 

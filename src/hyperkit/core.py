@@ -8,6 +8,7 @@ cached and shared freely.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -85,11 +86,16 @@ def _detect_inverse(table: Sequence[Sequence[int]], e: int | None) -> tuple[int,
     n = len(table)
     ebit = 1 << e
     inv = []
-    for x in range(n):
-        cands = [y for y in range(n) if table[x][y] & ebit and table[y][x] & ebit]
-        if len(cands) != 1:
+    for x, row in enumerate(table):
+        found = None
+        for y, m in enumerate(row):
+            if m & ebit and table[y][x] & ebit:
+                if found is not None:
+                    return None
+                found = y
+        if found is None:
             return None
-        inv.append(cands[0])
+        inv.append(found)
     ensure(
         all(inv[inv[x]] == x for x in range(n)) and inv[e] == e,
         "unique inverses form an involution fixing the identity",
@@ -145,10 +151,12 @@ def from_masks(
     full = (1 << n) - 1
     rows = []
     for row in table:
-        for m in row:
-            if m < 0 or m & ~full:
-                raise DimensionMismatch(f"subset mask {m} out of range for n={n}")
-        rows.append(tuple(map(int, row)))
+        # one C-level pass per row; the entry loop names the first bad mask
+        if min(row) < 0 or max(row) > full:
+            for m in row:
+                if m < 0 or m & ~full:
+                    raise DimensionMismatch(f"subset mask {m} out of range for n={n}")
+        rows.append(tuple(map(operator.index, row)))
     tbl = tuple(rows)
     e = _detect_identity(tbl)
     if identity is not None and e != identity:

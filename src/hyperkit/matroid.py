@@ -3,7 +3,7 @@ simplification, the matroid-to-mosaic functor, and projective-law checks.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .axioms import Tag, analyze
@@ -41,6 +41,20 @@ class Matroid:
     ground: tuple[str, ...]
     flats: tuple[int, ...]
     pointed: int | None = None
+    # the flats by size, then the ground set, and per point the mask over
+    # those indices of the flats that hold it; the ground set last makes a
+    # set that no flat holds close to the ground set, as a scan would
+    _closure_index: tuple[tuple[int, ...], tuple[int, ...]] = field(
+        init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        by_size = sorted(self.flats, key=int.bit_count) + [(1 << self.n) - 1]
+        holding = [0] * self.n
+        for i, F in enumerate(by_size):
+            for x in iter_bits(F):
+                holding[x] |= 1 << i
+        object.__setattr__(self, "_closure_index", (tuple(by_size), tuple(holding)))
 
     @property
     def n(self) -> int:
@@ -53,13 +67,15 @@ class Matroid:
         return mask_of(self.index(l) for l in labels)
 
     def closure(self, S: int | Iterable[str]) -> int:
+        """cl(S), the least flat holding S: the flats are closed under
+        intersection, so it is the first flat by size that holds S."""
         if not isinstance(S, int):
             S = self.subset(S)
-        out = (1 << self.n) - 1
-        for F in self.flats:
-            if S & ~F == 0:
-                out &= F
-        return out
+        by_size, holding = self._closure_index
+        live = -1
+        for x in iter_bits(S):
+            live &= holding[x]
+        return by_size[(live & -live).bit_length() - 1]
 
     def loops(self) -> int:
         return self.closure(0)

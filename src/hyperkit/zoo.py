@@ -636,27 +636,31 @@ def _orbit_symmetries(
     return out
 
 
-def _canonicity_tests(k: int, symmetries: list) -> list[list[tuple[int, tuple]]]:
+def _canonicity_tests(k: int, symmetries: list) -> list[tuple[int, dict[int, tuple]]]:
     """Per depth i, the comparisons of v(pT) with v(T) that become final there.
 
     At depth i orbits 0..i-1 are decided.  Orbit j of v(pT) is orbit pre[j]
     of v(T), pre the inverse of the image, so the top m bits of v(pT) are
     final once pre[0..m-1] are all below i; then m <= i, and the top m bits
-    of v(T) are final too.  A symmetry is listed at each depth where its m
-    grows, as (k - m, chunks): shift both vectors by k - m and compare.  The
-    chunks are (offset, table) pairs for the chunks that hold decided bits.
-    At depth k every symmetry has m = k: that entry is the leaf test.
+    of v(T) are final too.  Symmetry s is listed at each depth where its m
+    grows, as bit 1 << s -> (k - m, chunks): shift both vectors by k - m and
+    compare.  The chunks are (offset, table) pairs for the chunks that hold
+    decided bits.  Each depth is (mask of the bits listed there, bit ->
+    comparison).  At depth k every symmetry has m = k: that entry is the
+    leaf test.
     """
-    tests: list[list[tuple[int, tuple]]] = [[] for _ in range(k + 1)]
-    for image, chunks in symmetries:
+    masks = [0] * (k + 1)
+    at: list[dict[int, tuple]] = [{} for _ in range(k + 1)]
+    for s, (image, chunks) in enumerate(symmetries):
         pre = sorted(range(k), key=image.__getitem__)
         depth = 0  # where the top m bits become final
         for m in range(1, k + 1):
             depth = max(depth, pre[m - 1] + 1)
             if m == k or pre[m] >= depth:
                 parts = tuple((8 * j, chunks[j]) for j in range((k - depth) // 8, len(chunks)))
-                tests[depth].append((k - m, parts))
-    return tests
+                masks[depth] |= 1 << s
+                at[depth][1 << s] = (k - m, parts)
+    return list(zip(masks, at))
 
 
 def enumerate_reversible_tables(
@@ -700,6 +704,17 @@ def enumerate_reversible_tables(
     and the cut is the leaf test.  It drops only tables that are not the
     first of their class, so the yielded tables and their order are those
     of the leaf test alone.
+
+    If instead those bits of v(pT) fall below the top m bits of v, then
+    v(pT) < v(T) at every leaf below, since lexicographic order is settled
+    by the first bit that differs, and every later comparison for p, on a
+    longer prefix, finds the same.  So p can no longer cut or fail the leaf
+    test anywhere in the subtree.  The search carries `tied`, the mask of
+    the symmetries whose decided prefix of v(pT) still equals v's, and
+    compares at each depth only the symmetries listed there that are still
+    tied; a comparison that finds v(pT) below clears p's bit for the
+    subtree.  The cuts, and so the nodes and the yielded tables, are those
+    of comparing every p.
     """
     budget = Budget(f"enumerate_reversible_tables(n={n})")
     nz = n - 1
@@ -762,7 +777,7 @@ def enumerate_reversible_tables(
                     for b in range(1, n):
                         checks[ready].append((a * n + b, b * n + c, a * n, c * n))
 
-        def rec(i: int, got: int, v: int):
+        def rec(i: int, got: int, v: int, tied: int):
             budget.spend()
             if hypergroups and (got | suffix[i]) != full_cover:
                 return
@@ -775,23 +790,32 @@ def enumerate_reversible_tables(
                     right |= tab[ra + e]
                 if left != right:
                     return
-            for shift, parts in tests[i]:
+            listed, at = tests[i]
+            live = listed & tied
+            while live:
+                bit = live & -live
+                live ^= bit
+                shift, parts = at[bit]
                 w = 0
                 for lo, chunk in parts:
                     w |= chunk[(v >> lo) & 255]
-                if (w >> shift) > (v >> shift):
+                w >>= shift
+                u = v >> shift
+                if w > u:
                     return
+                if w < u:
+                    tied ^= bit
             if i == k:
                 yield from_masks(labels, [tab[r * n : (r + 1) * n] for r in range(n)])
                 return
             for (j, m) in deltas[i]:
                 tab[j] |= m
-            yield from rec(i + 1, got | cover[i], v | 1 << (k - 1 - i))
+            yield from rec(i + 1, got | cover[i], v | 1 << (k - 1 - i), tied)
             for (j, m) in deltas[i]:
                 tab[j] ^= m
-            yield from rec(i + 1, got, v)
+            yield from rec(i + 1, got, v, tied)
 
-        yield from rec(0, 0, 0)
+        yield from rec(0, 0, 0, -1)  # every symmetry tied
 
 
 @memo

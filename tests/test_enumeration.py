@@ -11,8 +11,10 @@ Two references check `enumerate_reversible_tables` and what is built on it:
   `find_isomorphism`.
 
 An orbit-stabilizer count checks the isomorph rejection up to order 5, and
-a cap-boundary test pins the node counts of the pruned search.
+a cap-boundary test pins the node counts of the pruned search.  Past the
+old algorithm's reach, sha256 digests pin the tables and their order.
 """
+import hashlib
 import itertools
 import os
 import subprocess
@@ -323,6 +325,73 @@ def test_node_count_at_cap_boundary(monkeypatch, n, nodes, classes):
     set_search_cap(monkeypatch, nodes - 1)
     with pytest.raises(SearchCapExceeded):
         list(zoo.enumerate_reversible_tables(n))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_canonicity_tests_shape(n):
+    """What the tied mask relies on, for every sigma: a symmetry is listed
+    at most once per depth, its shift strictly falls as the depth grows
+    (each comparison reads a longer prefix than the last), and depth k
+    lists every symmetry with shift 0, the leaf test."""
+    for sigma in zoo._involutions(n - 1):
+        orbits = zoo._triple_orbits(n - 1, sigma)
+        k = len(orbits)
+        symmetries = zoo._orbit_symmetries(n - 1, sigma, orbits)
+        every = (1 << len(symmetries)) - 1
+        tests = zoo._canonicity_tests(k, symmetries)
+        assert len(tests) == k + 1
+        last = {}
+        for mask, at in tests:
+            assert sorted(at) == [1 << s for s in iter_bits(mask)]
+            assert mask & ~every == 0
+            for bit, (shift, _parts) in at.items():
+                assert 0 <= shift < last.get(bit, k)
+                last[bit] = shift
+        mask, at = tests[k]
+        assert mask == every
+        assert all(shift == 0 for shift, _parts in at.values())
+
+
+# one sigma at order 6: 9,685 classes in about 96,000 nodes
+ORDER6_SIGMA = (1, 0, 3, 2, 4)
+
+
+@pytest.mark.parametrize(
+    "build, classes, digest",
+    [
+        (
+            lambda: enumerate_canonical_hypergroups(5),
+            3776,
+            "5033ca3db8162699f684525d4fbd4cce98daf761db0caf2f3d3c5910132eec79",
+        ),
+        (
+            lambda: zoo.enumerate_reversible_tables(6, sigma=ORDER6_SIGMA),
+            9685,
+            "d07da2b3274b2853c71e829ae63476cb1a5514787330fe81fd22b2829b5fcaa8",
+        ),
+        (
+            lambda: enumerate_small_mosaics(4),
+            272,
+            "5c3f36dadfcd6c8ed196457ff7e97b71732f6ae27f204296fc381facb69ca8cf",
+        ),
+    ],
+    ids=["canonical-5", "order6-one-sigma", "mosaics-4"],
+)
+def test_tables_and_order_pinned_past_old_algorithm(build, classes, digest):
+    """The digests were recorded from the search that compared every
+    symmetry at every depth, before symmetries already settled below v were
+    dropped from the comparisons."""
+    found = [(M.labels, M.table) for M in build()]
+    assert len(found) == classes
+    assert hashlib.sha256(repr(found).encode()).hexdigest() == digest
+
+
+def test_node_count_at_cap_boundary_order6_one_sigma(monkeypatch):
+    set_search_cap(monkeypatch, 96_149)
+    assert len(list(zoo.enumerate_reversible_tables(6, sigma=ORDER6_SIGMA))) == 9685
+    set_search_cap(monkeypatch, 96_148)
+    with pytest.raises(SearchCapExceeded):
+        list(zoo.enumerate_reversible_tables(6, sigma=ORDER6_SIGMA))
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,8 @@ the reference: `image_tables` against mask_of(iter_bits), `pushed_table`,
 against the four-case loop, `hom_object` against the per-coordinate loop and
 `curry` against a scan of Hom(N, L) for each element.
 `analyze`, which skips the triples whose answer is fixed, is checked against
-the loops over all n^3 triples, and `from_masks`'s identity against the
-element-by-element scan.
+the loops over all n^3 triples, and `from_masks` (its row range check, its
+identity and its inverse map) against the per-entry loops.
 """
 import random
 from dataclasses import fields
@@ -19,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 from hyperkit.axioms import AxiomReport, Tag, _classify, analyze
 from hyperkit.core import (
+    Hypermagma,
     Morphism,
     fresh_label,
     from_masks,
@@ -27,10 +28,12 @@ from hyperkit.core import (
     image_tables,
     iter_bits,
     mask_of,
+    opposite,
     permute,
     pushed_table,
     quotient,
 )
+from hyperkit.errors import DimensionMismatch, DuplicateLabel
 from hyperkit.hom import enumerate_morphisms, is_colax, is_lax, is_short, is_strict
 from hyperkit.matroid import (
     adjoin_point,
@@ -46,6 +49,7 @@ from hyperkit.zoo import (
     cyclic_group,
     enumerate_canonical_hypergroups,
     enumerate_small_mosaics,
+    enumerate_unital_hypermagmas,
     gf9_quotient,
     group_to_hypermagma,
     klein_four_group,
@@ -418,6 +422,59 @@ def _old_detect_identity(table):
     return found
 
 
+def _old_detect_inverse(table, e):
+    if e is None:
+        return None
+    n = len(table)
+    ebit = 1 << e
+    inv = []
+    for x in range(n):
+        cands = [y for y in range(n) if table[x][y] & ebit and table[y][x] & ebit]
+        if len(cands) != 1:
+            return None
+        inv.append(cands[0])
+    assert all(inv[inv[x]] == x for x in range(n)) and inv[e] == e
+    return tuple(inv)
+
+
+def _old_from_masks(labels, table):
+    """`from_masks` with the range checked entry by entry."""
+    labels = tuple(str(l) for l in labels)
+    n = len(labels)
+    if len(set(labels)) != n:
+        raise DuplicateLabel(f"carrier labels not distinct: {labels}")
+    if len(table) != n or any(len(row) != n for row in table):
+        raise DimensionMismatch(f"table is not {n}x{n}")
+    full = (1 << n) - 1
+    rows = []
+    for row in table:
+        for m in row:
+            if m < 0 or m & ~full:
+                raise DimensionMismatch(f"subset mask {m} out of range for n={n}")
+        rows.append(tuple(map(int, row)))
+    tbl = tuple(rows)
+    e = _old_detect_identity(tbl)
+    return Hypermagma(labels, tbl, e, _old_detect_inverse(tbl, e))
+
+
+def _build(build, labels, rows):
+    try:
+        return build(labels, rows)
+    except Exception as exc:  # the outcome compared is the exception itself
+        return type(exc), str(exc)
+
+
+def _assert_same_build(labels, rows):
+    """`from_masks` and the per-entry loops give the same fields or raise
+    the same exception; returns the built hypermagma, if any."""
+    new, old = _build(from_masks, labels, rows), _build(_old_from_masks, labels, rows)
+    assert new == old, (new, old)
+    if isinstance(new, Hypermagma):
+        assert all(type(m) is int for row in new.table for m in row)
+        return new
+    return None
+
+
 def _old_weak_identity_set(M):
     out = 0
     for e in range(M.n):
@@ -532,7 +589,7 @@ def _old_analyze(M):
 
 
 def _assert_same_report(M):
-    assert M.identity == _old_detect_identity(M.table)
+    assert _assert_same_build(M.labels, M.table) == M
     new, old = analyze(M), _old_analyze(M)
     for f in fields(AxiomReport):
         assert getattr(new, f.name) == getattr(old, f.name), (f.name, M.table)
@@ -611,3 +668,53 @@ def test_analyze_matches_triple_loops_on_enumerated_classes():
     objects += _desk_objects().values()
     for M in objects:
         _assert_same_report(M)
+
+
+def test_validation_matches_entry_loops_on_unital_hypermagmas():
+    objects = [M for n in range(4) for M in enumerate_unital_hypermagmas(n)]
+    assert len(objects) == 2085
+    for M in objects:
+        _assert_same_report(M)
+
+
+def test_validation_matches_entry_loops_on_opposites_of_enumerated_classes():
+    classes = [M for n in range(1, 6) for M in enumerate_canonical_hypergroups(n)]
+    assert len(classes) == 3886
+    for M in classes:
+        _assert_same_report(M)
+        op = _assert_same_build(M.labels, opposite(M).table)
+        assert op == opposite(M)
+        _assert_same_report(op)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_out_of_range_masks_raise_as_entry_loop(data):
+    """Negative and too-wide masks among valid ones: the same exception,
+    naming the same first bad mask in row-major order."""
+    n = data.draw(st.integers(1, 6), label="n")
+    full = (1 << n) - 1
+    entry = st.one_of(
+        st.integers(0, full),
+        st.integers(0, full),
+        st.integers(-(2**70), -1),
+        st.integers(full + 1, 2**70),
+    )
+    rows = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    _assert_same_build([str(i) for i in range(n)], rows)
+
+
+@pytest.mark.parametrize(
+    "rows, bad",
+    [
+        ([[1, -1], [8, 2]], -1),
+        ([[1, 2], [8, -1]], 8),
+        ([[4, -3], [1, 2]], 4),
+        ([[1, 2], [2, 1 << 40]], 1 << 40),
+        ([[-(1 << 40), 0], [0, 0]], -(1 << 40)),
+    ],
+)
+def test_first_bad_mask_named(rows, bad):
+    with pytest.raises(DimensionMismatch, match=f"^subset mask {bad} out of range for n=2$"):
+        from_masks(["a", "b"], rows)
+    _assert_same_build(["a", "b"], rows)

@@ -200,6 +200,43 @@ def test_closure_operator_laws():
             assert M.closure(S) & ~M.closure(T) == 0
 
 
+def _scan_closure(M, S):
+    """cl(S) as the intersection of every flat that holds S."""
+    out = (1 << M.n) - 1
+    for F in M.flats:
+        if S & ~F == 0:
+            out &= F
+    return out
+
+
+def _closure_battery():
+    tri = graphic_matroid([("u", "v"), ("v", "w"), ("u", "w")])
+    loopy = graphic_matroid([("u", "v"), ("v", "w"), ("u", "w"), ("u", "u")])
+    parallel = make_matroid(["a", "b", "c"], flats=[0, 0b011, 0b100, 0b111])
+    battery = [
+        make_matroid([], flats=[0]),
+        make_matroid(["a", "b", "c"], flats=list(range(8))),
+        uniform_matroid(2, 3),
+        uniform_matroid(2, 4),
+        uniform_matroid(3, 4),
+        uniform_matroid(2, 11),
+        fano_matroid(),
+        tri,
+        loopy,
+        parallel,
+        make_matroid([f"p{i}" for i in range(10)], rank=int.bit_count),
+    ]
+    battery += [adjoin_point(M) for M in battery[2:7]]
+    battery += [simplify(M, pointed)[0] for M in (loopy, parallel) for pointed in (False, True)]
+    return battery
+
+
+def test_closure_matches_scan_over_flats():
+    for M in _closure_battery():
+        for S in range(1 << M.n):
+            assert M.closure(S) == _scan_closure(M, S), (M.ground, S)
+
+
 def test_rank_and_independent_input():
     tri = graphic_matroid([("u", "v"), ("v", "w"), ("u", "w")])
     uni = uniform_matroid(2, 3)
