@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .core import Hypermagma, iter_bits, product_of_subsets
+from .core import Hypermagma, inverse_scan, iter_bits, product_of_subsets
 from .errors import NotAMosaic, ensure
 from .search import memo
 
@@ -132,25 +132,6 @@ def _associative_witness(M: Hypermagma, commutative: bool) -> tuple[int, ...] | 
     return None
 
 
-def _inverse_witness(M: Hypermagma) -> tuple[int, ...] | None:
-    """None when every element has exactly one inverse; else least witness."""
-    e = M.identity
-    if e is None:
-        return ()
-    ebit = 1 << e
-    tbl = M.table
-    for x, row in enumerate(tbl):
-        found = None
-        for y, m in enumerate(row):
-            if m & ebit and tbl[y][x] & ebit:
-                if found is not None:
-                    return (x, found, y)
-                found = y
-        if found is None:
-            return (x,)
-    return None
-
-
 def _reversible_witness(M: Hypermagma, commutative: bool) -> tuple[int, ...] | None:
     """Checks x in y*z => y in x*z^-1 and z in y^-1*x against the involution;
     the witness (x, y, z) is lexicographically least.
@@ -234,7 +215,7 @@ def analyze(M: Hypermagma) -> AxiomReport:
 
     single = all(m.bit_count() == 1 for row in M.table for m in row)
 
-    w_inv = _inverse_witness(M)
+    w_inv = inverse_scan(M.table, M.identity)[1]
     unique_inverses = w_inv is None
     if not unique_inverses:
         witnesses.append(("unique_inverses", w_inv))

@@ -2,7 +2,9 @@
 run the paper-fact suite.
 
 Exit codes: 0 success, 1 verified failure or refutation, 2 usage or parse
-errors.  A standard output closed by its reader (`hyperkit check f | head`)
+errors, reported on one line: a `construct` verb takes only the files and
+options VERBS lists for it, and a malformed HYPERKIT_SEARCH_CAP fails every
+command.  A standard output closed by its reader (`hyperkit check f | head`)
 ends the command with exit 1 and no message.  Every path is a thin wrapper
 over the library.
 """
@@ -13,24 +15,82 @@ import json
 import os
 import sys
 
-from . import formats
+from . import formats, search
 from .axioms import Tag, analyze
 from .core import Hypermagma, from_masks, mask_of
 from .errors import FormatError, HyperkitError
-from .matroid import adjoin_point, is_simple, matroid_to_mosaic, simplify
+from .matroid import (
+    adjoin_point,
+    fano_matroid,
+    is_simple,
+    matroid_to_mosaic,
+    simplify,
+    uniform_matroid,
+)
 from .monoidal import boxdot, boxtimes, hom_object, wedge_smash
 from .suite import CHECKS, run_suite
-from .univ import coequalizer, cofree, coproduct, equalizer, free, product, unitize
+from .univ import coequalizer, cofree, coproduct, equalizer, free, product, terminal, unitize
 from .zoo import (
     FiniteRing,
     conjugacy_hypergroup,
+    cyclic_group,
     double_coset_hypergroup,
+    gf9_quotient,
     group_to_hypermagma,
+    klein_four_group,
+    krasner,
     krasner_quotient,
     orbit_hypergroup,
+    symmetric_group,
+    z2,
 )
 
 TAGS = {t.value: t for t in Tag}
+
+BUILTINS = {
+    "krasner": krasner,
+    "z2": z2,
+    "z3": lambda: group_to_hypermagma(cyclic_group(3)),
+    "klein": lambda: group_to_hypermagma(klein_four_group()),
+    "s3": lambda: group_to_hypermagma(symmetric_group(3)),
+    "f": lambda: free(Tag.CMSC, ("1",)),
+    "gf9-quotient": lambda: gf9_quotient().additive,
+    "terminal": terminal,
+    "fano-mosaic": lambda: matroid_to_mosaic(adjoin_point(fano_matroid())),
+    "u24-mosaic": lambda: matroid_to_mosaic(adjoin_point(uniform_matroid(2, 4))),
+}
+
+OPTIONS = {
+    "--tag": dict(choices=sorted(TAGS)),
+    "--op": dict(choices=["boxdot", "wedge", "boxtimes"], default="boxdot"),
+    "--construction": dict(choices=["dcoset", "conj", "orbit"], default="conj"),
+    "--subgroup": dict(default="units"),
+    "--action": dict(default=""),
+    "--at": dict(default=""),
+    "--gens": dict(type=int, default=1),
+    "--labels": dict(default=""),
+    "--name": dict(choices=sorted(BUILTINS), required=True),
+    "--simplify": dict(action="store_true"),
+    "--quotient-units": dict(metavar="FILE", required=True),
+}
+
+# What each construct verb reads: its input files (as an argparse nargs) and OPTIONS.
+VERBS = {
+    "product": ("+", ()),
+    "coproduct": ("+", ("--tag",)),
+    "equalizer": (2, ("--tag",)),
+    "coequalizer": (2, ("--tag",)),
+    "unitize": (1, ("--at",)),
+    "tensor": (2, ("--op",)),
+    "hom": (2, ("--tag",)),
+    "free": (0, ("--tag", "--gens", "--labels")),
+    "cofree": (0, ("--gens", "--labels")),
+    "from-group": (1, ("--construction", "--subgroup", "--action")),
+    "from-ring": (0, ("--quotient-units", "--subgroup")),
+    "from-matroid": (1, ("--simplify",)),
+    "from-lattice": (1, ()),
+    "builtin": (0, ("--name",)),
+}
 
 _CLASS_WORDS = {
     "Hypermagma": "hypermagma",
@@ -52,17 +112,21 @@ def _to_hypermagma(kind: str, obj) -> Hypermagma:
     if kind == "group":
         return group_to_hypermagma(obj)
     if kind == "matroid":
-        M = obj
-        if M.pointed is None:
-            M = adjoin_point(M)
-        if not is_simple(M):
-            M, _ = simplify(M, pointed=True)
-        return matroid_to_mosaic(M)
+        return _matroid_mosaic(obj)
     if kind == "ring":
         # formats.load validated the ring: its addition is an abelian group
         R: FiniteRing = obj
         return from_masks(R.labels, [[1 << s for s in row] for row in R.add])
     raise FormatError(f"cannot analyze kind {kind!r}")
+
+
+def _matroid_mosaic(M, force_simplify: bool = False) -> Hypermagma:
+    """The mosaic of M, pointed and simplified first where needed or asked."""
+    if M.pointed is None:
+        M = adjoin_point(M)
+    if force_simplify or not is_simple(M):
+        M, _ = simplify(M, pointed=True)
+    return matroid_to_mosaic(M)
 
 
 def cmd_check(args) -> int:
@@ -138,27 +202,28 @@ def _label_indices(option: str, value: str, labels: tuple[str, ...]) -> list[int
     return out
 
 
+def _tag(args, default=Tag.HMAG) -> Tag | None:
+    return TAGS[args.tag] if args.tag else default
+
+
 def cmd_construct(args) -> int:
     verb = args.verb
-    tag = TAGS[args.tag] if args.tag else Tag.HMAG
     morphisms: dict = {}
     if verb == "product":
         cone = product([_load_hm(p) for p in args.inputs])
         out = cone.apex
         morphisms = {f"proj{i}": leg for i, leg in enumerate(cone.legs)}
     elif verb == "coproduct":
-        coc = coproduct([_load_hm(p) for p in args.inputs], tag)
+        coc = coproduct([_load_hm(p) for p in args.inputs], _tag(args))
         out = coc.apex
         morphisms = {f"inj{i}": leg for i, leg in enumerate(coc.legs)}
     elif verb == "equalizer":
-        f = _load_morphism(args.inputs[0])
-        g = _load_morphism(args.inputs[1])
-        out, inc = equalizer(f, g, TAGS[args.tag] if args.tag else None)
+        f, g = (_load_kind(p, "morphism") for p in args.inputs)
+        out, inc = equalizer(f, g, _tag(args, None))
         morphisms = {"include": inc}
     elif verb == "coequalizer":
-        f = _load_morphism(args.inputs[0])
-        g = _load_morphism(args.inputs[1])
-        q = coequalizer(f, g, tag)
+        f, g = (_load_kind(p, "morphism") for p in args.inputs)
+        q = coequalizer(f, g, _tag(args))
         out = q.cod
         morphisms = {"quotient": q}
     elif verb == "unitize":
@@ -168,29 +233,23 @@ def cmd_construct(args) -> int:
         out = q.cod
         morphisms = {"quotient": q}
     elif verb == "tensor":
-        M, N = _load_hm(args.inputs[0]), _load_hm(args.inputs[1])
+        M, N = map(_load_hm, args.inputs)
         if args.op == "boxdot":
             out = boxdot(M, N)
-        elif args.op == "wedge":
-            q = wedge_smash(M, N)
-            out = q.cod
-            morphisms = {"quotient": q}
         else:
-            q = boxtimes(M, N)
+            q = (wedge_smash if args.op == "wedge" else boxtimes)(M, N)
             out = q.cod
             morphisms = {"quotient": q}
     elif verb == "hom":
-        M, N = _load_hm(args.inputs[0]), _load_hm(args.inputs[1])
-        out = hom_object(M, N, tag)
+        M, N = map(_load_hm, args.inputs)
+        out = hom_object(M, N, _tag(args))
     elif verb in ("free", "cofree"):
         if args.gens < 0:
             raise FormatError(f"--gens: {args.gens} is negative")
         gens = args.labels.split(",") if args.labels else [str(i + 1) for i in range(args.gens)]
-        out = free(tag, gens) if verb == "free" else cofree(gens)
+        out = free(_tag(args), gens) if verb == "free" else cofree(gens)
     elif verb == "from-group":
-        kind, G = formats.load(args.inputs[0])
-        if kind != "group":
-            raise FormatError("from-group needs a group file")
+        G = _load_kind(args.inputs[0], "group")
         if args.construction == "dcoset":
             out = double_coset_hypergroup(
                 G, mask_of(_label_indices("--subgroup", args.subgroup, G.labels))
@@ -204,65 +263,27 @@ def cmd_construct(args) -> int:
             ]
             out = orbit_hypergroup(G, perms)
     elif verb == "from-ring":
-        kind, R = formats.load(args.quotient_units)
-        if kind != "ring":
-            raise FormatError("from-ring needs a ring file")
+        R = _load_kind(args.quotient_units, "ring")
         if args.subgroup == "units":
             sub = R.units()
         else:
             sub = mask_of(_label_indices("--subgroup", args.subgroup, R.labels))
-        Q = krasner_quotient(R, sub)
-        out = Q.additive
+        out = krasner_quotient(R, sub).additive
     elif verb == "from-matroid":
-        kind, M = formats.load(args.inputs[0])
-        if kind != "matroid":
-            raise FormatError("from-matroid needs a matroid file")
-        if M.pointed is None:
-            M = adjoin_point(M)
-        if args.simplify or not is_simple(M):
-            M, _ = simplify(M, pointed=True)
-        out = matroid_to_mosaic(M)
+        out = _matroid_mosaic(_load_kind(args.inputs[0], "matroid"), args.simplify)
     elif verb == "from-lattice":
-        kind, out = formats.load(args.inputs[0])
-        if kind != "lattice":
-            raise FormatError("from-lattice needs a lattice file")
-    elif verb == "builtin":
-        out = _builtin(args.name)
-    else:
-        raise FormatError(f"unknown construct verb {verb!r}")
+        out = _load_kind(args.inputs[0], "lattice")
+    else:  # builtin
+        out = BUILTINS[args.name]()
     _write_outputs(args, out, morphisms)
     print(f"wrote {args.output} ({out.n} elements)")
     return 0
 
 
-def _builtin(name: str) -> Hypermagma:
-    from . import zoo
-    from .matroid import fano_matroid, uniform_matroid
-    from .univ import terminal
-
-    table = {
-        "krasner": zoo.krasner,
-        "z2": zoo.z2,
-        "z3": lambda: group_to_hypermagma(zoo.cyclic_group(3)),
-        "klein": lambda: group_to_hypermagma(zoo.klein_four_group()),
-        "s3": lambda: group_to_hypermagma(zoo.symmetric_group(3)),
-        "f": lambda: free(Tag.CMSC, ("1",)),
-        "gf9-quotient": lambda: zoo.gf9_quotient().additive,
-        "terminal": terminal,
-        "fano-mosaic": lambda: matroid_to_mosaic(adjoin_point(fano_matroid())),
-        "u24-mosaic": lambda: matroid_to_mosaic(adjoin_point(uniform_matroid(2, 4))),
-    }
-    if name not in table:
-        raise FormatError(
-            f"unknown builtin {name!r}; choose from {sorted(table)}"
-        )
-    return table[name]()
-
-
-def _load_morphism(path: str):
+def _load_kind(path: str, want: str):
     kind, obj = formats.load(path)
-    if kind != "morphism":
-        raise FormatError(f"{path} is not a morphism file")
+    if kind != want:
+        raise FormatError(f"{path} is not a {want} file")
     return obj
 
 
@@ -282,8 +303,15 @@ def cmd_paper_suite(args) -> int:
     return 1 if failed else 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as a FormatError: one line, exit 2."""
+
+    def error(self, message):
+        raise FormatError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="hyperkit")
+    ap = _Parser(prog="hyperkit")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p_check = sub.add_parser("check", help="classify an object file")
@@ -292,39 +320,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.set_defaults(fn=cmd_check)
 
     p_con = sub.add_parser("construct", help="build a new object")
-    p_con.add_argument(
-        "verb",
-        choices=[
-            "product",
-            "coproduct",
-            "equalizer",
-            "coequalizer",
-            "unitize",
-            "tensor",
-            "hom",
-            "free",
-            "cofree",
-            "from-group",
-            "from-ring",
-            "from-matroid",
-            "from-lattice",
-            "builtin",
-        ],
-    )
-    p_con.add_argument("inputs", nargs="*")
-    p_con.add_argument("-o", "--output", required=True)
-    p_con.add_argument("--tag", choices=sorted(TAGS), default=None)
-    p_con.add_argument("--op", choices=["boxdot", "wedge", "boxtimes"], default="boxdot")
-    p_con.add_argument("--construction", choices=["dcoset", "conj", "orbit"], default="conj")
-    p_con.add_argument("--subgroup", default="units")
-    p_con.add_argument("--action", default="")
-    p_con.add_argument("--at", default="")
-    p_con.add_argument("--gens", type=int, default=1)
-    p_con.add_argument("--labels", default="")
-    p_con.add_argument("--name", default="")
-    p_con.add_argument("--simplify", action="store_true")
-    p_con.add_argument("--quotient-units", dest="quotient_units", default="")
-    p_con.set_defaults(fn=cmd_construct)
+    verbs = p_con.add_subparsers(dest="verb", required=True)
+    for verb, (files, options) in VERBS.items():
+        p_verb = verbs.add_parser(verb)
+        if files:
+            p_verb.add_argument("inputs", nargs=files, metavar="FILE")
+        p_verb.add_argument("-o", "--output", required=True)
+        for option in options:
+            p_verb.add_argument(option, **OPTIONS[option])
+        p_verb.set_defaults(fn=cmd_construct)
 
     p_suite = sub.add_parser("paper-suite", help="verify the recorded finite facts")
     p_suite.add_argument("--max-size", type=int, default=None)
@@ -339,19 +343,14 @@ PARSER = build_parser()
 
 
 def _run(argv) -> int:
-    ap = PARSER
     try:
-        # flags may precede the input files; argparse then leaves the files
-        # unconsumed, so fold them back into the positional list
-        args, extra = ap.parse_known_args(argv)
-        if extra:
-            if any(e.startswith("-") for e in extra) or not hasattr(args, "inputs"):
-                ap.error(f"unrecognized arguments: {' '.join(extra)}")
-            args.inputs = list(args.inputs) + extra
-    except SystemExit as exc:
-        return 2 if exc.code else 0
-    try:
+        args = PARSER.parse_args(argv)
+        # a malformed cap is an error for every command, searching or not
+        search.search_cap()
         return args.fn(args)
+    except SystemExit as exc:
+        # only --help exits the parser; usage errors raise FormatError
+        return 2 if exc.code else 0
     except FormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

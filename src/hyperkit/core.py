@@ -80,9 +80,14 @@ def _detect_identity(table: Sequence[tuple[int, ...]]) -> int | None:
     return found
 
 
-def _detect_inverse(table: Sequence[Sequence[int]], e: int | None) -> tuple[int, ...] | None:
+def inverse_scan(
+    table: Sequence[Sequence[int]], e: int | None
+) -> tuple[tuple[int, ...] | None, tuple[int, ...] | None]:
+    """(inverse map, None) when every x has exactly one y with e in x*y and
+    e in y*x; else (None, least witness): (x,) for an x with no inverse,
+    (x, y, y') for its first two, and () when there is no identity e."""
     if e is None:
-        return None
+        return None, ()
     n = len(table)
     ebit = 1 << e
     inv = []
@@ -91,16 +96,16 @@ def _detect_inverse(table: Sequence[Sequence[int]], e: int | None) -> tuple[int,
         for y, m in enumerate(row):
             if m & ebit and table[y][x] & ebit:
                 if found is not None:
-                    return None
+                    return None, (x, found, y)
                 found = y
         if found is None:
-            return None
+            return None, (x,)
         inv.append(found)
     ensure(
         all(inv[inv[x]] == x for x in range(n)) and inv[e] == e,
         "unique inverses form an involution fixing the identity",
     )
-    return tuple(inv)
+    return tuple(inv), None
 
 
 @dataclass(frozen=True)
@@ -163,7 +168,7 @@ def from_masks(
         raise IdentityAxiomViolated(
             f"element {labels[identity]!r} is not a two-sided scalar identity"
         )
-    return Hypermagma(labels, tbl, e, _detect_inverse(tbl, e))
+    return Hypermagma(labels, tbl, e, inverse_scan(tbl, e)[0])
 
 
 def make_hypermagma(

@@ -632,6 +632,8 @@ def check_hom_health() -> tuple[bool, str]:
 
 
 def check_empty_sum(max_size: int = 6) -> tuple[bool, str]:
+    """The recorded outcome: no witness up to order 4, and the first one
+    has order 5."""
     out = empty_sum_search(max_size)
     if out.witness is not None:
         H, x, y = out.witness
@@ -639,9 +641,8 @@ def check_empty_sum(max_size: int = 6) -> tuple[bool, str]:
             f"witness of order {H.n}: f+g empty for f(1)={H.labels[x]}, "
             f"g(1)={H.labels[y]} (verified both routes)"
         )
-    else:
-        detail = f"exhausted: no witness up to size {max_size}"
-    return True, detail
+        return max_size >= 5 and H.n == 5, detail
+    return max_size < 5, f"exhausted: no witness up to size {max_size}"
 
 
 def check_f2_represents() -> tuple[bool, str]:

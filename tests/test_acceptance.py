@@ -25,6 +25,7 @@ from contextlib import contextmanager
 
 import pytest
 
+from hyperkit import suite
 from hyperkit.axioms import Tag, analyze
 from hyperkit.core import Morphism, find_isomorphism, iter_bits, mask_of
 from hyperkit.hom import (
@@ -68,8 +69,9 @@ from hyperkit.suite import (
     d_weak_example,
     klein_v,
 )
-from hyperkit.univ import coequalizer, free, one_empty, product, terminal, unitize
+from hyperkit.univ import cofree, coequalizer, free, one_empty, product, terminal, unitize
 from hyperkit.zoo import (
+    EmptySumOutcome,
     cyclic_group,
     empty_sum_search,
     enumerate_lattices,
@@ -326,3 +328,17 @@ def test_criterion_16_hom_health_and_empty_sum():
             print(f"  empty-sum witness recorded at order {H.n}")
         else:
             print("  empty-sum search exhausted at size 6 (recorded)")
+
+
+@pytest.mark.parametrize(
+    "max_size, order, ok",
+    [(4, None, True), (5, 5, True), (6, 5, True),
+     (6, None, False), (4, 5, False), (6, 4, False), (6, 6, False)],
+    ids=["exhausted-at-4", "order-5-at-5", "order-5-at-6",
+         "exhausted-at-6", "order-5-at-4", "order-4-at-6", "order-6-at-6"],
+)
+def test_empty_sum_check_passes_only_the_recorded_outcome(monkeypatch, max_size, order, ok):
+    """No witness up to order 4, and the first witness has order 5."""
+    witness = None if order is None else (cofree([str(i) for i in range(order)]), 1, 2)
+    monkeypatch.setattr(suite, "empty_sum_search", lambda m: EmptySumOutcome(witness, m, ()))
+    assert suite.check_empty_sum(max_size)[0] is ok

@@ -727,3 +727,130 @@ def test_construct_primes_composite_labels_that_coincide(tmp_path, argv, left, r
     assert main([*argv, a, b, "-o", out]) == 0
     _, T = formats.load(out)
     assert T.labels == labels
+
+
+# Each construct verb as the README documents it: the input files of one
+# valid call, the options that call needs, and every option the verb takes.
+# product and coproduct read one or more files, every other verb an exact
+# number; from-ring reads its one file through --quotient-units.
+VERB_SIGNATURES = {
+    "product": (["K"], [], []),
+    "coproduct": (["K"], [], ["--tag"]),
+    "equalizer": (["f", "g"], [], ["--tag"]),
+    "coequalizer": (["f", "g"], [], ["--tag"]),
+    "unitize": (["K"], [], ["--at"]),
+    "tensor": (["K", "K"], [], ["--op"]),
+    "hom": (["K", "K"], [], ["--tag"]),
+    "free": ([], [], ["--tag", "--gens", "--labels"]),
+    "cofree": ([], [], ["--gens", "--labels"]),
+    "from-group": (["S3"], [], ["--construction", "--subgroup", "--action"]),
+    "from-ring": ([], ["--quotient-units", "F9"], ["--quotient-units", "--subgroup"]),
+    "from-matroid": (["Fano"], [], ["--simplify"]),
+    "from-lattice": (["chain"], [], []),
+    "builtin": ([], ["--name", "krasner"], ["--name"]),
+}
+
+# every construct option, with a value it accepts
+OPTION_VALUES = {
+    "--tag": ["msc"],
+    "--op": ["wedge"],
+    "--construction": ["conj"],
+    "--subgroup": ["units"],
+    "--action": ["e"],
+    "--at": ["1"],
+    "--gens": ["1"],
+    "--labels": ["a"],
+    "--name": ["z2"],
+    "--simplify": [],
+    "--quotient-units": ["F9"],
+}
+
+
+def _signature_files(tmp_path):
+    from hyperkit.core import Morphism
+
+    Z, K = z2(), krasner()
+    chain = {"kind": "lattice", "carrier": ["0", "1"], "top": "1", "meet": [["0", "0"], ["0", "1"]]}
+    return {
+        "K": krasner_file(tmp_path),
+        "f": write_obj(tmp_path, "f.json", formats.morphism_to_dict(Morphism(Z, K, (0, 1)))),
+        "g": write_obj(tmp_path, "g.json", formats.morphism_to_dict(Morphism(Z, K, (0, 0)))),
+        "S3": write_obj(tmp_path, "s3.json", formats.group_to_dict(symmetric_group(3))),
+        "F9": write_obj(tmp_path, "f9.json", formats.ring_to_dict(make_gf9())),
+        "Fano": write_obj(tmp_path, "fano.json", formats.matroid_to_dict(fano_matroid())),
+        "chain": write_obj(tmp_path, "chain.json", chain),
+    }
+
+
+def _documented_call_paths(tmp_path, capsys, verb):
+    """Write the signature files, check that the documented call of `verb`
+    exits 0, and return the paths by placeholder."""
+    paths = _signature_files(tmp_path)
+    files, needed, _ = VERB_SIGNATURES[verb]
+    assert main(_construct_argv(verb, paths, needed + files, str(tmp_path / "ok.json"))) == 0
+    capsys.readouterr()
+    return paths
+
+
+def _construct_argv(verb, paths, args, out):
+    return ["construct", verb, *[paths.get(a, a) for a in args], "-o", out]
+
+
+def _assert_one_line_usage_error(tmp_path, capsys, verb, paths, args):
+    out = str(tmp_path / "out.json")
+    argv = _construct_argv(verb, paths, args, out)
+    assert main(argv) == 2, argv
+    captured = capsys.readouterr()
+    assert captured.out == "" and not os.path.exists(out)
+    assert captured.err.startswith("error: hyperkit") and captured.err.count("\n") == 1, captured.err
+
+
+@pytest.mark.parametrize(
+    "verb", [v for v, (files, needed, _) in VERB_SIGNATURES.items() if files or v == "from-ring"]
+)
+def test_construct_with_a_file_too_few_exits_2_with_one_line(tmp_path, capsys, verb):
+    paths = _documented_call_paths(tmp_path, capsys, verb)
+    files, needed, _ = VERB_SIGNATURES[verb]
+    # from-ring's one input file is the value of --quotient-units
+    args = files if verb == "from-ring" else needed + files[:-1]
+    _assert_one_line_usage_error(tmp_path, capsys, verb, paths, args)
+
+
+@pytest.mark.parametrize("verb", [v for v in VERB_SIGNATURES if v not in ("product", "coproduct")])
+def test_construct_with_a_file_too_many_exits_2_with_one_line(tmp_path, capsys, verb):
+    paths = _documented_call_paths(tmp_path, capsys, verb)
+    files, needed, _ = VERB_SIGNATURES[verb]
+    _assert_one_line_usage_error(tmp_path, capsys, verb, paths, needed + files + ["K"])
+
+
+@pytest.mark.parametrize("verb", list(VERB_SIGNATURES))
+def test_construct_with_an_option_the_verb_does_not_take_exits_2_with_one_line(
+    tmp_path, capsys, verb
+):
+    paths = _documented_call_paths(tmp_path, capsys, verb)
+    files, needed, takes = VERB_SIGNATURES[verb]
+    foreign = [o for o in OPTION_VALUES if o not in takes]
+    assert len(foreign) == len(OPTION_VALUES) - len(takes)
+    for option in foreign:
+        args = [option, *OPTION_VALUES[option], *needed, *files]
+        _assert_one_line_usage_error(tmp_path, capsys, verb, paths, args)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["check", "{K}"], ["construct", "product", "{K}", "-o", "{out}"], ["construct", "hom", "{K}", "{K}", "-o", "{out}"]],
+    ids=["check", "construct-product", "construct-hom"],
+)
+def test_malformed_search_cap_exits_2_for_every_command(tmp_path, capsys, monkeypatch, argv):
+    files = {"{K}": krasner_file(tmp_path), "{out}": str(tmp_path / "out.json")}
+    monkeypatch.setenv("HYPERKIT_SEARCH_CAP", "abc")
+    assert main([files.get(a, a) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not os.path.exists(files["{out}"])
+    assert captured.err.count("\n") == 1 and "HYPERKIT_SEARCH_CAP" in captured.err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["construct", "--help"], ["construct", "tensor", "--help"]])
+def test_help_exits_0(capsys, argv):
+    assert main(argv) == 0
+    assert capsys.readouterr().out.startswith("usage: hyperkit")
