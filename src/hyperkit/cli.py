@@ -3,7 +3,8 @@ run the paper-fact suite.
 
 Exit codes: 0 success, 1 verified failure or refutation, 2 usage or parse
 errors, reported on one line: a `construct` verb takes only the files and
-options VERBS lists for it, and a malformed HYPERKIT_SEARCH_CAP fails every
+options VERBS lists for it, a `from-group` construction only the option
+CONSTRUCTIONS names for it, and a malformed HYPERKIT_SEARCH_CAP fails every
 command.  A standard output closed by its reader (`hyperkit check f | head`)
 ends the command with exit 1 and no message.  Every path is a thin wrapper
 over the library.
@@ -60,12 +61,15 @@ BUILTINS = {
     "u24-mosaic": lambda: matroid_to_mosaic(adjoin_point(uniform_matroid(2, 4))),
 }
 
+# The option each `from-group` construction requires; it takes no other.
+CONSTRUCTIONS = {"dcoset": "--subgroup", "conj": None, "orbit": "--action"}
+
 OPTIONS = {
     "--tag": dict(choices=sorted(TAGS)),
     "--op": dict(choices=["boxdot", "wedge", "boxtimes"], default="boxdot"),
-    "--construction": dict(choices=["dcoset", "conj", "orbit"], default="conj"),
-    "--subgroup": dict(default="units"),
-    "--action": dict(default=""),
+    "--construction": dict(choices=sorted(CONSTRUCTIONS), default="conj"),
+    "--subgroup": dict(),
+    "--action": dict(),
     "--at": dict(default=""),
     "--gens": dict(type=int, default=1),
     "--labels": dict(default=""),
@@ -249,6 +253,14 @@ def cmd_construct(args) -> int:
         gens = args.labels.split(",") if args.labels else [str(i + 1) for i in range(args.gens)]
         out = free(_tag(args), gens) if verb == "free" else cofree(gens)
     elif verb == "from-group":
+        construction = args.construction
+        for option, value in (("--subgroup", args.subgroup), ("--action", args.action)):
+            given = value is not None
+            if given != (option == CONSTRUCTIONS[construction]):
+                problem = "does not take" if given else "requires"
+                raise FormatError(
+                    f"hyperkit construct {verb}: --construction {construction} {problem} {option}"
+                )
         G = _load_kind(args.inputs[0], "group")
         if args.construction == "dcoset":
             out = double_coset_hypergroup(
@@ -264,7 +276,7 @@ def cmd_construct(args) -> int:
             out = orbit_hypergroup(G, perms)
     elif verb == "from-ring":
         R = _load_kind(args.quotient_units, "ring")
-        if args.subgroup == "units":
+        if args.subgroup in (None, "units"):
             sub = R.units()
         else:
             sub = mask_of(_label_indices("--subgroup", args.subgroup, R.labels))
@@ -304,10 +316,19 @@ def cmd_paper_suite(args) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Reports a usage error as a FormatError: one line, exit 2."""
+    """Reports a usage error as a FormatError: one line, exit 2.  Each parser
+    rejects the arguments it leaves over itself, so the error names the
+    command they follow; argparse would pass a sub-parser's leftovers up to
+    the top-level parser."""
 
     def error(self, message):
         raise FormatError(f"{self.prog}: {message}")
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extra = super().parse_known_args(args, namespace)
+        if extra:
+            self.error(f"unrecognized arguments: {' '.join(extra)}")
+        return namespace, extra
 
 
 def build_parser() -> argparse.ArgumentParser:

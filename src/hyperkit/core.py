@@ -406,11 +406,8 @@ def canonical_form(table: Sequence[Sequence[int]], fixed: Iterable[int] = ()) ->
         for new, old in zip(moved, p):
             old_of[new] = old
             new_of[old] = new
-        image = [0]  # image[mask] = the relabelled mask
-        for x in range(n):
-            bit = 1 << new_of[x]
-            image += [m | bit for m in image]
-        form = tuple(image[table[a][b]] for a in old_of for b in old_of)
+        image = image_function([1 << new_of[x] for x in range(n)])  # mask -> relabelled mask
+        form = tuple(image(table[a][b]) for a in old_of for b in old_of)
         if best is None or form < best:
             best = form
     return best

@@ -10,7 +10,6 @@ from .axioms import Tag, UNITAL_TAGS, analyze
 from .core import (
     Hypermagma,
     Morphism,
-    compose,
     image_function,
     is_absorptive,
     iter_bits,
@@ -256,9 +255,10 @@ def colax_maps(
 
 
 @memo
-def enumerate_morphisms(M: Hypermagma, N: Hypermagma, tag: Tag) -> list[Morphism]:
-    """All tag-morphisms M -> N, ordered by the map array: the colax maps of
-    `colax_maps`, with the unit pinned in the unital tags.
+def enumerate_morphisms(M: Hypermagma, N: Hypermagma, tag: Tag) -> list[tuple[int, ...]]:
+    """The maps of all tag-morphisms M -> N, in lexicographic order: the
+    colax maps of `colax_maps`, with the unit pinned in the unital tags.
+    Wrap one in `Morphism(M, N, f)` to hand it to a function on morphisms.
 
     Mosaic tags also mask by inverse preservation, which unital morphisms of
     mosaics satisfy automatically.  Each depth reached is charged |N| nodes
@@ -273,7 +273,7 @@ def enumerate_morphisms(M: Hypermagma, N: Hypermagma, tag: Tag) -> list[Morphism
         and M.inverse is not None
         and N.inverse is not None
     )
-    maps = colax_maps(
+    return colax_maps(
         colax_schedule(M),
         N.n,
         N.table,
@@ -281,7 +281,6 @@ def enumerate_morphisms(M: Hypermagma, N: Hypermagma, tag: Tag) -> list[Morphism
         (M.identity, N.identity) if unital_tag else None,
         (M.inverse, N.inverse) if use_inverse_prune else None,
     )
-    return [Morphism(M, N, f) for f in maps]
 
 
 def inclusion_morphism(L: Hypermagma, M: Hypermagma) -> Morphism:
@@ -363,17 +362,17 @@ def is_strict_via_lifting(f: Morphism, tag: Tag) -> bool:
     (g . iota, f . g), so each square costs one lookup and one set test.
     """
     ro = representing_object(tag)
-    iota = ro.iota.map
+    iota, fmap = ro.iota.map, f.map
     betas: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
     for beta in enumerate_morphisms(ro.obj, f.cod, tag):
-        betas.setdefault(tuple(beta.map[v] for v in iota), []).append(beta.map)
+        betas.setdefault(tuple(beta[v] for v in iota), []).append(beta)
     filled = {
-        (tuple(g.map[v] for v in iota), tuple(f.map[v] for v in g.map))
+        (tuple(g[v] for v in iota), tuple(fmap[v] for v in g))
         for g in enumerate_morphisms(ro.obj, f.dom, tag)
     }
     for alpha in enumerate_morphisms(ro.free_pair, f.dom, tag):
-        for beta in betas.get(tuple(f.map[v] for v in alpha.map), ()):
-            if (alpha.map, beta) not in filled:
+        for beta in betas.get(tuple(fmap[v] for v in alpha), ()):
+            if (alpha, beta) not in filled:
                 return False
     return True
 
@@ -384,10 +383,9 @@ def is_short_via_lifting(p: Morphism, tag: Tag) -> bool:
     ro = representing_object(tag)
     if tag is Tag.HMAG and not is_surjective(p):
         return False
-    dom_homs = enumerate_morphisms(ro.obj, p.dom, tag)
-    cod_homs = enumerate_morphisms(ro.obj, p.cod, tag)
-    pushed = {compose(p, g).map for g in dom_homs}
-    return all(h.map in pushed for h in cod_homs)
+    pmap = p.map
+    pushed = {tuple(pmap[v] for v in g) for g in enumerate_morphisms(ro.obj, p.dom, tag)}
+    return all(h in pushed for h in enumerate_morphisms(ro.obj, p.cod, tag))
 
 
 def is_reversible_via_lifting(M: Hypermagma) -> bool:
@@ -398,6 +396,7 @@ def is_reversible_via_lifting(M: Hypermagma) -> bool:
     Er = representing_object(Tag.MSC).obj
     iota = Morphism(Eu, Er, tuple(Er.index(l) for l in ("e", "a", "b", "c")))
     ensure(is_colax(iota) and is_unital(iota), "is_reversible_via_lifting: iota is not a unital morphism")
-    restricted = (compose(g, iota).map for g in enumerate_morphisms(Er, M, Tag.UHMAG))
-    small = [h.map for h in enumerate_morphisms(Eu, M, Tag.UHMAG)]
-    return bijection_failure(restricted, small) is None
+    restricted = (
+        tuple(g[v] for v in iota.map) for g in enumerate_morphisms(Er, M, Tag.UHMAG)
+    )
+    return bijection_failure(restricted, enumerate_morphisms(Eu, M, Tag.UHMAG)) is None

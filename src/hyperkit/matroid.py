@@ -340,7 +340,7 @@ def projective_checks(M: Matroid, others: Sequence[Matroid] = ()) -> dict:
     for N in others:
         HN = matroid_to_mosaic(N)
         for f in enumerate_morphisms(H, HN, Tag.CMSC):
-            if not is_strong_map(M, N, f.map):
+            if not is_strong_map(M, N, f):
                 fullness = False
                 break
     return {

@@ -190,7 +190,7 @@ def enumerate_bimorphisms(
     `hom.colax_maps`; each product is computed on first use.  The constant
     row is an identity of those products: its product with row g is {g}.
     """
-    maps = [h.map for h in enumerate_morphisms(N, L, tag)]
+    maps = enumerate_morphisms(N, L, tag)
     budget = Budget(f"enumerate_bimorphisms(|M|={M.n}, |N|={N.n}, |L|={L.n}, {tag.value})")
     unit = None
     if tag in UNITAL_TAGS and M.identity is not None:
@@ -226,7 +226,7 @@ def hom_object(M: Hypermagma, N: Hypermagma, tag: Tag) -> Hypermagma:
     a prefix of their maps, so the ANDs over that prefix are kept from one
     g to the next.  When N is commutative, f*g = g*f and only g >= f is
     computed."""
-    maps = [h.map for h in enumerate_morphisms(M, N, tag)]
+    maps = enumerate_morphisms(M, N, tag)
     H, n = len(maps), M.n
     labels = distinct_labels("(" + ",".join(N.labels[v] for v in f) + ")" for f in maps)
     at = _coordinate_masks(maps, n, N)
@@ -265,7 +265,7 @@ def curry(phi: Morphism, M: Hypermagma, N: Hypermagma, tag: Tag) -> Morphism:
     L = phi.cod
     Hobj = hom_object(N, L, tag)
     # the elements of [N, L] are Hom(N, L) in enumeration order
-    index = {h.map: i for i, h in enumerate(enumerate_morphisms(N, L, tag))}
+    index = {h: i for i, h in enumerate(enumerate_morphisms(N, L, tag))}
     images = []
     for x in range(M.n):
         slice_map = tuple(phi.map[u(x, y)] for y in range(N.n))
@@ -288,7 +288,7 @@ def uncurry(psi: Morphism, M: Hypermagma, N: Hypermagma, L: Hypermagma, tag: Tag
         h = homs[psi.map[x]]
         for y in range(N.n):
             t = u(x, y)
-            v = h.map[y]
+            v = h[y]
             if t in values:
                 ensure(values[t] == v, "uncurry: the slices disagree on a tensor element")
             else:
@@ -315,7 +315,7 @@ def represents_bimorphisms(
         if len(homs) != len(bims):
             return False, f"|Hom(T,L)| = {len(homs)} but |Bim| = {len(bims)} at {at}"
         paired = (
-            tuple(tuple(phi.map[u(x, y)] for y in range(N.n)) for x in range(M.n))
+            tuple(tuple(phi[u(x, y)] for y in range(N.n)) for x in range(M.n))
             for phi in homs
         )
         failure = bijection_failure(paired, bims)
@@ -353,7 +353,7 @@ def strict_classifier_check(M: Hypermagma) -> bool:
     subs = enumerate_strict_submosaics(M)
     homs = enumerate_morphisms(M, K, Tag.MSC)
     kernels = (
-        mask_of(x for x in range(M.n) if f.map[x] == K.identity) for f in homs
+        mask_of(x for x in range(M.n) if f[x] == K.identity) for f in homs
     )
     return bijection_failure(kernels, subs) is None
 

@@ -208,8 +208,7 @@ def check_krasner() -> tuple[bool, str]:
 
 def check_can_z2_k() -> tuple[bool, str]:
     homs = enumerate_morphisms(z2(), krasner(), Tag.CAN)
-    maps = sorted(h.map for h in homs)
-    ok = maps == [(0, 0), (0, 1)]
+    ok = sorted(homs) == [(0, 0), (0, 1)]
     tau = Morphism(z2(), krasner(), (0, 1))
     k = check_kind(tau)
     ok = ok and k.colax and k.unital and k.injective and not k.strict
@@ -244,7 +243,7 @@ def check_representing_objects() -> tuple[bool, str]:
         ro = representing_object(tag)
         for M in acceptance_battery():
             homs = enumerate_morphisms(ro.obj, M, tag)
-            got = ((h.map[ro.a], h.map[ro.b], h.map[ro.c]) for h in homs)
+            got = ((h[ro.a], h[ro.b], h[ro.c]) for h in homs)
             if bijection_failure(got, triples(M)) is not None:
                 bad.append((tag.value, M.labels))
     return not bad, str(bad) if bad else "Hom(E_C, M) matches {(x,y,z) | z in x*y} on the battery"
@@ -336,11 +335,11 @@ def check_closed_counts() -> tuple[bool, str]:
             right = enumerate_morphisms(X, hom_object(Y, Z, tag), tag)
             if len(left) != len(right):
                 return False, f"{tag.value}: |Hom(X(x)Y,Z)| = {len(left)} != {len(right)}"
-            curried = [curry(phi, X, Y, tag) for phi in left]
-            if bijection_failure((psi.map for psi in curried), [h.map for h in right]) is not None:
+            curried = [curry(Morphism(T, Z, phi), X, Y, tag) for phi in left]
+            if bijection_failure((psi.map for psi in curried), right) is not None:
                 return False, f"curry not bijective in {tag.value}"
             for phi, psi in zip(left, curried):
-                if uncurry(psi, X, Y, Z, tag) != phi:
+                if uncurry(psi, X, Y, Z, tag).map != phi:
                     return False, "uncurry . curry != id"
             checked += 1
     return True, f"{checked} triples verified, {skipped} skipped by the hom cap"
@@ -380,7 +379,8 @@ def check_morphism_liftings() -> tuple[bool, str]:
         objs = _morphism_battery(tag)
         for A in objs:
             for B in objs:
-                for f in enumerate_morphisms(A, B, tag):
+                for fmap in enumerate_morphisms(A, B, tag):
+                    f = Morphism(A, B, fmap)
                     if is_strict_via_lifting(f, tag) != check_kind(f).strict:
                         return False, f"strict mismatch at {f!r}"
                     if is_short_via_lifting(f, tag) != is_short(f):
@@ -399,8 +399,9 @@ def check_regularity() -> tuple[bool, str]:
         objs = _morphism_battery(tag)[:6]
         for A in objs:
             for B in objs:
-                for f in enumerate_morphisms(A, B, tag)[:8]:
-                    for g in enumerate_morphisms(A, B, tag)[:8]:
+                homs = [Morphism(A, B, m) for m in enumerate_morphisms(A, B, tag)[:8]]
+                for f in homs:
+                    for g in homs:
                         q = coequalizer(f, g, tag)
                         if not is_short(q):
                             return False, "coequalizer not short"
@@ -410,7 +411,7 @@ def check_regularity() -> tuple[bool, str]:
         N = p.cod
         for L in _morphism_battery(tag)[:5]:
             for g in enumerate_morphisms(L, N, tag)[:6]:
-                pb = pullback(g, p)
+                pb = pullback(Morphism(L, N, g), p)
                 if not is_short(pb.legs[0]):
                     return False, "pullback of short not short"
     # short images preserve commutativity and associativity
@@ -537,10 +538,7 @@ def check_coproduct_refuter(max_size: int = 5) -> tuple[bool, str]:
     total = 0
     for Gc, rec in _classes(max_size):
         total += len(rec.legs) ** 2
-        targets = (
-            (K, [phi.map for phi in rec.to_k], pairs_k),
-            (Z, [phi.map for phi in rec.to_z2], pairs_z),
-        )
+        targets = ((K, rec.to_k, pairs_k), (Z, rec.to_z2, pairs_z))
         for i1, i2 in itertools.product(rec.legs, repeat=2):
             if coproduct_replay(i1, i2, targets) is None:
                 return False, f"candidate survived: {Gc.labels}"
@@ -552,10 +550,10 @@ def check_equalizer_refuter(max_size: int = 5) -> tuple[bool, str]:
     total = 0
     for E, rec in _classes(max_size):
         for e in rec.to_h:
-            if any(F.map[v] != v for v in e.map):
+            if any(F.map[v] != v for v in e):
                 continue
             total += 1
-            if not equalizer_replay(E, rec.lift_points, e.map, F.map)[0]:
+            if not equalizer_replay(E, rec.lift_points, e, F.map)[0]:
                 return False, f"candidate survived: {E.labels}"
     return True, f"all {total} equalizing candidates of size <= {max_size} refuted"
 
@@ -652,7 +650,7 @@ def check_f2_represents() -> tuple[bool, str]:
         fixture = [
             x for x in range(G.n) if (G.table[x][x] >> G.identity) & 1
         ]
-        if bijection_failure((h.map[1] for h in homs), fixture) is not None:
+        if bijection_failure((h[1] for h in homs), fixture) is not None:
             return False, f"mismatch at {G.labels}"
     return True, "Can(Z2,G) = {x | 0 in x+x} on the battery"
 
@@ -707,8 +705,9 @@ def check_mosaic_closure() -> tuple[bool, str]:
                 return False, "coproduct universality failed"
     A = krasner()
     for B in (z2(), klein_v()):
-        for f in enumerate_morphisms(B, A, Tag.CMSC):
-            for g in enumerate_morphisms(B, A, Tag.CMSC):
+        homs = [Morphism(B, A, m) for m in enumerate_morphisms(B, A, Tag.CMSC)]
+        for f in homs:
+            for g in homs:
                 E, inc = equalizer(f, g)
                 if not is_coshort(inc):
                     return False, "equalizer inclusion not coshort"
@@ -791,9 +790,10 @@ def check_opposite() -> tuple[bool, str]:
         if opposite(opposite(M)) != M:
             return False, "opposite not involutive"
     M = mixed3()
-    for f in enumerate_morphisms(M, M, Tag.HMAG):
-        fo = Morphism(opposite(M), opposite(M), f.map)
-        if check_kind(f).colax != check_kind(fo).colax or check_kind(f).lax != check_kind(fo).lax:
+    Mo = opposite(M)
+    for m in enumerate_morphisms(M, M, Tag.HMAG):
+        kinds, kinds_op = check_kind(Morphism(M, M, m)), check_kind(Morphism(Mo, Mo, m))
+        if kinds.colax != kinds_op.colax or kinds.lax != kinds_op.lax:
             return False, "kind flags not preserved by opposite"
     return True, "involutive; kind flags carried to the opposite"
 

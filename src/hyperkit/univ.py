@@ -26,6 +26,7 @@ from .core import (
     weak_sub,
 )
 from .errors import (
+    DimensionMismatch,
     NoCommonCodomain,
     NotParallel,
     NotUnital,
@@ -336,15 +337,20 @@ def is_normal_epi(p: Morphism, tag: Tag) -> bool:
 
 # ---------------------------------------------------------------------------
 # Universal-property verification by enumeration
+#
+# Each check composes the maps of the hom-sets with the given morphisms'
+# maps, so it first checks once that they compose, as `compose` does.
 
 
 def check_product_universal(
     cone: Cone, factors: Sequence[Hypermagma], tag: Tag, battery: Sequence[Hypermagma]
 ) -> bool:
+    if any(p.dom != cone.apex for p in cone.legs):
+        raise DimensionMismatch("composition mismatch: a leg does not start at the apex")
     for T in battery:
-        legsets = [[h.map for h in enumerate_morphisms(T, M, tag)] for M in factors]
+        legsets = [enumerate_morphisms(T, M, tag) for M in factors]
         mediated = (
-            tuple(compose(p, m).map for p in cone.legs)
+            tuple(tuple(p.map[v] for v in m) for p in cone.legs)
             for m in enumerate_morphisms(T, cone.apex, tag)
         )
         if bijection_failure(mediated, list(itertools.product(*legsets))) is not None:
@@ -355,10 +361,12 @@ def check_product_universal(
 def check_coproduct_universal(
     cocone: Cocone, summands: Sequence[Hypermagma], tag: Tag, battery: Sequence[Hypermagma]
 ) -> bool:
+    if any(inj.cod != cocone.apex for inj in cocone.legs):
+        raise DimensionMismatch("composition mismatch: a leg does not end at the apex")
     for T in battery:
-        legsets = [[h.map for h in enumerate_morphisms(M, T, tag)] for M in summands]
+        legsets = [enumerate_morphisms(M, T, tag) for M in summands]
         mediated = (
-            tuple(compose(m, inj).map for inj in cocone.legs)
+            tuple(tuple(m[v] for v in inj.map) for inj in cocone.legs)
             for m in enumerate_morphisms(cocone.apex, T, tag)
         )
         if bijection_failure(mediated, list(itertools.product(*legsets))) is not None:
@@ -374,13 +382,15 @@ def check_equalizer_universal(
     tag: Tag,
     battery: Sequence[Hypermagma],
 ) -> bool:
+    if g.dom != f.dom or inc.dom != obj:
+        raise DimensionMismatch("composition mismatch: dom(g) != dom(f) or dom(inc) != obj")
     for T in battery:
         cones = {
-            q.map
+            q
             for q in enumerate_morphisms(T, f.dom, tag)
-            if compose(f, q) == compose(g, q)
+            if all(f.map[v] == g.map[v] for v in q)
         }
-        mediated = (compose(inc, h).map for h in enumerate_morphisms(T, obj, tag))
+        mediated = (tuple(inc.map[v] for v in h) for h in enumerate_morphisms(T, obj, tag))
         if bijection_failure(mediated, cones) is not None:
             return False
     return True
@@ -393,13 +403,15 @@ def check_coequalizer_universal(
     tag: Tag,
     battery: Sequence[Hypermagma],
 ) -> bool:
+    if g.cod != f.cod:
+        raise DimensionMismatch("composition mismatch: cod(g) != cod(f)")
     for T in battery:
         cocones = {
-            h.map
+            h
             for h in enumerate_morphisms(f.cod, T, tag)
-            if compose(h, f) == compose(h, g)
+            if all(h[u] == h[v] for u, v in zip(f.map, g.map))
         }
-        mediated = (compose(h, q).map for h in enumerate_morphisms(q.cod, T, tag))
+        mediated = (tuple(h[v] for v in q.map) for h in enumerate_morphisms(q.cod, T, tag))
         if bijection_failure(mediated, cocones) is not None:
             return False
     return True

@@ -14,6 +14,7 @@ from .core import (
     Morphism,
     canonical_form,
     from_masks,
+    image_tables,
     iter_bits,
     mask_of,
     orbit_partition,
@@ -625,13 +626,7 @@ def _orbit_symmetries(
         if p == tuple(range(nz)) or any(p[sigma[x]] != sigma[p[x]] for x in range(nz)):
             continue
         image = [orbit_of[tuple(p[t] for t in orb[0])] for orb in orbits]
-        chunks = []
-        for lo in range(0, k, 8):
-            table = [0]
-            for b in range(lo, min(lo + 8, k)):
-                moved = 1 << (k - 1 - image[k - 1 - b])
-                table += [t | moved for t in table]
-            chunks.append(table)
+        chunks = image_tables([1 << (k - 1 - image[k - 1 - b]) for b in range(k)])
         out.append((image, tuple(chunks)))
     return out
 
@@ -902,12 +897,13 @@ class Refutation:
 
 @dataclass(frozen=True)
 class RefuterRecord:
-    """What the three refuters read of one class G; hom-sets are in CMSC."""
+    """What the three refuters read of one class G: hom-sets in CMSC, as the
+    maps `enumerate_morphisms` lists."""
 
-    legs: list[Morphism]  # Hom(Z2, G)
-    to_k: list[Morphism]  # Hom(G, K)
-    to_z2: list[Morphism]  # Hom(G, Z2)
-    to_h: list[Morphism]  # Hom(G, H), H the gf9 quotient
+    legs: list[tuple[int, ...]]  # Hom(Z2, G)
+    to_k: list[tuple[int, ...]]  # Hom(G, K)
+    to_z2: list[tuple[int, ...]]  # Hom(G, Z2)
+    to_h: list[tuple[int, ...]]  # Hom(G, H), H the gf9 quotient
     lift_points: tuple[int, ...]  # the x with {0, x} inside x + x, ascending
 
 
@@ -937,19 +933,19 @@ def refuter_record(G: Hypermagma) -> RefuterRecord:
 def leg_pairs(T: Hypermagma) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     """Hom(Z2, T) x Hom(Z2, T) as pairs of maps: the pairs of legs into T
     that a coproduct of Z2 with itself mediates, each by exactly one map."""
-    legs = [f.map for f in enumerate_morphisms(z2(), T, Tag.CMSC)]
-    return list(itertools.product(legs, repeat=2))
+    return list(itertools.product(enumerate_morphisms(z2(), T, Tag.CMSC), repeat=2))
 
 
 def coproduct_replay(
-    i1: Morphism, i2: Morphism, targets: Iterable[tuple[Hypermagma, list, list]]
+    i1: Sequence[int], i2: Sequence[int], targets: Iterable[tuple[Hypermagma, list, list]]
 ) -> tuple[Hypermagma, str, tuple] | None:
-    """The per-candidate half of the coproduct refuter.  `targets` holds,
-    per battery object T, (T, the maps of Hom(G, T), `leg_pairs(T)`):
-    composing with i1 and i2 must hit each pair of legs exactly once.
-    Returns the first failure, (T, "repeated" or "missing", the legs), or
-    None when the battery passes."""
-    (a1, b1), (a2, b2) = i1.map, i2.map
+    """The per-candidate half of the coproduct refuter, for the legs
+    Z2 -> G with maps `i1` and `i2`.  `targets` holds, per battery object T,
+    (T, the maps of Hom(G, T), `leg_pairs(T)`): composing with i1 and i2
+    must hit each pair of legs exactly once.  Returns the first failure,
+    (T, "repeated" or "missing", the legs), or None when the battery
+    passes."""
+    (a1, b1), (a2, b2) = i1, i2
     for T, maps, pairs in targets:
         keys = (((m[a1], m[b1]), (m[a2], m[b2])) for m in maps)
         failure = bijection_failure(keys, pairs)
@@ -984,11 +980,8 @@ def refute_coproduct_candidate(
         return Refutation(True, "candidate", ("candidate is not a canonical hypergroup",))
     if battery is None:
         battery = [krasner(), z2(), Gc]
-    targets = (
-        (T, [phi.map for phi in enumerate_morphisms(Gc, T, Tag.CMSC)], leg_pairs(T))
-        for T in battery
-    )
-    return coproduct_refutation(coproduct_replay(i1, i2, targets))
+    targets = ((T, enumerate_morphisms(Gc, T, Tag.CMSC), leg_pairs(T)) for T in battery)
+    return coproduct_refutation(coproduct_replay(i1.map, i2.map, targets))
 
 
 @memo

@@ -9,7 +9,7 @@ from hyperkit.axioms import (
     recheck_witness,
     weak_identity_set,
 )
-from hyperkit.core import from_masks, permute, product_of_subsets
+from hyperkit.core import Morphism, from_masks, permute, product_of_subsets
 from hyperkit.errors import NotAMosaic
 from hyperkit.matroid import adjoin_point, fano_matroid, matroid_to_mosaic, uniform_matroid
 from hyperkit.univ import cofree, coequalizer, free
@@ -110,8 +110,9 @@ def test_witnesses_recheck():
 
 def test_short_quotients_preserve_laws():
     Z, K = z2(), krasner()
-    for f in enumerate_morphisms(Z, K, Tag.UHMAG):
-        for g in enumerate_morphisms(Z, K, Tag.UHMAG):
+    homs = [Morphism(Z, K, m) for m in enumerate_morphisms(Z, K, Tag.UHMAG)]
+    for f in homs:
+        for g in homs:
             q = coequalizer(f, g, Tag.UHMAG)
             repN = analyze(q.cod)
             assert repN.commutative and repN.associative

@@ -837,6 +837,43 @@ def test_construct_with_an_option_the_verb_does_not_take_exits_2_with_one_line(
 
 
 @pytest.mark.parametrize(
+    "verb, args, tail, surplus",
+    [("unitize", ["K", "K", "--at", "1"], [], "K"), ("product", ["K"], ["extra"], "extra")],
+    ids=["fixed-count", "after-output"],
+)
+def test_surplus_argument_error_names_the_verb(tmp_path, capsys, verb, args, tail, surplus):
+    paths = _signature_files(tmp_path)
+    out = str(tmp_path / "out.json")
+    assert main(_construct_argv(verb, paths, args, out) + tail) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not os.path.exists(out)
+    surplus = paths.get(surplus, surplus)
+    assert captured.err == f"error: hyperkit construct {verb}: unrecognized arguments: {surplus}\n"
+
+
+@pytest.mark.parametrize(
+    "construction, args, message",
+    [
+        ("conj", ["--subgroup", "e"], "does not take --subgroup"),
+        ("conj", ["--action", "e"], "does not take --action"),
+        ("dcoset", [], "requires --subgroup"),
+        ("dcoset", ["--subgroup", "e", "--action", "e"], "does not take --action"),
+        ("orbit", [], "requires --action"),
+        ("orbit", ["--action", "e", "--subgroup", "e"], "does not take --subgroup"),
+    ],
+)
+def test_from_group_construction_reads_only_its_option(tmp_path, capsys, construction, args, message):
+    paths = _signature_files(tmp_path)
+    argv = ["--construction", construction, *args, "S3"]
+    out = str(tmp_path / "out.json")
+    assert main(_construct_argv("from-group", paths, argv, out)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not os.path.exists(out)
+    prefix = f"error: hyperkit construct from-group: --construction {construction}"
+    assert captured.err == f"{prefix} {message}\n"
+
+
+@pytest.mark.parametrize(
     "argv",
     [["check", "{K}"], ["construct", "product", "{K}", "-o", "{out}"], ["construct", "hom", "{K}", "{K}", "-o", "{out}"]],
     ids=["check", "construct-product", "construct-hom"],

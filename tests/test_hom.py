@@ -52,6 +52,11 @@ from hyperkit.zoo import (
 from util import d_example, f_mosaic, gf9_add, klein, mixed3, set_search_cap, small_battery, z2
 
 
+def _morphisms(M, N, tag):
+    """Hom(M, N) as morphisms, for tests that pass its members on."""
+    return [Morphism(M, N, m) for m in enumerate_morphisms(M, N, tag)]
+
+
 def tau():
     return Morphism(z2(), krasner(), (0, 1))
 
@@ -77,7 +82,7 @@ def test_constant_identity_morphism():
 
 def test_enumerate_can_z2_k():
     homs = enumerate_morphisms(z2(), krasner(), Tag.CAN)
-    assert sorted(h.map for h in homs) == [(0, 0), (0, 1)]
+    assert sorted(homs) == [(0, 0), (0, 1)]
 
 
 def test_enumerate_cmsc_representing_to_k():
@@ -87,7 +92,7 @@ def test_enumerate_cmsc_representing_to_k():
     K = krasner()
     oracle = [(x, y, z) for x in range(2) for y in range(2) for z in iter_bits(K.table[x][y])]
     assert len(homs) == len(oracle) == 5
-    assert sorted((h.map[ro.a], h.map[ro.b], h.map[ro.c]) for h in homs) == sorted(oracle)
+    assert sorted((h[ro.a], h[ro.b], h[ro.c]) for h in homs) == sorted(oracle)
 
 
 def test_enumerate_terminal_source():
@@ -170,7 +175,7 @@ def test_enumeration_matches_brute_force(data):
         f = Morphism(M, N, image)
         if morphism_in_tag(f, tag):
             want.append(image)
-    assert [f.map for f in enumerate_morphisms(M, N, tag)] == want
+    assert enumerate_morphisms(M, N, tag) == want
 
 
 def _fano_mosaic():
@@ -290,12 +295,12 @@ def test_hom_sets_sorted_lexicographically():
     for A, B in ((z2(), krasner()), (d_example(), krasner())):
         for tag in (Tag.HMAG, Tag.UHMAG):
             homs = enumerate_morphisms(A, B, tag)
-            assert [h.map for h in homs] == sorted(h.map for h in homs)
+            assert homs == sorted(homs)
 
 
 def test_strict_only_enumeration():
     # the strict unital maps Z2 -> K, filtered from the hom-set
-    homs = enumerate_morphisms(z2(), krasner(), Tag.UHMAG)
+    homs = _morphisms(z2(), krasner(), Tag.UHMAG)
     assert [h.map for h in homs if is_strict(h)] == [(0, 0)]
     assert [h.map for h in homs if check_kind(h).strict] == [(0, 0)]
 
@@ -360,7 +365,7 @@ def test_representing_object_bijections_battery():
         ro = representing_object(tag)
         for M in objects:
             homs = enumerate_morphisms(ro.obj, M, tag)
-            got = sorted((h.map[ro.a], h.map[ro.b], h.map[ro.c]) for h in homs)
+            got = sorted((h[ro.a], h[ro.b], h[ro.c]) for h in homs)
             assert got == sorted(triples(M))
 
 
@@ -440,7 +445,8 @@ def test_lifting_criteria_agree_on_battery():
     for tag in (Tag.UHMAG, Tag.MSC, Tag.CMSC):
         for A in objs:
             for B in objs:
-                for f in enumerate_morphisms(A, B, tag):
+                for fmap in enumerate_morphisms(A, B, tag):
+                    f = Morphism(A, B, fmap)
                     assert is_strict_via_lifting(f, tag) == check_kind(f).strict
                     assert is_short_via_lifting(f, tag) == is_short(f)
 
@@ -504,7 +510,7 @@ def test_unital_morphisms_preserve_inverses():
         for B in mosaics:
             for f in enumerate_morphisms(A, B, Tag.MSC):
                 for x in range(A.n):
-                    assert f.map[A.inverse[x]] == B.inverse[f.map[x]]
+                    assert f[A.inverse[x]] == B.inverse[f[x]]
 
 
 def test_mono_epi_cancellation_battery():
@@ -512,21 +518,22 @@ def test_mono_epi_cancellation_battery():
     # against all morphisms from/to small probe objects
     probes = [terminal(), z2(), krasner()]
     A, B = z2(), krasner()
-    for f in enumerate_morphisms(A, B, Tag.UHMAG):
+    for fmap in enumerate_morphisms(A, B, Tag.UHMAG):
+        f = Morphism(A, B, fmap)
         left_cancellable = True
         for T in probes:
             seen = {}
             for g in enumerate_morphisms(T, A, Tag.UHMAG):
-                key = compose(f, g).map
-                if seen.setdefault(key, g.map) != g.map:
+                key = compose(f, Morphism(T, A, g)).map
+                if seen.setdefault(key, g) != g:
                     left_cancellable = False
         assert left_cancellable == is_injective(f)
         right_cancellable = True
         for T in probes:
             seen = {}
             for g in enumerate_morphisms(B, T, Tag.UHMAG):
-                key = tuple(g.map[f.map[x]] for x in range(A.n))
-                if seen.setdefault(key, g.map) != g.map:
+                key = tuple(g[f.map[x]] for x in range(A.n))
+                if seen.setdefault(key, g) != g:
                     right_cancellable = False
         assert right_cancellable == is_surjective(f)
 
@@ -534,9 +541,9 @@ def test_mono_epi_cancellation_battery():
 def _strict_via_lifting_oracle(f, tag):
     """Every square (alpha, beta) against every filler g, composed in full."""
     ro = representing_object(tag)
-    alphas = enumerate_morphisms(ro.free_pair, f.dom, tag)
-    betas = enumerate_morphisms(ro.obj, f.cod, tag)
-    gs = enumerate_morphisms(ro.obj, f.dom, tag)
+    alphas = _morphisms(ro.free_pair, f.dom, tag)
+    betas = _morphisms(ro.obj, f.cod, tag)
+    gs = _morphisms(ro.obj, f.dom, tag)
     for alpha in alphas:
         fa = compose(f, alpha)
         for beta in betas:
@@ -555,7 +562,8 @@ def test_strict_lifting_matches_triple_loop():
         objs = _morphism_battery(tag)
         for A in objs:
             for B in objs:
-                for f in enumerate_morphisms(A, B, tag):
+                for fmap in enumerate_morphisms(A, B, tag):
+                    f = Morphism(A, B, fmap)
                     want = _strict_via_lifting_oracle(f, tag)
                     assert is_strict_via_lifting(f, tag) == want, (tag, f)
                     answers.append(want)

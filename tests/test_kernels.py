@@ -157,7 +157,7 @@ def _old_hom_table(M, N, tag):
     homs = enumerate_morphisms(M, N, tag)
     H = len(homs)
     by_value = [
-        [mask_of(i for i, h in enumerate(homs) if h.map[x] == v) for v in range(N.n)]
+        [mask_of(i for i, h in enumerate(homs) if h[x] == v) for v in range(N.n)]
         for x in range(M.n)
     ]
     rows = [[0] * H for _ in range(H)]
@@ -166,7 +166,7 @@ def _old_hom_table(M, N, tag):
             m = (1 << H) - 1
             for x in range(M.n):
                 combined = 0
-                for v in iter_bits(N.table[f.map[x]][g.map[x]]):
+                for v in iter_bits(N.table[f[x]][g[x]]):
                     combined |= by_value[x][v]
                 m &= combined
             rows[a][b] = m
@@ -395,7 +395,7 @@ def _old_curry(phi, M, N, tag):
     images = []
     for x in range(M.n):
         slice_map = tuple(phi.map[u(x, y)] for y in range(N.n))
-        images.append(next(i for i, h in enumerate(homs) if h.map == slice_map))
+        images.append(next(i for i, h in enumerate(homs) if h == slice_map))
     return tuple(images)
 
 
@@ -404,7 +404,8 @@ def test_curry_matches_hom_scan(tag):
     checked = 0
     for X, Y, Z in _closed_count_triples(tag):
         T, _ = tensor(X, Y, tag)
-        for phi in enumerate_morphisms(T, Z, tag):
+        for phimap in enumerate_morphisms(T, Z, tag):
+            phi = Morphism(T, Z, phimap)
             psi = curry(phi, X, Y, tag)
             assert psi.cod == hom_object(Y, Z, tag)
             assert psi.map == _old_curry(phi, X, Y, tag)

@@ -287,8 +287,9 @@ def test_curry_uncurry_roundtrip():
         left = enumerate_morphisms(T, Z, tag)
         right = enumerate_morphisms(X, hom_object(Y, Z, tag), tag)
         assert len(left) == len(right)
+        left = [Morphism(T, Z, phi) for phi in left]
         curried = [curry(phi, X, Y, tag) for phi in left]
-        assert sorted(c.map for c in curried) == sorted(h.map for h in right)
+        assert sorted(c.map for c in curried) == sorted(right)
         for phi, psi in zip(left, curried):
             assert uncurry(psi, X, Y, Z, tag) == phi
 
@@ -432,7 +433,7 @@ def test_row_by_row_matrix_count_matches_brute_force(name):
 def _bimorphisms_by_filter(M, N, L, tag):
     """Bim(M, N; L) as the tables in Hom(N, L)^|M|, in table order, that
     `is_bimorphism` accepts."""
-    rows = [h.map for h in enumerate_morphisms(N, L, tag)]
+    rows = enumerate_morphisms(N, L, tag)
     return [
         table
         for table in itertools.product(rows, repeat=M.n)

@@ -1,0 +1,73 @@
+"""An independent oracle for the hom-sets the size-5 refuters read.
+
+For every class G of canonical hypergroups of order <= 5, the maps of
+`refuter_record(G)` for Hom(Z2, G), Hom(G, K) and Hom(G, Z2) must equal,
+in order, a brute force that tries every map and tests it on the raw mask
+tables, without `hyperkit.hom`.  The counts of the brute force then prove
+two refutations at order <= 5 on their own: a coproduct Z2 + Z2 needs
+|Hom(G, K)| = 4 and |Hom(G, Z2)| = 4, and a representing object for the
+Klein-four bimorphisms needs 50 and 16, and no class meets either pair.
+"""
+import itertools
+
+from hyperkit.core import Morphism
+from hyperkit.hom import enumerate_morphisms
+from hyperkit.zoo import enumerate_canonical_hypergroups, gf9_quotient, krasner, refuter_record, z2
+
+# (table, unit, inverse) on the carrier {0, 1}: entry [x][y] has bit z set
+# when z is in x + y
+K = (((0b01, 0b10), (0b10, 0b11)), 0, (0, 1))
+Z2 = (((0b01, 0b10), (0b10, 0b01)), 0, (0, 1))
+
+
+def _brute_homs(dom, cod):
+    """Every map dom -> cod, in lexicographic order, that sends the unit to
+    the unit, commutes with the inverses and is colax: z in x + y implies
+    f(z) in f(x) + f(y)."""
+    (dtable, dunit, dinv), (ctable, cunit, cinv) = dom, cod
+    n = len(dtable)
+    sums = [
+        (x, y, z)
+        for x in range(n)
+        for y in range(n)
+        for z in range(n)
+        if (dtable[x][y] >> z) & 1
+    ]
+    return [
+        f
+        for f in itertools.product(range(len(ctable)), repeat=n)
+        if f[dunit] == cunit
+        and all(f[dinv[x]] == cinv[f[x]] for x in range(n))
+        and all((ctable[f[x]][f[y]] >> f[z]) & 1 for x, y, z in sums)
+    ]
+
+
+def test_refuter_hom_sets_match_brute_force_through_order_5(monkeypatch):
+    assert (krasner().table, krasner().identity, krasner().inverse) == K
+    assert (z2().table, z2().identity, z2().inverse) == Z2
+    classes = [G for n in range(1, 6) for G in enumerate_canonical_hypergroups(n)]
+    assert len(classes) == 3886
+
+    def no_morphism(self):
+        raise AssertionError("refuter_record built a Morphism")
+
+    # the memoised targets are built first (the gf9 quotient is a quotient
+    # map's codomain), and the search runs cold, not from the memo
+    gf9_quotient()
+    enumerate_morphisms.cache_clear()
+    with monkeypatch.context() as patch:
+        patch.setattr(Morphism, "__post_init__", no_morphism)
+        records = [refuter_record(G) for G in classes]
+
+    coproduct_counts = klein_four_counts = maps = 0
+    for G, rec in zip(classes, records):
+        g = (G.table, G.identity, G.inverse)
+        legs, to_k, to_z2 = _brute_homs(Z2, g), _brute_homs(g, K), _brute_homs(g, Z2)
+        assert rec.legs == legs and rec.to_k == to_k and rec.to_z2 == to_z2, G.labels
+        counts = (len(to_k), len(to_z2))
+        coproduct_counts += counts == (4, 4)
+        klein_four_counts += counts == (50, 16)
+        maps += len(legs) + len(to_k) + len(to_z2)
+    assert maps == 17569 + 9024 + 4044
+    assert coproduct_counts == 0
+    assert klein_four_counts == 0

@@ -11,7 +11,7 @@ from hyperkit.core import (
     iter_bits,
     mask_of,
 )
-from hyperkit.errors import DuplicateLabel, NotParallel, NotUnitalTag, UnsupportedCategory
+from hyperkit.errors import DimensionMismatch, DuplicateLabel, NotParallel, NotUnitalTag, UnsupportedCategory
 from hyperkit.hom import (
     check_kind,
     enumerate_morphisms,
@@ -229,6 +229,22 @@ def test_universal_verifiers_reject_non_universal_candidates():
     assert not check_coequalizer_universal(t, zero, identity_morphism(K), Tag.UHMAG, probes())
 
 
+def test_universal_verifiers_reject_maps_that_do_not_compose():
+    K, Z = krasner(), z2()
+    idK, idZ = identity_morphism(K), identity_morphism(Z)
+    t = Morphism(Z, K, (0, 1))
+    calls = [
+        lambda: check_product_universal(Cone(Z, (idK,)), [K], Tag.UHMAG, probes()),
+        lambda: check_coproduct_universal(Cocone(Z, (idK,)), [K], Tag.UHMAG, probes()),
+        lambda: check_equalizer_universal(t, idK, Z, idZ, Tag.UHMAG, probes()),
+        lambda: check_equalizer_universal(t, t, K, idZ, Tag.UHMAG, probes()),
+        lambda: check_coequalizer_universal(t, idZ, idK, Tag.UHMAG, probes()),
+    ]
+    for call in calls:
+        with pytest.raises(DimensionMismatch, match="^composition mismatch: "):
+            call()
+
+
 def test_coequalizer_of_equal_pair():
     t = Morphism(z2(), krasner(), (0, 1))
     q = coequalizer(t, t, Tag.UHMAG)
@@ -345,7 +361,7 @@ def test_pullback_stability_of_shortness():
     t = Morphism(z2(), terminal(), (0, 0))
     for L in probes():
         for g in enumerate_morphisms(L, terminal(), Tag.UHMAG):
-            cone = pullback(g, t)
+            cone = pullback(Morphism(L, terminal(), g), t)
             assert is_short(cone.legs[0])
 
 

@@ -412,7 +412,7 @@ def test_coproduct_refutations_pinned():
     for battery in (None, [krasner(), Z]):
         for n in range(1, 5):
             for Gc in enumerate_canonical_hypergroups(n):
-                legs = enumerate_morphisms(Z, Gc, Tag.CMSC)
+                legs = [Morphism(Z, Gc, m) for m in enumerate_morphisms(Z, Gc, Tag.CMSC)]
                 for i1, i2 in itertools.product(legs, repeat=2):
                     r = refute_coproduct_candidate(Gc, i1, i2, battery=battery)
                     digest.update(repr((r.refuted, r.steps, r.witness)).encode())
@@ -440,10 +440,13 @@ def test_coproduct_replay_on_the_record_matches_direct_refutation(battery):
             targets = []
             for T in objects:
                 homs = from_record.get(T) or enumerate_morphisms(Gc, T, Tag.CMSC)
-                targets.append((T, [phi.map for phi in homs], leg_pairs(T)))
+                targets.append((T, homs, leg_pairs(T)))
             for i1, i2 in itertools.product(rec.legs, repeat=2):
                 direct = refute_coproduct_candidate(
-                    Gc, i1, i2, battery=None if battery == "default" else [K, Z]
+                    Gc,
+                    Morphism(Z, Gc, i1),
+                    Morphism(Z, Gc, i2),
+                    battery=None if battery == "default" else [K, Z],
                 )
                 assert coproduct_refutation(coproduct_replay(i1, i2, targets)) == direct
                 count += 1
@@ -459,10 +462,11 @@ def test_equalizer_replay_on_the_record_matches_direct_refutation():
             rec = refuter_record(E)
             assert rec.to_h == enumerate_morphisms(E, H, Tag.CMSC)
             for e in rec.to_h:
-                if any(F.map[v] != v for v in e.map):
+                if any(F.map[v] != v for v in e):
                     continue
-                outcome = equalizer_replay(E, rec.lift_points, e.map, F.map)
-                assert equalizer_refutation(E, e.map, outcome) == refute_equalizer_candidate(E, e)
+                outcome = equalizer_replay(E, rec.lift_points, e, F.map)
+                direct = refute_equalizer_candidate(E, Morphism(E, H, e))
+                assert equalizer_refutation(E, e, outcome) == direct
                 count += 1
     assert count == 458
 
@@ -477,9 +481,9 @@ def test_equalizer_refutations_pinned():
     for n in range(1, 5):
         for E in enumerate_canonical_hypergroups(n):
             for e in enumerate_morphisms(E, H, Tag.CMSC):
-                if any(F.map[v] != v for v in e.map):
+                if any(F.map[v] != v for v in e):
                     continue
-                r = refute_equalizer_candidate(E, e)
+                r = refute_equalizer_candidate(E, Morphism(E, H, e))
                 digest.update(repr((r.refuted, r.steps, r.witness)).encode())
                 last_steps.append(r.steps[-1])
     assert last_steps.count("f does not factor through the candidate") == 347
@@ -539,10 +543,10 @@ def test_refute_equalizer_z2_candidates():
     Z = z2()
     count = 0
     for e in enumerate_morphisms(Z, H, Tag.CMSC):
-        if any(F.map[e.map[x]] != e.map[x] for x in range(2)):
+        if any(F.map[e[x]] != e[x] for x in range(2)):
             continue
         count += 1
-        r = refute_equalizer_candidate(Z, e)
+        r = refute_equalizer_candidate(Z, Morphism(Z, H, e))
         assert r.refuted
     assert count > 0
     bad = Morphism(Z, H, (0, H.index("1+i")))
@@ -620,7 +624,7 @@ def test_f2_represents_battery():
     for G in (krasner(), z2(), gf9_quotient().additive, group_to_hypermagma(klein_four_group())):
         homs = enumerate_morphisms(Z, G, Tag.CMSC)
         fixture = [x for x in range(G.n) if (G.table[x][x] >> G.identity) & 1]
-        assert sorted(h.map[1] for h in homs) == sorted(fixture)
+        assert sorted(h[1] for h in homs) == sorted(fixture)
 
 
 @pytest.mark.parametrize(
