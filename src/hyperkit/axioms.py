@@ -27,6 +27,11 @@ class Tag(enum.Enum):
     HGRP = "hgrp"
     CAN = "can"
 
+    # Members are singletons compared by identity, so the identity hash
+    # agrees with ==; it is a C slot, where Enum's hash(name) runs Python
+    # code on every memo key that holds a tag.
+    __hash__ = object.__hash__
+
 
 UNITAL_TAGS = (Tag.UHMAG, Tag.MSC, Tag.CMSC, Tag.HGRP, Tag.CAN)
 

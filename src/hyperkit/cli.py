@@ -29,7 +29,6 @@ from .matroid import (
     uniform_matroid,
 )
 from .monoidal import boxdot, boxtimes, hom_object, wedge_smash
-from .suite import CHECKS, run_suite
 from .univ import coequalizer, cofree, coproduct, equalizer, free, product, terminal, unitize
 from .zoo import (
     FiniteRing,
@@ -300,6 +299,8 @@ def _load_kind(path: str, want: str):
 
 
 def cmd_paper_suite(args) -> int:
+    from .suite import CHECKS, run_suite  # deferred: no other command runs the suite
+
     # a run that selects no check, or no size to search, verifies nothing
     if args.max_size is not None and args.max_size < 1:
         raise FormatError(f"--max-size: {args.max_size} is not positive")
@@ -366,9 +367,10 @@ PARSER = build_parser()
 def _run(argv) -> int:
     try:
         args = PARSER.parse_args(argv)
-        # a malformed cap is an error for every command, searching or not
-        search.search_cap()
-        return args.fn(args)
+        # a malformed cap is an error for every command, searching or not;
+        # a valid one is read this once and held while the command runs
+        with search.held_cap():
+            return args.fn(args)
     except SystemExit as exc:
         # only --help exits the parser; usage errors raise FormatError
         return 2 if exc.code else 0

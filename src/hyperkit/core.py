@@ -136,6 +136,23 @@ class Hypermagma:
     def __repr__(self) -> str:
         return f"Hypermagma({list(self.labels)!r}, n={self.n})"
 
+    # The hash of the fields, computed on first use and kept in the instance
+    # dict.  Not a field, so == and repr ignore it, and __getstate__ leaves it
+    # out of pickles and copies: string hashes differ between processes.
+    _hash = None
+
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            h = hash((self.labels, self.table, self.identity, self.inverse))
+            self.__dict__["_hash"] = h
+        return h
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        state.pop("_hash", None)
+        return state
+
 
 def from_masks(
     labels: Sequence[str],
@@ -249,19 +266,32 @@ def weak_sub(M: Hypermagma, L: int | Iterable[str], unital: bool = False) -> Hyp
 
 def strict_sub_closure(M: Hypermagma, S: int | Iterable[str]) -> int:
     """Least subset containing S closed under products (and identity and
-    inverses, whenever M carries them)."""
+    inverses, whenever M carries them).
+
+    Semi-naive rounds: a product of two elements both found before the last
+    round was taken in an earlier round, so each round takes only the
+    products x*y and y*x with x added in the last round and y anywhere in K.
+    K stays closed under the inverse, an involution, so the inverse of an
+    element outside K is outside K too."""
     K = as_mask(M, S)
     if M.identity is not None:
         K |= 1 << M.identity
-    if M.inverse is not None:
-        K |= mask_of(M.inverse[i] for i in iter_bits(K))
-    while True:
-        new = K | product_of_subsets(M, K, K)
-        if M.inverse is not None:
-            new |= mask_of(M.inverse[i] for i in iter_bits(new))
-        if new == K:
-            return K
-        K = new
+    inverse, table = M.inverse, M.table
+    if inverse is not None:
+        K |= mask_of(inverse[i] for i in iter_bits(K))
+    added = K
+    while added:
+        ks = list(iter_bits(K))
+        grown = 0
+        for x in iter_bits(added):
+            row = table[x]
+            for y in ks:
+                grown |= row[y] | table[y][x]
+        added = grown & ~K
+        if inverse is not None and added:
+            added = mask_of(inverse[i] for i in iter_bits(added)) | added
+        K |= added
+    return K
 
 
 def _absorbed(M: Hypermagma, K: int) -> int:

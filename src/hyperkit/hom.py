@@ -162,12 +162,16 @@ def morphism_in_tag(f: Morphism, tag: Tag) -> bool:
     return True
 
 
-def colax_schedule(M: Hypermagma) -> list[tuple[list, list]]:
+@memo
+def colax_schedule(M: Hypermagma, pinned: int | None) -> tuple[tuple[list, list], ...]:
     """The triples z in a*b of M, filed under depth k = max(a, b, z), where a
     search fixing images in carrier order first has all three images.
 
     Depth k holds the pairs (a, b) with a, b < k (so z = k) and the triples
-    (a, b, z) with a or b equal to k.
+    (a, b, z) with a or b equal to k.  With `pinned` the index of M's
+    identity, whose image `colax_maps` pins to an identity, the triples b in
+    pinned*b and b in b*pinned always hold and are left out.  Built once per
+    domain and pin, so the hom-sets and bimorphisms out of M share it.
     """
     pairs: list[list[tuple[int, int]]] = [[] for _ in range(M.n)]
     checks: list[list[tuple[int, int, int]]] = [[] for _ in range(M.n)]
@@ -177,13 +181,13 @@ def colax_schedule(M: Hypermagma) -> list[tuple[list, list]]:
             for z in iter_bits(ab):
                 if z > k:
                     pairs[z].append((a, b))
-                else:
+                elif not ((a == pinned and z == b) or (b == pinned and z == a)):
                     checks[k].append((a, b, z))
-    return list(zip(pairs, checks))
+    return tuple(zip(pairs, checks))
 
 
 def colax_maps(
-    schedule: list[tuple[list, list]],
+    schedule: tuple[tuple[list, list], ...],
     m: int,
     table,
     budget: Budget,
@@ -199,7 +203,8 @@ def colax_maps(
     AND of table[f(a)][f(b)]; the others, where a or b is k, are checked for
     each candidate the mask admits.  `unit` = (k, v) pins f(k) = v, where v
     is a two-sided identity of `table` (table[v][w] and table[w][v] hold
-    w), so the triples b in k*b and b in b*k hold and are not tested.  With
+    w), so the triples b in k*b and b in b*k hold: the schedule must be
+    `colax_schedule(M, k)`, which leaves them out.  With
     `inverses` = (inv, inv_m), f(k) is inv_m of f(inv[k]) when inv[k] < k
     and a fixed point of inv_m when inv[k] = k.  A node is one candidate
     image, whether or not the mask admits it: each depth reached is charged
@@ -209,14 +214,6 @@ def colax_maps(
     n = len(schedule)
     every = (1 << m) - 1
     pinned, pin = unit if unit is not None else (-1, 0)
-    if unit is not None:
-        schedule = [
-            (pairs, [
-                (a, b, z) for a, b, z in checks
-                if not ((a == pinned and z == b) or (b == pinned and z == a))
-            ])
-            for pairs, checks in schedule
-        ]
     if inverses is not None:
         inv, inv_m = inverses
         fixed = mask_of(y for y in range(m) if inv_m[y] == y)
@@ -274,7 +271,7 @@ def enumerate_morphisms(M: Hypermagma, N: Hypermagma, tag: Tag) -> list[tuple[in
         and N.inverse is not None
     )
     return colax_maps(
-        colax_schedule(M),
+        colax_schedule(M, M.identity if unital_tag else None),
         N.n,
         N.table,
         budget,

@@ -197,7 +197,8 @@ def enumerate_bimorphisms(
         unit = (M.identity, maps.index((L.identity,) * N.n))
     at = _coordinate_masks(maps, N.n, L)
     products = [_ProductRow(f, at, maps) for f in maps]
-    rows = colax_maps(colax_schedule(M), len(maps), products, budget, unit)
+    schedule = colax_schedule(M, None if unit is None else unit[0])
+    rows = colax_maps(schedule, len(maps), products, budget, unit)
     return [Bimorphism(M, N, L, tuple(map(maps.__getitem__, r))) for r in rows]
 
 

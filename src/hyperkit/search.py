@@ -8,6 +8,7 @@ exactly where a cold call would.
 """
 from __future__ import annotations
 
+import contextlib
 import functools
 import os
 
@@ -16,17 +17,39 @@ from .errors import FormatError, SearchCapExceeded
 DEFAULT_SEARCH_CAP = 10**8
 
 
+# The cap `held_cap` read for the block it runs, else None: outside one,
+# every search and every memo hit reads the environment again.
+_held: int | None = None
+
+
 def search_cap() -> int:
     """Node budget for every enumerator; HYPERKIT_SEARCH_CAP overrides.
 
-    A value that is not a non-negative integer raises `FormatError`.
+    A value that is not a non-negative integer raises `FormatError`.  Inside
+    a `held_cap` block, the value read when the block began.
     """
+    if _held is not None:
+        return _held
     raw = os.environ.get("HYPERKIT_SEARCH_CAP")
     if not raw:
         return DEFAULT_SEARCH_CAP
     if not raw.strip().isdecimal():
         raise FormatError(f"HYPERKIT_SEARCH_CAP must be a non-negative integer, not {raw!r}")
     return int(raw)
+
+
+@contextlib.contextmanager
+def held_cap():
+    """Read the cap once, raising `FormatError` when it is malformed, and
+    let `search_cap()` return that value until the block ends.  A CLI
+    command runs in one block, so its searches and memo hits read no
+    environment."""
+    global _held
+    outer, _held = _held, search_cap()
+    try:
+        yield
+    finally:
+        _held = outer
 
 
 # One entry per memoised call in progress, innermost last: the Budgets
@@ -63,10 +86,12 @@ def memo(fn):
     @functools.wraps(fn)
     def wrapper(*args):
         hit = table.get(args)
-        # a count of 0 is within every cap, so it skips reading the cap
-        if hit is not None and (not hit[1] or hit[1] <= search_cap()):
+        if hit is not None:
             value, nodes = hit
-        else:
+            # a count of 0 is within every cap, so it skips reading the cap
+            if nodes and nodes > search_cap():
+                hit = None
+        if hit is None:
             frame: list = []
             _open.append(frame)
             try:

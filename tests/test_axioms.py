@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -23,6 +26,15 @@ from hyperkit.zoo import (
 from hyperkit.hom import enumerate_morphisms
 
 from util import d_example, f_mosaic, mixed3, small_battery, z2
+
+
+def test_tags_are_singletons_hashed_by_identity():
+    """Memo keys hold tags: a tag rebuilt from its value, a pickle or a copy
+    is the same member, so it finds the same entry."""
+    keys = {tag: tag.value for tag in Tag}
+    for tag in Tag:
+        for twin in (Tag(tag.value), pickle.loads(pickle.dumps(tag)), copy.deepcopy(tag)):
+            assert twin is tag and hash(twin) == hash(tag) and keys[twin] == tag.value
 
 
 def test_krasner_is_canonical_hypergroup():

@@ -10,6 +10,8 @@ from hyperkit import formats
 from hyperkit.axioms import Tag, analyze
 from hyperkit.cli import main
 from hyperkit.core import find_isomorphism
+from hyperkit.errors import SearchCapExceeded
+from hyperkit.hom import enumerate_morphisms
 from hyperkit.matroid import adjoin_point, fano_matroid, graphic_matroid, is_simple
 from hyperkit.univ import free
 from hyperkit.zoo import (
@@ -22,7 +24,7 @@ from hyperkit.zoo import (
     zmod_ring,
 )
 
-from util import small_battery, z2
+from util import gf9_add, klein, small_battery, z2
 
 
 def write_obj(tmp_path, name, payload):
@@ -891,3 +893,91 @@ def test_malformed_search_cap_exits_2_for_every_command(tmp_path, capsys, monkey
 def test_help_exits_0(capsys, argv):
     assert main(argv) == 0
     assert capsys.readouterr().out.startswith("usage: hyperkit")
+
+
+def _fresh_env(**extra):
+    """The environment of a fresh interpreter that imports this same package."""
+    src = str(Path(formats.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    env.pop("HYPERKIT_SEARCH_CAP", None)
+    env.update(extra)
+    return env
+
+
+class _CountingEnviron(dict):
+    """A copy of the environment that counts the reads of HYPERKIT_SEARCH_CAP."""
+
+    reads = 0
+
+    def get(self, key, default=None):
+        self.reads += key == "HYPERKIT_SEARCH_CAP"
+        return super().get(key, default)
+
+    def __getitem__(self, key):
+        self.reads += key == "HYPERKIT_SEARCH_CAP"
+        return super().__getitem__(key)
+
+
+def test_one_command_reads_the_search_cap_once(monkeypatch, capsys):
+    # hom-health makes memo hits with nonzero node counts, which read the
+    # cap on every hit when no command holds it
+    environ = _CountingEnviron(os.environ, HYPERKIT_SEARCH_CAP="10000000")
+    monkeypatch.setattr(os, "environ", environ)
+    assert main(["paper-suite", "--only", "hom-health"]) == 0
+    assert capsys.readouterr().out.startswith("PASS hom-health")
+    assert environ.reads == 1
+    # outside a command, each search reads it again
+    enumerate_morphisms(klein(), gf9_add(), Tag.CMSC)
+    assert environ.reads == 2
+
+
+def test_cap_lowered_between_commands_fails_as_in_a_cold_process(tmp_path, capsys, monkeypatch):
+    """The second command's cap is below the nodes its memoised hom-set
+    spent in the first: it fails with the line a fresh interpreter prints,
+    and a library call after it reads the environment again."""
+    monkeypatch.chdir(tmp_path)
+    for name in ("klein", "gf9-quotient"):
+        assert main(["construct", "builtin", "--name", name, "-o", f"{name}.json"]) == 0
+    argv = ["construct", "hom", "klein.json", "gf9-quotient.json", "--tag", "cmsc", "-o", "h.json"]
+    monkeypatch.delenv("HYPERKIT_SEARCH_CAP", raising=False)
+    assert main(argv) == 0
+    capsys.readouterr()
+    monkeypatch.setenv("HYPERKIT_SEARCH_CAP", "3")
+    assert main(argv) == 1
+    warm = capsys.readouterr()
+    cold = subprocess.run(
+        [sys.executable, "-m", "hyperkit", *argv],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=_fresh_env(HYPERKIT_SEARCH_CAP="3"),
+    )
+    assert cold.returncode == 1
+    assert (warm.out, warm.err) == (cold.stdout, cold.stderr) == (
+        "",
+        "SearchCapExceeded: enumerate_morphisms(|M|=4, |N|=5, cmsc): node cap exceeded after 3 nodes\n",
+    )
+    monkeypatch.delenv("HYPERKIT_SEARCH_CAP")
+    assert len(enumerate_morphisms(klein(), gf9_add(), Tag.CMSC)) > 0
+
+
+def test_library_call_after_a_command_sees_a_changed_cap(tmp_path, monkeypatch):
+    monkeypatch.delenv("HYPERKIT_SEARCH_CAP", raising=False)
+    kp = krasner_file(tmp_path)
+    assert main(["construct", "hom", kp, kp, "-o", str(tmp_path / "h.json")]) == 0
+    monkeypatch.setenv("HYPERKIT_SEARCH_CAP", "3")
+    with pytest.raises(SearchCapExceeded, match=r"after 3 nodes$"):
+        enumerate_morphisms(klein(), gf9_add(), Tag.CMSC)
+
+
+def test_check_does_not_import_the_suite(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "hyperkit", "check", krasner_file(tmp_path)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=_fresh_env(),
+    )
+    assert proc.returncode == 0 and proc.stdout.startswith("classification:")
+    imported = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()]
+    assert "hyperkit.cli" in imported and "hyperkit.suite" not in imported

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -51,6 +54,25 @@ def test_make_hypermagma_krasner():
     )
     assert analyze(K).classification == "CanonicalHypergroup"
     assert K == krasner()
+
+
+def test_equal_objects_built_separately_hash_equal():
+    built = make_hypermagma(["0", "1"], [[["0"], ["1"]], [["1"], ["0", "1"]]])
+    H = gf9_quotient().additive
+    for A, B in ((krasner(), built), (H, from_masks(H.labels, [list(r) for r in H.table]))):
+        assert A is not B and A == B
+        hash(A)  # one side holds its hash, the other computes it
+        assert hash(A) == hash(B) == hash((B.labels, B.table, B.identity, B.inverse))
+        assert {A: 1}[B] == 1
+
+
+def test_copies_and_pickles_carry_no_cached_hash():
+    K = krasner()
+    h = hash(K)
+    for twin in (pickle.loads(pickle.dumps(K)), copy.copy(K), copy.deepcopy(K)):
+        assert "_hash" not in vars(twin)
+        assert twin == K and repr(twin) == repr(K) and hash(twin) == h
+    assert repr(K) == "Hypermagma(['0', '1'], n=2)"
 
 
 def test_make_hypermagma_terminal_and_initial():

@@ -14,9 +14,11 @@ from hyperkit.core import (
     permute,
 )
 from hyperkit.errors import CodomainNotUnital, FormatError, SearchCapExceeded
+from hyperkit import hom, monoidal
 from hyperkit.hom import (
     bijection_failure,
     check_kind,
+    colax_schedule,
     constant_morphism,
     enumerate_morphisms,
     inclusion_morphism,
@@ -35,7 +37,7 @@ from hyperkit.hom import (
 )
 from hyperkit.matroid import adjoin_point, fano_matroid, matroid_to_mosaic
 from hyperkit.monoidal import enumerate_bimorphisms, hom_object
-from hyperkit.search import search_cap
+from hyperkit.search import Budget, search_cap
 from hyperkit.suite import _morphism_battery
 from hyperkit.univ import free, terminal, unitize
 from hyperkit.zoo import (
@@ -217,6 +219,8 @@ def _z5():
 )
 def test_hom_node_count_at_cap_boundary(monkeypatch, objects, tag, nodes):
     M, N = objects()
+    # the first search builds M's schedule, the second reuses it
+    colax_schedule.cache_clear()
     enumerate_morphisms.cache_clear()
     set_search_cap(monkeypatch, nodes)
     enumerate_morphisms(M, N, tag)
@@ -231,6 +235,7 @@ def test_hom_node_count_at_cap_boundary(monkeypatch, objects, tag, nodes):
 )
 def test_bimorphism_node_count_at_cap_boundary(monkeypatch, L, nodes, count):
     V, target = klein(), L()
+    colax_schedule.cache_clear()
     enumerate_morphisms.cache_clear()
     set_search_cap(monkeypatch, nodes)
     assert len(enumerate_bimorphisms(V, V, target, Tag.CMSC)) == count
@@ -238,6 +243,54 @@ def test_bimorphism_node_count_at_cap_boundary(monkeypatch, L, nodes, count):
     set_search_cap(monkeypatch, nodes - 1)
     with pytest.raises(SearchCapExceeded, match=r"^enumerate_bimorphisms\(.*after \d+ nodes$"):
         enumerate_bimorphisms(V, V, target, Tag.CMSC)
+
+
+def _recorded_budgets(monkeypatch) -> list:
+    """Every Budget the hom-set and bimorphism searches create from now on."""
+    made = []
+
+    class Recorded(Budget):
+        def __init__(self, what):
+            super().__init__(what)
+            made.append(self)
+
+    for module in (hom, monoidal):
+        monkeypatch.setattr(module, "Budget", Recorded)
+    return made
+
+
+def test_warm_and_cold_schedules_give_the_same_homs_and_node_counts(monkeypatch):
+    """A schedule built by an earlier search (warm) and one built for this
+    search (cold) give the same maps and spend the same nodes, pinned or not."""
+    made = _recorded_budgets(monkeypatch)
+    calls = [
+        (enumerate_morphisms, (A, B, tag))
+        for tag in Tag
+        for A in _morphism_battery(tag)
+        for B in _morphism_battery(tag)
+    ]
+    calls += [
+        (enumerate_bimorphisms, args)
+        for args in (
+            (klein(), klein(), krasner(), Tag.CMSC),
+            (z2(), klein(), gf9_add(), Tag.CMSC),
+            (z2(), krasner(), klein(), Tag.UHMAG),
+            (mixed3(), z2(), krasner(), Tag.HMAG),
+        )
+    ]
+    runs = {}
+    for schedules in ("cold", "warm"):
+        out = runs[schedules] = []
+        for fn, args in calls:
+            enumerate_morphisms.cache_clear()
+            if schedules == "cold":
+                colax_schedule.cache_clear()
+            made.clear()
+            result = fn(*args)
+            out.append((result, [(b.what, b.cap - b.left) for b in made]))
+    assert len(runs["cold"]) == 245
+    assert sum(bool(result) for result, _ in runs["cold"]) > 150
+    assert runs["cold"] == runs["warm"]
 
 
 def test_enumeration_cap_from_environment(monkeypatch):

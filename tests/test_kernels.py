@@ -6,7 +6,9 @@ the reference: `image_tables` against mask_of(iter_bits), `pushed_table`,
 `quotient` and `is_short` against the double loop over fiber products,
 `is_colax`/`is_lax`/`is_strict` against the per-entry image loop, `boxdot`
 against the four-case loop, `hom_object` against the per-coordinate loop and
-`curry` against a scan of Hom(N, L) for each element.
+`curry` against a scan of Hom(N, L) for each element, and
+`strict_sub_closure`, which takes only the products touching the last
+round's additions, against the loop over the full product K*K.
 `analyze`, which skips the triples whose answer is fixed, is checked against
 the loops over all n^3 triples, and `from_masks` (its row range check, its
 identity and its inverse map) against the per-entry loops.
@@ -32,6 +34,7 @@ from hyperkit.core import (
     permute,
     pushed_table,
     quotient,
+    strict_sub_closure,
 )
 from hyperkit.errors import DimensionMismatch, DuplicateLabel
 from hyperkit.hom import enumerate_morphisms, is_colax, is_lax, is_short, is_strict
@@ -719,3 +722,34 @@ def test_first_bad_mask_named(rows, bad):
     with pytest.raises(DimensionMismatch, match=f"^subset mask {bad} out of range for n=2$"):
         from_masks(["a", "b"], rows)
     _assert_same_build(["a", "b"], rows)
+
+
+def _old_strict_sub_closure(M, K):
+    if M.identity is not None:
+        K |= 1 << M.identity
+    if M.inverse is not None:
+        K |= mask_of(M.inverse[i] for i in iter_bits(K))
+    while True:
+        new = K | _old_product(M, K, K)
+        if M.inverse is not None:
+            new |= mask_of(M.inverse[i] for i in iter_bits(new))
+        if new == K:
+            return K
+        K = new
+
+
+@pytest.mark.parametrize(
+    "matroid", [fano_matroid, lambda: uniform_matroid(2, 4)], ids=["Fano", "U24"]
+)
+def test_strict_sub_closure_matches_full_product_loop_on_every_subset(matroid):
+    H = matroid_to_mosaic(adjoin_point(matroid()))
+    for S in range(1 << H.n):
+        assert strict_sub_closure(H, S) == _old_strict_sub_closure(H, S)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_strict_sub_closure_matches_full_product_loop_on_random_tables(data):
+    M = data.draw(st.one_of(hypermagmas(), st.sampled_from(MOSAICS)))
+    S = data.draw(st.integers(0, M.full_mask()), label="S")
+    assert strict_sub_closure(M, S) == _old_strict_sub_closure(M, S)
