@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .core import Hypermagma, inverse_scan, iter_bits, product_of_subsets
+from .core import Hypermagma, bit_splitter, inverse_scan, product_of_subsets
 from .errors import NotAMosaic, ensure
 from .search import memo
 
@@ -64,10 +64,6 @@ class AxiomReport:
         return self.is_mosaic and self.total and self.associative
 
 
-# BITS[m]: the set bits of m, ascending, for every m < 256
-BITS = tuple(tuple(iter_bits(m)) for m in range(256))
-
-
 def weak_identity_set(M: Hypermagma) -> int:
     tbl = M.table
     out = 0
@@ -97,14 +93,6 @@ def _commutative_witness(M: Hypermagma) -> tuple[int, ...] | None:
     return None
 
 
-def _bit_splitter(n: int):
-    """mask -> tuple of its set bits, by one lookup in BITS when the mask
-    is below 256, always when n <= 8."""
-    if n <= 8:
-        return BITS.__getitem__
-    return lambda m: BITS[m] if m < 256 else tuple(iter_bits(m))
-
-
 def _associative_witness(M: Hypermagma, commutative: bool) -> tuple[int, ...] | None:
     """Least (i, j, k) with (ij)k != i(jk).
 
@@ -115,7 +103,7 @@ def _associative_witness(M: Hypermagma, commutative: bool) -> tuple[int, ...] | 
     least witness has i < k.
     """
     tbl = M.table
-    split = _bit_splitter(M.n)
+    split = bit_splitter(M.n)
     bits = [[split(m) for m in row] for row in tbl]
     others = [x for x in range(M.n) if x != M.identity]
     for a, i in enumerate(others):
@@ -152,7 +140,7 @@ def _reversible_witness(M: Hypermagma, commutative: bool) -> tuple[int, ...] | N
     ensure(inv is not None, "_reversible_witness: the inverse map is not defined")
     tbl = M.table
     e = M.identity
-    split = _bit_splitter(M.n)
+    split = bit_splitter(M.n)
     keep = ~(1 << e) if commutative else -1
     others = [x for x in range(M.n) if x != e]
     best = None

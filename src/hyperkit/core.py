@@ -28,6 +28,18 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+# BITS[m]: the set bits of m, ascending, for every m < 256
+BITS = tuple(tuple(iter_bits(m)) for m in range(256))
+
+
+def bit_splitter(n: int) -> Callable[[int], tuple[int, ...]]:
+    """mask -> tuple of its set bits, by one lookup in BITS when the mask
+    is below 256, always when n <= 8."""
+    if n <= 8:
+        return BITS.__getitem__
+    return lambda m: BITS[m] if m < 256 else tuple(iter_bits(m))
+
+
 def mask_of(indices: Iterable[int]) -> int:
     m = 0
     for i in indices:
@@ -426,21 +438,46 @@ def find_isomorphism(M: Hypermagma, N: Hypermagma) -> Morphism | None:
 def canonical_form(table: Sequence[Sequence[int]], fixed: Iterable[int] = ()) -> tuple[int, ...]:
     """The least row-major relabelling of a mask table over the carrier
     permutations that fix every element of `fixed`.  Two tables share it
-    exactly when such a permutation is an isomorphism between them."""
+    exactly when such a permutation is an isomorphism between them.
+
+    Each entry is split into its bits once.  A permutation's form is built
+    entry by entry and dropped at the first entry above the least form so
+    far (branch and bound on the lexicographic order)."""
     n = len(table)
+    fixed = set(fixed)  # an iterator would be used up by the first test
     moved = [x for x in range(n) if x not in fixed]
+    split = bit_splitter(n)
+    bits = [[split(m) for m in row] for row in table]
     best = None
     for p in itertools.permutations(moved):
         old_of = list(range(n))  # new position -> old element
-        new_of = list(range(n))
+        weight = [1 << x for x in range(n)]  # old element -> its new bit
         for new, old in zip(moved, p):
             old_of[new] = old
-            new_of[old] = new
-        image = image_function([1 << new_of[x] for x in range(n)])  # mask -> relabelled mask
-        form = tuple(image(table[a][b]) for a in old_of for b in old_of)
-        if best is None or form < best:
+            weight[old] = 1 << new
+        form = _relabelled_below(bits, old_of, weight, best)
+        if form is not None:
             best = form
     return best
+
+
+def _relabelled_below(bits, old_of, weight, bound) -> tuple[int, ...] | None:
+    """The row-major relabelled table when it is below `bound` (or `bound`
+    is None), else None, returned at the first entry that exceeds it."""
+    form: list[int] = []
+    tied = bound is not None
+    for a in old_of:
+        row = bits[a]
+        for b in old_of:
+            v = 0
+            for z in row[b]:
+                v |= weight[z]
+            if tied and v != bound[len(form)]:
+                if v > bound[len(form)]:
+                    return None
+                tied = False
+            form.append(v)
+    return None if tied else tuple(form)
 
 
 def permute(M: Hypermagma, perm: Sequence[int]) -> Hypermagma:

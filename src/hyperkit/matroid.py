@@ -10,6 +10,7 @@ from .axioms import Tag, analyze
 from .core import (
     Hypermagma,
     UnionFind,
+    bit_splitter,
     distinct_labels,
     from_masks,
     iter_bits,
@@ -17,6 +18,7 @@ from .core import (
     strict_sub_closure,
 )
 from .errors import (
+    DimensionMismatch,
     DuplicateLabel,
     ExchangeFails,
     FlatsNotIntersectionClosed,
@@ -47,6 +49,8 @@ class Matroid:
     _closure_index: tuple[tuple[int, ...], tuple[int, ...]] = field(
         init=False, repr=False, compare=False
     )
+    # the flats as a set, for membership tests
+    _flat_set: frozenset[int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         by_size = sorted(self.flats, key=int.bit_count) + [(1 << self.n) - 1]
@@ -55,6 +59,7 @@ class Matroid:
             for x in iter_bits(F):
                 holding[x] |= 1 << i
         object.__setattr__(self, "_closure_index", (tuple(by_size), tuple(holding)))
+        object.__setattr__(self, "_flat_set", frozenset(self.flats))
 
     @property
     def n(self) -> int:
@@ -229,14 +234,27 @@ def simplify(M: Matroid, pointed: bool = False) -> tuple[Matroid, tuple[int, ...
 
 
 def is_strong_map(M: Matroid, N: Matroid, f: Sequence[int]) -> bool:
-    """Preimage of every flat is a flat; pointed maps must preserve the loop."""
+    """Preimage of every flat is a flat; pointed maps must preserve the loop.
+
+    f maps the ground set of M into that of N; a map of another length or
+    with an image outside N raises `DimensionMismatch`.  The preimage of a
+    flat is the union of the fibres of f over its points."""
+    if len(f) != M.n:
+        raise DimensionMismatch("map length does not match the ground set of M")
+    if f and (min(f) < 0 or max(f) >= N.n):
+        raise DimensionMismatch("map image index out of range")
     if M.pointed is not None and N.pointed is not None:
         if f[M.pointed] != N.pointed:
             return False
-    flset = set(M.flats)
+    fibres = [0] * N.n
+    for x, y in enumerate(f):
+        fibres[y] |= 1 << x
+    split, flats = bit_splitter(N.n), M._flat_set
     for F in N.flats:
-        pre = mask_of(x for x in range(M.n) if (F >> f[x]) & 1)
-        if pre not in flset:
+        pre = 0
+        for y in split(F):
+            pre |= fibres[y]
+        if pre not in flats:
             return False
     return True
 

@@ -74,6 +74,7 @@ from .univ import (
     coproduct,
     equalizer,
     free,
+    identified,
     is_normal_epi,
     is_normal_mono,
     one_empty,
@@ -395,6 +396,9 @@ def check_morphism_liftings() -> tuple[bool, str]:
 
 def check_regularity() -> tuple[bool, str]:
     shorts = []
+    # the coequalizer of a pair is a function of (tag, B, `identified(f, g)`),
+    # so it is built and checked once per key and shared by the pairs after
+    quotients: dict[tuple, Morphism] = {}
     for tag in (Tag.HMAG, Tag.UHMAG):
         objs = _morphism_battery(tag)[:6]
         for A in objs:
@@ -402,12 +406,15 @@ def check_regularity() -> tuple[bool, str]:
                 homs = [Morphism(A, B, m) for m in enumerate_morphisms(A, B, tag)[:8]]
                 for f in homs:
                     for g in homs:
-                        q = coequalizer(f, g, tag)
-                        if not is_short(q):
-                            return False, "coequalizer not short"
+                        key = (tag, B, identified(f, g))
+                        q = quotients.get(key)
+                        if q is None:
+                            q = quotients[key] = coequalizer(f, g, tag)
+                            if not is_short(q):
+                                return False, "coequalizer not short"
                         shorts.append((q, tag))
-    # pullback stability
-    for p, tag in shorts[:40]:
+    # pullback stability; a repeated quotient gives the same pullbacks
+    for p, tag in dict.fromkeys(shorts[:40]):
         N = p.cod
         for L in _morphism_battery(tag)[:5]:
             for g in enumerate_morphisms(L, N, tag)[:6]:
@@ -415,7 +422,7 @@ def check_regularity() -> tuple[bool, str]:
                 if not is_short(pb.legs[0]):
                     return False, "pullback of short not short"
     # short images preserve commutativity and associativity
-    for p, tag in shorts:
+    for p, tag in dict.fromkeys(shorts):
         repM = analyze(p.dom)
         repN = analyze(p.cod)
         if repM.commutative and not repN.commutative:

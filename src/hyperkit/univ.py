@@ -45,6 +45,7 @@ from .hom import (
     kernel,
     triples,
 )
+from .search import memo
 
 
 @dataclass(frozen=True)
@@ -90,9 +91,15 @@ def free(tag: Tag, generators: Sequence[str], point: str | None = None) -> Hyper
     basepoint among the generators) and all other products are empty.
     Msc/cMsc: carrier 0, X, -X with x + (-x) = 0 and every other sum empty.
     An adjoined e, 0 or -x is primed by `fresh_label` past the generators
-    and the labels before it, so every generator keeps its label.
+    and the labels before it, so every generator keeps its label.  Each
+    object is built once and shared by the calls after.
     """
-    generators = [str(g) for g in generators]
+    return _free(tag, tuple(str(g) for g in generators), point)
+
+
+@memo
+def _free(tag: Tag, generators: tuple[str, ...], point: str | None) -> Hypermagma:
+    generators = list(generators)
     if tag is Tag.HMAG:
         return presented(generators)
     if tag is Tag.UHMAG:
@@ -234,17 +241,25 @@ def unitize(M: Hypermagma, E: int) -> Morphism:
     return pi
 
 
+def identified(f: Morphism, g: Morphism) -> tuple[int, ...]:
+    """The partition of the common codomain that f(x) ~ g(x) generates, as
+    `UnionFind.proj`.  The coequalizer of f and g depends on the pair only
+    through it and the codomain."""
+    uf = UnionFind(f.cod.n)
+    for a, b in zip(f.map, g.map):
+        uf.union(a, b)
+    return uf.proj()
+
+
 def coequalizer(f: Morphism, g: Morphism, tag: Tag) -> Morphism:
-    """Set-coequalizer quotient; unital tags unitize at the unit class."""
+    """Set-coequalizer quotient by `identified(f, g)`; unital tags unitize
+    at the unit class."""
     if f.dom != g.dom or f.cod != g.cod:
         raise NotParallel("coequalizer needs a parallel pair")
     if tag in (Tag.HGRP, Tag.CAN):
         tag = Tag.UHMAG
     N = f.cod
-    uf = UnionFind(N.n)
-    for x in range(f.dom.n):
-        uf.union(f.map[x], g.map[x])
-    piL = quotient(N, uf.proj())
+    piL = quotient(N, identified(f, g))
     if tag is Tag.HMAG:
         return piL
     if N.identity is None:

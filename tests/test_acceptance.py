@@ -234,6 +234,20 @@ def test_criterion_10_regularity():
         assert ok, detail
 
 
+def test_regularity_builds_one_coequalizer_per_partition(monkeypatch):
+    # 277 pairs generate 26 (tag, codomain, partition) keys; a check that
+    # built one coequalizer per pair again would make 277 calls
+    calls = []
+
+    def counted(f, g, tag):
+        calls.append(tag)
+        return coequalizer(f, g, tag)
+
+    monkeypatch.setattr(suite, "coequalizer", counted)
+    assert check_regularity() == (True, "277 short quotients checked")
+    assert len(calls) == 26
+
+
 def test_criterion_11_strict_classifier():
     with criterion(11, "Krasner classifies strict submosaics"):
         mosaics = [

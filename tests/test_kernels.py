@@ -12,7 +12,14 @@ round's additions, against the loop over the full product K*K.
 `analyze`, which skips the triples whose answer is fixed, is checked against
 the loops over all n^3 triples, and `from_masks` (its row range check, its
 identity and its inverse map) against the per-entry loops.
+`is_strong_map`, which reads preimages from the fibres, is checked against
+the scan over every point per flat; `canonical_form`, which drops a
+permutation at its first entry above the least form so far, against the
+loop that builds every permutation's whole form; and the coequalizers that
+`check_regularity` shares between pairs generating the same partition
+against the coequalizer of each pair.
 """
+import itertools
 import random
 from dataclasses import fields
 
@@ -23,6 +30,9 @@ from hyperkit.axioms import AxiomReport, Tag, _classify, analyze
 from hyperkit.core import (
     Hypermagma,
     Morphism,
+    UnionFind,
+    canonical_form,
+    compose,
     fresh_label,
     from_masks,
     identity_morphism,
@@ -36,17 +46,27 @@ from hyperkit.core import (
     quotient,
     strict_sub_closure,
 )
+from hyperkit import zoo
 from hyperkit.errors import DimensionMismatch, DuplicateLabel
-from hyperkit.hom import enumerate_morphisms, is_colax, is_lax, is_short, is_strict
+from hyperkit.hom import (
+    check_kind,
+    enumerate_morphisms,
+    is_colax,
+    is_lax,
+    is_short,
+    is_strict,
+)
 from hyperkit.matroid import (
     adjoin_point,
     fano_matroid,
     graphic_matroid,
+    is_strong_map,
     matroid_to_mosaic,
     uniform_matroid,
 )
 from hyperkit.monoidal import boxdot, curry, hom_object, tensor
-from hyperkit.suite import _closed_count_triples
+from hyperkit.suite import _closed_count_triples, _morphism_battery
+from hyperkit.univ import coequalizer, identified, unitize
 from hyperkit.zoo import (
     conjugacy_hypergroup,
     cyclic_group,
@@ -275,10 +295,12 @@ def test_is_short_checks_surjectivity():
     assert is_short(identity_morphism(M))
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.data())
-def test_colax_lax_strict_match_entry_loop(data):
-    M = data.draw(hypermagmas())
+# domains read through BITS (at most 8 elements) and through image tables
+@pytest.mark.parametrize("sizes", [[0, 1, 2, 3, 5, 8], [9, 16, 40]], ids=["le8", "gt8"])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_colax_lax_strict_match_entry_loop(sizes, data):
+    M = data.draw(hypermagmas(sizes))
     rng = random.Random(data.draw(st.integers(0, 2**32)))
     kind = data.draw(st.sampled_from(["random", "quotient", "permutation", "cofree"]))
     if kind == "random":
@@ -296,12 +318,20 @@ def test_colax_lax_strict_match_entry_loop(data):
         N = from_masks([f"y{i}" for i in range(n)], [[(1 << n) - 1] * n] * n)
         fmap = tuple(rng.randrange(n) for _ in range(M.n))
     if M.n and N.n and rng.random() < 0.5:
-        # one entry of the target changed, so an equality can fail by one bit
+        # one entry of the target changed, so an equality can fail by one
+        # bit: a random bit flipped, or the image of the last element of a
+        # product taken out of the entry it must lie in
         rows = [list(r) for r in N.table]
-        rows[rng.randrange(N.n)][rng.randrange(N.n)] ^= 1 << rng.randrange(N.n)
+        i, j = rng.randrange(M.n), rng.randrange(M.n)
+        if M.table[i][j] and rng.random() < 0.5:
+            rows[fmap[i]][fmap[j]] &= ~(1 << fmap[M.table[i][j].bit_length() - 1])
+        else:
+            rows[rng.randrange(N.n)][rng.randrange(N.n)] ^= 1 << rng.randrange(N.n)
         N = from_masks(N.labels, rows)
     f = Morphism(M, N, fmap)
     assert (is_colax(f), is_lax(f), is_strict(f)) == _old_kinds(f)
+    k = check_kind(f)
+    assert (k.colax, k.lax, k.strict) == _old_kinds(f)
     assert is_strict(identity_morphism(M))
 
 
@@ -753,3 +783,132 @@ def test_strict_sub_closure_matches_full_product_loop_on_random_tables(data):
     M = data.draw(st.one_of(hypermagmas(), st.sampled_from(MOSAICS)))
     S = data.draw(st.integers(0, M.full_mask()), label="S")
     assert strict_sub_closure(M, S) == _old_strict_sub_closure(M, S)
+
+
+def _old_is_strong_map(M, N, f):
+    """Preimage of every flat is a flat; pointed maps must preserve the loop."""
+    if M.pointed is not None and N.pointed is not None:
+        if f[M.pointed] != N.pointed:
+            return False
+    flset = set(M.flats)
+    for F in N.flats:
+        pre = mask_of(x for x in range(M.n) if (F >> f[x]) & 1)
+        if pre not in flset:
+            return False
+    return True
+
+
+POINTED_MATROIDS = {
+    "U23": lambda: adjoin_point(uniform_matroid(2, 3)),
+    "U24": lambda: adjoin_point(uniform_matroid(2, 4)),
+    "U34": lambda: adjoin_point(uniform_matroid(3, 4)),
+    "Fano": lambda: adjoin_point(fano_matroid()),
+}
+
+
+# every map when there are at most 4,096, else 3,000 seeded random maps, half
+# of them sending the point to the point so that the flats are reached
+@pytest.mark.parametrize("pair", list(itertools.product(POINTED_MATROIDS, repeat=2)), ids="-".join)
+def test_strong_map_matches_scan_per_flat(pair):
+    M, N = (POINTED_MATROIDS[name]() for name in pair)
+    if N.n**M.n <= 4096:
+        maps = itertools.product(range(N.n), repeat=M.n)
+    else:
+        rng = random.Random(2401)
+        maps = []
+        for i in range(3000):
+            f = [rng.randrange(N.n) for _ in range(M.n)]
+            if i % 2:
+                f[M.pointed] = N.pointed
+            maps.append(tuple(f))
+    strong = 0
+    for f in maps:
+        got = is_strong_map(M, N, f)
+        assert got == _old_is_strong_map(M, N, f), f
+        strong += got
+    if M.n < 8:
+        assert strong  # the map onto the point at least
+
+
+def _old_canonical_form(table, fixed=()):
+    """The least row-major relabelling of a mask table over the carrier
+    permutations that fix every element of `fixed`.  Two tables share it
+    exactly when such a permutation is an isomorphism between them."""
+    n = len(table)
+    moved = [x for x in range(n) if x not in fixed]
+    best = None
+    for p in itertools.permutations(moved):
+        old_of = list(range(n))  # new position -> old element
+        new_of = list(range(n))
+        for new, old in zip(moved, p):
+            old_of[new] = old
+            new_of[old] = new
+        image = image_function([1 << new_of[x] for x in range(n)])  # mask -> relabelled mask
+        form = tuple(image(table[a][b]) for a in old_of for b in old_of)
+        if best is None or form < best:
+            best = form
+    return best
+
+
+def test_canonical_form_matches_full_forms_on_every_lattice_table(monkeypatch):
+    # every meet table the lattice scan canonicalises, for n <= 7; equal
+    # forms give the same classes, representatives and order
+    tables = []
+
+    def both(table, fixed):
+        tables.append(table)
+        got = canonical_form(table, fixed)
+        assert got == _old_canonical_form(table, fixed), table
+        return got
+
+    monkeypatch.setattr(zoo, "canonical_form", both)
+    counts = [len(zoo.enumerate_lattices(n)) for n in range(1, 8)]
+    assert counts == [1, 1, 1, 2, 5, 15, 53]
+    assert len(tables) == 370
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_canonical_form_matches_full_forms_on_random_tables(data):
+    n = data.draw(st.integers(0, 5))
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    table = _random_table(rng, n, data.draw(st.booleans()))
+    fixed = tuple(x for x in range(n) if rng.random() < 0.3)
+    assert canonical_form(table, fixed) == _old_canonical_form(table, fixed)
+
+
+def test_canonical_form_reads_fixed_from_an_iterator():
+    # 0 and 2 fixed: only the identity relabels, and 1*2 = {1} stays in place
+    table = [[0, 0, 0], [0, 0, 2], [0, 0, 0]]
+    assert canonical_form(table, iter((0, 2))) == (0, 0, 0, 0, 0, 2, 0, 0, 0)
+
+
+def _old_coequalizer(f, g, tag):
+    """Set-coequalizer quotient; unital tags unitize at the unit class."""
+    if tag in (Tag.HGRP, Tag.CAN):
+        tag = Tag.UHMAG
+    N = f.cod
+    uf = UnionFind(N.n)
+    for x in range(f.dom.n):
+        uf.union(f.map[x], g.map[x])
+    piL = quotient(N, uf.proj())
+    if tag is Tag.HMAG:
+        return piL
+    inner = unitize(piL.cod, 1 << piL.map[N.identity])
+    return compose(inner, piL)
+
+
+def test_regularity_shared_coequalizers_match_each_pair():
+    # the pairs of `check_regularity`, in its order
+    shared, pairs = {}, 0
+    for tag in (Tag.HMAG, Tag.UHMAG):
+        objs = _morphism_battery(tag)[:6]
+        for A in objs:
+            for B in objs:
+                homs = [Morphism(A, B, m) for m in enumerate_morphisms(A, B, tag)[:8]]
+                for f in homs:
+                    for g in homs:
+                        q = shared.setdefault((tag, B, identified(f, g)), coequalizer(f, g, tag))
+                        assert q == _old_coequalizer(f, g, tag)
+                        pairs += 1
+    assert (pairs, len(shared)) == (277, 26)

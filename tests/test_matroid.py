@@ -6,6 +6,7 @@ import pytest
 from hyperkit.axioms import Tag, analyze
 from hyperkit.core import Morphism, find_isomorphism, iter_bits, mask_of, strict_sub_closure
 from hyperkit.errors import (
+    DimensionMismatch,
     DuplicateLabel,
     ExchangeFails,
     FlatsNotIntersectionClosed,
@@ -328,6 +329,28 @@ def test_strong_maps_to_mosaic_morphisms():
             k = check_kind(m)
             assert k.colax and k.unital
     assert count > 0
+
+
+# a map that leaves N, or has the wrong length, is no map of ground sets:
+# each raises DimensionMismatch, as a Morphism with that map would
+@pytest.mark.parametrize(
+    "f",
+    [(0, 99, 99, 99), (0, 1, 2, 3, 0), (0, 1, 2), (0, -1, 2, 3), ()],
+    ids=["image-outside", "too-long", "too-short", "negative", "empty"],
+)
+def test_strong_map_rejects_maps_that_are_not_maps_of_ground_sets(f):
+    u23 = adjoin_point(uniform_matroid(2, 3))
+    with pytest.raises(DimensionMismatch):
+        is_strong_map(u23, u23, f)
+
+
+def test_matroid_flat_set_is_not_a_field():
+    M = adjoin_point(uniform_matroid(2, 3))
+    assert M._flat_set == set(M.flats)
+    assert "_flat_set" not in repr(M)
+    assert M == Matroid(M.ground, M.flats, M.pointed) and hash(M) == hash(
+        Matroid(M.ground, M.flats, M.pointed)
+    )
 
 
 def test_strong_map_functoriality():

@@ -7,12 +7,27 @@ tables, without `hyperkit.hom`.  The counts of the brute force then prove
 two refutations at order <= 5 on their own: a coproduct Z2 + Z2 needs
 |Hom(G, K)| = 4 and |Hom(G, Z2)| = 4, and a representing object for the
 Klein-four bimorphisms needs 50 and 16, and no class meets either pair.
+
+The equalizer refuter reads, per class, the maps of Hom(G, H) fixed by the
+Frobenius F of the GF(9) quotient H, and the lift points of G.  Both are
+brute-forced on every class: a map into the F-fixed elements is tried once
+per choice on the inverse pairs, with the unit sent to the unit and -x to
+the inverse of the image of x, and then tested colax.  Replayed on these
+inputs, every one of the 14,162 candidates is refuted.
 """
 import itertools
 
 from hyperkit.core import Morphism
 from hyperkit.hom import enumerate_morphisms
-from hyperkit.zoo import enumerate_canonical_hypergroups, gf9_quotient, krasner, refuter_record, z2
+from hyperkit.zoo import (
+    enumerate_canonical_hypergroups,
+    equalizer_replay,
+    gf9_frobenius,
+    gf9_quotient,
+    krasner,
+    refuter_record,
+    z2,
+)
 
 # (table, unit, inverse) on the carrier {0, 1}: entry [x][y] has bit z set
 # when z is in x + y
@@ -71,3 +86,48 @@ def test_refuter_hom_sets_match_brute_force_through_order_5(monkeypatch):
     assert maps == 17569 + 9024 + 4044
     assert coproduct_counts == 0
     assert klein_four_counts == 0
+
+
+def _brute_fixed_homs(dom, cod, fixed):
+    """Every map dom -> `fixed`, a subset of cod closed under its inverse, in
+    lexicographic order, that sends the unit to the unit, commutes with the
+    inverses and is colax.  Each inverse pair {x, -x} of dom takes one
+    choice f(x) in `fixed`, and f(-x) is its inverse."""
+    (dtable, dunit, dinv), (ctable, cunit, cinv) = dom, cod
+    n = len(dtable)
+    sums = [
+        (x, y, z)
+        for x in range(n)
+        for y in range(n)
+        for z in range(n)
+        if (dtable[x][y] >> z) & 1
+    ]
+    reps = [x for x in range(n) if x != dunit and dinv[x] >= x]
+    out = []
+    for choice in itertools.product(fixed, repeat=len(reps)):
+        f = [cunit] * n
+        for x, v in zip(reps, choice):
+            f[x], f[dinv[x]] = v, cinv[v]
+        if all((ctable[f[x]][f[y]] >> f[z]) & 1 for x, y, z in sums):
+            out.append(tuple(f))
+    return sorted(out)
+
+
+def test_equalizer_inputs_match_brute_force_through_order_5():
+    H, F = gf9_quotient().additive, gf9_frobenius()
+    fixed = [v for v in range(H.n) if F.map[v] == v]
+    assert all(H.inverse[v] in fixed for v in fixed)
+    h = (H.table, H.identity, H.inverse)
+    classes = [G for n in range(1, 6) for G in enumerate_canonical_hypergroups(n)]
+    candidates = 0
+    for G in classes:
+        rec = refuter_record(G)
+        homs = _brute_fixed_homs((G.table, G.identity, G.inverse), h, fixed)
+        assert [e for e in rec.to_h if all(F.map[v] == v for v in e)] == homs, G.labels
+        e = G.identity
+        lift_points = tuple(x for x in range(G.n) if (G.table[x][x] >> e) & 1 and (G.table[x][x] >> x) & 1)
+        assert rec.lift_points == lift_points, G.labels
+        for emap in homs:
+            assert equalizer_replay(G, lift_points, emap, F.map)[0], (G.labels, emap)
+        candidates += len(homs)
+    assert candidates == 14162
