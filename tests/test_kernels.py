@@ -295,11 +295,7 @@ def test_is_short_checks_surjectivity():
     assert is_short(identity_morphism(M))
 
 
-# domains read through BITS (at most 8 elements) and through image tables
-@pytest.mark.parametrize("sizes", [[0, 1, 2, 3, 5, 8], [9, 16, 40]], ids=["le8", "gt8"])
-@settings(max_examples=100, deadline=None)
-@given(data=st.data())
-def test_colax_lax_strict_match_entry_loop(sizes, data):
+def _check_colax_lax_strict(data, sizes):
     M = data.draw(hypermagmas(sizes))
     rng = random.Random(data.draw(st.integers(0, 2**32)))
     kind = data.draw(st.sampled_from(["random", "quotient", "permutation", "cofree"]))
@@ -333,6 +329,20 @@ def test_colax_lax_strict_match_entry_loop(sizes, data):
     k = check_kind(f)
     assert (k.colax, k.lax, k.strict) == _old_kinds(f)
     assert is_strict(identity_morphism(M))
+
+
+# domains read through BITS (at most 8 elements)
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_colax_lax_strict_match_entry_loop(data):
+    _check_colax_lax_strict(data, [0, 1, 2, 3, 5, 8])
+
+
+# domains read through image tables (more than 8 elements)
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_colax_lax_strict_match_entry_loop_beyond_bits(data):
+    _check_colax_lax_strict(data, [9, 16, 40])
 
 
 @settings(max_examples=80, deadline=None)
