@@ -194,6 +194,13 @@ def _classify(
 
 @memo
 def analyze(M: Hypermagma) -> AxiomReport:
+    """`axiom_report(M)`, memoised: for objects that are analyzed again."""
+    return axiom_report(M)
+
+
+def axiom_report(M: Hypermagma) -> AxiomReport:
+    """Every axiom flag of M with its least witness, and M's classification,
+    computed on each call and cached nowhere."""
     witnesses: list[tuple[str, tuple[int, ...]]] = []
 
     w_total = _total_witness(M)

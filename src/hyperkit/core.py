@@ -166,6 +166,11 @@ class Hypermagma:
         return state
 
 
+# the types `from_masks` keeps without a copy: exact str labels, exact int masks
+_STR = frozenset({str})
+_INT = frozenset({int})
+
+
 def from_masks(
     labels: Sequence[str],
     table: Sequence[Sequence[int]],
@@ -175,8 +180,13 @@ def from_masks(
 
     The identity, when present, is always auto-detected; passing `identity`
     asserts that the given element really is one.
+
+    A `labels` tuple of exact `str`s and each row that is a tuple of exact
+    `int`s are kept, not copied, so callers that build many objects can
+    share them; every other input is converted.
     """
-    labels = tuple(str(l) for l in labels)
+    if type(labels) is not tuple or not {*map(type, labels)} <= _STR:
+        labels = tuple(str(l) for l in labels)
     n = len(labels)
     if len(set(labels)) != n:
         raise DuplicateLabel(f"carrier labels not distinct: {labels}")
@@ -190,7 +200,9 @@ def from_masks(
             for m in row:
                 if m < 0 or m & ~full:
                     raise DimensionMismatch(f"subset mask {m} out of range for n={n}")
-        rows.append(tuple(map(operator.index, row)))
+        if type(row) is not tuple or not {*map(type, row)} <= _INT:
+            row = tuple(map(operator.index, row))
+        rows.append(row)
     tbl = tuple(rows)
     e = _detect_identity(tbl)
     if identity is not None and e != identity:
@@ -584,8 +596,10 @@ def pushed_table(M: Hypermagma, proj: Sequence[int], k: int) -> tuple[tuple[int,
     empty products.
 
     Each class's rows are ORed once, column by column into the column's
-    class, and each product is then mapped through proj's image tables.
-    When every element is its own class, the table is M's."""
+    class, and each product is then mapped through proj: bit by bit from
+    `BITS` when M has at most 8 elements, else through proj's image tables,
+    whose set-up pays for itself only on larger carriers.  When every
+    element is its own class, the table is M's."""
     if k == M.n and all(c == x for x, c in enumerate(proj)):
         return M.table
     prods = [[0] * k for _ in range(k)]
@@ -593,8 +607,20 @@ def pushed_table(M: Hypermagma, proj: Sequence[int], k: int) -> tuple[tuple[int,
         acc = prods[x]
         for y, m in zip(proj, row):
             acc[y] |= m
-    push = image_function([1 << c for c in proj])
-    return tuple(tuple(map(push, row)) for row in prods)
+    bit = [1 << c for c in proj]
+    if M.n > 8:
+        push = image_function(bit)
+        return tuple(tuple(map(push, row)) for row in prods)
+    out = []
+    for row in prods:
+        pushed = []
+        for m in row:
+            img = 0
+            for z in BITS[m]:
+                img |= bit[z]
+            pushed.append(img)
+        out.append(tuple(pushed))
+    return tuple(out)
 
 
 def quotient(M: Hypermagma, proj: Sequence[int], unit: int | None = None) -> Morphism:

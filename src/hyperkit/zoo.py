@@ -8,7 +8,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .axioms import AxiomReport, Tag, analyze
+from .axioms import AxiomReport, Tag, analyze, axiom_report
 from .core import (
     Hypermagma,
     Morphism,
@@ -713,7 +713,10 @@ def enumerate_reversible_tables(
     """
     budget = Budget(f"enumerate_reversible_tables(n={n})")
     nz = n - 1
-    labels = [str(v) for v in range(n)]
+    # one labels tuple, and one tuple per distinct row, for every table this
+    # call yields; `from_masks` keeps both without a copy
+    labels = tuple(str(v) for v in range(n))
+    share = {}.setdefault
     bits_of = [tuple(iter_bits(m)) for m in range(1 << n)]
     sigmas = _involutions(nz) if sigma is None else [sigma]
     for sigma in sigmas:
@@ -801,7 +804,8 @@ def enumerate_reversible_tables(
                 if w < u:
                     tied ^= bit
             if i == k:
-                yield from_masks(labels, [tab[r * n : (r + 1) * n] for r in range(n)])
+                rows = [tuple(tab[r : r + n]) for r in range(0, n * n, n)]
+                yield from_masks(labels, [share(row, row) for row in rows])
                 return
             for (j, m) in deltas[i]:
                 tab[j] |= m
@@ -861,13 +865,14 @@ def enumerate_canonical_hypergroups(n: int) -> list[Hypermagma]:
 
     These are the total associative tables of `enumerate_reversible_tables`:
     each class once, represented by its first table in search order, classes
-    in that order.  Every result is checked with `analyze`.  Past
+    in that order.  Every result is checked with `axiom_report`, which
+    leaves no report in the memo, since none is read again.  Past
     `search.search_cap()` nodes the search raises `SearchCapExceeded`, on a
     memo hit as on a fresh search.
     """
     out = []
     for M in enumerate_reversible_tables(n):
-        kind = analyze(M).classification
+        kind = axiom_report(M).classification
         ensure(
             kind in ("CanonicalHypergroup", "AbelianGroup"),
             f"enumerate_canonical_hypergroups(n={n}) produced a {kind}",

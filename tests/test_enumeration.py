@@ -14,12 +14,14 @@ An orbit-stabilizer count checks the isomorph rejection up to order 5, and
 a cap-boundary test pins the node counts of the pruned search.  Past the
 old algorithm's reach, sha256 digests pin the tables and their order.
 """
+import gc
 import hashlib
 import itertools
 import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -407,7 +409,7 @@ print(sys.flags.optimize, len(zoo.enumerate_canonical_hypergroups(4)))
 class Wrong:
     classification = "Hypergroup"
 
-zoo.analyze = lambda M: Wrong
+zoo.axiom_report = lambda M: Wrong
 try:
     zoo.enumerate_canonical_hypergroups(3)
 except errors.InvariantViolated as exc:
@@ -427,6 +429,52 @@ except errors.InvariantViolated as exc:
     lines = proc.stdout.splitlines()
     assert lines[0] == "1 97"
     assert lines[1].startswith("raised: enumerate_canonical_hypergroups(n=3)")
+
+
+# ---------------------------------------------------------------------------
+# What each class holds
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: enumerate_canonical_hypergroups(5), lambda: enumerate_small_mosaics(4)],
+    ids=["canonical-5", "mosaics-4"],
+)
+def test_classes_share_rows_and_labels(build):
+    classes = build()
+    rows = [row for M in classes for row in M.table]
+    assert len({id(row) for row in rows}) == len(set(rows)) < len(rows)
+    assert len({id(M.labels) for M in classes}) == 1
+
+
+def test_census_caches_no_report(monkeypatch):
+    """The census checks every class with `axiom_report`, never through the
+    memoised `analyze`."""
+    checked = []
+    monkeypatch.setattr(zoo, "analyze", lambda M: pytest.fail("census called analyze"))
+    monkeypatch.setattr(zoo, "axiom_report", lambda M: checked.append(M) or analyze(M))
+    classes = enumerate_canonical_hypergroups.__wrapped__(4)
+    assert checked == classes and len(classes) == 97
+
+
+# tracemalloc's count for one class of list(enumerate_reversible_tables(5)):
+# 305 bytes measured (the Hypermagma, its table and inverse tuples and its
+# list slot), 754 when each class held its own rows and labels
+BYTES_PER_CLASS = 400
+
+
+def test_bytes_retained_per_class():
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        classes = list(zoo.enumerate_reversible_tables(5))
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(classes) == 3776
+    assert retained / len(classes) < BYTES_PER_CLASS
 
 
 def test_cap_message_names_enumerator_and_size(monkeypatch):

@@ -3,7 +3,9 @@ the axiom checks of `analyze`.
 
 Each kernel is checked against the per-bit loop it replaced, kept here as
 the reference: `image_tables` against mask_of(iter_bits), `pushed_table`,
-`quotient` and `is_short` against the double loop over fiber products,
+`quotient` and `is_short` against the double loop over fiber products
+(`pushed_table`, which reads each product's bits from `BITS` on at most 8
+elements, also against its image-table loop),
 `is_colax`/`is_lax`/`is_strict` against the per-entry image loop, `boxdot`
 against the four-case loop, `hom_object` against the per-coordinate loop and
 `curry` against a scan of Hom(N, L) for each element, and
@@ -11,7 +13,8 @@ against the four-case loop, `hom_object` against the per-coordinate loop and
 round's additions, against the loop over the full product K*K.
 `analyze`, which skips the triples whose answer is fixed, is checked against
 the loops over all n^3 triples, and `from_masks` (its row range check, its
-identity and its inverse map) against the per-entry loops.
+identity and its inverse map, and the exact tuples it keeps without a copy)
+against the per-entry loops.
 `is_strong_map`, which reads preimages from the fibres, is checked against
 the scan over every point per flat; `canonical_form`, which drops a
 permutation at its first entry above the least form so far, against the
@@ -103,6 +106,20 @@ def _old_pushed(M, proj, k):
         tuple(_old_image(proj, _old_product(M, fibers[i], fibers[j])) for j in range(k))
         for i in range(k)
     )
+
+
+def _old_pushed_tables(M, proj, k):
+    """`pushed_table` with every product mapped through proj's image tables,
+    whatever the size of M."""
+    if k == M.n and all(c == x for x, c in enumerate(proj)):
+        return M.table
+    prods = [[0] * k for _ in range(k)]
+    for x, row in zip(proj, M.table):
+        acc = prods[x]
+        for y, m in zip(proj, row):
+            acc[y] |= m
+    push = image_function([1 << c for c in proj])
+    return tuple(tuple(map(push, row)) for row in prods)
 
 
 def _old_quotient(M, proj, unit=None):
@@ -248,9 +265,10 @@ def test_pushed_table_and_quotient_match_fiber_loop(data):
     M = data.draw(hypermagmas())
     proj = data.draw(projections(M.n))
     k = max(proj, default=-1) + 1
-    assert pushed_table(M, proj, k) == _old_pushed(M, proj, k)
+    assert pushed_table(M, proj, k) == _old_pushed(M, proj, k) == _old_pushed_tables(M, proj, k)
     # a class without members has empty products
     assert pushed_table(M, proj, k + 1) == _old_pushed(M, proj, k + 1)
+    assert pushed_table(M, proj, k + 1) == _old_pushed_tables(M, proj, k + 1)
     # every element its own class, in order and reversed
     ident = tuple(range(M.n))
     assert pushed_table(M, ident, M.n) == _old_pushed(M, ident, M.n)
@@ -745,7 +763,60 @@ def test_out_of_range_masks_raise_as_entry_loop(data):
         st.integers(full + 1, 2**70),
     )
     rows = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
-    _assert_same_build([str(i) for i in range(n)], rows)
+    labels = [str(i) for i in range(n)]
+    if data.draw(st.booleans(), label="exact tuples"):
+        labels, rows = tuple(labels), tuple(map(tuple, rows))
+    _assert_same_build(labels, rows)
+
+
+class _Row(tuple):
+    pass
+
+
+class _Label(str):
+    pass
+
+
+def test_from_masks_keeps_exact_tuples():
+    labels, rows = ("e", "a"), ((1, 2), (2, 1))
+    M = _assert_same_build(labels, rows)
+    assert M.labels is labels
+    assert all(M.table[i] is row for i, row in enumerate(rows))
+
+
+@pytest.mark.parametrize(
+    "labels, rows",
+    [
+        (["e", "a"], [[1, 2], [2, 1]]),
+        (("e", "a"), ((True, 2), (2, True))),
+        (("e", "a"), (_Row((1, 2)), _Row((2, 1)))),
+        ((_Label("e"), "a"), ((1, 2), (2, 1))),
+        ((0, 1), ((1, 2), (2, 1))),
+    ],
+    ids=["lists", "bools", "tuple-subclass", "str-subclass", "int-labels"],
+)
+def test_from_masks_converts_other_inputs(labels, rows):
+    M = _assert_same_build(labels, rows)
+    assert type(M.labels) is tuple and all(type(l) is str for l in M.labels)
+    assert all(type(row) is tuple for row in M.table)
+
+
+@pytest.mark.parametrize(
+    "labels, rows",
+    [
+        (("a", "a"), ((1, 2), (2, 1))),
+        (("a", "b"), ((1, 2),)),
+        (("a", "b"), ((1, 2), (2,))),
+        (("a", "b"), ((1, 2), (2, 1, 0))),
+        (("a", "b"), ((1, 4), (2, 1))),
+        (("a", "b"), ((1, -1), (2, 1))),
+        (("a", "b"), ((1, 2), (2, 1 << 70))),
+    ],
+    ids=["duplicate", "rows", "short-row", "long-row", "wide", "negative", "huge"],
+)
+def test_from_masks_rejects_exact_tuples_as_before(labels, rows):
+    assert not isinstance(_build(from_masks, labels, rows), Hypermagma)
+    _assert_same_build(labels, rows)
 
 
 @pytest.mark.parametrize(
