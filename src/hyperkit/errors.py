@@ -25,10 +25,6 @@ class NotAMosaic(HyperkitError):
     pass
 
 
-class NotMosaic(NotAMosaic):
-    pass
-
-
 class SearchCapExceeded(HyperkitError):
     pass
 

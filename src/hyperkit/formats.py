@@ -265,5 +265,9 @@ def load(path: str):
 
 
 def save(path: str, obj: dict) -> None:
-    with open(path, "w") as fh:
-        fh.write(dumps(obj))
+    text = dumps(obj)
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise FormatError(f"cannot write {path}: {exc}") from None

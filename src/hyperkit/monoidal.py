@@ -20,8 +20,8 @@ from .core import (
     product_of_subsets,
 )
 from .errors import (
+    NotAMosaic,
     NotCommutativeMosaic,
-    NotMosaic,
     NotUnital,
     ensure,
 )
@@ -179,8 +179,9 @@ class _ProductRow(dict):
 
 def enumerate_bimorphisms(
     M: Hypermagma, N: Hypermagma, L: Hypermagma, tag: Tag
-) -> list[Bimorphism]:
-    """All bimorphisms M x N -> L, ordered by the flattened table.
+) -> list[tuple[tuple[int, ...], ...]]:
+    """All bimorphisms M x N -> L as their tables (row x is the map
+    y -> B(x, y)), ordered by the flattened table.
 
     Rows are drawn from Hom(N, L), as indices into its enumeration, and the
     unit's row is the constant map to L's unit in the unital tags.  The
@@ -199,7 +200,7 @@ def enumerate_bimorphisms(
     products = [_ProductRow(f, at, maps) for f in maps]
     schedule = colax_schedule(M, None if unit is None else unit[0])
     rows = colax_maps(schedule, len(maps), products, budget, unit)
-    return [Bimorphism(M, N, L, tuple(map(maps.__getitem__, r))) for r in rows]
+    return [tuple(map(maps.__getitem__, r)) for r in rows]
 
 
 @memo
@@ -310,7 +311,7 @@ def represents_bimorphisms(
     ensure(u.cod == T, "represents_bimorphisms: u does not land in T")
     M, N = u.dom1, u.dom2
     for i, L in enumerate(battery):
-        bims = {b.table for b in enumerate_bimorphisms(M, N, L, tag)}
+        bims = set(enumerate_bimorphisms(M, N, L, tag))
         homs = enumerate_morphisms(T, L, tag)
         at = f"battery[{i}] ({'|'.join(L.labels)})"
         if len(homs) != len(bims):
@@ -331,7 +332,7 @@ def enumerate_strict_submosaics(M: Hypermagma) -> list[int]:
     """All subsets containing the unit, closed under products and inverses."""
     rep = analyze(M)
     if not rep.is_mosaic:
-        raise NotMosaic(f"{M!r} is not a mosaic")
+        raise NotAMosaic(f"{M!r} is not a mosaic")
     e = M.identity
     inv = M.inverse
     out = []

@@ -52,6 +52,7 @@ from .matroid import (
     is_strong_map,
 )
 from .monoidal import (
+    Bimorphism,
     boxtimes,
     enumerate_bimorphisms,
     hom_object,
@@ -101,11 +102,10 @@ from .zoo import (
     krasner_quotient,
     lattice_mosaic,
     leg_pairs,
+    lift_points,
     make_finite_group,
     make_multiring,
     orbit_hypergroup,
-    RefuterRecord,
-    refuter_record,
     subdistributive_multiring,
     symmetric_group,
     z2,
@@ -482,7 +482,7 @@ def check_klein_four() -> tuple[bool, str]:
     bims_V = enumerate_bimorphisms(V, V, V, Tag.CMSC)
 
     def inner(b):
-        return tuple(tuple(b.table[i][j] for j in range(1, 4)) for i in range(1, 4))
+        return tuple(tuple(b[i][j] for j in range(1, 4)) for i in range(1, 4))
 
     all_ones = tuple((1, 1, 1) for _ in range(3))
     zero_block = ((0, 0, 0), (0, 1, 1), (0, 1, 1))
@@ -507,31 +507,29 @@ def check_klein_four() -> tuple[bool, str]:
     return bool(ok), "; ".join(details)
 
 
-def _classes(max_size: int) -> Iterator[tuple[Hypermagma, RefuterRecord]]:
+def _classes(max_size: int) -> Iterator[Hypermagma]:
     """Each class of canonical hypergroups of order 1 to max_size, in
-    enumeration order, with its `refuter_record`: the walk the three
-    refuters share."""
+    enumeration order: the walk the three refuters share."""
     for n in range(1, max_size + 1):
-        for G in enumerate_canonical_hypergroups(n):
-            yield G, refuter_record(G)
+        yield from enumerate_canonical_hypergroups(n)
 
 
 def check_klein_four_refuter(max_size: int = 5) -> tuple[bool, str]:
-    K, V = krasner(), klein_v()
-    bat = [K, z2(), V]
+    K, Z, V = krasner(), z2(), klein_v()
+    bat = [K, Z, V]
     bim_counts = [len(enumerate_bimorphisms(V, V, L, Tag.CMSC)) for L in bat]
     survivors = []
-    for T, rec in _classes(max_size):
+    for T in _classes(max_size):
         # a representing object must match hom counts on every battery L;
         # Hom(T, V) is enumerated only for a T that matches on K and Z2
-        if [len(rec.to_k), len(rec.to_z2)] != bim_counts[:2]:
+        if [len(enumerate_morphisms(T, L, Tag.CMSC)) for L in (K, Z)] != bim_counts[:2]:
             continue
         if len(enumerate_morphisms(T, V, Tag.CMSC)) != bim_counts[2]:
             continue
-        for u in enumerate_bimorphisms(V, V, T, Tag.CMSC):
-            ok, _ = represents_bimorphisms(T, u, bat, Tag.CMSC)
+        for table in enumerate_bimorphisms(V, V, T, Tag.CMSC):
+            ok, _ = represents_bimorphisms(T, Bimorphism(V, V, T, table), bat, Tag.CMSC)
             if ok:
-                survivors.append((T, u))
+                survivors.append((T, table))
     # V x V with every candidate bimorphism dies on cardinalities alone
     prod_vv = product([V, V]).apex
     vv_refuted = len(enumerate_morphisms(prod_vv, K, Tag.CMSC)) != bim_counts[0]
@@ -543,24 +541,29 @@ def check_coproduct_refuter(max_size: int = 5) -> tuple[bool, str]:
     K, Z = krasner(), z2()
     pairs_k, pairs_z = leg_pairs(K), leg_pairs(Z)
     total = 0
-    for Gc, rec in _classes(max_size):
-        total += len(rec.legs) ** 2
-        targets = ((K, rec.to_k, pairs_k), (Z, rec.to_z2, pairs_z))
-        for i1, i2 in itertools.product(rec.legs, repeat=2):
+    for Gc in _classes(max_size):
+        legs = enumerate_morphisms(Z, Gc, Tag.CMSC)
+        total += len(legs) ** 2
+        targets = (
+            (K, enumerate_morphisms(Gc, K, Tag.CMSC), pairs_k),
+            (Z, enumerate_morphisms(Gc, Z, Tag.CMSC), pairs_z),
+        )
+        for i1, i2 in itertools.product(legs, repeat=2):
             if coproduct_replay(i1, i2, targets) is None:
                 return False, f"candidate survived: {Gc.labels}"
     return True, f"all {total} candidates of size <= {max_size} refuted"
 
 
 def check_equalizer_refuter(max_size: int = 5) -> tuple[bool, str]:
-    F = gf9_frobenius()
+    H, F = gf9_quotient().additive, gf9_frobenius()
     total = 0
-    for E, rec in _classes(max_size):
-        for e in rec.to_h:
+    for E in _classes(max_size):
+        points = lift_points(E)
+        for e in enumerate_morphisms(E, H, Tag.CMSC):
             if any(F.map[v] != v for v in e):
                 continue
             total += 1
-            if not equalizer_replay(E, rec.lift_points, e, F.map)[0]:
+            if not equalizer_replay(E, points, e, F.map)[0]:
                 return False, f"candidate survived: {E.labels}"
     return True, f"all {total} equalizing candidates of size <= {max_size} refuted"
 

@@ -341,9 +341,8 @@ def is_normal_epi(p: Morphism, tag: Tag) -> bool:
         phi[q.map[x]] = p.map[x]
     if tuple(p.map) != tuple(phi[q.map[x]] for x in range(p.dom.n)):
         return False
+    # phi after q is p, which is onto, and |q.cod| = |p.cod|: phi is a bijection
     cand = Morphism(q.cod, p.cod, tuple(phi))
-    if not (is_injective(cand) and is_surjective(cand)):
-        return False
     inv = [0] * p.cod.n
     for x, v in enumerate(cand.map):
         inv[v] = x

@@ -886,53 +886,27 @@ def enumerate_canonical_hypergroups(n: int) -> list[Hypermagma]:
 #
 # Each refuter walks the classes of canonical hypergroups and replays a
 # proof against every candidate on each class.  What depends on the class
-# alone is read once per class (`refuter_record`); what depends on the
-# candidate is a replay (`coproduct_replay`, `equalizer_replay`) that
-# formats nothing.  The `refute_*_candidate` functions run the same replay
-# on one candidate and spell out its steps.
+# alone is read once per class, each hom-set through the memoised
+# `enumerate_morphisms`; what depends on the candidate is a replay
+# (`coproduct_replay`, `equalizer_replay`) that formats nothing.  The
+# `refute_*_candidate` functions run the same replay on one candidate and
+# spell out its steps.
 
 
 @dataclass(frozen=True)
 class Refutation:
     refuted: bool
-    subject: str
     steps: tuple[str, ...]
     witness: tuple | None = None
 
 
-@dataclass(frozen=True)
-class RefuterRecord:
-    """What the three refuters read of one class G: hom-sets in CMSC, as the
-    maps `enumerate_morphisms` lists."""
-
-    legs: list[tuple[int, ...]]  # Hom(Z2, G)
-    to_k: list[tuple[int, ...]]  # Hom(G, K)
-    to_z2: list[tuple[int, ...]]  # Hom(G, Z2)
-    to_h: list[tuple[int, ...]]  # Hom(G, H), H the gf9 quotient
-    lift_points: tuple[int, ...]  # the x with {0, x} inside x + x, ascending
-
-
-def _lift_points(G: Hypermagma) -> tuple[int, ...]:
-    """The x with {0, x} inside x + x: where a K -> G morphism can send 1."""
+def lift_points(G: Hypermagma) -> tuple[int, ...]:
+    """The x with {0, x} inside x + x, ascending: where a K -> G morphism
+    can send 1."""
     e = G.identity
     if e is None:
         return ()
     return tuple(x for x in range(G.n) if (G.table[x][x] >> e) & 1 and (G.table[x][x] >> x) & 1)
-
-
-def refuter_record(G: Hypermagma) -> RefuterRecord:
-    """The per-class half of the coproduct, equalizer and Klein-four
-    refuters, every hom-set through the memoised `enumerate_morphisms`.
-    Hom(G, V) for the Klein four group V is left out: the Klein-four
-    refuter needs it only on a class that passes the K and Z2 counts."""
-    Z = z2()
-    return RefuterRecord(
-        legs=enumerate_morphisms(Z, G, Tag.CMSC),
-        to_k=enumerate_morphisms(G, krasner(), Tag.CMSC),
-        to_z2=enumerate_morphisms(G, Z, Tag.CMSC),
-        to_h=enumerate_morphisms(G, gf9_quotient().additive, Tag.CMSC),
-        lift_points=_lift_points(G),
-    )
 
 
 def leg_pairs(T: Hypermagma) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -967,13 +941,13 @@ def coproduct_refutation(failure: tuple[Hypermagma, str, tuple] | None) -> Refut
     ensure(len(can_z2_K) == 2, "refute_coproduct_candidate: |Can(Z2,K)| is not 2")
     steps = (f"|Can(Z2,K)| = {len(can_z2_K)}",)
     if failure is None:
-        return Refutation(False, "candidate", steps + ("battery passed",))
+        return Refutation(False, steps + ("battery passed",))
     T, kind, key = failure
     if kind == "repeated":
         step = f"mediating morphism not unique for legs {key}"
     else:
         step = f"no mediating morphism for legs {key} into {'|'.join(T.labels)}"
-    return Refutation(True, "candidate", steps + (step,), witness=key)
+    return Refutation(True, steps + (step,), witness=key)
 
 
 def refute_coproduct_candidate(
@@ -982,7 +956,7 @@ def refute_coproduct_candidate(
     """Replay the finite steps showing (Gc, i1, i2) is not a coproduct of
     Z2 with itself among canonical hypergroups."""
     if analyze(Gc).classification not in ("CanonicalHypergroup", "AbelianGroup"):
-        return Refutation(True, "candidate", ("candidate is not a canonical hypergroup",))
+        return Refutation(True, ("candidate is not a canonical hypergroup",))
     if battery is None:
         battery = [krasner(), z2(), Gc]
     targets = ((T, enumerate_morphisms(Gc, T, Tag.CMSC), leg_pairs(T)) for T in battery)
@@ -1008,17 +982,18 @@ def _gf9_classifier_targets() -> tuple[int, int]:
 
 
 def equalizer_replay(
-    E: Hypermagma, lift_points: Sequence[int], emap: Sequence[int], fmap: Sequence[int]
+    E: Hypermagma, points: Sequence[int], emap: Sequence[int], fmap: Sequence[int]
 ) -> tuple[bool, tuple[int, ...], int | None]:
     """The per-candidate half of the equalizer refuter, for e: E -> H with
-    map `emap` that equalizes id and the Frobenius (map `fmap`).  The K -> H
-    map sending 1 to a target of `_gf9_classifier_targets` factors through e
-    iff e sends a lift point of E to it; with x and y the first such points,
-    the least z in x + y must map to an F-fixed class.  Returns (refuted,
-    the lift points found, z), z None when x + y is not reached or empty."""
+    map `emap` that equalizes id and the Frobenius (map `fmap`), and
+    `points` the `lift_points` of E.  The K -> H map sending 1 to a target
+    of `_gf9_classifier_targets` factors through e iff e sends a lift point
+    of E to it; with x and y the first such points, the least z in x + y
+    must map to an F-fixed class.  Returns (refuted, the lift points found,
+    z), z None when x + y is not reached or empty."""
     lifts = []
     for target in _gf9_classifier_targets():
-        x = next((x for x in lift_points if emap[x] == target), None)
+        x = next((x for x in points if emap[x] == target), None)
         if x is None:
             return True, tuple(lifts), None
         lifts.append(x)
@@ -1042,14 +1017,14 @@ def equalizer_refutation(
         name = "fg"[len(lifts)]
         steps.append(f"{name} does not factor through the candidate")
         target = _gf9_classifier_targets()[len(lifts)]
-        return Refutation(True, "candidate", tuple(steps), witness=(name, target))
+        return Refutation(True, tuple(steps), witness=(name, target))
     if z is None:
         steps.append("x + y is empty, so E is not total")
-        return Refutation(True, "candidate", tuple(steps), witness=lifts)
+        return Refutation(True, tuple(steps), witness=lifts)
     steps.append(f"z = {E.labels[z]} in x+y maps to {H.labels[emap[z]]}, F-fixed: {not refuted}")
     if refuted:
-        return Refutation(True, "candidate", tuple(steps), witness=(*lifts, z))
-    return Refutation(False, "candidate", tuple(steps + ["replay found no violation"]))
+        return Refutation(True, tuple(steps), witness=(*lifts, z))
+    return Refutation(False, tuple(steps + ["replay found no violation"]))
 
 
 def refute_equalizer_candidate(E: Hypermagma, e: Morphism) -> Refutation:
@@ -1062,8 +1037,8 @@ def refute_equalizer_candidate(E: Hypermagma, e: Morphism) -> Refutation:
     if any(F.map[e.map[x]] != e.map[x] for x in range(E.n)):
         raise CandidateDoesNotEqualize("candidate morphism does not equalize id and F")
     if analyze(E).classification not in ("CanonicalHypergroup", "AbelianGroup"):
-        return Refutation(True, "candidate", ("not a canonical hypergroup (not a candidate)",))
-    outcome = equalizer_replay(E, _lift_points(E), e.map, F.map)
+        return Refutation(True, ("not a canonical hypergroup (not a candidate)",))
+    outcome = equalizer_replay(E, lift_points(E), e.map, F.map)
     return equalizer_refutation(E, e.map, outcome)
 
 
@@ -1074,7 +1049,6 @@ def refute_equalizer_candidate(E: Hypermagma, e: Morphism) -> Refutation:
 @dataclass(frozen=True)
 class EmptySumOutcome:
     witness: tuple[Hypermagma, int, int] | None
-    max_size: int
     steps: tuple[str, ...]
 
 
@@ -1115,9 +1089,9 @@ def empty_sum_search(max_size: int) -> EmptySumOutcome:
                             f"empty_sum_search: n={n} witness fails the hom-object route",
                         )
                         steps.append(f"n={n}, {swaps} swaps: witness found")
-                        return EmptySumOutcome((M, x, y), max_size, tuple(steps))
+                        return EmptySumOutcome((M, x, y), tuple(steps))
             steps.append(f"n={n}, {swaps} swaps: exhausted, no witness")
-    return EmptySumOutcome(None, max_size, tuple(steps))
+    return EmptySumOutcome(None, tuple(steps))
 
 
 def _verify_empty_sum(H: Hypermagma, x: int, y: int) -> bool:

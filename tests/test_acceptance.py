@@ -355,5 +355,5 @@ def test_criterion_16_hom_health_and_empty_sum():
 def test_empty_sum_check_passes_only_the_recorded_outcome(monkeypatch, max_size, order, ok):
     """No witness up to order 4, and the first witness has order 5."""
     witness = None if order is None else (cofree([str(i) for i in range(order)]), 1, 2)
-    monkeypatch.setattr(suite, "empty_sum_search", lambda m: EmptySumOutcome(witness, m, ()))
+    monkeypatch.setattr(suite, "empty_sum_search", lambda m: EmptySumOutcome(witness, ()))
     assert suite.check_empty_sum(max_size)[0] is ok

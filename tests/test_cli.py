@@ -526,6 +526,9 @@ def test_malformed_search_cap_exits_2_with_one_line(monkeypatch, capsys):
     assert err.count("\n") == 1 and "HYPERKIT_SEARCH_CAP" in err and "'abc'" in err
 
 
+_K = formats.hypermagma_to_dict(krasner())
+
+
 @pytest.mark.parametrize(
     "payload, message",
     [
@@ -563,6 +566,45 @@ def test_malformed_search_cap_exits_2_with_one_line(monkeypatch, capsys):
             {"kind": "matroid", "ground": ["a"], "rank": [[[], 0], [["a"], True]]},
             "rank entries must be [subset, rank] pairs",
         ),
+        ([_K], "object file must be a JSON object"),
+        (
+            {"kind": "hypermagma", "carrier": ["0", "1"], "table": [[["0"], ["1"]]]},
+            "table must be a 2x2 array",
+        ),
+        (
+            {"kind": "hypermagma", "carrier": ["0", "1"], "table": [[["0"], ["1"]], [["1"]]]},
+            "table must be a 2x2 array",
+        ),
+        (
+            {"kind": "hypermagma", "carrier": ["0", "1"], "table": [[["0"], "1"], [["1"], ["0"]]]},
+            "table entries must be arrays of labels",
+        ),
+        ({"kind": "matroid", "ground": ["a"], "flats": "a"}, "flats must be an array"),
+        (
+            {"kind": "matroid", "ground": ["a"], "flats": [[], "a"]},
+            "flats entries must be arrays of labels",
+        ),
+        (
+            {"kind": "matroid", "ground": ["a"], "rank": [[[], 0]]},
+            "rank oracle must list every subset",
+        ),
+        ({"kind": "matroid", "ground": ["a"]}, "matroid needs flats, independent, or rank"),
+        (
+            {"kind": "morphism", "dom": _K, "cod": _K, "map": [["0", "0"], ["1", "1"]]},
+            "map must be an object from domain to codomain labels",
+        ),
+        (
+            {"kind": "morphism", "dom": _K, "cod": _K, "map": {"0": "0"}},
+            "map must cover the whole domain carrier",
+        ),
+        (
+            {"kind": "morphism", "dom": _K, "cod": _K, "map": {"0": "0", "1": "x"}},
+            "map image not in the codomain carrier",
+        ),
+        (
+            {"kind": "morphism", "dom": _K, "cod": _K, "map": {"0": "0", "1": "1"}},
+            "cannot analyze kind 'morphism'",
+        ),
     ],
     ids=[
         "list-table-entry",
@@ -574,6 +616,18 @@ def test_malformed_search_cap_exits_2_with_one_line(monkeypatch, capsys):
         "lattice-without-top",
         "lattice-wrong-top",
         "matroid-bool-rank",
+        "json-array",
+        "too-few-rows",
+        "short-row",
+        "entry-not-array",
+        "flats-not-array",
+        "flat-not-array",
+        "rank-misses-a-subset",
+        "matroid-without-sets",
+        "map-not-object",
+        "map-misses-a-label",
+        "map-image-not-a-label",
+        "check-a-morphism",
     ],
 )
 def test_malformed_labels_exit_2_with_one_line(tmp_path, capsys, payload, message):
@@ -582,6 +636,26 @@ def test_malformed_labels_exit_2_with_one_line(tmp_path, capsys, payload, messag
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.count("\n") == 1 and message in captured.err
+
+
+def test_equalizer_of_hypermagma_files_exits_2_with_one_line(tmp_path, capsys):
+    path = krasner_file(tmp_path)
+    out = str(tmp_path / "out.json")
+    assert main(["construct", "equalizer", path, path, "-o", out]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not os.path.exists(out)
+    assert captured.err == f"error: {path} is not a morphism file\n"
+
+
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+def test_unwritable_output_exits_2_with_one_line(tmp_path, capsys, where):
+    path = krasner_file(tmp_path)
+    out = str(tmp_path / "missing" / "out.json") if where == "missing-directory" else str(tmp_path)
+    assert main(["construct", "product", path, "-o", out]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith(f"error: cannot write {out}: ")
 
 
 @pytest.mark.parametrize(

@@ -13,7 +13,7 @@ from hyperkit.core import (
     mask_of,
     permute,
 )
-from hyperkit.errors import CodomainNotUnital, FormatError, SearchCapExceeded
+from hyperkit.errors import CodomainNotUnital, FormatError, NotUnital, SearchCapExceeded
 from hyperkit import hom, monoidal
 from hyperkit.hom import (
     bijection_failure,
@@ -468,6 +468,13 @@ def test_kernel():
     assert kernel(const) == 0b11
     with pytest.raises(CodomainNotUnital):
         kernel(Morphism(mixed3(), mixed3(), (0, 1, 2)))
+
+
+@pytest.mark.parametrize("tag", [Tag.UHMAG, Tag.CMSC], ids=lambda t: t.value)
+def test_unital_tag_refuses_a_non_unital_object(tag):
+    for M, N in ((mixed3(), z2()), (z2(), mixed3())):
+        with pytest.raises(NotUnital, match=f"^tag {tag.value} needs unital objects$"):
+            enumerate_morphisms(M, N, tag)
 
 
 def test_kernel_of_unitization_is_absorptive_closure():

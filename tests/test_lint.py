@@ -1,8 +1,8 @@
 """Source checks over src/hyperkit: no unused module-level imports, no name
 a function reads that is bound nowhere, no memo outside hyperkit.search,
 memoised functions with positional parameters only, no bare `assert` in any
-module, no definition that nothing names, and every function the
-benchmark's tracer wraps still exists."""
+module, no definition that nothing names, no dataclass field that nothing
+reads, and every function the benchmark's tracer wraps still exists."""
 import ast
 import builtins
 import importlib
@@ -149,17 +149,20 @@ def _definitions(tree):
                 yield target.id
 
 
-def test_module_level_definitions_are_named_elsewhere():
-    # a definition that nothing names is dead code
+def _project_trees():
+    """The parsed modules of src/hyperkit, tests and perfbench."""
     root = os.path.join(os.path.dirname(__file__), os.pardir)
-    named = []
     for folder in (SRC, os.path.join(root, "tests"), os.path.join(root, "perfbench")):
         for dirpath, _, files in os.walk(folder):
             for f in files:
                 if f.endswith(".py"):
                     with open(os.path.join(dirpath, f)) as fh:
-                        named += _named(ast.parse(fh.read(), f))
-    named = set(named)
+                        yield ast.parse(fh.read(), f)
+
+
+def test_module_level_definitions_are_named_elsewhere():
+    # a definition that nothing names is dead code
+    named = {name for tree in _project_trees() for name in _named(tree)}
     unnamed = [
         f"{name}:{definition}"
         for name in MODULES
@@ -167,3 +170,33 @@ def test_module_level_definitions_are_named_elsewhere():
         if definition.split(".")[-1] not in named
     ]
     assert unnamed == []
+
+
+def _dataclass_fields(tree):
+    """The fields of the module-level dataclasses, as Class.field."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and any(
+            isinstance(d, ast.Name) and d.id == "dataclass"
+            or isinstance(d, ast.Call) and getattr(d.func, "id", None) == "dataclass"
+            for d in node.decorator_list
+        ):
+            for item in node.body:
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    yield f"{node.name}.{item.target.id}"
+
+
+def test_dataclass_fields_are_read():
+    # a field that no code reads is a result nobody uses
+    read = {
+        node.attr
+        for tree in _project_trees()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    unread = [
+        f"{name}:{field}"
+        for name in MODULES
+        for field in _dataclass_fields(_tree(name))
+        if field.split(".")[-1] not in read
+    ]
+    assert unread == []

@@ -9,7 +9,13 @@ import pytest
 import hyperkit
 from hyperkit.axioms import Tag, analyze
 from hyperkit.core import Morphism, find_isomorphism, iter_bits, mask_of
-from hyperkit.errors import HyperkitError, NotCommutativeMosaic, NotMosaic, NotMultiring
+from hyperkit.errors import (
+    HyperkitError,
+    NotAMosaic,
+    NotCommutativeMosaic,
+    NotMultiring,
+    NotUnital,
+)
 from hyperkit.hom import enumerate_morphisms, is_colax, is_strict
 from hyperkit.monoidal import (
     Bimorphism,
@@ -244,7 +250,7 @@ def test_bimorphism_counts_match_matrix_oracle():
     V = klein()
     for L in (krasner(), V):
         bims = enumerate_bimorphisms(V, V, L, Tag.CMSC)
-        assert all(is_bimorphism(b, Tag.CMSC) for b in bims)
+        assert all(is_bimorphism(Bimorphism(V, V, L, b), Tag.CMSC) for b in bims)
         count = _brute_force_matrix_count(L)
         assert len(bims) == count
 
@@ -253,7 +259,7 @@ def test_bimorphisms_quoted_matrices():
     V, K = klein(), krasner()
 
     def inner(b):
-        return tuple(tuple(b.table[i][j] for j in range(1, 4)) for i in range(1, 4))
+        return tuple(tuple(b[i][j] for j in range(1, 4)) for i in range(1, 4))
 
     tables_K = {inner(b) for b in enumerate_bimorphisms(V, V, K, Tag.CMSC)}
     assert tuple((1, 1, 1) for _ in range(3)) in tables_K
@@ -315,18 +321,28 @@ def test_represents_bimorphisms():
     assert not ok and witness == "pairing not injective at battery[1] (0|1)"
 
 
+def test_wedge_smash_and_tensor_reject_what_they_cannot_build():
+    with pytest.raises(NotUnital, match="wedge-smash needs unital factors"):
+        wedge_smash(mixed3(), z2())
+    with pytest.raises(NotCommutativeMosaic, match="no tensor product for tag"):
+        tensor(z2(), z2(), Tag.MSC)
+
+
 def test_strict_classifier():
     assert len(enumerate_strict_submosaics(z2())) == 2
     assert len(enumerate_strict_submosaics(f_mosaic())) == 2
     assert len(enumerate_strict_submosaics(terminal())) == 1
     for M in (z2(), krasner(), f_mosaic(), klein(), terminal()):
         assert strict_classifier_check(M)
-    with pytest.raises(NotMosaic):
+    with pytest.raises(NotAMosaic):
         strict_classifier_check(mixed3())
 
 
 def test_monoid_objects():
-    mo = to_monoid_object(krasner_multiring())
+    R = krasner_multiring()
+    mo = to_monoid_object(R)
+    # the unit map sends the free generator 1 to 1, and -1 to its inverse
+    assert mo.mosaic is R.additive and mo.unit.map == (0, 1, 1)
     assert is_strict_bimorphism(mo.multiplication)
     assert is_bimorphism(mo.multiplication, Tag.CMSC)
     z6 = zmod_ring(6)
@@ -335,6 +351,7 @@ def test_monoid_objects():
     mo6 = to_monoid_object(mr)
     assert is_strict_bimorphism(mo6.multiplication)
     mo9 = to_monoid_object(gf9_quotient())
+    assert mo9.unit.map == (0, 2, 2)
     assert is_strict_bimorphism(mo9.multiplication)
     weak = subdistributive_multiring()
     assert weak.multiring and not weak.hyperring
@@ -449,7 +466,7 @@ def test_bimorphisms_match_filtered_row_tuples(tag):
     assert (mixed3() in objects) == (tag is Tag.HMAG)
     for M, N, L in itertools.product(objects, repeat=3):
         want = _bimorphisms_by_filter(M, N, L, tag)
-        assert [b.table for b in enumerate_bimorphisms(M, N, L, tag)] == want, (M, N, L)
+        assert enumerate_bimorphisms(M, N, L, tag) == want, (M, N, L)
 
 
 def test_boxdot_labels_are_distinct_when_factor_labels_hold_the_separator():

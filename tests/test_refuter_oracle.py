@@ -1,8 +1,9 @@
 """An independent oracle for the hom-sets the size-5 refuters read.
 
-For every class G of canonical hypergroups of order <= 5, the maps of
-`refuter_record(G)` for Hom(Z2, G), Hom(G, K) and Hom(G, Z2) must equal,
-in order, a brute force that tries every map and tests it on the raw mask
+For every class G of canonical hypergroups of order <= 5, the maps that
+`enumerate_morphisms` lists for Hom(Z2, G), Hom(G, K) and Hom(G, Z2), the
+hom-sets the coproduct and Klein-four refuters read, must equal, in order,
+a brute force that tries every map and tests it on the raw mask
 tables, without `hyperkit.hom`.  The counts of the brute force then prove
 two refutations at order <= 5 on their own: a coproduct Z2 + Z2 needs
 |Hom(G, K)| = 4 and |Hom(G, Z2)| = 4, and a representing object for the
@@ -17,6 +18,7 @@ inputs, every one of the 14,162 candidates is refuted.
 """
 import itertools
 
+from hyperkit.axioms import Tag
 from hyperkit.core import Morphism
 from hyperkit.hom import enumerate_morphisms
 from hyperkit.zoo import (
@@ -25,7 +27,7 @@ from hyperkit.zoo import (
     gf9_frobenius,
     gf9_quotient,
     krasner,
-    refuter_record,
+    lift_points,
     z2,
 )
 
@@ -64,7 +66,7 @@ def test_refuter_hom_sets_match_brute_force_through_order_5(monkeypatch):
     assert len(classes) == 3886
 
     def no_morphism(self):
-        raise AssertionError("refuter_record built a Morphism")
+        raise AssertionError("a refuter's hom-set search built a Morphism")
 
     # the memoised targets are built first (the gf9 quotient is a quotient
     # map's codomain), and the search runs cold, not from the memo
@@ -72,13 +74,20 @@ def test_refuter_hom_sets_match_brute_force_through_order_5(monkeypatch):
     enumerate_morphisms.cache_clear()
     with monkeypatch.context() as patch:
         patch.setattr(Morphism, "__post_init__", no_morphism)
-        records = [refuter_record(G) for G in classes]
+        hom_sets = [
+            (
+                enumerate_morphisms(z2(), G, Tag.CMSC),
+                enumerate_morphisms(G, krasner(), Tag.CMSC),
+                enumerate_morphisms(G, z2(), Tag.CMSC),
+            )
+            for G in classes
+        ]
 
     coproduct_counts = klein_four_counts = maps = 0
-    for G, rec in zip(classes, records):
+    for G, got in zip(classes, hom_sets):
         g = (G.table, G.identity, G.inverse)
         legs, to_k, to_z2 = _brute_homs(Z2, g), _brute_homs(g, K), _brute_homs(g, Z2)
-        assert rec.legs == legs and rec.to_k == to_k and rec.to_z2 == to_z2, G.labels
+        assert got == (legs, to_k, to_z2), G.labels
         counts = (len(to_k), len(to_z2))
         coproduct_counts += counts == (4, 4)
         klein_four_counts += counts == (50, 16)
@@ -121,13 +130,13 @@ def test_equalizer_inputs_match_brute_force_through_order_5():
     classes = [G for n in range(1, 6) for G in enumerate_canonical_hypergroups(n)]
     candidates = 0
     for G in classes:
-        rec = refuter_record(G)
+        to_h = enumerate_morphisms(G, H, Tag.CMSC)
         homs = _brute_fixed_homs((G.table, G.identity, G.inverse), h, fixed)
-        assert [e for e in rec.to_h if all(F.map[v] == v for v in e)] == homs, G.labels
+        assert [e for e in to_h if all(F.map[v] == v for v in e)] == homs, G.labels
         e = G.identity
-        lift_points = tuple(x for x in range(G.n) if (G.table[x][x] >> e) & 1 and (G.table[x][x] >> x) & 1)
-        assert rec.lift_points == lift_points, G.labels
+        points = tuple(x for x in range(G.n) if (G.table[x][x] >> e) & 1 and (G.table[x][x] >> x) & 1)
+        assert lift_points(G) == points, G.labels
         for emap in homs:
-            assert equalizer_replay(G, lift_points, emap, F.map)[0], (G.labels, emap)
+            assert equalizer_replay(G, points, emap, F.map)[0], (G.labels, emap)
         candidates += len(homs)
     assert candidates == 14162

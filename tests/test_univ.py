@@ -7,11 +7,20 @@ from hyperkit.core import (
     Morphism,
     compose,
     find_isomorphism,
+    from_masks,
     identity_morphism,
     iter_bits,
     mask_of,
 )
-from hyperkit.errors import DimensionMismatch, DuplicateLabel, NotParallel, NotUnitalTag, UnsupportedCategory
+from hyperkit.errors import (
+    DimensionMismatch,
+    DuplicateLabel,
+    NoCommonCodomain,
+    NotParallel,
+    NotUnital,
+    NotUnitalTag,
+    UnsupportedCategory,
+)
 from hyperkit.hom import (
     check_kind,
     enumerate_morphisms,
@@ -337,6 +346,20 @@ def test_normal_mono():
         is_normal_mono(one_inc, Tag.HMAG)
 
 
+def _swap_kernel_object():
+    """e, k, x, y, z, w with e a scalar identity, k*k = {e}, and k swapping
+    x and y and fixing z and w: {e, k} is absorptive, and unitizing at it
+    merges x with y."""
+    e, k, x, y, z, w = range(6)
+    rows = [[0] * 6 for _ in range(6)]
+    for a in range(6):
+        rows[e][a] = rows[a][e] = 1 << a
+    rows[k][k] = 1 << e
+    for a, b in ((x, y), (y, x), (z, z), (w, w)):
+        rows[a][k] = rows[k][a] = 1 << b
+    return from_masks(("e", "k", "x", "y", "z", "w"), rows, e)
+
+
 def test_normal_epi():
     for M in (krasner(), d_example()):
         for E in range(1, 1 << M.n):
@@ -355,6 +378,36 @@ def test_normal_epi():
     # isomorphic over Z2 to the trivial unitization
     t = Morphism(z2(), krasner(), (0, 1))
     assert not is_normal_epi(t, Tag.UHMAG)
+    # not onto, or onto a codomain without a unit
+    K = krasner()
+    assert not is_normal_epi(Morphism(z2(), K, (0, 0)), Tag.UHMAG)
+    assert not is_normal_epi(Morphism(K, cofree(("a", "b")), (0, 1)), Tag.UHMAG)
+    # the kernel {0} of Z3 -> K merges nothing: 3 classes against 2 elements
+    z3 = group_to_hypermagma(cyclic_group(3))
+    assert unitize(z3, 0b001).cod.n == 3
+    assert not is_normal_epi(Morphism(z3, K, (0, 1, 1)), Tag.UHMAG)
+    # as many classes as elements of V, but p separates x and y, which the
+    # unitization at the kernel {e, k} merges, so p does not factor through it
+    M = _swap_kernel_object()
+    p = Morphism(M, klein(), (0, 0, 1, 2, 3, 3))
+    assert unitize(M, 0b11).map == (0, 0, 1, 1, 2, 3)
+    assert not is_normal_epi(p, Tag.UHMAG)
+    with pytest.raises(NotUnitalTag):
+        is_normal_epi(identity_morphism(K), Tag.HMAG)
+
+
+def test_pullback_and_coequalizer_refuse_mismatched_maps():
+    K = krasner()
+    f = identity_morphism(K)
+    with pytest.raises(NoCommonCodomain, match="pullback needs a common codomain"):
+        pullback(f, Morphism(K, z2(), (0, 1)))
+    with pytest.raises(NotParallel, match="coequalizer needs a parallel pair"):
+        coequalizer(f, Morphism(z2(), K, (0, 1)), Tag.HMAG)
+    M = mixed3()
+    g = identity_morphism(M)
+    assert coequalizer(g, g, Tag.HMAG).cod.n == M.n
+    with pytest.raises(NotUnital, match="unital coequalizer needs a unital codomain"):
+        coequalizer(g, g, Tag.UHMAG)
 
 
 def test_pullback_stability_of_shortness():

@@ -42,6 +42,7 @@ from hyperkit.zoo import (
     krasner_quotient,
     lattice_mosaic,
     leg_pairs,
+    lift_points,
     make_finite_group,
     make_finite_ring,
     make_gf4,
@@ -50,7 +51,6 @@ from hyperkit.zoo import (
     orbit_hypergroup,
     refute_coproduct_candidate,
     refute_equalizer_candidate,
-    refuter_record,
     symmetric_group,
     zmod_ring,
 )
@@ -257,6 +257,8 @@ def test_table_axiom_failures_name_law_and_witness():
 def test_lattice_enumeration_counts():
     # unlabeled lattices on 1..7 elements (OEIS A006966)
     assert [len(enumerate_lattices(n)) for n in range(1, 8)] == [1, 1, 1, 2, 5, 15, 53]
+    # a bounded lattice has a bottom, so none has no element
+    assert enumerate_lattices(0) == []
 
 
 def test_nakano_exhaustive():
@@ -425,23 +427,18 @@ def test_coproduct_refutations_pinned():
 
 @pytest.mark.parametrize("battery", ["default", "K-Z2"])
 def test_coproduct_replay_on_the_record_matches_direct_refutation(battery):
-    """The per-class record plus the replay, as the coproduct refuter runs
+    """The per-class hom-sets plus the replay, as the coproduct refuter runs
     them, give the Refutation of a direct call on every candidate of order
-    <= 4; the homs into K and Z2 come from the record."""
+    <= 4."""
     K, Z = krasner(), z2()
     count = 0
     for n in range(1, 5):
         for Gc in enumerate_canonical_hypergroups(n):
-            rec = refuter_record(Gc)
             assert analyze(Gc).classification in ("CanonicalHypergroup", "AbelianGroup")
-            assert rec.legs == enumerate_morphisms(Z, Gc, Tag.CMSC)
             objects = [K, Z, Gc] if battery == "default" else [K, Z]
-            from_record = {K: rec.to_k, Z: rec.to_z2}
-            targets = []
-            for T in objects:
-                homs = from_record.get(T) or enumerate_morphisms(Gc, T, Tag.CMSC)
-                targets.append((T, homs, leg_pairs(T)))
-            for i1, i2 in itertools.product(rec.legs, repeat=2):
+            targets = [(T, enumerate_morphisms(Gc, T, Tag.CMSC), leg_pairs(T)) for T in objects]
+            legs = enumerate_morphisms(Z, Gc, Tag.CMSC)
+            for i1, i2 in itertools.product(legs, repeat=2):
                 direct = refute_coproduct_candidate(
                     Gc,
                     Morphism(Z, Gc, i1),
@@ -459,12 +456,10 @@ def test_equalizer_replay_on_the_record_matches_direct_refutation():
     count = 0
     for n in range(1, 5):
         for E in enumerate_canonical_hypergroups(n):
-            rec = refuter_record(E)
-            assert rec.to_h == enumerate_morphisms(E, H, Tag.CMSC)
-            for e in rec.to_h:
+            for e in enumerate_morphisms(E, H, Tag.CMSC):
                 if any(F.map[v] != v for v in e):
                     continue
-                outcome = equalizer_replay(E, rec.lift_points, e, F.map)
+                outcome = equalizer_replay(E, lift_points(E), e, F.map)
                 direct = refute_equalizer_candidate(E, Morphism(E, H, e))
                 assert equalizer_refutation(E, e, outcome) == direct
                 count += 1
@@ -502,10 +497,9 @@ def test_equalizer_replay_reads_the_sum_of_the_lift_points():
 
     L = weak_sub(H, mask_of(x for x in range(H.n) if F.map[x] == x))
     inc = inclusion_morphism(L, H)
-    rec = refuter_record(L)
     assert analyze(L).classification not in ("CanonicalHypergroup", "AbelianGroup")
-    assert rec.lift_points == (0, 1, 2)
-    outcome = equalizer_replay(L, rec.lift_points, inc.map, F.map)
+    assert lift_points(L) == (0, 1, 2)
+    outcome = equalizer_replay(L, lift_points(L), inc.map, F.map)
     assert outcome == (True, (2, 1), None)
     r = equalizer_refutation(L, inc.map, outcome)
     assert r.steps[1:] == (
@@ -516,7 +510,7 @@ def test_equalizer_replay_reads_the_sum_of_the_lift_points():
     assert r.witness == (2, 1)
     # the same carrier with i + 1 = {0}: z = 0 maps to an F-fixed class
     E = from_masks(L.labels, ((0b001, 0b010, 0b100), (0b010, 0b011, 0b001), (0b100, 0b001, 0b101)))
-    outcome = equalizer_replay(E, refuter_record(E).lift_points, inc.map, F.map)
+    outcome = equalizer_replay(E, lift_points(E), inc.map, F.map)
     assert outcome == (False, (2, 1), 0)
     r = equalizer_refutation(E, inc.map, outcome)
     assert not r.refuted and r.witness is None
