@@ -69,8 +69,10 @@ def test_refuter_hom_sets_match_brute_force_through_order_5(monkeypatch):
         raise AssertionError("a refuter's hom-set search built a Morphism")
 
     # the memoised targets are built first (the gf9 quotient is a quotient
-    # map's codomain), and the search runs cold, not from the memo
-    gf9_quotient()
+    # map's codomain), and every refuter's search runs cold, not from the
+    # memo: the coproduct and Klein-four hom-sets, and the equalizer's
+    # Hom(G, H) and lift points, which the equalizer test below checks
+    H = gf9_quotient().additive
     enumerate_morphisms.cache_clear()
     with monkeypatch.context() as patch:
         patch.setattr(Morphism, "__post_init__", no_morphism)
@@ -82,6 +84,9 @@ def test_refuter_hom_sets_match_brute_force_through_order_5(monkeypatch):
             )
             for G in classes
         ]
+        for G in classes:
+            enumerate_morphisms(G, H, Tag.CMSC)
+            lift_points(G)
 
     coproduct_counts = klein_four_counts = maps = 0
     for G, got in zip(classes, hom_sets):
@@ -130,6 +135,7 @@ def test_equalizer_inputs_match_brute_force_through_order_5():
     classes = [G for n in range(1, 6) for G in enumerate_canonical_hypergroups(n)]
     candidates = 0
     for G in classes:
+        # read from the memo when the test above ran first
         to_h = enumerate_morphisms(G, H, Tag.CMSC)
         homs = _brute_fixed_homs((G.table, G.identity, G.inverse), h, fixed)
         assert [e for e in to_h if all(F.map[v] == v for v in e)] == homs, G.labels
