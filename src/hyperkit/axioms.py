@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from itertools import chain
 
 from .core import Hypermagma, bit_splitter, inverse_scan, product_of_subsets
 from .errors import NotAMosaic, ensure
@@ -76,9 +77,15 @@ def weak_identity_set(M: Hypermagma) -> int:
     return out
 
 
+# the masks of one element each on at most 8 elements
+_SINGLETONS = frozenset(1 << x for x in range(8))
+
+
 def _total_witness(M: Hypermagma) -> tuple[int, ...] | None:
     if M.n == 0:
         return ()
+    if all(map(all, M.table)):
+        return None
     for i, row in enumerate(M.table):
         if not all(row):
             return (i, row.index(0))
@@ -86,6 +93,8 @@ def _total_witness(M: Hypermagma) -> tuple[int, ...] | None:
 
 
 def _commutative_witness(M: Hypermagma) -> tuple[int, ...] | None:
+    if M.table == tuple(zip(*M.table)):
+        return None
     # rows before i equal their columns, so row i first differs past i
     for i, (row, col) in enumerate(zip(M.table, zip(*M.table))):
         if row != col:
@@ -104,7 +113,7 @@ def _associative_witness(M: Hypermagma, commutative: bool) -> tuple[int, ...] | 
     """
     tbl = M.table
     split = bit_splitter(M.n)
-    bits = [[split(m) for m in row] for row in tbl]
+    bits = [[*map(split, row)] for row in tbl]
     others = [x for x in range(M.n) if x != M.identity]
     for a, i in enumerate(others):
         row_i = tbl[i]
@@ -198,9 +207,21 @@ def analyze(M: Hypermagma) -> AxiomReport:
     return axiom_report(M)
 
 
+def _single_valued(M: Hypermagma) -> bool:
+    if M.n <= 8:
+        return _SINGLETONS.issuperset(chain.from_iterable(M.table))
+    return all(m.bit_count() == 1 for row in M.table for m in row)
+
+
 def axiom_report(M: Hypermagma) -> AxiomReport:
     """Every axiom flag of M with its least witness, and M's classification,
-    computed on each call and cached nowhere."""
+    computed on each call and cached nowhere.
+
+    The table is checked; the derived fields are taken as `from_masks`
+    sets them.  The identity is M.identity, and the inverse map is
+    M.inverse: only when it is None is `inverse_scan` run, for the witness,
+    and a table with unique inverses then raises `InvariantViolated`.
+    """
     witnesses: list[tuple[str, tuple[int, ...]]] = []
 
     w_total = _total_witness(M)
@@ -213,18 +234,15 @@ def axiom_report(M: Hypermagma) -> AxiomReport:
     if w_assoc is not None:
         witnesses.append(("associative", w_assoc))
 
-    single = all(m.bit_count() == 1 for row in M.table for m in row)
+    single = _single_valued(M)
 
-    w_inv = inverse_scan(M.table, M.identity)[1]
-    unique_inverses = w_inv is None
-    if not unique_inverses:
-        witnesses.append(("unique_inverses", w_inv))
-
+    unique_inverses = M.inverse is not None
     if unique_inverses:
-        ensure(M.inverse is not None, "analyze: unique inverses but no inverse map")
         w_rev = _reversible_witness(M, w_comm is None)
     else:
-        w_rev = w_inv
+        w_rev = inverse_scan(M.table, M.identity)[1]
+        ensure(w_rev is not None, "analyze: unique inverses but no inverse map")
+        witnesses.append(("unique_inverses", w_rev))
     reversible = w_rev is None
     if not reversible:
         witnesses.append(("reversible", w_rev))

@@ -79,14 +79,18 @@ def image_function(values: Sequence[int]) -> Callable[[int], int]:
     return image
 
 
+# UNIT_ROWS[n]: the row (1, 2, 4, ...) of a scalar identity on n <= 8 elements
+UNIT_ROWS = tuple(tuple(1 << x for x in range(n)) for n in range(9))
+
+
 def _detect_identity(table: Sequence[tuple[int, ...]]) -> int | None:
-    """The scalar identity of a table of row tuples: the row is tested
-    against the unit row in one comparison before the column is read."""
+    """The scalar identity of a table of row tuples: its row, and then its
+    column, equal the unit row, each tested in one comparison."""
     n = len(table)
-    unit = tuple(1 << x for x in range(n))
+    unit = UNIT_ROWS[n] if n <= 8 else tuple(1 << x for x in range(n))
     found = None
     for e, row in enumerate(table):
-        if row == unit and all(r[e] == 1 << x for x, r in enumerate(table)):
+        if row == unit and tuple(map(operator.itemgetter(e), table)) == unit:
             ensure(found is None, "a scalar identity is unique: e = e*e' = e'")
             found = e
     return found
@@ -148,16 +152,18 @@ class Hypermagma:
     def __repr__(self) -> str:
         return f"Hypermagma({list(self.labels)!r}, n={self.n})"
 
-    # The hash of the fields, computed on first use and kept in the instance
-    # dict.  Not a field, so == and repr ignore it, and __getstate__ leaves it
-    # out of pickles and copies: string hashes differ between processes.
+    # The hash of the fields, computed on first use and kept as an instance
+    # attribute.  Set through object.__setattr__, which stores it beside the
+    # fields; reading self.__dict__ would build a dict for every hashed
+    # object.  Not a field, so == and repr ignore it, and __getstate__ leaves
+    # it out of pickles and copies: string hashes differ between processes.
     _hash = None
 
     def __hash__(self) -> int:
         h = self._hash
         if h is None:
             h = hash((self.labels, self.table, self.identity, self.inverse))
-            self.__dict__["_hash"] = h
+            object.__setattr__(self, "_hash", h)
         return h
 
     def __getstate__(self) -> dict:
@@ -169,6 +175,10 @@ class Hypermagma:
 # the types `from_masks` keeps without a copy: exact str labels, exact int masks
 _STR = frozenset({str})
 _INT = frozenset({int})
+# one tuple per inverse map on at most 8 elements, shared by every object
+# `from_masks` builds with it; at most 2,619 maps (an involution of the
+# other n - 1 elements for each identity e)
+_share_inverse = {}.setdefault
 
 
 def from_masks(
@@ -183,7 +193,8 @@ def from_masks(
 
     A `labels` tuple of exact `str`s and each row that is a tuple of exact
     `int`s are kept, not copied, so callers that build many objects can
-    share them; every other input is converted.
+    share them; every other input is converted.  On at most 8 elements
+    equal inverse maps are one tuple.
     """
     if type(labels) is not tuple or not {*map(type, labels)} <= _STR:
         labels = tuple(str(l) for l in labels)
@@ -209,7 +220,10 @@ def from_masks(
         raise IdentityAxiomViolated(
             f"element {labels[identity]!r} is not a two-sided scalar identity"
         )
-    return Hypermagma(labels, tbl, e, inverse_scan(tbl, e)[0])
+    inv = inverse_scan(tbl, e)[0]
+    if inv is not None and n <= 8:
+        inv = _share_inverse(inv, inv)
+    return Hypermagma(labels, tbl, e, inv)
 
 
 def make_hypermagma(

@@ -717,7 +717,10 @@ def enumerate_reversible_tables(
     # call yields; `from_masks` keeps both without a copy
     labels = tuple(str(v) for v in range(n))
     share = {}.setdefault
-    bits_of = [tuple(iter_bits(m)) for m in range(1 << n)]
+    # in_row[r][m]: the flat offsets in row r of the set bits of mask m
+    in_row = [
+        tuple(tuple(r * n + d for d in iter_bits(m)) for m in range(1 << n)) for r in range(n)
+    ]
     sigmas = _involutions(nz) if sigma is None else [sigma]
     for sigma in sigmas:
         orbits = _triple_orbits(nz, sigma)
@@ -759,60 +762,65 @@ def enumerate_reversible_tables(
 
         # entry j is final from depth final[j] on.  (a + b) + c is read from
         # row c and a + (b + c) from row a, which also hold (a, b) and
-        # (c, b) = (b, c); checks[i] lists, as flat offsets (ab, bc, row a,
-        # row c), the triples whose two rows become final at depth i.  By
-        # commutativity (a, b, c) and (c, b, a) are one check and (a, b, a)
-        # always holds, so only a < c is checked.
+        # (c, b) = (b, c); checks[i] lists, as the flat offsets ab and bc
+        # and the `in_row` tables of rows a and c, the triples whose two
+        # rows become final at depth i.  By commutativity (a, b, c) and
+        # (c, b, a) are one check and (a, b, a) always holds, so only a < c
+        # is checked.
         final = [0] * (n * n)
         for i, orb in enumerate(orbits):
             for (x, y, _z) in orb:
                 final[(x + 1) * n + y + 1] = i + 1
-        checks: list[list[tuple[int, int, int, int]]] = [[] for _ in range(k + 1)]
+        checks: list[list[tuple[int, int, tuple, tuple]]] = [[] for _ in range(k + 1)]
         if hypergroups:
             for a in range(1, n):
                 for c in range(a + 1, n):
                     ready = max(final[a * n : a * n + n] + final[c * n : c * n + n])
                     for b in range(1, n):
-                        checks[ready].append((a * n + b, b * n + c, a * n, c * n))
+                        checks[ready].append((a * n + b, b * n + c, in_row[a], in_row[c]))
 
         def rec(i: int, got: int, v: int, tied: int):
-            budget.spend()
-            if hypergroups and (got | suffix[i]) != full_cover:
-                return
-            for ab, bc, ra, rc in checks[i]:
-                left = 0
-                for d in bits_of[tab[ab]]:
-                    left |= tab[rc + d]
-                right = 0
-                for e in bits_of[tab[bc]]:
-                    right |= tab[ra + e]
-                if left != right:
+            # one pass per node: the "in" child of node i is a recursive
+            # call, its "out" child, which keeps got, v and tied, is node
+            # i + 1 of the next pass
+            while True:
+                budget.spend()
+                if hypergroups and (got | suffix[i]) != full_cover:
                     return
-            listed, at = tests[i]
-            live = listed & tied
-            while live:
-                bit = live & -live
-                live ^= bit
-                shift, parts = at[bit]
-                w = 0
-                for lo, chunk in parts:
-                    w |= chunk[(v >> lo) & 255]
-                w >>= shift
-                u = v >> shift
-                if w > u:
+                for ab, bc, row_a, row_c in checks[i]:
+                    left = 0
+                    for x in row_c[tab[ab]]:
+                        left |= tab[x]
+                    right = 0
+                    for x in row_a[tab[bc]]:
+                        right |= tab[x]
+                    if left != right:
+                        return
+                listed, at = tests[i]
+                live = listed & tied
+                while live:
+                    bit = live & -live
+                    live ^= bit
+                    shift, parts = at[bit]
+                    w = 0
+                    for lo, chunk in parts:
+                        w |= chunk[(v >> lo) & 255]
+                    w >>= shift
+                    u = v >> shift
+                    if w > u:
+                        return
+                    if w < u:
+                        tied ^= bit
+                if i == k:
+                    rows = [tuple(tab[r : r + n]) for r in range(0, n * n, n)]
+                    yield from_masks(labels, [share(row, row) for row in rows])
                     return
-                if w < u:
-                    tied ^= bit
-            if i == k:
-                rows = [tuple(tab[r : r + n]) for r in range(0, n * n, n)]
-                yield from_masks(labels, [share(row, row) for row in rows])
-                return
-            for (j, m) in deltas[i]:
-                tab[j] |= m
-            yield from rec(i + 1, got | cover[i], v | 1 << (k - 1 - i), tied)
-            for (j, m) in deltas[i]:
-                tab[j] ^= m
-            yield from rec(i + 1, got, v, tied)
+                for (j, m) in deltas[i]:
+                    tab[j] |= m
+                yield from rec(i + 1, got | cover[i], v | 1 << (k - 1 - i), tied)
+                for (j, m) in deltas[i]:
+                    tab[j] ^= m
+                i += 1
 
         yield from rec(0, 0, 0, -1)  # every symmetry tied
 

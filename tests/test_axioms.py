@@ -4,20 +4,23 @@ import pickle
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hyperkit import axioms, core
 from hyperkit.axioms import (
     Tag,
     analyze,
+    axiom_report,
     check_total_iff_associative_for_mosaics,
     object_in_tag,
     recheck_witness,
     weak_identity_set,
 )
-from hyperkit.core import Morphism, from_masks, permute, product_of_subsets
-from hyperkit.errors import NotAMosaic
+from hyperkit.core import Hypermagma, Morphism, from_masks, permute, product_of_subsets
+from hyperkit.errors import InvariantViolated, NotAMosaic
 from hyperkit.matroid import adjoin_point, fano_matroid, matroid_to_mosaic, uniform_matroid
 from hyperkit.univ import cofree, coequalizer, free
 from hyperkit.zoo import (
     cyclic_group,
+    enumerate_canonical_hypergroups,
     group_to_hypermagma,
     klein_four_group,
     krasner,
@@ -158,3 +161,28 @@ def test_empty_carrier_flags():
     rep = analyze(initial())
     assert not rep.total and rep.classification == "Hypermagma"
     assert rep.witness("total") == ()
+
+
+def test_census_classes_scan_their_inverses_once(monkeypatch):
+    """`from_masks` runs the inverse scan; `axiom_report` reads its result."""
+    scanned = []
+    scan = core.inverse_scan
+
+    def counted(table, e):
+        scanned.append(table)
+        return scan(table, e)
+
+    monkeypatch.setattr(core, "inverse_scan", counted)
+    monkeypatch.setattr(axioms, "inverse_scan", counted)
+    classes = enumerate_canonical_hypergroups.__wrapped__(4)
+    assert [M.table for M in classes] == scanned and len(scanned) == 97
+    # a table without unique inverses is scanned again, for its witness
+    rep = axiom_report(mixed3())
+    assert len(scanned) == 99 and rep.witness("unique_inverses") == ()
+
+
+def test_report_refuses_unique_inverses_without_an_inverse_map():
+    K = krasner()
+    bare = Hypermagma(K.labels, K.table, K.identity, None)
+    with pytest.raises(InvariantViolated, match="unique inverses but no inverse map"):
+        axiom_report(bare)

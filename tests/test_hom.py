@@ -556,6 +556,24 @@ def test_bijection_failure_matches_oracles(images, expected, as_set):
     assert failure == _first_failure(images, list(want))
 
 
+def test_coshort_needs_an_injective_map():
+    # every product of L is all of L, so i^-1(i(x) * i(y)) = x * y at every
+    # pair: only injectivity fails
+    L = from_masks(["a", "b"], [[0b11, 0b11], [0b11, 0b11]])
+    i = Morphism(L, terminal(), (0, 0))
+    assert all(
+        i.preimage_mask(i.cod.table[i.map[x]][i.map[y]]) == L.table[x][y]
+        for x in range(2)
+        for y in range(2)
+    )
+    assert not is_coshort(i)
+
+
+def test_reversibility_criterion_refuses_a_non_unital_object():
+    with pytest.raises(NotUnital, match="^reversibility criterion needs a unital object$"):
+        is_reversible_via_lifting(mixed3())
+
+
 def test_reversible_via_lifting():
     assert is_reversible_via_lifting(krasner())
     assert is_reversible_via_lifting(f_mosaic())

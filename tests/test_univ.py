@@ -153,6 +153,12 @@ def test_coproduct_hmag_free():
     assert check_coproduct_universal(coc, [Fa, Fb], Tag.HMAG, [one_empty(), krasner(), mixed3()])
 
 
+@pytest.mark.parametrize("tag", [Tag.UHMAG, Tag.MSC, Tag.CMSC], ids=lambda t: t.value)
+def test_wedge_coproduct_refuses_a_non_unital_summand(tag):
+    with pytest.raises(NotUnital, match="^wedge coproduct needs unital summands$"):
+        coproduct([z2(), mixed3()], tag)
+
+
 def test_coproduct_f_wedge_f():
     coc = coproduct([f_mosaic(), f_mosaic()], Tag.MSC)
     assert coc.apex.n == 5
