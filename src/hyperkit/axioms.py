@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from itertools import chain
 
 from .core import Hypermagma, bit_splitter, inverse_scan, product_of_subsets
 from .errors import NotAMosaic, ensure
@@ -77,15 +76,9 @@ def weak_identity_set(M: Hypermagma) -> int:
     return out
 
 
-# the masks of one element each on at most 8 elements
-_SINGLETONS = frozenset(1 << x for x in range(8))
-
-
 def _total_witness(M: Hypermagma) -> tuple[int, ...] | None:
     if M.n == 0:
         return ()
-    if all(map(all, M.table)):
-        return None
     for i, row in enumerate(M.table):
         if not all(row):
             return (i, row.index(0))
@@ -93,8 +86,6 @@ def _total_witness(M: Hypermagma) -> tuple[int, ...] | None:
 
 
 def _commutative_witness(M: Hypermagma) -> tuple[int, ...] | None:
-    if M.table == tuple(zip(*M.table)):
-        return None
     # rows before i equal their columns, so row i first differs past i
     for i, (row, col) in enumerate(zip(M.table, zip(*M.table))):
         if row != col:
@@ -207,12 +198,6 @@ def analyze(M: Hypermagma) -> AxiomReport:
     return axiom_report(M)
 
 
-def _single_valued(M: Hypermagma) -> bool:
-    if M.n <= 8:
-        return _SINGLETONS.issuperset(chain.from_iterable(M.table))
-    return all(m.bit_count() == 1 for row in M.table for m in row)
-
-
 def axiom_report(M: Hypermagma) -> AxiomReport:
     """Every axiom flag of M with its least witness, and M's classification,
     computed on each call and cached nowhere.
@@ -234,7 +219,7 @@ def axiom_report(M: Hypermagma) -> AxiomReport:
     if w_assoc is not None:
         witnesses.append(("associative", w_assoc))
 
-    single = _single_valued(M)
+    single = all(m.bit_count() == 1 for row in M.table for m in row)
 
     unique_inverses = M.inverse is not None
     if unique_inverses:

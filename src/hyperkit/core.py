@@ -79,15 +79,11 @@ def image_function(values: Sequence[int]) -> Callable[[int], int]:
     return image
 
 
-# UNIT_ROWS[n]: the row (1, 2, 4, ...) of a scalar identity on n <= 8 elements
-UNIT_ROWS = tuple(tuple(1 << x for x in range(n)) for n in range(9))
-
-
 def _detect_identity(table: Sequence[tuple[int, ...]]) -> int | None:
     """The scalar identity of a table of row tuples: its row, and then its
     column, equal the unit row, each tested in one comparison."""
     n = len(table)
-    unit = UNIT_ROWS[n] if n <= 8 else tuple(1 << x for x in range(n))
+    unit = tuple(1 << x for x in range(n))
     found = None
     for e, row in enumerate(table):
         if row == unit and tuple(map(operator.itemgetter(e), table)) == unit:
@@ -118,7 +114,7 @@ def inverse_scan(
             return None, (x,)
         inv.append(found)
     ensure(
-        all(inv[inv[x]] == x for x in range(n)) and inv[e] == e,
+        [*map(inv.__getitem__, inv)] == [*range(n)] and inv[e] == e,
         "unique inverses form an involution fixing the identity",
     )
     return tuple(inv), None
@@ -201,7 +197,7 @@ def from_masks(
     n = len(labels)
     if len(set(labels)) != n:
         raise DuplicateLabel(f"carrier labels not distinct: {labels}")
-    if len(table) != n or any(len(row) != n for row in table):
+    if len(table) != n or {*map(len, table)} - {n}:
         raise DimensionMismatch(f"table is not {n}x{n}")
     full = (1 << n) - 1
     rows = []
