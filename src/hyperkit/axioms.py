@@ -266,23 +266,6 @@ def check_total_iff_associative_for_mosaics(M: Hypermagma) -> bool:
     return (rep.total and rep.associative) == rep.associative
 
 
-def object_in_tag(M: Hypermagma, tag: Tag) -> bool:
-    rep = analyze(M)
-    if tag is Tag.HMAG:
-        return True
-    if tag is Tag.UHMAG:
-        return M.identity is not None
-    if tag is Tag.MSC:
-        return rep.is_mosaic
-    if tag is Tag.CMSC:
-        return rep.is_mosaic and rep.commutative
-    if tag is Tag.HGRP:
-        return rep.is_hypergroup
-    if tag is Tag.CAN:
-        return rep.is_hypergroup and rep.commutative
-    raise ValueError(tag)
-
-
 def recheck_witness(M: Hypermagma, axiom: str, tup: tuple[int, ...]) -> bool:
     """Re-verify that a reported witness really violates the axiom."""
     if axiom == "total":

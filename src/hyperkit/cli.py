@@ -18,7 +18,7 @@ import sys
 
 from . import formats, search
 from .axioms import Tag, analyze
-from .core import Hypermagma, from_masks, mask_of
+from .core import Hypermagma, fresh_label, from_masks, mask_of
 from .errors import FormatError, HyperkitError
 from .matroid import (
     adjoin_point,
@@ -70,8 +70,8 @@ OPTIONS = {
     "--subgroup": dict(),
     "--action": dict(),
     "--at": dict(default=""),
-    "--gens": dict(type=int, default=1),
-    "--labels": dict(default=""),
+    "--gens": dict(type=int),
+    "--labels": dict(),
     "--name": dict(choices=sorted(BUILTINS), required=True),
     "--simplify": dict(action="store_true"),
     "--quotient-units": dict(metavar="FILE", required=True),
@@ -124,9 +124,10 @@ def _to_hypermagma(kind: str, obj) -> Hypermagma:
 
 
 def _matroid_mosaic(M, force_simplify: bool = False) -> Hypermagma:
-    """The mosaic of M, pointed and simplified first where needed or asked."""
+    """The mosaic of M, pointed and simplified first where needed or asked;
+    an adjoined point is labelled "0", primed past the ground labels."""
     if M.pointed is None:
-        M = adjoin_point(M)
+        M = adjoin_point(M, fresh_label("0", M.ground))
     if force_simplify or not is_simple(M):
         M, _ = simplify(M, pointed=True)
     return matroid_to_mosaic(M)
@@ -247,9 +248,7 @@ def cmd_construct(args) -> int:
         M, N = map(_load_hm, args.inputs)
         out = hom_object(M, N, _tag(args))
     elif verb in ("free", "cofree"):
-        if args.gens < 0:
-            raise FormatError(f"--gens: {args.gens} is negative")
-        gens = args.labels.split(",") if args.labels else [str(i + 1) for i in range(args.gens)]
+        gens = _generators(verb, args.gens, args.labels)
         out = free(_tag(args), gens) if verb == "free" else cofree(gens)
     elif verb == "from-group":
         construction = args.construction
@@ -289,6 +288,23 @@ def cmd_construct(args) -> int:
     _write_outputs(args, out, morphisms)
     print(f"wrote {args.output} ({out.n} elements)")
     return 0
+
+
+def _generators(verb: str, count: int | None, labels: str | None) -> list[str]:
+    """The generators of `free` or `cofree`: the given labels, or 1..count
+    (one generator when neither option is given)."""
+    if labels is None:
+        count = 1 if count is None else count
+        if count < 0:
+            raise FormatError(f"--gens: {count} is negative")
+        return [str(i + 1) for i in range(count)]
+    if count is not None:
+        raise FormatError(f"hyperkit construct {verb}: --gens and --labels exclude each other")
+    gens = labels.split(",")
+    for i, label in enumerate(gens):
+        if label in gens[:i]:
+            raise FormatError(f"--labels: {label!r} is repeated")
+    return gens
 
 
 def _load_kind(path: str, want: str):

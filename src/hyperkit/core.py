@@ -16,7 +16,6 @@ from .errors import (
     DimensionMismatch,
     DuplicateLabel,
     IdentityAxiomViolated,
-    IdentityMissing,
     ensure,
 )
 
@@ -284,11 +283,9 @@ def as_mask(M: Hypermagma, subset: int | Iterable[str]) -> int:
     return M.subset(subset)
 
 
-def weak_sub(M: Hypermagma, L: int | Iterable[str], unital: bool = False) -> Hypermagma:
+def weak_sub(M: Hypermagma, L: int | Iterable[str]) -> Hypermagma:
     """Weak subhypermagma on L with intersected products."""
     Lm = as_mask(M, L)
-    if unital and (M.identity is None or not (Lm >> M.identity) & 1):
-        raise IdentityMissing("unital weak sub requires the identity to lie in L")
     keep = list(iter_bits(Lm))
     reindex = {old: new for new, old in enumerate(keep)}
     labels = tuple(M.labels[i] for i in keep)

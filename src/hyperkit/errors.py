@@ -17,10 +17,6 @@ class IdentityAxiomViolated(HyperkitError):
     pass
 
 
-class IdentityMissing(HyperkitError):
-    pass
-
-
 class NotAMosaic(HyperkitError):
     pass
 

@@ -219,9 +219,15 @@ def parse_lattice(d: dict) -> Hypermagma:
     return M
 
 
+def _part(d: dict, key: str) -> Hypermagma:
+    part = _need(d, key)
+    if not isinstance(part, dict):
+        raise FormatError(f"{key} must be a hypermagma object")
+    return parse_hypermagma(part)
+
+
 def parse_morphism(d: dict) -> Morphism:
-    dom = parse_hypermagma(_need(d, "dom"))
-    cod = parse_hypermagma(_need(d, "cod"))
+    dom, cod = _part(d, "dom"), _part(d, "cod")
     mp = _need(d, "map")
     if not isinstance(mp, dict):
         raise FormatError("map must be an object from domain to codomain labels")

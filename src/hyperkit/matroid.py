@@ -351,7 +351,7 @@ def projective_checks(M: Matroid, others: Sequence[Matroid] = ()) -> dict:
     matroid."""
     if M.pointed is None or not is_simple(M):
         raise NotSimplePointed("projective checks need a pointed simple matroid")
-    law, witness = projective_law_holds(M)
+    law, _ = projective_law_holds(M)
     H = matroid_to_mosaic(M)
     closure_eq = all(M.closure(S) == strict_sub_closure(H, S) for S in range(1 << M.n))
     fullness = True
@@ -363,7 +363,6 @@ def projective_checks(M: Matroid, others: Sequence[Matroid] = ()) -> dict:
                 break
     return {
         "projective_law": law,
-        "projective_witness": witness,
         "closure_eq_generated": closure_eq,
         "fullness": fullness,
     }

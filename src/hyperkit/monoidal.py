@@ -22,6 +22,7 @@ from .core import (
 from .errors import (
     NotAMosaic,
     NotCommutativeMosaic,
+    NotMultiring,
     NotUnital,
     ensure,
 )
@@ -37,6 +38,7 @@ from .hom import (
 )
 from .search import Budget, memo
 from .univ import coequalizer, free, unitize
+from .zoo import Multiring, check_multiring, krasner
 
 
 def boxdot(M: Hypermagma, N: Hypermagma) -> Hypermagma:
@@ -349,8 +351,6 @@ def enumerate_strict_submosaics(M: Hypermagma) -> list[int]:
 
 def strict_classifier_check(M: Hypermagma) -> bool:
     """Kernel map Msc(M, K) -> strict submosaics is a bijection."""
-    from .zoo import krasner
-
     K = krasner()
     subs = enumerate_strict_submosaics(M)
     homs = enumerate_morphisms(M, K, Tag.MSC)
@@ -377,9 +377,6 @@ def to_monoid_object(R) -> MonoidObject:
     The ring laws are those `check_multiring` verifies on R's tables; the
     unit is the unique mosaic map from the free object on one generator.
     """
-    from .errors import NotMultiring
-    from .zoo import Multiring, check_multiring
-
     if not isinstance(R, Multiring):
         raise NotMultiring("expected a Multiring")
     A = R.additive

@@ -18,13 +18,13 @@ from .core import (
     absorptive_closure,
     find_isomorphism,
     from_masks,
+    identity_morphism,
     initial,
     iter_bits,
     mask_of,
     opposite,
     product_of_subsets,
     terminal,
-    weak_sub,
 )
 from .errors import ensure
 from .hom import (
@@ -182,16 +182,6 @@ def battery(tag: Tag) -> list[Hypermagma]:
     ]
 
 
-def acceptance_battery() -> list[Hypermagma]:
-    return [
-        krasner(),
-        z2(),
-        free(Tag.CMSC, ("1",)),
-        klein_v(),
-        gf9_quotient().additive,
-    ]
-
-
 # ---------------------------------------------------------------------------
 # Checks
 
@@ -224,8 +214,7 @@ def check_gf9() -> tuple[bool, str]:
     alpha2 = H.index("i")
     s = H.label_set(H.table[one][alpha2])
     F = gf9_frobenius()
-    fixed = mask_of(x for x in range(H.n) if F.map[x] == x)
-    L = weak_sub(H, fixed)
+    L, _ = equalizer(identity_morphism(H), F)
     i1, ia2 = L.index("1"), L.index("i")
     ok = (
         H.n == 5
@@ -240,9 +229,10 @@ def check_gf9() -> tuple[bool, str]:
 
 def check_representing_objects() -> tuple[bool, str]:
     bad = []
+    bat = battery(Tag.CMSC)
     for tag in (Tag.HMAG, Tag.UHMAG, Tag.MSC, Tag.CMSC):
         ro = representing_object(tag)
-        for M in acceptance_battery():
+        for M in bat:
             homs = enumerate_morphisms(ro.obj, M, tag)
             got = ((h[ro.a], h[ro.b], h[ro.c]) for h in homs)
             if bijection_failure(got, triples(M)) is not None:
@@ -290,7 +280,7 @@ def check_monoidal_units() -> tuple[bool, str]:
     two-element free unital object is verified as the unit and the terminal
     object is recorded as collapsing (1 wedge M is a point, not M)."""
     ok = True
-    for M in acceptance_battery():
+    for M in battery(Tag.CMSC):
         T, _ = tensor(one_empty(), M, Tag.HMAG)
         ok &= find_isomorphism(T, M) is not None
         W, _ = tensor(wedge_unit(), M, Tag.UHMAG)
@@ -353,8 +343,9 @@ def check_boxtimes_health() -> tuple[bool, str]:
     iso_z2 = find_isomorphism(bt.cod, z2()) is not None
     details.append(f"Z2 boxtimes Z2 has {bt.cod.n} elements, iso to Z2: {iso_z2}")
     ok &= bt.cod.n == 2 and iso_z2
-    for M in acceptance_battery():
-        for N in acceptance_battery():
+    bat = battery(Tag.CMSC)
+    for M in bat:
+        for N in bat:
             q = boxtimes(M, N)
             rep = analyze(q.cod)
             ok &= rep.is_mosaic and rep.commutative
@@ -448,15 +439,7 @@ def check_normal_morphisms() -> tuple[bool, str]:
 
 
 def check_strict_classifier() -> tuple[bool, str]:
-    mosaics = [
-        terminal(),
-        z2(),
-        krasner(),
-        free(Tag.CMSC, ("1",)),
-        klein_v(),
-        gf9_quotient().additive,
-        matroid_to_mosaic(adjoin_point(fano_matroid())),
-    ]
+    mosaics = battery(Tag.CMSC) + [matroid_to_mosaic(adjoin_point(fano_matroid()))]
     for M in mosaics:
         if not strict_classifier_check(M):
             return False, f"fails at {M.labels}"
@@ -556,13 +539,14 @@ def check_coproduct_refuter(max_size: int = 5) -> tuple[bool, str]:
 
 def check_equalizer_refuter(max_size: int = 5) -> tuple[bool, str]:
     H, F = gf9_quotient().additive, gf9_frobenius()
+    # the maps E -> H that F fixes are those through the equalizer L of id and F
+    L, inc = equalizer(identity_morphism(H), F)
     total = 0
     for E in _classes(max_size):
         points = lift_points(E)
-        for e in enumerate_morphisms(E, H, Tag.CMSC):
-            if any(F.map[v] != v for v in e):
-                continue
+        for h in enumerate_morphisms(E, L, Tag.CMSC):
             total += 1
+            e = tuple(inc.map[v] for v in h)
             if not equalizer_replay(E, points, e, F.map)[0]:
                 return False, f"candidate survived: {E.labels}"
     return True, f"all {total} equalizing candidates of size <= {max_size} refuted"
@@ -655,7 +639,7 @@ def check_empty_sum(max_size: int = 6) -> tuple[bool, str]:
 
 def check_f2_represents() -> tuple[bool, str]:
     Z = z2()
-    for G in acceptance_battery():
+    for G in battery(Tag.CMSC):
         homs = enumerate_morphisms(Z, G, Tag.CMSC)
         fixture = [
             x for x in range(G.n) if (G.table[x][x] >> G.identity) & 1
@@ -732,7 +716,7 @@ def check_mosaic_closure() -> tuple[bool, str]:
 
 
 def check_inversion() -> tuple[bool, str]:
-    for M in acceptance_battery():
+    for M in battery(Tag.CMSC):
         inv = M.inverse
         for x in range(M.n):
             for y in range(M.n):
@@ -796,7 +780,7 @@ def check_multiring_embedding() -> tuple[bool, str]:
 
 
 def check_opposite() -> tuple[bool, str]:
-    for M in acceptance_battery() + [mixed3()]:
+    for M in battery(Tag.CMSC) + [mixed3()]:
         if opposite(opposite(M)) != M:
             return False, "opposite not involutive"
     M = mixed3()

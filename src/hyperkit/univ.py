@@ -17,6 +17,7 @@ from .core import (
     distinct_labels,
     fresh_label,
     from_masks,
+    is_absorptive,
     iter_bits,
     mask_of,
     quotient,
@@ -316,8 +317,6 @@ def is_normal_mono(i: Morphism, tag: Tag) -> bool:
     """Injective strict unital morphism onto an absorptive image."""
     if tag not in UNITAL_TAGS:
         raise NotUnitalTag("normal monomorphisms live in the unital tags")
-    from .core import is_absorptive
-
     return (
         is_injective(i)
         and is_unital(i)

@@ -1107,7 +1107,7 @@ def _verify_empty_sum(H: Hypermagma, x: int, y: int) -> bool:
     zero = H.identity
     s_mask = mask_of(t for t in range(H.n) if (H.table[t][t] >> zero) & 1)
     route1 = H.table[x][y] != 0 and H.table[x][y] & s_mask == 0
-    from .monoidal import hom_object
+    from .monoidal import hom_object  # deferred: monoidal imports zoo
 
     Hm = hom_object(z2(), H, Tag.CMSC)
     fi = Hm.index(f"({H.labels[zero]},{H.labels[x]})")

@@ -59,7 +59,7 @@ from hyperkit.monoidal import (
 )
 from hyperkit.suite import (
     _morphism_battery,
-    acceptance_battery,
+    battery,
     check_closed_counts,
     check_coproduct_refuter,
     check_equalizer_refuter,
@@ -78,7 +78,6 @@ from hyperkit.zoo import (
     gf9_quotient,
     group_to_hypermagma,
     is_modular_lattice,
-    klein_four_group,
     krasner,
     krasner_multiring,
     lattice_mosaic,
@@ -126,7 +125,7 @@ def test_criterion_4_representing_objects():
     with criterion(4, "representing-object bijections, four tags"):
         for tag in (Tag.HMAG, Tag.UHMAG, Tag.MSC, Tag.CMSC):
             ro = representing_object(tag)
-            for M in acceptance_battery():
+            for M in battery(Tag.CMSC):
                 homs = enumerate_morphisms(ro.obj, M, tag)
                 got = sorted((h[ro.a], h[ro.b], h[ro.c]) for h in homs)
                 assert got == sorted(triples(M)), (tag, M.labels)
@@ -146,7 +145,7 @@ def test_criterion_5_coequalizer_example():
 def test_criterion_6_monoidal_units_boxdot_boxtimes():
     with criterion(6, "monoidal units for boxdot and boxtimes"):
         F = free(Tag.CMSC, ("1",))
-        for M in acceptance_battery():
+        for M in battery(Tag.CMSC):
             T, _ = tensor(one_empty(), M, Tag.HMAG)
             assert find_isomorphism(T, M) is not None
             B, _ = tensor(F, M, Tag.CMSC)
@@ -159,13 +158,16 @@ def test_criterion_6_monoidal_unit_wedge_as_stated():
     with criterion(
         6, "terminal object is not the wedge unit; the free one-generator object is"
     ):
-        bat = acceptance_battery()
+        bat = battery(Tag.CMSC)
         for M in bat:
             for L in bat:
                 assert len(enumerate_bimorphisms(terminal(), M, L, Tag.UHMAG)) == 1
-            assert len(enumerate_morphisms(M, M, Tag.UHMAG)) >= 2
             W, _ = tensor(terminal(), M, Tag.UHMAG)
-            assert W.n == 1 and find_isomorphism(W, M) is None
+            assert W.n == 1
+            # 1 wedge 1 = 1 holds; every other battery member refutes the claim
+            if M.n > 1:
+                assert len(enumerate_morphisms(M, M, Tag.UHMAG)) >= 2
+                assert find_isomorphism(W, M) is None
             # corrected statement: the free unital object on one generator
             U, _ = tensor(wedge_unit(), M, Tag.UHMAG)
             assert find_isomorphism(U, M) is not None
@@ -186,7 +188,7 @@ def test_criterion_8_boxtimes_z2_as_stated():
     # does not.
     with criterion(8, "Z2 boxtimes Z2 is Z2, not K"):
         Z2, K = z2(), krasner()
-        bat = acceptance_battery()
+        bat = battery(Tag.CMSC)
         misses = {}
         for L in bat:
             bims = len(enumerate_bimorphisms(Z2, Z2, L, Tag.CMSC))
@@ -203,8 +205,9 @@ def test_criterion_8_boxtimes_z2_as_stated():
 
 def test_criterion_8_nondegeneracy():
     with criterion(8, "nondegeneracy of boxtimes across the battery"):
-        for M in acceptance_battery():
-            for N in acceptance_battery():
+        bat = battery(Tag.CMSC)
+        for M in bat:
+            for N in bat:
                 q = boxtimes(M, N)
                 pi = q.map
                 for x in range(M.n):
@@ -250,15 +253,7 @@ def test_regularity_builds_one_coequalizer_per_partition(monkeypatch):
 
 def test_criterion_11_strict_classifier():
     with criterion(11, "Krasner classifies strict submosaics"):
-        mosaics = [
-            terminal(),
-            z2(),
-            krasner(),
-            free(Tag.CMSC, ("1",)),
-            group_to_hypermagma(klein_four_group()),
-            gf9_quotient().additive,
-            matroid_to_mosaic(adjoin_point(fano_matroid())),
-        ]
+        mosaics = battery(Tag.CMSC) + [matroid_to_mosaic(adjoin_point(fano_matroid()))]
         for M in mosaics:
             assert strict_classifier_check(M)
 

@@ -10,7 +10,6 @@ from hyperkit.axioms import (
     analyze,
     axiom_report,
     check_total_iff_associative_for_mosaics,
-    object_in_tag,
     recheck_witness,
     weak_identity_set,
 )
@@ -145,14 +144,6 @@ def test_strengthened_reversibility_equivalence():
                     in_prod = bool((M.table[y][z] >> x) & 1)
                     assert in_prod == bool((M.table[x][inv[z]] >> y) & 1)
                     assert in_prod == bool((M.table[inv[y]][x] >> z) & 1)
-
-
-def test_object_in_tag():
-    assert object_in_tag(krasner(), Tag.CAN)
-    assert object_in_tag(f_mosaic(), Tag.CMSC)
-    assert not object_in_tag(f_mosaic(), Tag.CAN)
-    assert object_in_tag(mixed3(), Tag.HMAG)
-    assert not object_in_tag(mixed3(), Tag.UHMAG)
 
 
 def test_empty_carrier_flags():

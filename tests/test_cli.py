@@ -1,16 +1,21 @@
+import contextlib
+import copy
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hyperkit import formats
 from hyperkit.axioms import Tag, analyze
 from hyperkit.cli import main
-from hyperkit.core import find_isomorphism
-from hyperkit.errors import SearchCapExceeded
+from hyperkit.core import Morphism, find_isomorphism
+from hyperkit.errors import FormatError, SearchCapExceeded
 from hyperkit.hom import enumerate_morphisms
 from hyperkit.matroid import adjoin_point, fano_matroid, graphic_matroid, is_simple
 from hyperkit.univ import free
@@ -107,6 +112,18 @@ def test_check_reads_groups_rings_and_matroids_as_hypermagmas(tmp_path, capsys, 
     assert f"classification: {words}\nelements: {n}\n" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("argv", [["check"], ["construct", "from-matroid", "-o", "{out}"]])
+def test_unpointed_matroid_with_a_point_labelled_0_gets_a_primed_point(tmp_path, capsys, argv):
+    # the adjoined point is "0", primed past the ground's own "0"
+    payload = {"kind": "matroid", "ground": ["0", "a"], "independent": [[], ["0"], ["a"], ["0", "a"]]}
+    path = write_obj(tmp_path, "m.json", payload)
+    out = str(tmp_path / "out.json")
+    assert main([a.format(out=out) for a in argv] + [path]) == 0
+    assert capsys.readouterr().err == ""
+    if argv[0] == "construct":
+        assert formats.load(out)[1].labels == ("0'", "0", "a")
+
+
 @pytest.mark.parametrize(
     "n, key, message",
     [(15, "flats", "flats input capped at 14 elements"),
@@ -153,7 +170,7 @@ AWKWARD = ('say "hi"', "back\\slash", "tab\tline\nnul\x00\x1f\x7f", "é☃\u2028
 
 
 def test_dumps_writes_the_bytes_of_json_dumps_indent_2():
-    from hyperkit.core import Morphism, from_masks
+    from hyperkit.core import from_masks
     from hyperkit.matroid import make_matroid
     from hyperkit.univ import cofree
     from hyperkit.zoo import make_finite_group, make_finite_ring
@@ -284,8 +301,6 @@ def test_construct_unitize(tmp_path):
 
 
 def test_construct_coequalizer_via_morphism_files(tmp_path):
-    from hyperkit.core import Morphism
-
     Z, K = z2(), krasner()
     t = Morphism(Z, K, (0, 1))
     zero = Morphism(Z, K, (0, 0))
@@ -605,6 +620,10 @@ _K = formats.hypermagma_to_dict(krasner())
             {"kind": "morphism", "dom": _K, "cod": _K, "map": {"0": "0", "1": "1"}},
             "cannot analyze kind 'morphism'",
         ),
+        (
+            {"kind": "morphism", "dom": None, "cod": _K, "map": {"0": "0", "1": "1"}},
+            "dom must be a hypermagma object",
+        ),
     ],
     ids=[
         "list-table-entry",
@@ -628,6 +647,7 @@ _K = formats.hypermagma_to_dict(krasner())
         "map-misses-a-label",
         "map-image-not-a-label",
         "check-a-morphism",
+        "morphism-dom-not-object",
     ],
 )
 def test_malformed_labels_exit_2_with_one_line(tmp_path, capsys, payload, message):
@@ -768,6 +788,25 @@ def test_negative_gens_exits_2_with_one_line(tmp_path, capsys, verb):
     assert formats.load(out)[1].n == 0
 
 
+@pytest.mark.parametrize("verb", ["free", "cofree"])
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--gens", "5", "--labels", "a,b"], "hyperkit construct {verb}: --gens and --labels exclude each other"),
+        (["--labels", "a,b,a"], "--labels: 'a' is repeated"),
+    ],
+    ids=["gens-and-labels", "repeated-label"],
+)
+def test_generator_options_that_conflict_exit_2_with_one_line(tmp_path, capsys, verb, args, message):
+    out = str(tmp_path / "out.json")
+    assert main(["construct", verb, *args, "-o", out]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not os.path.exists(out)
+    assert captured.err == "error: " + message.format(verb=verb) + "\n"
+    assert main(["construct", verb, "--labels", "a,b", "-o", out]) == 0
+    assert formats.load(out)[1].labels == ("a", "b")
+
+
 @pytest.mark.parametrize(
     "argv, left, right, labels",
     [
@@ -843,8 +882,6 @@ OPTION_VALUES = {
 
 
 def _signature_files(tmp_path):
-    from hyperkit.core import Morphism
-
     Z, K = z2(), krasner()
     chain = {"kind": "lattice", "carrier": ["0", "1"], "top": "1", "meet": [["0", "0"], ["0", "1"]]}
     return {
@@ -1055,3 +1092,85 @@ def test_check_does_not_import_the_suite(tmp_path):
     assert proc.returncode == 0 and proc.stdout.startswith("classification:")
     imported = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()]
     assert "hyperkit.cli" in imported and "hyperkit.suite" not in imported
+
+
+# A valid object file of every kind, and of every matroid notation, for the
+# mutation test below.
+VALID_FILES = {
+    "hypermagma": formats.hypermagma_to_dict(gf9_add()),
+    "group": formats.group_to_dict(symmetric_group(3)),
+    "ring": formats.ring_to_dict(make_gf9()),
+    "matroid-flats": formats.matroid_to_dict(adjoin_point(fano_matroid())),
+    "matroid-independent": {"kind": "matroid", "ground": ["a", "b"], "independent": [[], ["a"], ["b"]]},
+    "matroid-rank": {
+        "kind": "matroid",
+        "ground": ["a", "b"],
+        "rank": [[[], 0], [["a"], 1], [["b"], 1], [["a", "b"], 1]],
+    },
+    "lattice": {
+        "kind": "lattice",
+        "carrier": ["0", "a", "1"],
+        "top": "1",
+        "meet": [["0", "0", "0"], ["0", "a", "a"], ["0", "a", "1"]],
+    },
+    "morphism": formats.morphism_to_dict(Morphism(z2(), krasner(), (0, 1))),
+}
+
+# JSON values a mutation writes: labels of the files above among them, so
+# that some mutants stay well-formed and fail only an axiom
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-2, 3)
+    | st.floats(allow_nan=False, width=16)
+    | st.sampled_from(["0", "1", "a", "e", "", "i", "b\nc"])
+    | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["kind", "carrier", "table", "identity", "x"]), inner, max_size=2),
+    max_leaves=5,
+)
+
+
+def _slots(node, out):
+    """Every (container, key) of a JSON tree, outside in."""
+    for key, value in list(node.items() if isinstance(node, dict) else enumerate(node)):
+        out.append((node, key))
+        if isinstance(value, (dict, list)):
+            _slots(value, out)
+    return out
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(sorted(VALID_FILES)), st.data())
+def test_mutated_object_files_fail_only_as_format_errors(kind, data):
+    d = copy.deepcopy(VALID_FILES[kind])
+    for _ in range(data.draw(st.integers(1, 3))):
+        node, key = data.draw(st.sampled_from(_slots(d, [])))
+        op = data.draw(st.sampled_from(["replace", "delete", "insert"]))
+        if op == "replace":
+            node[key] = data.draw(JSON_VALUES)
+        elif op == "delete":
+            del node[key]
+        elif isinstance(node, list):
+            node.insert(key, data.draw(JSON_VALUES))
+        else:
+            fields = ["identity", "top", "pointed", "flats", "rank", "x"]
+            node[data.draw(st.sampled_from(fields))] = data.draw(JSON_VALUES)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "obj.json")
+        with open(path, "w") as fh:
+            fh.write(formats.dumps(d))
+        try:
+            formats.load(path)
+            loaded = True
+        except FormatError:
+            loaded = False
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["check", path])
+    # a file that loads is checked, except a morphism, which is no object
+    if loaded and kind != "morphism":
+        assert (code, err.getvalue()) == (0, ""), d
+    else:
+        assert code == 2, d
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, d

@@ -29,7 +29,6 @@ from hyperkit.errors import (
     DimensionMismatch,
     DuplicateLabel,
     IdentityAxiomViolated,
-    IdentityMissing,
 )
 from hyperkit.hom import is_coshort, inclusion_morphism, representing_object
 from hyperkit.univ import cofree, free
@@ -160,10 +159,8 @@ def test_weak_sub_inclusions_are_coshort():
 def test_weak_sub_whole_carrier_and_point():
     K = krasner()
     assert weak_sub(K, K.full_mask()) == K
-    e_only = weak_sub(K, ["0"], unital=True)
+    e_only = weak_sub(K, ["0"])
     assert e_only.n == 1 and e_only.identity == 0
-    with pytest.raises(IdentityMissing):
-        weak_sub(K, ["1"], unital=True)
 
 
 def test_weak_sub_frobenius_fixed_points():

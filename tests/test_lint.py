@@ -1,5 +1,6 @@
-"""Source checks over src/hyperkit: no unused module-level imports, no name
-a function reads that is bound nowhere, no memo outside hyperkit.search,
+"""Source checks over src/hyperkit: no unused module-level imports, no
+function-level import but the three deferred ones, no name a function
+reads that is bound nowhere, no memo outside hyperkit.search,
 memoised functions with positional parameters only, no bare `assert` in any
 module, no definition that nothing names, no dataclass field that nothing
 reads, and every function the benchmark's tracer wraps still exists."""
@@ -35,6 +36,36 @@ def test_module_level_imports_are_used(name):
                 imported.add((alias.asname or alias.name).split(".")[0])
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     assert sorted(imported - used) == []
+
+
+# (module, function, imported module) of each import a function makes: cli
+# keeps the suite out of `check` and `construct`, and the other two break a
+# cycle; each states its reason on its line
+DEFERRED_IMPORTS = [
+    ("cli.py", "cmd_paper_suite", "suite"),
+    ("hom.py", "representing_object", "univ"),
+    ("zoo.py", "_verify_empty_sum", "monoidal"),
+]
+
+
+def test_function_level_imports_are_the_deferred_ones():
+    found = []
+    for name in MODULES:
+        with open(os.path.join(SRC, name)) as fh:
+            source = fh.read()
+        lines = source.splitlines()
+        owner = {}
+        # ast.walk goes outside in, so a nested function overwrites its parent
+        for node in ast.walk(ast.parse(source, name)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for child in ast.walk(node):
+                    owner[child] = node.name
+        for node, function in owner.items():
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                module = node.module if isinstance(node, ast.ImportFrom) else node.names[0].name
+                found.append((name, function, module))
+                assert "  # deferred: " in lines[node.lineno - 1], found[-1]
+    assert sorted(found) == DEFERRED_IMPORTS
 
 
 # a global that no module-level statement binds fails only when it is read

@@ -1,3 +1,4 @@
+import collections
 import functools
 import itertools
 import os
@@ -366,19 +367,22 @@ def test_monoid_objects():
 
 
 def test_strict_slices_iff_hyperring_on_small_multirings():
-    """Every multiring of order <= 3 (additive part a canonical hypergroup
-    class, every multiplication table, every nonzero one) that
-    `check_multiring` accepts: the slices of its multiplication are colax,
-    and all strict exactly when the table route calls it a hyperring."""
+    """Every multiring of order <= 4 (additive part a canonical hypergroup
+    class, every nonzero one, and every multiplication table with 0 absorbing
+    and `one` a two-sided identity) that `check_multiring` accepts: the
+    slices of its multiplication are colax, and all strict exactly when the
+    table route calls it a hyperring."""
     seen = []
-    for n in (1, 2, 3):
-        nonzero = range(1, n)
+    for n in (1, 2, 3, 4):
         for A in enumerate_canonical_hypergroups(n):
-            for values in itertools.product(range(n), repeat=(n - 1) ** 2):
-                mul = [[0] * n for _ in range(n)]
-                for (x, y), v in zip(itertools.product(nonzero, repeat=2), values):
-                    mul[x][y] = v
-                for one in nonzero:
+            for one in range(1, n):
+                rest = [x for x in range(1, n) if x != one]
+                for values in itertools.product(range(n), repeat=len(rest) ** 2):
+                    mul = [[0] * n for _ in range(n)]
+                    for x in range(1, n):
+                        mul[one][x] = mul[x][one] = x
+                    for (x, y), v in zip(itertools.product(rest, repeat=2), values):
+                        mul[x][y] = v
                     try:
                         flags = check_multiring(A, mul, one)
                     except HyperkitError:
@@ -390,8 +394,16 @@ def test_strict_slices_iff_hyperring_on_small_multirings():
                     slices += [Morphism(A, A, col) for col in zip(*B.table)]
                     assert all(is_colax(f) for f in slices)
                     assert is_strict_bimorphism(B) == flags["hyperring"]
-                    seen.append(flags["hyperring"])
-    assert (len(seen), sum(seen)) == (22, 14)
+                    seen.append((n, flags["hyperring"]))
+    # (order, hyperring): 454 multirings, 58 of them hyperrings, and both
+    # answers at orders 3 and 4
+    assert collections.Counter(seen) == {
+        (2, True): 2,
+        (3, False): 8,
+        (3, True): 12,
+        (4, False): 388,
+        (4, True): 44,
+    }
 
 def test_monoid_object_laws_survive_optimize_flag():
     script = """

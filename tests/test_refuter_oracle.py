@@ -9,18 +9,22 @@ two refutations at order <= 5 on their own: a coproduct Z2 + Z2 needs
 |Hom(G, K)| = 4 and |Hom(G, Z2)| = 4, and a representing object for the
 Klein-four bimorphisms needs 50 and 16, and no class meets either pair.
 
-The equalizer refuter reads, per class, the maps of Hom(G, H) fixed by the
-Frobenius F of the GF(9) quotient H, and the lift points of G.  Both are
-brute-forced on every class: a map into the F-fixed elements is tried once
-per choice on the inverse pairs, with the unit sent to the unit and -x to
-the inverse of the image of x, and then tested colax.  Replayed on these
-inputs, every one of the 14,162 candidates is refuted.
+The equalizer refuter reads, per class, the maps G -> H that the Frobenius
+F of the GF(9) quotient H fixes, as inc . h for h in Hom(G, L), where
+inc: L -> H is the equalizer of id and F (`univ.equalizer`), and the lift
+points of G.  Both are brute-forced on every class: a map into the F-fixed
+elements is tried once per choice on the inverse pairs, with the unit sent
+to the unit and -x to the inverse of the image of x, and then tested colax.
+The same list is the F-fixed part of Hom(G, H), so Hom(G, H)^F =
+Hom(G, H^F).  Replayed on these inputs, every one of the 14,162 candidates
+is refuted.
 """
 import itertools
 
 from hyperkit.axioms import Tag
-from hyperkit.core import Morphism
+from hyperkit.core import Morphism, identity_morphism
 from hyperkit.hom import enumerate_morphisms
+from hyperkit.univ import equalizer
 from hyperkit.zoo import (
     enumerate_canonical_hypergroups,
     equalizer_replay,
@@ -69,10 +73,11 @@ def test_refuter_hom_sets_match_brute_force_through_order_5(monkeypatch):
         raise AssertionError("a refuter's hom-set search built a Morphism")
 
     # the memoised targets are built first (the gf9 quotient is a quotient
-    # map's codomain), and every refuter's search runs cold, not from the
-    # memo: the coproduct and Klein-four hom-sets, and the equalizer's
-    # Hom(G, H) and lift points, which the equalizer test below checks
-    H = gf9_quotient().additive
+    # map's codomain, and the equalizer's inclusion is a Morphism), and every
+    # refuter's search runs cold, not from the memo: the coproduct and
+    # Klein-four hom-sets, and the equalizer's Hom(G, L) and lift points,
+    # which the equalizer test below checks
+    L, _ = equalizer(identity_morphism(gf9_quotient().additive), gf9_frobenius())
     enumerate_morphisms.cache_clear()
     with monkeypatch.context() as patch:
         patch.setattr(Morphism, "__post_init__", no_morphism)
@@ -85,7 +90,7 @@ def test_refuter_hom_sets_match_brute_force_through_order_5(monkeypatch):
             for G in classes
         ]
         for G in classes:
-            enumerate_morphisms(G, H, Tag.CMSC)
+            enumerate_morphisms(G, L, Tag.CMSC)
             lift_points(G)
 
     coproduct_counts = klein_four_counts = maps = 0
@@ -129,15 +134,19 @@ def _brute_fixed_homs(dom, cod, fixed):
 
 def test_equalizer_inputs_match_brute_force_through_order_5():
     H, F = gf9_quotient().additive, gf9_frobenius()
+    L, inc = equalizer(identity_morphism(H), F)
     fixed = [v for v in range(H.n) if F.map[v] == v]
+    assert list(inc.map) == fixed
     assert all(H.inverse[v] in fixed for v in fixed)
     h = (H.table, H.identity, H.inverse)
     classes = [G for n in range(1, 6) for G in enumerate_canonical_hypergroups(n)]
     candidates = 0
     for G in classes:
         # read from the memo when the test above ran first
-        to_h = enumerate_morphisms(G, H, Tag.CMSC)
+        to_l = [tuple(inc.map[v] for v in e) for e in enumerate_morphisms(G, L, Tag.CMSC)]
         homs = _brute_fixed_homs((G.table, G.identity, G.inverse), h, fixed)
+        assert to_l == homs, G.labels
+        to_h = enumerate_morphisms(G, H, Tag.CMSC)
         assert [e for e in to_h if all(F.map[v] == v for v in e)] == homs, G.labels
         e = G.identity
         points = tuple(x for x in range(G.n) if (G.table[x][x] >> e) & 1 and (G.table[x][x] >> x) & 1)
