@@ -277,34 +277,26 @@ def opposite(M: Hypermagma) -> Hypermagma:
     return Hypermagma(M.labels, rows, M.identity, M.inverse)
 
 
-def as_mask(M: Hypermagma, subset: int | Iterable[str]) -> int:
-    if isinstance(subset, int):
-        return subset
-    return M.subset(subset)
-
-
-def weak_sub(M: Hypermagma, L: int | Iterable[str]) -> Hypermagma:
-    """Weak subhypermagma on L with intersected products."""
-    Lm = as_mask(M, L)
-    keep = list(iter_bits(Lm))
+def weak_sub(M: Hypermagma, L: int) -> Hypermagma:
+    """Weak subhypermagma on the mask L with intersected products."""
+    keep = list(iter_bits(L))
     reindex = {old: new for new, old in enumerate(keep)}
     labels = tuple(M.labels[i] for i in keep)
     rows = []
     for i in keep:
-        rows.append([mask_of(reindex[z] for z in iter_bits(M.table[i][j] & Lm)) for j in keep])
+        rows.append([mask_of(reindex[z] for z in iter_bits(M.table[i][j] & L)) for j in keep])
     return from_masks(labels, rows)
 
 
-def strict_sub_closure(M: Hypermagma, S: int | Iterable[str]) -> int:
-    """Least subset containing S closed under products (and identity and
-    inverses, whenever M carries them).
+def strict_sub_closure(M: Hypermagma, K: int) -> int:
+    """Least subset containing the mask K closed under products (and
+    identity and inverses, whenever M carries them).
 
     Semi-naive rounds: a product of two elements both found before the last
     round was taken in an earlier round, so each round takes only the
     products x*y and y*x with x added in the last round and y anywhere in K.
     K stays closed under the inverse, an involution, so the inverse of an
     element outside K is outside K too."""
-    K = as_mask(M, S)
     if M.identity is not None:
         K |= 1 << M.identity
     inverse, table = M.inverse, M.table
@@ -336,9 +328,9 @@ def is_absorptive(M: Hypermagma, K: int) -> bool:
     return not _absorbed(M, K)
 
 
-def absorptive_closure(M: Hypermagma, S: int | Iterable[str]) -> int:
-    """Least set containing S that is both a strict sub and absorptive."""
-    K = strict_sub_closure(M, as_mask(M, S))
+def absorptive_closure(M: Hypermagma, S: int) -> int:
+    """Least set containing the mask S that is both a strict sub and absorptive."""
+    K = strict_sub_closure(M, S)
     while True:
         added = _absorbed(M, K)
         if not added:

@@ -41,10 +41,6 @@ class NotUnital(HyperkitError):
     pass
 
 
-class NotUnitalTag(HyperkitError):
-    pass
-
-
 class CodomainNotUnital(HyperkitError):
     pass
 

@@ -188,9 +188,7 @@ def parse_matroid(d: dict) -> Matroid:
         _index(pos, pointed, "pointed")
     for key in ("flats", "independent"):
         if key in d:
-            sets = entries(key)
-            for S in sets:
-                subset(S, key)
+            sets = [subset(S, key) for S in entries(key)]
             return make_matroid(ground, pointed=pointed, **{key: sets})
     if "rank" in d:
         pairs = {}

@@ -126,29 +126,6 @@ def bijection_failure(
     return None
 
 
-@dataclass(frozen=True)
-class MorphismKinds:
-    colax: bool
-    lax: bool
-    strict: bool
-    unital: bool
-    injective: bool
-    surjective: bool
-
-
-@memo
-def check_kind(f: Morphism) -> MorphismKinds:
-    colax, lax = _colax_lax(f)
-    return MorphismKinds(
-        colax=colax,
-        lax=lax,
-        strict=colax and lax,
-        unital=is_unital(f),
-        injective=is_injective(f),
-        surjective=is_surjective(f),
-    )
-
-
 def is_short(p: Morphism) -> bool:
     """Surjective with x*y = p(p^-1(x) * p^-1(y)); surjectivity is checked,
     never assumed."""

@@ -12,6 +12,7 @@ from .core import (
     UnionFind,
     bit_splitter,
     distinct_labels,
+    fresh_label,
     from_masks,
     iter_bits,
     mask_of,
@@ -71,11 +72,9 @@ class Matroid:
     def subset(self, labels: Iterable[str]) -> int:
         return mask_of(self.index(l) for l in labels)
 
-    def closure(self, S: int | Iterable[str]) -> int:
-        """cl(S), the least flat holding S: the flats are closed under
-        intersection, so it is the first flat by size that holds S."""
-        if not isinstance(S, int):
-            S = self.subset(S)
+    def closure(self, S: int) -> int:
+        """cl(S), the least flat holding the mask S: the flats are closed
+        under intersection, so it is the first flat by size that holds S."""
         by_size, holding = self._closure_index
         live = -1
         for x in iter_bits(S):
@@ -112,31 +111,29 @@ def _check_exchange(M: Matroid) -> None:
 
 def make_matroid(
     ground: Sequence[str],
-    flats: Sequence[int | Iterable[str]] | None = None,
+    flats: Sequence[int] | None = None,
     rank=None,
-    independent: Sequence[Iterable[str]] | None = None,
+    independent: Sequence[int] | None = None,
     pointed: str | None = None,
 ) -> Matroid:
     """Validated matroid from flats (primary), a rank oracle, or the list of
-    independent sets (the latter two converted by exhaustive closure)."""
+    independent sets (the latter two converted by exhaustive closure); every
+    subset, given or passed to the oracle, is a mask over the ground."""
     ground = tuple(str(g) for g in ground)
     n = len(ground)
     if len(set(ground)) != n:
         raise DuplicateLabel(f"ground labels not distinct: {ground}")
-    pos = {g: i for i, g in enumerate(ground)}
     if flats is not None:
         if n > FLATS_CAP:
             raise SearchCapExceeded(f"flats input capped at {FLATS_CAP} elements")
-        fl = set()
-        for F in flats:
-            fl.add(F if isinstance(F, int) else mask_of(pos[x] for x in F))
+        fl = set(flats)
     else:
         if n > CONVERT_CAP:
             raise SearchCapExceeded(f"conversion input capped at {CONVERT_CAP} elements")
         if rank is None:
             if independent is None:
                 raise NoMatroidData("give flats, a rank function or the independent sets")
-            indep = {mask_of(pos[x] for x in I) for I in independent}
+            indep = set(independent)
 
             def rank_fn(S: int) -> int:
                 return max(
@@ -163,7 +160,7 @@ def make_matroid(
         for B in listed[i:]:
             if A & B not in fl:
                 raise FlatsNotIntersectionClosed(f"intersection of flats {A:b} and {B:b} missing")
-    M = Matroid(ground, tuple(sorted(fl)), pos[pointed] if pointed is not None else None)
+    M = Matroid(ground, tuple(sorted(fl)), ground.index(pointed) if pointed is not None else None)
     if M.pointed is not None and not (M.loops() >> M.pointed) & 1:
         raise NotSimplePointed("the distinguished point must be a loop")
     _check_exchange(M)
@@ -206,7 +203,7 @@ def simplify(M: Matroid, pointed: bool = False) -> tuple[Matroid, tuple[int, ...
     labels = [M.ground[next(iter_bits(F & ~loops))] for F in atoms]
     if pointed:
         zl = M.ground[M.pointed] if M.pointed is not None else "0"
-        labels = [zl + "'" if zl in labels else zl] + labels
+        labels = [fresh_label(zl, labels)] + labels
         offset = 1
     else:
         offset = 0

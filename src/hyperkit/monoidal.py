@@ -279,14 +279,12 @@ def curry(phi: Morphism, M: Hypermagma, N: Hypermagma, tag: Tag) -> Morphism:
     return psi
 
 
-def uncurry(psi: Morphism, M: Hypermagma, N: Hypermagma, L: Hypermagma, tag: Tag) -> Morphism:
-    """Hom(M, [N, L]) -> Hom(M (x) N, L)."""
+def uncurry(psi: Morphism, N: Hypermagma, L: Hypermagma, tag: Tag) -> Morphism:
+    """Hom(M, [N, L]) -> Hom(M (x) N, L), where M is the domain of psi."""
+    M = psi.dom
     T, u = tensor(M, N, tag)
     homs = enumerate_morphisms(N, L, tag)
-    ensure(
-        psi.dom == M and psi.cod == hom_object(N, L, tag),
-        "uncurry: psi does not map M into the hom object [N, L]",
-    )
+    ensure(psi.cod == hom_object(N, L, tag), "uncurry: psi does not map into the hom object [N, L]")
     values: dict[int, int] = {}
     for x in range(M.n):
         h = homs[psi.map[x]]
@@ -303,15 +301,12 @@ def uncurry(psi: Morphism, M: Hypermagma, N: Hypermagma, L: Hypermagma, tag: Tag
 
 
 def represents_bimorphisms(
-    T: Hypermagma,
-    u: Bimorphism,
-    battery: Sequence[Hypermagma],
-    tag: Tag,
+    u: Bimorphism, battery: Sequence[Hypermagma], tag: Tag
 ) -> tuple[bool, str | None]:
-    """Whether composing with u is a bijection Hom(T, L) -> Bim(dom1, dom2; L)
-    for every battery object L; returns the first failure as a witness."""
-    ensure(u.cod == T, "represents_bimorphisms: u does not land in T")
-    M, N = u.dom1, u.dom2
+    """Whether composing with u is a bijection Hom(T, L) -> Bim(dom1, dom2; L),
+    T = u.cod, for every battery object L; returns the first failure as a
+    witness."""
+    M, N, T = u.dom1, u.dom2, u.cod
     for i, L in enumerate(battery):
         bims = set(enumerate_bimorphisms(M, N, L, tag))
         homs = enumerate_morphisms(T, L, tag)

@@ -7,7 +7,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .axioms import Tag, UNITAL_TAGS
+from .axioms import Tag
 from .core import (
     Hypermagma,
     Morphism,
@@ -31,7 +31,6 @@ from .errors import (
     NoCommonCodomain,
     NotParallel,
     NotUnital,
-    NotUnitalTag,
     UnsupportedCategory,
     ensure,
 )
@@ -51,12 +50,9 @@ from .search import memo
 
 @dataclass(frozen=True)
 class Cone:
-    apex: Hypermagma
-    legs: tuple[Morphism, ...]
+    """An apex with its legs: out of the apex for a limit, into it for a
+    colimit."""
 
-
-@dataclass(frozen=True)
-class Cocone:
     apex: Hypermagma
     legs: tuple[Morphism, ...]
 
@@ -156,10 +152,11 @@ def product(Ms: Sequence[Hypermagma]) -> Cone:
     return Cone(P, projections)
 
 
-def coproduct(Ms: Sequence[Hypermagma], tag: Tag) -> Cocone:
+def coproduct(Ms: Sequence[Hypermagma], tag: Tag) -> Cone:
     """Disjoint union (HMag) or wedge at a shared unit e (the unital tags),
-    presented by every summand's triples pushed through its leg.  Element x
-    of summand i is labelled x@i; i follows the last @, so no two collide."""
+    presented by every summand's triples pushed through its leg; the legs
+    point into the apex.  Element x of summand i is labelled x@i; i follows
+    the last @, so no two collide."""
     if tag in (Tag.HGRP, Tag.CAN):
         raise UnsupportedCategory(
             "binary coproducts can fail to exist for hypergroups; use a mosaic tag"
@@ -184,7 +181,7 @@ def coproduct(Ms: Sequence[Hypermagma], tag: Tag) -> Cocone:
         (leg[x], leg[y], leg[z]) for M, leg in zip(Ms, slot) for x, y, z in triples(M)
     )
     C = presented(labels, relations, unit)
-    return Cocone(C, tuple(Morphism(M, C, tuple(leg)) for M, leg in zip(Ms, slot)))
+    return Cone(C, tuple(Morphism(M, C, tuple(leg)) for M, leg in zip(Ms, slot)))
 
 
 def equalizer(
@@ -270,30 +267,13 @@ def coequalizer(f: Morphism, g: Morphism, tag: Tag) -> Morphism:
 
 
 def pullback(f: Morphism, g: Morphism) -> Cone:
-    """Fiber product with intersected componentwise products."""
+    """The equalizer of f.p1 and g.p2 on the product of the domains, with
+    legs p1.inc and p2.inc."""
     if f.cod != g.cod:
         raise NoCommonCodomain("pullback needs a common codomain")
-    L, M = f.dom, g.dom
-    pairs = [(x, y) for x in range(L.n) for y in range(M.n) if f.map[x] == g.map[y]]
-    index = {p: i for i, p in enumerate(pairs)}
-    labels = distinct_labels(f"{L.labels[x]}|{M.labels[y]}" for x, y in pairs)
-    n = len(pairs)
-    rows = [[0] * n for _ in range(n)]
-    for ia, (x, x2) in enumerate(pairs):
-        for ib, (y, y2) in enumerate(pairs):
-            left = L.table[x][y]
-            right = M.table[x2][y2]
-            m = 0
-            for z in iter_bits(left):
-                for z2 in iter_bits(right):
-                    idx = index.get((z, z2))
-                    if idx is not None:
-                        m |= 1 << idx
-            rows[ia][ib] = m
-    P = from_masks(labels, rows)
-    p1 = Morphism(P, L, tuple(x for x, _ in pairs))
-    p2 = Morphism(P, M, tuple(y for _, y in pairs))
-    return Cone(P, (p1, p2))
+    p1, p2 = product([f.dom, g.dom]).legs
+    P, inc = equalizer(compose(f, p1), compose(g, p2))
+    return Cone(P, (compose(p1, inc), compose(p2, inc)))
 
 
 def regular_image_factorization(f: Morphism, tag: Tag) -> tuple[Morphism, Morphism]:
@@ -313,10 +293,8 @@ def regular_image_factorization(f: Morphism, tag: Tag) -> tuple[Morphism, Morphi
     return q, m
 
 
-def is_normal_mono(i: Morphism, tag: Tag) -> bool:
+def is_normal_mono(i: Morphism) -> bool:
     """Injective strict unital morphism onto an absorptive image."""
-    if tag not in UNITAL_TAGS:
-        raise NotUnitalTag("normal monomorphisms live in the unital tags")
     return (
         is_injective(i)
         and is_unital(i)
@@ -325,10 +303,8 @@ def is_normal_mono(i: Morphism, tag: Tag) -> bool:
     )
 
 
-def is_normal_epi(p: Morphism, tag: Tag) -> bool:
+def is_normal_epi(p: Morphism) -> bool:
     """True when p is isomorphic over its domain to unitize(M, ker p)."""
-    if tag not in UNITAL_TAGS:
-        raise NotUnitalTag("normal epimorphisms live in the unital tags")
     if not is_surjective(p) or p.cod.identity is None:
         return False
     # p is onto, so ker p is nonempty and q is onto as well.
@@ -355,13 +331,12 @@ def is_normal_epi(p: Morphism, tag: Tag) -> bool:
 # maps, so it first checks once that they compose, as `compose` does.
 
 
-def check_product_universal(
-    cone: Cone, factors: Sequence[Hypermagma], tag: Tag, battery: Sequence[Hypermagma]
-) -> bool:
+def check_product_universal(cone: Cone, tag: Tag, battery: Sequence[Hypermagma]) -> bool:
+    """Whether the cone is a product of the codomains of its legs."""
     if any(p.dom != cone.apex for p in cone.legs):
         raise DimensionMismatch("composition mismatch: a leg does not start at the apex")
     for T in battery:
-        legsets = [enumerate_morphisms(T, M, tag) for M in factors]
+        legsets = [enumerate_morphisms(T, p.cod, tag) for p in cone.legs]
         mediated = (
             tuple(tuple(p.map[v] for v in m) for p in cone.legs)
             for m in enumerate_morphisms(T, cone.apex, tag)
@@ -371,13 +346,12 @@ def check_product_universal(
     return True
 
 
-def check_coproduct_universal(
-    cocone: Cocone, summands: Sequence[Hypermagma], tag: Tag, battery: Sequence[Hypermagma]
-) -> bool:
+def check_coproduct_universal(cocone: Cone, tag: Tag, battery: Sequence[Hypermagma]) -> bool:
+    """Whether the cocone is a coproduct of the domains of its legs."""
     if any(inj.cod != cocone.apex for inj in cocone.legs):
         raise DimensionMismatch("composition mismatch: a leg does not end at the apex")
     for T in battery:
-        legsets = [enumerate_morphisms(M, T, tag) for M in summands]
+        legsets = [enumerate_morphisms(inj.dom, T, tag) for inj in cocone.legs]
         mediated = (
             tuple(tuple(m[v] for v in inj.map) for inj in cocone.legs)
             for m in enumerate_morphisms(cocone.apex, T, tag)
@@ -388,22 +362,18 @@ def check_coproduct_universal(
 
 
 def check_equalizer_universal(
-    f: Morphism,
-    g: Morphism,
-    obj: Hypermagma,
-    inc: Morphism,
-    tag: Tag,
-    battery: Sequence[Hypermagma],
+    f: Morphism, g: Morphism, inc: Morphism, tag: Tag, battery: Sequence[Hypermagma]
 ) -> bool:
-    if g.dom != f.dom or inc.dom != obj:
-        raise DimensionMismatch("composition mismatch: dom(g) != dom(f) or dom(inc) != obj")
+    """Whether inc is an equalizer of f and g."""
+    if g.dom != f.dom or inc.cod != f.dom:
+        raise DimensionMismatch("composition mismatch: dom(g) != dom(f) or cod(inc) != dom(f)")
     for T in battery:
         cones = {
             q
             for q in enumerate_morphisms(T, f.dom, tag)
             if all(f.map[v] == g.map[v] for v in q)
         }
-        mediated = (tuple(inc.map[v] for v in h) for h in enumerate_morphisms(T, obj, tag))
+        mediated = (tuple(inc.map[v] for v in h) for h in enumerate_morphisms(T, inc.dom, tag))
         if bijection_failure(mediated, cones) is not None:
             return False
     return True

@@ -164,9 +164,7 @@ def is_subgroup(G: FiniteGroup, K: int) -> bool:
 # Group-derived hypergroups
 
 
-def double_coset_hypergroup(G: FiniteGroup, K: int | Iterable[str]) -> Hypermagma:
-    if not isinstance(K, int):
-        K = mask_of(G.index(l) for l in K)
+def double_coset_hypergroup(G: FiniteGroup, K: int) -> Hypermagma:
     if not is_subgroup(G, K):
         raise NotASubgroup("K is not a subgroup")
     ks = list(iter_bits(K))
@@ -504,10 +502,8 @@ def make_multiring(additive: Hypermagma, mul: Sequence[Sequence[int]], one: int)
     )
 
 
-def krasner_quotient(R: FiniteRing, G: int | Iterable[str]) -> Multiring:
-    """Quotient multiring R/G by a subgroup of the unit group."""
-    if not isinstance(G, int):
-        G = mask_of(R.index(l) for l in G)
+def krasner_quotient(R: FiniteRing, G: int) -> Multiring:
+    """Quotient multiring R/G by a subgroup G (a mask) of the unit group."""
     units = R.units()
     if G & ~units or not (G >> R.one) & 1:
         raise NotUnitSubgroup("G must be a subgroup of the unit group")

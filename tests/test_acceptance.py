@@ -29,12 +29,14 @@ from hyperkit import suite
 from hyperkit.axioms import Tag, analyze
 from hyperkit.core import Morphism, find_isomorphism, iter_bits, mask_of
 from hyperkit.hom import (
-    check_kind,
     enumerate_morphisms,
+    is_colax,
     is_reversible_via_lifting,
     is_short,
     is_short_via_lifting,
+    is_strict,
     is_strict_via_lifting,
+    is_unital,
     representing_object,
     triples,
 )
@@ -224,7 +226,7 @@ def test_criterion_9_morphism_characterizations():
                 for B in objs:
                     for fmap in enumerate_morphisms(A, B, tag):
                         f = Morphism(A, B, fmap)
-                        assert is_strict_via_lifting(f, tag) == check_kind(f).strict
+                        assert is_strict_via_lifting(f, tag) == is_strict(f)
                         assert is_short_via_lifting(f, tag) == is_short(f)
             if tag is not Tag.HMAG:
                 for M in objs:
@@ -297,8 +299,8 @@ def test_criterion_14_matroid_functor():
             for f in itertools.product(range(Nn.n), repeat=Mm.n):
                 if f[Mm.pointed] != Nn.pointed or not is_strong_map(Mm, Nn, f):
                     continue
-                k = check_kind(Morphism(HM, HN, f))
-                assert k.colax and k.unital
+                m = Morphism(HM, HN, f)
+                assert is_colax(m) and is_unital(m)
         # projective pairs are full
         assert projective_checks(fano, others=[u24, fano])["fullness"]
         assert projective_checks(u24, others=[fano, u24])["fullness"]

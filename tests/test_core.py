@@ -159,7 +159,7 @@ def test_weak_sub_inclusions_are_coshort():
 def test_weak_sub_whole_carrier_and_point():
     K = krasner()
     assert weak_sub(K, K.full_mask()) == K
-    e_only = weak_sub(K, ["0"])
+    e_only = weak_sub(K, K.subset(["0"]))
     assert e_only.n == 1 and e_only.identity == 0
 
 
@@ -179,20 +179,20 @@ def test_weak_sub_frobenius_fixed_points():
 
 def test_strict_sub_closure():
     K = krasner()
-    assert strict_sub_closure(K, ["1"]) == 0b11
-    assert strict_sub_closure(K, []) == 0b01  # the identity alone
+    assert strict_sub_closure(K, K.subset(["1"])) == 0b11
+    assert strict_sub_closure(K, 0) == 0b01  # the identity alone
     Z = z2()
-    assert strict_sub_closure(Z, ["0"]) == 0b01
+    assert strict_sub_closure(Z, Z.subset(["0"])) == 0b01
 
 
 def test_absorptive_closure():
     K = krasner()
-    assert absorptive_closure(K, ["1"]) == 0b11
+    assert absorptive_closure(K, K.subset(["1"])) == 0b11
     Z = z2()
-    assert absorptive_closure(Z, ["0"]) == 0b01
+    assert absorptive_closure(Z, Z.subset(["0"])) == 0b01
     # the section 3.1 coequalizer object: [0]+[0] = {[0],[2]} absorbs [2]
     L = from_masks(("0", "2"), ((0b11, 0b11), (0b11, 0b11)))
-    assert absorptive_closure(L, ("0",)) == 0b11
+    assert absorptive_closure(L, L.subset(["0"])) == 0b11
 
 
 def test_closures_monotone_idempotent():

@@ -17,19 +17,21 @@ from hyperkit.errors import CodomainNotUnital, FormatError, NotUnital, SearchCap
 from hyperkit import hom, monoidal
 from hyperkit.hom import (
     bijection_failure,
-    check_kind,
     colax_schedule,
     constant_morphism,
     enumerate_morphisms,
     inclusion_morphism,
+    is_colax,
     is_coshort,
     is_injective,
+    is_lax,
     is_reversible_via_lifting,
     is_short,
     is_short_via_lifting,
     is_strict,
     is_strict_via_lifting,
     is_surjective,
+    is_unital,
     kernel,
     morphism_in_tag,
     representing_object,
@@ -63,23 +65,23 @@ def tau():
     return Morphism(z2(), krasner(), (0, 1))
 
 
-def test_check_kind_identity():
-    k = check_kind(identity_morphism(krasner()))
-    assert k.colax and k.lax and k.strict and k.unital and k.injective and k.surjective
+def test_kind_predicates_identity():
+    f = identity_morphism(krasner())
+    assert is_colax(f) and is_lax(f) and is_strict(f) and is_unital(f)
+    assert is_injective(f) and is_surjective(f)
 
 
-def test_check_kind_tau():
-    k = check_kind(tau())
-    assert k.colax and k.unital and k.injective
-    assert not k.strict and not k.lax
+def test_kind_predicates_tau():
+    t = tau()
+    assert is_colax(t) and is_unital(t) and is_injective(t)
+    assert not is_strict(t) and not is_lax(t)
     # a bijective morphism that is not an isomorphism
-    assert k.surjective
+    assert is_surjective(t)
 
 
 def test_constant_identity_morphism():
     f = constant_morphism(krasner(), z2(), 0)
-    k = check_kind(f)
-    assert k.colax and k.unital
+    assert is_colax(f) and is_unital(f)
 
 
 def test_enumerate_can_z2_k():
@@ -355,7 +357,6 @@ def test_strict_only_enumeration():
     # the strict unital maps Z2 -> K, filtered from the hom-set
     homs = _morphisms(z2(), krasner(), Tag.UHMAG)
     assert [h.map for h in homs if is_strict(h)] == [(0, 0)]
-    assert [h.map for h in homs if check_kind(h).strict] == [(0, 0)]
 
 
 def test_representing_object_tables_verbatim():
@@ -432,7 +433,7 @@ def test_short_conjugacy_surjection():
         label = S3.labels[min(members)]
         cls.append(conj.index(label))
     pi = Morphism(G, conj, tuple(cls))
-    assert check_kind(pi).colax
+    assert is_colax(pi)
     assert is_short(pi)
     # the surjection is not strict: transposition classes multiply to two classes
     assert not is_strict(pi)
@@ -451,7 +452,7 @@ def test_short_coshort_compose():
     from hyperkit.core import weak_sub
 
     K = krasner()
-    L = weak_sub(K, ["0"])
+    L = weak_sub(K, K.subset(["0"]))
     i1 = inclusion_morphism(L, K)
     assert is_coshort(i1)
     assert is_coshort(compose(identity_morphism(K), i1))
@@ -489,7 +490,7 @@ def test_kernel_of_unitization_is_absorptive_closure():
 def test_strict_lifting_examples():
     assert is_strict_via_lifting(identity_morphism(krasner()), Tag.CMSC)
     assert not is_strict_via_lifting(tau(), Tag.CMSC)
-    assert check_kind(tau()).strict == is_strict_via_lifting(tau(), Tag.CMSC)
+    assert is_strict(tau()) == is_strict_via_lifting(tau(), Tag.CMSC)
 
 
 def test_short_lifting_examples():
@@ -507,7 +508,7 @@ def test_lifting_criteria_agree_on_battery():
             for B in objs:
                 for fmap in enumerate_morphisms(A, B, tag):
                     f = Morphism(A, B, fmap)
-                    assert is_strict_via_lifting(f, tag) == check_kind(f).strict
+                    assert is_strict_via_lifting(f, tag) == is_strict(f)
                     assert is_short_via_lifting(f, tag) == is_short(f)
 
 

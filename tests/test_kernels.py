@@ -20,7 +20,9 @@ the scan over every point per flat; `canonical_form`, which drops a
 permutation at its first entry above the least form so far, against the
 loop that builds every permutation's whole form; and the coequalizers that
 `check_regularity` shares between pairs generating the same partition
-against the coequalizer of each pair.
+against the coequalizer of each pair.  `pullback`, the equalizer of f.p1
+and g.p2 on the product, is checked against the loop over the fibre
+product.
 """
 import itertools
 import random
@@ -36,6 +38,7 @@ from hyperkit.core import (
     UnionFind,
     canonical_form,
     compose,
+    distinct_labels,
     fresh_label,
     from_masks,
     identity_morphism,
@@ -52,7 +55,6 @@ from hyperkit.core import (
 from hyperkit import zoo
 from hyperkit.errors import DimensionMismatch, DuplicateLabel
 from hyperkit.hom import (
-    check_kind,
     enumerate_morphisms,
     is_colax,
     is_lax,
@@ -69,7 +71,8 @@ from hyperkit.matroid import (
 )
 from hyperkit.monoidal import boxdot, curry, hom_object, tensor
 from hyperkit.suite import _closed_count_triples, _morphism_battery
-from hyperkit.univ import coequalizer, identified, unitize
+from hyperkit.univ import coequalizer, identified, pullback, unitize
+from util import small_battery
 from hyperkit.zoo import (
     conjugacy_hypergroup,
     cyclic_group,
@@ -344,8 +347,6 @@ def _check_colax_lax_strict(data, sizes):
         N = from_masks(N.labels, rows)
     f = Morphism(M, N, fmap)
     assert (is_colax(f), is_lax(f), is_strict(f)) == _old_kinds(f)
-    k = check_kind(f)
-    assert (k.colax, k.lax, k.strict) == _old_kinds(f)
     assert is_strict(identity_morphism(M))
 
 
@@ -458,6 +459,49 @@ def _old_curry(phi, M, N, tag):
         slice_map = tuple(phi.map[u(x, y)] for y in range(N.n))
         images.append(next(i for i, h in enumerate(homs) if h == slice_map))
     return tuple(images)
+
+
+def _old_pullback(f, g):
+    """The fibre product of f and g with intersected componentwise
+    products, and its two legs."""
+    L, M = f.dom, g.dom
+    pairs = [(x, y) for x in range(L.n) for y in range(M.n) if f.map[x] == g.map[y]]
+    index = {p: i for i, p in enumerate(pairs)}
+    labels = distinct_labels(f"{L.labels[x]}|{M.labels[y]}" for x, y in pairs)
+    n = len(pairs)
+    rows = [[0] * n for _ in range(n)]
+    for ia, (x, x2) in enumerate(pairs):
+        for ib, (y, y2) in enumerate(pairs):
+            m = 0
+            for z in iter_bits(L.table[x][y]):
+                for z2 in iter_bits(M.table[x2][y2]):
+                    idx = index.get((z, z2))
+                    if idx is not None:
+                        m |= 1 << idx
+            rows[ia][ib] = m
+    P = from_masks(labels, rows)
+    return P, Morphism(P, L, tuple(x for x, _ in pairs)), Morphism(P, M, tuple(y for _, y in pairs))
+
+
+def test_pullback_matches_fibre_product_loop():
+    # the fibre product reads f and g only through their domains and the
+    # pairs (x, y) with f(x) = g(y), so each such key is built once: 3,319
+    # keys among the 17,561 pairs of maps into a common battery object
+    battery = small_battery()
+    seen = {}
+    for N in battery:
+        into = [Morphism(L, N, m) for L in battery for m in enumerate_morphisms(L, N, Tag.HMAG)]
+        for f in into:
+            for g in into:
+                key = (f.dom, g.dom, tuple(u == v for u in f.map for v in g.map))
+                seen[key] = seen.get(key, 0) + 1
+                if seen[key] > 1:
+                    continue
+                cone = pullback(f, g)
+                P, p1, p2 = _old_pullback(f, g)
+                assert (cone.apex.table, cone.apex.labels) == (P.table, P.labels)
+                assert cone.legs == (p1, p2)
+    assert (len(seen), sum(seen.values())) == (3319, 17561)
 
 
 @pytest.mark.parametrize("tag", [Tag.HMAG, Tag.UHMAG, Tag.CMSC], ids=lambda t: t.value)

@@ -3,7 +3,8 @@ function-level import but the three deferred ones, no name a function
 reads that is bound nowhere, no memo outside hyperkit.search,
 memoised functions with positional parameters only, no bare `assert` in any
 module, no definition that nothing names, no dataclass field that nothing
-reads, and every function the benchmark's tracer wraps still exists."""
+reads, no function parameter that its body never reads, and every function
+the benchmark's tracer wraps still exists."""
 import ast
 import builtins
 import importlib
@@ -85,6 +86,28 @@ def test_globals_read_are_bound(name):
                 if not hasattr(builtins, g):
                     unbound.append(f"{scope.get_name()}: {g}")
     assert sorted(unbound) == []
+
+
+# a parameter that the body never reads is an input that does nothing
+def test_function_parameters_are_read():
+    unread = []
+    for name in MODULES:
+        for node in ast.walk(_tree(name)):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            a = node.args
+            params = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs]
+            params += [p.arg for p in (a.vararg, a.kwarg) if p is not None]
+            body = node.body if isinstance(node.body, list) else [node.body]
+            read = {
+                n.id
+                for stmt in body
+                for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+            }
+            function = f"{name}:{getattr(node, 'name', 'lambda')}"
+            unread += [f"{function}:{p}" for p in params if p not in read]
+    assert unread == []
 
 
 @pytest.mark.parametrize("name", [m for m in MODULES if m != "search.py"])

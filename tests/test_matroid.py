@@ -14,7 +14,7 @@ from hyperkit.errors import (
     NotSimplePointed,
     SearchCapExceeded,
 )
-from hyperkit.hom import check_kind, enumerate_morphisms
+from hyperkit.hom import enumerate_morphisms, is_colax, is_unital
 from hyperkit.matroid import (
     CONVERT_CAP,
     FANO_LINES,
@@ -168,7 +168,7 @@ def _rank_one(key: str, n: int) -> dict:
         return {"flats": [0, (1 << n) - 1]}
     if key == "rank":
         return {"rank": lambda S: int(S != 0)}
-    return {"independent": [()] + [(f"p{i}",) for i in range(n)]}
+    return {"independent": [0] + [1 << i for i in range(n)]}
 
 
 @pytest.mark.parametrize(
@@ -244,7 +244,7 @@ def test_rank_and_independent_input():
     assert sorted(tri.flats) == sorted(uni.flats)
     ind = make_matroid(
         ["a", "b", "c"],
-        independent=[[], ["a"], ["b"], ["c"], ["a", "b"], ["a", "c"], ["b", "c"]],
+        independent=[0, 0b001, 0b010, 0b100, 0b011, 0b101, 0b110],
     )
     assert sorted(ind.flats) == sorted(uni.flats)
 
@@ -276,6 +276,15 @@ def test_simplify_loopy_pointed():
     # unpointed simplification of a loopy matroid has no strong unit map
     S2, unit2 = simplify(g)
     assert unit2 is None
+
+
+def test_simplify_pointed_label_passes_every_primed_atom():
+    # the adjoined point is primed past every atom label, not only once
+    M = make_matroid(["0", "0'"], flats=[0, 1, 2, 3])
+    S, unit = simplify(M, pointed=True)
+    assert S.ground == ("0''", "0", "0'")
+    assert unit == (1, 2)
+    assert matroid_to_mosaic(S).labels == S.ground
 
 
 def test_mosaic_u23():
@@ -326,8 +335,7 @@ def test_strong_maps_to_mosaic_morphisms():
         if is_strong_map(u23, u24, f):
             count += 1
             m = Morphism(H23, H24, f)
-            k = check_kind(m)
-            assert k.colax and k.unital
+            assert is_colax(m) and is_unital(m)
     assert count > 0
 
 

@@ -18,12 +18,11 @@ from hyperkit.errors import (
     NoCommonCodomain,
     NotParallel,
     NotUnital,
-    NotUnitalTag,
     UnsupportedCategory,
 )
 from hyperkit.hom import (
-    check_kind,
     enumerate_morphisms,
+    is_colax,
     is_coshort,
     is_injective,
     is_short,
@@ -31,7 +30,6 @@ from hyperkit.hom import (
     is_surjective,
 )
 from hyperkit.univ import (
-    Cocone,
     Cone,
     check_coequalizer_universal,
     check_coproduct_universal,
@@ -119,7 +117,7 @@ def test_product_krasner_squared():
     assert P.label_set(P.table[i11][i11]) == ("0|0", "0|1", "1|0", "1|1")
     for leg in cone.legs:
         assert is_strict(leg) and is_short(leg)
-    assert check_product_universal(cone, [krasner(), krasner()], Tag.UHMAG, probes())
+    assert check_product_universal(cone, Tag.UHMAG, probes())
 
 
 def test_empty_product_is_terminal():
@@ -140,7 +138,7 @@ def test_coproduct_wedge():
     x, y = 1, 2
     assert W.table[x][x] == 0b001 and W.table[y][y] == 0b001
     assert W.table[x][y] == 0
-    assert check_coproduct_universal(coc, [z2(), z2()], Tag.UHMAG, probes())
+    assert check_coproduct_universal(coc, Tag.UHMAG, probes())
     rep = analyze(W)
     assert rep.is_mosaic
 
@@ -150,7 +148,7 @@ def test_coproduct_hmag_free():
     Fb = free(Tag.HMAG, ("b",))
     coc = coproduct([Fa, Fb], Tag.HMAG)
     assert find_isomorphism(coc.apex, free(Tag.HMAG, ("a", "b"))) is not None
-    assert check_coproduct_universal(coc, [Fa, Fb], Tag.HMAG, [one_empty(), krasner(), mixed3()])
+    assert check_coproduct_universal(coc, Tag.HMAG, [one_empty(), krasner(), mixed3()])
 
 
 @pytest.mark.parametrize("tag", [Tag.UHMAG, Tag.MSC, Tag.CMSC], ids=lambda t: t.value)
@@ -199,9 +197,7 @@ def test_equalizer_frobenius():
     rep = analyze(E)
     assert rep.is_mosaic and rep.commutative and not rep.total
     assert is_coshort(inc)
-    assert check_equalizer_universal(
-        identity_morphism(H), F, E, inc, Tag.UHMAG, probes()
-    )
+    assert check_equalizer_universal(identity_morphism(H), F, inc, Tag.UHMAG, probes())
 
 
 def test_equalizer_tau_zero():
@@ -232,15 +228,15 @@ def test_universal_verifiers_reject_non_universal_candidates():
     K, Z = krasner(), z2()
     # K x K with one projection as a product of K alone: mediators repeat
     cone = product([K, K])
-    assert not check_product_universal(Cone(cone.apex, cone.legs[:1]), [K], Tag.UHMAG, probes())
+    assert not check_product_universal(Cone(cone.apex, cone.legs[:1]), Tag.UHMAG, probes())
     # the codiagonal Z2 <- Z2 -> Z2: pairs of different legs have no mediator
     ident = identity_morphism(Z)
-    assert not check_coproduct_universal(Cocone(Z, (ident, ident)), [Z, Z], Tag.UHMAG, probes())
+    assert not check_coproduct_universal(Cone(Z, (ident, ident)), Tag.UHMAG, probes())
     # identities that do not (co)equalize t and zero: every map T -> Z2 (or
     # K -> T) is mediated, also those outside the (co)cones
     t = Morphism(Z, K, (0, 1))
     zero = Morphism(Z, K, (0, 0))
-    assert not check_equalizer_universal(t, zero, Z, ident, Tag.UHMAG, probes())
+    assert not check_equalizer_universal(t, zero, ident, Tag.UHMAG, probes())
     assert not check_coequalizer_universal(t, zero, identity_morphism(K), Tag.UHMAG, probes())
 
 
@@ -249,10 +245,10 @@ def test_universal_verifiers_reject_maps_that_do_not_compose():
     idK, idZ = identity_morphism(K), identity_morphism(Z)
     t = Morphism(Z, K, (0, 1))
     calls = [
-        lambda: check_product_universal(Cone(Z, (idK,)), [K], Tag.UHMAG, probes()),
-        lambda: check_coproduct_universal(Cocone(Z, (idK,)), [K], Tag.UHMAG, probes()),
-        lambda: check_equalizer_universal(t, idK, Z, idZ, Tag.UHMAG, probes()),
-        lambda: check_equalizer_universal(t, t, K, idZ, Tag.UHMAG, probes()),
+        lambda: check_product_universal(Cone(Z, (idK,)), Tag.UHMAG, probes()),
+        lambda: check_coproduct_universal(Cone(Z, (idK,)), Tag.UHMAG, probes()),
+        lambda: check_equalizer_universal(t, idK, idZ, Tag.UHMAG, probes()),
+        lambda: check_equalizer_universal(t, t, idK, Tag.UHMAG, probes()),
         lambda: check_coequalizer_universal(t, idZ, idK, Tag.UHMAG, probes()),
     ]
     for call in calls:
@@ -335,21 +331,19 @@ def test_regular_image_factorization():
         vmap.append(0 if lbl in ("0", "a1") else 1)
     # order: 0, a1, a2, a3 with a1 = (1,1) summing to 0 under tau
     f = Morphism(V, krasner(), (0, 1, 1, 0))
-    assert check_kind(f).colax
+    assert is_colax(f)
     q3, m3 = regular_image_factorization(f, Tag.UHMAG)
     assert q3.cod.n == 2
     assert compose(m3, q3) == f
-    assert check_kind(m3).injective
+    assert is_injective(m3)
 
 
 def test_normal_mono():
     K = krasner()
     one_inc = Morphism(terminal(), K, (0,))
-    assert is_normal_mono(one_inc, Tag.UHMAG)
+    assert is_normal_mono(one_inc)
     weak = Morphism(z2(), K, (0, 1))
-    assert not is_normal_mono(weak, Tag.UHMAG)
-    with pytest.raises(NotUnitalTag):
-        is_normal_mono(one_inc, Tag.HMAG)
+    assert not is_normal_mono(weak)
 
 
 def _swap_kernel_object():
@@ -372,34 +366,32 @@ def test_normal_epi():
             q = unitize(M, E)
             # is_normal_epi compares q.cod.n with |p.cod|: q must be onto
             assert is_surjective(q)
-            assert is_normal_epi(q, Tag.UHMAG)
+            assert is_normal_epi(q)
     # group quotients are unitizations
     from hyperkit.zoo import cyclic_group, group_to_hypermagma
 
     z4 = group_to_hypermagma(cyclic_group(4))
     to_z2 = Morphism(z4, z2(), (0, 1, 0, 1))
     assert is_short(to_z2)
-    assert is_normal_epi(to_z2, Tag.UHMAG)
+    assert is_normal_epi(to_z2)
     # tau is a surjection with trivial kernel but is not strict, hence not
     # isomorphic over Z2 to the trivial unitization
     t = Morphism(z2(), krasner(), (0, 1))
-    assert not is_normal_epi(t, Tag.UHMAG)
+    assert not is_normal_epi(t)
     # not onto, or onto a codomain without a unit
     K = krasner()
-    assert not is_normal_epi(Morphism(z2(), K, (0, 0)), Tag.UHMAG)
-    assert not is_normal_epi(Morphism(K, cofree(("a", "b")), (0, 1)), Tag.UHMAG)
+    assert not is_normal_epi(Morphism(z2(), K, (0, 0)))
+    assert not is_normal_epi(Morphism(K, cofree(("a", "b")), (0, 1)))
     # the kernel {0} of Z3 -> K merges nothing: 3 classes against 2 elements
     z3 = group_to_hypermagma(cyclic_group(3))
     assert unitize(z3, 0b001).cod.n == 3
-    assert not is_normal_epi(Morphism(z3, K, (0, 1, 1)), Tag.UHMAG)
+    assert not is_normal_epi(Morphism(z3, K, (0, 1, 1)))
     # as many classes as elements of V, but p separates x and y, which the
     # unitization at the kernel {e, k} merges, so p does not factor through it
     M = _swap_kernel_object()
     p = Morphism(M, klein(), (0, 0, 1, 2, 3, 3))
     assert unitize(M, 0b11).map == (0, 0, 1, 1, 2, 3)
-    assert not is_normal_epi(p, Tag.UHMAG)
-    with pytest.raises(NotUnitalTag):
-        is_normal_epi(identity_morphism(K), Tag.HMAG)
+    assert not is_normal_epi(p)
 
 
 def test_pullback_and_coequalizer_refuse_mismatched_maps():
@@ -435,13 +427,13 @@ def test_universal_properties_against_every_small_object():
     assert len(enumerate_unital_hypermagmas(3)) == 2080
     A, B = krasner(), z2()
     cone = product([A, B])
-    assert check_product_universal(cone, [A, B], Tag.UHMAG, small)
+    assert check_product_universal(cone, Tag.UHMAG, small)
     coc = coproduct([A, B], Tag.UHMAG)
-    assert check_coproduct_universal(coc, [A, B], Tag.UHMAG, small)
+    assert check_coproduct_universal(coc, Tag.UHMAG, small)
     t = Morphism(B, A, (0, 1))
     zero = Morphism(B, A, (0, 0))
     E, inc = equalizer(t, zero)
-    assert check_equalizer_universal(t, zero, E, inc, Tag.UHMAG, small)
+    assert check_equalizer_universal(t, zero, inc, Tag.UHMAG, small)
     q = coequalizer(t, zero, Tag.UHMAG)
     assert check_coequalizer_universal(t, zero, q, Tag.UHMAG, small)
 
@@ -456,9 +448,9 @@ def test_mosaic_universal_properties_against_small_mosaics():
         assert rep.is_mosaic and rep.commutative
     A, B = krasner(), f_mosaic()
     cone = product([A, B])
-    assert check_product_universal(cone, [A, B], Tag.MSC, small)
+    assert check_product_universal(cone, Tag.MSC, small)
     coc = coproduct([A, B], Tag.MSC)
-    assert check_coproduct_universal(coc, [A, B], Tag.MSC, small)
+    assert check_coproduct_universal(coc, Tag.MSC, small)
 
 
 def _battery_objects_with_identity():
@@ -518,7 +510,7 @@ def test_product_labels_are_distinct_when_factor_labels_hold_the_separator():
     A, B = (cofree(labels) for labels in SEPARATOR_LABELS)
     cone = product([A, B])
     assert cone.apex.labels == PRIMED_PAIRS
-    assert check_product_universal(cone, [A, B], Tag.HMAG, probes())
+    assert check_product_universal(cone, Tag.HMAG, probes())
 
 
 def test_pullback_labels_are_distinct_when_factor_labels_hold_the_separator():
