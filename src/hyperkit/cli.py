@@ -12,7 +12,6 @@ over the library.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -156,7 +155,7 @@ def cmd_check(args) -> int:
                 for name, tup in rep.witnesses
             },
         }
-        print(json.dumps(payload, indent=2))
+        print(formats.dumps(payload), end="")
         return 0
     if M.n == 0:
         print("initial (empty) hypermagma")
@@ -190,10 +189,20 @@ def _load_hm(path: str) -> Hypermagma:
 
 
 def _write_outputs(args, M: Hypermagma, morphisms: dict) -> None:
-    formats.save(args.output, formats.hypermagma_to_dict(M))
+    """M to -o and each morphism beside it; each object is rendered once."""
+    texts = {M: formats.hypermagma_text(M)}
+
+    def text(X: Hypermagma) -> str:
+        if X not in texts:
+            texts[X] = formats.hypermagma_text(X)
+        return texts[X]
+
+    formats.save(args.output, texts[M])
     base = args.output[:-5] if args.output.endswith(".json") else args.output
     for role, f in morphisms.items():
-        formats.save(f"{base}.{role}.morphism.json", formats.morphism_to_dict(f))
+        formats.save(
+            f"{base}.{role}.morphism.json", formats.morphism_text(f, text(f.dom), text(f.cod))
+        )
 
 
 def _label_indices(option: str, value: str, labels: tuple[str, ...]) -> list[int]:

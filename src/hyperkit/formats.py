@@ -11,7 +11,7 @@ import json
 from json.encoder import encode_basestring_ascii
 from typing import Any
 
-from .core import Hypermagma, Morphism, from_masks, mask_of
+from .core import Hypermagma, Morphism, from_masks, iter_bits, mask_of
 from .errors import FormatError, HyperkitError
 from .matroid import Matroid, make_matroid
 from .zoo import (
@@ -23,23 +23,35 @@ from .zoo import (
 )
 
 
-def hypermagma_to_dict(M: Hypermagma) -> dict:
-    d: dict[str, Any] = {"kind": "hypermagma", "carrier": list(M.labels)}
-    if M.identity is not None:
-        d["identity"] = M.labels[M.identity]
-    # each distinct entry is spelled out once
-    subsets = {m: M.label_set(m) for m in set().union(*M.table)}
-    d["table"] = [[list(subsets[m]) for m in row] for row in M.table]
-    return d
-
-
-def morphism_to_dict(f: Morphism) -> dict:
-    return {
-        "kind": "morphism",
-        "dom": hypermagma_to_dict(f.dom),
-        "cod": hypermagma_to_dict(f.cod),
-        "map": {a: f.cod.labels[v] for a, v in zip(f.dom.labels, f.map)},
+def hypermagma_text(M: Hypermagma) -> str:
+    """M's object file as `dumps` writes it, without the final newline:
+    each label is encoded once, and each distinct entry rendered once."""
+    labels = list(map(encode_basestring_ascii, M.labels))
+    entries = {
+        m: _joined([labels[i] for i in iter_bits(m)], "      ") for m in set().union(*M.table)
     }
+    fields = ['"kind": "hypermagma"', '"carrier": ' + _joined(labels, "  ")]
+    if M.identity is not None:
+        fields.append('"identity": ' + labels[M.identity])
+    rows = [_joined([*map(entries.__getitem__, row)], "    ") for row in M.table]
+    fields.append('"table": ' + _joined(rows, "  "))
+    return _joined(fields, "", "{}")
+
+
+def morphism_text(f: Morphism, dom: str, cod: str) -> str:
+    """f's object file as `dumps` writes it, without the final newline, from
+    the texts `hypermagma_text` gave its domain and codomain.  One replace
+    indents them a level: json escapes a newline inside a label, so every
+    newline in them is a line break."""
+    images = list(map(encode_basestring_ascii, f.cod.labels))
+    pairs = [encode_basestring_ascii(a) + ": " + images[v] for a, v in zip(f.dom.labels, f.map)]
+    fields = [
+        '"kind": "morphism"',
+        '"dom": ' + dom.replace("\n", "\n  "),
+        '"cod": ' + cod.replace("\n", "\n  "),
+        '"map": ' + _joined(pairs, "  ", "{}"),
+    ]
+    return _joined(fields, "", "{}")
 
 
 def group_to_dict(G: FiniteGroup) -> dict:
@@ -70,6 +82,15 @@ def matroid_to_dict(M: Matroid) -> dict:
     return d
 
 
+def _joined(items: list[str], pad: str, brackets: str = "[]") -> str:
+    """Encoded items in an array (or, with brackets "{}", encoded members in
+    an object) as json.dumps(..., indent=2) writes it at indentation pad."""
+    if not items:
+        return brackets
+    sep = ",\n" + pad + "  "
+    return brackets[0] + sep[1:] + sep.join(items) + "\n" + pad + brackets[1]
+
+
 def _indented(obj, pad: str) -> str:
     """obj as json.dumps(obj, indent=2) writes it at indentation `pad`, for
     dicts with string keys, lists and JSON scalars.  Strings go through
@@ -77,21 +98,12 @@ def _indented(obj, pad: str) -> str:
     pure-Python indenting encoder."""
     if isinstance(obj, str):
         return encode_basestring_ascii(obj)
+    inner = pad + "  "
     if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        inner = pad + "  "
-        items = [
-            encode_basestring_ascii(x) if isinstance(x, str) else _indented(x, inner)
-            for x in obj
-        ]
-        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
+        return _joined([_indented(x, inner) for x in obj], pad)
     if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        inner = pad + "  "
         items = [encode_basestring_ascii(k) + ": " + _indented(v, inner) for k, v in obj.items()]
-        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
+        return _joined(items, pad, "{}")
     return json.dumps(obj)
 
 
@@ -136,14 +148,20 @@ def parse_hypermagma(d: dict) -> Hypermagma:
     carrier = _carrier(d)
     table = _parse_square(d, "table", carrier)
     pos = {l: i for i, l in enumerate(carrier)}
-    rows = []
-    for row in table:
-        out = []
-        for entry in row:
-            if not isinstance(entry, list):
-                raise FormatError("table entries must be arrays of labels")
-            out.append(mask_of(_index(pos, l, "table element") for l in entry))
-        rows.append(out)
+    masks: dict[tuple, int] = {}
+
+    def mask(entry) -> int:
+        """The entry's mask, converted once per distinct entry."""
+        if not isinstance(entry, list):
+            raise FormatError("table entries must be arrays of labels")
+        key = tuple(entry)
+        try:
+            return masks[key]
+        except (KeyError, TypeError):  # TypeError: an unhashable element, no label
+            m = masks[key] = mask_of(_index(pos, l, "table element") for l in entry)
+            return m
+
+    rows = [[*map(mask, row)] for row in table]
     identity = d.get("identity")
     if identity is not None:
         identity = _index(pos, identity, "identity")
@@ -268,10 +286,10 @@ def load(path: str):
         raise FormatError(f"{path}: {exc}") from None
 
 
-def save(path: str, obj: dict) -> None:
-    text = dumps(obj)
+def save(path: str, text: str) -> None:
+    """Write one object file: a writer's text and a final newline."""
     try:
         with open(path, "w") as fh:
-            fh.write(text)
+            fh.write(text + "\n")
     except OSError as exc:
         raise FormatError(f"cannot write {path}: {exc}") from None

@@ -130,21 +130,20 @@ def product(Ms: Sequence[Hypermagma]) -> Cone:
     if not Ms:
         T = terminal()
         return Cone(T, ())
-    sizes = [M.n for M in Ms]
-    tuples = list(itertools.product(*(range(s) for s in sizes)))
-    index = {t: i for i, t in enumerate(tuples)}
+    tuples = list(itertools.product(*(range(M.n) for M in Ms)))
     labels = distinct_labels("|".join(M.labels[c] for M, c in zip(Ms, t)) for t in tuples)
-    n = len(tuples)
-    rows = [[0] * n for _ in range(n)]
-    for ia, a in enumerate(tuples):
-        for ib, b in enumerate(tuples):
-            comps = [M.table[x][y] for M, x, y in zip(Ms, a, b)]
-            if any(c == 0 for c in comps):
-                continue
-            m = 0
-            for combo in itertools.product(*(list(iter_bits(c)) for c in comps)):
-                m |= 1 << index[combo]
-            rows[ia][ib] = m
+    # Element t is its tuple's index, its digits in the mixed radix of the
+    # sizes, and entry (a, b) is every tuple of picks from the components'
+    # products.  The table is built from the last component to the first: a
+    # component in front of suffixes of `size` elements spreads each of its
+    # masks, bit z to bit z * size, and multiplies it into the suffix
+    # entries, whose bits lie below `size`; the product ORs each suffix
+    # entry shifted by every z * size.
+    rows, size = [[1]], 1
+    for M in reversed(Ms):
+        spread = [[sum(1 << z * size for z in iter_bits(m)) for m in r] for r in M.table]
+        rows = [[p * q for p in srow for q in trow] for srow in spread for trow in rows]
+        size *= M.n
     P = from_masks(labels, rows)
     projections = tuple(
         Morphism(P, M, tuple(t[k] for t in tuples)) for k, M in enumerate(Ms)
@@ -211,8 +210,7 @@ def unitize(M: Hypermagma, E: int) -> Morphism:
     relation y in x*K or K*x (K one block), and products with the unit class
     are forced to be scalar.  E = {e} for M's scalar identity e is that
     closure already and merges no classes, so the map is the identity
-    quotient with e relabelled, taken without the closure; every unital
-    `coequalizer` whose unit class stays a singleton takes this path.
+    quotient with e relabelled, taken without the closure.
     """
     if E == 0:
         labels = M.labels + (fresh_label("e", M.labels),)
@@ -233,6 +231,13 @@ def unitize(M: Hypermagma, E: int) -> Morphism:
                 uf.union(x, y)
         proj = uf.proj()
         unit = proj[kbits[0]]
+    return _unital_quotient(M, proj, unit)
+
+
+def _unital_quotient(M: Hypermagma, proj: tuple[int, ...], unit: int) -> Morphism:
+    """`quotient(M, proj, unit=unit)`, checked: the unit class is the
+    identity, and the map, whose unit row and column are forced rather than
+    pushed, is colax."""
     pi = quotient(M, proj, unit=unit)
     ensure(pi.cod.identity == unit, "unitize: the unit class is not an identity")
     ensure(is_colax(pi), "unitize: the quotient map is not colax")
@@ -251,19 +256,25 @@ def identified(f: Morphism, g: Morphism) -> tuple[int, ...]:
 
 def coequalizer(f: Morphism, g: Morphism, tag: Tag) -> Morphism:
     """Set-coequalizer quotient by `identified(f, g)`; unital tags unitize
-    at the unit class."""
+    at the unit class.  When that class is {e} alone, as in every
+    `boxtimes`, the unitization is the quotient with e's row and column
+    forced, built in one step."""
     if f.dom != g.dom or f.cod != g.cod:
         raise NotParallel("coequalizer needs a parallel pair")
     if tag in (Tag.HGRP, Tag.CAN):
         tag = Tag.UHMAG
-    N = f.cod
-    piL = quotient(N, identified(f, g))
+    N, proj = f.cod, identified(f, g)
     if tag is Tag.HMAG:
-        return piL
+        return quotient(N, proj)
     if N.identity is None:
         raise NotUnital("unital coequalizer needs a unital codomain")
-    inner = unitize(piL.cod, 1 << piL.map[N.identity])
-    return compose(inner, piL)
+    unit = proj[N.identity]
+    if proj.count(unit) == 1:
+        # e's class is {e}, which N/proj keeps as its identity: unitize
+        # would take its E = {e} path and rebuild this quotient
+        return _unital_quotient(N, proj, unit)
+    piL = quotient(N, proj)
+    return compose(unitize(piL.cod, 1 << unit), piL)
 
 
 def pullback(f: Morphism, g: Morphism) -> Cone:

@@ -3,10 +3,12 @@ import copy
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,12 +16,13 @@ from hypothesis import given, settings, strategies as st
 from hyperkit import formats
 from hyperkit.axioms import Tag, analyze
 from hyperkit.cli import main
-from hyperkit.core import Morphism, find_isomorphism
+from hyperkit.core import Morphism, find_isomorphism, from_masks, mask_of
 from hyperkit.errors import FormatError, SearchCapExceeded
 from hyperkit.hom import enumerate_morphisms
 from hyperkit.matroid import adjoin_point, fano_matroid, graphic_matroid, is_simple
 from hyperkit.univ import free
 from hyperkit.zoo import (
+    conjugacy_hypergroup,
     cyclic_group,
     group_to_hypermagma,
     krasner,
@@ -29,7 +32,7 @@ from hyperkit.zoo import (
     zmod_ring,
 )
 
-from util import gf9_add, klein, small_battery, z2
+from util import gf9_add, hypermagma_to_dict, klein, morphism_to_dict, small_battery, z2
 
 
 def write_obj(tmp_path, name, payload):
@@ -39,15 +42,15 @@ def write_obj(tmp_path, name, payload):
 
 
 def krasner_file(tmp_path):
-    return write_obj(tmp_path, "krasner.json", formats.hypermagma_to_dict(krasner()))
+    return write_obj(tmp_path, "krasner.json", hypermagma_to_dict(krasner()))
 
 
 def test_roundtrip_hypermagmas():
     for M in small_battery():
-        d = formats.hypermagma_to_dict(M)
+        d = hypermagma_to_dict(M)
         again = formats.parse_hypermagma(json.loads(formats.dumps(d)))
         assert again == M
-        assert formats.dumps(formats.hypermagma_to_dict(again)) == formats.dumps(d)
+        assert formats.dumps(hypermagma_to_dict(again)) == formats.dumps(d)
 
 
 def test_roundtrip_group_ring_matroid():
@@ -179,9 +182,9 @@ def test_dumps_writes_the_bytes_of_json_dumps_indent_2():
     B = from_masks(AWKWARD[2:], ((1, 2), (2, 0)))
     F = make_matroid(AWKWARD[:3], flats=[0, 0b001, 0b010, 0b100, 0b111])
     files = [
-        formats.hypermagma_to_dict(A),
-        formats.hypermagma_to_dict(B),
-        formats.morphism_to_dict(Morphism(A, B, (0, 0))),
+        hypermagma_to_dict(A),
+        hypermagma_to_dict(B),
+        morphism_to_dict(Morphism(A, B, (0, 0))),
         formats.group_to_dict(make_finite_group(AWKWARD[:3], [[0, 1, 2], [1, 2, 0], [2, 0, 1]])),
         formats.ring_to_dict(make_finite_ring(AWKWARD[2:], [[0, 1], [1, 0]], [[0, 0], [0, 1]])),
         formats.matroid_to_dict(F),
@@ -197,6 +200,156 @@ def test_dumps_writes_the_bytes_of_json_dumps_indent_2():
         assert formats.dumps(d) == json.dumps(d, indent=2) + "\n"
 
 
+def _writes_as_oracle(x) -> None:
+    """The writer's text for a hypermagma or morphism, and a newline, is
+    `dumps` of the dict oracle."""
+    if isinstance(x, Morphism):
+        dom, cod = formats.hypermagma_text(x.dom), formats.hypermagma_text(x.cod)
+        assert formats.morphism_text(x, dom, cod) + "\n" == formats.dumps(morphism_to_dict(x))
+    else:
+        assert formats.hypermagma_text(x) + "\n" == formats.dumps(hypermagma_to_dict(x))
+
+
+def test_writers_match_dumps_of_the_dict_oracle(monkeypatch):
+    from hyperkit.core import from_masks, initial
+    from hyperkit.matroid import Matroid, matroid_to_mosaic
+    from hyperkit.monoidal import boxtimes, wedge_smash
+    from hyperkit.suite import battery
+    from hyperkit.univ import cofree
+
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import desk
+
+    objects = [*battery(Tag.CMSC), initial()]
+    for i, X in enumerate(desk.build_fixtures().values()):
+        M = matroid_to_mosaic(X) if isinstance(X, Matroid) else X
+        objects += [M, desk.fresh_hypermagma(M, random.Random(i), f"s{i}")[0]]
+    # labels with a quote, a backslash, control characters, non-ASCII, and a newline
+    A = cofree(AWKWARD[:2])
+    B = from_masks(AWKWARD[2:], ((1, 2), (2, 0)))
+    C = from_masks(("é", "b\nc"), ((1, 2), (2, 1)))
+    objects += [A, B, C]
+    maps = [Morphism(A, B, (0, 0)), Morphism(B, A, (1, 0)), Morphism(C, C, (0, 1))]
+    maps.append(Morphism(initial(), C, ()))
+    for M in battery(Tag.CMSC):
+        for N in battery(Tag.CMSC):
+            maps += [boxtimes(M, N), wedge_smash(M, N)]
+    for x in objects + maps:
+        _writes_as_oracle(x)
+    assert (len(objects), len(maps)) == (38, 76)
+
+
+def _old_parse_hypermagma(d: dict):
+    """`formats.parse_hypermagma` converting every entry of the table, not
+    each distinct one."""
+    carrier = formats._carrier(d)
+    table = formats._parse_square(d, "table", carrier)
+    pos = {l: i for i, l in enumerate(carrier)}
+    rows = []
+    for row in table:
+        out = []
+        for entry in row:
+            if not isinstance(entry, list):
+                raise FormatError("table entries must be arrays of labels")
+            out.append(mask_of(formats._index(pos, l, "table element") for l in entry))
+        rows.append(out)
+    identity = d.get("identity")
+    if identity is not None:
+        identity = formats._index(pos, identity, "identity")
+    return from_masks(carrier, rows, identity)
+
+
+def _load_outcome(path: str):
+    """What `formats.load` gives for a file: its (kind, object), or the line
+    of its `FormatError`."""
+    try:
+        return formats.load(path)
+    except FormatError as exc:
+        return str(exc)
+
+
+def _same_load_as_entry_loop(path: str):
+    """The file's load outcome, asserted equal under the entry-by-entry loader."""
+    outcome = _load_outcome(path)
+    with mock.patch.object(formats, "parse_hypermagma", _old_parse_hypermagma), \
+            mock.patch.dict(formats.PARSERS, hypermagma=_old_parse_hypermagma):
+        assert _load_outcome(path) == outcome
+    return outcome
+
+
+@pytest.mark.parametrize(
+    "table, loads",
+    [
+        ([[["0"], ["1"]], [["1"], ["0"]]], True),
+        ([[["0", "0"], ["1", "1"]], [["1"], ["0", "1"]]], True),
+        ([[["0"], [["0"]]], [[["0"]], ["0"]]], False),
+        ([[["0"], ["1", {"a": 1}]], [["1"], ["0"]]], False),
+        ([[[1], [True]], [["1"], ["0"]]], False),
+        ([[["0"], ["1"]], [["1"], ["0", "2"]]], False),
+        ([[["0"], ["1"]], [["1"], ["0", []]]], False),
+    ],
+    ids=[
+        "valid", "repeated-labels", "nested-list", "dict-element", "number", "unknown",
+        "empty-list-element",
+    ],
+)
+def test_loader_converts_distinct_entries_as_the_entry_loop(tmp_path, table, loads):
+    payload = {"kind": "hypermagma", "carrier": ["0", "1"], "identity": "0", "table": table}
+    outcome = _same_load_as_entry_loop(write_obj(tmp_path, "h.json", payload))
+    assert isinstance(outcome, tuple) == loads
+
+
+def test_loader_reads_battery_files_as_the_entry_loop(tmp_path):
+    for i, M in enumerate(small_battery()):
+        kind, loaded = _same_load_as_entry_loop(write_obj(tmp_path, f"{i}.json", hypermagma_to_dict(M)))
+        assert (kind, loaded) == ("hypermagma", M)
+
+
+def test_check_json_prints_the_bytes_of_json_dumps(tmp_path, capsys):
+    from hyperkit.core import from_masks, initial
+
+    files = [hypermagma_to_dict(M) for M in small_battery()]
+    files += [
+        hypermagma_to_dict(initial()),
+        hypermagma_to_dict(from_masks(AWKWARD, [[1 << (i + j) % 4 for j in range(4)] for i in range(4)])),
+        formats.group_to_dict(symmetric_group(3)),
+        formats.matroid_to_dict(adjoin_point(fano_matroid())),
+    ]
+    payloads = []
+    for i, d in enumerate(files):
+        assert main(["check", write_obj(tmp_path, f"{i}.json", d), "--json"]) == 0
+        out = capsys.readouterr().out
+        payloads.append(json.loads(out))
+        assert out == json.dumps(payloads[-1], indent=2) + "\n"
+    # a null identity, empty lists and objects, witnesses and escaped labels are among them
+    assert {p["identity"] is None for p in payloads} == {True, False}
+    assert {bool(p["witnesses"]) for p in payloads} == {True, False}
+    assert payloads[-3]["weak_identities"] == [AWKWARD[0]]
+
+
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+
+
+@pytest.mark.parametrize("op", ["boxtimes", "wedge"])
+@pytest.mark.parametrize("pair", ["K_S3c", "Z3_K"])
+def test_construct_tensor_files_match_golden_bytes(tmp_path, capsys, pair, op):
+    objects = {
+        "K": krasner(),
+        "S3c": conjugacy_hypergroup(symmetric_group(3)),
+        "Z3": group_to_hypermagma(cyclic_group(3)),
+    }
+    inputs = [
+        write_obj(tmp_path, f"{name}.json", hypermagma_to_dict(objects[name]))
+        for name in pair.split("_")
+    ]
+    out = tmp_path / "out.json"
+    assert main(["construct", "tensor", *inputs, "--op", op, "-o", str(out)]) == 0
+    capsys.readouterr()
+    for suffix in ("", ".quotient.morphism"):
+        written = tmp_path / f"out{suffix}.json"
+        assert written.read_bytes() == (GOLDEN_DIR / f"tensor_{pair}_{op}{suffix}.json").read_bytes()
+
+
 def test_construct_free(tmp_path, capsys):
     out = str(tmp_path / "f.json")
     assert main(["construct", "free", "--tag", "cmsc", "--gens", "1", "-o", out]) == 0
@@ -205,7 +358,7 @@ def test_construct_free(tmp_path, capsys):
 
 
 def test_construct_tensor_boxtimes(tmp_path):
-    z2p = write_obj(tmp_path, "z2.json", formats.hypermagma_to_dict(z2()))
+    z2p = write_obj(tmp_path, "z2.json", hypermagma_to_dict(z2()))
     out = str(tmp_path / "t.json")
     assert main(["construct", "tensor", "--op", "boxtimes", z2p, z2p, "-o", out]) == 0
     _, T = formats.load(out)
@@ -267,7 +420,7 @@ def test_construct_from_matroid_simplifies_one_that_is_not_simple(tmp_path):
 
 
 def test_construct_coproduct_and_injections(tmp_path):
-    z2p = write_obj(tmp_path, "z2.json", formats.hypermagma_to_dict(z2()))
+    z2p = write_obj(tmp_path, "z2.json", hypermagma_to_dict(z2()))
     out = str(tmp_path / "c.json")
     assert main(["construct", "coproduct", z2p, z2p, "--tag", "msc", "-o", out]) == 0
     _, C = formats.load(out)
@@ -304,8 +457,8 @@ def test_construct_coequalizer_via_morphism_files(tmp_path):
     Z, K = z2(), krasner()
     t = Morphism(Z, K, (0, 1))
     zero = Morphism(Z, K, (0, 0))
-    fp = write_obj(tmp_path, "f.json", formats.morphism_to_dict(t))
-    gp = write_obj(tmp_path, "g.json", formats.morphism_to_dict(zero))
+    fp = write_obj(tmp_path, "f.json", morphism_to_dict(t))
+    gp = write_obj(tmp_path, "g.json", morphism_to_dict(zero))
     out = str(tmp_path / "coeq.json")
     assert main(["construct", "coequalizer", "--tag", "uhmag", fp, gp, "-o", out]) == 0
     _, Q = formats.load(out)
@@ -499,14 +652,14 @@ def test_golden_wedge_serialization():
     from hyperkit.monoidal import wedge_smash
 
     q = wedge_smash(z2(), z2())
-    assert formats.dumps(formats.hypermagma_to_dict(q.cod)) == GOLDEN_WEDGE
+    assert formats.dumps(hypermagma_to_dict(q.cod)) == GOLDEN_WEDGE
 
 
 def test_golden_gf9_quotient_row():
     from hyperkit.zoo import gf9_quotient
 
     H = gf9_quotient().additive
-    d = formats.hypermagma_to_dict(H)
+    d = hypermagma_to_dict(H)
     assert d["carrier"] == ["0", "i", "1", "1+i", "1+2i"]
     assert d["table"][2][1] == ["1+i", "1+2i"]
 
@@ -541,7 +694,7 @@ def test_malformed_search_cap_exits_2_with_one_line(monkeypatch, capsys):
     assert err.count("\n") == 1 and "HYPERKIT_SEARCH_CAP" in err and "'abc'" in err
 
 
-_K = formats.hypermagma_to_dict(krasner())
+_K = hypermagma_to_dict(krasner())
 
 
 @pytest.mark.parametrize(
@@ -836,8 +989,8 @@ def test_construct_primes_composite_labels_that_coincide(tmp_path, argv, left, r
 
     # the hom verb's domain is free (empty products), so every map is a hom
     first = free(Tag.HMAG, left) if argv[1] == "hom" else cofree(left)
-    a = write_obj(tmp_path, "a.json", formats.hypermagma_to_dict(first))
-    b = write_obj(tmp_path, "b.json", formats.hypermagma_to_dict(cofree(right)))
+    a = write_obj(tmp_path, "a.json", hypermagma_to_dict(first))
+    b = write_obj(tmp_path, "b.json", hypermagma_to_dict(cofree(right)))
     out = str(tmp_path / "out.json")
     assert main([*argv, a, b, "-o", out]) == 0
     _, T = formats.load(out)
@@ -886,8 +1039,8 @@ def _signature_files(tmp_path):
     chain = {"kind": "lattice", "carrier": ["0", "1"], "top": "1", "meet": [["0", "0"], ["0", "1"]]}
     return {
         "K": krasner_file(tmp_path),
-        "f": write_obj(tmp_path, "f.json", formats.morphism_to_dict(Morphism(Z, K, (0, 1)))),
-        "g": write_obj(tmp_path, "g.json", formats.morphism_to_dict(Morphism(Z, K, (0, 0)))),
+        "f": write_obj(tmp_path, "f.json", morphism_to_dict(Morphism(Z, K, (0, 1)))),
+        "g": write_obj(tmp_path, "g.json", morphism_to_dict(Morphism(Z, K, (0, 0)))),
         "S3": write_obj(tmp_path, "s3.json", formats.group_to_dict(symmetric_group(3))),
         "F9": write_obj(tmp_path, "f9.json", formats.ring_to_dict(make_gf9())),
         "Fano": write_obj(tmp_path, "fano.json", formats.matroid_to_dict(fano_matroid())),
@@ -1097,7 +1250,7 @@ def test_check_does_not_import_the_suite(tmp_path):
 # A valid object file of every kind, and of every matroid notation, for the
 # mutation test below.
 VALID_FILES = {
-    "hypermagma": formats.hypermagma_to_dict(gf9_add()),
+    "hypermagma": hypermagma_to_dict(gf9_add()),
     "group": formats.group_to_dict(symmetric_group(3)),
     "ring": formats.ring_to_dict(make_gf9()),
     "matroid-flats": formats.matroid_to_dict(adjoin_point(fano_matroid())),
@@ -1113,7 +1266,7 @@ VALID_FILES = {
         "top": "1",
         "meet": [["0", "0", "0"], ["0", "a", "a"], ["0", "a", "1"]],
     },
-    "morphism": formats.morphism_to_dict(Morphism(z2(), krasner(), (0, 1))),
+    "morphism": morphism_to_dict(Morphism(z2(), krasner(), (0, 1))),
 }
 
 # JSON values a mutation writes: labels of the files above among them, so
@@ -1160,11 +1313,7 @@ def test_mutated_object_files_fail_only_as_format_errors(kind, data):
         path = os.path.join(tmp, "obj.json")
         with open(path, "w") as fh:
             fh.write(formats.dumps(d))
-        try:
-            formats.load(path)
-            loaded = True
-        except FormatError:
-            loaded = False
+        loaded = not isinstance(_same_load_as_entry_loop(path), str)
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(["check", path])

@@ -6,11 +6,14 @@ from hyperkit.axioms import Tag, analyze
 from hyperkit.core import (
     Morphism,
     compose,
+    distinct_labels,
     find_isomorphism,
     from_masks,
     identity_morphism,
+    initial,
     iter_bits,
     mask_of,
+    quotient,
 )
 from hyperkit.errors import (
     DimensionMismatch,
@@ -40,6 +43,7 @@ from hyperkit.univ import (
     coproduct,
     equalizer,
     free,
+    identified,
     is_normal_epi,
     is_normal_mono,
     one_empty,
@@ -49,9 +53,10 @@ from hyperkit.univ import (
     terminal,
     unitize,
 )
-from hyperkit.zoo import gf9_frobenius, gf9_quotient, krasner
+from hyperkit.suite import battery
+from hyperkit.zoo import enumerate_canonical_hypergroups, gf9_frobenius, gf9_quotient, krasner
 
-from util import d_example, f_mosaic, klein, mixed3, z2
+from util import d_example, f_mosaic, klein, mixed3, small_battery, z2
 
 
 SMALL = None
@@ -527,3 +532,76 @@ def test_distinct_labels_are_kept():
     T = terminal()
     cone = pullback(Morphism(A, T, (0, 0)), Morphism(B, T, (0, 0)))
     assert cone.apex.labels == ("a|c", "a|d", "b|c", "b|d")
+
+
+def _old_product(Ms):
+    """The product table from `itertools.product` over the bits of each
+    component's product and one dict lookup per combination, and its
+    projections."""
+    tuples = list(itertools.product(*(range(M.n) for M in Ms)))
+    index = {t: i for i, t in enumerate(tuples)}
+    labels = distinct_labels("|".join(M.labels[c] for M, c in zip(Ms, t)) for t in tuples)
+    n = len(tuples)
+    rows = [[0] * n for _ in range(n)]
+    for ia, a in enumerate(tuples):
+        for ib, b in enumerate(tuples):
+            comps = [M.table[x][y] for M, x, y in zip(Ms, a, b)]
+            if any(c == 0 for c in comps):
+                continue
+            m = 0
+            for combo in itertools.product(*(list(iter_bits(c)) for c in comps)):
+                m |= 1 << index[combo]
+            rows[ia][ib] = m
+    P = from_masks(labels, rows)
+    return P, tuple(Morphism(P, M, tuple(t[k] for t in tuples)) for k, M in enumerate(Ms))
+
+
+def test_product_matches_combination_loop():
+    # every pair and triple of the small battery, and the initial object
+    # as a factor in front, between and behind
+    battery = small_battery()
+    factor_lists = [
+        *itertools.product(battery, repeat=2),
+        *itertools.product(battery, repeat=3),
+        *([initial(), M] for M in battery),
+        *([M, initial(), M] for M in battery),
+        *([M, initial()] for M in battery),
+    ]
+    for Ms in factor_lists:
+        cone = product(Ms)
+        P, legs = _old_product(Ms)
+        assert (cone.apex.labels, cone.apex.table) == (P.labels, P.table)
+        assert cone.legs == legs
+    assert len(factor_lists) == 81 + 729 + 27
+
+
+def _old_coequalizer(f, g, tag):
+    """The unital coequalizer in two steps: the quotient by
+    `identified(f, g)`, then `unitize` at the unit class."""
+    piL = quotient(f.cod, identified(f, g))
+    return compose(unitize(piL.cod, 1 << piL.map[f.cod.identity]), piL)
+
+
+def test_unital_coequalizer_matches_two_step_quotient():
+    # (id, inversion) on every census class of order <= 4 and on the CMSC
+    # battery: the unit class is {e}, and the coequalizer is built in one step
+    objects = [*battery(Tag.CMSC)]
+    for n in range(1, 5):
+        objects += enumerate_canonical_hypergroups(n)
+    pairs = [(identity_morphism(M), Morphism(M, M, M.inverse)) for M in objects]
+    # (id, h) for every colax self-map h of the CMSC battery; where h moves
+    # e, the unit class is larger and the two-step path is kept
+    for N in battery(Tag.CMSC):
+        pairs += [(identity_morphism(N), Morphism(N, N, h)) for h in enumerate_morphisms(N, N, Tag.HMAG)]
+    singleton = []
+    for f, g in pairs:
+        proj = identified(f, g)
+        singleton.append(proj.count(proj[f.cod.identity]) == 1)
+        for tag in (Tag.UHMAG, Tag.CMSC):
+            q, old = coequalizer(f, g, tag), _old_coequalizer(f, g, tag)
+            assert (q.cod.labels, q.cod.table) == (old.cod.labels, old.cod.table)
+            assert (q.cod.identity, q.cod.inverse) == (old.cod.identity, old.cod.inverse)
+            assert q == old
+    # 116 inversion pairs, all through the one-step path; 74 self-map pairs,
+    # 35 of them through the two-step path
+    assert all(singleton[:116]) and (len(pairs), singleton.count(False)) == (190, 35)

@@ -1,5 +1,8 @@
 """Shared builders for the test suite."""
+from typing import Any
+
 from hyperkit.axioms import Tag
+from hyperkit.core import Hypermagma, Morphism
 from hyperkit.suite import d_weak_example as d_example, klein_v as klein, mixed3, z2
 from hyperkit.univ import cofree, free, terminal
 from hyperkit.zoo import gf9_quotient, krasner
@@ -31,6 +34,28 @@ def small_battery():
             free(Tag.HMAG, ("a", "b")),
         ]
     return SMALL_BATTERY
+
+
+def hypermagma_to_dict(M: Hypermagma) -> dict:
+    """M's object file as a dict: the oracle for `formats.hypermagma_text`,
+    and the way tests write hypermagma files."""
+    d: dict[str, Any] = {"kind": "hypermagma", "carrier": list(M.labels)}
+    if M.identity is not None:
+        d["identity"] = M.labels[M.identity]
+    # each distinct entry is spelled out once
+    subsets = {m: M.label_set(m) for m in set().union(*M.table)}
+    d["table"] = [[list(subsets[m]) for m in row] for row in M.table]
+    return d
+
+
+def morphism_to_dict(f: Morphism) -> dict:
+    """f's object file as a dict: the oracle for `formats.morphism_text`."""
+    return {
+        "kind": "morphism",
+        "dom": hypermagma_to_dict(f.dom),
+        "cod": hypermagma_to_dict(f.cod),
+        "map": {a: f.cod.labels[v] for a, v in zip(f.dom.labels, f.map)},
+    }
 
 
 def set_search_cap(monkeypatch, nodes):
