@@ -254,6 +254,18 @@ def axiom_report(M: Hypermagma) -> AxiomReport:
     )
 
 
+def is_commutative_mosaic(M: Hypermagma) -> bool:
+    """`analyze(M).is_mosaic and .commutative`, decided without the
+    associativity and totality loops: an identity, unique inverses, a
+    commutative table and the reversibility law."""
+    return (
+        M.identity is not None
+        and M.inverse is not None
+        and _commutative_witness(M) is None
+        and _reversible_witness(M, True) is None
+    )
+
+
 def check_total_iff_associative_for_mosaics(M: Hypermagma) -> bool:
     """True when the mosaic is a hypergroup exactly if it is associative.
 

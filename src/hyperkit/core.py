@@ -589,6 +589,12 @@ def reversible_closure(
     return out
 
 
+def _discrete(proj: Sequence[int], k: int, n: int) -> bool:
+    """Whether proj, onto range(k), puts every element of range(n) in a
+    class of its own (numbered by its least member: proj[x] = x)."""
+    return k == n and all(c == x for x, c in enumerate(proj))
+
+
 def pushed_table(M: Hypermagma, proj: Sequence[int], k: int) -> tuple[tuple[int, ...], ...]:
     """The k x k table whose entry [i][j] is proj(fiber_i * fiber_j), where
     fiber_c is the set of x with proj[x] = c; a class without members has
@@ -597,15 +603,16 @@ def pushed_table(M: Hypermagma, proj: Sequence[int], k: int) -> tuple[tuple[int,
     Each class's rows are ORed once, column by column into the column's
     class, and each product is then mapped through proj: bit by bit from
     `BITS` when M has at most 8 elements, else through proj's image tables,
-    whose set-up pays for itself only on larger carriers.  When every
-    element is its own class, the table is M's."""
-    if k == M.n and all(c == x for x, c in enumerate(proj)):
+    whose set-up pays for itself only on larger carriers.  Empty products
+    are skipped.  When every element is its own class, the table is M's."""
+    if _discrete(proj, k, M.n):
         return M.table
     prods = [[0] * k for _ in range(k)]
     for x, row in zip(proj, M.table):
         acc = prods[x]
         for y, m in zip(proj, row):
-            acc[y] |= m
+            if m:
+                acc[y] |= m
     bit = [1 << c for c in proj]
     if M.n > 8:
         push = image_function(bit)
@@ -628,14 +635,23 @@ def quotient(M: Hypermagma, proj: Sequence[int], unit: int | None = None) -> Mor
     Classes must be numbered by their least member; each class takes that
     member's label.  When `unit` is given, its row and column are the scalar
     identity (never the pushed products) and its label is a fresh "e".
+    When every class is one element and that leaves M's identity and labels
+    as they are, the quotient is M itself.
     """
     k = max(proj, default=-1) + 1
     labels = [""] * k
     for x in reversed(range(M.n)):
         labels[proj[x]] = M.labels[x]
-    rows = [list(row) for row in pushed_table(M, proj, k)]
     if unit is not None:
         labels[unit] = fresh_label("e", labels[:unit] + labels[unit + 1 :])
+    if (
+        _discrete(proj, k, M.n)
+        and (unit is None or unit == M.identity)
+        and tuple(labels) == M.labels
+    ):
+        return Morphism(M, M, tuple(proj))
+    rows = [list(row) for row in pushed_table(M, proj, k)]
+    if unit is not None:
         for i in range(k):
             rows[unit][i] = rows[i][unit] = 1 << i
     return Morphism(M, from_masks(labels, rows), tuple(proj))

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 from json.encoder import encode_basestring_ascii
-from typing import Any
 
 from .core import Hypermagma, Morphism, from_masks, iter_bits, mask_of
 from .errors import FormatError, HyperkitError
@@ -52,34 +51,6 @@ def morphism_text(f: Morphism, dom: str, cod: str) -> str:
         '"map": ' + _joined(pairs, "  ", "{}"),
     ]
     return _joined(fields, "", "{}")
-
-
-def group_to_dict(G: FiniteGroup) -> dict:
-    return {
-        "kind": "group",
-        "carrier": list(G.labels),
-        "table": [[G.labels[G.table[i][j]] for j in range(G.n)] for i in range(G.n)],
-    }
-
-
-def ring_to_dict(R: FiniteRing) -> dict:
-    return {
-        "kind": "ring",
-        "carrier": list(R.labels),
-        "add": [[R.labels[R.add[i][j]] for j in range(R.n)] for i in range(R.n)],
-        "mul": [[R.labels[R.mul[i][j]] for j in range(R.n)] for i in range(R.n)],
-    }
-
-
-def matroid_to_dict(M: Matroid) -> dict:
-    d: dict[str, Any] = {
-        "kind": "matroid",
-        "ground": list(M.ground),
-        "flats": [list(M.label_set(F)) for F in M.flats],
-    }
-    if M.pointed is not None:
-        d["pointed"] = M.ground[M.pointed]
-    return d
 
 
 def _joined(items: list[str], pad: str, brackets: str = "[]") -> str:

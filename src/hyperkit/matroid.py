@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .axioms import Tag, analyze
+from .axioms import Tag, is_commutative_mosaic
 from .core import (
     Hypermagma,
     UnionFind,
@@ -277,8 +277,7 @@ def matroid_to_mosaic(M: Matroid) -> Hypermagma:
             C = M.closure((1 << x) | (1 << y))
             rows[x][y] = C & ~((1 << x) | (1 << y) | (1 << zero))
     H = from_masks(M.ground, rows)
-    rep = analyze(H)
-    ensure(rep.is_mosaic and rep.commutative, "matroid_to_mosaic: a commutative mosaic")
+    ensure(is_commutative_mosaic(H), "matroid_to_mosaic: a commutative mosaic")
     ensure(
         all(H.inverse[x] == x for x in range(n)),
         "matroid_to_mosaic: every element is its own inverse",

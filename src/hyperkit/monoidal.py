@@ -7,7 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .axioms import Tag, UNITAL_TAGS, analyze
+from .axioms import Tag, UNITAL_TAGS, analyze, is_commutative_mosaic
 from .core import (
     Hypermagma,
     Morphism,
@@ -84,8 +84,7 @@ def wedge_unit() -> Hypermagma:
 
 
 def _require_cmsc(M: Hypermagma) -> None:
-    rep = analyze(M)
-    if not (rep.is_mosaic and rep.commutative):
+    if not is_commutative_mosaic(M):
         raise NotCommutativeMosaic(f"{M!r} is not a commutative mosaic")
 
 
@@ -107,8 +106,7 @@ def boxtimes(M: Hypermagma, N: Hypermagma) -> Morphism:
     ensure(is_colax(i_minus) and is_unital(i_minus), "boxtimes: (-1) smash (-1) is not a morphism")
     q2 = coequalizer(Morphism(W, W, tuple(range(W.n))), i_minus, Tag.UHMAG)
     pi = compose(q2, q1)
-    rep = analyze(pi.cod)
-    ensure(rep.is_mosaic and rep.commutative, "boxtimes: the quotient is not a commutative mosaic")
+    ensure(is_commutative_mosaic(pi.cod), "boxtimes: the quotient is not a commutative mosaic")
     return pi
 
 

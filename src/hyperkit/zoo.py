@@ -8,7 +8,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .axioms import AxiomReport, Tag, analyze, axiom_report
+from .axioms import AxiomReport, Tag, analyze, axiom_report, is_commutative_mosaic
 from .core import (
     Hypermagma,
     Morphism,
@@ -233,8 +233,7 @@ def lattice_mosaic(labels: Sequence[str], meet: Sequence[Sequence[int]]) -> Hype
     ]
     M = from_masks(L.labels, rows)
     ensure(M.identity == rep.identity, "lattice_mosaic: the top is not the identity")
-    rep = analyze(M)
-    ensure(rep.is_mosaic and rep.commutative, "lattice_mosaic: not a commutative mosaic")
+    ensure(is_commutative_mosaic(M), "lattice_mosaic: not a commutative mosaic")
     return M
 
 

@@ -32,7 +32,17 @@ from hyperkit.zoo import (
     zmod_ring,
 )
 
-from util import gf9_add, hypermagma_to_dict, klein, morphism_to_dict, small_battery, z2
+from util import (
+    gf9_add,
+    group_to_dict,
+    hypermagma_to_dict,
+    klein,
+    matroid_to_dict,
+    morphism_to_dict,
+    ring_to_dict,
+    small_battery,
+    z2,
+)
 
 
 def write_obj(tmp_path, name, payload):
@@ -55,12 +65,12 @@ def test_roundtrip_hypermagmas():
 
 def test_roundtrip_group_ring_matroid():
     S3 = symmetric_group(3)
-    d = formats.group_to_dict(S3)
+    d = group_to_dict(S3)
     assert formats.parse_group(d) == S3
     R = make_gf9()
-    assert formats.parse_ring(formats.ring_to_dict(R)) == R
+    assert formats.parse_ring(ring_to_dict(R)) == R
     F = adjoin_point(fano_matroid())
-    assert formats.parse_matroid(formats.matroid_to_dict(F)) == F
+    assert formats.parse_matroid(matroid_to_dict(F)) == F
 
 
 def test_check_krasner(tmp_path, capsys):
@@ -88,7 +98,7 @@ def test_check_empty(tmp_path, capsys):
 
 def test_check_matroid_via_mosaic(tmp_path, capsys):
     F = fano_matroid()
-    path = write_obj(tmp_path, "fano.json", formats.matroid_to_dict(F))
+    path = write_obj(tmp_path, "fano.json", matroid_to_dict(F))
     assert main(["check", path]) == 0
     out = capsys.readouterr().out
     assert "commutative mosaic" in out
@@ -103,9 +113,9 @@ NOT_SIMPLE = graphic_matroid([("a", "b"), ("a", "b"), ("b", "c")])
 @pytest.mark.parametrize(
     "payload, words, n",
     [
-        (formats.group_to_dict(cyclic_group(3)), "abelian group", 3),
-        (formats.ring_to_dict(zmod_ring(4)), "abelian group", 4),
-        (formats.matroid_to_dict(NOT_SIMPLE), "commutative mosaic", 3),
+        (group_to_dict(cyclic_group(3)), "abelian group", 3),
+        (ring_to_dict(zmod_ring(4)), "abelian group", 4),
+        (matroid_to_dict(NOT_SIMPLE), "commutative mosaic", 3),
     ],
     ids=["group", "ring", "matroid-not-simple"],
 )
@@ -185,10 +195,10 @@ def test_dumps_writes_the_bytes_of_json_dumps_indent_2():
         hypermagma_to_dict(A),
         hypermagma_to_dict(B),
         morphism_to_dict(Morphism(A, B, (0, 0))),
-        formats.group_to_dict(make_finite_group(AWKWARD[:3], [[0, 1, 2], [1, 2, 0], [2, 0, 1]])),
-        formats.ring_to_dict(make_finite_ring(AWKWARD[2:], [[0, 1], [1, 0]], [[0, 0], [0, 1]])),
-        formats.matroid_to_dict(F),
-        formats.matroid_to_dict(adjoin_point(F)),
+        group_to_dict(make_finite_group(AWKWARD[:3], [[0, 1, 2], [1, 2, 0], [2, 0, 1]])),
+        ring_to_dict(make_finite_ring(AWKWARD[2:], [[0, 1], [1, 0]], [[0, 0], [0, 1]])),
+        matroid_to_dict(F),
+        matroid_to_dict(adjoin_point(F)),
         {"kind": "matroid", "ground": ["a"], "rank": [[[], 0], [["a"], 1]]},
         {"kind": "lattice", "carrier": AWKWARD[:2], "top": AWKWARD[1],
          "meet": [[AWKWARD[0]] * 2, list(AWKWARD[:2])]},
@@ -312,8 +322,8 @@ def test_check_json_prints_the_bytes_of_json_dumps(tmp_path, capsys):
     files += [
         hypermagma_to_dict(initial()),
         hypermagma_to_dict(from_masks(AWKWARD, [[1 << (i + j) % 4 for j in range(4)] for i in range(4)])),
-        formats.group_to_dict(symmetric_group(3)),
-        formats.matroid_to_dict(adjoin_point(fano_matroid())),
+        group_to_dict(symmetric_group(3)),
+        matroid_to_dict(adjoin_point(fano_matroid())),
     ]
     payloads = []
     for i, d in enumerate(files):
@@ -370,7 +380,7 @@ def test_construct_tensor_boxtimes(tmp_path):
 
 
 def test_construct_from_ring(tmp_path):
-    f9 = write_obj(tmp_path, "f9.json", formats.ring_to_dict(make_gf9()))
+    f9 = write_obj(tmp_path, "f9.json", ring_to_dict(make_gf9()))
     out = str(tmp_path / "h.json")
     assert (
         main(
@@ -392,7 +402,7 @@ def test_construct_from_ring(tmp_path):
 
 
 def test_construct_from_group_conj(tmp_path):
-    s3 = write_obj(tmp_path, "s3.json", formats.group_to_dict(symmetric_group(3)))
+    s3 = write_obj(tmp_path, "s3.json", group_to_dict(symmetric_group(3)))
     out = str(tmp_path / "conj.json")
     assert main(["construct", "from-group", "--construction", "conj", s3, "-o", out]) == 0
     _, C = formats.load(out)
@@ -401,7 +411,7 @@ def test_construct_from_group_conj(tmp_path):
 
 def test_construct_from_matroid(tmp_path):
     fano = write_obj(
-        tmp_path, "fano.json", formats.matroid_to_dict(fano_matroid())
+        tmp_path, "fano.json", matroid_to_dict(fano_matroid())
     )
     out = str(tmp_path / "fm.json")
     assert main(["construct", "from-matroid", fano, "-o", out]) == 0
@@ -411,7 +421,7 @@ def test_construct_from_matroid(tmp_path):
 
 def test_construct_from_matroid_simplifies_one_that_is_not_simple(tmp_path):
     assert not is_simple(adjoin_point(NOT_SIMPLE))
-    path = write_obj(tmp_path, "m.json", formats.matroid_to_dict(NOT_SIMPLE))
+    path = write_obj(tmp_path, "m.json", matroid_to_dict(NOT_SIMPLE))
     out = str(tmp_path / "fm.json")
     assert main(["construct", "from-matroid", path, "-o", out]) == 0
     _, H = formats.load(out)
@@ -477,7 +487,7 @@ def test_construct_builtin(tmp_path):
 
 
 def test_module_error_exit_1(tmp_path):
-    f9 = write_obj(tmp_path, "f9.json", formats.ring_to_dict(make_gf9()))
+    f9 = write_obj(tmp_path, "f9.json", ring_to_dict(make_gf9()))
     out = str(tmp_path / "h.json")
     code = main(
         ["construct", "from-ring", "--quotient-units", f9, "--subgroup", "1,i", "-o", out]
@@ -892,8 +902,8 @@ def test_unreadable_bytes_exit_2_with_one_line(tmp_path, capsys, raw, message):
 def test_unknown_label_in_option_exits_2_with_one_line(tmp_path, capsys, argv, option):
     files = {
         "{K}": krasner_file(tmp_path),
-        "{S3}": write_obj(tmp_path, "s3.json", formats.group_to_dict(symmetric_group(3))),
-        "{F9}": write_obj(tmp_path, "f9.json", formats.ring_to_dict(make_gf9())),
+        "{S3}": write_obj(tmp_path, "s3.json", group_to_dict(symmetric_group(3))),
+        "{F9}": write_obj(tmp_path, "f9.json", ring_to_dict(make_gf9())),
     }
     out = str(tmp_path / "out.json")
     assert main([files.get(a, a) for a in argv] + ["-o", out]) == 2
@@ -917,13 +927,13 @@ def test_construct_from_group_by_labels(tmp_path):
     from hyperkit.zoo import double_coset_hypergroup, orbit_hypergroup
 
     S3 = symmetric_group(3)
-    s3 = write_obj(tmp_path, "s3.json", formats.group_to_dict(S3))
+    s3 = write_obj(tmp_path, "s3.json", group_to_dict(S3))
     out = str(tmp_path / "out.json")
     argv = ["construct", "from-group", "--construction", "dcoset", "--subgroup", "e,(0 1)"]
     assert main(argv + [s3, "-o", out]) == 0
     assert formats.load(out)[1] == double_coset_hypergroup(S3, (1 << S3.index("e")) | (1 << S3.index("(0 1)")))
     Z3 = cyclic_group(3)
-    z3 = write_obj(tmp_path, "z3.json", formats.group_to_dict(Z3))
+    z3 = write_obj(tmp_path, "z3.json", group_to_dict(Z3))
     action = ";".join(",".join(Z3.labels[i] for i in p) for p in (range(3), Z3.inverse))
     argv = ["construct", "from-group", "--construction", "orbit", "--action", action]
     assert main(argv + [z3, "-o", out]) == 0
@@ -1041,9 +1051,9 @@ def _signature_files(tmp_path):
         "K": krasner_file(tmp_path),
         "f": write_obj(tmp_path, "f.json", morphism_to_dict(Morphism(Z, K, (0, 1)))),
         "g": write_obj(tmp_path, "g.json", morphism_to_dict(Morphism(Z, K, (0, 0)))),
-        "S3": write_obj(tmp_path, "s3.json", formats.group_to_dict(symmetric_group(3))),
-        "F9": write_obj(tmp_path, "f9.json", formats.ring_to_dict(make_gf9())),
-        "Fano": write_obj(tmp_path, "fano.json", formats.matroid_to_dict(fano_matroid())),
+        "S3": write_obj(tmp_path, "s3.json", group_to_dict(symmetric_group(3))),
+        "F9": write_obj(tmp_path, "f9.json", ring_to_dict(make_gf9())),
+        "Fano": write_obj(tmp_path, "fano.json", matroid_to_dict(fano_matroid())),
         "chain": write_obj(tmp_path, "chain.json", chain),
     }
 
@@ -1251,9 +1261,9 @@ def test_check_does_not_import_the_suite(tmp_path):
 # mutation test below.
 VALID_FILES = {
     "hypermagma": hypermagma_to_dict(gf9_add()),
-    "group": formats.group_to_dict(symmetric_group(3)),
-    "ring": formats.ring_to_dict(make_gf9()),
-    "matroid-flats": formats.matroid_to_dict(adjoin_point(fano_matroid())),
+    "group": group_to_dict(symmetric_group(3)),
+    "ring": ring_to_dict(make_gf9()),
+    "matroid-flats": matroid_to_dict(adjoin_point(fano_matroid())),
     "matroid-independent": {"kind": "matroid", "ground": ["a", "b"], "independent": [[], ["a"], ["b"]]},
     "matroid-rank": {
         "kind": "matroid",

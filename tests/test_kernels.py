@@ -6,13 +6,16 @@ the reference: `image_tables` against mask_of(iter_bits), `pushed_table`,
 `quotient` and `is_short` against the double loop over fiber products
 (`pushed_table`, which reads each product's bits from `BITS` on at most 8
 elements, also against its image-table loop),
-`is_colax`/`is_lax`/`is_strict` against the per-entry image loop, `boxdot`
+`is_colax`/`is_lax`/`is_strict` against the per-entry image loop (and
+`is_colax`, which passes an identity map without a scan and tests products
+against preimages on more than 8 elements, against its image loop), `boxdot`
 against the four-case loop, `hom_object` against the per-coordinate loop and
 `curry` against a scan of Hom(N, L) for each element, and
 `strict_sub_closure`, which takes only the products touching the last
 round's additions, against the loop over the full product K*K.
 `analyze`, which skips the triples whose answer is fixed, is checked against
-the loops over all n^3 triples, and `from_masks` (its row range check, its
+the loops over all n^3 triples, `is_commutative_mosaic` against `analyze`,
+and `from_masks` (its row range check, its
 identity and its inverse map, and the exact tuples it keeps without a copy)
 against the per-entry loops.
 `is_strong_map`, which reads preimages from the fibres, is checked against
@@ -31,8 +34,9 @@ from dataclasses import fields
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hyperkit.axioms import AxiomReport, Tag, _classify, analyze
+from hyperkit.axioms import AxiomReport, Tag, _classify, analyze, is_commutative_mosaic
 from hyperkit.core import (
+    BITS,
     Hypermagma,
     Morphism,
     UnionFind,
@@ -69,8 +73,8 @@ from hyperkit.matroid import (
     matroid_to_mosaic,
     uniform_matroid,
 )
-from hyperkit.monoidal import boxdot, curry, hom_object, tensor
-from hyperkit.suite import _closed_count_triples, _morphism_battery
+from hyperkit.monoidal import boxdot, boxtimes, curry, hom_object, tensor, wedge_smash
+from hyperkit.suite import _closed_count_triples, _morphism_battery, battery
 from hyperkit.univ import coequalizer, identified, pullback, unitize
 from util import small_battery
 from hyperkit.zoo import (
@@ -169,6 +173,25 @@ def _old_kinds(f):
             colax = colax and not img & ~tgt
             lax = lax and not tgt & ~img
     return colax, lax, colax and lax
+
+
+def _old_is_colax(f):
+    """`is_colax` as the loop that maps each product through f: bit by bit
+    from BITS on at most 8 elements, else through f's image tables."""
+    fmap, table = f.map, f.cod.table
+    push = image_function([1 << v for v in fmap]) if len(fmap) > 8 else None
+    for row, fx in zip(f.dom.table, fmap):
+        nrow = table[fx]
+        for m, fy in zip(row, fmap):
+            if m:
+                t = nrow[fy]
+                if push is None:
+                    for z in BITS[m]:
+                        if not t >> fmap[z] & 1:
+                            return False
+                elif push(m) & ~t:
+                    return False
+    return True
 
 
 def _old_boxdot(M, N):
@@ -362,6 +385,154 @@ def test_colax_lax_strict_match_entry_loop(data):
 @given(st.data())
 def test_colax_lax_strict_match_entry_loop_beyond_bits(data):
     _check_colax_lax_strict(data, [9, 16, 40])
+
+
+def _maps(M, N, rng):
+    """Every map M -> N when there are at most 4,096, else 2,000 seeded
+    random ones."""
+    if N.n**M.n <= 4096:
+        return list(itertools.product(range(N.n), repeat=M.n))
+    return [tuple(rng.randrange(N.n) for _ in range(M.n)) for _ in range(2000)]
+
+
+@pytest.mark.parametrize("tag", [Tag.HMAG, Tag.UHMAG, Tag.MSC, Tag.CMSC], ids=lambda t: t.value)
+def test_colax_matches_entry_loop_on_battery_maps(tag):
+    rng = random.Random(3002)
+    answers = set()
+    for M, N in itertools.product(battery(tag), repeat=2):
+        for fmap in _maps(M, N, rng):
+            f = Morphism(M, N, fmap)
+            got = is_colax(f)
+            assert got == _old_is_colax(f), f
+            answers.add(got)
+    assert answers == {True, False}
+
+
+def _minus_smash(q1, M, N):
+    """(-1) wedge (-1) on the smash of q1 = wedge_smash(M, N), as `boxtimes`
+    builds it."""
+    W, pair = q1.cod, q1.map
+    neg = [0] * W.n
+    for x in range(M.n):
+        for y in range(N.n):
+            neg[pair[x * N.n + y]] = pair[M.inverse[x] * N.n + N.inverse[y]]
+    return Morphism(W, W, tuple(neg))
+
+
+def test_colax_matches_entry_loop_on_tensor_maps():
+    """The quotient maps of `wedge_smash` and `boxtimes`, and the map
+    (-1) wedge (-1) whose coequalizer with the identity `boxtimes` takes,
+    for every pair of battery objects."""
+    for tag in (Tag.UHMAG, Tag.CMSC):
+        for M, N in itertools.product(battery(tag), repeat=2):
+            q1 = wedge_smash(M, N)
+            maps = [q1]
+            if tag is Tag.CMSC:
+                minus = _minus_smash(q1, M, N)
+                q2 = coequalizer(identity_morphism(q1.cod), minus, Tag.UHMAG)
+                maps += [minus, q2, boxtimes(M, N)]
+            for f in maps:
+                assert is_colax(f) and _old_is_colax(f)
+
+
+def test_colax_matches_entry_loop_on_random_maps_beyond_bits():
+    """Seeded maps out of tables on 9 to 16 elements: into random tables,
+    full tables, quotients, and quotients with one image bit taken out of an
+    entry it must lie in."""
+    rng = random.Random(3003)
+    answers = set()
+    for _ in range(400):
+        n = rng.randint(9, 16)
+        M = from_masks([f"x{i}" for i in range(n)], _random_table(rng, n, rng.random() < 0.5))
+        kind = rng.choice(["random", "cofree", "quotient", "trimmed"])
+        if kind in ("random", "cofree"):
+            k = rng.randint(1, 20)
+            rows = _random_table(rng, k, rng.random() < 0.5)
+            if kind == "cofree":
+                rows = [[(1 << k) - 1] * k] * k
+            N = from_masks([f"y{i}" for i in range(k)], rows)
+            fmap = tuple(rng.randrange(k) for _ in range(n))
+        else:
+            blocks, first = rng.randint(1, n), {}
+            proj = tuple(first.setdefault(rng.randrange(blocks), len(first)) for _ in range(n))
+            N, fmap = quotient(M, proj).cod, proj
+            i, j = rng.randrange(n), rng.randrange(n)
+            if kind == "trimmed" and M.table[i][j]:
+                rows = [list(r) for r in N.table]
+                rows[fmap[i]][fmap[j]] &= ~(1 << fmap[M.table[i][j].bit_length() - 1])
+                N = from_masks(N.labels, rows)
+        f = Morphism(M, N, fmap)
+        got = is_colax(f)
+        assert got == _old_is_colax(f), (M.table, N.table, fmap)
+        answers.add(got)
+    assert answers == {True, False}
+
+
+def test_colax_identity_maps_between_equal_but_distinct_objects():
+    rng = random.Random(3004)
+    objects = [*small_battery(), *_desk_objects().values()]
+    objects += [from_masks([f"x{i}" for i in range(n)], _random_table(rng, n, False)) for n in (9, 12)]
+    for M in objects:
+        twin = from_masks(M.labels, [list(r) for r in M.table])
+        assert twin == M and twin is not M and twin.table is not M.table
+        relabelled = from_masks([f"{l}~" for l in M.labels], M.table)
+        for N in (M, twin, relabelled):
+            f = Morphism(M, N, tuple(range(M.n)))
+            assert is_colax(f) and _old_is_colax(f)
+
+
+@pytest.mark.parametrize(
+    "labels, unit, quotient_labels",
+    [
+        (("e", "a"), None, ("e", "a")),
+        (("e", "a"), 0, ("e", "a")),
+        (("0", "a"), 0, ("e", "a")),
+        (("e'", "e"), 0, ("e'", "e")),
+        (("0", "e"), 0, ("e'", "e")),
+        (("e", "a"), 1, ("e", "e'")),
+        (("a", "e"), 1, ("a", "e")),
+    ],
+)
+def test_discrete_quotient_is_the_object_from_masks_builds(labels, unit, quotient_labels):
+    """Singleton classes: the quotient is M itself exactly when its labels
+    and identity stay, and it always equals the object built from its
+    labels and table; a unit that is not "e" or a fresh "e" is relabelled,
+    and a unit that is not M's identity has its row and column forced."""
+    M = from_masks(labels, [[1, 2], [2, 1]])
+    pi = quotient(M, (0, 1), unit=unit)
+    assert pi.dom is M and pi.map == (0, 1)
+    assert pi.cod.labels == quotient_labels
+    assert pi.cod == _old_quotient(M, (0, 1), unit)
+    if unit in (None, M.identity):
+        assert pi.cod == from_masks(quotient_labels, M.table)
+    assert (pi.cod is M) == (quotient_labels == labels and unit in (None, M.identity))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_discrete_quotient_matches_fiber_loop(data):
+    M = data.draw(hypermagmas())
+    ident = tuple(range(M.n))
+    assert quotient(M, ident).cod == from_masks(M.labels, M.table) == _old_quotient(M, ident)
+    if M.n:
+        unit = data.draw(st.integers(0, M.n - 1))
+        assert quotient(M, ident, unit=unit).cod == _old_quotient(M, ident, unit)
+
+
+def test_commutative_mosaic_predicate_matches_analyze():
+    objects = [M for n in range(1, 6) for M in enumerate_canonical_hypergroups(n)]
+    objects += [M for n in range(5) for M in enumerate_small_mosaics(n)]
+    objects += [M for n in range(4) for M in enumerate_unital_hypermagmas(n)]
+    objects += [M for tag in Tag for M in battery(tag)]
+    for matroid in (fano_matroid(), uniform_matroid(2, 4), uniform_matroid(3, 4)):
+        objects.append(matroid_to_mosaic(adjoin_point(matroid)))
+    answers = set()
+    for M in objects:
+        rep = analyze(M)
+        got = is_commutative_mosaic(M)
+        assert got == (rep.is_mosaic and rep.commutative), M.table
+        answers.add(got)
+    assert answers == {True, False}
 
 
 @settings(max_examples=80, deadline=None)
@@ -700,6 +871,7 @@ def _assert_same_report(M):
     for f in fields(AxiomReport):
         assert getattr(new, f.name) == getattr(old, f.name), (f.name, M.table)
     assert new == old
+    assert is_commutative_mosaic(M) == (old.is_mosaic and old.commutative)
 
 
 # every size up to 6, and two past the 8-bit lookup of set bits

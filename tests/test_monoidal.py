@@ -8,8 +8,9 @@ import sys
 import pytest
 
 import hyperkit
+from hyperkit import axioms, core
 from hyperkit.axioms import Tag, analyze
-from hyperkit.core import Morphism, find_isomorphism, iter_bits, mask_of
+from hyperkit.core import Morphism, find_isomorphism, from_masks, iter_bits, mask_of
 from hyperkit.errors import (
     HyperkitError,
     NotAMosaic,
@@ -130,6 +131,44 @@ def test_boxtimes_nondegenerate():
             for y in range(N.n):
                 if x != M.identity and y != N.identity:
                     assert pi[x * N.n + y] != q.cod.identity
+
+
+def _counted(monkeypatch, module, name):
+    """The list that records each call of module.name, made through any
+    hyperkit module that binds it."""
+    original, calls = getattr(module, name), []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for mod in list(sys.modules.values()):
+        if getattr(mod, "__name__", "").startswith("hyperkit") and getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+def _fresh(M, suffix):
+    return from_masks([f"{l}~{suffix}" for l in M.labels], M.table)
+
+
+def test_boxtimes_builds_each_object_once_and_reports_no_axioms(monkeypatch):
+    """On fresh copies of V and V, whose inversion is trivial, one boxtimes
+    builds the boxdot and the smash, and the coequalizer of the identity
+    and (-1) wedge (-1) is the smash itself; the guards run no axiom report.
+    Z3 (x) K, whose inversion is not trivial, builds its second quotient."""
+    A, B = _fresh(klein(), "a"), _fresh(klein(), "b")
+    C, D = _fresh(group_to_hypermagma(cyclic_group(3)), "c"), _fresh(krasner(), "d")
+    built = _counted(monkeypatch, core, "from_masks")
+    reports = _counted(monkeypatch, axioms, "axiom_report")
+    VV = boxtimes(A, B)
+    assert (len(built), len(reports)) == (2, 0)
+    del built[:]
+    ZK = boxtimes(C, D)
+    assert (len(built), len(reports)) == (3, 0)
+    monkeypatch.undo()
+    assert VV.cod == wedge_smash(A, B).cod and VV.cod.n == 10
+    assert (ZK.cod.n, wedge_smash(C, D).cod.n) == (2, 3)
 
 
 def test_boxtimes_rejects_noncommutative_input():

@@ -3,9 +3,10 @@ from typing import Any
 
 from hyperkit.axioms import Tag
 from hyperkit.core import Hypermagma, Morphism
+from hyperkit.matroid import Matroid
 from hyperkit.suite import d_weak_example as d_example, klein_v as klein, mixed3, z2
 from hyperkit.univ import cofree, free, terminal
-from hyperkit.zoo import gf9_quotient, krasner
+from hyperkit.zoo import FiniteGroup, FiniteRing, gf9_quotient, krasner
 
 
 def f_mosaic():
@@ -56,6 +57,37 @@ def morphism_to_dict(f: Morphism) -> dict:
         "cod": hypermagma_to_dict(f.cod),
         "map": {a: f.cod.labels[v] for a, v in zip(f.dom.labels, f.map)},
     }
+
+
+def group_to_dict(G: FiniteGroup) -> dict:
+    """G's object file as a dict; no command writes a group file."""
+    return {
+        "kind": "group",
+        "carrier": list(G.labels),
+        "table": [[G.labels[G.table[i][j]] for j in range(G.n)] for i in range(G.n)],
+    }
+
+
+def ring_to_dict(R: FiniteRing) -> dict:
+    """R's object file as a dict; no command writes a ring file."""
+    return {
+        "kind": "ring",
+        "carrier": list(R.labels),
+        "add": [[R.labels[R.add[i][j]] for j in range(R.n)] for i in range(R.n)],
+        "mul": [[R.labels[R.mul[i][j]] for j in range(R.n)] for i in range(R.n)],
+    }
+
+
+def matroid_to_dict(M: Matroid) -> dict:
+    """M's object file as a dict; no command writes a matroid file."""
+    d: dict[str, Any] = {
+        "kind": "matroid",
+        "ground": list(M.ground),
+        "flats": [list(M.label_set(F)) for F in M.flats],
+    }
+    if M.pointed is not None:
+        d["pointed"] = M.ground[M.pointed]
+    return d
 
 
 def set_search_cap(monkeypatch, nodes):
