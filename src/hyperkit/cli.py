@@ -12,12 +12,13 @@ over the library.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 
 from . import formats, search
 from .axioms import Tag, analyze
-from .core import Hypermagma, fresh_label, from_masks, mask_of
+from .core import Hypermagma, fresh_label, from_masks, mask_of, terminal
 from .errors import FormatError, HyperkitError
 from .matroid import (
     adjoin_point,
@@ -28,7 +29,7 @@ from .matroid import (
     uniform_matroid,
 )
 from .monoidal import boxdot, boxtimes, hom_object, wedge_smash
-from .univ import coequalizer, cofree, coproduct, equalizer, free, product, terminal, unitize
+from .univ import coequalizer, cofree, coproduct, equalizer, free, product, unitize
 from .zoo import (
     FiniteRing,
     conjugacy_hypergroup,
@@ -155,7 +156,7 @@ def cmd_check(args) -> int:
                 for name, tup in rep.witnesses
             },
         }
-        print(formats.dumps(payload), end="")
+        print(json.dumps(payload, indent=2))
         return 0
     if M.n == 0:
         print("initial (empty) hypermagma")

@@ -23,8 +23,8 @@ from .zoo import (
 
 
 def hypermagma_text(M: Hypermagma) -> str:
-    """M's object file as `dumps` writes it, without the final newline:
-    each label is encoded once, and each distinct entry rendered once."""
+    """M's object file as json.dumps(..., indent=2) writes it: each label
+    is encoded once, and each distinct entry rendered once."""
     labels = list(map(encode_basestring_ascii, M.labels))
     entries = {
         m: _joined([labels[i] for i in iter_bits(m)], "      ") for m in set().union(*M.table)
@@ -38,8 +38,8 @@ def hypermagma_text(M: Hypermagma) -> str:
 
 
 def morphism_text(f: Morphism, dom: str, cod: str) -> str:
-    """f's object file as `dumps` writes it, without the final newline, from
-    the texts `hypermagma_text` gave its domain and codomain.  One replace
+    """f's object file as json.dumps(..., indent=2) writes it, from the
+    texts `hypermagma_text` gave its domain and codomain.  One replace
     indents them a level: json escapes a newline inside a label, so every
     newline in them is a line break."""
     images = list(map(encode_basestring_ascii, f.cod.labels))
@@ -60,27 +60,6 @@ def _joined(items: list[str], pad: str, brackets: str = "[]") -> str:
         return brackets
     sep = ",\n" + pad + "  "
     return brackets[0] + sep[1:] + sep.join(items) + "\n" + pad + brackets[1]
-
-
-def _indented(obj, pad: str) -> str:
-    """obj as json.dumps(obj, indent=2) writes it at indentation `pad`, for
-    dicts with string keys, lists and JSON scalars.  Strings go through
-    json's string encoder (its C version where there is one), not its
-    pure-Python indenting encoder."""
-    if isinstance(obj, str):
-        return encode_basestring_ascii(obj)
-    inner = pad + "  "
-    if isinstance(obj, (list, tuple)):
-        return _joined([_indented(x, inner) for x in obj], pad)
-    if isinstance(obj, dict):
-        items = [encode_basestring_ascii(k) + ": " + _indented(v, inner) for k, v in obj.items()]
-        return _joined(items, pad, "{}")
-    return json.dumps(obj)
-
-
-def dumps(obj: dict) -> str:
-    """The bytes of json.dumps(obj, indent=2), and a final newline."""
-    return _indented(obj, "") + "\n"
 
 
 def _need(d: dict, key: str):

@@ -1,12 +1,9 @@
-"""Morphism kind checks, exhaustive hom-set enumeration, and the
-representing-object lifting criteria for strict/short/reversible.
-"""
+"""Morphism kind checks and exhaustive hom-set enumeration."""
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Collection, Hashable, Iterable
 
-from .axioms import Tag, UNITAL_TAGS, analyze
+from .axioms import Tag, UNITAL_TAGS
 from .core import (
     BITS,
     Hypermagma,
@@ -22,16 +19,10 @@ from .search import Budget, memo
 
 
 # The kind checks compare f(x*y), the image of each product, with
-# f(x)*f(y).  On a domain of at most 8 elements every product is a mask
-# below 256, and its bits are read from BITS.  On a larger domain its image
-# is read from f's image tables (an empty product pushes to the empty set),
-# whose set-up pays for itself there; `is_colax` reads the preimages of the
-# codomain's entries instead.
-
-
-def _pusher(fmap: tuple[int, ...]):
-    """f's image tables on a domain of more than 8 elements, else None."""
-    return image_function([1 << v for v in fmap]) if len(fmap) > 8 else None
+# f(x)*f(y).  The bits of a product are read from BITS when it is below 256,
+# as every product on a domain of at most 8 elements is, and with `iter_bits`
+# above; `is_colax` reads the preimages of the codomain's entries on a larger
+# domain instead.
 
 
 def is_colax(f: Morphism) -> bool:
@@ -73,18 +64,14 @@ def is_colax(f: Morphism) -> bool:
 def _colax_lax(f: Morphism) -> tuple[bool, bool]:
     """(is_colax(f), is_lax(f)) in one pass, which stops once both fail."""
     fmap, table = f.map, f.cod.table
-    push = _pusher(fmap)
     bit = [1 << v for v in fmap]
     colax = lax = True
     for row, fx in zip(f.dom.table, fmap):
         nrow = table[fx]
         for m, fy in zip(row, fmap):
-            if push is None:
-                img = 0
-                for z in BITS[m]:
-                    img |= bit[z]
-            else:
-                img = push(m) if m else 0
+            img = 0
+            for z in BITS[m] if m < 256 else iter_bits(m):
+                img |= bit[z]
             t = nrow[fy]
             if img != t:
                 colax = colax and not img & ~t
@@ -309,57 +296,6 @@ def constant_morphism(M: Hypermagma, N: Hypermagma, target: int) -> Morphism:
     return Morphism(M, N, tuple(target for _ in range(M.n)))
 
 
-# ---------------------------------------------------------------------------
-# Representing objects
-
-
-@dataclass(frozen=True)
-class RepresentingObject:
-    tag: Tag
-    obj: Hypermagma
-    a: int
-    b: int
-    c: int
-    free_pair: Hypermagma
-    iota: Morphism
-
-
-# Each E_C is presented by its labels, unit and inverse and the one relation
-# c in a*b (with its mirror b*a for cMsc, which makes E_cMsc commutative).
-_PRESENTATIONS = {
-    Tag.HMAG: (("a", "b", "c"), None, None),
-    Tag.UHMAG: (("e", "a", "b", "c"), 0, None),
-    Tag.MSC: (("e", "a", "a'", "b", "b'", "c", "c'"), 0, (0, 2, 1, 4, 3, 6, 5)),
-    Tag.CMSC: (("0", "a", "-a", "b", "-b", "c", "-c"), 0, (0, 2, 1, 4, 3, 6, 5)),
-}
-
-
-@memo
-def representing_object(tag: Tag) -> RepresentingObject:
-    """E_C, the free C-object on one relation c in a*b: Hom(E_C, M) is in
-    bijection with `triples(M)`."""
-    from .univ import free, presented  # deferred: univ imports hom
-
-    if tag not in _PRESENTATIONS:
-        raise ValueError(f"no representing object for tag {tag}")
-    labels, unit, inverse = _PRESENTATIONS[tag]
-    a, b, c = (labels.index(x) for x in ("a", "b", "c"))
-    relations = [(a, b, c), (b, a, c)] if tag is Tag.CMSC else [(a, b, c)]
-    E = presented(labels, relations, unit, inverse)
-    if tag in (Tag.MSC, Tag.CMSC):
-        ensure(analyze(E).is_mosaic, "representing_object: E is not a mosaic")
-    F2 = free(tag, ("a", "b"))
-    # the free pair shares E's labels, except that Msc writes 0, -a, -b as e, a', b'
-    rename = {"0": "e", "-a": "a'", "-b": "b'"} if tag is Tag.MSC else {}
-    iota = Morphism(F2, E, tuple(E.index(rename.get(l, l)) for l in F2.labels))
-    ensure(
-        morphism_in_tag(iota, tag) and is_injective(iota),
-        "representing_object: iota is not an injective morphism",
-    )
-    ensure((E.table[a][b] >> c) & 1, "representing_object: c is not in a*b")
-    return RepresentingObject(tag, E, a, b, c, F2, iota)
-
-
 def triples(M: Hypermagma) -> list[tuple[int, int, int]]:
     """All (x, y, z) with z in x*y; the set Hom(E_C, M) is in bijection with."""
     return [
@@ -368,52 +304,3 @@ def triples(M: Hypermagma) -> list[tuple[int, int, int]]:
         for y in range(M.n)
         for z in iter_bits(M.table[x][y])
     ]
-
-
-def is_strict_via_lifting(f: Morphism, tag: Tag) -> bool:
-    """Diagonal-lifting criterion against iota: F2 -> E_C.
-
-    Every square (alpha, beta) with f . alpha = beta . iota needs a filler g
-    with g . iota = alpha and f . g = beta.  The betas are indexed by the map
-    of beta . iota and the fillable squares form one set of map pairs
-    (g . iota, f . g), so each square costs one lookup and one set test.
-    """
-    ro = representing_object(tag)
-    iota, fmap = ro.iota.map, f.map
-    betas: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    for beta in enumerate_morphisms(ro.obj, f.cod, tag):
-        betas.setdefault(tuple(beta[v] for v in iota), []).append(beta)
-    filled = {
-        (tuple(g[v] for v in iota), tuple(fmap[v] for v in g))
-        for g in enumerate_morphisms(ro.obj, f.dom, tag)
-    }
-    for alpha in enumerate_morphisms(ro.free_pair, f.dom, tag):
-        for beta in betas.get(tuple(fmap[v] for v in alpha), ()):
-            if (alpha, beta) not in filled:
-                return False
-    return True
-
-
-def is_short_via_lifting(p: Morphism, tag: Tag) -> bool:
-    """Surjectivity of post-composition on Hom(E_C, -); for the non-unital
-    tag this is conjoined with surjectivity of p itself."""
-    ro = representing_object(tag)
-    if tag is Tag.HMAG and not is_surjective(p):
-        return False
-    pmap = p.map
-    pushed = {tuple(pmap[v] for v in g) for g in enumerate_morphisms(ro.obj, p.dom, tag)}
-    return all(h in pushed for h in enumerate_morphisms(ro.obj, p.cod, tag))
-
-
-def is_reversible_via_lifting(M: Hypermagma) -> bool:
-    """Bijectivity of restriction along iota: E_uHMag -> E_Msc on Hom(-, M)."""
-    if M.identity is None:
-        raise NotUnital("reversibility criterion needs a unital object")
-    Eu = representing_object(Tag.UHMAG).obj
-    Er = representing_object(Tag.MSC).obj
-    iota = Morphism(Eu, Er, tuple(Er.index(l) for l in ("e", "a", "b", "c")))
-    ensure(is_colax(iota) and is_unital(iota), "is_reversible_via_lifting: iota is not a unital morphism")
-    restricted = (
-        tuple(g[v] for v in iota.map) for g in enumerate_morphisms(Er, M, Tag.UHMAG)
-    )
-    return bijection_failure(restricted, enumerate_morphisms(Eu, M, Tag.UHMAG)) is None

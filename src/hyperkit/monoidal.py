@@ -1,9 +1,11 @@
 """The three closed monoidal products (boxdot, wedge-smash, boxtimes), the
-internal homs, bimorphism machinery, the Krasner strict-sub classifier, and
-the monoid-object packaging of multirings.
+internal homs, the empty-sum search whose witness is checked in one,
+bimorphism machinery, the Krasner strict-sub classifier, and the
+monoid-object packaging of multirings.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -38,7 +40,14 @@ from .hom import (
 )
 from .search import Budget, memo
 from .univ import coequalizer, free, unitize
-from .zoo import Multiring, check_multiring, krasner
+from .zoo import (
+    Multiring,
+    check_multiring,
+    enumerate_reversible_tables,
+    involutions,
+    krasner,
+    z2,
+)
 
 
 def boxdot(M: Hypermagma, N: Hypermagma) -> Hypermagma:
@@ -321,6 +330,67 @@ def represents_bimorphisms(
             kind = "injective" if failure[0] == "repeated" else "surjective"
             return False, f"pairing not {kind} at {at}"
     return True, None
+
+
+@dataclass(frozen=True)
+class EmptySumOutcome:
+    witness: tuple[Hypermagma, int, int] | None
+    steps: tuple[str, ...]
+
+
+def empty_sum_search(max_size: int) -> EmptySumOutcome:
+    """Search canonical hypergroups |H| <= max_size for involutions x, y with
+    no self-inverse element in x + y, i.e. f + g empty in Can(Z2, H).
+
+    The self-inverse set S is {t | 0 in t+t} = fixed points of the inversion
+    plus 0, so a witness needs two distinct nonzero fixed points and at least
+    one non-fixed pair; involution types failing that are excluded outright.
+    The others are searched class by class in the order of
+    `enumerate_reversible_tables`: the witness is the first class with fixed
+    points x < y whose x + y is nonempty and disjoint from S, with the first
+    such pair.
+    """
+    steps = []
+    for n in range(2, max_size + 1):
+        for swaps, sigma in enumerate(involutions(n - 1)):
+            if swaps == 0:
+                steps.append(
+                    f"n={n}, identity involution: every element is self-inverse, "
+                    "any z in x+y lies in S; excluded"
+                )
+                continue
+            fixed = [x + 1 for x, s in enumerate(sigma) if s == x]
+            if len(fixed) < 2:
+                steps.append(
+                    f"n={n}, {swaps} swaps: fewer than two nonzero self-inverse "
+                    "elements; excluded"
+                )
+                continue
+            S = 1 | mask_of(fixed)
+            for M in enumerate_reversible_tables(n, sigma=sigma):
+                for x, y in itertools.combinations(fixed, 2):
+                    if M.table[x][y] and not M.table[x][y] & S:
+                        ensure(
+                            _verify_empty_sum(M, x, y),
+                            f"empty_sum_search: n={n} witness fails the hom-object route",
+                        )
+                        steps.append(f"n={n}, {swaps} swaps: witness found")
+                        return EmptySumOutcome((M, x, y), tuple(steps))
+            steps.append(f"n={n}, {swaps} swaps: exhausted, no witness")
+    return EmptySumOutcome(None, tuple(steps))
+
+
+def _verify_empty_sum(H: Hypermagma, x: int, y: int) -> bool:
+    """Both routes: the representable description and the literal hom object."""
+    zero = H.identity
+    s_mask = mask_of(t for t in range(H.n) if (H.table[t][t] >> zero) & 1)
+    route1 = H.table[x][y] != 0 and H.table[x][y] & s_mask == 0
+    # the elements of Can(Z2, H) are its maps in enumeration order
+    Z = z2()
+    homs = enumerate_morphisms(Z, H, Tag.CMSC)
+    fi, gi = homs.index((zero, x)), homs.index((zero, y))
+    route2 = hom_object(Z, H, Tag.CMSC).table[fi][gi] == 0
+    return route1 and route2
 
 
 def enumerate_strict_submosaics(M: Hypermagma) -> list[int]:

@@ -34,14 +34,10 @@ from .hom import (
     is_coshort,
     is_injective,
     is_lax,
-    is_reversible_via_lifting,
     is_short,
-    is_short_via_lifting,
     is_strict,
-    is_strict_via_lifting,
     is_unital,
     kernel,
-    representing_object,
     triples,
 )
 from .matroid import (
@@ -58,6 +54,7 @@ from .monoidal import (
     enumerate_bimorphisms,
     hom_object,
     curry,
+    empty_sum_search,
     uncurry,
     represents_bimorphisms,
     is_strict_bimorphism,
@@ -79,9 +76,13 @@ from .univ import (
     identified,
     is_normal_epi,
     is_normal_mono,
+    is_reversible_via_lifting,
+    is_short_via_lifting,
+    is_strict_via_lifting,
     one_empty,
     product,
     pullback,
+    representing_object,
     unitize,
 )
 from .zoo import (
@@ -89,7 +90,6 @@ from .zoo import (
     cyclic_group,
     coproduct_replay,
     double_coset_hypergroup,
-    empty_sum_search,
     enumerate_canonical_hypergroups,
     enumerate_lattices,
     equalizer_replay,

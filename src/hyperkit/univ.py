@@ -1,5 +1,7 @@
-"""Free and cofree objects, (co)limits, unitization, and the regular-image
-machinery, together with enumeration-based universal-property verifiers.
+"""Free and cofree objects, the representing objects E_C and their lifting
+criteria for strict/short/reversible, (co)limits, unitization, and the
+regular-image machinery, together with enumeration-based
+universal-property verifiers.
 """
 from __future__ import annotations
 
@@ -7,7 +9,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .axioms import Tag
+from .axioms import Tag, analyze
 from .core import (
     Hypermagma,
     Morphism,
@@ -43,6 +45,7 @@ from .hom import (
     is_surjective,
     is_unital,
     kernel,
+    morphism_in_tag,
     triples,
 )
 from .search import memo
@@ -124,6 +127,108 @@ def cofree(generators: Sequence[str]) -> Hypermagma:
 def one_empty() -> Hypermagma:
     """The free hypermagma on one element 1 with 1*1 empty."""
     return free(Tag.HMAG, ("1",))
+
+
+# ---------------------------------------------------------------------------
+# Representing objects
+
+
+@dataclass(frozen=True)
+class RepresentingObject:
+    tag: Tag
+    obj: Hypermagma
+    a: int
+    b: int
+    c: int
+    free_pair: Hypermagma
+    iota: Morphism
+
+
+# Each E_C is presented by its labels, unit and inverse and the one relation
+# c in a*b (with its mirror b*a for cMsc, which makes E_cMsc commutative).
+_PRESENTATIONS = {
+    Tag.HMAG: (("a", "b", "c"), None, None),
+    Tag.UHMAG: (("e", "a", "b", "c"), 0, None),
+    Tag.MSC: (("e", "a", "a'", "b", "b'", "c", "c'"), 0, (0, 2, 1, 4, 3, 6, 5)),
+    Tag.CMSC: (("0", "a", "-a", "b", "-b", "c", "-c"), 0, (0, 2, 1, 4, 3, 6, 5)),
+}
+
+
+@memo
+def representing_object(tag: Tag) -> RepresentingObject:
+    """E_C, the free C-object on one relation c in a*b: Hom(E_C, M) is in
+    bijection with `triples(M)`."""
+    if tag not in _PRESENTATIONS:
+        raise ValueError(f"no representing object for tag {tag}")
+    labels, unit, inverse = _PRESENTATIONS[tag]
+    a, b, c = (labels.index(x) for x in ("a", "b", "c"))
+    relations = [(a, b, c), (b, a, c)] if tag is Tag.CMSC else [(a, b, c)]
+    E = presented(labels, relations, unit, inverse)
+    if tag in (Tag.MSC, Tag.CMSC):
+        ensure(analyze(E).is_mosaic, "representing_object: E is not a mosaic")
+    F2 = free(tag, ("a", "b"))
+    # the free pair shares E's labels, except that Msc writes 0, -a, -b as e, a', b'
+    rename = {"0": "e", "-a": "a'", "-b": "b'"} if tag is Tag.MSC else {}
+    iota = Morphism(F2, E, tuple(E.index(rename.get(l, l)) for l in F2.labels))
+    ensure(
+        morphism_in_tag(iota, tag) and is_injective(iota),
+        "representing_object: iota is not an injective morphism",
+    )
+    ensure((E.table[a][b] >> c) & 1, "representing_object: c is not in a*b")
+    return RepresentingObject(tag, E, a, b, c, F2, iota)
+
+
+def is_strict_via_lifting(f: Morphism, tag: Tag) -> bool:
+    """Diagonal-lifting criterion against iota: F2 -> E_C.
+
+    Every square (alpha, beta) with f . alpha = beta . iota needs a filler g
+    with g . iota = alpha and f . g = beta.  The betas are indexed by the map
+    of beta . iota and the fillable squares form one set of map pairs
+    (g . iota, f . g), so each square costs one lookup and one set test.
+    """
+    ro = representing_object(tag)
+    iota, fmap = ro.iota.map, f.map
+    betas: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    for beta in enumerate_morphisms(ro.obj, f.cod, tag):
+        betas.setdefault(tuple(beta[v] for v in iota), []).append(beta)
+    filled = {
+        (tuple(g[v] for v in iota), tuple(fmap[v] for v in g))
+        for g in enumerate_morphisms(ro.obj, f.dom, tag)
+    }
+    for alpha in enumerate_morphisms(ro.free_pair, f.dom, tag):
+        for beta in betas.get(tuple(fmap[v] for v in alpha), ()):
+            if (alpha, beta) not in filled:
+                return False
+    return True
+
+
+def is_short_via_lifting(p: Morphism, tag: Tag) -> bool:
+    """Surjectivity of post-composition on Hom(E_C, -); for the non-unital
+    tag this is conjoined with surjectivity of p itself."""
+    ro = representing_object(tag)
+    if tag is Tag.HMAG and not is_surjective(p):
+        return False
+    pmap = p.map
+    pushed = {tuple(pmap[v] for v in g) for g in enumerate_morphisms(ro.obj, p.dom, tag)}
+    return all(h in pushed for h in enumerate_morphisms(ro.obj, p.cod, tag))
+
+
+def is_reversible_via_lifting(M: Hypermagma) -> bool:
+    """Bijectivity of restriction along iota: E_uHMag -> E_Msc on Hom(-, M)."""
+    if M.identity is None:
+        raise NotUnital("reversibility criterion needs a unital object")
+    Eu = representing_object(Tag.UHMAG).obj
+    Er = representing_object(Tag.MSC).obj
+    iota = Morphism(Eu, Er, tuple(Er.index(l) for l in ("e", "a", "b", "c")))
+    ensure(is_colax(iota) and is_unital(iota), "is_reversible_via_lifting: iota is not a unital morphism")
+    restricted = (
+        tuple(g[v] for v in iota.map) for g in enumerate_morphisms(Er, M, Tag.UHMAG)
+    )
+    return bijection_failure(restricted, enumerate_morphisms(Eu, M, Tag.UHMAG)) is None
+
+
+# ---------------------------------------------------------------------------
+# (Co)limits, unitization and regular images
 
 
 def product(Ms: Sequence[Hypermagma]) -> Cone:
@@ -376,8 +481,8 @@ def check_equalizer_universal(
     f: Morphism, g: Morphism, inc: Morphism, tag: Tag, battery: Sequence[Hypermagma]
 ) -> bool:
     """Whether inc is an equalizer of f and g."""
-    if g.dom != f.dom or inc.cod != f.dom:
-        raise DimensionMismatch("composition mismatch: dom(g) != dom(f) or cod(inc) != dom(f)")
+    if g.dom != f.dom or g.cod != f.cod or inc.cod != f.dom:
+        raise DimensionMismatch("composition mismatch: dom(g) != dom(f), cod(g) != cod(f) or cod(inc) != dom(f)")
     for T in battery:
         cones = {
             q
@@ -397,8 +502,8 @@ def check_coequalizer_universal(
     tag: Tag,
     battery: Sequence[Hypermagma],
 ) -> bool:
-    if g.cod != f.cod:
-        raise DimensionMismatch("composition mismatch: cod(g) != cod(f)")
+    if g.dom != f.dom or g.cod != f.cod or q.dom != f.cod:
+        raise DimensionMismatch("composition mismatch: dom(g) != dom(f), cod(g) != cod(f) or dom(q) != cod(f)")
     for T in battery:
         cocones = {
             h

@@ -579,7 +579,7 @@ def gf9_frobenius() -> Morphism:
 # Enumeration of canonical hypergroups up to isomorphism
 
 
-def _involutions(k: int) -> list[tuple[int, ...]]:
+def involutions(k: int) -> list[tuple[int, ...]]:
     """Involutions of {0..k-1} as canonical representatives per cycle type:
     (0 1)(2 3)... with the tail fixed."""
     out = []
@@ -663,7 +663,7 @@ def enumerate_reversible_tables(
     Every table is isomorphic to one whose inversion is a canonical
     involution sigma of the nonzero elements, x -> sigma(x - 1) + 1, and the
     search visits one sigma per cycle type, fewest swaps first
-    (`_involutions`).  Given `sigma`, one of those, it visits only that one
+    (`involutions`).  Given `sigma`, one of those, it visits only that one
     and yields the tables the full search yields for it.
 
     For each sigma the free choices are the orbits of nonzero triples
@@ -716,7 +716,7 @@ def enumerate_reversible_tables(
     in_row = [
         tuple(tuple(r * n + d for d in iter_bits(m)) for m in range(1 << n)) for r in range(n)
     ]
-    sigmas = _involutions(nz) if sigma is None else [sigma]
+    sigmas = involutions(nz) if sigma is None else [sigma]
     for sigma in sigmas:
         orbits = _triple_orbits(nz, sigma)
         k = len(orbits)
@@ -1043,69 +1043,3 @@ def refute_equalizer_candidate(E: Hypermagma, e: Morphism) -> Refutation:
         return Refutation(True, ("not a canonical hypergroup (not a candidate)",))
     outcome = equalizer_replay(E, lift_points(E), e.map, F.map)
     return equalizer_refutation(E, e.map, outcome)
-
-
-# ---------------------------------------------------------------------------
-# Empty-sum search
-
-
-@dataclass(frozen=True)
-class EmptySumOutcome:
-    witness: tuple[Hypermagma, int, int] | None
-    steps: tuple[str, ...]
-
-
-def empty_sum_search(max_size: int) -> EmptySumOutcome:
-    """Search canonical hypergroups |H| <= max_size for involutions x, y with
-    no self-inverse element in x + y, i.e. f + g empty in Can(Z2, H).
-
-    The self-inverse set S is {t | 0 in t+t} = fixed points of the inversion
-    plus 0, so a witness needs two distinct nonzero fixed points and at least
-    one non-fixed pair; involution types failing that are excluded outright.
-    The others are searched class by class in the order of
-    `enumerate_reversible_tables`: the witness is the first class with fixed
-    points x < y whose x + y is nonempty and disjoint from S, with the first
-    such pair.
-    """
-    steps = []
-    for n in range(2, max_size + 1):
-        for swaps, sigma in enumerate(_involutions(n - 1)):
-            if swaps == 0:
-                steps.append(
-                    f"n={n}, identity involution: every element is self-inverse, "
-                    "any z in x+y lies in S; excluded"
-                )
-                continue
-            fixed = [x + 1 for x, s in enumerate(sigma) if s == x]
-            if len(fixed) < 2:
-                steps.append(
-                    f"n={n}, {swaps} swaps: fewer than two nonzero self-inverse "
-                    "elements; excluded"
-                )
-                continue
-            S = 1 | mask_of(fixed)
-            for M in enumerate_reversible_tables(n, sigma=sigma):
-                for x, y in itertools.combinations(fixed, 2):
-                    if M.table[x][y] and not M.table[x][y] & S:
-                        ensure(
-                            _verify_empty_sum(M, x, y),
-                            f"empty_sum_search: n={n} witness fails the hom-object route",
-                        )
-                        steps.append(f"n={n}, {swaps} swaps: witness found")
-                        return EmptySumOutcome((M, x, y), tuple(steps))
-            steps.append(f"n={n}, {swaps} swaps: exhausted, no witness")
-    return EmptySumOutcome(None, tuple(steps))
-
-
-def _verify_empty_sum(H: Hypermagma, x: int, y: int) -> bool:
-    """Both routes: the representable description and the literal hom object."""
-    zero = H.identity
-    s_mask = mask_of(t for t in range(H.n) if (H.table[t][t] >> zero) & 1)
-    route1 = H.table[x][y] != 0 and H.table[x][y] & s_mask == 0
-    from .monoidal import hom_object  # deferred: monoidal imports zoo
-
-    Hm = hom_object(z2(), H, Tag.CMSC)
-    fi = Hm.index(f"({H.labels[zero]},{H.labels[x]})")
-    gi = Hm.index(f"({H.labels[zero]},{H.labels[y]})")
-    route2 = Hm.table[fi][gi] == 0
-    return route1 and route2

@@ -27,17 +27,13 @@ import pytest
 
 from hyperkit import suite
 from hyperkit.axioms import Tag, analyze
-from hyperkit.core import Morphism, find_isomorphism, iter_bits, mask_of
+from hyperkit.core import Morphism, find_isomorphism, iter_bits, mask_of, terminal
 from hyperkit.hom import (
     enumerate_morphisms,
     is_colax,
-    is_reversible_via_lifting,
     is_short,
-    is_short_via_lifting,
     is_strict,
-    is_strict_via_lifting,
     is_unital,
-    representing_object,
     triples,
 )
 from hyperkit.matroid import (
@@ -49,8 +45,10 @@ from hyperkit.matroid import (
     uniform_matroid,
 )
 from hyperkit.monoidal import (
+    EmptySumOutcome,
     boxtimes,
     curry,
+    empty_sum_search,
     enumerate_bimorphisms,
     hom_object,
     represents_bimorphisms,
@@ -71,11 +69,20 @@ from hyperkit.suite import (
     d_weak_example,
     klein_v,
 )
-from hyperkit.univ import cofree, coequalizer, free, one_empty, product, terminal, unitize
+from hyperkit.univ import (
+    cofree,
+    coequalizer,
+    free,
+    is_reversible_via_lifting,
+    is_short_via_lifting,
+    is_strict_via_lifting,
+    one_empty,
+    product,
+    representing_object,
+    unitize,
+)
 from hyperkit.zoo import (
-    EmptySumOutcome,
     cyclic_group,
-    empty_sum_search,
     enumerate_lattices,
     gf9_quotient,
     group_to_hypermagma,

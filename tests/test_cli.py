@@ -47,7 +47,7 @@ from util import (
 
 def write_obj(tmp_path, name, payload):
     p = tmp_path / name
-    p.write_text(formats.dumps(payload))
+    p.write_text(json.dumps(payload, indent=2) + "\n")
     return str(p)
 
 
@@ -58,9 +58,9 @@ def krasner_file(tmp_path):
 def test_roundtrip_hypermagmas():
     for M in small_battery():
         d = hypermagma_to_dict(M)
-        again = formats.parse_hypermagma(json.loads(formats.dumps(d)))
+        again = formats.parse_hypermagma(json.loads(json.dumps(d)))
         assert again == M
-        assert formats.dumps(hypermagma_to_dict(again)) == formats.dumps(d)
+        assert json.dumps(hypermagma_to_dict(again), indent=2) == json.dumps(d, indent=2)
 
 
 def test_roundtrip_group_ring_matroid():
@@ -182,42 +182,14 @@ def test_parse_error_exit_2(tmp_path, capsys):
 AWKWARD = ('say "hi"', "back\\slash", "tab\tline\nnul\x00\x1f\x7f", "é☃\u2028𝄞")
 
 
-def test_dumps_writes_the_bytes_of_json_dumps_indent_2():
-    from hyperkit.core import from_masks
-    from hyperkit.matroid import make_matroid
-    from hyperkit.univ import cofree
-    from hyperkit.zoo import make_finite_group, make_finite_ring
-
-    A = cofree(AWKWARD[:2])
-    B = from_masks(AWKWARD[2:], ((1, 2), (2, 0)))
-    F = make_matroid(AWKWARD[:3], flats=[0, 0b001, 0b010, 0b100, 0b111])
-    files = [
-        hypermagma_to_dict(A),
-        hypermagma_to_dict(B),
-        morphism_to_dict(Morphism(A, B, (0, 0))),
-        group_to_dict(make_finite_group(AWKWARD[:3], [[0, 1, 2], [1, 2, 0], [2, 0, 1]])),
-        ring_to_dict(make_finite_ring(AWKWARD[2:], [[0, 1], [1, 0]], [[0, 0], [0, 1]])),
-        matroid_to_dict(F),
-        matroid_to_dict(adjoin_point(F)),
-        {"kind": "matroid", "ground": ["a"], "rank": [[[], 0], [["a"], 1]]},
-        {"kind": "lattice", "carrier": AWKWARD[:2], "top": AWKWARD[1],
-         "meet": [[AWKWARD[0]] * 2, list(AWKWARD[:2])]},
-        {"kind": "hypermagma", "carrier": [], "table": []},
-        {},
-        {"empty": {}, "list": [[], [[]], {}], "scalars": [0, -3, 2.5, True, False, None]},
-    ]
-    for d in files:
-        assert formats.dumps(d) == json.dumps(d, indent=2) + "\n"
-
-
 def _writes_as_oracle(x) -> None:
-    """The writer's text for a hypermagma or morphism, and a newline, is
-    `dumps` of the dict oracle."""
+    """The writer's text for a hypermagma or morphism is
+    json.dumps(..., indent=2) of the dict oracle."""
     if isinstance(x, Morphism):
         dom, cod = formats.hypermagma_text(x.dom), formats.hypermagma_text(x.cod)
-        assert formats.morphism_text(x, dom, cod) + "\n" == formats.dumps(morphism_to_dict(x))
+        assert formats.morphism_text(x, dom, cod) == json.dumps(morphism_to_dict(x), indent=2)
     else:
-        assert formats.hypermagma_text(x) + "\n" == formats.dumps(hypermagma_to_dict(x))
+        assert formats.hypermagma_text(x) == json.dumps(hypermagma_to_dict(x), indent=2)
 
 
 def test_writers_match_dumps_of_the_dict_oracle(monkeypatch):
@@ -662,7 +634,7 @@ def test_golden_wedge_serialization():
     from hyperkit.monoidal import wedge_smash
 
     q = wedge_smash(z2(), z2())
-    assert formats.dumps(hypermagma_to_dict(q.cod)) == GOLDEN_WEDGE
+    assert json.dumps(hypermagma_to_dict(q.cod), indent=2) + "\n" == GOLDEN_WEDGE
 
 
 def test_golden_gf9_quotient_row():
@@ -1322,7 +1294,7 @@ def test_mutated_object_files_fail_only_as_format_errors(kind, data):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "obj.json")
         with open(path, "w") as fh:
-            fh.write(formats.dumps(d))
+            fh.write(json.dumps(d, indent=2) + "\n")
         loaded = not isinstance(_same_load_as_entry_loop(path), str)
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

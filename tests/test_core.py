@@ -30,8 +30,8 @@ from hyperkit.errors import (
     DuplicateLabel,
     IdentityAxiomViolated,
 )
-from hyperkit.hom import is_coshort, inclusion_morphism, representing_object
-from hyperkit.univ import cofree, free
+from hyperkit.hom import is_coshort, inclusion_morphism
+from hyperkit.univ import cofree, free, representing_object
 from hyperkit.zoo import (
     cyclic_group,
     gf9_frobenius,

@@ -311,7 +311,7 @@ def test_small_mosaics_orbit_stabilizer(monkeypatch):
 )
 def test_one_sigma_yields_its_block_of_the_full_run(n, hypergroups):
     full = enumerate_canonical_hypergroups(n) if hypergroups else enumerate_small_mosaics(n)
-    sigmas = zoo._involutions(n - 1)
+    sigmas = zoo.involutions(n - 1)
     assert {_sigma_of(M) for M in full} <= set(sigmas)
     for sigma in sigmas:
         block = [M.table for M in full if _sigma_of(M) == sigma]
@@ -336,7 +336,7 @@ def test_canonicity_tests_shape(n):
     at most once per depth, its shift strictly falls as the depth grows
     (each comparison reads a longer prefix than the last), and depth k
     lists every symmetry with shift 0, the leaf test."""
-    for sigma in zoo._involutions(n - 1):
+    for sigma in zoo.involutions(n - 1):
         orbits = zoo._triple_orbits(n - 1, sigma)
         k = len(orbits)
         symmetries = zoo._orbit_symmetries(n - 1, sigma, orbits)

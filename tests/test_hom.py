@@ -12,6 +12,7 @@ from hyperkit.core import (
     iter_bits,
     mask_of,
     permute,
+    terminal,
 )
 from hyperkit.errors import CodomainNotUnital, FormatError, NotUnital, SearchCapExceeded
 from hyperkit import hom, monoidal
@@ -25,23 +26,26 @@ from hyperkit.hom import (
     is_coshort,
     is_injective,
     is_lax,
-    is_reversible_via_lifting,
     is_short,
-    is_short_via_lifting,
     is_strict,
-    is_strict_via_lifting,
     is_surjective,
     is_unital,
     kernel,
     morphism_in_tag,
-    representing_object,
     triples,
 )
 from hyperkit.matroid import adjoin_point, fano_matroid, matroid_to_mosaic
 from hyperkit.monoidal import enumerate_bimorphisms, hom_object
 from hyperkit.search import Budget, search_cap
 from hyperkit.suite import _morphism_battery
-from hyperkit.univ import free, terminal, unitize
+from hyperkit.univ import (
+    free,
+    is_reversible_via_lifting,
+    is_short_via_lifting,
+    is_strict_via_lifting,
+    representing_object,
+    unitize,
+)
 from hyperkit.zoo import (
     conjugacy_hypergroup,
     cyclic_group,

@@ -1,6 +1,7 @@
-"""Source checks over src/hyperkit: no unused module-level imports, no
-function-level import but the three deferred ones, no name a function
-reads that is bound nowhere, no memo outside hyperkit.search,
+"""Source checks over src/hyperkit: no unused module-level imports, each
+module importing only from the layers below it and each name from the
+module that defines it, no function-level import but cli's deferred one,
+no name a function reads that is bound nowhere, no memo outside hyperkit.search,
 memoised functions with positional parameters only, no bare `assert` in any
 module, no definition that nothing names, no dataclass field that nothing
 reads, no function parameter that its body never reads, and every function
@@ -40,13 +41,8 @@ def test_module_level_imports_are_used(name):
 
 
 # (module, function, imported module) of each import a function makes: cli
-# keeps the suite out of `check` and `construct`, and the other two break a
-# cycle; each states its reason on its line
-DEFERRED_IMPORTS = [
-    ("cli.py", "cmd_paper_suite", "suite"),
-    ("hom.py", "representing_object", "univ"),
-    ("zoo.py", "_verify_empty_sum", "monoidal"),
-]
+# keeps the suite out of `check` and `construct`, and says so on its line
+DEFERRED_IMPORTS = [("cli.py", "cmd_paper_suite", "suite")]
 
 
 def test_function_level_imports_are_the_deferred_ones():
@@ -67,6 +63,40 @@ def test_function_level_imports_are_the_deferred_ones():
                 found.append((name, function, module))
                 assert "  # deferred: " in lines[node.lineno - 1], found[-1]
     assert sorted(found) == DEFERRED_IMPORTS
+
+
+# The package's layers, lowest first: hom-sets and morphism kinds, then free
+# and representing objects and (co)limits, then the examples, the monoidal
+# structures with their internal homs, and what is built on them.  The
+# package's __init__ and __main__ sit above every layer.
+LAYERS = [
+    "errors", "search", "core", "axioms", "hom", "univ",
+    "zoo", "monoidal", "matroid", "formats", "suite", "cli",
+]
+ENTRY_POINTS = ["__init__", "__main__"]
+
+
+# a module imports from lower layers only, in a function too, so no cycle
+# can form; and each name from the module that defines it
+def test_imports_follow_the_layers_and_name_the_defining_module():
+    assert sorted(f"{m}.py" for m in LAYERS + ENTRY_POINTS) == MODULES
+    defined = {m: set(_definitions(_tree(f"{m}.py"))) for m in LAYERS}
+    bad = []
+    for name in MODULES:
+        module = name[:-3]
+        for node in ast.walk(_tree(name)):
+            if not isinstance(node, ast.ImportFrom) or node.level == 0:
+                continue
+            if node.module is None:  # `from . import formats` imports modules
+                pairs = [(alias.name, None) for alias in node.names]
+            else:
+                pairs = [(node.module, alias.name) for alias in node.names]
+            for target, imported in pairs:
+                if module in LAYERS and LAYERS.index(target) >= LAYERS.index(module):
+                    bad.append(f"{name} imports {target}, which is not below it")
+                if imported is not None and imported not in defined[target]:
+                    bad.append(f"{name} imports {imported} from {target}, which does not define it")
+    assert bad == []
 
 
 # a global that no module-level statement binds fails only when it is read

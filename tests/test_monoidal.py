@@ -10,7 +10,7 @@ import pytest
 import hyperkit
 from hyperkit import axioms, core
 from hyperkit.axioms import Tag, analyze
-from hyperkit.core import Morphism, find_isomorphism, from_masks, iter_bits, mask_of
+from hyperkit.core import Morphism, find_isomorphism, from_masks, iter_bits, mask_of, terminal
 from hyperkit.errors import (
     HyperkitError,
     NotAMosaic,
@@ -24,6 +24,7 @@ from hyperkit.monoidal import (
     boxdot,
     boxtimes,
     curry,
+    empty_sum_search,
     enumerate_bimorphisms,
     enumerate_strict_submosaics,
     hom_object,
@@ -38,12 +39,11 @@ from hyperkit.monoidal import (
     wedge_unit,
 )
 from hyperkit.suite import _matrix_count
-from hyperkit.univ import free, one_empty, product, terminal
+from hyperkit.univ import free, one_empty, product
 from hyperkit.zoo import (
     Multiring,
     cyclic_group,
     check_multiring,
-    empty_sum_search,
     enumerate_canonical_hypergroups,
     gf9_quotient,
     group_to_hypermagma,

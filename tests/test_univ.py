@@ -14,6 +14,7 @@ from hyperkit.core import (
     iter_bits,
     mask_of,
     quotient,
+    terminal,
 )
 from hyperkit.errors import (
     DimensionMismatch,
@@ -50,7 +51,6 @@ from hyperkit.univ import (
     product,
     pullback,
     regular_image_factorization,
-    terminal,
     unitize,
 )
 from hyperkit.suite import battery
@@ -246,15 +246,19 @@ def test_universal_verifiers_reject_non_universal_candidates():
 
 
 def test_universal_verifiers_reject_maps_that_do_not_compose():
-    K, Z = krasner(), z2()
+    K, Z, V = krasner(), z2(), klein()
     idK, idZ = identity_morphism(K), identity_morphism(Z)
     t = Morphism(Z, K, (0, 1))
+    q = coequalizer(t, t, Tag.UHMAG)
     calls = [
         lambda: check_product_universal(Cone(Z, (idK,)), Tag.UHMAG, probes()),
         lambda: check_coproduct_universal(Cone(Z, (idK,)), Tag.UHMAG, probes()),
         lambda: check_equalizer_universal(t, idK, idZ, Tag.UHMAG, probes()),
         lambda: check_equalizer_universal(t, t, idK, Tag.UHMAG, probes()),
+        lambda: check_equalizer_universal(t, idZ, idZ, Tag.UHMAG, probes()),
         lambda: check_coequalizer_universal(t, idZ, idK, Tag.UHMAG, probes()),
+        lambda: check_coequalizer_universal(t, Morphism(V, K, (0,) * V.n), q, Tag.UHMAG, probes()),
+        lambda: check_coequalizer_universal(t, t, identity_morphism(V), Tag.UHMAG, probes()),
     ]
     for call in calls:
         with pytest.raises(DimensionMismatch, match="^composition mismatch: "):

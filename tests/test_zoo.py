@@ -19,6 +19,7 @@ from hyperkit.errors import (
     ZeroNotAbsorbing,
 )
 from hyperkit.hom import enumerate_morphisms, is_short, is_strict
+from hyperkit.monoidal import empty_sum_search
 from hyperkit.zoo import (
     _gf9_classifier_targets,
     check_multiring,
@@ -27,7 +28,6 @@ from hyperkit.zoo import (
     coproduct_replay,
     cyclic_group,
     double_coset_hypergroup,
-    empty_sum_search,
     enumerate_canonical_hypergroups,
     enumerate_lattices,
     enumerate_unital_hypermagmas,

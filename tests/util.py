@@ -2,11 +2,11 @@
 from typing import Any
 
 from hyperkit.axioms import Tag
-from hyperkit.core import Hypermagma, Morphism
+from hyperkit.core import Hypermagma, Morphism, terminal
 from hyperkit.matroid import Matroid
-from hyperkit.suite import d_weak_example as d_example, klein_v as klein, mixed3, z2
-from hyperkit.univ import cofree, free, terminal
-from hyperkit.zoo import FiniteGroup, FiniteRing, gf9_quotient, krasner
+from hyperkit.suite import d_weak_example as d_example, klein_v as klein, mixed3
+from hyperkit.univ import cofree, free
+from hyperkit.zoo import FiniteGroup, FiniteRing, gf9_quotient, krasner, z2
 
 
 def f_mosaic():
