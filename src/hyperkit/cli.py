@@ -21,6 +21,7 @@ from .axioms import Tag, analyze
 from .core import Hypermagma, fresh_label, from_masks, mask_of, terminal
 from .errors import FormatError, HyperkitError
 from .matroid import (
+    GENERATORS_CAP,
     adjoin_point,
     fano_matroid,
     is_simple,
@@ -302,15 +303,20 @@ def cmd_construct(args) -> int:
 
 def _generators(verb: str, count: int | None, labels: str | None) -> list[str]:
     """The generators of `free` or `cofree`: the given labels, or 1..count
-    (one generator when neither option is given)."""
+    (one generator when neither option is given); at most GENERATORS_CAP,
+    checked before any table is built."""
     if labels is None:
         count = 1 if count is None else count
         if count < 0:
             raise FormatError(f"--gens: {count} is negative")
+        if count > GENERATORS_CAP:
+            raise FormatError(f"--gens: {count} is above the limit of {GENERATORS_CAP}")
         return [str(i + 1) for i in range(count)]
     if count is not None:
         raise FormatError(f"hyperkit construct {verb}: --gens and --labels exclude each other")
     gens = labels.split(",")
+    if len(gens) > GENERATORS_CAP:
+        raise FormatError(f"--labels: {len(gens)} labels, above the limit of {GENERATORS_CAP}")
     for i, label in enumerate(gens):
         if label in gens[:i]:
             raise FormatError(f"--labels: {label!r} is repeated")
@@ -394,8 +400,9 @@ def _run(argv) -> int:
     try:
         args = PARSER.parse_args(argv)
         # a malformed cap is an error for every command, searching or not;
-        # a valid one is read this once and held while the command runs
-        with search.held_cap():
+        # a valid one is read this once and held while the command runs,
+        # and its memo entries are shared by its checks and dropped after
+        with search.held_cap(), search.scope():
             return args.fn(args)
     except SystemExit as exc:
         # only --help exits the parser; usage errors raise FormatError

@@ -32,6 +32,9 @@ from .hom import enumerate_morphisms
 
 FLATS_CAP = 14
 CONVERT_CAP = 10
+# The most generators `hyperkit construct free|cofree` takes: the cofree
+# object's file grows as the cube of its carrier.
+GENERATORS_CAP = 64
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,12 @@ A memoised result is stored with the most nodes any single search spent
 while computing it, nested memoised calls included.  A hit whose count
 exceeds `search_cap()` computes again, so it raises `SearchCapExceeded`
 exactly where a cold call would.
+
+An entry lasts until the innermost `scope()` block open when it was made
+ends.  A memoised call made outside every block is a block of its own, so
+it and its nested calls share their results while it runs and drop them
+when it returns.  A zero-argument function, a fixed object such as
+`zoo.krasner`, keeps its one entry for the life of the process.
 """
 from __future__ import annotations
 
@@ -76,6 +82,27 @@ class Budget:
             raise SearchCapExceeded(f"{self.what}: node cap exceeded after {self.cap} nodes")
 
 
+# The memo entries made in each open `scope` block, innermost last, as
+# (table, key) pairs.
+_scopes: list[list] = []
+
+
+def _drop(made: list) -> None:
+    for table, key in made:
+        table.pop(key, None)
+
+
+@contextlib.contextmanager
+def scope():
+    """A block whose memo entries are dropped when it ends: the memoised
+    calls inside it share their results until then."""
+    _scopes.append([])
+    try:
+        yield
+    finally:
+        _drop(_scopes.pop())
+
+
 def memo(fn):
     """Memoise `fn` on its positional args.
 
@@ -94,16 +121,25 @@ def memo(fn):
         if hit is None:
             frame: list = []
             _open.append(frame)
+            own = not _scopes  # a call outside every scope is its own
+            if own:
+                _scopes.append([])
             try:
                 value = fn(*args)
             finally:
                 _open.pop()
+                if own:
+                    _drop(_scopes.pop())
             nodes = 0
             for x in frame:
                 spent = x if isinstance(x, int) else x.cap - x.left
                 if spent > nodes:
                     nodes = spent
-            table[args] = (value, nodes)
+            if not args:
+                table[args] = (value, nodes)
+            elif not own:
+                table[args] = (value, nodes)
+                _scopes[-1].append((table, args))
         if _open:
             _open[-1].append(nodes)
         return list(value) if isinstance(value, list) else value

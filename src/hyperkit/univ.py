@@ -91,8 +91,9 @@ def free(tag: Tag, generators: Sequence[str], point: str | None = None) -> Hyper
     basepoint among the generators) and all other products are empty.
     Msc/cMsc: carrier 0, X, -X with x + (-x) = 0 and every other sum empty.
     An adjoined e, 0 or -x is primed by `fresh_label` past the generators
-    and the labels before it, so every generator keeps its label.  Each
-    object is built once and shared by the calls after.
+    and the labels before it, so every generator keeps its label.  Inside
+    a `search.scope()` block each object is built once and shared by the
+    calls after.
     """
     return _free(tag, tuple(str(g) for g in generators), point)
 

@@ -1,0 +1,11 @@
+"""Tier-1 runs in one memo scope: a result one test computes is a memo hit in
+the tests after it, as the checks of one CLI command share theirs."""
+import pytest
+
+from hyperkit import search
+
+
+@pytest.fixture(scope="session", autouse=True)
+def one_memo_scope():
+    with search.scope():
+        yield

@@ -19,7 +19,7 @@ from hyperkit.cli import main
 from hyperkit.core import Morphism, find_isomorphism, from_masks, mask_of
 from hyperkit.errors import FormatError, SearchCapExceeded
 from hyperkit.hom import enumerate_morphisms
-from hyperkit.matroid import adjoin_point, fano_matroid, graphic_matroid, is_simple
+from hyperkit.matroid import GENERATORS_CAP, adjoin_point, fano_matroid, graphic_matroid, is_simple
 from hyperkit.univ import free
 from hyperkit.zoo import (
     conjugacy_hypergroup,
@@ -940,6 +940,29 @@ def test_generator_options_that_conflict_exit_2_with_one_line(tmp_path, capsys, 
     assert captured.err == "error: " + message.format(verb=verb) + "\n"
     assert main(["construct", verb, "--labels", "a,b", "-o", out]) == 0
     assert formats.load(out)[1].labels == ("a", "b")
+
+
+@pytest.mark.parametrize("verb", ["free", "cofree"])
+def test_generators_above_the_cap_exit_2_before_any_table_is_built(tmp_path, capsys, monkeypatch, verb):
+    # a regression fails here instead of building the table
+    monkeypatch.setattr(f"hyperkit.cli.{verb}", lambda *args: pytest.fail(f"{verb} was called"))
+    out = str(tmp_path / "out.json")
+    over = GENERATORS_CAP + 1
+    for args, message in (
+        (["--gens", str(over)], f"--gens: {over} is above the limit of {GENERATORS_CAP}"),
+        (["--gens", "99999"], f"--gens: 99999 is above the limit of {GENERATORS_CAP}"),
+        (
+            ["--labels", ",".join(f"g{i}" for i in range(over))],
+            f"--labels: {over} labels, above the limit of {GENERATORS_CAP}",
+        ),
+    ):
+        assert main(["construct", verb, *args, "-o", out]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not os.path.exists(out)
+        assert captured.err == f"error: {message}\n"
+    monkeypatch.undo()
+    assert main(["construct", verb, "--gens", str(GENERATORS_CAP), "-o", out]) == 0
+    assert formats.load(out)[1].n == GENERATORS_CAP
 
 
 @pytest.mark.parametrize(
