@@ -400,9 +400,8 @@ def _run(argv) -> int:
     try:
         args = PARSER.parse_args(argv)
         # a malformed cap is an error for every command, searching or not;
-        # a valid one is read this once and held while the command runs,
-        # and its memo entries are shared by its checks and dropped after
-        with search.held_cap(), search.scope():
+        # a valid one is read this once and held while the command runs
+        with search.held_cap():
             return args.fn(args)
     except SystemExit as exc:
         # only --help exits the parser; usage errors raise FormatError

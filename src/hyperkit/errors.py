@@ -81,10 +81,6 @@ class NotUnitSubgroup(HyperkitError):
     pass
 
 
-class CandidateDoesNotEqualize(HyperkitError):
-    pass
-
-
 class FlatsNotIntersectionClosed(HyperkitError):
     pass
 

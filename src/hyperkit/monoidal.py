@@ -222,7 +222,7 @@ def tensor(M: Hypermagma, N: Hypermagma, tag: Tag) -> tuple[Hypermagma, Bimorphi
         q = wedge_smash(M, N) if tag is Tag.UHMAG else boxtimes(M, N)
         T, pair = q.cod, q.map
     else:
-        raise NotCommutativeMosaic(f"no tensor product for tag {tag}")
+        raise NotCommutativeMosaic(f"no tensor product for tag {tag.value}")
     table = tuple(tuple(pair[x * N.n + y] for y in range(N.n)) for x in range(M.n))
     u = Bimorphism(M, N, T, table)
     ensure(is_bimorphism(u, tag), "tensor: the canonical map is not a bimorphism")

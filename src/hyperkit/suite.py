@@ -11,6 +11,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
+from . import search
 from .axioms import Tag, analyze, check_total_iff_associative_for_mosaics, weak_identity_set
 from .core import (
     Hypermagma,
@@ -88,11 +89,9 @@ from .univ import (
 from .zoo import (
     conjugacy_hypergroup,
     cyclic_group,
-    coproduct_replay,
     double_coset_hypergroup,
     enumerate_canonical_hypergroups,
     enumerate_lattices,
-    equalizer_replay,
     gf9_frobenius,
     gf9_quotient,
     group_to_hypermagma,
@@ -107,6 +106,8 @@ from .zoo import (
     make_finite_group,
     make_multiring,
     orbit_hypergroup,
+    refute_coproduct_candidate,
+    refute_equalizer_candidate,
     subdistributive_multiring,
     symmetric_group,
     z2,
@@ -532,7 +533,7 @@ def check_coproduct_refuter(max_size: int = 5) -> tuple[bool, str]:
             (Z, enumerate_morphisms(Gc, Z, Tag.CMSC), pairs_z),
         )
         for i1, i2 in itertools.product(legs, repeat=2):
-            if coproduct_replay(i1, i2, targets) is None:
+            if refute_coproduct_candidate(i1, i2, targets) is None:
                 return False, f"candidate survived: {Gc.labels}"
     return True, f"all {total} candidates of size <= {max_size} refuted"
 
@@ -547,7 +548,7 @@ def check_equalizer_refuter(max_size: int = 5) -> tuple[bool, str]:
         for h in enumerate_morphisms(E, L, Tag.CMSC):
             total += 1
             e = tuple(inc.map[v] for v in h)
-            if not equalizer_replay(E, points, e, F.map)[0]:
+            if not refute_equalizer_candidate(E, points, e, F.map)[0]:
                 return False, f"candidate survived: {E.labels}"
     return True, f"all {total} equalizing candidates of size <= {max_size} refuted"
 
@@ -834,11 +835,14 @@ SIZED_CHECKS = (
 def run_suite(only: str | None = None, max_size: int | None = None) -> list[CheckResult]:
     """Run the checks whose names contain `only`, each looked up in CHECKS
     as it runs, and name each (ok, detail) by its key; `max_size` overrides
-    the default size of the SIZED_CHECKS."""
+    the default size of the SIZED_CHECKS.  The checks run in one
+    `search.scope()`: they share their memo entries, which are dropped when
+    the suite returns."""
     results = []
-    for name in CHECKS:
-        if only is None or only in name:
-            sized = max_size is not None and name in SIZED_CHECKS
-            ok, detail = CHECKS[name](max_size) if sized else CHECKS[name]()
-            results.append(CheckResult(name, ok, detail))
+    with search.scope():
+        for name in CHECKS:
+            if only is None or only in name:
+                sized = max_size is not None and name in SIZED_CHECKS
+                ok, detail = CHECKS[name](max_size) if sized else CHECKS[name]()
+                results.append(CheckResult(name, ok, detail))
     return results

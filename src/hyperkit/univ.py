@@ -114,7 +114,7 @@ def _free(tag: Tag, generators: tuple[str, ...], point: str | None) -> Hypermagm
             labels.append(fresh_label("-" + g, labels))
         inverse = [0, *range(k + 1, 2 * k + 1), *range(1, k + 1)]
         return presented(labels, unit=0, inverse=inverse)
-    raise UnsupportedCategory(f"no free objects built for tag {tag}")
+    raise UnsupportedCategory(f"no free objects built for tag {tag.value}")
 
 
 def cofree(generators: Sequence[str]) -> Hypermagma:
@@ -160,7 +160,7 @@ def representing_object(tag: Tag) -> RepresentingObject:
     """E_C, the free C-object on one relation c in a*b: Hom(E_C, M) is in
     bijection with `triples(M)`."""
     if tag not in _PRESENTATIONS:
-        raise ValueError(f"no representing object for tag {tag}")
+        raise UnsupportedCategory(f"no representing object for tag {tag.value}")
     labels, unit, inverse = _PRESENTATIONS[tag]
     a, b, c = (labels.index(x) for x in ("a", "b", "c"))
     relations = [(a, b, c), (b, a, c)] if tag is Tag.CMSC else [(a, b, c)]

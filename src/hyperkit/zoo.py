@@ -23,7 +23,6 @@ from .core import (
 )
 from .errors import (
     AdditiveNotCanonical,
-    CandidateDoesNotEqualize,
     DimensionMismatch,
     NotAbelian,
     NotAnAutomorphismGroup,
@@ -890,17 +889,11 @@ def enumerate_canonical_hypergroups(n: int) -> list[Hypermagma]:
 # Each refuter walks the classes of canonical hypergroups and replays a
 # proof against every candidate on each class.  What depends on the class
 # alone is read once per class, each hom-set through the memoised
-# `enumerate_morphisms`; what depends on the candidate is a replay
-# (`coproduct_replay`, `equalizer_replay`) that formats nothing.  The
-# `refute_*_candidate` functions run the same replay on one candidate and
-# spell out its steps.
-
-
-@dataclass(frozen=True)
-class Refutation:
-    refuted: bool
-    steps: tuple[str, ...]
-    witness: tuple | None = None
+# `enumerate_morphisms`; what depends on the candidate is one call of
+# `refute_coproduct_candidate` or `refute_equalizer_candidate`, which takes
+# maps, builds no `Morphism`, formats nothing and returns the record of
+# what it proved.  Their candidates come from the census and from
+# `univ.equalizer`, so neither checks its input.
 
 
 def lift_points(G: Hypermagma) -> tuple[int, ...]:
@@ -918,7 +911,7 @@ def leg_pairs(T: Hypermagma) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     return list(itertools.product(enumerate_morphisms(z2(), T, Tag.CMSC), repeat=2))
 
 
-def coproduct_replay(
+def refute_coproduct_candidate(
     i1: Sequence[int], i2: Sequence[int], targets: Iterable[tuple[Hypermagma, list, list]]
 ) -> tuple[Hypermagma, str, tuple] | None:
     """The per-candidate half of the coproduct refuter, for the legs
@@ -936,34 +929,6 @@ def coproduct_replay(
         if failure is not None and failure[0] != "extra":
             return T, *failure
     return None
-
-
-def coproduct_refutation(failure: tuple[Hypermagma, str, tuple] | None) -> Refutation:
-    """The steps of a `coproduct_replay` on a canonical candidate."""
-    can_z2_K = enumerate_morphisms(z2(), krasner(), Tag.CAN)
-    ensure(len(can_z2_K) == 2, "refute_coproduct_candidate: |Can(Z2,K)| is not 2")
-    steps = (f"|Can(Z2,K)| = {len(can_z2_K)}",)
-    if failure is None:
-        return Refutation(False, steps + ("battery passed",))
-    T, kind, key = failure
-    if kind == "repeated":
-        step = f"mediating morphism not unique for legs {key}"
-    else:
-        step = f"no mediating morphism for legs {key} into {'|'.join(T.labels)}"
-    return Refutation(True, steps + (step,), witness=key)
-
-
-def refute_coproduct_candidate(
-    Gc: Hypermagma, i1: Morphism, i2: Morphism, battery: Sequence[Hypermagma] | None = None
-) -> Refutation:
-    """Replay the finite steps showing (Gc, i1, i2) is not a coproduct of
-    Z2 with itself among canonical hypergroups."""
-    if analyze(Gc).classification not in ("CanonicalHypergroup", "AbelianGroup"):
-        return Refutation(True, ("candidate is not a canonical hypergroup",))
-    if battery is None:
-        battery = [krasner(), z2(), Gc]
-    targets = ((T, enumerate_morphisms(Gc, T, Tag.CMSC), leg_pairs(T)) for T in battery)
-    return coproduct_refutation(coproduct_replay(i1.map, i2.map, targets))
 
 
 @memo
@@ -984,7 +949,7 @@ def _gf9_classifier_targets() -> tuple[int, int]:
     return targets
 
 
-def equalizer_replay(
+def refute_equalizer_candidate(
     E: Hypermagma, points: Sequence[int], emap: Sequence[int], fmap: Sequence[int]
 ) -> tuple[bool, tuple[int, ...], int | None]:
     """The per-candidate half of the equalizer refuter, for e: E -> H with
@@ -1006,40 +971,3 @@ def equalizer_replay(
         return True, (x, y), None
     z = next(iter_bits(sums))
     return fmap[emap[z]] != emap[z], (x, y), z
-
-
-def equalizer_refutation(
-    E: Hypermagma, emap: Sequence[int], outcome: tuple[bool, tuple[int, ...], int | None]
-) -> Refutation:
-    """The steps of an `equalizer_replay` on a canonical candidate."""
-    H = gf9_quotient().additive
-    refuted, lifts, z = outcome
-    steps = [f"H carrier {list(H.labels)}"]
-    steps += [f"{name} factors via element {E.labels[x]}" for name, x in zip("fg", lifts)]
-    if len(lifts) < 2:
-        name = "fg"[len(lifts)]
-        steps.append(f"{name} does not factor through the candidate")
-        target = _gf9_classifier_targets()[len(lifts)]
-        return Refutation(True, tuple(steps), witness=(name, target))
-    if z is None:
-        steps.append("x + y is empty, so E is not total")
-        return Refutation(True, tuple(steps), witness=lifts)
-    steps.append(f"z = {E.labels[z]} in x+y maps to {H.labels[emap[z]]}, F-fixed: {not refuted}")
-    if refuted:
-        return Refutation(True, tuple(steps), witness=(*lifts, z))
-    return Refutation(False, tuple(steps + ["replay found no violation"]))
-
-
-def refute_equalizer_candidate(E: Hypermagma, e: Morphism) -> Refutation:
-    """Replay the proof that id/Frobenius on the gf9 quotient has no
-    equalizer against a concrete candidate (E, e)."""
-    H = gf9_quotient().additive
-    F = gf9_frobenius()
-    if e.cod != H:
-        raise CandidateDoesNotEqualize("candidate does not land in the gf9 quotient")
-    if any(F.map[e.map[x]] != e.map[x] for x in range(E.n)):
-        raise CandidateDoesNotEqualize("candidate morphism does not equalize id and F")
-    if analyze(E).classification not in ("CanonicalHypergroup", "AbelianGroup"):
-        return Refutation(True, ("not a canonical hypergroup (not a candidate)",))
-    outcome = equalizer_replay(E, lift_points(E), e.map, F.map)
-    return equalizer_refutation(E, e.map, outcome)

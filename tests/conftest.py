@@ -1,5 +1,5 @@
 """Tier-1 runs in one memo scope: a result one test computes is a memo hit in
-the tests after it, as the checks of one CLI command share theirs."""
+the tests after it, as the checks of one `run_suite` share theirs."""
 import pytest
 
 from hyperkit import search

@@ -923,6 +923,14 @@ def test_negative_gens_exits_2_with_one_line(tmp_path, capsys, verb):
     assert formats.load(out)[1].n == 0
 
 
+def test_free_for_an_unsupported_tag_exits_1_with_one_line(tmp_path, capsys):
+    out = str(tmp_path / "out.json")
+    assert main(["construct", "free", "--tag", "can", "-o", out]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and not os.path.exists(out)
+    assert captured.err == "UnsupportedCategory: no free objects built for tag can\n"
+
+
 @pytest.mark.parametrize("verb", ["free", "cofree"])
 @pytest.mark.parametrize(
     "args, message",

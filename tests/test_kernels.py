@@ -39,9 +39,7 @@ from hyperkit.core import (
     BITS,
     Hypermagma,
     Morphism,
-    UnionFind,
     canonical_form,
-    compose,
     distinct_labels,
     fresh_label,
     from_masks,
@@ -75,8 +73,8 @@ from hyperkit.matroid import (
 )
 from hyperkit.monoidal import boxdot, boxtimes, curry, hom_object, tensor, wedge_smash
 from hyperkit.suite import _closed_count_triples, _morphism_battery, battery
-from hyperkit.univ import coequalizer, identified, pullback, unitize
-from util import small_battery
+from hyperkit.univ import coequalizer, identified, pullback
+from util import old_coequalizer, small_battery
 from hyperkit.zoo import (
     conjugacy_hypergroup,
     cyclic_group,
@@ -1180,21 +1178,6 @@ def test_canonical_form_reads_fixed_from_an_iterator():
     assert canonical_form(table, iter((0, 2))) == (0, 0, 0, 0, 0, 2, 0, 0, 0)
 
 
-def _old_coequalizer(f, g, tag):
-    """Set-coequalizer quotient; unital tags unitize at the unit class."""
-    if tag in (Tag.HGRP, Tag.CAN):
-        tag = Tag.UHMAG
-    N = f.cod
-    uf = UnionFind(N.n)
-    for x in range(f.dom.n):
-        uf.union(f.map[x], g.map[x])
-    piL = quotient(N, uf.proj())
-    if tag is Tag.HMAG:
-        return piL
-    inner = unitize(piL.cod, 1 << piL.map[N.identity])
-    return compose(inner, piL)
-
-
 def test_regularity_shared_coequalizers_match_each_pair():
     # the pairs of `check_regularity`, in its order
     shared, pairs = {}, 0
@@ -1206,6 +1189,6 @@ def test_regularity_shared_coequalizers_match_each_pair():
                 for f in homs:
                     for g in homs:
                         q = shared.setdefault((tag, B, identified(f, g)), coequalizer(f, g, tag))
-                        assert q == _old_coequalizer(f, g, tag)
+                        assert q == old_coequalizer(f, g, tag)
                         pairs += 1
     assert (pairs, len(shared)) == (277, 26)

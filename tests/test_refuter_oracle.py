@@ -27,11 +27,11 @@ from hyperkit.hom import enumerate_morphisms
 from hyperkit.univ import equalizer
 from hyperkit.zoo import (
     enumerate_canonical_hypergroups,
-    equalizer_replay,
     gf9_frobenius,
     gf9_quotient,
     krasner,
     lift_points,
+    refute_equalizer_candidate,
     z2,
 )
 
@@ -152,6 +152,6 @@ def test_equalizer_inputs_match_brute_force_through_order_5():
         points = tuple(x for x in range(G.n) if (G.table[x][x] >> e) & 1 and (G.table[x][x] >> x) & 1)
         assert lift_points(G) == points, G.labels
         for emap in homs:
-            assert equalizer_replay(G, points, emap, F.map)[0], (G.labels, emap)
+            assert refute_equalizer_candidate(G, points, emap, F.map)[0], (G.labels, emap)
         candidates += len(homs)
     assert candidates == 14162

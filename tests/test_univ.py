@@ -47,6 +47,8 @@ from hyperkit.univ import (
     identified,
     is_normal_epi,
     is_normal_mono,
+    is_short_via_lifting,
+    is_strict_via_lifting,
     one_empty,
     product,
     pullback,
@@ -56,7 +58,7 @@ from hyperkit.univ import (
 from hyperkit.suite import battery
 from hyperkit.zoo import enumerate_canonical_hypergroups, gf9_frobenius, gf9_quotient, krasner
 
-from util import d_example, f_mosaic, klein, mixed3, small_battery, z2
+from util import d_example, f_mosaic, klein, mixed3, old_coequalizer, small_battery, z2
 
 
 SMALL = None
@@ -174,6 +176,16 @@ def test_coproduct_unsupported_for_hypergroups():
     t = Morphism(z2(), krasner(), (0, 1))
     with pytest.raises(UnsupportedCategory):
         equalizer(t, t, Tag.CAN)
+
+
+@pytest.mark.parametrize("tag", [Tag.HGRP, Tag.CAN])
+def test_lifting_criteria_unsupported_for_hypergroups(tag):
+    # E_C is built for the four mosaic-side tags only
+    f = identity_morphism(krasner())
+    with pytest.raises(UnsupportedCategory, match=f"no representing object for tag {tag.value}$"):
+        is_strict_via_lifting(f, tag)
+    with pytest.raises(UnsupportedCategory, match=f"no representing object for tag {tag.value}$"):
+        is_short_via_lifting(f, tag)
 
 
 def test_hypergroup_coequalizers_delegate():
@@ -579,13 +591,6 @@ def test_product_matches_combination_loop():
     assert len(factor_lists) == 81 + 729 + 27
 
 
-def _old_coequalizer(f, g, tag):
-    """The unital coequalizer in two steps: the quotient by
-    `identified(f, g)`, then `unitize` at the unit class."""
-    piL = quotient(f.cod, identified(f, g))
-    return compose(unitize(piL.cod, 1 << piL.map[f.cod.identity]), piL)
-
-
 def test_unital_coequalizer_matches_two_step_quotient():
     # (id, inversion) on every census class of order <= 4 and on the CMSC
     # battery: the unit class is {e}, and the coequalizer is built in one step
@@ -602,7 +607,7 @@ def test_unital_coequalizer_matches_two_step_quotient():
         proj = identified(f, g)
         singleton.append(proj.count(proj[f.cod.identity]) == 1)
         for tag in (Tag.UHMAG, Tag.CMSC):
-            q, old = coequalizer(f, g, tag), _old_coequalizer(f, g, tag)
+            q, old = coequalizer(f, g, tag), old_coequalizer(f, g, tag)
             assert (q.cod.labels, q.cod.table) == (old.cod.labels, old.cod.table)
             assert (q.cod.identity, q.cod.inverse) == (old.cod.identity, old.cod.inverse)
             assert q == old

@@ -1,13 +1,17 @@
+import contextlib
 import hashlib
+import io
 import itertools
+import sys
+from collections import Counter
 
 import pytest
 
 from hyperkit.axioms import Tag, analyze
-from hyperkit.core import Morphism, find_isomorphism, from_masks, iter_bits, mask_of
+from hyperkit import cli, zoo
+from hyperkit.core import find_isomorphism, from_masks, identity_morphism, iter_bits, mask_of
 from hyperkit.errors import (
     AdditiveNotCanonical,
-    CandidateDoesNotEqualize,
     DimensionMismatch,
     NotAbelian,
     NotAnAutomorphismGroup,
@@ -20,19 +24,16 @@ from hyperkit.errors import (
 )
 from hyperkit.hom import enumerate_morphisms, is_short, is_strict
 from hyperkit.monoidal import empty_sum_search
+from hyperkit.univ import equalizer
 from hyperkit.zoo import (
     _gf9_classifier_targets,
     check_multiring,
     conjugacy_hypergroup,
-    coproduct_refutation,
-    coproduct_replay,
     cyclic_group,
     double_coset_hypergroup,
     enumerate_canonical_hypergroups,
     enumerate_lattices,
     enumerate_unital_hypermagmas,
-    equalizer_refutation,
-    equalizer_replay,
     gf9_frobenius,
     gf9_quotient,
     group_to_hypermagma,
@@ -389,105 +390,86 @@ def test_canonical_hypergroups_order3_brute_force_oracle():
     assert any(find_isomorphism(z3, N) for N in hs)
 
 
+def _coproduct_targets(G, battery):
+    """The per-class half of the coproduct refuter on G, for each object of
+    `battery`."""
+    return [(T, enumerate_morphisms(G, T, Tag.CMSC), leg_pairs(T)) for T in battery]
+
+
 def test_refute_coproduct_klein_injections():
     V = group_to_hypermagma(klein_four_group())
-    i1 = Morphism(z2(), V, (0, 1))
-    i2 = Morphism(z2(), V, (0, 2))
-    r = refute_coproduct_candidate(V, i1, i2)
-    assert r.refuted
+    targets = _coproduct_targets(V, [krasner(), z2(), V])
+    T, kind, legs = refute_coproduct_candidate((0, 1), (0, 2), targets)
+    assert T == krasner() and kind in ("missing", "repeated")
 
 
 def test_refute_coproduct_z2_diagonal():
     Z = z2()
-    ident = Morphism(Z, Z, (0, 1))
-    r = refute_coproduct_candidate(Z, ident, ident, battery=[krasner(), Z])
-    assert r.refuted
-    assert any("no mediating" in s or "not unique" in s for s in r.steps)
+    targets = _coproduct_targets(Z, [krasner(), Z])
+    T, kind, legs = refute_coproduct_candidate((0, 1), (0, 1), targets)
+    # the diagonal legs reach only the pairs of equal legs
+    assert T == krasner() and kind == "missing" and legs[0] != legs[1]
 
 
 def test_coproduct_refutations_pinned():
-    """Every coproduct candidate of order <= 4, replayed against the default
-    battery and against [K, Z2]: the digest pins every step and witness."""
-    Z = z2()
-    digest = hashlib.sha256()
-    last_steps = []
-    for battery in (None, [krasner(), Z]):
-        for n in range(1, 5):
-            for Gc in enumerate_canonical_hypergroups(n):
-                legs = [Morphism(Z, Gc, m) for m in enumerate_morphisms(Z, Gc, Tag.CMSC)]
-                for i1, i2 in itertools.product(legs, repeat=2):
-                    r = refute_coproduct_candidate(Gc, i1, i2, battery=battery)
-                    digest.update(repr((r.refuted, r.steps, r.witness)).encode())
-                    last_steps.append(r.steps[-1].split(" for legs ")[0])
-    assert last_steps.count("no mediating morphism") == 1334
-    assert last_steps.count("mediating morphism not unique") == 1152
-    assert len(last_steps) == 2486
-    assert digest.hexdigest() == "a47a05507fe48001adaa481e523492805efc911e8e8031478e4c13663bdc86b6"
-
-
-@pytest.mark.parametrize("battery", ["default", "K-Z2"])
-def test_coproduct_replay_on_the_record_matches_direct_refutation(battery):
-    """The per-class hom-sets plus the replay, as the coproduct refuter runs
-    them, give the Refutation of a direct call on every candidate of order
-    <= 4."""
+    """Every coproduct candidate of order <= 4, replayed against [K, Z2, G]
+    and against [K, Z2]: every candidate fails on K or Z2, so both batteries
+    return the same records: the first object that fails, how, and for
+    which legs."""
     K, Z = krasner(), z2()
-    count = 0
+    names = {K: "K", Z: "Z2"}
+    records = {"default": [], "K-Z2": []}
     for n in range(1, 5):
         for Gc in enumerate_canonical_hypergroups(n):
-            assert analyze(Gc).classification in ("CanonicalHypergroup", "AbelianGroup")
-            objects = [K, Z, Gc] if battery == "default" else [K, Z]
-            targets = [(T, enumerate_morphisms(Gc, T, Tag.CMSC), leg_pairs(T)) for T in objects]
             legs = enumerate_morphisms(Z, Gc, Tag.CMSC)
-            for i1, i2 in itertools.product(legs, repeat=2):
-                direct = refute_coproduct_candidate(
-                    Gc,
-                    Morphism(Z, Gc, i1),
-                    Morphism(Z, Gc, i2),
-                    battery=None if battery == "default" else [K, Z],
-                )
-                assert coproduct_refutation(coproduct_replay(i1, i2, targets)) == direct
-                count += 1
-    assert count == 1243
+            for battery, objects in (("default", [K, Z, Gc]), ("K-Z2", [K, Z])):
+                targets = _coproduct_targets(Gc, objects)
+                for i1, i2 in itertools.product(legs, repeat=2):
+                    T, kind, pair = refute_coproduct_candidate(i1, i2, targets)
+                    records[battery].append((names[T], kind, pair))
+    assert records["default"] == records["K-Z2"]
+    kinds = Counter(kind for _, kind, _ in records["default"] + records["K-Z2"])
+    assert kinds == {"missing": 1334, "repeated": 1152} and kinds.total() == 2486
+    assert Counter(r[:2] for r in records["default"]) == {
+        ("K", "missing"): 663,
+        ("K", "repeated"): 576,
+        ("Z2", "missing"): 4,
+    }
+    # the legs of every record, in the refuter's order
+    digest = hashlib.sha256(repr(records["default"]).encode()).hexdigest()
+    assert digest == "818b1a9c23a5eebee8a12b19fd8a106546613779a41be12eb964aa2d9ecdbc1f"
 
 
-def test_equalizer_replay_on_the_record_matches_direct_refutation():
-    H = gf9_quotient().additive
-    F = gf9_frobenius()
-    count = 0
-    for n in range(1, 5):
+def _equalizer_records(max_size):
+    """(n, refuted, lift points, z) for every equalizing candidate of order
+    <= max_size, in the order the equalizer refuter walks them."""
+    H, F = gf9_quotient().additive, gf9_frobenius()
+    L, inc = equalizer(identity_morphism(H), F)
+    out = []
+    for n in range(1, max_size + 1):
         for E in enumerate_canonical_hypergroups(n):
-            for e in enumerate_morphisms(E, H, Tag.CMSC):
-                if any(F.map[v] != v for v in e):
-                    continue
-                outcome = equalizer_replay(E, lift_points(E), e, F.map)
-                direct = refute_equalizer_candidate(E, Morphism(E, H, e))
-                assert equalizer_refutation(E, e, outcome) == direct
-                count += 1
-    assert count == 458
+            points = lift_points(E)
+            for h in enumerate_morphisms(E, L, Tag.CMSC):
+                e = tuple(inc.map[v] for v in h)
+                out.append((n, *refute_equalizer_candidate(E, points, e, F.map)))
+    return out
 
 
 def test_equalizer_refutations_pinned():
-    """Every equalizing candidate of order <= 4: the digest pins every step
-    and witness."""
-    H = gf9_quotient().additive
-    F = gf9_frobenius()
-    digest = hashlib.sha256()
-    last_steps = []
-    for n in range(1, 5):
-        for E in enumerate_canonical_hypergroups(n):
-            for e in enumerate_morphisms(E, H, Tag.CMSC):
-                if any(F.map[v] != v for v in e):
-                    continue
-                r = refute_equalizer_candidate(E, Morphism(E, H, e))
-                digest.update(repr((r.refuted, r.steps, r.witness)).encode())
-                last_steps.append(r.steps[-1])
-    assert last_steps.count("f does not factor through the candidate") == 347
-    assert last_steps.count("g does not factor through the candidate") == 111
-    assert len(last_steps) == 458
-    assert digest.hexdigest() == "0812b321743f956847b2bb4f3f95809bee67bcf0a07932eb81c2bf8ae93fc2f9"
+    """Every equalizing candidate of order <= 5 is refuted before the sum
+    step: f (no lift point) or g (one lift point) does not factor."""
+    records = _equalizer_records(5)
+    assert all(refuted and z is None for _, refuted, _, z in records)
+    through_4 = Counter(len(lifts) for n, _, lifts, _ in records if n <= 4)
+    assert through_4 == {0: 347, 1: 111} and through_4.total() == 458
+    through_5 = Counter(len(lifts) for _, _, lifts, _ in records)
+    assert through_5 == {0: 9776, 1: 4386} and through_5.total() == 14162
+    # the lift points of every record, in the refuter's order
+    digest = hashlib.sha256(repr(records).encode()).hexdigest()
+    assert digest == "832088d53fde028db9a005dbd5a59012b2302a4d9f46ceddf3ed63de48548ab0"
 
 
-def test_equalizer_replay_reads_the_sum_of_the_lift_points():
+def test_refute_equalizer_candidate_reads_the_sum_of_the_lift_points():
     # no class reaches the sum step: on a morphism that equalizes, f or g
     # does not factor, so two non-canonical tables stand in
     H = gf9_quotient().additive
@@ -499,36 +481,11 @@ def test_equalizer_replay_reads_the_sum_of_the_lift_points():
     inc = inclusion_morphism(L, H)
     assert analyze(L).classification not in ("CanonicalHypergroup", "AbelianGroup")
     assert lift_points(L) == (0, 1, 2)
-    outcome = equalizer_replay(L, lift_points(L), inc.map, F.map)
-    assert outcome == (True, (2, 1), None)
-    r = equalizer_refutation(L, inc.map, outcome)
-    assert r.steps[1:] == (
-        "f factors via element 1",
-        "g factors via element i",
-        "x + y is empty, so E is not total",
-    )
-    assert r.witness == (2, 1)
+    # f factors via 1 and g via i, and 1 + i is empty, so L is not total
+    assert refute_equalizer_candidate(L, lift_points(L), inc.map, F.map) == (True, (2, 1), None)
     # the same carrier with i + 1 = {0}: z = 0 maps to an F-fixed class
     E = from_masks(L.labels, ((0b001, 0b010, 0b100), (0b010, 0b011, 0b001), (0b100, 0b001, 0b101)))
-    outcome = equalizer_replay(E, lift_points(E), inc.map, F.map)
-    assert outcome == (False, (2, 1), 0)
-    r = equalizer_refutation(E, inc.map, outcome)
-    assert not r.refuted and r.witness is None
-    assert r.steps[-2:] == ("z = 0 in x+y maps to 0, F-fixed: True", "replay found no violation")
-
-
-def test_refute_equalizer_weak_sub_not_candidate():
-    H = gf9_quotient().additive
-    F = gf9_frobenius()
-    from hyperkit.core import weak_sub
-    from hyperkit.hom import inclusion_morphism
-
-    fixed = mask_of(x for x in range(H.n) if F.map[x] == x)
-    L = weak_sub(H, fixed)
-    inc = inclusion_morphism(L, H)
-    r = refute_equalizer_candidate(L, inc)
-    assert r.refuted
-    assert "not a canonical hypergroup" in r.steps[0]
+    assert refute_equalizer_candidate(E, lift_points(E), inc.map, F.map) == (False, (2, 1), 0)
 
 
 def test_refute_equalizer_z2_candidates():
@@ -540,12 +497,32 @@ def test_refute_equalizer_z2_candidates():
         if any(F.map[e[x]] != e[x] for x in range(2)):
             continue
         count += 1
-        r = refute_equalizer_candidate(Z, Morphism(Z, H, e))
-        assert r.refuted
+        assert refute_equalizer_candidate(Z, lift_points(Z), e, F.map)[0]
     assert count > 0
-    bad = Morphism(Z, H, (0, H.index("1+i")))
-    with pytest.raises(CandidateDoesNotEqualize):
-        refute_equalizer_candidate(Z, bad)
+
+
+def test_traced_refuter_names_count_the_candidates(monkeypatch):
+    """Each candidate of the two refuters is one call of its traced name:
+    rebound in every hyperkit namespace, as a tracer rebinds it, the calls
+    in `paper-suite --max-size 4` match the counts in the detail lines."""
+    calls = Counter()
+    for name in ("refute_coproduct_candidate", "refute_equalizer_candidate"):
+        original = getattr(zoo, name)
+
+        def counted(*args, name=name, original=original):
+            calls[name] += 1
+            return original(*args)
+
+        for module_name, module in list(sys.modules.items()):
+            if module_name.split(".")[0] == "hyperkit" and vars(module).get(name) is original:
+                monkeypatch.setattr(module, name, counted)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["paper-suite", "--max-size", "4"]) == 0
+    lines = out.getvalue().splitlines()
+    assert "PASS coproduct-refuter: all 1243 candidates of size <= 4 refuted" in lines
+    assert "PASS equalizer-refuter: all 458 equalizing candidates of size <= 4 refuted" in lines
+    assert calls == {"refute_coproduct_candidate": 1243, "refute_equalizer_candidate": 458}
 
 
 def test_empty_sum_search_small_sizes_exhausted():

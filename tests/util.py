@@ -2,10 +2,10 @@
 from typing import Any
 
 from hyperkit.axioms import Tag
-from hyperkit.core import Hypermagma, Morphism, terminal
+from hyperkit.core import Hypermagma, Morphism, UnionFind, compose, quotient, terminal
 from hyperkit.matroid import Matroid
 from hyperkit.suite import d_weak_example as d_example, klein_v as klein, mixed3
-from hyperkit.univ import cofree, free
+from hyperkit.univ import cofree, free, unitize
 from hyperkit.zoo import FiniteGroup, FiniteRing, gf9_quotient, krasner, z2
 
 
@@ -35,6 +35,23 @@ def small_battery():
             free(Tag.HMAG, ("a", "b")),
         ]
     return SMALL_BATTERY
+
+
+def old_coequalizer(f: Morphism, g: Morphism, tag: Tag) -> Morphism:
+    """The coequalizer oracle, written without `univ.identified`: the
+    set-coequalizer quotient, and for the unital tags `unitize` at the unit
+    class."""
+    if tag in (Tag.HGRP, Tag.CAN):
+        tag = Tag.UHMAG
+    N = f.cod
+    uf = UnionFind(N.n)
+    for x in range(f.dom.n):
+        uf.union(f.map[x], g.map[x])
+    piL = quotient(N, uf.proj())
+    if tag is Tag.HMAG:
+        return piL
+    inner = unitize(piL.cod, 1 << piL.map[N.identity])
+    return compose(inner, piL)
 
 
 def hypermagma_to_dict(M: Hypermagma) -> dict:
