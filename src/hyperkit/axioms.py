@@ -6,11 +6,16 @@ goldens independent of how the object was produced.  The associativity and
 reversibility loops skip the triples whose answer is already fixed: those
 holding the scalar identity and, in a commutative table, the mirror image of
 a triple already tried (see `_associative_witness`, `_reversible_witness`).
+`non_hypergroups` gives only the canonical-hypergroup verdict, on the same
+triples, for many objects at once.
 """
 from __future__ import annotations
 
 import enum
+import itertools
+import operator
 from dataclasses import dataclass
+from typing import Sequence
 
 from .core import Hypermagma, bit_splitter, inverse_scan, product_of_subsets
 from .errors import NotAMosaic, ensure
@@ -252,6 +257,117 @@ def axiom_report(M: Hypermagma) -> AxiomReport:
         classification=cls,
         witnesses=tuple(witnesses),
     )
+
+
+def non_hypergroups(Ms: Sequence[Hypermagma]) -> list[int]:
+    """The indices, ascending, of the objects of Ms that are not canonical
+    hypergroups: those whose `axiom_report(M).classification` is neither
+    "CanonicalHypergroup" nor "AbelianGroup".
+
+    Decided for many objects at once by SIMD within a register (SWAR): an
+    object without an identity or an inverse map fails, and the others are
+    checked in groups that share n, the identity and the inverse map, by
+    `_lane_failures`.  The verdict per object is `axiom_report`'s, read off
+    the same fields and tried on the same triples; no witness is kept.
+    """
+    groups: dict[tuple, list[int]] = {}
+    out = []
+    for b, M in enumerate(Ms):
+        if M.identity is None or M.inverse is None:
+            out.append(b)
+        else:
+            groups.setdefault((M.n, M.identity, M.inverse), []).append(b)
+    for (n, e, inv), members in groups.items():
+        failed = _lane_failures(n, e, inv, [Ms[b].table for b in members])
+        out += itertools.compress(members, failed)
+    out.sort()
+    return out
+
+
+def _lane_failures(
+    n: int, e: int, inv: tuple[int, ...], tables: list[tuple[tuple[int, ...], ...]]
+) -> bytes:
+    """One byte per table, 1 where the commutative unital table with
+    identity e and inverse map inv is not total, commutative, associative
+    and reversible, else 0.
+
+    The tables are packed column-wise into Python ints with one lane of
+    w = ceil(n/8) bytes per table: E[x][y] holds in lane b the mask
+    tables[b][x][y].  Every check is then a few big-int operations for all
+    lanes at once, none of which carries across a lane: `(m >> t) & ones`
+    is bit t of each lane at its bit 0, times 2**(8w) - 1 it spreads to
+    the whole lane, and `nonzero` folds bits 0..n-1 of each lane into its
+    bit 0.  The triples tried are those of `_associative_witness` and
+    `_reversible_witness` for a commutative table: without e, i < k for
+    associativity and y <= z, x != e for reversibility.  A lane that fails
+    commutativity fails whatever its other checks read.
+    """
+    width = -(-n // 8)
+    ones = int.from_bytes(b"\1".ljust(width, b"\0") * len(tables), "little")
+    spread = (1 << 8 * width) - 1
+    # the bytes of each mask, byte c of every entry of every table in plane c
+    chain, repeat = itertools.chain.from_iterable, itertools.repeat
+    planes = []
+    for c in range(width):
+        shifted = map(operator.rshift, chain(chain(tables)), repeat(8 * c))
+        planes.append(bytes(map(operator.and_, shifted, repeat(255))))
+    lanes = bytearray(len(tables) * width)
+    E = []
+    for x in range(n):
+        row = []
+        for y in range(n):
+            for c, plane in enumerate(planes):
+                lanes[c::width] = plane[x * n + y :: n * n]
+            row.append(int.from_bytes(lanes, "little"))
+        E.append(row)
+
+    # shifts whose subset sums are exactly 0..n-1: 1, 2, 4, ..., then the rest
+    shifts = []
+    covered = 1
+    while covered < n:
+        shifts.append(min(covered, n - covered))
+        covered += shifts[-1]
+
+    def nonzero(m: int) -> int:
+        for s in shifts:
+            m |= m >> s
+        return m & ones
+
+    nonempty = ones
+    failed = 0
+    for x, row in enumerate(E):
+        for y, m in enumerate(row):
+            nonempty &= nonzero(m)
+            if x < y:
+                failed |= nonzero(m ^ E[y][x])
+    failed |= ones ^ nonempty
+
+    others = [x for x in range(n) if x != e]
+    # spreads[x, y][t]: all ones in the lanes where t is in x*y
+    spreads = {
+        (x, y): [(E[x][y] >> t & ones) * spread for t in range(n)] for x in others for y in others
+    }
+    for a, i in enumerate(others):
+        row_i = E[i]
+        for j in others:
+            ij = spreads[i, j]
+            for k in others[a + 1 :]:
+                jk = spreads[j, k]
+                left = right = 0
+                for t in range(n):
+                    left |= ij[t] & E[t][k]
+                    right |= jk[t] & row_i[t]
+                failed |= nonzero(left ^ right)
+
+    for a, y in enumerate(others):
+        row_yinv = E[inv[y]]
+        for z in others[a:]:
+            yz = E[y][z]
+            zinv = inv[z]
+            for x in others:
+                held = E[x][zinv] >> y & row_yinv[x] >> z
+                failed |= yz >> x & ones & ~held
+    return failed.to_bytes(len(tables) * width, "little")[::width]
 
 
 def is_commutative_mosaic(M: Hypermagma) -> bool:

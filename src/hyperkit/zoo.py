@@ -8,7 +8,14 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .axioms import AxiomReport, Tag, analyze, axiom_report, is_commutative_mosaic
+from .axioms import (
+    AxiomReport,
+    Tag,
+    analyze,
+    axiom_report,
+    is_commutative_mosaic,
+    non_hypergroups,
+)
 from .core import (
     Hypermagma,
     Morphism,
@@ -867,19 +874,17 @@ def enumerate_canonical_hypergroups(n: int) -> list[Hypermagma]:
 
     These are the total associative tables of `enumerate_reversible_tables`:
     each class once, represented by its first table in search order, classes
-    in that order.  Every result is checked with `axiom_report`, which
-    leaves no report in the memo, since none is read again.  Past
-    `search.search_cap()` nodes the search raises `SearchCapExceeded`, on a
-    memo hit as on a fresh search.
+    in that order.  All classes are checked together by one call of
+    `non_hypergroups`, which leaves no report in the memo; a class it
+    rejects raises `InvariantViolated` naming that class's `axiom_report`
+    classification.  Past `search.search_cap()` nodes the search raises
+    `SearchCapExceeded`, on a memo hit as on a fresh search.
     """
-    out = []
-    for M in enumerate_reversible_tables(n):
-        kind = axiom_report(M).classification
-        ensure(
-            kind in ("CanonicalHypergroup", "AbelianGroup"),
-            f"enumerate_canonical_hypergroups(n={n}) produced a {kind}",
-        )
-        out.append(M)
+    out = list(enumerate_reversible_tables(n))
+    bad = non_hypergroups(out)
+    if bad:
+        kind = axiom_report(out[bad[0]]).classification
+        ensure(False, f"enumerate_canonical_hypergroups(n={n}) produced a {kind}")
     return out
 
 

@@ -27,7 +27,7 @@ import pytest
 
 from hyperkit import suite
 from hyperkit.axioms import Tag, analyze
-from hyperkit.core import Morphism, find_isomorphism, iter_bits, mask_of, terminal
+from hyperkit.core import Morphism, find_isomorphism, mask_of, terminal
 from hyperkit.hom import (
     enumerate_morphisms,
     is_colax,
@@ -47,14 +47,11 @@ from hyperkit.matroid import (
 from hyperkit.monoidal import (
     EmptySumOutcome,
     boxtimes,
-    curry,
     empty_sum_search,
     enumerate_bimorphisms,
     hom_object,
-    represents_bimorphisms,
     strict_classifier_check,
     tensor,
-    uncurry,
     wedge_unit,
 )
 from hyperkit.suite import (
@@ -77,9 +74,7 @@ from hyperkit.univ import (
     is_short_via_lifting,
     is_strict_via_lifting,
     one_empty,
-    product,
     representing_object,
-    unitize,
 )
 from hyperkit.zoo import (
     cyclic_group,

@@ -13,12 +13,11 @@ from hyperkit.axioms import (
     recheck_witness,
     weak_identity_set,
 )
-from hyperkit.core import Hypermagma, Morphism, from_masks, permute, product_of_subsets
+from hyperkit.core import Hypermagma, Morphism, from_masks, permute
 from hyperkit.errors import InvariantViolated, NotAMosaic
 from hyperkit.matroid import adjoin_point, fano_matroid, matroid_to_mosaic, uniform_matroid
 from hyperkit.univ import cofree, coequalizer, free
 from hyperkit.zoo import (
-    cyclic_group,
     enumerate_canonical_hypergroups,
     group_to_hypermagma,
     klein_four_group,

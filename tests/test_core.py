@@ -42,7 +42,7 @@ from hyperkit.zoo import (
     symmetric_group,
 )
 
-from util import d_example, f_mosaic, small_battery, z2
+from util import small_battery, z2
 
 
 def test_make_hypermagma_krasner():

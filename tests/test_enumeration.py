@@ -28,7 +28,7 @@ import pytest
 
 import hyperkit
 from hyperkit import zoo
-from hyperkit.axioms import analyze
+from hyperkit.axioms import analyze, non_hypergroups
 from hyperkit.core import find_isomorphism, from_masks, iter_bits, mask_of
 from hyperkit.errors import SearchCapExceeded
 from hyperkit.zoo import enumerate_canonical_hypergroups, enumerate_small_mosaics
@@ -407,10 +407,11 @@ import sys
 from hyperkit import errors, zoo
 print(sys.flags.optimize, len(zoo.enumerate_canonical_hypergroups(4)))
 
-class Wrong:
-    classification = "Hypergroup"
-
-zoo.axiom_report = lambda M: Wrong
+# a real commutative mosaic with an empty sum, so no hypergroup, yielded
+# after the classes
+mosaic = next(M for M in zoo.enumerate_small_mosaics(3) if not all(M.table[1]))
+tables = zoo.enumerate_reversible_tables
+zoo.enumerate_reversible_tables = lambda n: [*tables(n), mosaic]
 try:
     zoo.enumerate_canonical_hypergroups(3)
 except errors.InvariantViolated as exc:
@@ -428,8 +429,10 @@ except errors.InvariantViolated as exc:
     )
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert lines[0] == "1 97"
-    assert lines[1].startswith("raised: enumerate_canonical_hypergroups(n=3)")
+    assert lines == [
+        "1 97",
+        "raised: enumerate_canonical_hypergroups(n=3) produced a CommutativeMosaic",
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -451,13 +454,15 @@ def test_classes_share_rows_and_labels(build):
 
 
 def test_census_caches_no_report(monkeypatch):
-    """The census checks every class with `axiom_report`, never through the
-    memoised `analyze`."""
+    """The census checks all its classes in one `non_hypergroups` call,
+    never through the memoised `analyze`."""
     checked = []
     monkeypatch.setattr(zoo, "analyze", lambda M: pytest.fail("census called analyze"))
-    monkeypatch.setattr(zoo, "axiom_report", lambda M: checked.append(M) or analyze(M))
+    monkeypatch.setattr(
+        zoo, "non_hypergroups", lambda Ms: checked.append(list(Ms)) or non_hypergroups(Ms)
+    )
     classes = enumerate_canonical_hypergroups.__wrapped__(4)
-    assert checked == classes and len(classes) == 97
+    assert checked == [classes] and len(classes) == 97
 
 
 # tracemalloc's count for one class of list(enumerate_reversible_tables(5)):

@@ -10,7 +10,6 @@ from hyperkit.core import (
     from_masks,
     identity_morphism,
     iter_bits,
-    mask_of,
     permute,
     terminal,
 )
@@ -39,7 +38,6 @@ from hyperkit.monoidal import enumerate_bimorphisms, hom_object
 from hyperkit.search import Budget, search_cap
 from hyperkit.suite import _morphism_battery
 from hyperkit.univ import (
-    free,
     is_reversible_via_lifting,
     is_short_via_lifting,
     is_strict_via_lifting,
@@ -57,7 +55,7 @@ from hyperkit.zoo import (
     symmetric_group,
 )
 
-from util import d_example, f_mosaic, gf9_add, klein, mixed3, set_search_cap, small_battery, z2
+from util import d_example, f_mosaic, gf9_add, klein, mixed3, set_search_cap, z2
 
 
 def _morphisms(M, N, tag):

@@ -15,6 +15,8 @@ against the four-case loop, `hom_object` against the per-coordinate loop and
 round's additions, against the loop over the full product K*K.
 `analyze`, which skips the triples whose answer is fixed, is checked against
 the loops over all n^3 triples, `is_commutative_mosaic` against `analyze`,
+`non_hypergroups`, which checks many objects at once in byte lanes, against
+`axiom_report` object by object,
 and `from_masks` (its row range check, its
 identity and its inverse map, and the exact tuples it keeps without a copy)
 against the per-entry loops.
@@ -34,7 +36,15 @@ from dataclasses import fields
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hyperkit.axioms import AxiomReport, Tag, _classify, analyze, is_commutative_mosaic
+from hyperkit.axioms import (
+    AxiomReport,
+    Tag,
+    _classify,
+    analyze,
+    axiom_report,
+    is_commutative_mosaic,
+    non_hypergroups,
+)
 from hyperkit.core import (
     BITS,
     Hypermagma,
@@ -944,6 +954,164 @@ def test_analyze_matches_triple_loops_on_enumerated_classes():
     objects += _desk_objects().values()
     for M in objects:
         _assert_same_report(M)
+
+
+CANONICAL = ("CanonicalHypergroup", "AbelianGroup")
+
+
+def _assert_same_verdicts(objects, rng):
+    """`non_hypergroups` gives `axiom_report`'s verdict object by object,
+    and on a shuffled copy the same verdicts, shuffled."""
+    failed = [i for i, M in enumerate(objects) if axiom_report(M).classification not in CANONICAL]
+    assert non_hypergroups(objects) == failed
+    order = list(range(len(objects)))
+    rng.shuffle(order)
+    shuffled = [objects[i] for i in order]
+    bad = set(failed)
+    assert non_hypergroups(shuffled) == [b for b, i in enumerate(order) if i in bad]
+    return failed
+
+
+def test_non_hypergroups_matches_reports_on_enumerated_tables():
+    """Every commutative mosaic class of order <= 5, most of them neither
+    total nor associative, and every unital hypermagma of order <= 3, among
+    them tables that fail only commutativity, only associativity or only
+    reversibility, each set in one call."""
+    mosaics = [M for n in range(6) for M in zoo.enumerate_reversible_tables(n, hypergroups=False)]
+    assert len(mosaics) == 50809
+    failed = _assert_same_verdicts(mosaics, random.Random(0))
+    assert len(mosaics) - len(failed) == 3886
+    magmas = [M for n in range(4) for M in enumerate_unital_hypermagmas(n)]
+    assert len(magmas) == 2085
+    failed = _assert_same_verdicts(magmas, random.Random(1))
+    assert len(magmas) - len(failed) == 13
+
+
+def test_non_hypergroups_on_no_objects_and_one_element():
+    one = [
+        from_masks(["a"], [[0]]),
+        from_masks(["a"], [[1]]),
+        group_to_hypermagma(cyclic_group(1)),
+        from_masks([], []),
+    ]
+    assert non_hypergroups([]) == []
+    assert _assert_same_verdicts(one, random.Random(0)) == [0, 3]
+
+
+def _perturbed(M, rng, flips):
+    """M with a few entries changed, mostly off the identity's row and
+    column: one bit flipped in x*y alone (commutativity, the identity and
+    unique inverses may go) or in x*y and y*x alike, or x*y = y*x emptied."""
+    rows = [list(r) for r in M.table]
+    others = [x for x in range(M.n) if x != M.identity] or [*range(M.n)]
+    for _ in range(flips):
+        pool = range(M.n) if rng.random() < 0.2 else others
+        x, y, bit = rng.choice(pool), rng.choice(pool), 1 << rng.randrange(M.n)
+        kind = rng.randrange(3)
+        if kind == 0:
+            rows[x][y] ^= bit
+        elif kind == 1:
+            rows[x][y] ^= bit
+            rows[y][x] = rows[x][y]
+        else:
+            rows[x][y] = rows[y][x] = 0
+    return from_masks(M.labels, rows)
+
+
+# census classes and known mosaics on 1 to 8 elements, by size (the Fano
+# mosaic has 8, filling a byte lane; S3 is not commutative), then mosaics
+# past one byte
+def _lane_bases():
+    bases = {n: enumerate_canonical_hypergroups(n)[::23] for n in range(1, 6)}
+    more = [group_to_hypermagma(cyclic_group(n)) for n in (6, 7, 8)]
+    more += [matroid_to_mosaic(adjoin_point(uniform_matroid(2, k))) for k in (5, 6)]
+    for M in MOSAICS + more:
+        if M.n <= 8:
+            bases.setdefault(M.n, []).append(M)
+    return bases
+
+
+LANE_BASES = _lane_bases()
+WIDE_BASES = [M for M in MOSAICS if M.n > 8] + [group_to_hypermagma(cyclic_group(17))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_non_hypergroups_matches_reports_on_mixed_batches(data):
+    """Batches of relabelled and perturbed objects on up to 8 elements, good
+    and bad lanes of one group side by side, with random tables among them
+    whose identity is forced or absent."""
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    objects = []
+    for _ in range(data.draw(st.integers(1, 4))):
+        M = data.draw(st.sampled_from(LANE_BASES[data.draw(st.sampled_from(sorted(LANE_BASES)))]))
+        perm = list(range(M.n))
+        rng.shuffle(perm)
+        M = permute(M, perm)
+        objects += [_perturbed(M, rng, rng.choice((0, 0, 1, 2, 3))) for _ in range(rng.randint(1, 8))]
+    for _ in range(data.draw(st.integers(0, 3))):
+        n = rng.randint(1, 8)
+        rows = _random_table(rng, n, rng.random() < 0.5)
+        if rng.random() < 0.7:
+            for x in range(n):
+                rows[0][x] = rows[x][0] = 1 << x
+        objects.append(from_masks([f"x{i}" for i in range(n)], rows))
+    rng.shuffle(objects)
+    _assert_same_verdicts(objects, rng)
+
+
+def _ordinal_sum(G, N):
+    """G's elements, then N's nonzero ones: g + x = {x} for x from N, and
+    x + y as in N but with 0 read as the whole of G.  A canonical
+    hypergroup exactly when N is one, for a canonical hypergroup G."""
+    g = G.n
+
+    def lift(s):
+        out = (1 << g) - 1 if s & 1 else 0
+        return out | (s >> 1) << g
+
+    def entry(a, b):
+        if max(a, b) < g:
+            return G.table[a][b]
+        if min(a, b) < g:
+            return 1 << max(a, b)
+        return lift(N.table[a - g + 1][b - g + 1])
+
+    n = g + N.n - 1
+    return from_masks([f"x{i}" for i in range(n)], [[entry(a, b) for b in range(n)] for a in range(n)])
+
+
+def test_non_hypergroups_matches_reports_on_wide_lanes():
+    """Lanes of 2 and 3 bytes: mosaics on 9, 12 and 17 elements, relabelled
+    and perturbed, good and bad in one batch; and Z/8 followed by each
+    commutative mosaic N of order 4, whose failures are N's, in the second
+    byte of each lane."""
+    rng = random.Random(3)
+    objects = []
+    for M in WIDE_BASES:
+        for _ in range(4):
+            perm = list(range(M.n))
+            rng.shuffle(perm)
+            N = permute(M, perm) if rng.random() < 0.5 else M
+            objects += [_perturbed(N, rng, flips) for flips in (0, 1, 1, 2)]
+    failed = _assert_same_verdicts(objects, rng)
+    assert 0 < len(failed) < len(objects)
+    G = group_to_hypermagma(cyclic_group(8))
+    mosaics = enumerate_small_mosaics(4)
+    sums = [_ordinal_sum(G, N) for N in mosaics]
+    assert {M.n for M in sums} == {11}
+    assert _assert_same_verdicts(sums, rng) == non_hypergroups(mosaics)
+    assert len(non_hypergroups(mosaics)) == 175
+
+
+def test_non_hypergroups_reads_identity_and_inverse_as_stored():
+    """As `axiom_report` does: a table whose stored inverse map is no
+    inverse map is checked against it, and an empty sum fails totality even
+    where no associativity triple reads it."""
+    rows = ((1, 2), (2, 0))
+    objects = [Hypermagma(("0", "1"), rows, 0, (0, 1)), from_masks(["0", "1"], [[1, 2], [2, 1]])]
+    assert [axiom_report(M).classification for M in objects] == ["CommutativeMosaic", "AbelianGroup"]
+    assert _assert_same_verdicts(objects, random.Random(0)) == [0]
 
 
 def test_validation_matches_entry_loops_on_unital_hypermagmas():

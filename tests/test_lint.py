@@ -1,6 +1,6 @@
-"""Source checks over src/hyperkit: no unused module-level imports, each
-module importing only from the layers below it and each name from the
-module that defines it, no function-level import but cli's deferred one,
+"""Source checks over src/hyperkit: no unused module-level imports (there
+and in tests/), each module importing only from the layers below it and each
+name from the module that defines it, no function-level import but cli's deferred one,
 no name a function reads that is bound nowhere, no memo outside hyperkit.search,
 memoised functions with positional parameters only, no bare `assert` in any
 module, no definition that nothing names, no dataclass field that nothing
@@ -25,10 +25,18 @@ def _tree(name):
         return ast.parse(fh.read(), name)
 
 
+TESTS = os.path.dirname(os.path.abspath(__file__))
 # the package __init__ imports to re-export: its imports are the public API
-@pytest.mark.parametrize("name", [m for m in MODULES if m != "__init__.py"])
+IMPORTERS = {m: os.path.join(SRC, m) for m in MODULES if m != "__init__.py"}
+IMPORTERS.update(
+    (f"tests/{m}", os.path.join(TESTS, m)) for m in sorted(os.listdir(TESTS)) if m.endswith(".py")
+)
+
+
+@pytest.mark.parametrize("name", list(IMPORTERS))
 def test_module_level_imports_are_used(name):
-    tree = _tree(name)
+    with open(IMPORTERS[name]) as fh:
+        tree = ast.parse(fh.read(), name)
     imported = set()
     for node in tree.body:
         if isinstance(node, ast.ImportFrom) and node.module == "__future__":

@@ -3,8 +3,8 @@ import random
 
 import pytest
 
-from hyperkit.axioms import Tag, analyze
-from hyperkit.core import Morphism, find_isomorphism, iter_bits, mask_of, strict_sub_closure
+from hyperkit.axioms import analyze
+from hyperkit.core import Morphism, iter_bits, mask_of, strict_sub_closure
 from hyperkit.errors import (
     DimensionMismatch,
     DuplicateLabel,
@@ -14,7 +14,7 @@ from hyperkit.errors import (
     NotSimplePointed,
     SearchCapExceeded,
 )
-from hyperkit.hom import enumerate_morphisms, is_colax, is_unital
+from hyperkit.hom import is_colax, is_unital
 from hyperkit.matroid import (
     CONVERT_CAP,
     FANO_LINES,

@@ -10,7 +10,7 @@ import pytest
 import hyperkit
 from hyperkit import axioms, core
 from hyperkit.axioms import Tag, analyze
-from hyperkit.core import Morphism, find_isomorphism, from_masks, iter_bits, mask_of, terminal
+from hyperkit.core import Morphism, find_isomorphism, from_masks, terminal
 from hyperkit.errors import (
     HyperkitError,
     NotAMosaic,

@@ -12,7 +12,6 @@ from hyperkit.core import (
     identity_morphism,
     initial,
     iter_bits,
-    mask_of,
     quotient,
     terminal,
 )

@@ -22,7 +22,7 @@ from hyperkit.errors import (
     SearchCapExceeded,
     ZeroNotAbsorbing,
 )
-from hyperkit.hom import enumerate_morphisms, is_short, is_strict
+from hyperkit.hom import enumerate_morphisms, is_strict
 from hyperkit.monoidal import empty_sum_search
 from hyperkit.univ import equalizer
 from hyperkit.zoo import (
@@ -48,7 +48,6 @@ from hyperkit.zoo import (
     make_finite_ring,
     make_gf4,
     make_gf9,
-    make_multiring,
     orbit_hypergroup,
     refute_coproduct_candidate,
     refute_equalizer_candidate,
