@@ -6,18 +6,17 @@ goldens independent of how the object was produced.  The associativity and
 reversibility loops skip the triples whose answer is already fixed: those
 holding the scalar identity and, in a commutative table, the mirror image of
 a triple already tried (see `_associative_witness`, `_reversible_witness`).
-`non_hypergroups` gives only the canonical-hypergroup verdict, on the same
-triples, for many objects at once.
+`non_hypergroups` and `lane_failures` give only the canonical-hypergroup
+verdict, on the same triples, for many objects at once.
 """
 from __future__ import annotations
 
 import enum
 import itertools
-import operator
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import Hypermagma, bit_splitter, inverse_scan, product_of_subsets
+from .core import Hypermagma, Lanes, bit_splitter, inverse_scan, pack_lanes, product_of_subsets
 from .errors import NotAMosaic, ensure
 from .search import memo
 
@@ -266,9 +265,11 @@ def non_hypergroups(Ms: Sequence[Hypermagma]) -> list[int]:
 
     Decided for many objects at once by SIMD within a register (SWAR): an
     object without an identity or an inverse map fails, and the others are
-    checked in groups that share n, the identity and the inverse map, by
-    `_lane_failures`.  The verdict per object is `axiom_report`'s, read off
-    the same fields and tried on the same triples; no witness is kept.
+    packed by `pack_lanes` in groups that share n, the identity and the
+    inverse map, and checked by `lane_failures`.  The verdict per object
+    is `axiom_report`'s, read off the same fields and tried on the same
+    triples; no witness is kept.  The census calls `lane_failures` itself,
+    on the lanes it packs once per sigma block for `core.from_mask_tables`.
     """
     groups: dict[tuple, list[int]] = {}
     out = []
@@ -278,60 +279,25 @@ def non_hypergroups(Ms: Sequence[Hypermagma]) -> list[int]:
         else:
             groups.setdefault((M.n, M.identity, M.inverse), []).append(b)
     for (n, e, inv), members in groups.items():
-        failed = _lane_failures(n, e, inv, [Ms[b].table for b in members])
+        failed = lane_failures(pack_lanes(n, [Ms[b].table for b in members]), e, inv)
         out += itertools.compress(members, failed)
     out.sort()
     return out
 
 
-def _lane_failures(
-    n: int, e: int, inv: tuple[int, ...], tables: list[tuple[tuple[int, ...], ...]]
-) -> bytes:
-    """One byte per table, 1 where the commutative unital table with
+def lane_failures(lanes: Lanes, e: int, inv: tuple[int, ...]) -> bytes:
+    """One byte per lane, 1 where the packed commutative unital table with
     identity e and inverse map inv is not total, commutative, associative
     and reversible, else 0.
 
-    The tables are packed column-wise into Python ints with one lane of
-    w = ceil(n/8) bytes per table: E[x][y] holds in lane b the mask
-    tables[b][x][y].  Every check is then a few big-int operations for all
-    lanes at once, none of which carries across a lane: `(m >> t) & ones`
-    is bit t of each lane at its bit 0, times 2**(8w) - 1 it spreads to
-    the whole lane, and `nonzero` folds bits 0..n-1 of each lane into its
-    bit 0.  The triples tried are those of `_associative_witness` and
+    Every check is a few big-int operations for all lanes at once (see
+    `Lanes`).  The triples tried are those of `_associative_witness` and
     `_reversible_witness` for a commutative table: without e, i < k for
     associativity and y <= z, x != e for reversibility.  A lane that fails
     commutativity fails whatever its other checks read.
     """
-    width = -(-n // 8)
-    ones = int.from_bytes(b"\1".ljust(width, b"\0") * len(tables), "little")
-    spread = (1 << 8 * width) - 1
-    # the bytes of each mask, byte c of every entry of every table in plane c
-    chain, repeat = itertools.chain.from_iterable, itertools.repeat
-    planes = []
-    for c in range(width):
-        shifted = map(operator.rshift, chain(chain(tables)), repeat(8 * c))
-        planes.append(bytes(map(operator.and_, shifted, repeat(255))))
-    lanes = bytearray(len(tables) * width)
-    E = []
-    for x in range(n):
-        row = []
-        for y in range(n):
-            for c, plane in enumerate(planes):
-                lanes[c::width] = plane[x * n + y :: n * n]
-            row.append(int.from_bytes(lanes, "little"))
-        E.append(row)
-
-    # shifts whose subset sums are exactly 0..n-1: 1, 2, 4, ..., then the rest
-    shifts = []
-    covered = 1
-    while covered < n:
-        shifts.append(min(covered, n - covered))
-        covered += shifts[-1]
-
-    def nonzero(m: int) -> int:
-        for s in shifts:
-            m |= m >> s
-        return m & ones
+    n, E, ones, nonzero = lanes.n, lanes.entries, lanes.ones, lanes.nonzero
+    spread = (1 << 8 * lanes.width) - 1
 
     nonempty = ones
     failed = 0
@@ -367,7 +333,7 @@ def _lane_failures(
             for x in others:
                 held = E[x][zinv] >> y & row_yinv[x] >> z
                 failed |= yz >> x & ones & ~held
-    return failed.to_bytes(len(tables) * width, "little")[::width]
+    return lanes.flags(failed)
 
 
 def is_commutative_mosaic(M: Hypermagma) -> bool:

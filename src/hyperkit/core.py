@@ -10,12 +10,13 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NoReturn, Sequence
 
 from .errors import (
     DimensionMismatch,
     DuplicateLabel,
     IdentityAxiomViolated,
+    InvariantViolated,
     ensure,
 )
 
@@ -219,6 +220,176 @@ def from_masks(
     if inv is not None and n <= 8:
         inv = _share_inverse(inv, inv)
     return Hypermagma(labels, tbl, e, inv)
+
+
+@dataclass(frozen=True)
+class Lanes:
+    """Tables of one size n packed for SIMD within a register (SWAR): one
+    lane of `width` = ceil(n/8) bytes per table, lane b of entries[x][y]
+    holding tables[b][x][y].  A big-int operation then acts on every table
+    at once, and none of these carries across a lane: `(m >> t) & ones` is
+    bit t of each lane at its bit 0, times 2**(8 * width) - 1 it spreads
+    to the whole lane, and `nonzero` folds bits 0..n-1 of each lane into
+    its bit 0."""
+
+    n: int
+    count: int
+    width: int
+    ones: int  # bit 0 of every lane
+    entries: tuple[tuple[int, ...], ...]
+    shifts: tuple[int, ...]  # whose subset sums are exactly 0..n-1
+
+    def nonzero(self, m: int) -> int:
+        """Bit 0 of each lane of m set where bits 0..n-1 of the lane are
+        not all 0."""
+        for s in self.shifts:
+            m |= m >> s
+        return m & self.ones
+
+    def flags(self, m: int) -> bytes:
+        """The first byte of each lane of m, one byte per lane: its bit 0
+        when m has no other bits set."""
+        return m.to_bytes(self.count * self.width, "little")[:: self.width]
+
+
+def pack_lanes(n: int, tables: Sequence[Sequence[Sequence[int]]]) -> Lanes:
+    """`tables`, each n rows of n masks below 2**n, in byte lanes.
+
+    Each mask is split into its bytes once, byte c of every entry of every
+    table into plane c; the lanes of an entry are then one strided slice
+    per plane."""
+    width = -(-n // 8)
+    count = len(tables)
+    chain, repeat = itertools.chain.from_iterable, itertools.repeat
+    planes = []
+    for c in range(width):
+        shifted = map(operator.rshift, chain(chain(tables)), repeat(8 * c))
+        planes.append(bytes(map(operator.and_, shifted, repeat(255))))
+    lanes = bytearray(count * width)
+    entries = []
+    for x in range(n):
+        row = []
+        for y in range(n):
+            for c, plane in enumerate(planes):
+                lanes[c::width] = plane[x * n + y :: n * n]
+            row.append(int.from_bytes(lanes, "little"))
+        entries.append(tuple(row))
+    # 1, 2, 4, ..., then the rest
+    shifts = []
+    covered = 1
+    while covered < n:
+        shifts.append(min(covered, n - covered))
+        covered += shifts[-1]
+    ones = int.from_bytes(b"\1".ljust(width, b"\0") * count, "little")
+    return Lanes(n, count, width, ones, tuple(entries), tuple(shifts))
+
+
+def from_mask_tables(
+    labels: Sequence[str],
+    tables: Sequence[Sequence[Sequence[int]]],
+    identity: int,
+    inverse: Sequence[int],
+    lanes: Lanes | None = None,
+) -> list[Hypermagma]:
+    """[from_masks(labels, table) for table in tables], for tables that
+    all have the scalar identity `identity` and the unique inverses
+    `inverse`, each check made once where it cannot repeat.
+
+    The labels are checked once; each distinct row object once, for its
+    length, its range and the exact int type of its masks (other rows are
+    converted, as `from_masks` converts them); and the identity and the
+    inverse map in byte lanes, for all tables at once: in each lane the
+    row and the column of `identity` are the unit row, and bit `identity`
+    of x*y & y*x is set exactly where y = inverse[x].  `lanes`, when
+    given, is `pack_lanes(n, tables)`, so a caller that reads the lanes
+    too packs them once.
+
+    When a check fails, the first table in order that `from_masks` rejects
+    or builds with another identity or inverse map raises: `from_masks`'s
+    own error, or `InvariantViolated` naming the claimed identity and
+    inverse map.  The objects share the labels and the rows, and on at
+    most 8 elements the inverse tuple, with what `from_masks` builds.
+    """
+    if type(labels) is not tuple or not {*map(type, labels)} <= _STR:
+        labels = tuple(str(l) for l in labels)
+    n = len(labels)
+    if len(set(labels)) != n:
+        raise DuplicateLabel(f"carrier labels not distinct: {labels}")
+    if not tables:
+        return []
+    inverse = tuple(inverse)
+    # the lanes read x*y & y*x for y >= x only, which needs an involution
+    claimed = (
+        identity in range(n)
+        and len(inverse) == n
+        and all(y in range(n) and inverse[y] == x for x, y in enumerate(inverse))
+    )
+    converted = _converted_rows(n, tables) if claimed else None
+    if converted is None:
+        _raise_first(labels, tables, identity, inverse)
+    if converted or not all(type(t) is tuple for t in tables):
+        tables = [tuple(converted.get(id(row), row) for row in t) for t in tables]
+        lanes = None
+    if lanes is None:
+        lanes = pack_lanes(n, tables)
+    ensure(lanes.n == n and lanes.count == len(tables), "from_mask_tables: lanes of other tables")
+    if any(_claim_failures(lanes, identity, inverse)):
+        _raise_first(labels, tables, identity, inverse)
+    if n <= 8:
+        inverse = _share_inverse(inverse, inverse)
+    return [Hypermagma(labels, t, identity, inverse) for t in tables]
+
+
+def _converted_rows(
+    n: int, tables: Sequence[Sequence[Sequence[int]]]
+) -> dict[int, tuple[int, ...]] | None:
+    """None when some table is not n rows of n masks in range(2**n); else,
+    by id, the rows that are not tuples of exact ints, converted.  Each
+    distinct row object is checked once."""
+    full = (1 << n) - 1
+    converted = {}
+    try:
+        if {*map(len, tables)} - {n}:
+            return None
+        flat = [*itertools.chain.from_iterable(tables)]
+        for key, row in dict(zip(map(id, flat), flat)).items():
+            if type(row) is not tuple or not {*map(type, row)} <= _INT:
+                row = converted[key] = tuple(map(operator.index, row))
+            if len(row) != n or min(row) < 0 or max(row) > full:
+                return None
+    except TypeError:
+        return None
+    return converted
+
+
+def _claim_failures(lanes: Lanes, e: int, inverse: tuple[int, ...]) -> bytes:
+    """One byte per lane, nonzero where e is not the scalar identity or
+    `inverse`, an involution, is not the map of unique inverses.  x*y &
+    y*x is symmetric in x and y, so only y >= x is read."""
+    E, ones = lanes.entries, lanes.ones
+    off = 0
+    for x in range(lanes.n):
+        unit = ones << x
+        off |= (E[e][x] ^ unit) | (E[x][e] ^ unit)
+    failed = lanes.nonzero(off)
+    for x, row in enumerate(E):
+        for y in range(x, lanes.n):
+            held = (row[y] & E[y][x]) >> e & ones
+            failed |= held ^ ones if y == inverse[x] else held
+    return lanes.flags(failed)
+
+
+def _raise_first(labels, tables, identity, inverse) -> NoReturn:
+    """Raise for the first table that `from_masks` rejects, or builds with
+    another identity or inverse map than the claimed ones."""
+    for i, table in enumerate(tables):
+        M = from_masks(labels, table)
+        if (M.identity, M.inverse) != (identity, inverse):
+            raise InvariantViolated(
+                f"from_mask_tables: table {i} has identity {M.identity} and inverse "
+                f"map {M.inverse}, not the claimed {identity} and {inverse}"
+            )
+    ensure(False, "from_mask_tables: a failed lane check that from_masks passes")
 
 
 def make_hypermagma(

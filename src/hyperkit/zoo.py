@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .axioms import (
     AxiomReport,
@@ -14,17 +14,19 @@ from .axioms import (
     analyze,
     axiom_report,
     is_commutative_mosaic,
-    non_hypergroups,
+    lane_failures,
 )
 from .core import (
     Hypermagma,
     Morphism,
     canonical_form,
+    from_mask_tables,
     from_masks,
     image_tables,
     iter_bits,
     mask_of,
     orbit_partition,
+    pack_lanes,
     quotient,
     reversible_closure,
 )
@@ -712,118 +714,146 @@ def enumerate_reversible_tables(
     subtree.  The cuts, and so the nodes and the yielded tables, are those
     of comparing every p.
     """
-    budget = Budget(f"enumerate_reversible_tables(n={n})")
-    nz = n - 1
-    # one labels tuple, and one tuple per distinct row, for every table this
-    # call yields; `from_masks` keeps both without a copy
     labels = tuple(str(v) for v in range(n))
+    blocks = reversible_table_blocks(n, hypergroups, sigma)
+    return (from_masks(labels, table) for _inverse, tables in blocks for table in tables)
+
+
+def reversible_table_blocks(
+    n: int, hypergroups: bool = True, sigma: tuple[int, ...] | None = None
+) -> Iterator[tuple[tuple[int, ...], Iterator[tuple[tuple[int, ...], ...]]]]:
+    """The search of `enumerate_reversible_tables`, one block per sigma it
+    visits: (the inverse map of the block's tables, an iterator of the
+    tables in search order).  A table is a tuple of row tuples, and every
+    table of one call holds the same tuple for equal rows.  The blocks
+    share one `Budget`, spent node by node as the tables are read.
+
+    Raises `ValueError` when n < 0 or `sigma` is not one of
+    `involutions(n - 1)`.
+    """
+    if n < 0:
+        raise ValueError(f"enumerate_reversible_tables: n must be >= 0, got {n}")
+    sigmas = involutions(n - 1)
+    if sigma is not None:
+        if tuple(sigma) not in sigmas:
+            raise ValueError(
+                f"enumerate_reversible_tables: sigma must be one of involutions({n - 1}), "
+                f"got {sigma!r}"
+            )
+        sigmas = [tuple(sigma)]
+    budget = Budget(f"enumerate_reversible_tables(n={n})")
+    # one tuple per distinct row for every table of the call
     share = {}.setdefault
     # in_row[r][m]: the flat offsets in row r of the set bits of mask m
     in_row = [
         tuple(tuple(r * n + d for d in iter_bits(m)) for m in range(1 << n)) for r in range(n)
     ]
-    sigmas = involutions(nz) if sigma is None else [sigma]
-    for sigma in sigmas:
-        orbits = _triple_orbits(nz, sigma)
-        k = len(orbits)
-        tests = _canonicity_tests(k, _orbit_symmetries(nz, sigma, orbits))
+    return (
+        ((0, *(x + 1 for x in s)), _sigma_tables(n, s, hypergroups, budget, share, in_row))
+        for s in sigmas
+    )
 
-        # coverage bitmask per orbit over the pairs whose entry must be hit
-        pairs_needing = [
-            (x, y) for x in range(nz) for y in range(nz) if sigma[x] != y
-        ]
-        pair_idx = {p: i for i, p in enumerate(pairs_needing)}
-        full_cover = (1 << len(pairs_needing)) - 1
-        cover = []
-        for orb in orbits:
-            c = 0
-            for (x, y, _z) in orb:
-                pi = pair_idx.get((x, y))
-                if pi is not None:
-                    c |= 1 << pi
-            cover.append(c)
-        suffix = [0] * (k + 1)
-        for i in range(k - 1, -1, -1):
-            suffix[i] = suffix[i + 1] | cover[i]
 
-        # flat table maintained incrementally; orbits own disjoint bits
-        tab = [0] * (n * n)
-        for x in range(n):
-            tab[x] |= 1 << x
-            tab[x * n] |= 1 << x
-        for x in range(1, n):
-            tab[x * n + sigma[x - 1] + 1] |= 1
-        deltas = []
-        for orb in orbits:
-            d: dict[int, int] = {}
-            for (x, y, z) in orb:
-                j = (x + 1) * n + (y + 1)
-                d[j] = d.get(j, 0) | 1 << (z + 1)
-            deltas.append(tuple(d.items()))
+def _sigma_tables(n, sigma, hypergroups, budget, share, in_row):
+    """The tables of one sigma block of `reversible_table_blocks`."""
+    nz = n - 1
+    orbits = _triple_orbits(nz, sigma)
+    k = len(orbits)
+    tests = _canonicity_tests(k, _orbit_symmetries(nz, sigma, orbits))
 
-        # entry j is final from depth final[j] on.  (a + b) + c is read from
-        # row c and a + (b + c) from row a, which also hold (a, b) and
-        # (c, b) = (b, c); checks[i] lists, as the flat offsets ab and bc
-        # and the `in_row` tables of rows a and c, the triples whose two
-        # rows become final at depth i.  By commutativity (a, b, c) and
-        # (c, b, a) are one check and (a, b, a) always holds, so only a < c
-        # is checked.
-        final = [0] * (n * n)
-        for i, orb in enumerate(orbits):
-            for (x, y, _z) in orb:
-                final[(x + 1) * n + y + 1] = i + 1
-        checks: list[list[tuple[int, int, tuple, tuple]]] = [[] for _ in range(k + 1)]
-        if hypergroups:
-            for a in range(1, n):
-                for c in range(a + 1, n):
-                    ready = max(final[a * n : a * n + n] + final[c * n : c * n + n])
-                    for b in range(1, n):
-                        checks[ready].append((a * n + b, b * n + c, in_row[a], in_row[c]))
+    # coverage bitmask per orbit over the pairs whose entry must be hit
+    pairs_needing = [(x, y) for x in range(nz) for y in range(nz) if sigma[x] != y]
+    pair_idx = {p: i for i, p in enumerate(pairs_needing)}
+    full_cover = (1 << len(pairs_needing)) - 1
+    cover = []
+    for orb in orbits:
+        c = 0
+        for (x, y, _z) in orb:
+            pi = pair_idx.get((x, y))
+            if pi is not None:
+                c |= 1 << pi
+        cover.append(c)
+    suffix = [0] * (k + 1)
+    for i in range(k - 1, -1, -1):
+        suffix[i] = suffix[i + 1] | cover[i]
 
-        def rec(i: int, got: int, v: int, tied: int):
-            # one pass per node: the "in" child of node i is a recursive
-            # call, its "out" child, which keeps got, v and tied, is node
-            # i + 1 of the next pass
-            while True:
-                budget.spend()
-                if hypergroups and (got | suffix[i]) != full_cover:
+    # flat table maintained incrementally; orbits own disjoint bits
+    tab = [0] * (n * n)
+    for x in range(n):
+        tab[x] |= 1 << x
+        tab[x * n] |= 1 << x
+    for x in range(1, n):
+        tab[x * n + sigma[x - 1] + 1] |= 1
+    deltas = []
+    for orb in orbits:
+        d: dict[int, int] = {}
+        for (x, y, z) in orb:
+            j = (x + 1) * n + (y + 1)
+            d[j] = d.get(j, 0) | 1 << (z + 1)
+        deltas.append(tuple(d.items()))
+
+    # entry j is final from depth final[j] on.  (a + b) + c is read from row
+    # c and a + (b + c) from row a, which also hold (a, b) and (c, b) =
+    # (b, c); checks[i] lists, as the flat offsets ab and bc and the
+    # `in_row` tables of rows a and c, the triples whose two rows become
+    # final at depth i.  By commutativity (a, b, c) and (c, b, a) are one
+    # check and (a, b, a) always holds, so only a < c is checked.
+    final = [0] * (n * n)
+    for i, orb in enumerate(orbits):
+        for (x, y, _z) in orb:
+            final[(x + 1) * n + y + 1] = i + 1
+    checks: list[list[tuple[int, int, tuple, tuple]]] = [[] for _ in range(k + 1)]
+    if hypergroups:
+        for a in range(1, n):
+            for c in range(a + 1, n):
+                ready = max(final[a * n : a * n + n] + final[c * n : c * n + n])
+                for b in range(1, n):
+                    checks[ready].append((a * n + b, b * n + c, in_row[a], in_row[c]))
+
+    def rec(i: int, got: int, v: int, tied: int):
+        # one pass per node: the "in" child of node i is a recursive call,
+        # its "out" child, which keeps got, v and tied, is node i + 1 of
+        # the next pass
+        while True:
+            budget.spend()
+            if hypergroups and (got | suffix[i]) != full_cover:
+                return
+            for ab, bc, row_a, row_c in checks[i]:
+                left = 0
+                for x in row_c[tab[ab]]:
+                    left |= tab[x]
+                right = 0
+                for x in row_a[tab[bc]]:
+                    right |= tab[x]
+                if left != right:
                     return
-                for ab, bc, row_a, row_c in checks[i]:
-                    left = 0
-                    for x in row_c[tab[ab]]:
-                        left |= tab[x]
-                    right = 0
-                    for x in row_a[tab[bc]]:
-                        right |= tab[x]
-                    if left != right:
-                        return
-                listed, at = tests[i]
-                live = listed & tied
-                while live:
-                    bit = live & -live
-                    live ^= bit
-                    shift, parts = at[bit]
-                    w = 0
-                    for lo, chunk in parts:
-                        w |= chunk[(v >> lo) & 255]
-                    w >>= shift
-                    u = v >> shift
-                    if w > u:
-                        return
-                    if w < u:
-                        tied ^= bit
-                if i == k:
-                    rows = [tuple(tab[r : r + n]) for r in range(0, n * n, n)]
-                    yield from_masks(labels, [share(row, row) for row in rows])
+            listed, at = tests[i]
+            live = listed & tied
+            while live:
+                bit = live & -live
+                live ^= bit
+                shift, parts = at[bit]
+                w = 0
+                for lo, chunk in parts:
+                    w |= chunk[(v >> lo) & 255]
+                w >>= shift
+                u = v >> shift
+                if w > u:
                     return
-                for (j, m) in deltas[i]:
-                    tab[j] |= m
-                yield from rec(i + 1, got | cover[i], v | 1 << (k - 1 - i), tied)
-                for (j, m) in deltas[i]:
-                    tab[j] ^= m
-                i += 1
+                if w < u:
+                    tied ^= bit
+            if i == k:
+                rows = [tuple(tab[r : r + n]) for r in range(0, n * n, n)]
+                yield tuple(map(share, rows, rows))
+                return
+            for (j, m) in deltas[i]:
+                tab[j] |= m
+            yield from rec(i + 1, got | cover[i], v | 1 << (k - 1 - i), tied)
+            for (j, m) in deltas[i]:
+                tab[j] ^= m
+            i += 1
 
-        yield from rec(0, 0, 0, -1)  # every symmetry tied
+    yield from rec(0, 0, 0, -1)  # every symmetry tied
 
 
 @memo
@@ -874,17 +904,26 @@ def enumerate_canonical_hypergroups(n: int) -> list[Hypermagma]:
 
     These are the total associative tables of `enumerate_reversible_tables`:
     each class once, represented by its first table in search order, classes
-    in that order.  All classes are checked together by one call of
-    `non_hypergroups`, which leaves no report in the memo; a class it
-    rejects raises `InvariantViolated` naming that class's `axiom_report`
-    classification.  Past `search.search_cap()` nodes the search raises
-    `SearchCapExceeded`, on a memo hit as on a fresh search.
+    in that order.  Each sigma block of `reversible_table_blocks` is packed
+    into byte lanes once (`pack_lanes`); from those lanes
+    `from_mask_tables` builds the block, checking the identity and the
+    inverse map, and `lane_failures` checks the axioms, which leaves no
+    report in the memo.  A class it rejects raises `InvariantViolated`
+    naming that class's `axiom_report` classification.  Past
+    `search.search_cap()` nodes the search raises `SearchCapExceeded`, on a
+    memo hit as on a fresh search; n < 0 raises `ValueError`.
     """
-    out = list(enumerate_reversible_tables(n))
-    bad = non_hypergroups(out)
-    if bad:
-        kind = axiom_report(out[bad[0]]).classification
-        ensure(False, f"enumerate_canonical_hypergroups(n={n}) produced a {kind}")
+    labels = tuple(str(v) for v in range(n))
+    out = []
+    for inverse, tables in reversible_table_blocks(n):
+        tables = list(tables)
+        lanes = pack_lanes(n, tables)
+        block = from_mask_tables(labels, tables, 0, inverse, lanes)
+        bad = lane_failures(lanes, 0, inverse)
+        if any(bad):
+            kind = axiom_report(block[bad.index(1)]).classification
+            ensure(False, f"enumerate_canonical_hypergroups(n={n}) produced a {kind}")
+        out += block
     return out
 
 

@@ -154,7 +154,8 @@ def test_empty_carrier_flags():
 
 
 def test_census_classes_scan_their_inverses_once(monkeypatch):
-    """`from_masks` runs the inverse scan; `axiom_report` reads its result."""
+    """`from_masks` runs the inverse scan; `axiom_report` reads its result.
+    The census checks its inverse maps in byte lanes and scans none."""
     scanned = []
     scan = core.inverse_scan
 
@@ -165,7 +166,10 @@ def test_census_classes_scan_their_inverses_once(monkeypatch):
     monkeypatch.setattr(core, "inverse_scan", counted)
     monkeypatch.setattr(axioms, "inverse_scan", counted)
     classes = enumerate_canonical_hypergroups.__wrapped__(4)
-    assert [M.table for M in classes] == scanned and len(scanned) == 97
+    assert scanned == [] and len(classes) == 97
+    assert all(axiom_report(M).unique_inverses for M in classes) and scanned == []
+    assert [core.from_masks(M.labels, M.table) for M in classes] == classes
+    assert [M.table for M in classes] == scanned
     # a table without unique inverses is scanned again, for its witness
     rep = axiom_report(mixed3())
     assert len(scanned) == 99 and rep.witness("unique_inverses") == ()

@@ -28,8 +28,8 @@ import pytest
 
 import hyperkit
 from hyperkit import zoo
-from hyperkit.axioms import analyze, non_hypergroups
-from hyperkit.core import find_isomorphism, from_masks, iter_bits, mask_of
+from hyperkit.axioms import analyze, lane_failures
+from hyperkit.core import find_isomorphism, from_masks, iter_bits, mask_of, pack_lanes
 from hyperkit.errors import SearchCapExceeded
 from hyperkit.zoo import enumerate_canonical_hypergroups, enumerate_small_mosaics
 
@@ -407,15 +407,28 @@ import sys
 from hyperkit import errors, zoo
 print(sys.flags.optimize, len(zoo.enumerate_canonical_hypergroups(4)))
 
-# a real commutative mosaic with an empty sum, so no hypergroup, yielded
-# after the classes
+blocks = zoo.reversible_table_blocks
+
+
+def with_table(table, inverse):
+    # the search, with table yielded last in the block of inverse
+    def patched(n):
+        for inv, tables in blocks(n):
+            yield inv, [*tables, table] if inv == inverse else tables
+    return patched
+
+
+# a real commutative mosaic with an empty sum, so no hypergroup, in the
+# block of its own inverse map; then a real hypergroup whose inverse map
+# swaps 1 and 2, in the block that claims the identity map
 mosaic = next(M for M in zoo.enumerate_small_mosaics(3) if not all(M.table[1]))
-tables = zoo.enumerate_reversible_tables
-zoo.enumerate_reversible_tables = lambda n: [*tables(n), mosaic]
-try:
-    zoo.enumerate_canonical_hypergroups(3)
-except errors.InvariantViolated as exc:
-    print("raised:", exc)
+swapped = next(M for M in zoo.enumerate_canonical_hypergroups(3) if M.inverse == (0, 2, 1))
+for table, inverse in ((mosaic.table, mosaic.inverse), (swapped.table, (0, 1, 2))):
+    zoo.reversible_table_blocks = with_table(table, inverse)
+    try:
+        zoo.enumerate_canonical_hypergroups(3)
+    except errors.InvariantViolated as exc:
+        print("raised:", exc)
 """
     src = os.path.dirname(os.path.dirname(os.path.abspath(hyperkit.__file__)))
     env = dict(os.environ)
@@ -432,7 +445,57 @@ except errors.InvariantViolated as exc:
     assert lines == [
         "1 97",
         "raised: enumerate_canonical_hypergroups(n=3) produced a CommutativeMosaic",
+        "raised: from_mask_tables: table 7 has identity 0 and inverse map (0, 2, 1), "
+        "not the claimed 0 and (0, 1, 2)",
     ]
+
+
+@pytest.mark.parametrize(
+    "n, sigma, name",
+    [
+        (4, (0, 2, 1), "sigma"),  # an involution, but not a listed representative
+        (4, (1, 0), "sigma"),  # too short
+        (3, (0, 1, 2), "sigma"),  # too long
+        (0, (), "sigma"),  # no sigma at n = 0
+        (-1, None, "n"),
+    ],
+)
+def test_search_arguments_checked(n, sigma, name):
+    """A sigma that is not one of `involutions(n - 1)`, and n < 0, raise
+    `ValueError` naming the argument, before any table is searched."""
+    with pytest.raises(ValueError, match=f"^enumerate_reversible_tables: {name} must be"):
+        zoo.enumerate_reversible_tables(n, sigma=sigma)
+    with pytest.raises(ValueError, match=f"^enumerate_reversible_tables: {name} must be"):
+        zoo.reversible_table_blocks(n, False, sigma)
+    if sigma is None:
+        with pytest.raises(ValueError, match="^enumerate_reversible_tables: n must be >= 0"):
+            enumerate_canonical_hypergroups.__wrapped__(n)
+
+
+def test_blocks_are_the_search_by_sigma():
+    """`reversible_table_blocks` yields, one block per sigma of
+    `involutions(n - 1)`, the tables of `enumerate_reversible_tables` in
+    order, each block with its tables' inverse map."""
+    for n, hypergroups in ((1, True), (3, True), (4, True), (5, True), (4, False)):
+        full = zoo.enumerate_reversible_tables(n, hypergroups)
+        blocks = [(inv, list(tables)) for inv, tables in zoo.reversible_table_blocks(n, hypergroups)]
+        assert [inv[1:] for inv, _ in blocks] == [
+            tuple(x + 1 for x in sigma) for sigma in zoo.involutions(n - 1)
+        ]
+        assert [M.table for M in full] == [t for _, tables in blocks for t in tables]
+        for inv, tables in blocks:
+            assert {from_masks(range(n), t).inverse for t in tables} <= {inv}
+
+
+@pytest.mark.parametrize("n, nodes, classes", [(4, 626, 97), (5, 41575, 3776)])
+def test_census_node_count_at_cap_boundary(monkeypatch, n, nodes, classes):
+    """The census runs the search of `enumerate_reversible_tables`, node
+    for node."""
+    set_search_cap(monkeypatch, nodes)
+    assert len(enumerate_canonical_hypergroups.__wrapped__(n)) == classes
+    set_search_cap(monkeypatch, nodes - 1)
+    with pytest.raises(SearchCapExceeded):
+        enumerate_canonical_hypergroups.__wrapped__(n)
 
 
 # ---------------------------------------------------------------------------
@@ -454,15 +517,25 @@ def test_classes_share_rows_and_labels(build):
 
 
 def test_census_caches_no_report(monkeypatch):
-    """The census checks all its classes in one `non_hypergroups` call,
-    never through the memoised `analyze`."""
-    checked = []
+    """The census checks its classes in byte lanes, one `lane_failures`
+    call per sigma block, never through the memoised `analyze`, and builds
+    them without `from_masks`."""
+    seen = []
     monkeypatch.setattr(zoo, "analyze", lambda M: pytest.fail("census called analyze"))
+    monkeypatch.setattr(zoo, "from_masks", lambda *a: pytest.fail("census called from_masks"))
     monkeypatch.setattr(
-        zoo, "non_hypergroups", lambda Ms: checked.append(list(Ms)) or non_hypergroups(Ms)
+        zoo, "lane_failures", lambda *args: seen.append(args) or lane_failures(*args)
     )
     classes = enumerate_canonical_hypergroups.__wrapped__(4)
-    assert checked == [classes] and len(classes) == 97
+    assert len(classes) == 97 and len(seen) == len(zoo.involutions(3))
+    # the kernel read every class once, block after block
+    start = 0
+    for lanes, e, inverse in seen:
+        block = classes[start : start + lanes.count]
+        assert lanes == pack_lanes(4, [M.table for M in block])
+        assert {(M.identity, M.inverse) for M in block} == {(e, inverse)}
+        start += lanes.count
+    assert start == 97
 
 
 # tracemalloc's count for one class of list(enumerate_reversible_tables(5)):

@@ -19,7 +19,9 @@ the loops over all n^3 triples, `is_commutative_mosaic` against `analyze`,
 `axiom_report` object by object,
 and `from_masks` (its row range check, its
 identity and its inverse map, and the exact tuples it keeps without a copy)
-against the per-entry loops.
+against the per-entry loops; `from_mask_tables`, which checks a batch's
+rows once each and its claimed identity and inverse map in byte lanes,
+against `from_masks` table by table, also on spoiled tables and claims.
 `is_strong_map`, which reads preimages from the fibres, is checked against
 the scan over every point per flat; `canonical_form`, which drops a
 permutation at its first entry above the least form so far, against the
@@ -52,6 +54,7 @@ from hyperkit.core import (
     canonical_form,
     distinct_labels,
     fresh_label,
+    from_mask_tables,
     from_masks,
     identity_morphism,
     image_function,
@@ -59,13 +62,14 @@ from hyperkit.core import (
     iter_bits,
     mask_of,
     opposite,
+    pack_lanes,
     permute,
     pushed_table,
     quotient,
     strict_sub_closure,
 )
 from hyperkit import zoo
-from hyperkit.errors import DimensionMismatch, DuplicateLabel
+from hyperkit.errors import DimensionMismatch, DuplicateLabel, InvariantViolated
 from hyperkit.hom import (
     enumerate_morphisms,
     is_colax,
@@ -1112,6 +1116,231 @@ def test_non_hypergroups_reads_identity_and_inverse_as_stored():
     objects = [Hypermagma(("0", "1"), rows, 0, (0, 1)), from_masks(["0", "1"], [[1, 2], [2, 1]])]
     assert [axiom_report(M).classification for M in objects] == ["CommutativeMosaic", "AbelianGroup"]
     assert _assert_same_verdicts(objects, random.Random(0)) == [0]
+
+
+def _scalar_tables(labels, tables, identity, inverse):
+    """What `from_mask_tables` must give: `from_masks` table by table, up
+    to the first table it rejects (its exception) or builds with another
+    identity or inverse map than the claimed ones (`InvariantViolated`)."""
+    out = []
+    for i, table in enumerate(tables):
+        M = _build(from_masks, labels, table)
+        if not isinstance(M, Hypermagma):
+            return M
+        if (M.identity, M.inverse) != (identity, tuple(inverse)):
+            return InvariantViolated, (
+                f"from_mask_tables: table {i} has identity {M.identity} and inverse "
+                f"map {M.inverse}, not the claimed {identity} and {tuple(inverse)}"
+            )
+        out.append(M)
+    return out
+
+
+def _assert_batch_as_scalar(labels, tables, identity, inverse, packed=False):
+    """`from_mask_tables` gives `_scalar_tables`'s objects or exception,
+    and keeps every exact row tuple it is given; with `packed`, also when
+    it is handed the lanes."""
+    build = lambda l, t: from_mask_tables(l, t, identity, inverse)  # noqa: E731
+    new, old = _build(build, labels, tables), _scalar_tables(labels, tables, identity, inverse)
+    assert new == old, (new, old)
+    if packed:
+        lanes = pack_lanes(len(labels), tables)
+        assert from_mask_tables(labels, tables, identity, inverse, lanes) == new
+    if isinstance(new, list):
+        for M, table in zip(new, tables):
+            assert all(type(m) is int for row in M.table for m in row)
+            exact = [type(b) is tuple and {*map(type, b)} == {int} for b in table]
+            assert all(a is b for a, b, kept in zip(M.table, table, exact) if kept)
+    return new
+
+
+def _by_claim(objects):
+    """Tables grouped by (n, identity, inverse map), in order."""
+    groups = {}
+    for M in objects:
+        groups.setdefault((M.n, M.identity, M.inverse), []).append(M.table)
+    return groups
+
+
+def test_from_mask_tables_matches_from_masks_on_census_blocks():
+    """Every census table of orders 1-5, one batch per sigma block, the
+    block's lanes handed over or not; and the classes share one labels
+    tuple and one inverse tuple per block, as from `from_masks`."""
+    for n in range(1, 6):
+        labels = tuple(str(v) for v in range(n))
+        blocks = [(inv, list(tables)) for inv, tables in zoo.reversible_table_blocks(n)]
+        built = []
+        for inverse, tables in blocks:
+            block = _assert_batch_as_scalar(labels, tables, 0, inverse, packed=True)
+            assert all(M.table is t for M, t in zip(block, tables))
+            assert all(M.labels is labels for M in block)
+            assert {id(M.inverse) for M in block} == {id(from_masks(labels, tables[0]).inverse)}
+            built += block
+        assert built == enumerate_canonical_hypergroups(n)
+
+
+def test_from_mask_tables_matches_from_masks_on_small_mosaics():
+    """Every commutative mosaic class of order <= 4, grouped by its own
+    identity and inverse map."""
+    total = 0
+    for n in range(1, 5):
+        labels = [f"x{i}" for i in range(n)]
+        for (_, e, inverse), tables in _by_claim(enumerate_small_mosaics(n)).items():
+            total += len(_assert_batch_as_scalar(labels, tables, e, inverse, packed=True))
+    assert total == 1 + 2 + 14 + 272
+
+
+def test_from_mask_tables_on_no_tables_and_other_inputs():
+    """No tables build nothing, but duplicate labels still raise; list
+    rows, bool masks and tuple subclasses are converted as `from_masks`
+    converts them; lanes of other tables are refused."""
+    assert from_mask_tables(("e", "a"), [], 0, (0, 1)) == []
+    with pytest.raises(DuplicateLabel):
+        from_mask_tables(("a", "a"), [], 0, (0, 1))
+    for labels, rows in [
+        (["e", "a"], [[1, 2], [2, 1]]),
+        (("e", "a"), ((True, 2), (2, True))),
+        (("e", "a"), (_Row((1, 2)), _Row((2, 1)))),
+        ((0, 1), ((1, 2), (2, 1))),
+    ]:
+        batch = [rows, ((1, 2), (2, 3)), rows]
+        assert len(_assert_batch_as_scalar(labels, batch, 0, (0, 1))) == 3
+    lanes = pack_lanes(2, [((1, 2), (2, 1))])
+    with pytest.raises(InvariantViolated, match="lanes of other tables"):
+        from_mask_tables(("e", "a"), [((1, 2), (2, 1))] * 2, 0, (0, 1), lanes)
+
+
+def _other_involution(inverse, e):
+    """An involution fixing e other than `inverse`, on 3 or more elements:
+    two elements a, b besides e paired if they were not, unpaired if they
+    were."""
+    a, b = [x for x in range(len(inverse)) if x != e][:2]
+    out = list(inverse)
+    if inverse[a] == b:
+        out[a], out[b] = a, b
+    else:
+        for x in (a, b):
+            out[inverse[x]] = inverse[x]
+        out[a], out[b] = b, a
+    return tuple(out)
+
+
+# the ways a table or a claim is spoiled, and the least n each needs
+MUTATIONS = {
+    "unit-bit": 1,
+    "wide-mask": 1,
+    "short-row": 1,
+    "malformed-claim": 1,
+    "missing-row": 1,
+    "extra-row": 1,
+    "other-identity": 2,
+    "non-involution": 2,
+    "duplicate-labels": 2,
+    "second-inverse": 3,
+    "wrong-inverse": 3,
+}
+
+
+def _mutated(kind, labels, tables, e, inverse, at, rng):
+    """(labels, tables, e, inverse) with tables[at] or the claim spoiled."""
+    n = len(labels)
+    rows = [list(r) for r in tables[at]]
+    others = [x for x in range(n) if x != e]
+    if kind == "unit-bit":
+        x, bit = rng.randrange(n), 1 << rng.randrange(n)
+        if rng.random() < 0.5:
+            rows[e][x] ^= bit
+        else:
+            rows[x][e] ^= bit
+    elif kind == "wide-mask":
+        rows[rng.randrange(n)][rng.randrange(n)] |= 1 << (n + rng.randrange(3))
+    elif kind == "short-row":
+        x = rng.randrange(n)
+        rows[x] = rows[x][:-1]
+    elif kind == "missing-row":
+        del rows[rng.randrange(n)]
+    elif kind == "extra-row":
+        rows.append(list(rows[rng.randrange(n)]))
+    elif kind == "second-inverse":
+        x = rng.choice(others)
+        y = rng.choice([y for y in others if y != inverse[x]])
+        rows[x][y] |= 1 << e
+        rows[y][x] |= 1 << e
+    elif kind == "duplicate-labels":
+        labels = (labels[1], *labels[1:])
+    elif kind == "malformed-claim":
+        inverse = inverse[:-1]
+    elif kind == "other-identity":
+        e = rng.choice(others)
+    elif kind == "non-involution":
+        # z -> e, on the z the lanes read least: the last with inverse[z] < z
+        z = max(others, key=lambda x: (inverse[x] < x, x))
+        inverse = (*inverse[:z], e, *inverse[z + 1 :])
+    else:
+        inverse = _other_involution(inverse, e)
+    tables = [*tables[:at], tuple(map(tuple, rows)), *tables[at + 1 :]]
+    return labels, tables, e, inverse
+
+
+def _claim_bases():
+    """Groups of good tables sharing n, identity and inverse map: census
+    classes, the lane bases on up to 8 elements, and mosaics on 9 to 17
+    elements, in 2- and 3-byte lanes."""
+    objects = [M for Ms in LANE_BASES.values() for M in Ms] + WIDE_BASES
+    objects += [M for n in range(1, 5) for M in enumerate_canonical_hypergroups(n)]
+    groups = _by_claim(M for M in objects if M.inverse is not None)
+    return {key: tables for key, tables in sorted(groups.items(), key=repr)}
+
+
+CLAIM_BASES = _claim_bases()
+
+
+@pytest.mark.parametrize("kind", MUTATIONS)
+def test_from_mask_tables_raises_as_from_masks_on_mutations(kind):
+    """Each spoiled table or claim, alone, among good tables of its group
+    before and after it, and before a second spoiled table: the error of
+    the first spoiled table, for every group on 1 to 9 elements and more."""
+    rng = random.Random(kind)
+    sizes = set()
+    for (n, e, inverse), tables in CLAIM_BASES.items():
+        if n < MUTATIONS[kind]:
+            continue
+        sizes.add(n)
+        labels = tuple(f"x{i}" for i in range(n))
+        batch = [rng.choice(tables) for _ in range(rng.randint(1, 6))]
+        for at in sorted({0, len(batch) // 2, len(batch) - 1}):
+            spoiled = _mutated(kind, labels, batch, e, inverse, at, rng)
+            assert not isinstance(_assert_batch_as_scalar(*spoiled), list)
+            # a second spoiled table after the first changes nothing
+            labels2, batch2, e2, inverse2 = spoiled
+            batch2 = [*batch2, rng.choice(tables)]
+            later = _mutated("wide-mask", labels2, batch2, e2, inverse2, len(batch), rng)
+            assert _assert_batch_as_scalar(*later) == _assert_batch_as_scalar(*spoiled)
+    assert set(range(MUTATIONS[kind], 10)) <= sizes
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_from_mask_tables_matches_from_masks_on_random_batches(data):
+    """Batches of one group's tables, some perturbed (`_perturbed`, which
+    may move the identity or break unique inverses) and some spoiled, good
+    and bad lanes side by side, and random tables claimed for the group."""
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    (n, e, inverse), tables = data.draw(st.sampled_from(list(CLAIM_BASES.items())))
+    labels = tuple(f"x{i}" for i in range(n))
+    batch = []
+    for _ in range(data.draw(st.integers(1, 12))):
+        table = rng.choice(tables)
+        if rng.random() < 0.1:
+            table = _perturbed(Hypermagma(labels, table, e, inverse), rng, 1).table
+        elif rng.random() < 0.05:
+            table = tuple(map(tuple, _random_table(rng, n, rng.random() < 0.5)))
+        batch.append(table)
+    claim = (labels, batch, e, inverse)
+    if rng.random() < 0.3:
+        kinds = [k for k, least in MUTATIONS.items() if n >= least]
+        claim = _mutated(rng.choice(kinds), *claim, rng.randrange(len(batch)), rng)
+    _assert_batch_as_scalar(*claim)
 
 
 def test_validation_matches_entry_loops_on_unital_hypermagmas():
