@@ -6,17 +6,15 @@ goldens independent of how the object was produced.  The associativity and
 reversibility loops skip the triples whose answer is already fixed: those
 holding the scalar identity and, in a commutative table, the mirror image of
 a triple already tried (see `_associative_witness`, `_reversible_witness`).
-`non_hypergroups` and `lane_failures` give only the canonical-hypergroup
-verdict, on the same triples, for many objects at once.
+`lane_failures` gives only the canonical-hypergroup verdict, on the same
+triples, for many tables at once, packed in byte lanes by `core.pack_lanes`.
 """
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass
-from typing import Sequence
 
-from .core import Hypermagma, Lanes, bit_splitter, inverse_scan, pack_lanes, product_of_subsets
+from .core import Hypermagma, Lanes, bit_splitter, inverse_scan, product_of_subsets
 from .errors import NotAMosaic, ensure
 from .search import memo
 
@@ -256,33 +254,6 @@ def axiom_report(M: Hypermagma) -> AxiomReport:
         classification=cls,
         witnesses=tuple(witnesses),
     )
-
-
-def non_hypergroups(Ms: Sequence[Hypermagma]) -> list[int]:
-    """The indices, ascending, of the objects of Ms that are not canonical
-    hypergroups: those whose `axiom_report(M).classification` is neither
-    "CanonicalHypergroup" nor "AbelianGroup".
-
-    Decided for many objects at once by SIMD within a register (SWAR): an
-    object without an identity or an inverse map fails, and the others are
-    packed by `pack_lanes` in groups that share n, the identity and the
-    inverse map, and checked by `lane_failures`.  The verdict per object
-    is `axiom_report`'s, read off the same fields and tried on the same
-    triples; no witness is kept.  The census calls `lane_failures` itself,
-    on the lanes it packs once per sigma block for `core.from_mask_tables`.
-    """
-    groups: dict[tuple, list[int]] = {}
-    out = []
-    for b, M in enumerate(Ms):
-        if M.identity is None or M.inverse is None:
-            out.append(b)
-        else:
-            groups.setdefault((M.n, M.identity, M.inverse), []).append(b)
-    for (n, e, inv), members in groups.items():
-        failed = lane_failures(pack_lanes(n, [Ms[b].table for b in members]), e, inv)
-        out += itertools.compress(members, failed)
-    out.sort()
-    return out
 
 
 def lane_failures(lanes: Lanes, e: int, inv: tuple[int, ...]) -> bytes:

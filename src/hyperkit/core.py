@@ -177,6 +177,16 @@ _INT = frozenset({int})
 _share_inverse = {}.setdefault
 
 
+def _checked_labels(labels: Sequence[str]) -> tuple[str, ...]:
+    """`labels` as a tuple of strs, itself when it is a tuple of exact
+    `str`s; `DuplicateLabel` unless they are distinct."""
+    if type(labels) is not tuple or not {*map(type, labels)} <= _STR:
+        labels = tuple(str(l) for l in labels)
+    if len(set(labels)) != len(labels):
+        raise DuplicateLabel(f"carrier labels not distinct: {labels}")
+    return labels
+
+
 def from_masks(
     labels: Sequence[str],
     table: Sequence[Sequence[int]],
@@ -192,11 +202,8 @@ def from_masks(
     share them; every other input is converted.  On at most 8 elements
     equal inverse maps are one tuple.
     """
-    if type(labels) is not tuple or not {*map(type, labels)} <= _STR:
-        labels = tuple(str(l) for l in labels)
+    labels = _checked_labels(labels)
     n = len(labels)
-    if len(set(labels)) != n:
-        raise DuplicateLabel(f"carrier labels not distinct: {labels}")
     if len(table) != n or {*map(len, table)} - {n}:
         raise DimensionMismatch(f"table is not {n}x{n}")
     full = (1 << n) - 1
@@ -289,20 +296,19 @@ def from_mask_tables(
     tables: Sequence[Sequence[Sequence[int]]],
     identity: int,
     inverse: Sequence[int],
-    lanes: Lanes | None = None,
-) -> list[Hypermagma]:
-    """[from_masks(labels, table) for table in tables], for tables that
-    all have the scalar identity `identity` and the unique inverses
-    `inverse`, each check made once where it cannot repeat.
+) -> tuple[list[Hypermagma], Lanes]:
+    """([from_masks(labels, table) for table in tables], the lanes of
+    their tables), for tables that all have the scalar identity `identity`
+    and the unique inverses `inverse`, each check made once where it
+    cannot repeat.  The lanes are `pack_lanes(n, tables)` of the built
+    objects' tables, so a caller that reads the lanes too packs them once.
 
     The labels are checked once; each distinct row object once, for its
     length, its range and the exact int type of its masks (other rows are
     converted, as `from_masks` converts them); and the identity and the
     inverse map in byte lanes, for all tables at once: in each lane the
     row and the column of `identity` are the unit row, and bit `identity`
-    of x*y & y*x is set exactly where y = inverse[x].  `lanes`, when
-    given, is `pack_lanes(n, tables)`, so a caller that reads the lanes
-    too packs them once.
+    of x*y & y*x is set exactly where y = inverse[x].
 
     When a check fails, the first table in order that `from_masks` rejects
     or builds with another identity or inverse map raises: `from_masks`'s
@@ -310,13 +316,10 @@ def from_mask_tables(
     inverse map.  The objects share the labels and the rows, and on at
     most 8 elements the inverse tuple, with what `from_masks` builds.
     """
-    if type(labels) is not tuple or not {*map(type, labels)} <= _STR:
-        labels = tuple(str(l) for l in labels)
+    labels = _checked_labels(labels)
     n = len(labels)
-    if len(set(labels)) != n:
-        raise DuplicateLabel(f"carrier labels not distinct: {labels}")
     if not tables:
-        return []
+        return [], pack_lanes(n, [])
     inverse = tuple(inverse)
     # the lanes read x*y & y*x for y >= x only, which needs an involution
     claimed = (
@@ -329,15 +332,12 @@ def from_mask_tables(
         _raise_first(labels, tables, identity, inverse)
     if converted or not all(type(t) is tuple for t in tables):
         tables = [tuple(converted.get(id(row), row) for row in t) for t in tables]
-        lanes = None
-    if lanes is None:
-        lanes = pack_lanes(n, tables)
-    ensure(lanes.n == n and lanes.count == len(tables), "from_mask_tables: lanes of other tables")
+    lanes = pack_lanes(n, tables)
     if any(_claim_failures(lanes, identity, inverse)):
         _raise_first(labels, tables, identity, inverse)
     if n <= 8:
         inverse = _share_inverse(inverse, inverse)
-    return [Hypermagma(labels, t, identity, inverse) for t in tables]
+    return [Hypermagma(labels, t, identity, inverse) for t in tables], lanes
 
 
 def _converted_rows(

@@ -26,7 +26,6 @@ from .core import (
     iter_bits,
     mask_of,
     orbit_partition,
-    pack_lanes,
     quotient,
     reversible_closure,
 )
@@ -904,11 +903,11 @@ def enumerate_canonical_hypergroups(n: int) -> list[Hypermagma]:
 
     These are the total associative tables of `enumerate_reversible_tables`:
     each class once, represented by its first table in search order, classes
-    in that order.  Each sigma block of `reversible_table_blocks` is packed
-    into byte lanes once (`pack_lanes`); from those lanes
-    `from_mask_tables` builds the block, checking the identity and the
-    inverse map, and `lane_failures` checks the axioms, which leaves no
-    report in the memo.  A class it rejects raises `InvariantViolated`
+    in that order.  `from_mask_tables` builds each sigma block of
+    `reversible_table_blocks` whole, checking the identity and the inverse
+    map in byte lanes, and `lane_failures` checks the axioms on the lanes
+    the builder returns, so each block is packed once and no report is
+    left in the memo.  A class it rejects raises `InvariantViolated`
     naming that class's `axiom_report` classification.  Past
     `search.search_cap()` nodes the search raises `SearchCapExceeded`, on a
     memo hit as on a fresh search; n < 0 raises `ValueError`.
@@ -916,9 +915,7 @@ def enumerate_canonical_hypergroups(n: int) -> list[Hypermagma]:
     labels = tuple(str(v) for v in range(n))
     out = []
     for inverse, tables in reversible_table_blocks(n):
-        tables = list(tables)
-        lanes = pack_lanes(n, tables)
-        block = from_mask_tables(labels, tables, 0, inverse, lanes)
+        block, lanes = from_mask_tables(labels, list(tables), 0, inverse)
         bad = lane_failures(lanes, 0, inverse)
         if any(bad):
             kind = axiom_report(block[bad.index(1)]).classification

@@ -15,7 +15,7 @@ against the four-case loop, `hom_object` against the per-coordinate loop and
 round's additions, against the loop over the full product K*K.
 `analyze`, which skips the triples whose answer is fixed, is checked against
 the loops over all n^3 triples, `is_commutative_mosaic` against `analyze`,
-`non_hypergroups`, which checks many objects at once in byte lanes, against
+`lane_failures`, which checks many tables at once in byte lanes, against
 `axiom_report` object by object,
 and `from_masks` (its row range check, its
 identity and its inverse map, and the exact tuples it keeps without a copy)
@@ -45,7 +45,7 @@ from hyperkit.axioms import (
     analyze,
     axiom_report,
     is_commutative_mosaic,
-    non_hypergroups,
+    lane_failures,
 )
 from hyperkit.core import (
     BITS,
@@ -963,16 +963,35 @@ def test_analyze_matches_triple_loops_on_enumerated_classes():
 CANONICAL = ("CanonicalHypergroup", "AbelianGroup")
 
 
+def _non_hypergroups(Ms):
+    """The indices, ascending, of the objects of Ms that `lane_failures`
+    rejects: an object without an identity or an inverse map fails, and
+    the others are packed and checked in groups that share n, the identity
+    and the inverse map."""
+    groups = {}
+    out = []
+    for b, M in enumerate(Ms):
+        if M.identity is None or M.inverse is None:
+            out.append(b)
+        else:
+            groups.setdefault((M.n, M.identity, M.inverse), []).append(b)
+    for (n, e, inv), members in groups.items():
+        failed = lane_failures(pack_lanes(n, [Ms[b].table for b in members]), e, inv)
+        out += itertools.compress(members, failed)
+    return sorted(out)
+
+
 def _assert_same_verdicts(objects, rng):
-    """`non_hypergroups` gives `axiom_report`'s verdict object by object,
-    and on a shuffled copy the same verdicts, shuffled."""
+    """`lane_failures`, through `_non_hypergroups`, gives `axiom_report`'s
+    verdict object by object, and on a shuffled copy the same verdicts,
+    shuffled."""
     failed = [i for i, M in enumerate(objects) if axiom_report(M).classification not in CANONICAL]
-    assert non_hypergroups(objects) == failed
+    assert _non_hypergroups(objects) == failed
     order = list(range(len(objects)))
     rng.shuffle(order)
     shuffled = [objects[i] for i in order]
     bad = set(failed)
-    assert non_hypergroups(shuffled) == [b for b, i in enumerate(order) if i in bad]
+    assert _non_hypergroups(shuffled) == [b for b, i in enumerate(order) if i in bad]
     return failed
 
 
@@ -998,7 +1017,7 @@ def test_non_hypergroups_on_no_objects_and_one_element():
         group_to_hypermagma(cyclic_group(1)),
         from_masks([], []),
     ]
-    assert non_hypergroups([]) == []
+    assert _non_hypergroups([]) == []
     assert _assert_same_verdicts(one, random.Random(0)) == [0, 3]
 
 
@@ -1104,8 +1123,8 @@ def test_non_hypergroups_matches_reports_on_wide_lanes():
     mosaics = enumerate_small_mosaics(4)
     sums = [_ordinal_sum(G, N) for N in mosaics]
     assert {M.n for M in sums} == {11}
-    assert _assert_same_verdicts(sums, rng) == non_hypergroups(mosaics)
-    assert len(non_hypergroups(mosaics)) == 175
+    assert _assert_same_verdicts(sums, rng) == _non_hypergroups(mosaics)
+    assert len(_non_hypergroups(mosaics)) == 175
 
 
 def test_non_hypergroups_reads_identity_and_inverse_as_stored():
@@ -1136,16 +1155,20 @@ def _scalar_tables(labels, tables, identity, inverse):
     return out
 
 
-def _assert_batch_as_scalar(labels, tables, identity, inverse, packed=False):
+def _batch(labels, tables, identity, inverse):
+    """`from_mask_tables`'s objects, after checking that the lanes it
+    returns are the packed tables of those objects."""
+    objects, lanes = from_mask_tables(labels, tables, identity, inverse)
+    assert lanes == pack_lanes(len(labels), [M.table for M in objects])
+    return objects
+
+
+def _assert_batch_as_scalar(labels, tables, identity, inverse):
     """`from_mask_tables` gives `_scalar_tables`'s objects or exception,
-    and keeps every exact row tuple it is given; with `packed`, also when
-    it is handed the lanes."""
-    build = lambda l, t: from_mask_tables(l, t, identity, inverse)  # noqa: E731
+    and keeps every exact row tuple it is given."""
+    build = lambda l, t: _batch(l, t, identity, inverse)  # noqa: E731
     new, old = _build(build, labels, tables), _scalar_tables(labels, tables, identity, inverse)
     assert new == old, (new, old)
-    if packed:
-        lanes = pack_lanes(len(labels), tables)
-        assert from_mask_tables(labels, tables, identity, inverse, lanes) == new
     if isinstance(new, list):
         for M, table in zip(new, tables):
             assert all(type(m) is int for row in M.table for m in row)
@@ -1163,15 +1186,15 @@ def _by_claim(objects):
 
 
 def test_from_mask_tables_matches_from_masks_on_census_blocks():
-    """Every census table of orders 1-5, one batch per sigma block, the
-    block's lanes handed over or not; and the classes share one labels
-    tuple and one inverse tuple per block, as from `from_masks`."""
+    """Every census table of orders 1-5, one batch per sigma block; and
+    the classes share one labels tuple and one inverse tuple per block, as
+    from `from_masks`."""
     for n in range(1, 6):
         labels = tuple(str(v) for v in range(n))
         blocks = [(inv, list(tables)) for inv, tables in zoo.reversible_table_blocks(n)]
         built = []
         for inverse, tables in blocks:
-            block = _assert_batch_as_scalar(labels, tables, 0, inverse, packed=True)
+            block = _assert_batch_as_scalar(labels, tables, 0, inverse)
             assert all(M.table is t for M, t in zip(block, tables))
             assert all(M.labels is labels for M in block)
             assert {id(M.inverse) for M in block} == {id(from_masks(labels, tables[0]).inverse)}
@@ -1186,15 +1209,16 @@ def test_from_mask_tables_matches_from_masks_on_small_mosaics():
     for n in range(1, 5):
         labels = [f"x{i}" for i in range(n)]
         for (_, e, inverse), tables in _by_claim(enumerate_small_mosaics(n)).items():
-            total += len(_assert_batch_as_scalar(labels, tables, e, inverse, packed=True))
+            total += len(_assert_batch_as_scalar(labels, tables, e, inverse))
     assert total == 1 + 2 + 14 + 272
 
 
 def test_from_mask_tables_on_no_tables_and_other_inputs():
-    """No tables build nothing, but duplicate labels still raise; list
-    rows, bool masks and tuple subclasses are converted as `from_masks`
-    converts them; lanes of other tables are refused."""
-    assert from_mask_tables(("e", "a"), [], 0, (0, 1)) == []
+    """No tables build nothing and pack no lanes, but duplicate labels
+    still raise; list rows, bool masks and tuple subclasses are converted
+    as `from_masks` converts them, and the lanes are those of the
+    converted tables."""
+    assert from_mask_tables(("e", "a"), [], 0, (0, 1)) == ([], pack_lanes(2, []))
     with pytest.raises(DuplicateLabel):
         from_mask_tables(("a", "a"), [], 0, (0, 1))
     for labels, rows in [
@@ -1205,9 +1229,6 @@ def test_from_mask_tables_on_no_tables_and_other_inputs():
     ]:
         batch = [rows, ((1, 2), (2, 3)), rows]
         assert len(_assert_batch_as_scalar(labels, batch, 0, (0, 1))) == 3
-    lanes = pack_lanes(2, [((1, 2), (2, 1))])
-    with pytest.raises(InvariantViolated, match="lanes of other tables"):
-        from_mask_tables(("e", "a"), [((1, 2), (2, 1))] * 2, 0, (0, 1), lanes)
 
 
 def _other_involution(inverse, e):
