@@ -6,8 +6,9 @@ goldens independent of how the object was produced.  The associativity and
 reversibility loops skip the triples whose answer is already fixed: those
 holding the scalar identity and, in a commutative table, the mirror image of
 a triple already tried (see `_associative_witness`, `_reversible_witness`).
-`lane_failures` gives only the canonical-hypergroup verdict, on the same
-triples, for many tables at once, packed in byte lanes by `core.pack_lanes`.
+`lane_failures` gives only the canonical-hypergroup verdict, for a given
+identity and inverse map, on the same triples, for many tables at once,
+packed in byte lanes by `core.pack_lanes`.
 """
 from __future__ import annotations
 
@@ -257,27 +258,43 @@ def axiom_report(M: Hypermagma) -> AxiomReport:
 
 
 def lane_failures(lanes: Lanes, e: int, inv: tuple[int, ...]) -> bytes:
-    """One byte per lane, 1 where the packed commutative unital table with
-    identity e and inverse map inv is not total, commutative, associative
-    and reversible, else 0.
+    """One byte per lane, 0 where the packed table is a commutative
+    canonical hypergroup with scalar identity e and inverse map inv (what
+    `from_masks` finds and `axiom_report` classifies as canonical), else 1.
 
     Every check is a few big-int operations for all lanes at once (see
-    `Lanes`).  The triples tried are those of `_associative_witness` and
-    `_reversible_witness` for a commutative table: without e, i < k for
-    associativity and y <= z, x != e for reversibility.  A lane that fails
-    commutativity fails whatever its other checks read.
+    `Lanes`).  A lane that fails commutativity fails whatever its other
+    checks read, so the rest read a commutative table: e is its identity
+    when row e is the unit row, and inv its map of unique inverses when bit
+    e of x*y is set exactly where y = inv[x], read for y >= x since inv is
+    an involution.  The triples tried are those of `_associative_witness`
+    and `_reversible_witness` for a commutative table with identity e:
+    without e, i < k for associativity and y <= z, x != e for
+    reversibility.  inv must be an involution fixing e, of length n.
     """
     n, E, ones, nonzero = lanes.n, lanes.entries, lanes.ones, lanes.nonzero
+    ensure(
+        len(inv) == n
+        and e in range(n)
+        and inv[e] == e
+        and all(y in range(n) and inv[y] == x for x, y in enumerate(inv)),
+        f"lane_failures: {inv} is not an involution fixing {e} on {n} elements",
+    )
     spread = (1 << 8 * lanes.width) - 1
 
     nonempty = ones
+    off_unit = 0
     failed = 0
     for x, row in enumerate(E):
+        off_unit |= E[e][x] ^ ones << x
         for y, m in enumerate(row):
             nonempty &= nonzero(m)
             if x < y:
                 failed |= nonzero(m ^ E[y][x])
-    failed |= ones ^ nonempty
+            if x <= y:
+                held = m >> e & ones
+                failed |= held ^ ones if y == inv[x] else held
+    failed |= ones ^ nonempty | nonzero(off_unit)
 
     others = [x for x in range(n) if x != e]
     # spreads[x, y][t]: all ones in the lanes where t is in x*y

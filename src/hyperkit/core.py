@@ -10,13 +10,12 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, NoReturn, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import (
     DimensionMismatch,
     DuplicateLabel,
     IdentityAxiomViolated,
-    InvariantViolated,
     ensure,
 )
 
@@ -177,16 +176,6 @@ _INT = frozenset({int})
 _share_inverse = {}.setdefault
 
 
-def _checked_labels(labels: Sequence[str]) -> tuple[str, ...]:
-    """`labels` as a tuple of strs, itself when it is a tuple of exact
-    `str`s; `DuplicateLabel` unless they are distinct."""
-    if type(labels) is not tuple or not {*map(type, labels)} <= _STR:
-        labels = tuple(str(l) for l in labels)
-    if len(set(labels)) != len(labels):
-        raise DuplicateLabel(f"carrier labels not distinct: {labels}")
-    return labels
-
-
 def from_masks(
     labels: Sequence[str],
     table: Sequence[Sequence[int]],
@@ -202,7 +191,10 @@ def from_masks(
     share them; every other input is converted.  On at most 8 elements
     equal inverse maps are one tuple.
     """
-    labels = _checked_labels(labels)
+    if type(labels) is not tuple or not {*map(type, labels)} <= _STR:
+        labels = tuple(str(l) for l in labels)
+    if len(set(labels)) != len(labels):
+        raise DuplicateLabel(f"carrier labels not distinct: {labels}")
     n = len(labels)
     if len(table) != n or {*map(len, table)} - {n}:
         raise DimensionMismatch(f"table is not {n}x{n}")
@@ -291,107 +283,6 @@ def pack_lanes(n: int, tables: Sequence[Sequence[Sequence[int]]]) -> Lanes:
     return Lanes(n, count, width, ones, tuple(entries), tuple(shifts))
 
 
-def from_mask_tables(
-    labels: Sequence[str],
-    tables: Sequence[Sequence[Sequence[int]]],
-    identity: int,
-    inverse: Sequence[int],
-) -> tuple[list[Hypermagma], Lanes]:
-    """([from_masks(labels, table) for table in tables], the lanes of
-    their tables), for tables that all have the scalar identity `identity`
-    and the unique inverses `inverse`, each check made once where it
-    cannot repeat.  The lanes are `pack_lanes(n, tables)` of the built
-    objects' tables, so a caller that reads the lanes too packs them once.
-
-    The labels are checked once; each distinct row object once, for its
-    length, its range and the exact int type of its masks (other rows are
-    converted, as `from_masks` converts them); and the identity and the
-    inverse map in byte lanes, for all tables at once: in each lane the
-    row and the column of `identity` are the unit row, and bit `identity`
-    of x*y & y*x is set exactly where y = inverse[x].
-
-    When a check fails, the first table in order that `from_masks` rejects
-    or builds with another identity or inverse map raises: `from_masks`'s
-    own error, or `InvariantViolated` naming the claimed identity and
-    inverse map.  The objects share the labels and the rows, and on at
-    most 8 elements the inverse tuple, with what `from_masks` builds.
-    """
-    labels = _checked_labels(labels)
-    n = len(labels)
-    if not tables:
-        return [], pack_lanes(n, [])
-    inverse = tuple(inverse)
-    # the lanes read x*y & y*x for y >= x only, which needs an involution
-    claimed = (
-        identity in range(n)
-        and len(inverse) == n
-        and all(y in range(n) and inverse[y] == x for x, y in enumerate(inverse))
-    )
-    converted = _converted_rows(n, tables) if claimed else None
-    if converted is None:
-        _raise_first(labels, tables, identity, inverse)
-    if converted or not all(type(t) is tuple for t in tables):
-        tables = [tuple(converted.get(id(row), row) for row in t) for t in tables]
-    lanes = pack_lanes(n, tables)
-    if any(_claim_failures(lanes, identity, inverse)):
-        _raise_first(labels, tables, identity, inverse)
-    if n <= 8:
-        inverse = _share_inverse(inverse, inverse)
-    return [Hypermagma(labels, t, identity, inverse) for t in tables], lanes
-
-
-def _converted_rows(
-    n: int, tables: Sequence[Sequence[Sequence[int]]]
-) -> dict[int, tuple[int, ...]] | None:
-    """None when some table is not n rows of n masks in range(2**n); else,
-    by id, the rows that are not tuples of exact ints, converted.  Each
-    distinct row object is checked once."""
-    full = (1 << n) - 1
-    converted = {}
-    try:
-        if {*map(len, tables)} - {n}:
-            return None
-        flat = [*itertools.chain.from_iterable(tables)]
-        for key, row in dict(zip(map(id, flat), flat)).items():
-            if type(row) is not tuple or not {*map(type, row)} <= _INT:
-                row = converted[key] = tuple(map(operator.index, row))
-            if len(row) != n or min(row) < 0 or max(row) > full:
-                return None
-    except TypeError:
-        return None
-    return converted
-
-
-def _claim_failures(lanes: Lanes, e: int, inverse: tuple[int, ...]) -> bytes:
-    """One byte per lane, nonzero where e is not the scalar identity or
-    `inverse`, an involution, is not the map of unique inverses.  x*y &
-    y*x is symmetric in x and y, so only y >= x is read."""
-    E, ones = lanes.entries, lanes.ones
-    off = 0
-    for x in range(lanes.n):
-        unit = ones << x
-        off |= (E[e][x] ^ unit) | (E[x][e] ^ unit)
-    failed = lanes.nonzero(off)
-    for x, row in enumerate(E):
-        for y in range(x, lanes.n):
-            held = (row[y] & E[y][x]) >> e & ones
-            failed |= held ^ ones if y == inverse[x] else held
-    return lanes.flags(failed)
-
-
-def _raise_first(labels, tables, identity, inverse) -> NoReturn:
-    """Raise for the first table that `from_masks` rejects, or builds with
-    another identity or inverse map than the claimed ones."""
-    for i, table in enumerate(tables):
-        M = from_masks(labels, table)
-        if (M.identity, M.inverse) != (identity, inverse):
-            raise InvariantViolated(
-                f"from_mask_tables: table {i} has identity {M.identity} and inverse "
-                f"map {M.inverse}, not the claimed {identity} and {inverse}"
-            )
-    ensure(False, "from_mask_tables: a failed lane check that from_masks passes")
-
-
 def make_hypermagma(
     labels: Sequence[str],
     table: Sequence[Sequence[Iterable[str]]],
@@ -412,6 +303,8 @@ def make_hypermagma(
                 m |= 1 << pos[l]
             out.append(m)
         rows.append(out)
+    if identity is not None and identity not in pos:
+        raise DimensionMismatch(f"unknown element {identity!r} given as the identity")
     e = pos[identity] if identity is not None else None
     return from_masks(labels, rows, e)
 

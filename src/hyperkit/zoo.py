@@ -20,12 +20,12 @@ from .core import (
     Hypermagma,
     Morphism,
     canonical_form,
-    from_mask_tables,
     from_masks,
     image_tables,
     iter_bits,
     mask_of,
     orbit_partition,
+    pack_lanes,
     quotient,
     reversible_closure,
 )
@@ -903,24 +903,33 @@ def enumerate_canonical_hypergroups(n: int) -> list[Hypermagma]:
 
     These are the total associative tables of `enumerate_reversible_tables`:
     each class once, represented by its first table in search order, classes
-    in that order.  `from_mask_tables` builds each sigma block of
-    `reversible_table_blocks` whole, checking the identity and the inverse
-    map in byte lanes, and `lane_failures` checks the axioms on the lanes
-    the builder returns, so each block is packed once and no report is
-    left in the memo.  A class it rejects raises `InvariantViolated`
-    naming that class's `axiom_report` classification.  Past
-    `search.search_cap()` nodes the search raises `SearchCapExceeded`, on a
-    memo hit as on a fresh search; n < 0 raises `ValueError`.
+    in that order.  Each sigma block of `reversible_table_blocks` is
+    packed once (`pack_lanes`) and checked in one `lane_failures` call,
+    which also checks that every table has the identity 0 and the block's
+    inverse map; the objects then share the block's labels, rows and
+    inverse map, and no report is left in the memo.  A table it rejects
+    is built by `from_masks` and raises `InvariantViolated`, naming its
+    identity and inverse map when they are not the block's, else its
+    `axiom_report` classification.  Past `search.search_cap()` nodes the
+    search raises `SearchCapExceeded`, on a memo hit as on a fresh search;
+    n < 0 raises `ValueError`.
     """
     labels = tuple(str(v) for v in range(n))
     out = []
     for inverse, tables in reversible_table_blocks(n):
-        block, lanes = from_mask_tables(labels, list(tables), 0, inverse)
-        bad = lane_failures(lanes, 0, inverse)
+        tables = list(tables)
+        bad = lane_failures(pack_lanes(n, tables), 0, inverse)
         if any(bad):
-            kind = axiom_report(block[bad.index(1)]).classification
+            M = from_masks(labels, tables[bad.index(1)])
+            if (M.identity, M.inverse) == (0, inverse):
+                kind = axiom_report(M).classification
+            else:
+                kind = (
+                    f"table with identity {M.identity} and inverse map {M.inverse}, "
+                    f"not 0 and {inverse}"
+                )
             ensure(False, f"enumerate_canonical_hypergroups(n={n}) produced a {kind}")
-        out += block
+        out += [Hypermagma(labels, t, 0, inverse) for t in tables]
     return out
 
 

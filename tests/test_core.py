@@ -89,6 +89,8 @@ def test_constructor_errors():
         make_hypermagma(["a", "b"], [[["a"]]])
     with pytest.raises(IdentityAxiomViolated):
         make_hypermagma(["a", "b"], [[["a"], []], [[], []]], identity="a")
+    with pytest.raises(DimensionMismatch, match="^unknown element 'z' given as the identity$"):
+        make_hypermagma(["e", "a"], [[["e"], ["a"]], [["a"], ["e"]]], identity="z")
 
 
 def test_morphism_validates_length_and_range():

@@ -445,8 +445,8 @@ for table, inverse in ((mosaic.table, mosaic.inverse), (swapped.table, (0, 1, 2)
     assert lines == [
         "1 97",
         "raised: enumerate_canonical_hypergroups(n=3) produced a CommutativeMosaic",
-        "raised: from_mask_tables: table 7 has identity 0 and inverse map (0, 2, 1), "
-        "not the claimed 0 and (0, 1, 2)",
+        "raised: enumerate_canonical_hypergroups(n=3) produced a table with identity 0 "
+        "and inverse map (0, 2, 1), not 0 and (0, 1, 2)",
     ]
 
 
@@ -517,17 +517,20 @@ def test_classes_share_rows_and_labels(build):
 
 
 def test_census_caches_no_report(monkeypatch):
-    """The census checks its classes in byte lanes, one `lane_failures`
-    call per sigma block, never through the memoised `analyze`, and builds
-    them without `from_masks`."""
-    seen = []
+    """The census packs each sigma block once and checks it in byte lanes,
+    one `lane_failures` call per block, never through the memoised
+    `analyze`, and builds its classes without `from_masks`."""
+    seen, packed = [], []
     monkeypatch.setattr(zoo, "analyze", lambda M: pytest.fail("census called analyze"))
     monkeypatch.setattr(zoo, "from_masks", lambda *a: pytest.fail("census called from_masks"))
     monkeypatch.setattr(
         zoo, "lane_failures", lambda *args: seen.append(args) or lane_failures(*args)
     )
+    monkeypatch.setattr(
+        zoo, "pack_lanes", lambda *args: packed.append(args) or pack_lanes(*args)
+    )
     classes = enumerate_canonical_hypergroups.__wrapped__(4)
-    assert len(classes) == 97 and len(seen) == len(zoo.involutions(3))
+    assert len(classes) == 97 and len(seen) == len(packed) == len(zoo.involutions(3))
     # the kernel read every class once, block after block
     start = 0
     for lanes, e, inverse in seen:

@@ -16,12 +16,12 @@ round's additions, against the loop over the full product K*K.
 `analyze`, which skips the triples whose answer is fixed, is checked against
 the loops over all n^3 triples, `is_commutative_mosaic` against `analyze`,
 `lane_failures`, which checks many tables at once in byte lanes, against
-`axiom_report` object by object,
+`axiom_report` object by object, and its claimed identity and inverse map
+against those `from_masks` finds, also on spoiled tables and claims; the
+census against `from_masks` on the search's tables;
 and `from_masks` (its row range check, its
 identity and its inverse map, and the exact tuples it keeps without a copy)
-against the per-entry loops; `from_mask_tables`, which checks a batch's
-rows once each and its claimed identity and inverse map in byte lanes,
-against `from_masks` table by table, also on spoiled tables and claims.
+against the per-entry loops.
 `is_strong_map`, which reads preimages from the fibres, is checked against
 the scan over every point per flat; `canonical_form`, which drops a
 permutation at its first entry above the least form so far, against the
@@ -54,7 +54,6 @@ from hyperkit.core import (
     canonical_form,
     distinct_labels,
     fresh_label,
-    from_mask_tables,
     from_masks,
     identity_morphism,
     image_function,
@@ -1137,44 +1136,23 @@ def test_non_hypergroups_reads_identity_and_inverse_as_stored():
     assert _assert_same_verdicts(objects, random.Random(0)) == [0]
 
 
-def _scalar_tables(labels, tables, identity, inverse):
-    """What `from_mask_tables` must give: `from_masks` table by table, up
-    to the first table it rejects (its exception) or builds with another
-    identity or inverse map than the claimed ones (`InvariantViolated`)."""
+def _claim_oracle(tables):
+    """Per table, the (identity, inverse map) that `from_masks` finds in
+    it when `axiom_report` classifies it as canonical, else None."""
     out = []
-    for i, table in enumerate(tables):
-        M = _build(from_masks, labels, table)
-        if not isinstance(M, Hypermagma):
-            return M
-        if (M.identity, M.inverse) != (identity, tuple(inverse)):
-            return InvariantViolated, (
-                f"from_mask_tables: table {i} has identity {M.identity} and inverse "
-                f"map {M.inverse}, not the claimed {identity} and {tuple(inverse)}"
-            )
-        out.append(M)
+    for table in tables:
+        M = from_masks([f"x{i}" for i in range(len(table))], table)
+        out.append((M.identity, M.inverse) if axiom_report(M).classification in CANONICAL else None)
     return out
 
 
-def _batch(labels, tables, identity, inverse):
-    """`from_mask_tables`'s objects, after checking that the lanes it
-    returns are the packed tables of those objects."""
-    objects, lanes = from_mask_tables(labels, tables, identity, inverse)
-    assert lanes == pack_lanes(len(labels), [M.table for M in objects])
-    return objects
-
-
-def _assert_batch_as_scalar(labels, tables, identity, inverse):
-    """`from_mask_tables` gives `_scalar_tables`'s objects or exception,
-    and keeps every exact row tuple it is given."""
-    build = lambda l, t: _batch(l, t, identity, inverse)  # noqa: E731
-    new, old = _build(build, labels, tables), _scalar_tables(labels, tables, identity, inverse)
-    assert new == old, (new, old)
-    if isinstance(new, list):
-        for M, table in zip(new, tables):
-            assert all(type(m) is int for row in M.table for m in row)
-            exact = [type(b) is tuple and {*map(type, b)} == {int} for b in table]
-            assert all(a is b for a, b, kept in zip(M.table, table, exact) if kept)
-    return new
+def _assert_claim_verdicts(n, tables, e, inverse):
+    """`lane_failures`, claiming the identity e and the inverse map
+    `inverse` for `tables`, fails exactly the tables whose `_claim_oracle`
+    is not that claim; returns its verdicts."""
+    failed = lane_failures(pack_lanes(n, tables), e, inverse)
+    assert list(failed) == [int(c != (e, inverse)) for c in _claim_oracle(tables)]
+    return failed
 
 
 def _by_claim(objects):
@@ -1185,50 +1163,47 @@ def _by_claim(objects):
     return groups
 
 
-def test_from_mask_tables_matches_from_masks_on_census_blocks():
-    """Every census table of orders 1-5, one batch per sigma block; and
-    the classes share one labels tuple and one inverse tuple per block, as
-    from `from_masks`."""
+def test_census_blocks_match_from_masks():
+    """Every sigma block of orders 1-5 passes `lane_failures` for its own
+    identity and inverse map, and the census is `from_masks` on the
+    blocks' tables, object for object and in order."""
     for n in range(1, 6):
         labels = tuple(str(v) for v in range(n))
-        blocks = [(inv, list(tables)) for inv, tables in zoo.reversible_table_blocks(n)]
-        built = []
-        for inverse, tables in blocks:
-            block = _assert_batch_as_scalar(labels, tables, 0, inverse)
-            assert all(M.table is t for M, t in zip(block, tables))
-            assert all(M.labels is labels for M in block)
-            assert {id(M.inverse) for M in block} == {id(from_masks(labels, tables[0]).inverse)}
-            built += block
-        assert built == enumerate_canonical_hypergroups(n)
+        tables = []
+        for inverse, block in zoo.reversible_table_blocks(n):
+            block = list(block)
+            assert not any(lane_failures(pack_lanes(n, block), 0, inverse))
+            tables += block
+        assert enumerate_canonical_hypergroups(n) == [from_masks(labels, t) for t in tables]
 
 
-def test_from_mask_tables_matches_from_masks_on_small_mosaics():
-    """Every commutative mosaic class of order <= 4, grouped by its own
-    identity and inverse map."""
-    total = 0
+def test_order_six_block_passes_lanes_and_builds_as_from_masks():
+    """The sigma = (1 0)(3 2) block of order 6: all 9,685 tables pass
+    `lane_failures`, and the object the census builds from each equals
+    `from_masks`'s."""
+    ((inverse, tables),) = zoo.reversible_table_blocks(6, sigma=(1, 0, 3, 2, 4))
+    tables = list(tables)
+    assert len(tables) == 9685
+    assert not any(lane_failures(pack_lanes(6, tables), 0, inverse))
+    labels = tuple(str(v) for v in range(6))
+    assert all(Hypermagma(labels, t, 0, inverse) == from_masks(labels, t) for t in tables)
+
+
+def test_lane_failures_matches_claim_oracle_on_every_claim():
+    """Every commutative mosaic class of order <= 4 under every relabelling,
+    so that any element can be the identity, packed together and claimed
+    with each identity e and each involution fixing e."""
     for n in range(1, 5):
-        labels = [f"x{i}" for i in range(n)]
-        for (_, e, inverse), tables in _by_claim(enumerate_small_mosaics(n)).items():
-            total += len(_assert_batch_as_scalar(labels, tables, e, inverse))
-    assert total == 1 + 2 + 14 + 272
-
-
-def test_from_mask_tables_on_no_tables_and_other_inputs():
-    """No tables build nothing and pack no lanes, but duplicate labels
-    still raise; list rows, bool masks and tuple subclasses are converted
-    as `from_masks` converts them, and the lanes are those of the
-    converted tables."""
-    assert from_mask_tables(("e", "a"), [], 0, (0, 1)) == ([], pack_lanes(2, []))
-    with pytest.raises(DuplicateLabel):
-        from_mask_tables(("a", "a"), [], 0, (0, 1))
-    for labels, rows in [
-        (["e", "a"], [[1, 2], [2, 1]]),
-        (("e", "a"), ((True, 2), (2, True))),
-        (("e", "a"), (_Row((1, 2)), _Row((2, 1)))),
-        ((0, 1), ((1, 2), (2, 1))),
-    ]:
-        batch = [rows, ((1, 2), (2, 3)), rows]
-        assert len(_assert_batch_as_scalar(labels, batch, 0, (0, 1))) == 3
+        perms = list(itertools.permutations(range(n)))
+        tables = list({permute(M, p).table: None for M in enumerate_small_mosaics(n) for p in perms})
+        oracle = _claim_oracle(tables)
+        lanes = pack_lanes(n, tables)
+        involutions = [p for p in perms if all(p[y] == x for x, y in enumerate(p))]
+        for e in range(n):
+            for inverse in involutions:
+                if inverse[e] == e:
+                    failed = lane_failures(lanes, e, inverse)
+                    assert list(failed) == [int(c != (e, inverse)) for c in oracle]
 
 
 def _other_involution(inverse, e):
@@ -1246,25 +1221,22 @@ def _other_involution(inverse, e):
     return tuple(out)
 
 
-# the ways a table or a claim is spoiled, and the least n each needs
+# the ways a table or a claim is spoiled, and the least n each needs; the
+# claims of the last two are no involution fixing the identity
 MUTATIONS = {
     "unit-bit": 1,
-    "wide-mask": 1,
-    "short-row": 1,
-    "malformed-claim": 1,
-    "missing-row": 1,
-    "extra-row": 1,
     "other-identity": 2,
-    "non-involution": 2,
-    "duplicate-labels": 2,
     "second-inverse": 3,
     "wrong-inverse": 3,
+    "malformed-claim": 1,
+    "non-involution": 2,
 }
+MALFORMED = ("malformed-claim", "non-involution")
 
 
-def _mutated(kind, labels, tables, e, inverse, at, rng):
-    """(labels, tables, e, inverse) with tables[at] or the claim spoiled."""
-    n = len(labels)
+def _mutated(kind, tables, e, inverse, at, rng):
+    """(tables, e, inverse) with tables[at] or the claim spoiled."""
+    n = len(tables[at])
     rows = [list(r) for r in tables[at]]
     others = [x for x in range(n) if x != e]
     if kind == "unit-bit":
@@ -1273,34 +1245,26 @@ def _mutated(kind, labels, tables, e, inverse, at, rng):
             rows[e][x] ^= bit
         else:
             rows[x][e] ^= bit
-    elif kind == "wide-mask":
-        rows[rng.randrange(n)][rng.randrange(n)] |= 1 << (n + rng.randrange(3))
-    elif kind == "short-row":
-        x = rng.randrange(n)
-        rows[x] = rows[x][:-1]
-    elif kind == "missing-row":
-        del rows[rng.randrange(n)]
-    elif kind == "extra-row":
-        rows.append(list(rows[rng.randrange(n)]))
     elif kind == "second-inverse":
         x = rng.choice(others)
         y = rng.choice([y for y in others if y != inverse[x]])
         rows[x][y] |= 1 << e
         rows[y][x] |= 1 << e
-    elif kind == "duplicate-labels":
-        labels = (labels[1], *labels[1:])
     elif kind == "malformed-claim":
         inverse = inverse[:-1]
     elif kind == "other-identity":
-        e = rng.choice(others)
+        # the claim relabelled by the swap t of e and another element f
+        f = rng.choice(others)
+        t = list(range(n))
+        t[e], t[f] = f, e
+        e, inverse = f, tuple(t[inverse[t[y]]] for y in range(n))
     elif kind == "non-involution":
-        # z -> e, on the z the lanes read least: the last with inverse[z] < z
-        z = max(others, key=lambda x: (inverse[x] < x, x))
+        z = rng.choice(others)
         inverse = (*inverse[:z], e, *inverse[z + 1 :])
     else:
         inverse = _other_involution(inverse, e)
     tables = [*tables[:at], tuple(map(tuple, rows)), *tables[at + 1 :]]
-    return labels, tables, e, inverse
+    return tables, e, inverse
 
 
 def _claim_bases():
@@ -1317,35 +1281,35 @@ CLAIM_BASES = _claim_bases()
 
 
 @pytest.mark.parametrize("kind", MUTATIONS)
-def test_from_mask_tables_raises_as_from_masks_on_mutations(kind):
-    """Each spoiled table or claim, alone, among good tables of its group
-    before and after it, and before a second spoiled table: the error of
-    the first spoiled table, for every group on 1 to 9 elements and more."""
+def test_lane_failures_matches_claim_oracle_on_mutations(kind):
+    """Each spoiled table or claim among good tables of its group, first,
+    in the middle or last, for every group on 1 to 9 elements and more:
+    `_claim_oracle`'s verdict on every table, the spoiled one failing; a
+    claim that is no involution fixing the identity raises
+    `InvariantViolated`."""
     rng = random.Random(kind)
     sizes = set()
     for (n, e, inverse), tables in CLAIM_BASES.items():
         if n < MUTATIONS[kind]:
             continue
         sizes.add(n)
-        labels = tuple(f"x{i}" for i in range(n))
         batch = [rng.choice(tables) for _ in range(rng.randint(1, 6))]
         for at in sorted({0, len(batch) // 2, len(batch) - 1}):
-            spoiled = _mutated(kind, labels, batch, e, inverse, at, rng)
-            assert not isinstance(_assert_batch_as_scalar(*spoiled), list)
-            # a second spoiled table after the first changes nothing
-            labels2, batch2, e2, inverse2 = spoiled
-            batch2 = [*batch2, rng.choice(tables)]
-            later = _mutated("wide-mask", labels2, batch2, e2, inverse2, len(batch), rng)
-            assert _assert_batch_as_scalar(*later) == _assert_batch_as_scalar(*spoiled)
+            spoiled, e2, inverse2 = _mutated(kind, batch, e, inverse, at, rng)
+            if kind in MALFORMED:
+                with pytest.raises(InvariantViolated, match="is not an involution fixing"):
+                    lane_failures(pack_lanes(n, spoiled), e2, inverse2)
+            else:
+                assert _assert_claim_verdicts(n, spoiled, e2, inverse2)[at] == 1
     assert set(range(MUTATIONS[kind], 10)) <= sizes
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.data())
-def test_from_mask_tables_matches_from_masks_on_random_batches(data):
+def test_lane_failures_matches_claim_oracle_on_random_batches(data):
     """Batches of one group's tables, some perturbed (`_perturbed`, which
-    may move the identity or break unique inverses) and some spoiled, good
-    and bad lanes side by side, and random tables claimed for the group."""
+    may move the identity or break unique inverses), some random, and some
+    with a spoiled table or claim: good and bad lanes side by side."""
     rng = random.Random(data.draw(st.integers(0, 2**32)))
     (n, e, inverse), tables = data.draw(st.sampled_from(list(CLAIM_BASES.items())))
     labels = tuple(f"x{i}" for i in range(n))
@@ -1357,11 +1321,10 @@ def test_from_mask_tables_matches_from_masks_on_random_batches(data):
         elif rng.random() < 0.05:
             table = tuple(map(tuple, _random_table(rng, n, rng.random() < 0.5)))
         batch.append(table)
-    claim = (labels, batch, e, inverse)
     if rng.random() < 0.3:
-        kinds = [k for k, least in MUTATIONS.items() if n >= least]
-        claim = _mutated(rng.choice(kinds), *claim, rng.randrange(len(batch)), rng)
-    _assert_batch_as_scalar(*claim)
+        kinds = [k for k, least in MUTATIONS.items() if n >= least and k not in MALFORMED]
+        batch, e, inverse = _mutated(rng.choice(kinds), batch, e, inverse, rng.randrange(len(batch)), rng)
+    _assert_claim_verdicts(n, batch, e, inverse)
 
 
 def test_validation_matches_entry_loops_on_unital_hypermagmas():
