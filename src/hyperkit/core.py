@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import itertools
 import operator
+import sys
+from array import array
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -198,6 +200,8 @@ def from_masks(
     n = len(labels)
     if len(table) != n or {*map(len, table)} - {n}:
         raise DimensionMismatch(f"table is not {n}x{n}")
+    if identity is not None and not 0 <= identity < n:
+        raise DimensionMismatch(f"identity {identity} out of range for n={n}")
     full = (1 << n) - 1
     rows = []
     for row in table:
@@ -254,16 +258,21 @@ class Lanes:
 def pack_lanes(n: int, tables: Sequence[Sequence[Sequence[int]]]) -> Lanes:
     """`tables`, each n rows of n masks below 2**n, in byte lanes.
 
-    Each mask is split into its bytes once, byte c of every entry of every
-    table into plane c; the lanes of an entry are then one strided slice
-    per plane."""
+    Every entry of every table is written once, as one little-endian
+    machine word, into one array; byte c of every word is then plane c, one
+    strided slice, and the lanes of an entry are one strided slice per
+    plane.  Refuses n > 64, whose masks fit no word."""
     width = -(-n // 8)
+    if width > 8:
+        raise DimensionMismatch(f"pack_lanes: masks on {n} > 64 elements fit no machine word")
     count = len(tables)
-    chain, repeat = itertools.chain.from_iterable, itertools.repeat
-    planes = []
-    for c in range(width):
-        shifted = map(operator.rshift, chain(chain(tables)), repeat(8 * c))
-        planes.append(bytes(map(operator.and_, shifted, repeat(255))))
+    chain = itertools.chain.from_iterable
+    # 4-byte words even for 1-byte lanes: array converts to "B" and "H" slower
+    words = array("I" if width <= 4 else "Q", chain(chain(tables)))
+    if sys.byteorder == "big":
+        words.byteswap()
+    data = memoryview(words).cast("B")
+    planes = [data[c :: words.itemsize].tobytes() for c in range(width)]
     lanes = bytearray(count * width)
     entries = []
     for x in range(n):

@@ -21,7 +21,6 @@ from .core import (
     Morphism,
     canonical_form,
     from_masks,
-    image_tables,
     iter_bits,
     mask_of,
     orbit_partition,
@@ -611,53 +610,55 @@ def _triple_orbits(nz: int, sigma: Sequence[int]) -> list[list[tuple[int, int, i
     return orbits
 
 
-def _orbit_symmetries(
-    nz: int, sigma: Sequence[int], orbits: list
-) -> list[tuple[list[int], tuple[list[int], ...]]]:
-    """The relabelings of nonzero elements that commute with sigma, each as
-    its orbit image and its 8-bit chunk tables on orbit-choice vectors.
-
-    Orbit i is bit k-1-i of a vector v.  A relabeling p maps orbit i to
-    orbit image[i], so v(pT) is a fixed bit permutation of v(T).  The chunk
-    tables compute it: table j maps chunk j of v(T) to its bits in v(pT).
-    """
-    k = len(orbits)
+def _orbit_symmetries(nz: int, sigma: Sequence[int], orbits: list) -> list[list[int]]:
+    """The relabelings of nonzero elements, other than the identity, that
+    commute with sigma, each as its orbit image: p maps orbit i to orbit
+    image[i]."""
     orbit_of = {t: i for i, orb in enumerate(orbits) for t in orb}
     out = []
     for p in itertools.permutations(range(nz)):
         if p == tuple(range(nz)) or any(p[sigma[x]] != sigma[p[x]] for x in range(nz)):
             continue
-        image = [orbit_of[tuple(p[t] for t in orb[0])] for orb in orbits]
-        chunks = image_tables([1 << (k - 1 - image[k - 1 - b]) for b in range(k)])
-        out.append((image, tuple(chunks)))
+        out.append([orbit_of[tuple(p[t] for t in orb[0])] for orb in orbits])
     return out
 
 
-def _canonicity_tests(k: int, symmetries: list) -> list[tuple[int, dict[int, tuple]]]:
-    """Per depth i, the comparisons of v(pT) with v(T) that become final there.
+def _canonicity_lanes(k: int, symmetries: list) -> tuple[list[int], list[int], list[int], int]:
+    """The comparisons of v(pT) with v(T), every symmetry p at once.
+
+    Orbit i is bit k-1-i of the orbit-choice vector v.  Symmetry s owns
+    lane s, bits s(k+1) .. s(k+1)+k of an int, with its guard bit at bit k
+    of the lane.  Returns (img, rep, masks, guards): img[i] holds, in each
+    lane, the bit of the image of orbit i under that lane's symmetry, and
+    rep[i] holds bit k-1-i in every lane, so the OR of img[i] (rep[i]) over
+    the orbits decided "in" is v(pT) (v) in every lane.  `guards` holds
+    every guard bit.
 
     At depth i orbits 0..i-1 are decided.  Orbit j of v(pT) is orbit pre[j]
     of v(T), pre the inverse of the image, so the top m bits of v(pT) are
     final once pre[0..m-1] are all below i; then m <= i, and the top m bits
-    of v(T) are final too.  Symmetry s is listed at each depth where its m
-    grows, as bit 1 << s -> (k - m, chunks): shift both vectors by k - m and
-    compare.  The chunks are (offset, table) pairs for the chunks that hold
-    decided bits.  Each depth is (mask of the bits listed there, bit ->
-    comparison).  At depth k every symmetry has m = k: that entry is the
-    leaf test.
+    of v(T) are final too.  masks[i] holds the top m bits of each lane
+    whose m grows at depth i, and nothing of the others: the comparisons
+    that become final there.  At depth k every lane has m = k, which is
+    the leaf test.
     """
+    width = k + 1
+    img, rep = [0] * k, [0] * k
     masks = [0] * (k + 1)
-    at: list[dict[int, tuple]] = [{} for _ in range(k + 1)]
-    for s, (image, chunks) in enumerate(symmetries):
+    guards = 0
+    for s, image in enumerate(symmetries):
+        base = s * width
+        guards |= 1 << (base + k)
+        for i in range(k):
+            img[i] |= 1 << (base + k - 1 - image[i])
+            rep[i] |= 1 << (base + k - 1 - i)
         pre = sorted(range(k), key=image.__getitem__)
         depth = 0  # where the top m bits become final
         for m in range(1, k + 1):
             depth = max(depth, pre[m - 1] + 1)
             if m == k or pre[m] >= depth:
-                parts = tuple((8 * j, chunks[j]) for j in range((k - depth) // 8, len(chunks)))
-                masks[depth] |= 1 << s
-                at[depth][1 << s] = (k - m, parts)
-    return list(zip(masks, at))
+                masks[depth] |= ((1 << m) - 1) << (base + k - m)
+    return img, rep, masks, guards
 
 
 def enumerate_reversible_tables(
@@ -694,7 +695,7 @@ def enumerate_reversible_tables(
     The same comparison cuts subtrees (orderly generation, as in Read's
     "Every one a winner").  At depth i the orbits before i are decided, and
     for each p the top m bits of v(pT) are final once the orbits that p
-    maps onto the first m are all decided (`_canonicity_tests`).  If those
+    maps onto the first m are all decided (`_canonicity_lanes`).  If those
     bits of v(pT) exceed the top m bits of v, which are decided too, every
     leaf below has v(T) < v(pT) and would fail the leaf test, so the subtree
     is dropped.  At the leaves, depth k for k orbits, m = k for every p,
@@ -702,16 +703,23 @@ def enumerate_reversible_tables(
     first of their class, so the yielded tables and their order are those
     of the leaf test alone.
 
-    If instead those bits of v(pT) fall below the top m bits of v, then
-    v(pT) < v(T) at every leaf below, since lexicographic order is settled
-    by the first bit that differs, and every later comparison for p, on a
-    longer prefix, finds the same.  So p can no longer cut or fail the leaf
-    test anywhere in the subtree.  The search carries `tied`, the mask of
-    the symmetries whose decided prefix of v(pT) still equals v's, and
-    compares at each depth only the symmetries listed there that are still
-    tied; a comparison that finds v(pT) below clears p's bit for the
-    subtree.  The cuts, and so the nodes and the yielded tables, are those
-    of comparing every p.
+    Every symmetry is compared at once, in lanes of one int (SIMD within a
+    register): symmetry s owns k + 1 bits, the k bits of a vector and a
+    guard bit above them.  Each "in" child ORs into W the image of its
+    orbit in every lane, so W holds v(pT) in the lane of p, and into R its
+    own bit in every lane, so R holds v in every lane.  The mask of depth i
+    keeps the top m bits of each lane whose m grows there, and nothing of
+    the others.  With w and u the masked W and R, (u | guards) - w keeps
+    the guard bit of each lane where v(pT) is not above v and borrows from
+    no other lane, so the node is cut when any guard bit is lost.
+
+    A lane whose v(pT) has fallen below v needs no tracking: lexicographic
+    order is settled by the first bit that differs, so every later
+    comparison of that lane, on a longer prefix, finds v(pT) below v too,
+    and the lane cannot cut anywhere in the subtree.  The cuts, and so the
+    nodes and the yielded tables, are those of comparing each p on its own.
+    The search runs in one generator frame, on an explicit stack of the
+    "out" children still to visit.
     """
     labels = tuple(str(v) for v in range(n))
     blocks = reversible_table_blocks(n, hypergroups, sigma)
@@ -758,7 +766,7 @@ def _sigma_tables(n, sigma, hypergroups, budget, share, in_row):
     nz = n - 1
     orbits = _triple_orbits(nz, sigma)
     k = len(orbits)
-    tests = _canonicity_tests(k, _orbit_symmetries(nz, sigma, orbits))
+    img, rep, masks, guards = _canonicity_lanes(k, _orbit_symmetries(nz, sigma, orbits))
 
     # coverage bitmask per orbit over the pairs whose entry must be hit
     pairs_needing = [(x, y) for x in range(nz) for y in range(nz) if sigma[x] != y]
@@ -809,14 +817,25 @@ def _sigma_tables(n, sigma, hypergroups, budget, share, in_row):
                 for b in range(1, n):
                     checks[ready].append((a * n + b, b * n + c, in_row[a], in_row[c]))
 
-    def rec(i: int, got: int, v: int, tied: int):
-        # one pass per node: the "in" child of node i is a recursive call,
-        # its "out" child, which keeps got, v and tied, is node i + 1 of
-        # the next pass
+    # Depth first, "in" before "out", in one frame.  A node is (i, got, W,
+    # R): its depth, the coverage of the orbits decided "in", their images
+    # in every lane (v(pT) in the lane of p) and v in every lane.  The inner
+    # loop walks down the "in" children and pushes each "out" child, which
+    # keeps got, W and R; a cut or a leaf pops the next node.  `path` lists
+    # the orbits decided "in" on the way to the current node, whose deltas
+    # are in tab.
+    stack = [(0, 0, 0, 0)]
+    path = []
+    spend = budget.spend
+    while stack:
+        i, got, W, R = stack.pop()
+        while path and path[-1] >= i - 1:
+            for (j, m) in deltas[path.pop()]:
+                tab[j] ^= m
         while True:
-            budget.spend()
+            spend()
             if hypergroups and (got | suffix[i]) != full_cover:
-                return
+                break
             for ab, bc, row_a, row_c in checks[i]:
                 left = 0
                 for x in row_c[tab[ab]]:
@@ -825,34 +844,29 @@ def _sigma_tables(n, sigma, hypergroups, budget, share, in_row):
                 for x in row_a[tab[bc]]:
                     right |= tab[x]
                 if left != right:
-                    return
-            listed, at = tests[i]
-            live = listed & tied
-            while live:
-                bit = live & -live
-                live ^= bit
-                shift, parts = at[bit]
-                w = 0
-                for lo, chunk in parts:
-                    w |= chunk[(v >> lo) & 255]
-                w >>= shift
-                u = v >> shift
-                if w > u:
-                    return
-                if w < u:
-                    tied ^= bit
-            if i == k:
-                rows = [tuple(tab[r : r + n]) for r in range(0, n * n, n)]
-                yield tuple(map(share, rows, rows))
-                return
-            for (j, m) in deltas[i]:
-                tab[j] |= m
-            yield from rec(i + 1, got | cover[i], v | 1 << (k - 1 - i), tied)
-            for (j, m) in deltas[i]:
-                tab[j] ^= m
-            i += 1
-
-    yield from rec(0, 0, 0, -1)  # every symmetry tied
+                    break
+            else:
+                # (u | guards) - w keeps the guard bit of each lane where
+                # v(pT) is not above v, and borrows across no lane
+                M = masks[i]
+                w = W & M
+                u = R & M
+                if (u | guards) - w & guards != guards:
+                    break
+                if i == k:
+                    rows = [tuple(tab[r : r + n]) for r in range(0, n * n, n)]
+                    yield tuple(map(share, rows, rows))
+                    break
+                stack.append((i + 1, got, W, R))
+                for (j, m) in deltas[i]:
+                    tab[j] |= m
+                path.append(i)
+                got |= cover[i]
+                W |= img[i]
+                R |= rep[i]
+                i += 1
+                continue
+            break
 
 
 @memo

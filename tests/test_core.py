@@ -91,6 +91,9 @@ def test_constructor_errors():
         make_hypermagma(["a", "b"], [[["a"], []], [[], []]], identity="a")
     with pytest.raises(DimensionMismatch, match="^unknown element 'z' given as the identity$"):
         make_hypermagma(["e", "a"], [[["e"], ["a"]], [["a"], ["e"]]], identity="z")
+    for bad in (7, 2, -1):
+        with pytest.raises(DimensionMismatch, match=f"^identity {bad} out of range for n=2$"):
+            from_masks(["a", "b"], [[1, 2], [2, 1]], bad)
 
 
 def test_morphism_validates_length_and_range():

@@ -12,8 +12,12 @@ Two references check `enumerate_reversible_tables` and what is built on it:
 
 An orbit-stabilizer count checks the isomorph rejection up to order 5, and
 a cap-boundary test pins the node counts of the pruned search.  Past the
-old algorithm's reach, sha256 digests pin the tables and their order.
+old algorithm's reach, sha256 digests pin the tables and their order.  The
+lane comparison of the canonicity test, every symmetry in one step, is
+checked against the per-symmetry comparison through 8-bit chunk tables
+that it replaced.
 """
+import functools
 import gc
 import hashlib
 import itertools
@@ -25,11 +29,19 @@ import tracemalloc
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import hyperkit
 from hyperkit import zoo
 from hyperkit.axioms import analyze, lane_failures
-from hyperkit.core import find_isomorphism, from_masks, iter_bits, mask_of, pack_lanes
+from hyperkit.core import (
+    find_isomorphism,
+    from_masks,
+    image_tables,
+    iter_bits,
+    mask_of,
+    pack_lanes,
+)
 from hyperkit.errors import SearchCapExceeded
 from hyperkit.zoo import enumerate_canonical_hypergroups, enumerate_small_mosaics
 
@@ -332,27 +344,168 @@ def test_node_count_at_cap_boundary(monkeypatch, n, nodes, classes):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_canonicity_tests_shape(n):
-    """What the tied mask relies on, for every sigma: a symmetry is listed
-    at most once per depth, its shift strictly falls as the depth grows
-    (each comparison reads a longer prefix than the last), and depth k
-    lists every symmetry with shift 0, the leaf test."""
+    """What the lane comparison relies on, for every sigma.  In each lane, the
+    mask of a depth is 0 or the lane's top m bits, so a symmetry is listed
+    at most once per depth; m strictly grows with the depth (each
+    comparison reads a longer prefix than the last); and depth k lists
+    every lane in full, the leaf test.  img[i] holds the image of orbit i
+    and rep[i] orbit i itself in each lane, and only `guards` holds a
+    guard bit."""
     for sigma in zoo.involutions(n - 1):
         orbits = zoo._triple_orbits(n - 1, sigma)
         k = len(orbits)
         symmetries = zoo._orbit_symmetries(n - 1, sigma, orbits)
-        every = (1 << len(symmetries)) - 1
-        tests = zoo._canonicity_tests(k, symmetries)
-        assert len(tests) == k + 1
-        last = {}
-        for mask, at in tests:
-            assert sorted(at) == [1 << s for s in iter_bits(mask)]
-            assert mask & ~every == 0
-            for bit, (shift, _parts) in at.items():
-                assert 0 <= shift < last.get(bit, k)
-                last[bit] = shift
-        mask, at = tests[k]
-        assert mask == every
-        assert all(shift == 0 for shift, _parts in at.values())
+        img, rep, masks, guards = zoo._canonicity_lanes(k, symmetries)
+        assert len(img) == len(rep) == k and len(masks) == k + 1
+        lane = (1 << k + 1) - 1
+        top = [((1 << m) - 1) << k - m for m in range(k + 1)]
+        for s, image in enumerate(symmetries):
+            base = s * (k + 1)
+            assert guards >> base & lane == 1 << k
+            assert [x >> base & lane for x in img] == [1 << k - 1 - image[i] for i in range(k)]
+            assert [x >> base & lane for x in rep] == [1 << k - 1 - i for i in range(k)]
+            listed = [M >> base & lane for M in masks]
+            assert all(x in top for x in listed)
+            grown = [top.index(x) for x in listed if x]
+            assert grown == sorted(set(grown))
+            assert listed[k] == top[k]
+        beyond = len(symmetries) * (k + 1)
+        assert all(x >> beyond == 0 for x in (*img, *rep, *masks, guards))
+
+
+# ---------------------------------------------------------------------------
+# The lane comparison against the per-symmetry comparison it replaced
+
+
+def _chunk_comparisons(k, symmetries):
+    """The per-symmetry comparisons the search made before its lanes:
+    tests[i] maps each symmetry s whose top m bits of v(pT) become final
+    at depth i to (k - m, the 8-bit chunk tables that map v to v(pT))."""
+    tests = [{} for _ in range(k + 1)]
+    for s, image in enumerate(symmetries):
+        chunks = image_tables([1 << (k - 1 - image[k - 1 - b]) for b in range(k)])
+        pre = sorted(range(k), key=image.__getitem__)
+        depth = 0
+        for m in range(1, k + 1):
+            depth = max(depth, pre[m - 1] + 1)
+            if m == k or pre[m] >= depth:
+                tests[depth][s] = (k - m, chunks)
+    return tests
+
+
+def _scalar_comparisons(tests, i, v):
+    """Depth i, one symmetry at a time: (the symmetries listed there whose
+    v(pT) is above v, those whose v(pT) is below)."""
+    above, below = set(), set()
+    for s, (shift, chunks) in tests[i].items():
+        w = 0
+        for j, chunk in enumerate(chunks):
+            w |= chunk[(v >> 8 * j) & 255]
+        w >>= shift
+        u = v >> shift
+        if w != u:
+            (above if w > u else below).add(s)
+    return above, below
+
+
+def _lane_cut(lanes, i, v):
+    """Whether depth i of the search cuts, from W and R built from the
+    decided bits of v, as the search carries them."""
+    img, rep, masks, guards = lanes
+    k = len(img)
+    W = R = 0
+    for j in range(i):
+        if v >> k - 1 - j & 1:
+            W |= img[j]
+            R |= rep[j]
+    return (R & masks[i] | guards) - (W & masks[i]) & guards != guards
+
+
+def _assert_walk(lanes, tests, k, count, v):
+    """Down the path of the k-bit vector v, as far as it is not cut: the
+    lanes cut where the per-symmetry search, which compared only its tied
+    symmetries, cut.  A symmetry that search untied, one found below v, is
+    never found above v again, which is why the lanes carry no tied set.
+    Returns the counts of cut, untie and plain steps."""
+    tied = set(range(count))
+    steps = Counter()
+    for i in range(k + 1):
+        decided = v >> k - i << k - i
+        above, below = _scalar_comparisons(tests, i, decided)
+        assert not above - tied
+        assert _lane_cut(lanes, i, decided) == bool(above)
+        steps["cut" if above else "untie" if below & tied else "plain"] += 1
+        if above:
+            break
+        tied -= below
+    return steps
+
+
+SIGMAS = [(n, sigma) for n in range(1, 7) for sigma in zoo.involutions(n - 1)]
+
+
+@functools.cache
+def _comparisons(n, sigma):
+    """(k, the symmetries, their lanes, their per-symmetry comparisons,
+    the orbit-choice vectors of the first 200 tables yielded for sigma)."""
+    orbits = zoo._triple_orbits(n - 1, sigma)
+    k = len(orbits)
+    symmetries = zoo._orbit_symmetries(n - 1, sigma, orbits)
+    ((_inverse, tables),) = zoo.reversible_table_blocks(n, True, sigma)
+    vectors = [
+        sum(1 << k - 1 - i for i, [(x, y, z), *_] in enumerate(orbits) if t[x + 1][y + 1] >> z + 1 & 1)
+        for t in itertools.islice(tables, 200)
+    ]
+    lanes = zoo._canonicity_lanes(k, symmetries)
+    return k, symmetries, lanes, _chunk_comparisons(k, symmetries), vectors
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_lane_cuts_match_scalar_oracle(data):
+    """Every sigma at n <= 6, and an orbit-choice vector that is random,
+    that of a yielded table, or that of a yielded table relabelled by a
+    symmetry: the lanes cut at the depth where the per-symmetry
+    comparisons cut, and never on a yielded table's path."""
+    k, symmetries, lanes, tests, vectors = _comparisons(*data.draw(st.sampled_from(SIGMAS)))
+    kind = data.draw(st.sampled_from(["random", "yielded", "relabelled"]))
+    if kind == "random":
+        v = data.draw(st.integers(0, (1 << k) - 1))
+    else:
+        v = data.draw(st.sampled_from(vectors))
+    if kind == "relabelled" and symmetries:
+        image = data.draw(st.sampled_from(symmetries))
+        v = sum(1 << k - 1 - image[i] for i in range(k) if v >> k - 1 - i & 1)
+    steps = _assert_walk(lanes, tests, k, len(symmetries), v)
+    if kind == "yielded":
+        assert steps["cut"] == 0 and sum(steps.values()) == k + 1
+
+
+def test_lane_cuts_match_scalar_oracle_on_every_vector():
+    """Every orbit-choice vector of every sigma with at most 10 orbits."""
+    steps = Counter()
+    for n, sigma in SIGMAS:
+        k, symmetries, lanes, tests, _vectors = _comparisons(n, sigma)
+        if k <= 10:
+            for v in range(1 << k):
+                steps += _assert_walk(lanes, tests, k, len(symmetries), v)
+    assert set(steps) == {"cut", "untie", "plain"}
+
+
+def test_first_order6_identity_tables_pinned(monkeypatch):
+    """The first 5,000 tables of order 6 at sigma = id, the sigma with the
+    most symmetries (119), and the 12,465 nodes that reach them, both
+    recorded from the search that compared one symmetry at a time."""
+    identity = (0, 1, 2, 3, 4)
+    set_search_cap(monkeypatch, 12_465)
+    tables = zoo.enumerate_reversible_tables(6, sigma=identity)
+    found = [(M.labels, M.table) for M in itertools.islice(tables, 5000)]
+    assert hashlib.sha256(repr(found).encode()).hexdigest() == (
+        "06219ee185af41e44039a5fd42a2436f9c747cc6c92b6bcf2f388e45fa0c0166"
+    )
+    set_search_cap(monkeypatch, 12_464)
+    with pytest.raises(SearchCapExceeded):
+        list(itertools.islice(zoo.enumerate_reversible_tables(6, sigma=identity), 5000))
 
 
 # one sigma at order 6: 9,685 classes in about 96,000 nodes

@@ -1163,6 +1163,40 @@ def _by_claim(objects):
     return groups
 
 
+def _lane_entries(n, tables):
+    """What `pack_lanes(n, tables).entries` holds, entry by entry: lane b
+    of entry (x, y), at byte ceil(n/8) * b, is tables[b][x][y]."""
+    shift = 8 * -(-n // 8)
+    return tuple(
+        tuple(sum(t[x][y] << shift * b for b, t in enumerate(tables)) for y in range(n))
+        for x in range(n)
+    )
+
+
+@pytest.mark.parametrize("n", [5, 9, 17])
+def test_pack_lanes_matches_entry_oracle(n):
+    """Lanes of 1, 2 and 3 bytes: batches of random tables, whose masks
+    include 0 and the full mask, and the empty batch."""
+    rng = random.Random(n)
+    width = -(-n // 8)
+    full = (1 << n) - 1
+    for count in (0, 1, 2, 7, 40):
+        tables = [
+            tuple(tuple(rng.choice((0, full, rng.getrandbits(n))) for _ in range(n)) for _ in range(n))
+            for _ in range(count)
+        ]
+        lanes = pack_lanes(n, tables)
+        assert (lanes.n, lanes.count, lanes.width) == (n, count, width)
+        assert lanes.entries == _lane_entries(n, tables)
+        assert lanes.ones == sum(1 << 8 * width * b for b in range(count))
+
+
+def test_pack_lanes_refuses_masks_wider_than_a_word():
+    n = 65
+    with pytest.raises(DimensionMismatch, match="^pack_lanes: masks on 65 > 64 elements"):
+        pack_lanes(n, [[[1 << y for y in range(n)] for _ in range(n)]])
+
+
 def test_census_blocks_match_from_masks():
     """Every sigma block of orders 1-5 passes `lane_failures` for its own
     identity and inverse map, and the census is `from_masks` on the
