@@ -8,7 +8,7 @@ holding the scalar identity and, in a commutative table, the mirror image of
 a triple already tried (see `_associative_witness`, `_reversible_witness`).
 `lane_failures` gives only the canonical-hypergroup verdict, for a given
 identity and inverse map, on the same triples, for many tables at once,
-packed in byte lanes by `core.pack_lanes`.
+packed by `core.pack_lanes` in byte lanes, one byte per table, n <= 8.
 """
 from __future__ import annotations
 
@@ -280,7 +280,6 @@ def lane_failures(lanes: Lanes, e: int, inv: tuple[int, ...]) -> bytes:
         and all(y in range(n) and inv[y] == x for x, y in enumerate(inv)),
         f"lane_failures: {inv} is not an involution fixing {e} on {n} elements",
     )
-    spread = (1 << 8 * lanes.width) - 1
 
     nonempty = ones
     off_unit = 0
@@ -299,7 +298,7 @@ def lane_failures(lanes: Lanes, e: int, inv: tuple[int, ...]) -> bytes:
     others = [x for x in range(n) if x != e]
     # spreads[x, y][t]: all ones in the lanes where t is in x*y
     spreads = {
-        (x, y): [(E[x][y] >> t & ones) * spread for t in range(n)] for x in others for y in others
+        (x, y): [(E[x][y] >> t & ones) * 255 for t in range(n)] for x in others for y in others
     }
     for a, i in enumerate(others):
         row_i = E[i]

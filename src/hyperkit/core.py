@@ -9,8 +9,6 @@ from __future__ import annotations
 
 import itertools
 import operator
-import sys
-from array import array
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -227,69 +225,50 @@ def from_masks(
 
 @dataclass(frozen=True)
 class Lanes:
-    """Tables of one size n packed for SIMD within a register (SWAR): one
-    lane of `width` = ceil(n/8) bytes per table, lane b of entries[x][y]
-    holding tables[b][x][y].  A big-int operation then acts on every table
-    at once, and none of these carries across a lane: `(m >> t) & ones` is
-    bit t of each lane at its bit 0, times 2**(8 * width) - 1 it spreads
-    to the whole lane, and `nonzero` folds bits 0..n-1 of each lane into
-    its bit 0."""
+    """Tables of one size n <= 8 packed for SIMD within a register (SWAR):
+    one byte lane per table, byte b of entries[x][y] holding
+    tables[b][x][y].  A big-int operation then acts on every table at
+    once, and none of these carries across a lane: `(m >> t) & ones` is
+    bit t of each lane at its bit 0, times 255 it spreads to the whole
+    lane, and `nonzero` folds each lane into its bit 0."""
 
     n: int
     count: int
-    width: int
     ones: int  # bit 0 of every lane
     entries: tuple[tuple[int, ...], ...]
-    shifts: tuple[int, ...]  # whose subset sums are exactly 0..n-1
 
     def nonzero(self, m: int) -> int:
-        """Bit 0 of each lane of m set where bits 0..n-1 of the lane are
-        not all 0."""
-        for s in self.shifts:
-            m |= m >> s
+        """Bit 0 of each lane of m set where the lane is not 0.  A fold
+        reaches at most 7 bits down, so no bit of the byte above lands on
+        bit 0."""
+        m |= m >> 1
+        m |= m >> 2
+        m |= m >> 4
         return m & self.ones
 
     def flags(self, m: int) -> bytes:
-        """The first byte of each lane of m, one byte per lane: its bit 0
-        when m has no other bits set."""
-        return m.to_bytes(self.count * self.width, "little")[:: self.width]
+        """Each lane of m as one byte: its bit 0 when m has no other bits
+        set."""
+        return m.to_bytes(self.count, "little")
 
 
 def pack_lanes(n: int, tables: Sequence[Sequence[Sequence[int]]]) -> Lanes:
-    """`tables`, each n rows of n masks below 2**n, in byte lanes.
+    """`tables`, each n rows of n masks below 2**n, in byte lanes: one
+    byte per table, so n <= 8.
 
-    Every entry of every table is written once, as one little-endian
-    machine word, into one array; byte c of every word is then plane c, one
-    strided slice, and the lanes of an entry are one strided slice per
-    plane.  Refuses n > 64, whose masks fit no word."""
-    width = -(-n // 8)
-    if width > 8:
-        raise DimensionMismatch(f"pack_lanes: masks on {n} > 64 elements fit no machine word")
+    Every entry of every table is written once, as one byte; the lanes of
+    an entry are then one strided slice.  Refuses n > 8, whose masks fit
+    no byte."""
+    if n > 8:
+        raise DimensionMismatch(f"pack_lanes: masks on {n} > 8 elements fit no byte lane")
     count = len(tables)
     chain = itertools.chain.from_iterable
-    # 4-byte words even for 1-byte lanes: array converts to "B" and "H" slower
-    words = array("I" if width <= 4 else "Q", chain(chain(tables)))
-    if sys.byteorder == "big":
-        words.byteswap()
-    data = memoryview(words).cast("B")
-    planes = [data[c :: words.itemsize].tobytes() for c in range(width)]
-    lanes = bytearray(count * width)
-    entries = []
-    for x in range(n):
-        row = []
-        for y in range(n):
-            for c, plane in enumerate(planes):
-                lanes[c::width] = plane[x * n + y :: n * n]
-            row.append(int.from_bytes(lanes, "little"))
-        entries.append(tuple(row))
-    # 1, 2, 4, ..., then the rest
-    shifts = []
-    covered = 1
-    while covered < n:
-        shifts.append(min(covered, n - covered))
-        covered += shifts[-1]
-    ones = int.from_bytes(b"\1".ljust(width, b"\0") * count, "little")
-    return Lanes(n, count, width, ones, tuple(entries), tuple(shifts))
+    data = bytes(chain(chain(tables)))
+    entries = tuple(
+        tuple(int.from_bytes(data[x * n + y :: n * n], "little") for y in range(n))
+        for x in range(n)
+    )
+    return Lanes(n, count, int.from_bytes(b"\1" * count, "little"), entries)
 
 
 def make_hypermagma(

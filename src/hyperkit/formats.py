@@ -94,6 +94,13 @@ def _parse_square(d: dict, key: str, carrier: list[str]):
     return table
 
 
+def _label_table(d: dict, key: str, carrier: list[str]) -> list[list[int]]:
+    """The square `key` of carrier labels, as carrier indices."""
+    table = _parse_square(d, key, carrier)
+    pos = {l: i for i, l in enumerate(carrier)}
+    return [[_index(pos, v, f"{key} element") for v in row] for row in table]
+
+
 def parse_hypermagma(d: dict) -> Hypermagma:
     carrier = _carrier(d)
     table = _parse_square(d, "table", carrier)
@@ -120,21 +127,12 @@ def parse_hypermagma(d: dict) -> Hypermagma:
 
 def parse_group(d: dict) -> FiniteGroup:
     carrier = _carrier(d)
-    table = _parse_square(d, "table", carrier)
-    pos = {l: i for i, l in enumerate(carrier)}
-    idx = [[_index(pos, v, "table element") for v in row] for row in table]
-    return make_finite_group(carrier, idx)
+    return make_finite_group(carrier, _label_table(d, "table", carrier))
 
 
 def parse_ring(d: dict) -> FiniteRing:
     carrier = _carrier(d)
-    pos = {l: i for i, l in enumerate(carrier)}
-
-    def square(key: str) -> list[list[int]]:
-        table = _parse_square(d, key, carrier)
-        return [[_index(pos, v, f"{key} element") for v in row] for row in table]
-
-    return make_finite_ring(carrier, square("add"), square("mul"))
+    return make_finite_ring(carrier, _label_table(d, "add", carrier), _label_table(d, "mul", carrier))
 
 
 def parse_matroid(d: dict) -> Matroid:
@@ -175,11 +173,9 @@ def parse_lattice(d: dict) -> Hypermagma:
     """The lattice's Nakano mosaic, so that a meet table that is not a
     semilattice with top fails here, as invalid file content."""
     carrier = _carrier(d)
-    pos = {l: i for i, l in enumerate(carrier)}
-    table = _parse_square(d, "meet", carrier)
-    meet = [[_index(pos, v, "meet element") for v in row] for row in table]
-    M = lattice_mosaic(carrier, meet)
+    M = lattice_mosaic(carrier, _label_table(d, "meet", carrier))
     top = d.get("top")
+    pos = {l: i for i, l in enumerate(carrier)}
     if top is not None and _index(pos, top, "top") != M.identity:
         raise FormatError(f"top {top!r} is not the top of the meet table")
     return M

@@ -918,9 +918,10 @@ def enumerate_canonical_hypergroups(n: int) -> list[Hypermagma]:
     These are the total associative tables of `enumerate_reversible_tables`:
     each class once, represented by its first table in search order, classes
     in that order.  Each sigma block of `reversible_table_blocks` is
-    packed once (`pack_lanes`) and checked in one `lane_failures` call,
-    which also checks that every table has the identity 0 and the block's
-    inverse map; the objects then share the block's labels, rows and
+    packed once (`pack_lanes`: one byte lane per table, so the lanes hold
+    n <= 8, past any order the search finishes) and checked in one
+    `lane_failures` call, which also checks that every table has the
+    identity 0 and the block's inverse map; the objects then share the block's labels, rows and
     inverse map, and no report is left in the memo.  A table it rejects
     is built by `from_masks` and raises `InvariantViolated`, naming its
     identity and inverse map when they are not the block's, else its

@@ -1260,6 +1260,19 @@ def test_check_does_not_import_the_suite(tmp_path):
     assert "hyperkit.cli" in imported and "hyperkit.suite" not in imported
 
 
+def test_cli_import_loads_no_array_module():
+    """The byte lanes are packed from one bytes object, so no import of the
+    package loads the `array` extension module."""
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, hyperkit.cli; print('array' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=_fresh_env(),
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
+
+
 # A valid object file of every kind, and of every matroid notation, for the
 # mutation test below.
 VALID_FILES = {
