@@ -21,6 +21,7 @@ from .core import (
     Morphism,
     canonical_form,
     from_masks,
+    image_tables,
     iter_bits,
     mask_of,
     orbit_partition,
@@ -680,9 +681,19 @@ def enumerate_reversible_tables(
     construction.  A depth-first search decides the orbits in
     `_triple_orbits` order, "in" before "out".  It prunes a partial table
     when the undecided orbits can no longer make it total, and when an
-    associativity triple (a, b, c) fails as soon as every entry that
-    (a + b) + c and a + (b + c) may read -- (a, b), (b, c), column c and
-    row a -- is final.  Both cuts drop only subtrees without a valid leaf.
+    associativity triple fails.  The triples (a, b, c) of one pair a < c
+    are checked together as soon as rows a and c are final: (a + b) + c is
+    the image of a + b under row c, the union of x + c over the x in a + b,
+    and a + (b + c) the image of c + b = b + c under row a, so every b holds
+    iff row a read through the image table of row c equals row c read
+    through that of row a.  Orbits own disjoint bits, so a final row r
+    depends only on v & touch[r], v the orbits decided "in" (the
+    orbit-choice vector below) and touch[r] the orbits with an entry in row
+    r.  Each block keeps one cache per row from that value to the row and
+    its image table (`core.image_tables`, one byte per mask, padded to the
+    256 bytes of `bytes.translate`), so a pair's check is two lookups and
+    two translations.  The caches live as long as the block's generator.
+    Both cuts drop only subtrees without a valid leaf.
 
     Within one sigma the valid tables come in decreasing order of their
     orbit-choice vector v (orbit 0 most significant).  An isomorphism
@@ -733,13 +744,20 @@ def reversible_table_blocks(
     visits: (the inverse map of the block's tables, an iterator of the
     tables in search order).  A table is a tuple of row tuples, and every
     table of one call holds the same tuple for equal rows.  The blocks
-    share one `Budget`, spent node by node as the tables are read.
+    share one `Budget`, spent node by node as the tables are read: a block
+    counts its nodes down in a local copy of `budget.left`, written back
+    before each table is yielded and when the block ends, so blocks read in
+    turn spend the budget as if read one after the other.
 
-    Raises `ValueError` when n < 0 or `sigma` is not one of
-    `involutions(n - 1)`.
+    Raises `ValueError` when n < 0, when n > 8, or when `sigma` is not one
+    of `involutions(n - 1)`.  The byte image tables, like `pack_lanes`, hold
+    n <= 8, and at n = 9 listing the 8! relabelings before the first node
+    would take longer than any cap could stop.
     """
     if n < 0:
         raise ValueError(f"enumerate_reversible_tables: n must be >= 0, got {n}")
+    if n > 8:
+        raise ValueError(f"enumerate_reversible_tables: n must be <= 8, got {n}")
     sigmas = involutions(n - 1)
     if sigma is not None:
         if tuple(sigma) not in sigmas:
@@ -751,17 +769,13 @@ def reversible_table_blocks(
     budget = Budget(f"enumerate_reversible_tables(n={n})")
     # one tuple per distinct row for every table of the call
     share = {}.setdefault
-    # in_row[r][m]: the flat offsets in row r of the set bits of mask m
-    in_row = [
-        tuple(tuple(r * n + d for d in iter_bits(m)) for m in range(1 << n)) for r in range(n)
-    ]
     return (
-        ((0, *(x + 1 for x in s)), _sigma_tables(n, s, hypergroups, budget, share, in_row))
+        ((0, *(x + 1 for x in s)), _sigma_tables(n, s, hypergroups, budget, share))
         for s in sigmas
     )
 
 
-def _sigma_tables(n, sigma, hypergroups, budget, share, in_row):
+def _sigma_tables(n, sigma, hypergroups, budget, share):
     """The tables of one sigma block of `reversible_table_blocks`."""
     nz = n - 1
     orbits = _triple_orbits(nz, sigma)
@@ -799,51 +813,60 @@ def _sigma_tables(n, sigma, hypergroups, budget, share, in_row):
             d[j] = d.get(j, 0) | 1 << (z + 1)
         deltas.append(tuple(d.items()))
 
-    # entry j is final from depth final[j] on.  (a + b) + c is read from row
-    # c and a + (b + c) from row a, which also hold (a, b) and (c, b) =
-    # (b, c); checks[i] lists, as the flat offsets ab and bc and the
-    # `in_row` tables of rows a and c, the triples whose two rows become
-    # final at depth i.  By commutativity (a, b, c) and (c, b, a) are one
-    # check and (a, b, a) always holds, so only a < c is checked.
+    # Entry j is final from depth final[j] on, and touch[r] holds bit i of
+    # each orbit i with an entry in row r.  checks[i] lists the pairs (a, c)
+    # whose two rows become final at depth i.  By commutativity (a, b, c)
+    # and (c, b, a) are one check and (a, b, a) always holds, so only a < c
+    # is checked.  row_images[r] maps v & touch[r] to final row r and its
+    # image table, padded for `bytes.translate`.
     final = [0] * (n * n)
+    touch = [0] * n
     for i, orb in enumerate(orbits):
         for (x, y, _z) in orb:
             final[(x + 1) * n + y + 1] = i + 1
-    checks: list[list[tuple[int, int, tuple, tuple]]] = [[] for _ in range(k + 1)]
+            touch[x + 1] |= 1 << i
+    checks: list[list[tuple[int, int]]] = [[] for _ in range(k + 1)]
     if hypergroups:
         for a in range(1, n):
             for c in range(a + 1, n):
-                ready = max(final[a * n : a * n + n] + final[c * n : c * n + n])
-                for b in range(1, n):
-                    checks[ready].append((a * n + b, b * n + c, in_row[a], in_row[c]))
+                checks[max(final[a * n : a * n + n] + final[c * n : c * n + n])].append((a, c))
+    row_images: list[dict[int, tuple[bytes, bytes]]] = [{} for _ in range(n)]
+
+    def fetch(r, key):
+        entries = tab[r * n : r * n + n]
+        (image,) = image_tables(entries)
+        row_images[r][key] = entry = (bytes(entries), bytes(image).ljust(256, b"\0"))
+        return entry
 
     # Depth first, "in" before "out", in one frame.  A node is (i, got, W,
-    # R): its depth, the coverage of the orbits decided "in", their images
-    # in every lane (v(pT) in the lane of p) and v in every lane.  The inner
-    # loop walks down the "in" children and pushes each "out" child, which
-    # keeps got, W and R; a cut or a leaf pops the next node.  `path` lists
-    # the orbits decided "in" on the way to the current node, whose deltas
-    # are in tab.
-    stack = [(0, 0, 0, 0)]
+    # R, v): its depth, the coverage of the orbits decided "in", their
+    # images in every lane (v(pT) in the lane of p), v in every lane and v
+    # itself.  The inner loop walks down the "in" children and pushes each
+    # "out" child, which keeps got, W, R and v; a cut or a leaf pops the
+    # next node.  `path` lists the orbits decided "in" on the way to the
+    # current node, whose deltas are in tab.  The nodes are counted down in
+    # `left`, which is `budget.left` at every yield and when the block ends.
+    stack = [(0, 0, 0, 0, 0)]
     path = []
-    spend = budget.spend
+    left = budget.left
     while stack:
-        i, got, W, R = stack.pop()
+        i, got, W, R, v = stack.pop()
         while path and path[-1] >= i - 1:
             for (j, m) in deltas[path.pop()]:
                 tab[j] ^= m
         while True:
-            spend()
+            left -= 1
+            if left < 0:
+                budget.left = 0
+                budget.spend()
             if hypergroups and (got | suffix[i]) != full_cover:
                 break
-            for ab, bc, row_a, row_c in checks[i]:
-                left = 0
-                for x in row_c[tab[ab]]:
-                    left |= tab[x]
-                right = 0
-                for x in row_a[tab[bc]]:
-                    right |= tab[x]
-                if left != right:
+            for a, c in checks[i]:
+                key_a = v & touch[a]
+                row_a, image_a = row_images[a].get(key_a) or fetch(a, key_a)
+                key_c = v & touch[c]
+                row_c, image_c = row_images[c].get(key_c) or fetch(c, key_c)
+                if row_a.translate(image_c) != row_c.translate(image_a):
                     break
             else:
                 # (u | guards) - w keeps the guard bit of each lane where
@@ -855,18 +878,22 @@ def _sigma_tables(n, sigma, hypergroups, budget, share, in_row):
                     break
                 if i == k:
                     rows = [tuple(tab[r : r + n]) for r in range(0, n * n, n)]
+                    budget.left = left
                     yield tuple(map(share, rows, rows))
+                    left = budget.left
                     break
-                stack.append((i + 1, got, W, R))
+                stack.append((i + 1, got, W, R, v))
                 for (j, m) in deltas[i]:
                     tab[j] |= m
                 path.append(i)
                 got |= cover[i]
                 W |= img[i]
                 R |= rep[i]
+                v |= 1 << i
                 i += 1
                 continue
             break
+    budget.left = left
 
 
 @memo
@@ -919,7 +946,7 @@ def enumerate_canonical_hypergroups(n: int) -> list[Hypermagma]:
     each class once, represented by its first table in search order, classes
     in that order.  Each sigma block of `reversible_table_blocks` is
     packed once (`pack_lanes`: one byte lane per table, so the lanes hold
-    n <= 8, past any order the search finishes) and checked in one
+    n <= 8, as the search does) and checked in one
     `lane_failures` call, which also checks that every table has the
     identity 0 and the block's inverse map; the objects then share the block's labels, rows and
     inverse map, and no report is left in the memo.  A table it rejects
@@ -927,7 +954,7 @@ def enumerate_canonical_hypergroups(n: int) -> list[Hypermagma]:
     identity and inverse map when they are not the block's, else its
     `axiom_report` classification.  Past `search.search_cap()` nodes the
     search raises `SearchCapExceeded`, on a memo hit as on a fresh search;
-    n < 0 raises `ValueError`.
+    n < 0 or n > 8 raises `ValueError`.
     """
     labels = tuple(str(v) for v in range(n))
     out = []

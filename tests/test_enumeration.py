@@ -10,8 +10,12 @@ Two references check `enumerate_reversible_tables` and what is built on it:
   unordered nonzero pairs, a reversibility filter, `analyze`, and dedup by
   `find_isomorphism`.
 
-An orbit-stabilizer count checks the isomorph rejection up to order 5, and
-a cap-boundary test pins the node counts of the pruned search.  Past the
+An associativity filter checks the search's cut through order 5: the
+hypergroup search yields exactly the total tables of the mosaic search that
+`product_of_subsets` finds associative on all n^3 triples, in order.  An
+orbit-stabilizer count checks the isomorph rejection up to order 5, and
+cap-boundary tests pin the node counts of the pruned search, also when its
+sigma blocks are read in turn.  Past the
 old algorithm's reach, sha256 digests pin the tables and their order.  The
 lane comparison of the canonicity test, every symmetry in one step, is
 checked against the per-symmetry comparison through 8-bit chunk tables
@@ -41,8 +45,10 @@ from hyperkit.core import (
     iter_bits,
     mask_of,
     pack_lanes,
+    product_of_subsets,
 )
 from hyperkit.errors import SearchCapExceeded
+from hyperkit.search import Budget
 from hyperkit.zoo import enumerate_canonical_hypergroups, enumerate_small_mosaics
 
 from util import set_search_cap
@@ -188,6 +194,34 @@ def test_small_mosaics_match_old_algorithm(n):
     new = enumerate_small_mosaics(n)
     old = _old_classes(n, require_total=False, require_assoc=False)
     assert [(M.labels, M.table) for M in new] == [(M.labels, M.table) for M in old]
+
+
+# ---------------------------------------------------------------------------
+# The associativity filter of the mosaic search
+
+
+def _total_and_associative(M):
+    """Every entry nonempty, and (x + y) + z = x + (y + z) on all n^3
+    triples, both sides by `product_of_subsets`."""
+    t = M.table
+    points = [1 << x for x in range(M.n)]
+    return all(all(row) for row in t) and all(
+        product_of_subsets(M, t[x][y], points[z]) == product_of_subsets(M, points[x], t[y][z])
+        for x in range(M.n)
+        for y in range(M.n)
+        for z in range(M.n)
+    )
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_hypergroup_search_is_the_filtered_mosaic_search(n):
+    """Isomorphisms preserve totality and associativity, so a class of
+    hypergroup tables has the same first table in both searches, which
+    visit the tables in one order: the mosaic search, filtered, is the
+    hypergroup search (50,520 tables filter to 3,776 at n = 5)."""
+    mosaics = zoo.enumerate_reversible_tables(n, hypergroups=False)
+    expected = [M.table for M in mosaics if _total_and_associative(M)]
+    assert [M.table for M in zoo.enumerate_reversible_tables(n)] == expected
 
 
 # ---------------------------------------------------------------------------
@@ -611,17 +645,20 @@ for table, inverse in ((mosaic.table, mosaic.inverse), (swapped.table, (0, 1, 2)
         (3, (0, 1, 2), "sigma"),  # too long
         (0, (), "sigma"),  # no sigma at n = 0
         (-1, None, "n"),
+        (9, None, "n"),  # past the byte image tables and pack_lanes
     ],
 )
 def test_search_arguments_checked(n, sigma, name):
-    """A sigma that is not one of `involutions(n - 1)`, and n < 0, raise
-    `ValueError` naming the argument, before any table is searched."""
+    """A sigma that is not one of `involutions(n - 1)`, n < 0 and n > 8
+    raise `ValueError` naming the argument, before any table is searched:
+    at n = 9 listing the symmetries alone would outlast any cap."""
     with pytest.raises(ValueError, match=f"^enumerate_reversible_tables: {name} must be"):
         zoo.enumerate_reversible_tables(n, sigma=sigma)
     with pytest.raises(ValueError, match=f"^enumerate_reversible_tables: {name} must be"):
         zoo.reversible_table_blocks(n, False, sigma)
     if sigma is None:
-        with pytest.raises(ValueError, match="^enumerate_reversible_tables: n must be >= 0"):
+        bound = ">= 0" if n < 0 else "<= 8"
+        with pytest.raises(ValueError, match=f"^enumerate_reversible_tables: n must be {bound}, "):
             enumerate_canonical_hypergroups.__wrapped__(n)
 
 
@@ -649,6 +686,58 @@ def test_census_node_count_at_cap_boundary(monkeypatch, n, nodes, classes):
     set_search_cap(monkeypatch, nodes - 1)
     with pytest.raises(SearchCapExceeded):
         enumerate_canonical_hypergroups.__wrapped__(n)
+
+
+def _read_in_turn(tables):
+    """One table from each unfinished block in turn, until all are done."""
+    out = [[] for _ in tables]
+    live = list(range(len(tables)))
+    while live:
+        for j in list(live):
+            table = next(tables[j], None)
+            if table is None:
+                live.remove(j)
+            else:
+                out[j].append(table)
+    return out
+
+
+def test_blocks_read_in_turn_share_the_budget_exactly(monkeypatch):
+    """Each block counts its nodes down locally and writes the count back
+    before each yield and when it ends, so reading the blocks of one call in
+    turn, or closing one early, spends the budget node for node as reading
+    the same tables one block after the other."""
+    budgets = []
+    monkeypatch.setattr(zoo, "Budget", lambda what: budgets.append(Budget(what)) or budgets[-1])
+    sequential, spent = [], []
+    for _inverse, tables in zoo.reversible_table_blocks(5):
+        sequential.append(list(tables))
+        spent.append(budgets[-1].cap - budgets[-1].left)
+    assert spent[-1] == 41_575
+    blocks = [tables for _inverse, tables in zoo.reversible_table_blocks(5)]
+    head = list(itertools.islice(blocks[0], 100))
+    # the nodes up to the 100th table of the first block, then the others
+    closed_at = budgets[-1].cap - budgets[-1].left + spent[-1] - spent[0]
+
+    set_search_cap(monkeypatch, 41_575)
+    assert _read_in_turn([tables for _inverse, tables in zoo.reversible_table_blocks(5)]) == sequential
+    set_search_cap(monkeypatch, 41_574)
+    with pytest.raises(SearchCapExceeded, match="after 41574 nodes"):
+        _read_in_turn([tables for _inverse, tables in zoo.reversible_table_blocks(5)])
+
+    for cap in (closed_at, closed_at - 1):
+        set_search_cap(monkeypatch, cap)
+        blocks = [tables for _inverse, tables in zoo.reversible_table_blocks(5)]
+        second = [next(blocks[1])]  # suspended while the first block runs
+        assert list(itertools.islice(blocks[0], 100)) == head == sequential[0][:100]
+        blocks[0].close()
+        if cap == closed_at:
+            assert second + list(blocks[1]) == sequential[1]
+            assert list(blocks[2]) == sequential[2]
+            assert budgets[-1].left == 0
+        else:
+            with pytest.raises(SearchCapExceeded):
+                second + list(blocks[1]) + list(blocks[2])
 
 
 # ---------------------------------------------------------------------------
