@@ -1,12 +1,15 @@
-"""Morphism kind checks and exhaustive hom-set enumeration."""
+"""Morphism kind checks and exhaustive hom-set enumeration, one hom-set at
+a time or, for the tables of a census block, in byte lanes."""
 from __future__ import annotations
 
+import itertools
 from typing import Collection, Hashable, Iterable
 
 from .axioms import Tag, UNITAL_TAGS
 from .core import (
     BITS,
     Hypermagma,
+    Lanes,
     Morphism,
     image_function,
     is_absorptive,
@@ -256,6 +259,60 @@ def colax_maps(
 
     rec(0)
     return out
+
+
+def lane_morphisms(
+    lanes: Lanes, inverse: tuple[int, ...], N: Hypermagma, budget: Budget
+) -> list[tuple[tuple[int, ...], ...]]:
+    """The maps of Hom(G, N) in cMsc for every table G of `lanes` at once,
+    one tuple per lane in lexicographic order, for tables with identity 0
+    and inverse map `inverse` (every table of a census block) and N a
+    unital mosaic: what `enumerate_morphisms(G, N, Tag.CMSC)` lists.  Lanes
+    with the same hom-set share one tuple.
+
+    The candidates are the maps `enumerate_morphisms` tries past its unit
+    pin and inverse mask: f(0) = e_N, f(-x) = -f(x), and f(x) self-inverse
+    when x = -x, in lexicographic order.  The triples of 0*y and x*0 hold
+    for each, so f is a morphism in lane b iff, for every pair of nonzero x
+    and y, that lane of x*y lies inside pre, the preimage under f of
+    f(x)*f(y): `E[x][y] & ~(pre * ones)`, ORed over the pairs, folds to 0
+    there under `Lanes.nonzero`.  `budget` is charged one node per
+    candidate and table, the number of candidates times `lanes.count`.
+    """
+    n, E, ones = lanes.n, lanes.entries, lanes.ones
+    table, e, inv = N.table, N.identity, N.inverse
+    ensure(
+        inv is not None and e is not None and len(inverse) == n and inverse[0] == 0,
+        f"lane_morphisms: needs a unital mosaic N and an inverse map fixing 0 on {n} elements",
+    )
+    full = (1 << n) - 1
+    outside = [(full ^ pre) * ones for pre in range(1 << n)]  # in every lane
+    pairs = [(x, y, E[x][y]) for x in range(1, n) for y in range(1, n)]
+    free = [x for x in range(1, n) if inverse[x] >= x]
+    self_inverse = [y for y in range(len(table)) if inv[y] == y]
+    choices = [self_inverse if inverse[x] == x else range(len(table)) for x in free]
+    maps, passed = [], []
+    for choice in itertools.product(*choices):
+        budget.spend(lanes.count)
+        f = [e] * n
+        for x, v in zip(free, choice):
+            f[x] = v
+            f[inverse[x]] = inv[v]
+        fibres = [0] * len(table)
+        for x, v in enumerate(f):
+            fibres[v] |= 1 << x
+        pull = image_function(fibres)
+        bad = 0
+        for x, y, m in pairs:
+            bad |= m & outside[pull(table[f[x]][f[y]])]
+        maps.append(tuple(f))
+        passed.append(ones ^ lanes.nonzero(bad))
+    # per lane, one byte per candidate: 1 where it passes there
+    homs: dict[tuple[int, ...], tuple[tuple[int, ...], ...]] = {}
+    return [
+        homs.get(v) or homs.setdefault(v, tuple(itertools.compress(maps, v)))
+        for v in zip(*map(lanes.flags, passed))
+    ]
 
 
 @memo

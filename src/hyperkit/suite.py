@@ -39,6 +39,7 @@ from .hom import (
     is_strict,
     is_unital,
     kernel,
+    lane_morphisms,
     triples,
 )
 from .matroid import (
@@ -87,10 +88,10 @@ from .univ import (
     unitize,
 )
 from .zoo import (
+    census_blocks,
     conjugacy_hypergroup,
     cyclic_group,
     double_coset_hypergroup,
-    enumerate_canonical_hypergroups,
     enumerate_lattices,
     gf9_frobenius,
     gf9_quotient,
@@ -491,11 +492,39 @@ def check_klein_four() -> tuple[bool, str]:
     return bool(ok), "; ".join(details)
 
 
-def _classes(max_size: int) -> Iterator[Hypermagma]:
-    """Each class of canonical hypergroups of order 1 to max_size, in
-    enumeration order: the walk the three refuters share."""
+@search.memo
+def census_homs(n: int, N: Hypermagma) -> tuple[list[tuple[tuple[int, ...], ...]], ...]:
+    """Hom(G, N) in cMsc for every class G of `census_blocks(n)`, one list
+    per block, read from the block's lanes by `lane_morphisms`: what
+    `enumerate_morphisms(G, N, Tag.CMSC)` lists.  N is a unital mosaic.
+    One `Budget` is charged across the blocks."""
+    budget = search.Budget(f"lane_morphisms(n={n}, |N|={N.n}, cmsc)")
+    return tuple(
+        lane_morphisms(lanes, inverse, N, budget) for inverse, _classes, lanes in census_blocks(n)
+    )
+
+
+def z2_homs(inverse: tuple[int, ...]) -> list[tuple[int, int]]:
+    """Hom(Z2, G) in cMsc for a canonical hypergroup G with identity 0 and
+    inverse map `inverse`: the maps (0, x) with x = -x, x ascending, which
+    is `enumerate_morphisms(z2(), G, Tag.CMSC)`.
+
+    A morphism f sends 0 to 0, being unital.  Colax on 1 + 1 = {0} gives
+    0 in f(1) + f(1), so f(1) = -f(1) by the unique inverses of G.
+    Conversely (0, x) with x = -x is colax: 0 in 0 + 0, x in 0 + x = x + 0,
+    and 0 in x + x = x + (-x)."""
+    return [(0, x) for x, y in enumerate(inverse) if x == y]
+
+
+def _census(max_size: int, *codomains: Hypermagma) -> Iterator[tuple]:
+    """Each sigma block of canonical hypergroups of order 1 to max_size, in
+    enumeration order, as (its inverse map, its classes, and per codomain
+    the hom-sets of its classes into it, from `census_homs`): the walk the
+    three refuters share."""
     for n in range(1, max_size + 1):
-        yield from enumerate_canonical_hypergroups(n)
+        homs = [census_homs(n, N) for N in codomains]
+        for b, (inverse, classes, _lanes) in enumerate(census_blocks(n)):
+            yield inverse, classes, [h[b] for h in homs]
 
 
 def check_klein_four_refuter(max_size: int = 5) -> tuple[bool, str]:
@@ -503,17 +532,18 @@ def check_klein_four_refuter(max_size: int = 5) -> tuple[bool, str]:
     bat = [K, Z, V]
     bim_counts = [len(enumerate_bimorphisms(V, V, L, Tag.CMSC)) for L in bat]
     survivors = []
-    for T in _classes(max_size):
-        # a representing object must match hom counts on every battery L;
-        # Hom(T, V) is enumerated only for a T that matches on K and Z2
-        if [len(enumerate_morphisms(T, L, Tag.CMSC)) for L in (K, Z)] != bim_counts[:2]:
-            continue
-        if len(enumerate_morphisms(T, V, Tag.CMSC)) != bim_counts[2]:
-            continue
-        for table in enumerate_bimorphisms(V, V, T, Tag.CMSC):
-            ok, _ = represents_bimorphisms(Bimorphism(V, V, T, table), bat, Tag.CMSC)
-            if ok:
-                survivors.append((T, table))
+    for _inverse, classes, (to_k, to_z) in _census(max_size, K, Z):
+        for T, maps_k, maps_z in zip(classes, to_k, to_z):
+            # a representing object must match hom counts on every battery L;
+            # Hom(T, V) is enumerated only for a T that matches on K and Z2
+            if [len(maps_k), len(maps_z)] != bim_counts[:2]:
+                continue
+            if len(enumerate_morphisms(T, V, Tag.CMSC)) != bim_counts[2]:
+                continue
+            for table in enumerate_bimorphisms(V, V, T, Tag.CMSC):
+                ok, _ = represents_bimorphisms(Bimorphism(V, V, T, table), bat, Tag.CMSC)
+                if ok:
+                    survivors.append((T, table))
     # V x V with every candidate bimorphism dies on cardinalities alone
     prod_vv = product([V, V]).apex
     vv_refuted = len(enumerate_morphisms(prod_vv, K, Tag.CMSC)) != bim_counts[0]
@@ -525,16 +555,14 @@ def check_coproduct_refuter(max_size: int = 5) -> tuple[bool, str]:
     K, Z = krasner(), z2()
     pairs_k, pairs_z = leg_pairs(K), leg_pairs(Z)
     total = 0
-    for Gc in _classes(max_size):
-        legs = enumerate_morphisms(Z, Gc, Tag.CMSC)
-        total += len(legs) ** 2
-        targets = (
-            (K, enumerate_morphisms(Gc, K, Tag.CMSC), pairs_k),
-            (Z, enumerate_morphisms(Gc, Z, Tag.CMSC), pairs_z),
-        )
-        for i1, i2 in itertools.product(legs, repeat=2):
-            if refute_coproduct_candidate(i1, i2, targets) is None:
-                return False, f"candidate survived: {Gc.labels}"
+    for inverse, classes, (to_k, to_z) in _census(max_size, K, Z):
+        legs = z2_homs(inverse)
+        total += len(legs) ** 2 * len(classes)
+        for Gc, maps_k, maps_z in zip(classes, to_k, to_z):
+            targets = ((K, maps_k, pairs_k), (Z, maps_z, pairs_z))
+            for i1, i2 in itertools.product(legs, repeat=2):
+                if refute_coproduct_candidate(i1, i2, targets) is None:
+                    return False, f"candidate survived: {Gc.labels}"
     return True, f"all {total} candidates of size <= {max_size} refuted"
 
 
@@ -543,13 +571,14 @@ def check_equalizer_refuter(max_size: int = 5) -> tuple[bool, str]:
     # the maps E -> H that F fixes are those through the equalizer L of id and F
     L, inc = equalizer(identity_morphism(H), F)
     total = 0
-    for E in _classes(max_size):
-        points = lift_points(E)
-        for h in enumerate_morphisms(E, L, Tag.CMSC):
-            total += 1
-            e = tuple(inc.map[v] for v in h)
-            if not refute_equalizer_candidate(E, points, e, F.map)[0]:
-                return False, f"candidate survived: {E.labels}"
+    for _inverse, classes, (to_l,) in _census(max_size, L):
+        for E, maps in zip(classes, to_l):
+            points = lift_points(E)
+            for h in maps:
+                total += 1
+                e = tuple(inc.map[v] for v in h)
+                if not refute_equalizer_candidate(E, points, e, F.map)[0]:
+                    return False, f"candidate survived: {E.labels}"
     return True, f"all {total} equalizing candidates of size <= {max_size} refuted"
 
 

@@ -18,6 +18,7 @@ from .axioms import (
 )
 from .core import (
     Hypermagma,
+    Lanes,
     Morphism,
     canonical_form,
     from_masks,
@@ -642,24 +643,36 @@ def _canonicity_lanes(k: int, symmetries: list) -> tuple[list[int], list[int], l
     whose m grows at depth i, and nothing of the others: the comparisons
     that become final there.  At depth k every lane has m = k, which is
     the leaf test.
+
+    Each int is built once, from a buffer of its bits (img) or as a
+    multiple of the int with bit 0 of some lanes set (rep, masks, guards),
+    so the build is linear in the lanes, not quadratic.
     """
-    width = k + 1
-    img, rep = [0] * k, [0] * k
-    masks = [0] * (k + 1)
-    guards = 0
-    for s, image in enumerate(symmetries):
-        base = s * width
-        guards |= 1 << (base + k)
-        for i in range(k):
-            img[i] |= 1 << (base + k - 1 - image[i])
-            rep[i] |= 1 << (base + k - 1 - i)
+    bases = range(0, len(symmetries) * (k + 1), k + 1)
+    size = len(bases) * (k + 1) // 8 + 1
+
+    def bits_at(positions) -> int:
+        buf = bytearray(size)
+        for p in positions:
+            buf[p >> 3] |= 1 << (p & 7)
+        return int.from_bytes(buf, "little")
+
+    ones = bits_at(bases)
+    img = [bits_at(b + k - 1 - image[i] for b, image in zip(bases, symmetries)) for i in range(k)]
+    rep = [ones << k - 1 - i for i in range(k)]
+    grown: list[dict[int, list[int]]] = [{} for _ in range(k + 1)]  # depth -> m -> lanes
+    for base, image in zip(bases, symmetries):
         pre = sorted(range(k), key=image.__getitem__)
         depth = 0  # where the top m bits become final
         for m in range(1, k + 1):
             depth = max(depth, pre[m - 1] + 1)
             if m == k or pre[m] >= depth:
-                masks[depth] |= ((1 << m) - 1) << (base + k - m)
-    return img, rep, masks, guards
+                grown[depth].setdefault(m, []).append(base)
+    masks = [
+        sum(((1 << m) - 1 << k - m) * bits_at(lanes) for m, lanes in by_m.items())
+        for by_m in grown
+    ]
+    return img, rep, masks, ones << k
 
 
 def enumerate_reversible_tables(
@@ -939,18 +952,20 @@ def enumerate_small_mosaics(n: int) -> tuple[Hypermagma, ...]:
 
 
 @memo
-def enumerate_canonical_hypergroups(n: int) -> list[Hypermagma]:
-    """Canonical hypergroups on n elements, one per isomorphism class.
+def census_blocks(n: int) -> tuple[tuple[tuple[int, ...], tuple[Hypermagma, ...], Lanes], ...]:
+    """The canonical hypergroups on n elements, one per isomorphism class,
+    one sigma block of `reversible_table_blocks` at a time: (the block's
+    inverse map, its classes, their tables in byte lanes).
 
-    These are the total associative tables of `enumerate_reversible_tables`:
-    each class once, represented by its first table in search order, classes
-    in that order.  Each sigma block of `reversible_table_blocks` is
+    The classes are the total associative tables of
+    `enumerate_reversible_tables`: each class once, represented by its
+    first table in search order, classes in that order.  Each block is
     packed once (`pack_lanes`: one byte lane per table, so the lanes hold
-    n <= 8, as the search does) and checked in one
-    `lane_failures` call, which also checks that every table has the
-    identity 0 and the block's inverse map; the objects then share the block's labels, rows and
-    inverse map, and no report is left in the memo.  A table it rejects
-    is built by `from_masks` and raises `InvariantViolated`, naming its
+    n <= 8, as the search does) and checked in one `lane_failures` call,
+    which also checks that every table has the identity 0 and the block's
+    inverse map; the objects then share the block's labels, rows and
+    inverse map, and no report is left in the memo.  A table it rejects is
+    built by `from_masks` and raises `InvariantViolated`, naming its
     identity and inverse map when they are not the block's, else its
     `axiom_report` classification.  Past `search.search_cap()` nodes the
     search raises `SearchCapExceeded`, on a memo hit as on a fresh search;
@@ -960,7 +975,8 @@ def enumerate_canonical_hypergroups(n: int) -> list[Hypermagma]:
     out = []
     for inverse, tables in reversible_table_blocks(n):
         tables = list(tables)
-        bad = lane_failures(pack_lanes(n, tables), 0, inverse)
+        lanes = pack_lanes(n, tables)
+        bad = lane_failures(lanes, 0, inverse)
         if any(bad):
             M = from_masks(labels, tables[bad.index(1)])
             if (M.identity, M.inverse) == (0, inverse):
@@ -971,21 +987,31 @@ def enumerate_canonical_hypergroups(n: int) -> list[Hypermagma]:
                     f"not 0 and {inverse}"
                 )
             ensure(False, f"enumerate_canonical_hypergroups(n={n}) produced a {kind}")
-        out += [Hypermagma(labels, t, 0, inverse) for t in tables]
+        out.append((inverse, tuple([Hypermagma(labels, t, 0, inverse) for t in tables]), lanes))
+    return tuple(out)
+
+
+@memo
+def enumerate_canonical_hypergroups(n: int) -> list[Hypermagma]:
+    """Canonical hypergroups on n elements, one per isomorphism class: the
+    classes of `census_blocks(n)`, block after block."""
+    out = []
+    for _inverse, classes, _lanes in census_blocks(n):
+        out += classes
     return out
 
 
 # ---------------------------------------------------------------------------
 # Refuters
 #
-# Each refuter walks the classes of canonical hypergroups and replays a
-# proof against every candidate on each class.  What depends on the class
-# alone is read once per class, each hom-set through the memoised
-# `enumerate_morphisms`; what depends on the candidate is one call of
-# `refute_coproduct_candidate` or `refute_equalizer_candidate`, which takes
-# maps, builds no `Morphism`, formats nothing and returns the record of
-# what it proved.  Their candidates come from the census and from
-# `univ.equalizer`, so neither checks its input.
+# Each refuter (`suite`) walks the classes of canonical hypergroups block
+# by block (`census_blocks`) and replays a proof against every candidate on
+# each class.  What depends on the class alone is read once per block;
+# what depends on the candidate is one call of `refute_coproduct_candidate`
+# or `refute_equalizer_candidate`, which takes maps, builds no `Morphism`,
+# formats nothing and returns the record of what it proved.  Their
+# candidates come from the census and from `univ.equalizer`, so neither
+# checks its input.
 
 
 def lift_points(G: Hypermagma) -> tuple[int, ...]:

@@ -676,6 +676,33 @@ def test_malformed_search_cap_exits_2_with_one_line(monkeypatch, capsys):
     assert err.count("\n") == 1 and "HYPERKIT_SEARCH_CAP" in err and "'abc'" in err
 
 
+# the most nodes any one search of `paper-suite --only coproduct --max-size
+# 4` spends: the lane search of Hom(G, K) over the order-4 census, 8
+# candidate maps on the 65 tables of sigma = id and 4 on the 32 of
+# sigma = (1 0), past the census search's 626
+COPRODUCT_4_NODES = 648
+
+
+def test_lane_search_stops_at_the_search_cap(monkeypatch, capsys):
+    argv = ["paper-suite", "--only", "coproduct", "--max-size", "4"]
+    monkeypatch.setenv("HYPERKIT_SEARCH_CAP", str(COPRODUCT_4_NODES))
+    assert main(argv) == 0
+    assert capsys.readouterr().out == (
+        "PASS coproduct-refuter: all 1243 candidates of size <= 4 refuted\n1/1 checks passed\n"
+    )
+    monkeypatch.setenv("HYPERKIT_SEARCH_CAP", str(COPRODUCT_4_NODES - 1))
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == (
+        f"SearchCapExceeded: lane_morphisms(n=4, |N|=2, cmsc): node cap exceeded "
+        f"after {COPRODUCT_4_NODES - 1} nodes\n"
+    )
+    monkeypatch.setenv("HYPERKIT_SEARCH_CAP", "-1")
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "HYPERKIT_SEARCH_CAP" in err and "'-1'" in err
+
+
 _K = hypermagma_to_dict(krasner())
 
 

@@ -407,6 +407,37 @@ def test_canonicity_tests_shape(n):
         assert all(x >> beyond == 0 for x in (*img, *rep, *masks, guards))
 
 
+def _per_bit_canonicity_lanes(k, symmetries):
+    """`zoo._canonicity_lanes` as first written: every bit ORed on its own
+    into ints as wide as all the lanes, quadratic in the lanes."""
+    width = k + 1
+    img, rep = [0] * k, [0] * k
+    masks = [0] * (k + 1)
+    guards = 0
+    for s, image in enumerate(symmetries):
+        base = s * width
+        guards |= 1 << (base + k)
+        for i in range(k):
+            img[i] |= 1 << (base + k - 1 - image[i])
+            rep[i] |= 1 << (base + k - 1 - i)
+        pre = sorted(range(k), key=image.__getitem__)
+        depth = 0
+        for m in range(1, k + 1):
+            depth = max(depth, pre[m - 1] + 1)
+            if m == k or pre[m] >= depth:
+                masks[depth] |= ((1 << m) - 1) << (base + k - m)
+    return img, rep, masks, guards
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+def test_canonicity_lanes_match_per_bit_build(n):
+    for sigma in zoo.involutions(n - 1):
+        orbits = zoo._triple_orbits(n - 1, sigma)
+        symmetries = zoo._orbit_symmetries(n - 1, sigma, orbits)
+        expected = _per_bit_canonicity_lanes(len(orbits), symmetries)
+        assert zoo._canonicity_lanes(len(orbits), symmetries) == expected
+
+
 # ---------------------------------------------------------------------------
 # The lane comparison against the per-symmetry comparison it replaced
 
@@ -682,10 +713,10 @@ def test_census_node_count_at_cap_boundary(monkeypatch, n, nodes, classes):
     """The census runs the search of `enumerate_reversible_tables`, node
     for node."""
     set_search_cap(monkeypatch, nodes)
-    assert len(enumerate_canonical_hypergroups.__wrapped__(n)) == classes
+    assert sum(len(block) for _inverse, block, _lanes in zoo.census_blocks.__wrapped__(n)) == classes
     set_search_cap(monkeypatch, nodes - 1)
     with pytest.raises(SearchCapExceeded):
-        enumerate_canonical_hypergroups.__wrapped__(n)
+        zoo.census_blocks.__wrapped__(n)
 
 
 def _read_in_turn(tables):
@@ -761,7 +792,9 @@ def test_classes_share_rows_and_labels(build):
 def test_census_caches_no_report(monkeypatch):
     """The census packs each sigma block once and checks it in byte lanes,
     one `lane_failures` call per block, never through the memoised
-    `analyze`, and builds its classes without `from_masks`."""
+    `analyze`, and builds its classes without `from_masks`.  Each block
+    keeps the lanes it checked, and `enumerate_canonical_hypergroups` is
+    the blocks' classes in order."""
     seen, packed = [], []
     monkeypatch.setattr(zoo, "analyze", lambda M: pytest.fail("census called analyze"))
     monkeypatch.setattr(zoo, "from_masks", lambda *a: pytest.fail("census called from_masks"))
@@ -771,16 +804,15 @@ def test_census_caches_no_report(monkeypatch):
     monkeypatch.setattr(
         zoo, "pack_lanes", lambda *args: packed.append(args) or pack_lanes(*args)
     )
-    classes = enumerate_canonical_hypergroups.__wrapped__(4)
-    assert len(classes) == 97 and len(seen) == len(packed) == len(zoo.involutions(3))
+    blocks = zoo.census_blocks.__wrapped__(4)
+    classes = [M for _inverse, block, _lanes in blocks for M in block]
+    assert len(classes) == 97 and len(seen) == len(packed) == len(blocks) == len(zoo.involutions(3))
+    assert classes == enumerate_canonical_hypergroups(4)
     # the kernel read every class once, block after block
-    start = 0
-    for lanes, e, inverse in seen:
-        block = classes[start : start + lanes.count]
+    for (lanes, e, inverse), (kept_inverse, block, kept) in zip(seen, blocks):
+        assert kept is lanes and kept_inverse is inverse
         assert lanes == pack_lanes(4, [M.table for M in block])
         assert {(M.identity, M.inverse) for M in block} == {(e, inverse)}
-        start += lanes.count
-    assert start == 97
 
 
 # tracemalloc's count for one class of list(enumerate_reversible_tables(5)):

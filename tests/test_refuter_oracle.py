@@ -2,7 +2,7 @@
 
 For every class G of canonical hypergroups of order <= 5, the maps that
 `enumerate_morphisms` lists for Hom(Z2, G), Hom(G, K) and Hom(G, Z2), the
-hom-sets the coproduct and Klein-four refuters read, must equal, in order,
+hom-sets the coproduct and Klein-four refuters rest on, must equal, in order,
 a brute force that tries every map and tests it on the raw mask
 tables, without `hyperkit.hom`.  The counts of the brute force then prove
 two refutations at order <= 5 on their own: a coproduct Z2 + Z2 needs
@@ -18,20 +18,36 @@ to the unit and -x to the inverse of the image of x, and then tested colax.
 The same list is the F-fixed part of Hom(G, H), so Hom(G, H)^F =
 Hom(G, H^F).  Replayed on these inputs, every one of the 14,162 candidates
 is refuted.
+
+The refuters read those hom-sets from the census's byte lanes
+(`census_homs`, `hom.lane_morphisms`) and Hom(Z2, G) from the block's
+inverse map (`z2_homs`).  The lane lists are a third witness: they equal
+the brute force for K, Z2 and L on every class of order <= 5, also on
+blocks with spoiled entries, and `enumerate_morphisms` for K, Z2, V and L
+on the sigma = (1 0)(3 2) block of order 6.
 """
 import itertools
 
+from hypothesis import given, settings, strategies as st
+
+from hyperkit import search
 from hyperkit.axioms import Tag
-from hyperkit.core import Morphism, identity_morphism
-from hyperkit.hom import enumerate_morphisms
+from hyperkit.core import Hypermagma, Morphism, identity_morphism, pack_lanes
+from hyperkit.hom import enumerate_morphisms, lane_morphisms
+from hyperkit.search import Budget
+from hyperkit.suite import census_homs, z2_homs
 from hyperkit.univ import equalizer
 from hyperkit.zoo import (
+    census_blocks,
     enumerate_canonical_hypergroups,
     gf9_frobenius,
     gf9_quotient,
+    group_to_hypermagma,
+    klein_four_group,
     krasner,
     lift_points,
     refute_equalizer_candidate,
+    reversible_table_blocks,
     z2,
 )
 
@@ -155,3 +171,78 @@ def test_equalizer_inputs_match_brute_force_through_order_5():
             assert refute_equalizer_candidate(G, points, emap, F.map)[0], (G.labels, emap)
         candidates += len(homs)
     assert candidates == 14162
+
+
+def _equalizer_object():
+    """L, the equalizer of id and the Frobenius on the GF(9) quotient."""
+    return equalizer(identity_morphism(gf9_quotient().additive), gf9_frobenius())[0]
+
+
+def _as_triple(M):
+    return (M.table, M.identity, M.inverse)
+
+
+def test_lane_hom_sets_match_brute_force_through_order_5():
+    """The third witness: on every class of order <= 5, the lane lists for
+    K, Z2 and L equal the brute force, list for list and in order, and
+    Hom(Z2, G) read from the block's inverse map equals the brute force and
+    `enumerate_morphisms`."""
+    L = _equalizer_object()
+    codomains = [(N, _as_triple(N)) for N in (krasner(), z2(), L)]
+    classes = 0
+    for n in range(1, 6):
+        homs = [census_homs(n, N) for N, _ in codomains]
+        for b, (inverse, block, _lanes) in enumerate(census_blocks(n)):
+            legs = z2_homs(inverse)
+            for i, G in enumerate(block):
+                g = _as_triple(G)
+                for (N, cod), hom in zip(codomains, homs):
+                    assert list(hom[b][i]) == _brute_homs(g, cod), (G.labels, N.labels)
+                assert legs == _brute_homs(Z2, g) == enumerate_morphisms(z2(), G, Tag.CMSC)
+                classes += 1
+    assert classes == 3886
+
+
+def test_lane_hom_sets_match_enumerate_morphisms_on_an_order_6_block():
+    """The 9,685 tables of the order-6 block sigma = (1 0)(3 2), read in
+    lanes, for K, Z2, V and L; and Hom(Z2, G) from the inverse map."""
+    ((inverse, tables),) = reversible_table_blocks(6, sigma=(1, 0, 3, 2, 4))
+    tables = list(tables)
+    assert len(tables) == 9685
+    lanes = pack_lanes(6, tables)
+    labels = tuple(str(v) for v in range(6))
+    classes = [Hypermagma(labels, t, 0, inverse) for t in tables]
+    V = group_to_hypermagma(klein_four_group())
+    legs = z2_homs(inverse)
+    # the scalar hom-sets are dropped from the memo when the block ends
+    with search.scope():
+        for N in (krasner(), z2(), V, _equalizer_object()):
+            homs = lane_morphisms(lanes, inverse, N, Budget("order-6 block"))
+            assert len(homs) == len(classes)
+            for G, hom in zip(classes, homs):
+                assert list(hom) == enumerate_morphisms(G, N, Tag.CMSC), N.labels
+        assert all(enumerate_morphisms(z2(), G, Tag.CMSC) == legs for G in classes)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_lane_morphisms_match_brute_force_on_spoiled_blocks(data):
+    """Tables of one census block with some nonzero entries replaced by any
+    mask, read in lanes under the block's inverse map: each lane's list is
+    the brute force on its own table, good and spoiled lanes side by
+    side."""
+    n = data.draw(st.integers(2, 5))
+    inverse, block, _lanes = data.draw(st.sampled_from(census_blocks(n)))
+    picks = data.draw(st.lists(st.sampled_from(block), min_size=1, max_size=12))
+    tables = [[list(row) for row in G.table] for G in picks]
+    for table in tables:
+        for _ in range(data.draw(st.integers(0, 3))):
+            x, y = data.draw(st.integers(1, n - 1)), data.draw(st.integers(1, n - 1))
+            table[x][y] = data.draw(st.integers(0, (1 << n) - 1))
+    N = data.draw(
+        st.sampled_from([krasner(), z2(), group_to_hypermagma(klein_four_group()), _equalizer_object()])
+    )
+    homs = lane_morphisms(pack_lanes(n, tables), inverse, N, Budget("spoiled block"))
+    assert [list(hom) for hom in homs] == [
+        _brute_homs((table, 0, inverse), _as_triple(N)) for table in tables
+    ]

@@ -8,7 +8,7 @@ from collections import Counter
 import pytest
 
 from hyperkit.axioms import Tag, analyze
-from hyperkit import cli, zoo
+from hyperkit import cli, search, suite, zoo
 from hyperkit.core import find_isomorphism, from_masks, identity_morphism, iter_bits, mask_of
 from hyperkit.errors import (
     AdditiveNotCanonical,
@@ -410,22 +410,47 @@ def test_refute_coproduct_z2_diagonal():
     assert T == krasner() and kind == "missing" and legs[0] != legs[1]
 
 
-def test_coproduct_refutations_pinned():
+def _class_hom_sets(n, N, route):
+    """Hom(G, N) for every class G of order n, in census order: one
+    `enumerate_morphisms` search per class ("scalar") or read from the
+    census lanes ("lanes"), as the refuters read them."""
+    if route == "scalar":
+        return [enumerate_morphisms(G, N, Tag.CMSC) for G in enumerate_canonical_hypergroups(n)]
+    return [list(hom) for block in suite.census_homs(n, N) for hom in block]
+
+
+def _coproduct_records(route):
     """Every coproduct candidate of order <= 4, replayed against [K, Z2, G]
-    and against [K, Z2]: every candidate fails on K or Z2, so both batteries
-    return the same records: the first object that fails, how, and for
-    which legs."""
+    and against [K, Z2], each battery's records in the refuter's order.
+    Hom(G, K), Hom(G, Z2) and the legs Hom(Z2, G) come from `route`
+    (`_class_hom_sets`, and `z2_homs` on the lanes route); Hom(G, G) is
+    searched."""
     K, Z = krasner(), z2()
     names = {K: "K", Z: "Z2"}
     records = {"default": [], "K-Z2": []}
     for n in range(1, 5):
-        for Gc in enumerate_canonical_hypergroups(n):
-            legs = enumerate_morphisms(Z, Gc, Tag.CMSC)
-            for battery, objects in (("default", [K, Z, Gc]), ("K-Z2", [K, Z])):
-                targets = _coproduct_targets(Gc, objects)
+        classes = enumerate_canonical_hypergroups(n)
+        to_k, to_z = (_class_hom_sets(n, T, route) for T in (K, Z))
+        for Gc, maps_k, maps_z in zip(classes, to_k, to_z):
+            if route == "scalar":
+                legs = enumerate_morphisms(Z, Gc, Tag.CMSC)
+            else:
+                legs = suite.z2_homs(Gc.inverse)
+            ours = [(K, maps_k, leg_pairs(K)), (Z, maps_z, leg_pairs(Z))]
+            for battery, targets in (("default", ours + _coproduct_targets(Gc, [Gc])), ("K-Z2", ours)):
                 for i1, i2 in itertools.product(legs, repeat=2):
                     T, kind, pair = refute_coproduct_candidate(i1, i2, targets)
                     records[battery].append((names[T], kind, pair))
+    return records
+
+
+def test_coproduct_refutations_pinned():
+    """Every candidate fails on K or Z2, so both batteries return the same
+    records: the first object that fails, how, and for which legs.  The
+    hom-sets the refuter reads from the census lanes give the records of
+    the scalar searches."""
+    records = _coproduct_records("scalar")
+    assert _coproduct_records("lanes") == records
     assert records["default"] == records["K-Z2"]
     kinds = Counter(kind for _, kind, _ in records["default"] + records["K-Z2"])
     assert kinds == {"missing": 1334, "repeated": 1152} and kinds.total() == 2486
@@ -439,16 +464,18 @@ def test_coproduct_refutations_pinned():
     assert digest == "818b1a9c23a5eebee8a12b19fd8a106546613779a41be12eb964aa2d9ecdbc1f"
 
 
-def _equalizer_records(max_size):
+def _equalizer_records(max_size, route):
     """(n, refuted, lift points, z) for every equalizing candidate of order
-    <= max_size, in the order the equalizer refuter walks them."""
+    <= max_size, in the order the equalizer refuter walks them, with
+    Hom(E, L) from `route` (`_class_hom_sets`)."""
     H, F = gf9_quotient().additive, gf9_frobenius()
     L, inc = equalizer(identity_morphism(H), F)
     out = []
     for n in range(1, max_size + 1):
-        for E in enumerate_canonical_hypergroups(n):
+        classes = enumerate_canonical_hypergroups(n)
+        for E, maps in zip(classes, _class_hom_sets(n, L, route)):
             points = lift_points(E)
-            for h in enumerate_morphisms(E, L, Tag.CMSC):
+            for h in maps:
                 e = tuple(inc.map[v] for v in h)
                 out.append((n, *refute_equalizer_candidate(E, points, e, F.map)))
     return out
@@ -456,8 +483,11 @@ def _equalizer_records(max_size):
 
 def test_equalizer_refutations_pinned():
     """Every equalizing candidate of order <= 5 is refuted before the sum
-    step: f (no lift point) or g (one lift point) does not factor."""
-    records = _equalizer_records(5)
+    step: f (no lift point) or g (one lift point) does not factor.  Hom(E,
+    L) read from the census lanes gives the records of the scalar
+    searches."""
+    records = _equalizer_records(5, "scalar")
+    assert _equalizer_records(5, "lanes") == records
     assert all(refuted and z is None for _, refuted, _, z in records)
     through_4 = Counter(len(lifts) for n, _, lifts, _ in records if n <= 4)
     assert through_4 == {0: 347, 1: 111} and through_4.total() == 458
@@ -522,6 +552,34 @@ def test_traced_refuter_names_count_the_candidates(monkeypatch):
     assert "PASS coproduct-refuter: all 1243 candidates of size <= 4 refuted" in lines
     assert "PASS equalizer-refuter: all 458 equalizing candidates of size <= 4 refuted" in lines
     assert calls == {"refute_coproduct_candidate": 1243, "refute_equalizer_candidate": 458}
+
+
+def test_refuters_search_no_hom_set_out_of_a_class(monkeypatch):
+    """At default size the three refuters read every hom-set out of a
+    census class from the lanes and the inverse maps: none of their
+    `enumerate_morphisms` calls has a class as its domain."""
+
+    domains = []
+    original = enumerate_morphisms
+
+    def spy(M, N, tag):
+        domains.append(M)
+        return original(M, N, tag)
+
+    for module_name, module in list(sys.modules.items()):
+        if module_name.split(".")[0] == "hyperkit" and vars(module).get("enumerate_morphisms") is original:
+            monkeypatch.setattr(module, "enumerate_morphisms", spy)
+    with search.scope():
+        classes = {id(G) for n in range(1, 6) for _, block, _ in zoo.census_blocks(n) for G in block}
+        assert len(classes) == 3886
+        for check in (
+            suite.check_klein_four_refuter,
+            suite.check_coproduct_refuter,
+            suite.check_equalizer_refuter,
+        ):
+            assert check(5)[0]
+    # leg_pairs(K), leg_pairs(Z2) and Hom(V x V, K) remain
+    assert domains and not any(id(M) in classes for M in domains)
 
 
 def test_empty_sum_search_small_sizes_exhausted():
