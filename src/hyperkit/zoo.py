@@ -22,7 +22,6 @@ from .core import (
     Morphism,
     canonical_form,
     from_masks,
-    image_tables,
     iter_bits,
     mask_of,
     orbit_partition,
@@ -703,10 +702,13 @@ def enumerate_reversible_tables(
     depends only on v & touch[r], v the orbits decided "in" (the
     orbit-choice vector below) and touch[r] the orbits with an entry in row
     r.  Each block keeps one cache per row from that value to the row and
-    its image table (`core.image_tables`, one byte per mask, padded to the
-    256 bytes of `bytes.translate`), so a pair's check is two lookups and
-    two translations.  The caches live as long as the block's generator.
-    Both cuts drop only subtrees without a valid leaf.
+    its image table (one byte per mask, padded to the 256 bytes of
+    `bytes.translate`), so a pair's check is two lookups and two
+    translations.  Both are ORs of what each orbit decided "in" adds, so a
+    miss ORs parts built once per block, and a leaf reads its rows from the
+    caches (rows alone without `hypergroups`, which checks no pair).  The
+    caches live as long as the block's generator.  Both cuts drop only
+    subtrees without a valid leaf.
 
     Within one sigma the valid tables come in decreasing order of their
     orbit-choice vector v (orbit 0 most significant).  An isomorphism
@@ -811,33 +813,30 @@ def _sigma_tables(n, sigma, hypergroups, budget, share):
     for i in range(k - 1, -1, -1):
         suffix[i] = suffix[i + 1] | cover[i]
 
-    # flat table maintained incrementally; orbits own disjoint bits
-    tab = [0] * (n * n)
-    for x in range(n):
-        tab[x] |= 1 << x
-        tab[x * n] |= 1 << x
-    for x in range(1, n):
-        tab[x * n + sigma[x - 1] + 1] |= 1
-    deltas = []
-    for orb in orbits:
-        d: dict[int, int] = {}
-        for (x, y, z) in orb:
-            j = (x + 1) * n + (y + 1)
-            d[j] = d.get(j, 0) | 1 << (z + 1)
-        deltas.append(tuple(d.items()))
-
-    # Entry j is final from depth final[j] on, and touch[r] holds bit i of
-    # each orbit i with an entry in row r.  checks[i] lists the pairs (a, c)
-    # whose two rows become final at depth i.  By commutativity (a, b, c)
-    # and (c, b, a) are one check and (a, b, a) always holds, so only a < c
-    # is checked.  row_images[r] maps v & touch[r] to final row r and its
-    # image table, padded for `bytes.translate`.
+    # Entry j is final from depth final[j] on.  parts[r][1 << i] is what
+    # orbit i adds to row r and parts[r][0] its fixed entries, as (row,
+    # image table): ints of a byte per entry and per mask, image byte m the
+    # OR of the entries at the bits of m.  So a final row and its image table
+    # are the OR of its parts at 0 and at the orbits "in", and touch[r] holds
+    # bit i of each orbit i with an entry in row r.  checks[i] lists the
+    # pairs (a, c) whose two rows become final at depth i.  By commutativity
+    # (a, b, c) and (c, b, a) are one check and (a, b, a) always holds, so
+    # only a < c is checked.  row_images[r] maps v & touch[r] to final row r
+    # and its image table, padded for `bytes.translate`.
+    spread = [sum(1 << 8 * m for m in range(1 << n) if m >> j & 1) for j in range(n)]
+    parts = [{0: [0, 0]} for _ in range(n)]
+    entries = [(0, 0, x, x) for x in range(n)] + [(0, x, 0, x) for x in range(n)]
+    entries += [(0, x, sigma[x - 1] + 1, 0) for x in range(1, n)]
     final = [0] * (n * n)
-    touch = [0] * n
     for i, orb in enumerate(orbits):
-        for (x, y, _z) in orb:
+        for (x, y, z) in orb:
             final[(x + 1) * n + y + 1] = i + 1
-            touch[x + 1] |= 1 << i
+            entries.append((1 << i, x + 1, y + 1, z + 1))
+    for key, x, y, z in entries:
+        part = parts[x].setdefault(key, [0, 0])
+        part[0] |= 1 << 8 * y + z
+        part[1] |= spread[y] << z
+    touch = list(map(sum, parts))
     checks: list[list[tuple[int, int]]] = [[] for _ in range(k + 1)]
     if hypergroups:
         for a in range(1, n):
@@ -846,9 +845,15 @@ def _sigma_tables(n, sigma, hypergroups, budget, share):
     row_images: list[dict[int, tuple[bytes, bytes]]] = [{} for _ in range(n)]
 
     def fetch(r, key):
-        entries = tab[r * n : r * n + n]
-        (image,) = image_tables(entries)
-        row_images[r][key] = entry = (bytes(entries), bytes(image).ljust(256, b"\0"))
+        row, image = parts[r][0]
+        bits = key
+        while bits:
+            part = parts[r][bits & -bits]
+            row |= part[0]
+            image |= part[1]
+            bits &= bits - 1
+        image = image.to_bytes(256, "little") if hypergroups else b""
+        row_images[r][key] = entry = (row.to_bytes(n, "little"), image)
         return entry
 
     # Depth first, "in" before "out", in one frame.  A node is (i, got, W,
@@ -856,17 +861,12 @@ def _sigma_tables(n, sigma, hypergroups, budget, share):
     # images in every lane (v(pT) in the lane of p), v in every lane and v
     # itself.  The inner loop walks down the "in" children and pushes each
     # "out" child, which keeps got, W, R and v; a cut or a leaf pops the
-    # next node.  `path` lists the orbits decided "in" on the way to the
-    # current node, whose deltas are in tab.  The nodes are counted down in
-    # `left`, which is `budget.left` at every yield and when the block ends.
+    # next node, and a leaf reads its rows from row_images.  The nodes are
+    # counted down in `left`, `budget.left` at every yield and block end.
     stack = [(0, 0, 0, 0, 0)]
-    path = []
     left = budget.left
     while stack:
         i, got, W, R, v = stack.pop()
-        while path and path[-1] >= i - 1:
-            for (j, m) in deltas[path.pop()]:
-                tab[j] ^= m
         while True:
             left -= 1
             if left < 0:
@@ -890,15 +890,15 @@ def _sigma_tables(n, sigma, hypergroups, budget, share):
                 if (u | guards) - w & guards != guards:
                     break
                 if i == k:
-                    rows = [tuple(tab[r : r + n]) for r in range(0, n * n, n)]
+                    rows = [
+                        tuple((row_images[r].get(v & t) or fetch(r, v & t))[0])
+                        for r, t in enumerate(touch)
+                    ]
                     budget.left = left
                     yield tuple(map(share, rows, rows))
                     left = budget.left
                     break
                 stack.append((i + 1, got, W, R, v))
-                for (j, m) in deltas[i]:
-                    tab[j] |= m
-                path.append(i)
                 got |= cover[i]
                 W |= img[i]
                 R |= rep[i]

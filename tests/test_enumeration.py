@@ -607,6 +607,21 @@ def test_tables_and_order_pinned_past_old_algorithm(build, classes, digest):
     assert hashlib.sha256(repr(found).encode()).hexdigest() == digest
 
 
+def test_order5_mosaic_blocks_pinned():
+    """Every table of the order-5 mosaic search in search order, each block
+    with its inverse map, recorded from the search that kept one table and
+    patched it at every step.  No pair check reads a mosaic's rows, so the
+    rows its leaves read are pinned here alone."""
+    found = [
+        (inverse, tuple(tables))
+        for inverse, tables in zoo.reversible_table_blocks(5, hypergroups=False)
+    ]
+    assert [len(tables) for _inverse, tables in found] == [45960, 4224, 336]
+    assert hashlib.sha256(repr(found).encode()).hexdigest() == (
+        "bac653f715f246ed25bfeae0d9fd859f75735a0fedf8853166034720bb414d4d"
+    )
+
+
 def test_node_count_at_cap_boundary_order6_one_sigma(monkeypatch):
     set_search_cap(monkeypatch, 96_149)
     assert len(list(zoo.enumerate_reversible_tables(6, sigma=ORDER6_SIGMA))) == 9685

@@ -4,13 +4,15 @@ name from the module that defines it, no function-level import but cli's deferre
 no name a function reads that is bound nowhere, no memo outside hyperkit.search,
 memoised functions with positional parameters only, no bare `assert` in any
 module, no definition that nothing names, no dataclass field that nothing
-reads, no function parameter that its body never reads, and every function
-the benchmark's tracer wraps still exists."""
+reads, no function parameter that its body never reads, every function
+the benchmark's tracer wraps still exists, and every module stays below
+8,192 tokens."""
 import ast
 import builtins
 import importlib
 import os
 import symtable
+import tokenize
 
 import pytest
 
@@ -184,6 +186,21 @@ def test_memo_functions_take_positional_args_only(name):
 def test_no_bare_assert(name):
     lines = [node.lineno for node in ast.walk(_tree(name)) if isinstance(node, ast.Assert)]
     assert lines == []
+
+
+# CPython 3.11's parser allocates its tokens in blocks that double in size,
+# so a module of 8,192 tokens or more compiles with a higher memory peak, and
+# every pass of the benchmark compiles the package from source.  Comments,
+# blank lines and the encoding marker are not counted.
+TOKEN_LIMIT = 8192
+UNCOUNTED = {tokenize.COMMENT, tokenize.NL, tokenize.ENCODING}
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_module_stays_below_the_parser_token_step(name):
+    with open(os.path.join(SRC, name), "rb") as fh:
+        tokens = sum(t.type not in UNCOUNTED for t in tokenize.tokenize(fh.readline))
+    assert tokens < TOKEN_LIMIT
 
 
 def test_traced_names_resolve():
