@@ -6,9 +6,9 @@ goldens independent of how the object was produced.  The associativity and
 reversibility loops skip the triples whose answer is already fixed: those
 holding the scalar identity and, in a commutative table, the mirror image of
 a triple already tried (see `_associative_witness`, `_reversible_witness`).
-`lane_failures` gives only the canonical-hypergroup verdict, for a given
-identity and inverse map, on the same triples, for many tables at once,
-packed by `core.pack_lanes` in byte lanes, one byte per table, n <= 8.
+`lane_failures` gives only the commutative-mosaic or canonical-hypergroup
+verdict for a given identity and inverse map, on the same triples, for many
+tables at once, in the byte lanes of `core.pack_lanes` (n <= 8).
 """
 from __future__ import annotations
 
@@ -257,10 +257,12 @@ def axiom_report(M: Hypermagma) -> AxiomReport:
     )
 
 
-def lane_failures(lanes: Lanes, e: int, inv: tuple[int, ...]) -> bytes:
-    """One byte per lane, 0 where the packed table is a commutative
-    canonical hypergroup with scalar identity e and inverse map inv (what
-    `from_masks` finds and `axiom_report` classifies as canonical), else 1.
+def lane_failures(lanes: Lanes, e: int, inv: tuple[int, ...], hypergroups: bool) -> bytes:
+    """One byte per lane, 0 where the packed table is a commutative mosaic
+    with scalar identity e and inverse map inv (what `from_masks` finds, and
+    `axiom_report` reports commutative and reversible), else 1; with
+    `hypergroups`, 0 only where it is also total and associative, a
+    canonical hypergroup.
 
     Every check is a few big-int operations for all lanes at once (see
     `Lanes`).  A lane that fails commutativity fails whatever its other
@@ -293,24 +295,26 @@ def lane_failures(lanes: Lanes, e: int, inv: tuple[int, ...]) -> bytes:
             if x <= y:
                 held = m >> e & ones
                 failed |= held ^ ones if y == inv[x] else held
-    failed |= ones ^ nonempty | nonzero(off_unit)
+    failed |= nonzero(off_unit)
 
     others = [x for x in range(n) if x != e]
-    # spreads[x, y][t]: all ones in the lanes where t is in x*y
-    spreads = {
-        (x, y): [(E[x][y] >> t & ones) * 255 for t in range(n)] for x in others for y in others
-    }
-    for a, i in enumerate(others):
-        row_i = E[i]
-        for j in others:
-            ij = spreads[i, j]
-            for k in others[a + 1 :]:
-                jk = spreads[j, k]
-                left = right = 0
-                for t in range(n):
-                    left |= ij[t] & E[t][k]
-                    right |= jk[t] & row_i[t]
-                failed |= nonzero(left ^ right)
+    if hypergroups:
+        failed |= ones ^ nonempty
+        # spreads[x, y][t]: all ones in the lanes where t is in x*y
+        spreads = {
+            (x, y): [(E[x][y] >> t & ones) * 255 for t in range(n)] for x in others for y in others
+        }
+        for a, i in enumerate(others):
+            row_i = E[i]
+            for j in others:
+                ij = spreads[i, j]
+                for k in others[a + 1 :]:
+                    jk = spreads[j, k]
+                    left = right = 0
+                    for t in range(n):
+                        left |= ij[t] & E[t][k]
+                        right |= jk[t] & row_i[t]
+                    failed |= nonzero(left ^ right)
 
     for a, y in enumerate(others):
         row_yinv = E[inv[y]]

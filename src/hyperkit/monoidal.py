@@ -42,8 +42,8 @@ from .search import Budget, memo
 from .univ import coequalizer, free, unitize
 from .zoo import (
     Multiring,
+    census_blocks,
     check_multiring,
-    enumerate_reversible_tables,
     involutions,
     krasner,
     z2,
@@ -345,10 +345,10 @@ def empty_sum_search(max_size: int) -> EmptySumOutcome:
     The self-inverse set S is {t | 0 in t+t} = fixed points of the inversion
     plus 0, so a witness needs two distinct nonzero fixed points and at least
     one non-fixed pair; involution types failing that are excluded outright.
-    The others are searched class by class in the order of
-    `enumerate_reversible_tables`: the witness is the first class with fixed
-    points x < y whose x + y is nonempty and disjoint from S, with the first
-    such pair.
+    The others are searched class by class, in their block of
+    `census_blocks(n, True)`, which is read only for a kept involution type:
+    the witness is the first class with fixed points x < y whose x + y is
+    nonempty and disjoint from S, with the first such pair.
     """
     steps = []
     for n in range(2, max_size + 1):
@@ -367,7 +367,7 @@ def empty_sum_search(max_size: int) -> EmptySumOutcome:
                 )
                 continue
             S = 1 | mask_of(fixed)
-            for M in enumerate_reversible_tables(n, sigma=sigma):
+            for M in census_blocks(n, True)[swaps][1]:
                 for x, y in itertools.combinations(fixed, 2):
                     if M.table[x][y] and not M.table[x][y] & S:
                         ensure(

@@ -494,13 +494,13 @@ def check_klein_four() -> tuple[bool, str]:
 
 @search.memo
 def census_homs(n: int, N: Hypermagma) -> tuple[list[tuple[tuple[int, ...], ...]], ...]:
-    """Hom(G, N) in cMsc for every class G of `census_blocks(n)`, one list
+    """Hom(G, N) in cMsc for every class G of `census_blocks(n, True)`, one list
     per block, read from the block's lanes by `lane_morphisms`: what
     `enumerate_morphisms(G, N, Tag.CMSC)` lists.  N is a unital mosaic.
     One `Budget` is charged across the blocks."""
     budget = search.Budget(f"lane_morphisms(n={n}, |N|={N.n}, cmsc)")
     return tuple(
-        lane_morphisms(lanes, inverse, N, budget) for inverse, _classes, lanes in census_blocks(n)
+        lane_morphisms(lanes, inverse, N, budget) for inverse, _, lanes in census_blocks(n, True)
     )
 
 
@@ -523,7 +523,7 @@ def _census(max_size: int, *codomains: Hypermagma) -> Iterator[tuple]:
     three refuters share."""
     for n in range(1, max_size + 1):
         homs = [census_homs(n, N) for N in codomains]
-        for b, (inverse, classes, _lanes) in enumerate(census_blocks(n)):
+        for b, (inverse, classes, _lanes) in enumerate(census_blocks(n, True)):
             yield inverse, classes, [h[b] for h in homs]
 
 

@@ -674,18 +674,22 @@ def _canonicity_lanes(k: int, symmetries: list) -> tuple[list[int], list[int], l
     return img, rep, masks, ones << k
 
 
-def enumerate_reversible_tables(
+def reversible_table_blocks(
     n: int, hypergroups: bool = True, sigma: tuple[int, ...] | None = None
-):
-    """Yield commutative unital reversible tables on n elements (0 is the
+) -> Iterator[tuple[tuple[int, ...], Iterator[tuple[tuple[int, ...], ...]]]]:
+    """The commutative unital reversible tables on n elements (0 is the
     unit), only the total and associative ones if `hypergroups`: one table
-    per isomorphism class.
+    per isomorphism class, one block per sigma the search visits, as (the
+    inverse map of the block's tables, an iterator of the tables in search
+    order).  A table is a tuple of row tuples, and every table of one call
+    holds the same tuple for equal rows.  `census_blocks` builds the
+    objects.
 
     Every table is isomorphic to one whose inversion is a canonical
     involution sigma of the nonzero elements, x -> sigma(x - 1) + 1, and the
     search visits one sigma per cycle type, fewest swaps first
     (`involutions`).  Given `sigma`, one of those, it visits only that one
-    and yields the tables the full search yields for it.
+    and yields the block the full search yields for it.
 
     For each sigma the free choices are the orbits of nonzero triples
     (x, y, z), read "z in x + y", under the commutativity move (y, x, z) and
@@ -705,10 +709,11 @@ def enumerate_reversible_tables(
     its image table (one byte per mask, padded to the 256 bytes of
     `bytes.translate`), so a pair's check is two lookups and two
     translations.  Both are ORs of what each orbit decided "in" adds, so a
-    miss ORs parts built once per block, and a leaf reads its rows from the
-    caches (rows alone without `hypergroups`, which checks no pair).  The
-    caches live as long as the block's generator.  Both cuts drop only
-    subtrees without a valid leaf.
+    miss ORs parts built once per block.  A leaf reads each row from one
+    more cache per row, from that value to the row tuple the tables share,
+    so that cache holds no row the tables do not.  The caches live as long
+    as the block's generator.  Both cuts drop only subtrees without a valid
+    leaf.
 
     Within one sigma the valid tables come in decreasing order of their
     orbit-choice vector v (orbit 0 most significant).  An isomorphism
@@ -746,23 +751,11 @@ def enumerate_reversible_tables(
     nodes and the yielded tables, are those of comparing each p on its own.
     The search runs in one generator frame, on an explicit stack of the
     "out" children still to visit.
-    """
-    labels = tuple(str(v) for v in range(n))
-    blocks = reversible_table_blocks(n, hypergroups, sigma)
-    return (from_masks(labels, table) for _inverse, tables in blocks for table in tables)
 
-
-def reversible_table_blocks(
-    n: int, hypergroups: bool = True, sigma: tuple[int, ...] | None = None
-) -> Iterator[tuple[tuple[int, ...], Iterator[tuple[tuple[int, ...], ...]]]]:
-    """The search of `enumerate_reversible_tables`, one block per sigma it
-    visits: (the inverse map of the block's tables, an iterator of the
-    tables in search order).  A table is a tuple of row tuples, and every
-    table of one call holds the same tuple for equal rows.  The blocks
-    share one `Budget`, spent node by node as the tables are read: a block
-    counts its nodes down in a local copy of `budget.left`, written back
-    before each table is yielded and when the block ends, so blocks read in
-    turn spend the budget as if read one after the other.
+    The blocks share one `Budget`, spent node by node as the tables are
+    read: a block counts its nodes down in a local copy of `budget.left`,
+    written back before each table is yielded and when the block ends, so
+    blocks read in turn spend the budget as if read one after the other.
 
     Raises `ValueError` when n < 0, when n > 8, or when `sigma` is not one
     of `involutions(n - 1)`.  The byte image tables, like `pack_lanes`, hold
@@ -770,18 +763,18 @@ def reversible_table_blocks(
     would take longer than any cap could stop.
     """
     if n < 0:
-        raise ValueError(f"enumerate_reversible_tables: n must be >= 0, got {n}")
+        raise ValueError(f"reversible_table_blocks: n must be >= 0, got {n}")
     if n > 8:
-        raise ValueError(f"enumerate_reversible_tables: n must be <= 8, got {n}")
+        raise ValueError(f"reversible_table_blocks: n must be <= 8, got {n}")
     sigmas = involutions(n - 1)
     if sigma is not None:
         if tuple(sigma) not in sigmas:
             raise ValueError(
-                f"enumerate_reversible_tables: sigma must be one of involutions({n - 1}), "
+                f"reversible_table_blocks: sigma must be one of involutions({n - 1}), "
                 f"got {sigma!r}"
             )
         sigmas = [tuple(sigma)]
-    budget = Budget(f"enumerate_reversible_tables(n={n})")
+    budget = Budget(f"reversible_table_blocks(n={n})")
     # one tuple per distinct row for every table of the call
     share = {}.setdefault
     return (
@@ -814,17 +807,18 @@ def _sigma_tables(n, sigma, hypergroups, budget, share):
         suffix[i] = suffix[i + 1] | cover[i]
 
     # Entry j is final from depth final[j] on.  parts[r][1 << i] is what
-    # orbit i adds to row r and parts[r][0] its fixed entries, as (row,
-    # image table): ints of a byte per entry and per mask, image byte m the
-    # OR of the entries at the bits of m.  So a final row and its image table
-    # are the OR of its parts at 0 and at the orbits "in", and touch[r] holds
-    # bit i of each orbit i with an entry in row r.  checks[i] lists the
-    # pairs (a, c) whose two rows become final at depth i.  By commutativity
-    # (a, b, c) and (c, b, a) are one check and (a, b, a) always holds, so
-    # only a < c is checked.  row_images[r] maps v & touch[r] to final row r
-    # and its image table, padded for `bytes.translate`.
-    spread = [sum(1 << 8 * m for m in range(1 << n) if m >> j & 1) for j in range(n)]
-    parts = [{0: [0, 0]} for _ in range(n)]
+    # orbit i adds to row r and parts[r][0] its fixed entries, each one int
+    # of n + 256 bytes: the row, a byte per entry, then its image table, byte
+    # m the OR of the entries at the bits of m.  So a final row and its image
+    # table are the OR of its parts at 0 and at the orbits "in", and touch[r]
+    # holds bit i of each orbit i with an entry in row r.  checks[i] lists
+    # the pairs (a, c) whose two rows become final at depth i.  By
+    # commutativity (a, b, c) and (c, b, a) are one check and (a, b, a)
+    # always holds, so only a < c is checked.  images[r] maps v & touch[r] to
+    # final row r and its image table, padded for `bytes.translate`, and
+    # rows[r] to the row's shared tuple.
+    spread = [sum(1 << 8 * (n + m) for m in range(1 << n) if m >> j & 1) for j in range(n)]
+    parts = [{0: 0} for _ in range(n)]
     entries = [(0, 0, x, x) for x in range(n)] + [(0, x, 0, x) for x in range(n)]
     entries += [(0, x, sigma[x - 1] + 1, 0) for x in range(1, n)]
     final = [0] * (n * n)
@@ -833,35 +827,41 @@ def _sigma_tables(n, sigma, hypergroups, budget, share):
             final[(x + 1) * n + y + 1] = i + 1
             entries.append((1 << i, x + 1, y + 1, z + 1))
     for key, x, y, z in entries:
-        part = parts[x].setdefault(key, [0, 0])
-        part[0] |= 1 << 8 * y + z
-        part[1] |= spread[y] << z
+        parts[x][key] = parts[x].get(key, 0) | (1 << 8 * y | spread[y]) << z
     touch = list(map(sum, parts))
-    checks: list[list[tuple[int, int]]] = [[] for _ in range(k + 1)]
+    checks = [[] for _ in range(k + 1)]
     if hypergroups:
         for a in range(1, n):
             for c in range(a + 1, n):
                 checks[max(final[a * n : a * n + n] + final[c * n : c * n + n])].append((a, c))
-    row_images: list[dict[int, tuple[bytes, bytes]]] = [{} for _ in range(n)]
+    images = [{} for _ in range(n)]
+    rows = [{} for _ in range(n)]
+    row_bytes = (1 << 8 * n) - 1
+
+    def joined(r, key):
+        out = parts[r][0]
+        while key:
+            out |= parts[r][key & -key]
+            key &= key - 1
+        return out
 
     def fetch(r, key):
-        row, image = parts[r][0]
-        bits = key
-        while bits:
-            part = parts[r][bits & -bits]
-            row |= part[0]
-            image |= part[1]
-            bits &= bits - 1
-        image = image.to_bytes(256, "little") if hypergroups else b""
-        row_images[r][key] = entry = (row.to_bytes(n, "little"), image)
+        both = joined(r, key)
+        image = (both >> 8 * n).to_bytes(256, "little")
+        images[r][key] = entry = ((both & row_bytes).to_bytes(n, "little"), image)
         return entry
+
+    def leaf_row(r, key):
+        row = tuple((joined(r, key) & row_bytes).to_bytes(n, "little"))
+        rows[r][key] = row = share(row, row)
+        return row
 
     # Depth first, "in" before "out", in one frame.  A node is (i, got, W,
     # R, v): its depth, the coverage of the orbits decided "in", their
     # images in every lane (v(pT) in the lane of p), v in every lane and v
     # itself.  The inner loop walks down the "in" children and pushes each
     # "out" child, which keeps got, W, R and v; a cut or a leaf pops the
-    # next node, and a leaf reads its rows from row_images.  The nodes are
+    # next node, and a leaf reads its rows from `rows`.  The nodes are
     # counted down in `left`, `budget.left` at every yield and block end.
     stack = [(0, 0, 0, 0, 0)]
     left = budget.left
@@ -876,9 +876,9 @@ def _sigma_tables(n, sigma, hypergroups, budget, share):
                 break
             for a, c in checks[i]:
                 key_a = v & touch[a]
-                row_a, image_a = row_images[a].get(key_a) or fetch(a, key_a)
+                row_a, image_a = images[a].get(key_a) or fetch(a, key_a)
                 key_c = v & touch[c]
-                row_c, image_c = row_images[c].get(key_c) or fetch(c, key_c)
+                row_c, image_c = images[c].get(key_c) or fetch(c, key_c)
                 if row_a.translate(image_c) != row_c.translate(image_a):
                     break
             else:
@@ -890,12 +890,9 @@ def _sigma_tables(n, sigma, hypergroups, budget, share):
                 if (u | guards) - w & guards != guards:
                     break
                 if i == k:
-                    rows = [
-                        tuple((row_images[r].get(v & t) or fetch(r, v & t))[0])
-                        for r, t in enumerate(touch)
-                    ]
+                    table = [rows[r].get(v & t) or leaf_row(r, v & t) for r, t in enumerate(touch)]
                     budget.left = left
-                    yield tuple(map(share, rows, rows))
+                    yield tuple(table)
                     left = budget.left
                     break
                 stack.append((i + 1, got, W, R, v))
@@ -945,21 +942,17 @@ def enumerate_unital_hypermagmas(n: int) -> tuple[Hypermagma, ...]:
 
 
 @memo
-def enumerate_small_mosaics(n: int) -> tuple[Hypermagma, ...]:
-    """Every commutative mosaic on n elements up to isomorphism, in the order
-    of `enumerate_reversible_tables`."""
-    return tuple(enumerate_reversible_tables(n, hypergroups=False))
+def census_blocks(
+    n: int, hypergroups: bool
+) -> tuple[tuple[tuple[int, ...], tuple[Hypermagma, ...], Lanes], ...]:
+    """The commutative mosaics on n elements, or with `hypergroups` the
+    canonical hypergroups, one per isomorphism class, one sigma block of
+    `reversible_table_blocks` at a time: (the block's inverse map, its
+    classes, their tables in byte lanes).  This is the one route from the
+    search to objects.
 
-
-@memo
-def census_blocks(n: int) -> tuple[tuple[tuple[int, ...], tuple[Hypermagma, ...], Lanes], ...]:
-    """The canonical hypergroups on n elements, one per isomorphism class,
-    one sigma block of `reversible_table_blocks` at a time: (the block's
-    inverse map, its classes, their tables in byte lanes).
-
-    The classes are the total associative tables of
-    `enumerate_reversible_tables`: each class once, represented by its
-    first table in search order, classes in that order.  Each block is
+    The classes are the search's tables: each class once, represented by
+    its first table in search order, classes in that order.  Each block is
     packed once (`pack_lanes`: one byte lane per table, so the lanes hold
     n <= 8, as the search does) and checked in one `lane_failures` call,
     which also checks that every table has the identity 0 and the block's
@@ -973,32 +966,33 @@ def census_blocks(n: int) -> tuple[tuple[tuple[int, ...], tuple[Hypermagma, ...]
     """
     labels = tuple(str(v) for v in range(n))
     out = []
-    for inverse, tables in reversible_table_blocks(n):
+    for inverse, tables in reversible_table_blocks(n, hypergroups):
         tables = list(tables)
         lanes = pack_lanes(n, tables)
-        bad = lane_failures(lanes, 0, inverse)
+        bad = lane_failures(lanes, 0, inverse, hypergroups)
         if any(bad):
             M = from_masks(labels, tables[bad.index(1)])
-            if (M.identity, M.inverse) == (0, inverse):
+            e, inv = M.identity, M.inverse
+            kind = f"table with identity {e} and inverse map {inv}, not 0 and {inverse}"
+            if (e, inv) == (0, inverse):
                 kind = axiom_report(M).classification
-            else:
-                kind = (
-                    f"table with identity {M.identity} and inverse map {M.inverse}, "
-                    f"not 0 and {inverse}"
-                )
-            ensure(False, f"enumerate_canonical_hypergroups(n={n}) produced a {kind}")
+            ensure(False, f"census_blocks(n={n}, hypergroups={hypergroups}) produced a {kind}")
         out.append((inverse, tuple([Hypermagma(labels, t, 0, inverse) for t in tables]), lanes))
     return tuple(out)
 
 
 @memo
+def enumerate_small_mosaics(n: int) -> tuple[Hypermagma, ...]:
+    """Every commutative mosaic on n elements up to isomorphism: the classes
+    of `census_blocks(n, False)`, block after block."""
+    return tuple(M for _inverse, classes, _lanes in census_blocks(n, False) for M in classes)
+
+
+@memo
 def enumerate_canonical_hypergroups(n: int) -> list[Hypermagma]:
     """Canonical hypergroups on n elements, one per isomorphism class: the
-    classes of `census_blocks(n)`, block after block."""
-    out = []
-    for _inverse, classes, _lanes in census_blocks(n):
-        out += classes
-    return out
+    classes of `census_blocks(n, True)`, block after block."""
+    return [M for _inverse, classes, _lanes in census_blocks(n, True) for M in classes]
 
 
 # ---------------------------------------------------------------------------

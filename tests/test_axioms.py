@@ -165,7 +165,7 @@ def test_census_classes_scan_their_inverses_once(monkeypatch):
 
     monkeypatch.setattr(core, "inverse_scan", counted)
     monkeypatch.setattr(axioms, "inverse_scan", counted)
-    classes = [M for _inverse, block, _lanes in census_blocks.__wrapped__(4) for M in block]
+    classes = [M for _inverse, block, _lanes in census_blocks.__wrapped__(4, True) for M in block]
     assert scanned == [] and len(classes) == 97
     assert all(axiom_report(M).unique_inverses for M in classes) and scanned == []
     assert [core.from_masks(M.labels, M.table) for M in classes] == classes

@@ -1,6 +1,7 @@
 """Oracles for the canonical hypergroup enumerator.
 
-Two references check `enumerate_reversible_tables` and what is built on it:
+Two references check the search of `reversible_table_blocks` and what is
+built on it:
 
 - a copy of the original algorithm: the same orbit search without pruning,
   associativity checked on complete tables only, and isomorphic copies
@@ -54,6 +55,13 @@ from hyperkit.zoo import enumerate_canonical_hypergroups, enumerate_small_mosaic
 from util import set_search_cap
 
 CANONICAL = ("CanonicalHypergroup", "AbelianGroup")
+
+
+def _tables(n, **kwargs):
+    """The tables of `reversible_table_blocks(n, **kwargs)`, block after
+    block."""
+    return [t for _inverse, tables in zoo.reversible_table_blocks(n, **kwargs) for t in tables]
+
 
 # ---------------------------------------------------------------------------
 # The original algorithm, kept as an oracle
@@ -219,9 +227,9 @@ def test_hypergroup_search_is_the_filtered_mosaic_search(n):
     hypergroup tables has the same first table in both searches, which
     visit the tables in one order: the mosaic search, filtered, is the
     hypergroup search (50,520 tables filter to 3,776 at n = 5)."""
-    mosaics = zoo.enumerate_reversible_tables(n, hypergroups=False)
+    mosaics = enumerate_small_mosaics(n)
     expected = [M.table for M in mosaics if _total_and_associative(M)]
-    assert [M.table for M in zoo.enumerate_reversible_tables(n)] == expected
+    assert [M.table for M in enumerate_canonical_hypergroups(n)] == expected
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +343,8 @@ def _every_table(monkeypatch, n, **kwargs):
     """Inversions of every valid table, with the canonicity tests off."""
     with monkeypatch.context() as m:
         m.setattr(zoo, "_orbit_symmetries", lambda *args: [])
-        return Counter(_sigma_of(M) for M in zoo.enumerate_reversible_tables(n, **kwargs))
+        tables = _tables(n, **kwargs)
+    return Counter(_sigma_of(from_masks(range(n), t)) for t in tables)
 
 
 @pytest.mark.parametrize("n, tables", [(3, 15), (4, 326), (5, 65168)])
@@ -361,8 +370,7 @@ def test_one_sigma_yields_its_block_of_the_full_run(n, hypergroups):
     assert {_sigma_of(M) for M in full} <= set(sigmas)
     for sigma in sigmas:
         block = [M.table for M in full if _sigma_of(M) == sigma]
-        alone = zoo.enumerate_reversible_tables(n, hypergroups, sigma)
-        assert [M.table for M in alone] == block
+        assert _tables(n, hypergroups=hypergroups, sigma=sigma) == block
 
 
 @pytest.mark.parametrize("n, nodes, classes", [(4, 626, 97), (5, 41575, 3776)])
@@ -370,10 +378,10 @@ def test_node_count_at_cap_boundary(monkeypatch, n, nodes, classes):
     # the leaf test alone visited 1,276 and 379,861 nodes
     assert nodes <= 76_000
     set_search_cap(monkeypatch, nodes)
-    assert len(list(zoo.enumerate_reversible_tables(n))) == classes
+    assert len(_tables(n)) == classes
     set_search_cap(monkeypatch, nodes - 1)
     with pytest.raises(SearchCapExceeded):
-        list(zoo.enumerate_reversible_tables(n))
+        _tables(n)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
@@ -562,15 +570,17 @@ def test_first_order6_identity_tables_pinned(monkeypatch):
     most symmetries (119), and the 12,465 nodes that reach them, both
     recorded from the search that compared one symmetry at a time."""
     identity = (0, 1, 2, 3, 4)
+    labels = tuple(str(v) for v in range(6))
     set_search_cap(monkeypatch, 12_465)
-    tables = zoo.enumerate_reversible_tables(6, sigma=identity)
-    found = [(M.labels, M.table) for M in itertools.islice(tables, 5000)]
+    ((_inverse, tables),) = zoo.reversible_table_blocks(6, sigma=identity)
+    found = [(labels, t) for t in itertools.islice(tables, 5000)]
     assert hashlib.sha256(repr(found).encode()).hexdigest() == (
         "06219ee185af41e44039a5fd42a2436f9c747cc6c92b6bcf2f388e45fa0c0166"
     )
     set_search_cap(monkeypatch, 12_464)
+    ((_inverse, tables),) = zoo.reversible_table_blocks(6, sigma=identity)
     with pytest.raises(SearchCapExceeded):
-        list(itertools.islice(zoo.enumerate_reversible_tables(6, sigma=identity), 5000))
+        list(itertools.islice(tables, 5000))
 
 
 # one sigma at order 6: 9,685 classes in about 96,000 nodes
@@ -586,7 +596,7 @@ ORDER6_SIGMA = (1, 0, 3, 2, 4)
             "5033ca3db8162699f684525d4fbd4cce98daf761db0caf2f3d3c5910132eec79",
         ),
         (
-            lambda: zoo.enumerate_reversible_tables(6, sigma=ORDER6_SIGMA),
+            lambda: [from_masks(range(6), t) for t in _tables(6, sigma=ORDER6_SIGMA)],
             9685,
             "d07da2b3274b2853c71e829ae63476cb1a5514787330fe81fd22b2829b5fcaa8",
         ),
@@ -624,10 +634,10 @@ def test_order5_mosaic_blocks_pinned():
 
 def test_node_count_at_cap_boundary_order6_one_sigma(monkeypatch):
     set_search_cap(monkeypatch, 96_149)
-    assert len(list(zoo.enumerate_reversible_tables(6, sigma=ORDER6_SIGMA))) == 9685
+    assert len(_tables(6, sigma=ORDER6_SIGMA)) == 9685
     set_search_cap(monkeypatch, 96_148)
     with pytest.raises(SearchCapExceeded):
-        list(zoo.enumerate_reversible_tables(6, sigma=ORDER6_SIGMA))
+        _tables(6, sigma=ORDER6_SIGMA)
 
 
 # ---------------------------------------------------------------------------
@@ -645,21 +655,28 @@ blocks = zoo.reversible_table_blocks
 
 def with_table(table, inverse):
     # the search, with table yielded last in the block of inverse
-    def patched(n):
-        for inv, tables in blocks(n):
+    def patched(n, hypergroups):
+        for inv, tables in blocks(n, hypergroups):
             yield inv, [*tables, table] if inv == inverse else tables
     return patched
 
 
 # a real commutative mosaic with an empty sum, so no hypergroup, in the
 # block of its own inverse map; then a real hypergroup whose inverse map
-# swaps 1 and 2, in the block that claims the identity map
+# swaps 1 and 2, in the block that claims the identity map; then, among the
+# mosaics, a commutative table with identity 0 and that inverse map where 1
+# is in 1 + 2 but 2 is not in 1 + 1 = {0}, so not reversible
 mosaic = next(M for M in zoo.enumerate_small_mosaics(3) if not all(M.table[1]))
 swapped = next(M for M in zoo.enumerate_canonical_hypergroups(3) if M.inverse == (0, 2, 1))
-for table, inverse in ((mosaic.table, mosaic.inverse), (swapped.table, (0, 1, 2))):
+irreversible = ((1, 2, 4), (2, 1, 2), (4, 2, 1))
+for table, inverse, enumerate_classes in (
+    (mosaic.table, mosaic.inverse, zoo.enumerate_canonical_hypergroups),
+    (swapped.table, (0, 1, 2), zoo.enumerate_canonical_hypergroups),
+    (irreversible, (0, 1, 2), zoo.enumerate_small_mosaics),
+):
     zoo.reversible_table_blocks = with_table(table, inverse)
     try:
-        zoo.enumerate_canonical_hypergroups(3)
+        enumerate_classes(3)
     except errors.InvariantViolated as exc:
         print("raised:", exc)
 """
@@ -677,9 +694,10 @@ for table, inverse in ((mosaic.table, mosaic.inverse), (swapped.table, (0, 1, 2)
     lines = proc.stdout.splitlines()
     assert lines == [
         "1 97",
-        "raised: enumerate_canonical_hypergroups(n=3) produced a CommutativeMosaic",
-        "raised: enumerate_canonical_hypergroups(n=3) produced a table with identity 0 "
+        "raised: census_blocks(n=3, hypergroups=True) produced a CommutativeMosaic",
+        "raised: census_blocks(n=3, hypergroups=True) produced a table with identity 0 "
         "and inverse map (0, 2, 1), not 0 and (0, 1, 2)",
+        "raised: census_blocks(n=3, hypergroups=False) produced a UnitalHypermagma",
     ]
 
 
@@ -698,22 +716,22 @@ def test_search_arguments_checked(n, sigma, name):
     """A sigma that is not one of `involutions(n - 1)`, n < 0 and n > 8
     raise `ValueError` naming the argument, before any table is searched:
     at n = 9 listing the symmetries alone would outlast any cap."""
-    with pytest.raises(ValueError, match=f"^enumerate_reversible_tables: {name} must be"):
-        zoo.enumerate_reversible_tables(n, sigma=sigma)
-    with pytest.raises(ValueError, match=f"^enumerate_reversible_tables: {name} must be"):
+    with pytest.raises(ValueError, match=f"^reversible_table_blocks: {name} must be"):
+        zoo.reversible_table_blocks(n, sigma=sigma)
+    with pytest.raises(ValueError, match=f"^reversible_table_blocks: {name} must be"):
         zoo.reversible_table_blocks(n, False, sigma)
     if sigma is None:
         bound = ">= 0" if n < 0 else "<= 8"
-        with pytest.raises(ValueError, match=f"^enumerate_reversible_tables: n must be {bound}, "):
+        with pytest.raises(ValueError, match=f"^reversible_table_blocks: n must be {bound}, "):
             enumerate_canonical_hypergroups.__wrapped__(n)
 
 
 def test_blocks_are_the_search_by_sigma():
     """`reversible_table_blocks` yields, one block per sigma of
-    `involutions(n - 1)`, the tables of `enumerate_reversible_tables` in
-    order, each block with its tables' inverse map."""
+    `involutions(n - 1)`, the tables of the census classes in order, each
+    block with its tables' inverse map."""
     for n, hypergroups in ((1, True), (3, True), (4, True), (5, True), (4, False)):
-        full = zoo.enumerate_reversible_tables(n, hypergroups)
+        full = enumerate_canonical_hypergroups(n) if hypergroups else enumerate_small_mosaics(n)
         blocks = [(inv, list(tables)) for inv, tables in zoo.reversible_table_blocks(n, hypergroups)]
         assert [inv[1:] for inv, _ in blocks] == [
             tuple(x + 1 for x in sigma) for sigma in zoo.involutions(n - 1)
@@ -725,13 +743,14 @@ def test_blocks_are_the_search_by_sigma():
 
 @pytest.mark.parametrize("n, nodes, classes", [(4, 626, 97), (5, 41575, 3776)])
 def test_census_node_count_at_cap_boundary(monkeypatch, n, nodes, classes):
-    """The census runs the search of `enumerate_reversible_tables`, node
-    for node."""
+    """The census runs the search of `reversible_table_blocks`, node for
+    node."""
     set_search_cap(monkeypatch, nodes)
-    assert sum(len(block) for _inverse, block, _lanes in zoo.census_blocks.__wrapped__(n)) == classes
+    blocks = zoo.census_blocks.__wrapped__(n, True)
+    assert sum(len(block) for _inverse, block, _lanes in blocks) == classes
     set_search_cap(monkeypatch, nodes - 1)
     with pytest.raises(SearchCapExceeded):
-        zoo.census_blocks.__wrapped__(n)
+        zoo.census_blocks.__wrapped__(n, True)
 
 
 def _read_in_turn(tables):
@@ -819,21 +838,22 @@ def test_census_caches_no_report(monkeypatch):
     monkeypatch.setattr(
         zoo, "pack_lanes", lambda *args: packed.append(args) or pack_lanes(*args)
     )
-    blocks = zoo.census_blocks.__wrapped__(4)
+    blocks = zoo.census_blocks.__wrapped__(4, True)
     classes = [M for _inverse, block, _lanes in blocks for M in block]
     assert len(classes) == 97 and len(seen) == len(packed) == len(blocks) == len(zoo.involutions(3))
     assert classes == enumerate_canonical_hypergroups(4)
     # the kernel read every class once, block after block
-    for (lanes, e, inverse), (kept_inverse, block, kept) in zip(seen, blocks):
-        assert kept is lanes and kept_inverse is inverse
+    for (lanes, e, inverse, hypergroups), (kept_inverse, block, kept) in zip(seen, blocks):
+        assert kept is lanes and kept_inverse is inverse and hypergroups is True
         assert lanes == pack_lanes(4, [M.table for M in block])
         assert {(M.identity, M.inverse) for M in block} == {(e, inverse)}
 
 
-# tracemalloc's count for one class of list(enumerate_reversible_tables(5)):
-# 225 bytes measured (the Hypermagma, its table tuple and its list slot), 305
-# when each class held its own inverse tuple, 754 when it held its own rows
-# and labels too
+# tracemalloc's count for one class of a cold census_blocks(5, True): 253
+# bytes measured (the Hypermagma, its table tuple, its slot in the block
+# and its share of the block's lanes); 225 for a class built by from_masks
+# into a list, 305 when each class held its own inverse tuple, 754 when it
+# held its own rows and labels too
 BYTES_PER_CLASS = 400
 # tracemalloc's count for hashing one of those classes: 36 bytes measured,
 # the int that holds the hash; 100 when caching it built an instance dict
@@ -845,17 +865,19 @@ def test_bytes_retained_per_class():
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        classes = list(zoo.enumerate_reversible_tables(5))
+        blocks = zoo.census_blocks.__wrapped__(5, True)
         gc.collect()
         retained = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
+    classes = [M for _inverse, block, _lanes in blocks for M in block]
     assert len(classes) == 3776
     assert retained / len(classes) < BYTES_PER_CLASS
 
 
 def test_bytes_retained_per_hashed_class():
-    classes = list(zoo.enumerate_reversible_tables(5))
+    blocks = zoo.census_blocks.__wrapped__(5, True)
+    classes = [M for _inverse, block, _lanes in blocks for M in block]
     gc.collect()
     tracemalloc.start()
     try:
@@ -877,7 +899,7 @@ def test_cap_message_names_enumerator_and_size(monkeypatch):
     with pytest.raises(SearchCapExceeded) as info:
         enumerate_canonical_hypergroups(5)
     message = str(info.value)
-    assert "enumerate_reversible_tables(n=5)" in message
+    assert "reversible_table_blocks(n=5)" in message
     assert "after 10 nodes" in message
 
 

@@ -319,12 +319,12 @@ def test_malformed_cap_in_environment_is_a_format_error(monkeypatch, raw):
         (
             lambda: enumerate_canonical_hypergroups(4),
             (enumerate_canonical_hypergroups,),
-            "enumerate_reversible_tables(n=4): node cap exceeded after 3 nodes",
+            "reversible_table_blocks(n=4): node cap exceeded after 3 nodes",
         ),
         (
             lambda: enumerate_small_mosaics(3),
             (enumerate_small_mosaics,),
-            "enumerate_reversible_tables(n=3): node cap exceeded after 3 nodes",
+            "reversible_table_blocks(n=3): node cap exceeded after 3 nodes",
         ),
         (
             lambda: hom_object(klein(), gf9_add(), Tag.CMSC),

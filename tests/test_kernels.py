@@ -17,8 +17,9 @@ round's additions, against the loop over the full product K*K.
 the loops over all n^3 triples, `is_commutative_mosaic` against `analyze`,
 `lane_failures`, which checks many tables at once in byte lanes, against
 `axiom_report` object by object, and its claimed identity and inverse map
-against those `from_masks` finds, also on spoiled tables and claims; the
-census against `from_masks` on the search's tables;
+against those `from_masks` finds, for both of its verdicts (commutative
+mosaic, canonical hypergroup), also on spoiled tables and claims; the
+census of both searches against `from_masks` on the search's tables;
 and `from_masks` (its row range check, its
 identity and its inverse map, and the exact tuples it keeps without a copy)
 against the per-entry loops.
@@ -975,7 +976,7 @@ def _non_hypergroups(Ms):
         else:
             groups.setdefault((M.n, M.identity, M.inverse), []).append(b)
     for (n, e, inv), members in groups.items():
-        failed = lane_failures(pack_lanes(n, [Ms[b].table for b in members]), e, inv)
+        failed = lane_failures(pack_lanes(n, [Ms[b].table for b in members]), e, inv, True)
         out += itertools.compress(members, failed)
     return sorted(out)
 
@@ -999,7 +1000,7 @@ def test_non_hypergroups_matches_reports_on_enumerated_tables():
     total nor associative, and every unital hypermagma of order <= 3, among
     them tables that fail only commutativity, only associativity or only
     reversibility, each set in one call."""
-    mosaics = [M for n in range(6) for M in zoo.enumerate_reversible_tables(n, hypergroups=False)]
+    mosaics = [M for n in range(6) for M in enumerate_small_mosaics(n)]
     assert len(mosaics) == 50809
     failed = _assert_same_verdicts(mosaics, random.Random(0))
     assert len(mosaics) - len(failed) == 3886
@@ -1090,22 +1091,25 @@ def test_non_hypergroups_reads_identity_and_inverse_as_stored():
     assert _assert_same_verdicts(objects, random.Random(0)) == [0]
 
 
-def _claim_oracle(tables):
+def _claim_oracle(tables, hypergroups):
     """Per table, the (identity, inverse map) that `from_masks` finds in
-    it when `axiom_report` classifies it as canonical, else None."""
+    it when `axiom_report` classifies it as canonical, or without
+    `hypergroups` reports a commutative mosaic, else None."""
     out = []
     for table in tables:
         M = from_masks([f"x{i}" for i in range(len(table))], table)
-        out.append((M.identity, M.inverse) if axiom_report(M).classification in CANONICAL else None)
+        rep = axiom_report(M)
+        good = rep.classification in CANONICAL if hypergroups else rep.is_mosaic and rep.commutative
+        out.append((M.identity, M.inverse) if good else None)
     return out
 
 
-def _assert_claim_verdicts(n, tables, e, inverse):
+def _assert_claim_verdicts(n, tables, e, inverse, hypergroups):
     """`lane_failures`, claiming the identity e and the inverse map
     `inverse` for `tables`, fails exactly the tables whose `_claim_oracle`
     is not that claim; returns its verdicts."""
-    failed = lane_failures(pack_lanes(n, tables), e, inverse)
-    assert list(failed) == [int(c != (e, inverse)) for c in _claim_oracle(tables)]
+    failed = lane_failures(pack_lanes(n, tables), e, inverse, hypergroups)
+    assert list(failed) == [int(c != (e, inverse)) for c in _claim_oracle(tables, hypergroups)]
     return failed
 
 
@@ -1151,17 +1155,22 @@ def test_pack_lanes_refuses_masks_wider_than_a_byte():
 
 
 def test_census_blocks_match_from_masks():
-    """Every sigma block of orders 1-5 passes `lane_failures` for its own
-    identity and inverse map, and the census is `from_masks` on the
-    blocks' tables, object for object and in order."""
-    for n in range(1, 6):
-        labels = tuple(str(v) for v in range(n))
-        tables = []
-        for inverse, block in zoo.reversible_table_blocks(n):
-            block = list(block)
-            assert not any(lane_failures(pack_lanes(n, block), 0, inverse))
-            tables += block
-        assert enumerate_canonical_hypergroups(n) == [from_masks(labels, t) for t in tables]
+    """Every sigma block of orders 1-5, of both searches, passes
+    `lane_failures` for its own identity and inverse map, and the census is
+    `from_masks` on the blocks' tables, object for object, field for field
+    and in order: the 50,520 mosaics of order 5 too."""
+    searches = ((True, enumerate_canonical_hypergroups), (False, enumerate_small_mosaics))
+    for hypergroups, census in searches:
+        for n in range(1, 6):
+            labels = tuple(str(v) for v in range(n))
+            tables = []
+            for inverse, block in zoo.reversible_table_blocks(n, hypergroups):
+                block = list(block)
+                assert not any(lane_failures(pack_lanes(n, block), 0, inverse, hypergroups))
+                tables += block
+            # a dataclass compares its fields: labels, table, identity, inverse
+            assert list(census(n)) == [from_masks(labels, t) for t in tables]
+    assert len(enumerate_small_mosaics(5)) == 50520
 
 
 def test_order_six_block_passes_lanes_and_builds_as_from_masks():
@@ -1171,7 +1180,7 @@ def test_order_six_block_passes_lanes_and_builds_as_from_masks():
     ((inverse, tables),) = zoo.reversible_table_blocks(6, sigma=(1, 0, 3, 2, 4))
     tables = list(tables)
     assert len(tables) == 9685
-    assert not any(lane_failures(pack_lanes(6, tables), 0, inverse))
+    assert not any(lane_failures(pack_lanes(6, tables), 0, inverse, True))
     labels = tuple(str(v) for v in range(6))
     assert all(Hypermagma(labels, t, 0, inverse) == from_masks(labels, t) for t in tables)
 
@@ -1179,18 +1188,19 @@ def test_order_six_block_passes_lanes_and_builds_as_from_masks():
 def test_lane_failures_matches_claim_oracle_on_every_claim():
     """Every commutative mosaic class of order <= 4 under every relabelling,
     so that any element can be the identity, packed together and claimed
-    with each identity e and each involution fixing e."""
+    with each identity e and each involution fixing e, for both verdicts."""
     for n in range(1, 5):
         perms = list(itertools.permutations(range(n)))
         tables = list({permute(M, p).table: None for M in enumerate_small_mosaics(n) for p in perms})
-        oracle = _claim_oracle(tables)
         lanes = pack_lanes(n, tables)
         involutions = [p for p in perms if all(p[y] == x for x, y in enumerate(p))]
-        for e in range(n):
-            for inverse in involutions:
-                if inverse[e] == e:
-                    failed = lane_failures(lanes, e, inverse)
-                    assert list(failed) == [int(c != (e, inverse)) for c in oracle]
+        for hypergroups in (True, False):
+            oracle = _claim_oracle(tables, hypergroups)
+            for e in range(n):
+                for inverse in involutions:
+                    if inverse[e] == e:
+                        failed = lane_failures(lanes, e, inverse, hypergroups)
+                        assert list(failed) == [int(c != (e, inverse)) for c in oracle]
 
 
 def _other_involution(inverse, e):
@@ -1270,9 +1280,9 @@ CLAIM_BASES = _claim_bases()
 def test_lane_failures_matches_claim_oracle_on_mutations(kind):
     """Each spoiled table or claim among good tables of its group, first,
     in the middle or last, for every group on 1 to 8 elements:
-    `_claim_oracle`'s verdict on every table, the spoiled one failing; a
-    claim that is no involution fixing the identity raises
-    `InvariantViolated`."""
+    `_claim_oracle`'s verdict on every table, for both verdicts, the
+    spoiled one failing; a claim that is no involution fixing the identity
+    raises `InvariantViolated`."""
     rng = random.Random(kind)
     sizes = set()
     for (n, e, inverse), tables in CLAIM_BASES.items():
@@ -1282,11 +1292,12 @@ def test_lane_failures_matches_claim_oracle_on_mutations(kind):
         batch = [rng.choice(tables) for _ in range(rng.randint(1, 6))]
         for at in sorted({0, len(batch) // 2, len(batch) - 1}):
             spoiled, e2, inverse2 = _mutated(kind, batch, e, inverse, at, rng)
-            if kind in MALFORMED:
-                with pytest.raises(InvariantViolated, match="is not an involution fixing"):
-                    lane_failures(pack_lanes(n, spoiled), e2, inverse2)
-            else:
-                assert _assert_claim_verdicts(n, spoiled, e2, inverse2)[at] == 1
+            for hypergroups in (True, False):
+                if kind in MALFORMED:
+                    with pytest.raises(InvariantViolated, match="is not an involution fixing"):
+                        lane_failures(pack_lanes(n, spoiled), e2, inverse2, hypergroups)
+                else:
+                    assert _assert_claim_verdicts(n, spoiled, e2, inverse2, hypergroups)[at] == 1
     assert set(range(MUTATIONS[kind], 9)) <= sizes
 
 
@@ -1295,7 +1306,8 @@ def test_lane_failures_matches_claim_oracle_on_mutations(kind):
 def test_lane_failures_matches_claim_oracle_on_random_batches(data):
     """Batches of one group's tables, some perturbed (`_perturbed`, which
     may move the identity or break unique inverses), some random, and some
-    with a spoiled table or claim: good and bad lanes side by side."""
+    with a spoiled table or claim: good and bad lanes side by side, under
+    either verdict."""
     rng = random.Random(data.draw(st.integers(0, 2**32)))
     (n, e, inverse), tables = data.draw(st.sampled_from(list(CLAIM_BASES.items())))
     labels = tuple(f"x{i}" for i in range(n))
@@ -1310,7 +1322,7 @@ def test_lane_failures_matches_claim_oracle_on_random_batches(data):
     if rng.random() < 0.3:
         kinds = [k for k, least in MUTATIONS.items() if n >= least and k not in MALFORMED]
         batch, e, inverse = _mutated(rng.choice(kinds), batch, e, inverse, rng.randrange(len(batch)), rng)
-    _assert_claim_verdicts(n, batch, e, inverse)
+    _assert_claim_verdicts(n, batch, e, inverse, data.draw(st.booleans()))
 
 
 def test_validation_matches_entry_loops_on_unital_hypermagmas():

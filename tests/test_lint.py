@@ -5,12 +5,14 @@ no name a function reads that is bound nowhere, no memo outside hyperkit.search,
 memoised functions with positional parameters only, no bare `assert` in any
 module, no definition that nothing names, no dataclass field that nothing
 reads, no function parameter that its body never reads, every function
-the benchmark's tracer wraps still exists, and every module stays below
-8,192 tokens."""
+the benchmark's tracer wraps still exists, every module stays below
+8,192 tokens, and every error message and search name that opens with a
+function's name names a function that exists."""
 import ast
 import builtins
 import importlib
 import os
+import re
 import symtable
 import tokenize
 
@@ -309,3 +311,52 @@ def test_dataclass_fields_are_read():
         if field.split(".")[-1] not in read
     ]
     assert unread == []
+
+
+def _leading_text(node):
+    """The literal text a message expression opens with: a string, or the
+    first literal part of an f-string; "" for anything else."""
+    if isinstance(node, ast.JoinedStr) and node.values:
+        node = node.values[0]
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return node.value
+    return ""
+
+
+def _messages(tree):
+    """The messages of each `raise E(msg)` and `ensure(cond, msg)`, and the
+    name of each `Budget(name)`, as expressions."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call) and node.exc.args:
+            yield node.exc.args[0]
+        elif isinstance(node, ast.Call):
+            called = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            if called == "ensure" and len(node.args) == 2:
+                yield node.args[1]
+            elif called == "Budget" and node.args:
+                yield node.args[0]
+
+
+# a message that opens with "name(" or "name: " says which function failed
+# or which search ran out; a renamed or deleted function leaves it stale
+NAMED = re.compile(r"([A-Za-z_]\w*)(?:\(|: )")
+
+
+def test_messages_name_functions_that_exist():
+    trees = {name: _tree(name) for name in MODULES}
+    functions = {
+        node.name
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    }
+    named, stale = [], []
+    for name, tree in trees.items():
+        for message in _messages(tree):
+            match = NAMED.match(_leading_text(message))
+            if match:
+                named.append(match[1])
+                if match[1] not in functions:
+                    stale.append(f"{name}:{message.lineno}: {match[1]}")
+    assert "reversible_table_blocks" in named
+    assert stale == []

@@ -570,7 +570,7 @@ def test_refuters_search_no_hom_set_out_of_a_class(monkeypatch):
         if module_name.split(".")[0] == "hyperkit" and vars(module).get("enumerate_morphisms") is original:
             monkeypatch.setattr(module, "enumerate_morphisms", spy)
     with search.scope():
-        classes = {id(G) for n in range(1, 6) for _, block, _ in zoo.census_blocks(n) for G in block}
+        classes = {id(G) for n in range(1, 6) for _, block, _ in zoo.census_blocks(n, True) for G in block}
         assert len(classes) == 3886
         for check in (
             suite.check_klein_four_refuter,
@@ -620,6 +620,14 @@ def test_empty_sum_witness_is_first_class_with_an_empty_sum():
             break
     H, x, y = empty_sum_search(5).witness
     assert (H.table, x, y) == first
+
+
+def test_empty_sum_witness_is_the_census_class():
+    """The search reads the classes of `census_blocks(5, True)`, block
+    sigma = (1 0), and builds no object of its own."""
+    H, _x, _y = empty_sum_search(5).witness
+    _inverse, classes, _lanes = zoo.census_blocks(5, True)[1]
+    assert any(H is G for G in classes)
 
 
 def test_empty_sum_search_steps():
